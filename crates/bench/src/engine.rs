@@ -6,8 +6,8 @@
 //! invocation is a *cell* keyed by a stable content hash of everything
 //! that determines its value: the benchmark description, the machine
 //! description, and the experiment options. Cells are memoized in an
-//! in-process map and (optionally) an on-disk artifact cache, so the
-//! table binaries stop recomputing shared work:
+//! in-process map and (optionally) an on-disk artifact cache, so
+//! successive table runs stop recomputing shared work:
 //!
 //! * Table 2's `Sched` column is by construction the same measurement
 //!   as Table 1's (the paper's Sched values are identical across the
@@ -84,7 +84,7 @@ const STAGE_SITES: [&str; 5] = [
 ];
 
 /// Counters the engine accumulates across all measurements; printed by
-/// the table binaries as a closing stats line.
+/// every `eel` table run as a closing stats line.
 #[derive(Debug, Default)]
 pub struct Stats {
     sims: AtomicU64,
@@ -876,24 +876,6 @@ fn dynamic_avg_bb(exe: &Executable, result: &RunResult) -> f64 {
     result.instructions as f64 / entries as f64
 }
 
-/// The `--jobs N` / `--jobs=N` worker-count argument, falling back to
-/// `$EEL_JOBS`, then to all available cores.
-pub fn jobs_from_args(args: &[String]) -> usize {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--jobs" {
-            if let Some(n) = it.next().and_then(|v| v.parse().ok()) {
-                return usize::max(n, 1);
-            }
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            if let Ok(n) = v.parse() {
-                return usize::max(n, 1);
-            }
-        }
-    }
-    jobs_from_env()
-}
-
 /// `$EEL_JOBS` if set and positive, otherwise all available cores.
 pub fn jobs_from_env() -> usize {
     if let Some(n) = std::env::var("EEL_JOBS")
@@ -1267,13 +1249,5 @@ mod tests {
         let last = trace.events.last().expect("non-empty dump");
         assert_eq!((last.cat.as_str(), last.name.as_str()), ("engine", "fault"));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn jobs_parsing() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(jobs_from_args(&args(&["--csv", "--jobs", "3"])), 3);
-        assert_eq!(jobs_from_args(&args(&["--jobs=7"])), 7);
-        assert!(jobs_from_args(&args(&["--csv"])) >= 1);
     }
 }

@@ -1,21 +1,21 @@
-//! Run-report persistence, perf-trajectory files, and the regression
-//! gate.
+//! Results-directory housekeeping, the scheduler's perf-trajectory
+//! file, and the regression gate.
 //!
-//! Three artifact kinds come out of here:
-//!
-//! * **Run reports** — every engine run's [`RunReport`], written to
-//!   `results/RUN_<hash>.json` (content-addressed, so identical runs
-//!   collapse to one file). `eel report` renders and diffs them.
-//! * **Trajectory files** — `BENCH_engine.json` / `BENCH_sched.json`
-//!   at the repo root (the perf-trajectory tracker reads there) and
-//!   mirrored under `results/`. Each holds a frozen `baseline` map, a
-//!   `current` map updated on every bench run, and the derived
-//!   `speedup` ratios; keys unseen before are seeded into the
-//!   baseline, so the file is merge-on-write across binaries.
+//! * **Traces** — flight-recorder traces and crash dumps, written
+//!   content-addressed under `results/` (`TRACE_<hash>.jsonl`,
+//!   `FLIGHT_<hash>.jsonl`). Runs write telemetry run reports only
+//!   where `eel experiment --report FILE` asks; `eel report --gc`
+//!   sweeps the legacy `results/RUN_<hash>.json` files.
+//! * **Trajectory files** — `BENCH_sched.json` at the repo root,
+//!   mirrored under `results/`, written by the `sched_hot` bench. It
+//!   holds a frozen `baseline` map, a `current` map updated on every
+//!   bench run, and the derived `speedup` ratios; keys unseen before
+//!   are seeded into the baseline. End-to-end engine performance is
+//!   recorded by the benchmark `BENCHMARK.json` declares instead.
 //! * **Gate outcomes** — [`gate`] compares a fresh report against a
 //!   checked-in baseline: deterministic counters must match exactly,
-//!   wall-time metrics may regress at most `tolerance_pct`. The
-//!   `perf_gate` binary turns a failed outcome into a nonzero exit.
+//!   wall-time metrics may regress at most `tolerance_pct`.
+//!   `eel perf-gate` turns a failed outcome into a nonzero exit.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -34,35 +34,9 @@ pub fn results_dir() -> PathBuf {
     workspace_root().join("results")
 }
 
-/// Writes `report` to `results/RUN_<hash>.json`, where the hash is the
-/// FNV-1a of the serialized body — identical runs produce identical
-/// files, so re-running a warm-cache binary is idempotent. Returns the
-/// path written.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from creating `results/` or writing
-/// the file.
-pub fn write_run_report(report: &RunReport) -> io::Result<PathBuf> {
-    write_run_report_in(report, &results_dir())
-}
-
-/// [`write_run_report`] into an explicit directory (used by tests).
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_run_report_in(report: &RunReport, dir: &Path) -> io::Result<PathBuf> {
-    let body = report.to_json();
-    let path = dir.join(format!("RUN_{:016x}.json", fnv1a(body.as_bytes())));
-    std::fs::create_dir_all(dir)?;
-    std::fs::write(&path, body)?;
-    Ok(path)
-}
-
 /// Writes a flight-recorder trace to `TRACE_<hash>.jsonl` under
-/// `dir`, content-addressed like run reports so identical traces
-/// collapse to one file. Returns the path written.
+/// `dir`, where the hash is the FNV-1a of the serialized body, so
+/// identical traces collapse to one file. Returns the path written.
 ///
 /// # Errors
 ///
@@ -300,81 +274,6 @@ impl Trajectory {
     }
 }
 
-/// The time metrics a table binary contributes to `BENCH_engine.json`,
-/// derived from its run report and prefixed with the run's label:
-/// total wall nanoseconds, schedule-stage ns per stall query, the p50
-/// stall-query latency, and simulator ns per thousand retired
-/// instructions.
-pub fn engine_trajectory_metrics(report: &RunReport) -> Vec<(String, f64)> {
-    let label = report
-        .meta
-        .get("label")
-        .map(String::as_str)
-        .unwrap_or("run");
-    let mut out = Vec::new();
-    let total: u64 = report.stages.values().sum();
-    if total > 0 {
-        out.push((format!("{label}.total_ns"), total as f64));
-    }
-    let queries = report.counters.get("sched.queries").copied().unwrap_or(0);
-    if let (Some(&sched_ns), true) = (report.stages.get("schedule"), queries > 0) {
-        out.push((
-            format!("{label}.sched_ns_per_query"),
-            sched_ns as f64 / queries as f64,
-        ));
-    }
-    if let Some(h) = report.histograms.get("sched.stall_query_ns") {
-        if h.count > 0 {
-            out.push((
-                format!("{label}.stall_query_p50_ns"),
-                h.quantile(0.50) as f64,
-            ));
-        }
-    }
-    let insns = report
-        .counters
-        .get("sim.instructions")
-        .copied()
-        .unwrap_or(0);
-    if let (Some(h), true) = (report.histograms.get("sim.run_ns"), insns > 0) {
-        out.push((
-            format!("{label}.sim_ns_per_kinsn"),
-            h.sum as f64 * 1000.0 / insns as f64,
-        ));
-    }
-    out
-}
-
-/// Updates `BENCH_engine.json` (repo root + `results/` mirror) with a
-/// run report's derived time metrics, and writes the report itself to
-/// `results/`. Called by the table binaries after printing; failures
-/// are reported to stderr, never fatal — telemetry must not break a
-/// table run.
-///
-/// Runs with `EEL_NO_BLOCK_CACHE=1` write their run report but skip
-/// the trajectory: they measure the interpretive reference engine,
-/// and letting them overwrite the `current` rows would silently
-/// record the wrong engine's speed (EXPERIMENTS.md, "Engine
-/// performance").
-pub fn publish_engine_report(report: &RunReport) {
-    match write_run_report(report) {
-        Ok(path) => eprintln!("run report: {}", path.display()),
-        Err(e) => eprintln!("run report write failed: {e}"),
-    }
-    if std::env::var_os("EEL_NO_BLOCK_CACHE").is_some_and(|v| v == "1") {
-        eprintln!(
-            "BENCH_engine.json not updated: EEL_NO_BLOCK_CACHE=1 measures the reference engine"
-        );
-        return;
-    }
-    let root_path = workspace_root().join("BENCH_engine.json");
-    let mut traj = Trajectory::load_or_new(&root_path, "ns (lower is better)");
-    traj.update(&engine_trajectory_metrics(report));
-    if let Err(e) = traj.write_to(&[root_path, results_dir().join("BENCH_engine.json")]) {
-        eprintln!("BENCH_engine.json write failed: {e}");
-    }
-}
-
 /// Deterministic counters the regression gate compares exactly: these
 /// count *work*, not time, so any drift means the measurement pipeline
 /// itself changed (different cell structure, different schedules,
@@ -452,8 +351,8 @@ impl GateOutcome {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:<6} {:<34} {:>14} {:>14} {:>9}  {}",
-            "kind", "metric", "baseline", "fresh", "delta", "verdict"
+            "{:<6} {:<34} {:>14} {:>14} {:>9}  verdict",
+            "kind", "metric", "baseline", "fresh", "delta"
         );
         // Counters are exact integers; time metrics (means included)
         // carry no information past a tenth of a nanosecond.
@@ -546,7 +445,7 @@ pub fn gate(baseline: &RunReport, fresh: &RunReport, tolerance_pct: f64) -> Gate
     }
     // Simulator throughput, normalized per thousand retired
     // instructions — the headline number the block-replay engine is
-    // accountable for (same derivation as `engine_trajectory_metrics`).
+    // accountable for.
     let kinsn = |r: &RunReport| -> Option<f64> {
         let h = r.histograms.get("sim.run_ns")?;
         let insns = r.counters.get("sim.instructions").copied()?;
@@ -744,7 +643,7 @@ mod tests {
             std::fs::write(dir.join(format!("RUN_{i:016x}.json")), "{}").unwrap();
         }
         std::fs::write(dir.join("TRACE_0000000000000000.jsonl"), "x").unwrap();
-        std::fs::write(dir.join("BENCH_engine.json"), "{}").unwrap();
+        std::fs::write(dir.join("BENCH_sched.json"), "{}").unwrap();
         let referenced = vec!["0000000000000004".to_string()];
         let (kept, deleted) = gc_run_reports(&dir, 2, &referenced).unwrap();
         assert_eq!(kept, 3, "2 newest + 1 referenced");
@@ -754,27 +653,13 @@ mod tests {
             "referenced survives"
         );
         assert!(dir.join("TRACE_0000000000000000.jsonl").exists());
-        assert!(dir.join("BENCH_engine.json").exists());
+        assert!(dir.join("BENCH_sched.json").exists());
         // Idempotent: a second sweep deletes nothing.
         let (kept2, deleted2) = gc_run_reports(&dir, 2, &referenced).unwrap();
         assert_eq!((kept2, deleted2.len()), (3, 0));
         // Missing directory is a clean no-op.
         let (k, d) = gc_run_reports(&dir.join("nope"), 2, &referenced).unwrap();
         assert_eq!((k, d.len()), (0, 0));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn run_reports_are_content_addressed() {
-        let dir = std::env::temp_dir().join(format!("eel-report-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let report = report_with(&[("engine.sims", 3)], &[("build", 77)]);
-        let a = write_run_report_in(&report, &dir).unwrap();
-        let b = write_run_report_in(&report, &dir).unwrap();
-        assert_eq!(a, b, "same content, same file");
-        assert!(a.file_name().unwrap().to_str().unwrap().starts_with("RUN_"));
-        let parsed = RunReport::from_json(&std::fs::read_to_string(&a).unwrap()).unwrap();
-        assert_eq!(parsed, report);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -158,128 +158,6 @@ impl FromStr for ShardSpec {
     }
 }
 
-/// The `--shard i/n` argument (either `--shard i/n` or `--shard=i/n`),
-/// defaulting to [`ShardSpec::full`]. Errors on malformed specs so
-/// binaries can exit nonzero with the typed message.
-pub fn shard_from_args(args: &[String]) -> Result<ShardSpec, ShardError> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--shard" {
-            let v = it
-                .next()
-                .ok_or_else(|| ShardError::Malformed("<missing>".to_string()))?;
-            return v.parse();
-        }
-        if let Some(v) = a.strip_prefix("--shard=") {
-            return v.parse();
-        }
-    }
-    Ok(ShardSpec::full())
-}
-
-/// The value of a `--name V` / `--name=V` argument in a binary's raw
-/// argument list, if present.
-pub fn value_from_args(args: &[String], name: &str) -> Option<String> {
-    let prefixed = format!("{name}=");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == name {
-            return it.next().cloned();
-        }
-        if let Some(v) = a.strip_prefix(&prefixed) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
-/// Shared driver for the table binaries (`table1`/`table2`/`table3`):
-/// the classic flags (`--csv`, `--jobs N`) plus the sharding surface
-/// (`--shard I/N`, `--rows FILE`, `--corpus NAME|FILE`). Malformed
-/// shard specs and corpus manifests exit nonzero with the typed
-/// message.
-///
-/// A partial run — sharded, or on a non-default corpus — never
-/// publishes to the results trajectory: trajectory rows assume
-/// full-golden-corpus counters, and a shard would register as a
-/// regression. Sharded runs write their rows via `--rows` and are
-/// folded back with `eel merge --rows`.
-pub fn table_main(
-    title: &str,
-    machine: &str,
-    model: &eel_pipeline::MachineModel,
-    reschedule: bool,
-    label: &str,
-) {
-    use crate::engine::{jobs_from_args, Engine};
-    use crate::experiment::{format_csv, format_table, ExperimentConfig};
-    use crate::report::publish_engine_report;
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let csv = args.iter().any(|a| a == "--csv");
-    let jobs = jobs_from_args(&args);
-    let shard = match shard_from_args(&args) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{label}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let rows_path = value_from_args(&args, "--rows");
-    let corpus_spec = value_from_args(&args, "--corpus");
-    let corpus = match &corpus_spec {
-        Some(spec) => match eel_workloads::load_corpus(spec) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("{label}: {e}");
-                std::process::exit(2);
-            }
-        },
-        None => eel_workloads::spec95(),
-    };
-    let cfg = ExperimentConfig::default();
-    let engine = Engine::new(model, &cfg).with_default_disk_cache();
-    let indexed = shard.filter(&corpus);
-    let mine: Vec<Benchmark> = indexed.iter().map(|(_, b)| b.clone()).collect();
-    let rows = engine.run_table(&mine, reschedule, jobs);
-    if csv {
-        print!("{}", format_csv(&rows));
-    } else if shard.is_full() {
-        println!("{}", format_table(title, model, &rows, reschedule));
-    } else {
-        println!(
-            "{}",
-            format_table(
-                &format!("{title} [shard {shard}]"),
-                model,
-                &rows,
-                reschedule
-            )
-        );
-    }
-    eprintln!("{}", engine.stats().report());
-    if let Some(p) = &rows_path {
-        let sr = ShardRows {
-            title: title.to_string(),
-            machine: machine.to_string(),
-            show_resched: reschedule,
-            corpus_len: corpus.len(),
-            shard,
-            rows: indexed.iter().map(|(i, _)| *i).zip(rows).collect(),
-        };
-        if let Err(e) = std::fs::write(p, sr.to_text()) {
-            eprintln!("{label}: {p}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("{label}: wrote shard rows {p}");
-    }
-    if shard.is_full() && corpus_spec.is_none() {
-        publish_engine_report(&engine.run_report(label, &[("jobs", jobs.to_string())]));
-    } else {
-        eprintln!("{label}: partial run (shard {shard}), skipping trajectory publication");
-    }
-}
-
 /// A problem reading or merging shard row files.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardFileError {
@@ -580,22 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_from_args_variants() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(shard_from_args(&args(&[])).unwrap(), ShardSpec::full());
-        assert_eq!(
-            shard_from_args(&args(&["--shard", "3/4"])).unwrap(),
-            ShardSpec { index: 3, total: 4 }
-        );
-        assert_eq!(
-            shard_from_args(&args(&["--shard=3/4"])).unwrap(),
-            ShardSpec { index: 3, total: 4 }
-        );
-        assert!(shard_from_args(&args(&["--shard", "0/4"])).is_err());
-        assert!(shard_from_args(&args(&["--shard"])).is_err());
-    }
-
-    #[test]
     fn shards_partition_the_corpus_exactly() {
         let corpus = spec95();
         for total in [1u32, 2, 3, 4, 7] {
@@ -690,7 +552,7 @@ mod tests {
         assert_eq!(rows[0].name, "a");
         assert_eq!(rows[1].name, "b");
         assert!(matches!(
-            merge_rows(&[a.clone()]),
+            merge_rows(std::slice::from_ref(&a)),
             Err(ShardFileError::Incomplete { .. })
         ));
         assert!(matches!(

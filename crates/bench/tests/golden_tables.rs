@@ -1,6 +1,6 @@
 //! Golden-file tests for the Table 1/2/3 pipelines: each table is run
 //! hermetically (in-process memoization only — the `EEL_NO_CACHE=1`
-//! path of the table binaries) on the two smallest deterministic
+//! path of `eel results table1|2|3`) on the two smallest deterministic
 //! workloads, and the rendered table is diffed byte-for-byte against a
 //! checked-in snapshot. Any drift in workload generation,
 //! instrumentation, scheduling, simulation, or table formatting fails
@@ -74,8 +74,8 @@ fn check_golden(name: &str, actual: &str) {
 }
 
 fn run_golden(name: &str, model: &MachineModel, title: &str, reschedule_first: bool) {
-    // `Engine::new` has no disk cache: this is exactly the table
-    // binaries' `EEL_NO_CACHE=1` path, so a stale artifact cache can
+    // `Engine::new` has no disk cache: this is exactly the
+    // `EEL_NO_CACHE=1` path of `eel results`, so a stale artifact cache can
     // never mask drift.
     let engine = Engine::new(model, &ExperimentConfig::default());
     let rows = engine.run_table(&golden_benchmarks(), reschedule_first, 2);
@@ -105,8 +105,8 @@ fn published_results_tables_agree_with_golden_rows() {
                 .unwrap_or_else(|| panic!("no {bench} row in results/{name}"));
             assert_eq!(
                 g, p,
-                "results/{name} is stale on {bench}: regenerate it with the \
-                 release table binaries"
+                "results/{name} is stale on {bench}: regenerate it with \
+                 `eel results NAME > results/NAME.txt`"
             );
         }
     }

@@ -1,0 +1,810 @@
+use std::collections::BTreeSet;
+
+use eel_bench::report::{results_dir, workspace_root};
+use eel_bench::shard::ShardSpec;
+use eel_telemetry::json::Json;
+use eel_telemetry::TraceFile;
+use eel_workloads::load_corpus;
+
+use super::*;
+
+fn call(args: &[&str]) -> Result<String, CliError> {
+    let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+    dispatch(&v)
+}
+
+fn tmp(name: &str) -> String {
+    let mut p = std::env::temp_dir();
+    p.push(format!("eel-cli-test-{}-{name}", std::process::id()));
+    p.to_string_lossy().into_owned()
+}
+
+#[test]
+fn help_lists_commands() {
+    let out = call(&["help"]).unwrap();
+    assert!(out.contains("instrument"));
+    assert!(out.contains("profile"));
+}
+
+#[test]
+fn list_benchmarks_and_machines() {
+    let out = call(&["list-benchmarks"]).unwrap();
+    assert!(out.contains("130.li"));
+    assert_eq!(out.lines().count(), 18);
+    let out = call(&["machines"]).unwrap();
+    assert!(out.contains("UltraSPARC"));
+    assert!(out.contains("4-way"));
+    assert!(out.contains("VLIW"), "{out}");
+    assert!(out.contains("6-way"), "{out}");
+    assert!(out.contains("DeepSPARC"), "{out}");
+    assert_eq!(out.lines().count(), 6);
+}
+
+#[test]
+fn new_machines_run_and_schedule() {
+    let f = tmp("li-new-machines.eelx");
+    call(&["gen", "130.li", "-o", &f, "--iterations", "2"]).unwrap();
+    let r = call(&["run", &f, "--machine", "vliw"]).unwrap();
+    assert!(r.contains("cycles on VLIW"), "{r}");
+    let r = call(&["run", &f, "--machine", "deepsparc"]).unwrap();
+    assert!(r.contains("cycles on DeepSPARC"), "{r}");
+    let e = call(&["run", &f, "--machine", "z80"])
+        .unwrap_err()
+        .to_string();
+    assert!(e.contains("deepsparc"), "error lists the machines: {e}");
+    std::fs::remove_file(&f).ok();
+}
+
+#[test]
+fn explain_accepts_every_policy() {
+    let f = tmp("li-policy.eelx");
+    call(&["gen", "130.li", "-o", &f, "--iterations", "2"]).unwrap();
+    for policy in ["stalls-first", "chain-first", "load-delay", "lookahead:2"] {
+        let out = call(&["explain", &f, "--policy", policy]).unwrap();
+        assert!(out.contains(&format!("({policy})")), "{policy}: {out}");
+        assert!(out.contains("after:"), "{policy}: {out}");
+    }
+    let e = call(&["explain", &f, "--policy", "random"])
+        .unwrap_err()
+        .to_string();
+    assert!(e.contains("unknown policy"), "{e}");
+    assert!(e.contains("exact"), "error lists the oracle too: {e}");
+    std::fs::remove_file(&f).ok();
+}
+
+#[test]
+fn explain_exact_renders_the_gap() {
+    let f = tmp("li-exact.eelx");
+    call(&["gen", "130.li", "-o", &f, "--iterations", "2"]).unwrap();
+    // `--exact` adds an oracle line with each block's optimality
+    // gap; small benchmark blocks are well inside the budget.
+    let out = call(&["explain", &f, "--exact"]).unwrap();
+    assert!(out.contains("exact:"), "{out}");
+    assert!(out.contains("gap"), "{out}");
+    assert!(out.contains("proven optimal"), "{out}");
+    // `--policy exact` schedules with the oracle and implies the
+    // gap rendering.
+    let out = call(&["explain", &f, "--policy", "exact"]).unwrap();
+    assert!(out.contains("(exact)"), "{out}");
+    assert!(out.contains("exact:"), "{out}");
+    // A starved search still exits cleanly: it reports the cut and
+    // keeps the list schedule, so no gap is ever won. (130.li's
+    // blocks are small enough that the root bound proves them all
+    // without searching, so the starvation needs a denser FP
+    // benchmark.)
+    let g = tmp("hydro2d-exact.eelx");
+    call(&["gen", "104.hydro2d", "-o", &g, "--iterations", "2"]).unwrap();
+    let out = call(&["explain", &g, "--exact", "--exact-budget", "1"]).unwrap();
+    assert!(out.contains("budget exhausted"), "{out}");
+    assert!(out.contains("list schedule kept"), "{out}");
+    assert!(
+        !out.contains("gap   1"),
+        "starved oracle can't win cycles: {out}"
+    );
+    let e = call(&["explain", &f, "--exact-budget", "9"])
+        .unwrap_err()
+        .to_string();
+    assert!(e.contains("--exact"), "{e}");
+    std::fs::remove_file(&f).ok();
+    std::fs::remove_file(&g).ok();
+}
+
+#[test]
+fn gen_disasm_cfg_run_roundtrip() {
+    let f = tmp("li.eelx");
+    let out = call(&["gen", "130.li", "-o", &f, "--iterations", "3"]).unwrap();
+    assert!(out.contains("wrote"));
+    let d = call(&["disasm", &f]).unwrap();
+    assert!(d.starts_with("main:"));
+    let c = call(&["cfg", &f]).unwrap();
+    assert!(c.contains("routine 0 `main`"));
+    let r = call(&["run", &f, "--machine", "ultrasparc"]).unwrap();
+    assert!(r.contains("cycles on UltraSPARC"), "{r}");
+    std::fs::remove_file(&f).ok();
+}
+
+#[test]
+fn instrument_modes_and_schedule() {
+    let f = tmp("go.eelx");
+    let g = tmp("go-inst.eelx");
+    call(&["gen", "099.go", "-o", &f, "--iterations", "2"]).unwrap();
+    for mode in ["slow", "fast", "trace"] {
+        let out = call(&[
+            "instrument",
+            &f,
+            "-o",
+            &g,
+            "--mode",
+            mode,
+            "--schedule",
+            "ultrasparc",
+        ])
+        .unwrap();
+        assert!(out.contains("scheduled for UltraSPARC"), "{mode}: {out}");
+        let r = call(&["run", &g]).unwrap();
+        assert!(r.contains("exit code"), "{mode}");
+    }
+    std::fs::remove_file(&f).ok();
+    std::fs::remove_file(&g).ok();
+}
+
+#[test]
+fn profile_reports_counts() {
+    let f = tmp("compress.eelx");
+    call(&["gen", "129.compress", "-o", &f, "--iterations", "2"]).unwrap();
+    for mode in ["slow", "fast"] {
+        let out = call(&["profile", &f, "--mode", mode]).unwrap();
+        assert!(out.contains("executions"), "{mode}: {out}");
+        assert!(out.lines().count() > 50, "{mode}");
+    }
+    std::fs::remove_file(&f).ok();
+}
+
+#[test]
+fn pipeline_traces_a_block() {
+    let f = tmp("ijpeg.eelx");
+    call(&["gen", "132.ijpeg", "-o", &f, "--iterations", "2"]).unwrap();
+    let out = call(&["pipeline", &f, "--machine", "supersparc", "--block", "0:1"]).unwrap();
+    assert!(out.contains("cycle"), "{out}");
+    std::fs::remove_file(&f).ok();
+}
+
+#[test]
+fn explain_attributes_block_stalls() {
+    let f = tmp("li-explain.eelx");
+    call(&["gen", "130.li", "-o", &f, "--iterations", "2"]).unwrap();
+    let out = call(&["explain", &f]).unwrap();
+    assert!(out.contains("stall attribution on UltraSPARC"), "{out}");
+    assert!(out.contains("before:"), "{out}");
+    assert!(out.contains("after:"), "{out}");
+
+    // Single-block mode adds tables, traces, and a Chrome trace.
+    let j = tmp("explain.json");
+    let out = call(&[
+        "explain",
+        &f,
+        "--machine",
+        "supersparc",
+        "--block",
+        "0",
+        "--chrome",
+        &j,
+    ])
+    .unwrap();
+    assert!(out.contains("before scheduling:"), "{out}");
+    assert!(out.contains("after scheduling:"), "{out}");
+    assert!(out.contains("cycle"), "{out}");
+    let json = std::fs::read_to_string(&j).unwrap();
+    assert!(json.contains("\"traceEvents\""), "{json}");
+
+    // --chrome is one block per trace.
+    let e = call(&["explain", &f, "--chrome", &j])
+        .unwrap_err()
+        .to_string();
+    assert!(e.contains("--block"), "{e}");
+    let e = call(&["explain", &f, "--routine", "99"])
+        .unwrap_err()
+        .to_string();
+    assert!(e.contains("no routine"), "{e}");
+    std::fs::remove_file(&f).ok();
+    std::fs::remove_file(&j).ok();
+}
+
+#[test]
+fn sadl_command_validates_descriptions() {
+    let f = tmp("machine.sadl");
+    std::fs::write(&f, eel_sadl::descriptions::HYPERSPARC).unwrap();
+    let out = call(&["sadl", &f]).unwrap();
+    assert!(out.contains("hyperSPARC: 2-way issue"), "{out}");
+    assert!(out.contains("every instruction covered"));
+    let out = call(&["sadl", &f, "--groups"]).unwrap();
+    assert!(out.contains("add"), "{out}");
+    // A broken description reports the error, not a panic.
+    std::fs::write(&f, "machine broken 1 1\nsem add is AR Bogus, D 1").unwrap();
+    let e = call(&["sadl", &f]).unwrap_err().to_string();
+    assert!(e.contains("undeclared unit"), "{e}");
+    std::fs::remove_file(&f).ok();
+}
+
+#[test]
+fn experiment_runs_one_benchmark_with_stats() {
+    let out = call(&[
+        "experiment",
+        "--benchmark",
+        "130.li",
+        "--iterations",
+        "40",
+        "--jobs",
+        "2",
+        "--no-cache",
+    ])
+    .unwrap();
+    assert!(out.contains("130.li"), "{out}");
+    assert!(out.contains("engine: 3 simulator invocations"), "{out}");
+    let csv = call(&[
+        "experiment",
+        "--benchmark",
+        "130.li",
+        "--iterations",
+        "40",
+        "--no-cache",
+        "--csv",
+    ])
+    .unwrap();
+    assert!(csv.starts_with("benchmark,suite,"), "{csv}");
+}
+
+#[test]
+fn experiment_policy_flag_changes_the_title_not_the_protocol() {
+    let out = call(&[
+        "experiment",
+        "--benchmark",
+        "130.li",
+        "--iterations",
+        "40",
+        "--jobs",
+        "2",
+        "--no-cache",
+        "--policy",
+        "chain-first",
+    ])
+    .unwrap();
+    assert!(out.contains("chain-first policy"), "{out}");
+    assert!(out.contains("130.li"), "{out}");
+    assert!(out.contains("engine: 3 simulator invocations"), "{out}");
+    // The default policy keeps the published title untouched.
+    let out = call(&[
+        "experiment",
+        "--benchmark",
+        "130.li",
+        "--iterations",
+        "40",
+        "--jobs",
+        "2",
+        "--no-cache",
+        "--policy",
+        "stalls-first",
+    ])
+    .unwrap();
+    assert!(!out.contains("policy"), "{out}");
+    let e = call(&["experiment", "--policy", "bogus"])
+        .unwrap_err()
+        .to_string();
+    assert!(e.contains("unknown policy"), "{e}");
+}
+
+#[test]
+fn experiment_exact_policy_runs_the_oracle() {
+    // A tiny node budget keeps the oracle cheap: most blocks fall
+    // back to the list incumbent, but the protocol and table shape
+    // are identical to every other policy.
+    let out = call(&[
+        "experiment",
+        "--benchmark",
+        "130.li",
+        "--iterations",
+        "40",
+        "--jobs",
+        "2",
+        "--no-cache",
+        "--policy",
+        "exact",
+        "--exact-budget",
+        "256",
+    ])
+    .unwrap();
+    assert!(out.contains("exact policy"), "{out}");
+    assert!(out.contains("130.li"), "{out}");
+    let e = call(&["experiment", "--exact-budget", "256"])
+        .unwrap_err()
+        .to_string();
+    assert!(e.contains("--policy exact"), "{e}");
+}
+
+#[test]
+fn experiment_shard_errors_are_typed() {
+    // Malformed specs must fail before any engine work, with a
+    // message naming the problem (the binaries turn these into
+    // nonzero exits).
+    let e = call(&["experiment", "--shard", "0/4"])
+        .unwrap_err()
+        .to_string();
+    assert!(e.contains("1-indexed"), "{e}");
+    let e = call(&["experiment", "--shard", "5/4"])
+        .unwrap_err()
+        .to_string();
+    assert!(e.contains("out of range"), "{e}");
+    let e = call(&["experiment", "--shard", "a/b"])
+        .unwrap_err()
+        .to_string();
+    assert!(e.contains("not of the form i/n"), "{e}");
+    let e = call(&["experiment", "--shard", "3"])
+        .unwrap_err()
+        .to_string();
+    assert!(e.contains("not of the form i/n"), "{e}");
+    let e = call(&["experiment", "--shard", "1/0"])
+        .unwrap_err()
+        .to_string();
+    assert!(e.contains("at least 1"), "{e}");
+    let e = call(&["experiment", "--corpus", "bogus-corpus"])
+        .unwrap_err()
+        .to_string();
+    assert!(e.contains("neither a built-in corpus"), "{e}");
+}
+
+#[test]
+fn sharded_experiment_merges_byte_identical() {
+    // A 2-shard split over a small generated corpus, merged in
+    // reversed order, must reproduce the unsharded table and the
+    // unsharded telemetry counters exactly.
+    let manifest = tmp("shard-corpus.txt");
+    std::fs::write(&manifest, "# eel-corpus-v1\ngen small 4 7\n").unwrap();
+    let ref_report = tmp("shard-ref.json");
+    let base = &[
+        "experiment",
+        "--corpus",
+        &manifest,
+        "--no-cache",
+        "--jobs",
+        "1",
+    ];
+    let full_out = call(&[base.as_slice(), &["--report", &ref_report]].concat()).unwrap();
+    let (r1, r2) = (tmp("shard-r1.txt"), tmp("shard-r2.txt"));
+    let (p1, p2) = (tmp("shard-p1.json"), tmp("shard-p2.json"));
+    for (spec, rows, rep) in [("1/2", &r1, &p1), ("2/2", &r2, &p2)] {
+        call(
+            &[
+                base.as_slice(),
+                &["--shard", spec, "--rows", rows, "--report", rep],
+            ]
+            .concat(),
+        )
+        .unwrap();
+    }
+    // Rows: merged table (shards in reversed order) is a byte
+    // prefix of the unsharded output (which appends stats).
+    let merged = call(&["merge", "--rows", &r2, &r1]).unwrap();
+    assert!(
+        full_out.starts_with(&merged),
+        "merged table diverges from the unsharded one:\n--- merged\n{merged}\n--- full\n{full_out}"
+    );
+    // Reports: counters and histogram event counts match the
+    // unsharded reference.
+    let merged_json = tmp("shard-merged.json");
+    let out = call(&[
+        "merge",
+        &p2,
+        &p1,
+        "--check-counters",
+        &ref_report,
+        "--out",
+        &merged_json,
+    ])
+    .unwrap();
+    assert!(out.contains("match"), "{out}");
+    assert!(out.contains("counters:"), "{out}");
+    // A deliberately wrong merge (a non-empty shard counted
+    // twice) is rejected with a nonzero exit.
+    let corpus = load_corpus(&manifest).unwrap();
+    let s1: ShardSpec = "1/2".parse().unwrap();
+    let dup = if s1.filter(&corpus).is_empty() {
+        &p2
+    } else {
+        &p1
+    };
+    let e = call(&["merge", &p1, &p2, dup, "--check-counters", &ref_report])
+        .unwrap_err()
+        .to_string();
+    assert!(e.contains("disagrees"), "{e}");
+    for f in [&manifest, &ref_report, &r1, &r2, &p1, &p2, &merged_json] {
+        std::fs::remove_file(f).ok();
+    }
+}
+
+#[test]
+fn merge_rows_rejects_incomplete_and_inconsistent_sets() {
+    // Handcrafted shard row files keep this deterministic.
+    let one = f64::to_bits(1.0);
+    let head = "# eel-shard-rows v1\ntitle T\nmachine ultrasparc\nresched 0\ncorpus 2\n";
+    let r1 = tmp("merge-r1.txt");
+    std::fs::write(
+        &r1,
+        format!("{head}shard 1/2\nrow 0 a CINT95 {one:016x} 1 {one:016x} 1 1\n"),
+    )
+    .unwrap();
+    let e = call(&["merge", "--rows", &r1]).unwrap_err().to_string();
+    assert!(e.contains("missing indices"), "{e}");
+    let e = call(&["merge", "--rows", &r1, &r1])
+        .unwrap_err()
+        .to_string();
+    assert!(e.contains("more than one shard"), "{e}");
+    let e = call(&["merge"]).unwrap_err().to_string();
+    assert!(e.contains("at least one shard file"), "{e}");
+    let r2 = tmp("merge-r2.txt");
+    std::fs::write(
+        &r2,
+        format!("{head}shard 2/2\nrow 1 b CINT95 {one:016x} 1 {one:016x} 1 1\n"),
+    )
+    .unwrap();
+    let merged = call(&["merge", "--rows", &r1, &r2]).unwrap();
+    assert!(merged.starts_with("T\n"), "{merged}");
+    assert!(merged.contains("\na "), "{merged}");
+    assert!(merged.contains("\nb "), "{merged}");
+    std::fs::remove_file(&r1).ok();
+    std::fs::remove_file(&r2).ok();
+}
+
+#[test]
+fn experiment_trace_records_renders_and_checks() {
+    let t = tmp("trace-run.jsonl");
+    let out = call(&[
+        "experiment",
+        "--benchmark",
+        "130.li",
+        "--iterations",
+        "40",
+        "--jobs",
+        "2",
+        "--no-cache",
+        "--trace-out",
+        &t,
+    ])
+    .unwrap();
+    assert!(out.contains("wrote trace"), "{out}");
+    let rendered = call(&["trace", &t]).unwrap();
+    assert!(rendered.starts_with("trace:"), "{rendered}");
+    assert!(rendered.contains("timeline"), "{rendered}");
+    assert!(rendered.contains("self time by category"), "{rendered}");
+    assert!(rendered.contains("engine"), "{rendered}");
+    // Every instrumented layer recorded: engine stages, cell
+    // decisions, scheduler passes, simulator runs.
+    let checked = call(&["trace", &t, "--check", "engine,cell,sched,sim"]).unwrap();
+    assert!(checked.contains("check engine:"), "{checked}");
+    assert!(checked.contains("check chrome:"), "{checked}");
+    // --no-cache means no lock events; --check makes that loud.
+    let e = call(&["trace", &t, "--check", "lock"])
+        .unwrap_err()
+        .to_string();
+    assert!(e.contains("`lock` recorded no events"), "{e}");
+    // The Chrome export parses and carries the trace events.
+    let j = tmp("trace-run-chrome.json");
+    let out = call(&["trace", &t, "--chrome", &j]).unwrap();
+    assert!(out.contains("perfetto"), "{out}");
+    let chrome = std::fs::read_to_string(&j).unwrap();
+    let parsed = Json::parse(&chrome).expect("valid chrome JSON");
+    match parsed.get("traceEvents") {
+        Some(Json::Arr(events)) => assert!(!events.is_empty()),
+        other => panic!("no traceEvents: {other:?}"),
+    }
+    assert!(chrome.contains("engine/baseline"), "{chrome}");
+    std::fs::remove_file(&t).ok();
+    std::fs::remove_file(&j).ok();
+}
+
+#[test]
+fn four_shard_traces_merge_into_one_timeline() {
+    // The acceptance scenario: four shards of one corpus, each
+    // recording its own flight trace, folded by `merge --trace`
+    // into a single timeline. The fold must align clocks, keep
+    // per-thread event order (ts ties broken by file then seq),
+    // and remember every source.
+    let manifest = tmp("trace-shard-corpus.txt");
+    std::fs::write(&manifest, "# eel-corpus-v1\ngen small 4 7\n").unwrap();
+    let traces: Vec<String> = (1..=4)
+        .map(|i| tmp(&format!("trace-shard-{i}.jsonl")))
+        .collect();
+    for (i, t) in traces.iter().enumerate() {
+        call(&[
+            "experiment",
+            "--corpus",
+            &manifest,
+            "--no-cache",
+            "--jobs",
+            "1",
+            "--shard",
+            &format!("{}/4", i + 1),
+            "--trace-out",
+            t,
+        ])
+        .unwrap();
+    }
+    let merged_path = tmp("trace-merged.jsonl");
+    let argv: Vec<&str> = ["merge", "--trace"]
+        .into_iter()
+        .chain(traces.iter().map(String::as_str))
+        .chain(["--out", &merged_path])
+        .collect();
+    let out = call(&argv).unwrap();
+    assert!(out.contains("wrote merged trace"), "{out}");
+    assert!(out.contains("self time by category"), "{out}");
+    let merged = TraceFile::parse(&std::fs::read_to_string(&merged_path).unwrap()).unwrap();
+    assert_eq!(merged.meta["sources"], "4");
+    assert_eq!(merged.meta["shard"], "1/4+2/4+3/4+4/4");
+    // One consistent timeline: dense global sequence numbers, and
+    // per-thread timestamps monotone (each source thread maps to
+    // its own merged tid, so per-thread program order survives).
+    let mut last_ts: std::collections::BTreeMap<u64, u64> = Default::default();
+    for (i, e) in merged.events.iter().enumerate() {
+        assert_eq!(e.seq, i as u64, "dense reassigned seq");
+        let prev = last_ts.entry(e.tid).or_insert(0);
+        assert!(*prev <= e.ts_ns, "thread {} goes backwards", e.tid);
+        *prev = e.ts_ns;
+    }
+    // All four shards' engine work and ownership decisions landed:
+    // each shard owns 1 of the 4 corpus entries and skips 3.
+    let shard_events = |name: &str| {
+        merged
+            .events
+            .iter()
+            .filter(|e| e.cat == "shard" && e.name == name)
+            .count()
+    };
+    assert_eq!(shard_events("own"), 4);
+    assert_eq!(shard_events("skip"), 12);
+    assert!(merged.events.iter().any(|e| e.cat == "engine"));
+    assert!(merged.events.iter().any(|e| e.cat == "sim"));
+    std::fs::remove_file(&manifest).ok();
+    std::fs::remove_file(&merged_path).ok();
+    for t in &traces {
+        std::fs::remove_file(t).ok();
+    }
+}
+
+#[test]
+fn report_gc_flag_validates_arguments() {
+    let e = call(&["report", "--gc", "--keep", "zebra"])
+        .unwrap_err()
+        .to_string();
+    assert!(e.contains("bad --keep"), "{e}");
+    let e = call(&["report", "--gc", "extra"]).unwrap_err().to_string();
+    assert!(e.contains("unexpected argument"), "{e}");
+}
+
+#[test]
+fn report_renders_and_diffs() {
+    let p = tmp("report.json");
+    call(&[
+        "experiment",
+        "--benchmark",
+        "130.li",
+        "--iterations",
+        "40",
+        "--jobs",
+        "1",
+        "--no-cache",
+        "--report",
+        &p,
+    ])
+    .unwrap();
+    let out = call(&["report", &p]).unwrap();
+    assert!(out.contains("counters:"), "{out}");
+    assert!(out.contains("sim.instructions"), "{out}");
+    assert!(out.contains("sched.blocks"), "{out}");
+    let json = call(&["report", &p, "--json"]).unwrap();
+    assert!(json.contains("\"schema\": \"eel-run-report\""), "{json}");
+    // A report diffed against itself has only zero deltas.
+    let diff = call(&["report", "--diff", &p, &p]).unwrap();
+    assert!(diff.contains("reports are identical"), "{diff}");
+    assert!(!diff.contains("one-sided"), "{diff}");
+    let dj = call(&["report", "--diff", &p, &p, "--json"]).unwrap();
+    assert!(dj.contains("\"eel-report-diff\""), "{dj}");
+    std::fs::remove_file(&p).ok();
+}
+
+#[test]
+fn report_errors_are_typed_not_panics() {
+    let e = call(&["report", "/nonexistent-report.json"])
+        .unwrap_err()
+        .to_string();
+    assert!(e.contains("nonexistent-report"), "{e}");
+
+    let p = tmp("bad-report.json");
+    std::fs::write(&p, "{ not json").unwrap();
+    let e = call(&["report", &p]).unwrap_err().to_string();
+    assert!(e.contains("invalid JSON"), "{e}");
+
+    std::fs::write(&p, "{\"schema\": \"something-else\", \"version\": 1}").unwrap();
+    let e = call(&["report", &p]).unwrap_err().to_string();
+    assert!(e.contains("not a run report"), "{e}");
+
+    std::fs::write(&p, "{\"schema\": \"eel-run-report\", \"version\": 99}").unwrap();
+    let e = call(&["report", &p]).unwrap_err().to_string();
+    assert!(e.contains("unsupported run report version 99"), "{e}");
+
+    let e = call(&["report", "--diff", &p]).unwrap_err().to_string();
+    assert!(e.contains("OLD NEW"), "{e}");
+    std::fs::remove_file(&p).ok();
+}
+
+#[test]
+fn errors_are_user_facing() {
+    assert!(call(&["frobnicate"])
+        .unwrap_err()
+        .to_string()
+        .contains("unknown command"));
+    assert!(call(&["gen", "nope", "-o", "x"])
+        .unwrap_err()
+        .to_string()
+        .contains("unknown benchmark"));
+    assert!(call(&["run", "/nonexistent.eelx"])
+        .unwrap_err()
+        .to_string()
+        .contains("nonexistent"));
+    assert!(call(&["gen", "130.li"])
+        .unwrap_err()
+        .to_string()
+        .contains("-o"));
+    assert!(call(&["instrument", "x", "-o", "y", "--mode", "weird"])
+        .unwrap_err()
+        .to_string()
+        .contains("x"));
+}
+
+/// A two-program generated corpus: small enough to run the full table
+/// protocol at default iterations in a unit test.
+fn tiny_corpus(name: &str) -> String {
+    let manifest = tmp(name);
+    std::fs::write(&manifest, "# eel-corpus-v1\ngen small 2 7\n").unwrap();
+    manifest
+}
+
+#[test]
+fn results_table1_and_experiment_share_one_table_driver() {
+    let manifest = tiny_corpus("results-vs-experiment.txt");
+    // `results table1` reads through the shared artifact cache, whose
+    // cells are content-keyed, so its rows must equal a `--no-cache`
+    // experiment's; the experiment appends engine stats after them.
+    let results = call(&["results", "table1", "--corpus", &manifest, "--csv"]).unwrap();
+    let experiment = call(&["experiment", "--corpus", &manifest, "--no-cache", "--csv"]).unwrap();
+    assert_eq!(results.lines().count(), 3, "{results}");
+    assert!(
+        experiment.starts_with(&results),
+        "{results}\n---\n{experiment}"
+    );
+    // The rendered table differs only in its fixed title and the
+    // trailing newline the published file carries.
+    let text = call(&["results", "table1", "--corpus", &manifest]).unwrap();
+    let title = "Table 1: Slow profiling instrumentation on the UltraSPARC\n";
+    let body = text.strip_prefix(title).expect("Table 1 title");
+    let experiment = call(&["experiment", "--corpus", &manifest, "--no-cache"]).unwrap();
+    let exp_body = experiment.split_once('\n').unwrap().1;
+    assert!(
+        exp_body.starts_with(body.strip_suffix('\n').unwrap()),
+        "{text}\n---\n{experiment}"
+    );
+    std::fs::remove_file(&manifest).ok();
+}
+
+#[test]
+fn results_names_are_the_published_files() {
+    let names: BTreeSet<&str> = results::RESULTS.iter().map(|(n, _)| *n).collect();
+    let published: BTreeSet<String> = std::fs::read_dir(results_dir())
+        .unwrap()
+        .filter_map(|e| {
+            let path = e.unwrap().path();
+            let stem = path.file_stem()?.to_str()?.to_string();
+            (path.extension()? == "txt").then_some(stem)
+        })
+        .collect();
+    assert_eq!(
+        names,
+        published
+            .iter()
+            .map(String::as_str)
+            .collect::<BTreeSet<_>>()
+    );
+}
+
+#[test]
+fn results_without_a_known_name_lists_the_names() {
+    for argv in [&["results"][..], &["results", "table4"]] {
+        let e = call(argv).unwrap_err().to_string();
+        for (name, _) in results::RESULTS {
+            assert!(e.contains(name), "{argv:?}: {e}");
+        }
+    }
+    let e = call(&["results", "table4"]).unwrap_err().to_string();
+    assert!(e.starts_with("unknown result `table4`"), "{e}");
+}
+
+#[test]
+fn results_regenerate_the_published_files() {
+    for name in ["figure2", "gap_report"] {
+        let published = std::fs::read_to_string(results_dir().join(format!("{name}.txt"))).unwrap();
+        assert_eq!(call(&["results", name]).unwrap(), published, "{name}");
+    }
+}
+
+#[test]
+fn bad_flags_are_one_line_errors_not_fallbacks() {
+    // Each must fail before any work: ignoring the typo would run the
+    // full table, a fallback would pick the wrong worker count, and a
+    // panic is not a diagnostic.
+    for (argv, want) in [
+        (
+            &["results", "table1", "--shrad", "1/2"][..],
+            "unexpected argument `--shrad`",
+        ),
+        (&["results", "table1", "--jobs", "abc"], "bad --jobs `abc`"),
+        (&["experiment", "--jobs", "abc"], "bad --jobs `abc`"),
+        (&["results", "summary", "--jobs"], "--jobs needs a value"),
+        (
+            &["results", "ablations", "--iterations", "x"],
+            "bad --iterations `x`",
+        ),
+        (
+            &["results", "gap_report", "--budget", "lots"],
+            "bad --budget `lots`",
+        ),
+        (
+            &["results", "gap_report", "--machine", "z80"],
+            "unknown machine `z80`",
+        ),
+        (
+            &["results", "figure2", "--csv"],
+            "unexpected argument `--csv`",
+        ),
+    ] {
+        let e = call(argv).unwrap_err();
+        let msg = e.to_string();
+        assert!(msg.contains(want), "{argv:?}: {msg}");
+        assert!(!msg.contains('\n'), "{argv:?}: one line: {msg}");
+        assert_eq!(e.exit_code(), 1, "{argv:?}");
+    }
+}
+
+#[test]
+fn perf_gate_usage_and_baseline_problems_exit_2() {
+    for (argv, want) in [
+        (&["perf-gate", "--tolerance", "x"][..], "bad --tolerance"),
+        (&["perf-gate", "--frobnicate"], "unexpected argument"),
+        (
+            &["perf-gate", "--baseline", "/nonexistent/perf_gate.json"],
+            "cannot read baseline",
+        ),
+    ] {
+        let e = call(argv).unwrap_err();
+        assert!(e.to_string().contains(want), "{argv:?}: {e}");
+        assert_eq!(e.exit_code(), 2, "{argv:?}");
+    }
+}
+
+#[test]
+fn runs_publish_nothing_without_report() {
+    let runs = || -> BTreeSet<String> {
+        std::fs::read_dir(results_dir())
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|n| n.starts_with("RUN_"))
+            .collect()
+    };
+    let trajectories =
+        || [workspace_root(), results_dir()].map(|d| d.join("BENCH_engine.json").exists());
+    let before = runs();
+    let manifest = tiny_corpus("publish-nothing.txt");
+    call(&["results", "table3", "--corpus", &manifest]).unwrap();
+    call(&["experiment", "--corpus", &manifest, "--no-cache"]).unwrap();
+    assert_eq!(runs(), before, "no results/RUN_*.json written");
+    assert_eq!(trajectories(), [false, false], "no BENCH_engine.json");
+    std::fs::remove_file(&manifest).ok();
+}

@@ -322,13 +322,19 @@ impl Parser<'_> {
                 }
                 Some(&c) if c < 0x20 => return Err(self.error("raw control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run up to the next quote, escape,
+                    // or control byte. Those are ASCII, so on &str
+                    // input the run ends on a character boundary, and
+                    // validating just the run keeps parsing linear.
+                    let start = self.pos;
+                    while matches!(self.bytes.get(self.pos),
+                        Some(&c) if c >= 0x20 && c != b'"' && c != b'\\')
+                    {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -415,6 +421,29 @@ mod tests {
             original,
             "{json}"
         );
+    }
+
+    #[test]
+    fn multi_megabyte_documents_parse_in_linear_time() {
+        // A Chrome-export-shaped document of ~2.4 MB: many events, each
+        // with several string members, some non-ASCII. A parser that
+        // re-validates the rest of the input per string character takes
+        // minutes on this; a linear scan takes milliseconds, so the
+        // bound below is generous even for an unoptimized build.
+        let event = Json::Obj(vec![
+            ("name".into(), Json::Str("sched/block µ∆ \"quoted\"".into())),
+            ("cat".into(), Json::Str("sched".into())),
+            ("ph".into(), Json::Str("X".into())),
+            ("ts".into(), Json::Num(123_456.0)),
+        ]);
+        let doc = Json::Obj(vec![("traceEvents".into(), Json::Arr(vec![event; 30_000]))]);
+        let text = doc.to_compact();
+        assert!(text.len() >= 2 << 20, "{} bytes", text.len());
+        let t = std::time::Instant::now();
+        let parsed = Json::parse(&text).unwrap();
+        let elapsed = t.elapsed();
+        assert_eq!(parsed, doc);
+        assert!(elapsed.as_secs() < 20, "parsing took {elapsed:?}");
     }
 
     #[test]

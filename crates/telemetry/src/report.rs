@@ -5,7 +5,7 @@
 //! JSON under schema `eel-run-report`, version [`RUN_REPORT_VERSION`].
 //! Reports parse back losslessly, render as human-readable text, and
 //! [`diff`](RunReport::diff) against each other — the diff is what
-//! both `eel report --diff` and the `perf_gate` bin are built on.
+//! both `eel report --diff` and `eel perf-gate` are built on.
 //!
 //! Parsing is strict about identity and lenient about content: the
 //! schema string and version must match exactly (a future version is a
