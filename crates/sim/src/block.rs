@@ -1,5 +1,5 @@
-//! Block-memoized timing simulation: the fast path behind
-//! [`crate::run`].
+//! The simulation engine behind [`crate::run`]: flat functional replay
+//! with block-memoized timing.
 //!
 //! The interpretive reference loop (`crate::reference`) re-decodes,
 //! re-resolves, and re-times the same hot basic blocks millions of
@@ -42,6 +42,13 @@
 //!   per-instruction reference — the probe and observe sequences are
 //!   the same — which tests in `crate::run` pin on crafted and random
 //!   traces.
+//! * **D-cache misses in the memo key** — a block's straight-line ops
+//!   run functionally *before* its timing walk, probing the D-cache in
+//!   program order into a per-instruction load-miss mask that folds
+//!   into the memo key like the I-cache mask; a walk adds each miss's
+//!   latency right after the load issues. Timing reads no
+//!   architectural state and the two caches are separate structures,
+//!   so running the ops first changes nothing observable.
 //!
 //! Functional execution stays exact and per-instruction: every
 //! retired instruction is interpreted against architectural state,
@@ -52,16 +59,16 @@
 //! back to single-stepping, which shares the timing memo via
 //! one-instruction transitions.
 //!
-//! Runs using a data-cache model or stall attribution take the
-//! reference path instead: both interleave per-instruction pipeline
-//! interaction that block replay cannot batch without changing
-//! observable results.
+//! Stall attribution walks every sequence on the real pipe through
+//! the recorder and never touches the memo (a replayed transition
+//! cannot report its stall cycles). Functional-only runs skip fetch
+//! probes, `prepare`, and timing altogether.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use eel_edit::Executable;
-use eel_pipeline::{BlockTransition, MachineModel, PipelineState, PreparedInsn};
+use eel_pipeline::{BlockTransition, MachineModel, PipelineState, PreparedInsn, StallRecorder};
 use eel_sparc::{
     AluOp, Cond, ControlKind, FCond, FpOp, FpReg, Instruction, IntReg, MemWidth, Operand,
 };
@@ -69,10 +76,10 @@ use eel_telemetry::Sink;
 
 use crate::cpu::{Cpu, Step};
 use crate::error::SimError;
-use crate::icache::ICache;
+use crate::icache::{ICache, ICacheConfig};
 use crate::memory::Memory;
 use crate::predictor::BranchPredictor;
-use crate::run::{RunConfig, RunResult, TimingConfig};
+use crate::run::{RunConfig, RunResult};
 
 /// Longest straight-line block the builder will form; regions longer
 /// than this are split into chained blocks.
@@ -102,6 +109,7 @@ fn chain(h: u64, tag: u64, v: u64) -> u64 {
 /// Context-chain event tags (arbitrary distinct constants).
 const CTX_ADVANCE: u64 = 0x61;
 const CTX_MISS: u64 = 0x6d;
+const CTX_DMISS: u64 = 0x64;
 
 /// A keyed fnv1a hasher for the timing-memo map: the keys are two
 /// already well-mixed u64s, so SipHash would be pure overhead on the
@@ -333,7 +341,8 @@ const HINT_WAYS: usize = 4;
 /// or trap in a delay slot falls back to single-stepping).
 struct SlotInfo {
     insn: Instruction,
-    prepared: PreparedInsn,
+    /// Model-resolved operands (`None` on functional-only runs).
+    prepared: Option<PreparedInsn>,
     op: BlockOp,
     /// fnv1a of the slot word — the same memo key a one-instruction
     /// single-step would use, so fused and stepped executions share
@@ -355,7 +364,8 @@ struct Block {
     start: usize,
     /// Decoded instructions; the terminator is last.
     insns: Vec<Instruction>,
-    /// Model-resolved operands, parallel to `insns`.
+    /// Model-resolved operands, parallel to `insns` (empty on
+    /// functional-only runs).
     prepared: Vec<PreparedInsn>,
     /// Lowered dispatch table, parallel to `insns` (terminator is
     /// always [`BlockOp::Other`], so replay handles its control flow
@@ -394,7 +404,7 @@ fn build_block(
     text_base: u32,
     text_len: usize,
     start: usize,
-    model: &MachineModel,
+    model: Option<&MachineModel>,
 ) -> Block {
     let mut words = Vec::new();
     let mut insns = Vec::new();
@@ -418,7 +428,7 @@ fn build_block(
         }
     }
     let n = insns.len();
-    let prepared = insns.iter().map(|i| model.prepare(i)).collect();
+    let prepared = model.map_or_else(Vec::new, |m| insns.iter().map(|i| m.prepare(i)).collect());
     let mut ops: Vec<BlockOp> = insns.iter().map(lower).collect();
     // The terminator's control flow (and possible exit) must run
     // through the generic interpreter.
@@ -454,7 +464,7 @@ fn build_block(
             // delay slot single-steps instead.
             (insn.control_kind() == ControlKind::None && !matches!(op, BlockOp::Other)).then(|| {
                 Box::new(SlotInfo {
-                    prepared: model.prepare(&insn),
+                    prepared: model.map(|m| m.prepare(&insn)),
                     op,
                     content: fnv1a64(&[word]),
                     addr,
@@ -500,23 +510,56 @@ struct TimingMemo {
     misses: u64,
 }
 
-/// Everything a block-replay run threads through its loop.
-struct Engine<'a> {
+/// One execution of a straight-line sequence, as the timing walk sees
+/// it.
+struct Seq<'s> {
+    insns: &'s [Instruction],
+    prepared: &'s [PreparedInsn],
+    /// Text-word index of `insns[0]`: the stall-attribution label of
+    /// instruction `i` is `first_word + i`.
+    first_word: usize,
+    /// I-cache misses, a bit per instruction: the penalty lands before
+    /// its issue.
+    imiss: u64,
+    /// D-cache load misses, a bit per instruction: the extra latency
+    /// lands right after its issue.
+    dmiss: u64,
+}
+
+impl Seq<'_> {
+    /// The timing-memo key: the content hash with this execution's
+    /// miss masks folded in, so each miss pattern has its own entries.
+    fn key(&self, content: u64) -> u64 {
+        let key = if self.imiss == 0 {
+            content
+        } else {
+            chain(content, CTX_MISS, self.imiss)
+        };
+        if self.dmiss == 0 {
+            key
+        } else {
+            chain(key, CTX_DMISS, self.dmiss)
+        }
+    }
+}
+
+/// Probes the D-cache for `insn`'s data access, if any, while the
+/// registers still hold their pre-execution values. Returns whether it
+/// was a load that missed: stores probe and fill, but delay nothing.
+fn load_missed(cache: &mut ICache, cpu: &Cpu, insn: &Instruction) -> bool {
+    insn.mem_address()
+        .is_some_and(|a| !cache.access(cpu.ea(a)) && insn.is_load())
+}
+
+/// The timing side of a run: absent on functional-only runs.
+struct Timer<'a> {
     model: &'a MachineModel,
-    mem: Memory,
-    cpu: Cpu,
     pipe: PipelineState,
     icache: Option<ICache>,
+    dcache: Option<ICache>,
     predictor: Option<BranchPredictor>,
-    pc_counts: Vec<u64>,
-    taken_counts: Vec<u64>,
-    /// Single-step caches (delay slots, budget boundary), validated
-    /// against the fetched word like the reference loop's.
-    decoded: Vec<Option<(u32, Instruction)>>,
-    prepared: Vec<Option<(u32, PreparedInsn)>>,
-    /// Per-word `(entry context id, memo entry)` of the most recent
-    /// single-step — the delay-slot analogue of `Block::last_key`.
-    step_last: Vec<(u64, u32)>,
+    /// Present when stall attribution was requested.
+    recorder: Option<StallRecorder>,
     memo: TimingMemo,
     /// The pipeline-context hash chain (see module docs).
     ctx: u64,
@@ -534,20 +577,11 @@ struct Engine<'a> {
     trail_advance: u64,
     #[cfg(debug_assertions)]
     key_scratch: Vec<u32>,
-    instructions: u64,
-    taken_branches: u64,
-    mem_ops: u64,
     last_complete: u64,
-    builds: u64,
-    fused: u64,
-    decode_rebuilds: u64,
-    prepare_rebuilds: u64,
-    text_base: u32,
     taken_penalty: u64,
-    max_instructions: u64,
 }
 
-impl Engine<'_> {
+impl Timer<'_> {
     /// Advances the issue point and folds the advance into the
     /// context chain. While a transition application is deferred the
     /// advance is only recorded; materialization replays it.
@@ -580,23 +614,70 @@ impl Engine<'_> {
         debug_assert_eq!(self.virt_cycle, self.pipe.cycle());
     }
 
+    /// Fetch-probes one instruction outside a block (a single step or
+    /// a fused delay slot), charging a miss as a pipeline advance.
+    /// `probe_gen` is the caller's all-hit skip state, as
+    /// [`Block::probe_gen`].
+    fn fetch_one(&mut self, addr: u32, probe_gen: &mut u64) {
+        let Some(cache) = self.icache.as_mut() else {
+            return;
+        };
+        if *probe_gen == cache.generation() {
+            cache.record_hits(1);
+            return;
+        }
+        let hit = cache.access(addr);
+        *probe_gen = cache.generation();
+        if !hit {
+            let penalty = u64::from(cache.penalty());
+            self.advance_pipe(penalty);
+        }
+    }
+
+    /// Issues `seq` on the real pipe in reference order — each I-cache
+    /// miss penalty before its instruction's issue, each D-cache miss
+    /// latency right after — classifying and labeling every issue when
+    /// attributing. Returns the latest completion cycle.
+    fn walk(&mut self, seq: &Seq) -> u64 {
+        let penalty = |c: &Option<ICache>| c.as_ref().map_or(0, |c| u64::from(c.penalty()));
+        let (ipen, dpen) = (penalty(&self.icache), penalty(&self.dcache));
+        let mut completes = 0u64;
+        for (i, (insn, p)) in seq.insns.iter().zip(seq.prepared).enumerate() {
+            if seq.imiss & (1u64 << i) != 0 {
+                self.pipe.advance(ipen);
+            }
+            let info = match self.recorder.as_mut() {
+                Some(rec) => {
+                    let info = self.pipe.issue_with(self.model, insn, p, rec);
+                    rec.note_issue((seq.first_word + i) as u32, insn);
+                    info
+                }
+                None => self.pipe.issue_prepared(self.model, insn, p),
+            };
+            if seq.dmiss & (1u64 << i) != 0 {
+                self.pipe.add_result_latency(insn, dpen);
+            }
+            completes = completes.max(info.completes);
+        }
+        completes
+    }
+
     /// Times an instruction sequence through the memo: replays the
-    /// captured transition for `(key, ctx)` or issues the sequence
-    /// once and captures it. `missmask` carries this execution's
-    /// I-cache misses (bit per instruction, already folded into
-    /// `key`): on a memo miss the walk interleaves each miss penalty
-    /// before its instruction's issue, exactly like the reference
-    /// loop, so replay stays cycle-exact. Updates `last_complete` and
-    /// the context chain; returns the memo entry index.
-    fn time_sequence(
-        &mut self,
-        key: u64,
-        insns: &[Instruction],
-        prepared: &[PreparedInsn],
-        hint: u32,
-        missmask: u64,
-        miss_penalty: u64,
-    ) -> u32 {
+    /// captured transition for `(key, ctx)` — `hint` if it is a known
+    /// entry — or walks the sequence once and captures it. `key` must
+    /// fold in the sequence's miss masks ([`Seq::key`]) so replay stays
+    /// cycle-exact. Updates `last_complete` and the context chain;
+    /// returns the memo entry index ([`NO_ENTRY`] when attributing).
+    fn time_sequence(&mut self, key: u64, hint: u32, seq: &Seq) -> u32 {
+        if self.recorder.is_some() {
+            // Attribution classifies every stall cycle, which a
+            // replayed transition cannot report: walk the real pipe
+            // and leave the memo alone.
+            let completes = self.walk(seq);
+            self.last_complete = self.last_complete.max(completes);
+            self.virt_cycle = self.pipe.cycle();
+            return NO_ENTRY;
+        }
         // Debug builds keep the pipe current at every event so memo
         // hits can be cross-checked against the canonical context key
         // (this also exercises `set_to_transition` on every hit).
@@ -640,14 +721,7 @@ impl Engine<'_> {
         let entry_ctx = self.ctx;
         let mut entry_ring = Vec::new();
         self.pipe.ring_deficit_cells(&mut entry_ring);
-        let mut completes = 0u64;
-        for (i, (insn, p)) in insns.iter().zip(prepared).enumerate() {
-            if missmask & (1u64 << i) != 0 {
-                self.pipe.advance(miss_penalty);
-            }
-            let info = self.pipe.issue_prepared(self.model, insn, p);
-            completes = completes.max(info.completes);
-        }
+        let completes = self.walk(seq);
         self.last_complete = self.last_complete.max(completes);
         let i = self.memo.transitions.len() as u32;
         let tr = self
@@ -669,6 +743,41 @@ impl Engine<'_> {
         i
     }
 
+    /// Charges a retired control transfer's fetch costs in reference
+    /// order: a conditional branch's mispredict penalty, then the
+    /// taken-transfer penalty.
+    fn retire_cti(&mut self, pc: u32, cond_branch: bool, taken: bool) {
+        if cond_branch {
+            if let Some(pred) = self.predictor.as_mut() {
+                if pred.observe(pc, taken) {
+                    let penalty = u64::from(pred.penalty());
+                    self.advance_pipe(penalty);
+                }
+            }
+        }
+        if taken {
+            self.advance_pipe(self.taken_penalty);
+        }
+    }
+}
+
+/// Everything a run threads through its loop.
+struct Engine<'a> {
+    mem: Memory,
+    cpu: Cpu,
+    timer: Option<Timer<'a>>,
+    pc_counts: Vec<u64>,
+    taken_counts: Vec<u64>,
+    instructions: u64,
+    taken_branches: u64,
+    mem_ops: u64,
+    builds: u64,
+    fused: u64,
+    text_base: u32,
+    max_instructions: u64,
+}
+
+impl Engine<'_> {
     /// Executes one instruction on the per-instruction path — delay
     /// slots, out-of-text program counters (which fault here exactly
     /// as in the reference), and the tail of the instruction budget.
@@ -684,48 +793,28 @@ impl Engine<'_> {
         let word = self.mem.fetch(pc)?;
         let word_idx = ((pc - self.text_base) / 4) as usize;
         self.pc_counts[word_idx] += 1;
-        let insn = match self.decoded[word_idx] {
-            Some((w, i)) if w == word => i,
-            _ => {
-                self.decode_rebuilds += 1;
-                let i = Instruction::decode(word);
-                self.decoded[word_idx] = Some((word, i));
-                i
-            }
-        };
-        if let Some(cache) = self.icache.as_mut() {
-            if !cache.access(pc) {
-                let penalty = u64::from(cache.penalty());
-                self.advance_pipe(penalty);
-            }
+        let insn = Instruction::decode(word);
+        if let Some(t) = self.timer.as_mut() {
+            // No all-hit skip state for a single step: always probe.
+            let mut probe_gen = u64::MAX;
+            t.fetch_one(pc, &mut probe_gen);
+            // A single instruction is a one-element sequence through
+            // the same memo (its key is the word's own content hash,
+            // so it shares entries with one-instruction blocks and
+            // fused delay slots).
+            let dmiss = t
+                .dcache
+                .as_mut()
+                .is_some_and(|c| load_missed(c, &self.cpu, &insn));
+            let seq = Seq {
+                insns: &[insn],
+                prepared: &[t.model.prepare(&insn)],
+                first_word: word_idx,
+                imiss: 0,
+                dmiss: u64::from(dmiss),
+            };
+            t.time_sequence(seq.key(fnv1a64(&[word])), NO_ENTRY, &seq);
         }
-        let p = match self.prepared[word_idx] {
-            Some((w, p)) if w == word => p,
-            _ => {
-                self.prepare_rebuilds += 1;
-                let p = self.model.prepare(&insn);
-                self.prepared[word_idx] = Some((word, p));
-                p
-            }
-        };
-        // A single instruction is a one-element sequence through the
-        // same memo (its key is the word's own content hash, so it
-        // shares entries with one-instruction blocks). The I-cache
-        // penalty was already charged above, in reference order. Text
-        // is immutable during a run, so the per-word shortcut only
-        // needs to match the context id.
-        let entry_ctx = self.ctx;
-        let hint = match self.step_last[word_idx] {
-            (c, e) if e != NO_ENTRY && c == entry_ctx => e,
-            _ => NO_ENTRY,
-        };
-        let key = if hint == NO_ENTRY {
-            fnv1a64(&[word])
-        } else {
-            0
-        };
-        let entry = self.time_sequence(key, &[insn], &[p], hint, 0, 0);
-        self.step_last[word_idx] = (entry_ctx, entry);
         if insn.is_mem() {
             self.mem_ops += 1;
         }
@@ -733,19 +822,13 @@ impl Engine<'_> {
         self.instructions += 1;
         match step {
             Step::Continue { taken_cti } => {
-                if insn.control_kind() == ControlKind::CondBranch {
-                    if let Some(pred) = self.predictor.as_mut() {
-                        if pred.observe(pc, taken_cti) {
-                            let penalty = u64::from(pred.penalty());
-                            self.advance_pipe(penalty);
-                        }
-                    }
+                if let Some(t) = self.timer.as_mut() {
+                    let cond = insn.control_kind() == ControlKind::CondBranch;
+                    t.retire_cti(pc, cond, taken_cti);
                 }
                 if taken_cti {
                     self.taken_branches += 1;
                     self.taken_counts[word_idx] += 1;
-                    let penalty = self.taken_penalty;
-                    self.advance_pipe(penalty);
                 }
                 Ok(None)
             }
@@ -753,195 +836,69 @@ impl Engine<'_> {
         }
     }
 
-    /// Executes one lowered straight-line op against architectural
-    /// state. Does not touch pc/npc (`pc` is for fault payloads only);
-    /// the generic fallback restores them around `step_decoded`.
-    #[inline]
-    fn exec_flat(&mut self, op: BlockOp, insn: &Instruction, pc: u32) -> Result<(), SimError> {
-        match op {
-            BlockOp::AluImm { op, rs1, imm, rd } => {
-                let a = self.cpu.reg(rs1);
-                let r = self.cpu.alu(op, a, imm, pc)?;
-                self.cpu.set_reg(rd, r);
-            }
-            BlockOp::AluReg { op, rs1, rs2, rd } => {
-                let a = self.cpu.reg(rs1);
-                let b = self.cpu.reg(rs2);
-                let r = self.cpu.alu(op, a, b, pc)?;
-                self.cpu.set_reg(rd, r);
-            }
-            BlockOp::Sethi { value, rd } => self.cpu.set_reg(rd, value),
-            BlockOp::LoadWordImm { base, off, rd } => {
-                let ea = self.cpu.reg(base).wrapping_add(off);
-                let v = self.mem.read_u32(ea)?;
-                self.cpu.set_reg(rd, v);
-            }
-            BlockOp::StoreWordImm { src, base, off } => {
-                let ea = self.cpu.reg(base).wrapping_add(off);
-                let v = self.cpu.reg(src);
-                self.mem.write_u32(ea, v)?;
-            }
-            BlockOp::Load {
-                width,
-                base,
-                off,
-                rd,
-            } => {
-                let ea = self.cpu.reg(base).wrapping_add(self.cpu.operand(off));
-                self.cpu.do_load(&mut self.mem, width, ea, rd, pc)?;
-            }
-            BlockOp::Store {
-                width,
-                src,
-                base,
-                off,
-            } => {
-                let ea = self.cpu.reg(base).wrapping_add(self.cpu.operand(off));
-                self.cpu.do_store(&mut self.mem, width, src, ea, pc)?;
-            }
-            BlockOp::LoadFp {
-                double,
-                base,
-                off,
-                rd,
-            } => {
-                let ea = self.cpu.reg(base).wrapping_add(self.cpu.operand(off));
-                self.cpu.do_load_fp(&mut self.mem, double, ea, rd, pc)?;
-            }
-            BlockOp::StoreFp {
-                double,
-                src,
-                base,
-                off,
-            } => {
-                let ea = self.cpu.reg(base).wrapping_add(self.cpu.operand(off));
-                self.cpu.do_store_fp(&mut self.mem, double, src, ea, pc)?;
-            }
-            BlockOp::Fp { op, rs1, rs2, rd } => self.cpu.fp_op(op, rs1, rs2, rd),
-            BlockOp::FCmp { double, rs1, rs2 } => self.cpu.do_fcmp(double, rs1, rs2),
-            BlockOp::Save { rs1, src2, rd } => {
-                let v = self.cpu.reg(rs1).wrapping_add(self.cpu.operand(src2));
-                self.cpu.do_save(v, rd);
-            }
-            BlockOp::Restore { rs1, src2, rd } => {
-                let v = self.cpu.reg(rs1).wrapping_add(self.cpu.operand(src2));
-                self.cpu.do_restore(v, rd, pc)?;
-            }
-            BlockOp::RdY { rd } => {
-                let y = self.cpu.y;
-                self.cpu.set_reg(rd, y);
-            }
-            BlockOp::WrY { rs1, src2 } => {
-                self.cpu.y = self.cpu.reg(rs1) ^ self.cpu.operand(src2);
-            }
-            BlockOp::Other => {
-                // Unreachable by construction (every straight-line
-                // instruction lowers); kept as a correct generic
-                // fallback.
-                self.cpu.pc = pc;
-                self.cpu.npc = pc.wrapping_add(4);
-                let step = self.cpu.step_decoded(&mut self.mem, insn)?;
-                debug_assert_eq!(
-                    step,
-                    Step::Continue { taken_cti: false },
-                    "interior block ops are straight-line"
-                );
-            }
-        }
-        Ok(())
-    }
-
-    /// Executes one full pass over a built block: batched I-cache
-    /// probes, memoized timing, flat functional replay, and exit-edge
-    /// bookkeeping. The caller guarantees `cpu.pc` is the block's
-    /// entry and `cpu.npc == pc + 4`.
+    /// Executes one full pass over a built block: flat functional
+    /// replay (probing the D-cache), batched I-cache probes, memoized
+    /// timing, and exit-edge bookkeeping. The caller guarantees
+    /// `cpu.pc` is the block's entry and `cpu.npc == pc + 4`.
     fn exec_block(&mut self, block: &mut Block) -> Result<Option<u32>, SimError> {
         let n = block.insns.len();
         let entry_pc = self.cpu.pc;
 
-        // Batched fetch modeling: probe every word in one pass in
-        // program order (identical hit/miss sequence and counts to
-        // the reference) and record which instructions missed. The
-        // hot case — no misses — replays the block's plain timing
-        // entry; a miss pattern folds into the memo key and its walk
-        // interleaves the penalties in reference order, so cycles are
-        // exact either way.
-        let mut missmask = 0u64;
-        let mut miss_penalty = 0u64;
-        if let Some(cache) = self.icache.as_mut() {
-            if block.probe_gen == cache.generation() {
-                // No fill since this block last probed all-hit: every
-                // tag it touched is still resident, so a re-probe
-                // would hit on each word and leave the tags untouched.
-                cache.record_hits(n as u64);
-            } else {
-                // One real probe per line: the first block word
-                // touching a line decides hit/miss (and fills on a
-                // miss), so the line's remaining words always hit —
-                // credit them without touching the tags. Identical
-                // per-word hit/miss sequence to the reference.
-                let line_words = (cache.line() / 4).max(1) as usize;
-                let mut i = 0;
-                while i < n {
-                    let addr = entry_pc + 4 * i as u32;
-                    let in_line = line_words - (addr / 4) as usize % line_words;
-                    let span = in_line.min(n - i);
-                    if !cache.access(addr) {
-                        missmask |= 1u64 << i;
-                    }
-                    if span > 1 {
-                        cache.record_hits(span as u64 - 1);
-                    }
-                    i += span;
+        // Functional replay of the interior: flat dispatch over the
+        // lowered ops. The interior is straight-line by construction,
+        // so pc/npc are not maintained per op — an op's pc is
+        // recomputed only for fault payloads, and the architectural pc
+        // is materialized once at the terminator. It runs before the
+        // timing walk so the D-cache can be probed with each op's
+        // pre-execution registers; a fault aborts the run either way.
+        let (cpu, mem) = (&mut self.cpu, &mut self.mem);
+        let mut dmiss = 0u64;
+        match self.timer.as_mut().and_then(|t| t.dcache.as_mut()) {
+            None => {
+                for i in 0..n - 1 {
+                    let pc = entry_pc.wrapping_add(4 * i as u32);
+                    exec_flat(cpu, mem, block.ops[i], &block.insns[i], pc)?;
                 }
-                miss_penalty = u64::from(cache.penalty());
-                // After a full probe every word's line is resident, so
-                // the skip is valid even past misses — unless the
-                // block spans more (consecutive) lines than the cache
-                // has sets, where a later line can evict an earlier
-                // one mid-probe.
-                let line = u64::from(cache.line());
-                let first = u64::from(entry_pc) / line;
-                let last = (u64::from(entry_pc) + 4 * n as u64 - 1) / line;
-                block.probe_gen = if missmask == 0 || (last - first) < cache.sets() as u64 {
-                    cache.generation()
-                } else {
-                    u64::MAX
-                };
+            }
+            Some(dcache) => {
+                for i in 0..n - 1 {
+                    if load_missed(dcache, cpu, &block.insns[i]) {
+                        dmiss |= 1u64 << i;
+                    }
+                    let pc = entry_pc.wrapping_add(4 * i as u32);
+                    exec_flat(cpu, mem, block.ops[i], &block.insns[i], pc)?;
+                }
+                // A length-capped block ends in a straight-line op,
+                // which may access memory too.
+                if load_missed(dcache, cpu, &block.insns[n - 1]) {
+                    dmiss |= 1u64 << (n - 1);
+                }
             }
         }
-        let key = if missmask == 0 {
-            block.content
-        } else {
-            chain(block.content, CTX_MISS, missmask)
-        };
 
-        // Memoized timing for the whole block.
-        let entry_ctx = self.ctx;
-        let way = (entry_ctx as usize) & (HINT_WAYS - 1);
-        let hint = match block.hints[way] {
-            (k, c, e) if k == key && c == entry_ctx => e,
-            _ => NO_ENTRY,
-        };
-        let entry = self.time_sequence(
-            key,
-            &block.insns,
-            &block.prepared,
-            hint,
-            missmask,
-            miss_penalty,
-        );
-        block.hints[way] = (key, entry_ctx, entry);
-
-        // Functional replay: flat dispatch over the lowered ops. The
-        // interior is straight-line by construction, so pc/npc are not
-        // maintained per op — an op's pc is recomputed only for fault
-        // payloads, and the architectural pc is materialized once at
-        // the terminator.
-        for i in 0..n - 1 {
-            let pc = entry_pc.wrapping_add(4 * i as u32);
-            self.exec_flat(block.ops[i], &block.insns[i], pc)?;
+        if let Some(t) = self.timer.as_mut() {
+            let imiss = t
+                .icache
+                .as_mut()
+                .map_or(0, |c| probe_block(c, block, entry_pc));
+            let seq = Seq {
+                insns: &block.insns,
+                prepared: &block.prepared,
+                first_word: block.start,
+                imiss,
+                dmiss,
+            };
+            let key = seq.key(block.content);
+            let entry_ctx = t.ctx;
+            let way = (entry_ctx as usize) & (HINT_WAYS - 1);
+            let hint = match block.hints[way] {
+                (k, c, e) if k == key && c == entry_ctx => e,
+                _ => NO_ENTRY,
+            };
+            let entry = t.time_sequence(key, hint, &seq);
+            block.hints[way] = (key, entry_ctx, entry);
         }
+
         let term_pc = entry_pc.wrapping_add(4 * (n as u32 - 1));
         let npc = term_pc.wrapping_add(4);
         // Specialized terminators: control flow through the shared
@@ -998,59 +955,55 @@ impl Engine<'_> {
         self.instructions += n as u64;
         self.mem_ops += block.mem_ops;
         block.execs += 1;
-        if block.cond_branch {
-            if let Some(pred) = self.predictor.as_mut() {
-                if pred.observe(term_pc, taken_cti) {
-                    let penalty = u64::from(pred.penalty());
-                    self.advance_pipe(penalty);
-                }
-            }
+        if let Some(t) = self.timer.as_mut() {
+            t.retire_cti(term_pc, block.cond_branch, taken_cti);
         }
         if taken_cti {
             self.taken_branches += 1;
             self.taken_counts[block.start + n - 1] += 1;
-            let penalty = self.taken_penalty;
-            self.advance_pipe(penalty);
             // Fused delay slot: a taken transfer leaves `pc` at the
             // slot with a non-sequential `npc` — normally a trip
             // through the single-step path. With the slot precached,
-            // execute it inline: the I-cache probe, memoized timing
-            // (sharing single-step memo entries via the word content
-            // key), and flat functional op happen in the exact order
-            // the reference interleaves them. Skipped at the budget
-            // boundary so the limit fault reports the exact count, and
-            // when the transfer annulled the slot (`pc` is already the
-            // target).
+            // execute it inline: the I-cache and D-cache probes,
+            // memoized timing (sharing single-step memo entries via
+            // the word content key), and flat functional op happen in
+            // the exact order the reference interleaves them. Skipped
+            // at the budget boundary so the limit fault reports the
+            // exact count, and when the transfer annulled the slot
+            // (`pc` is already the target).
             if let Some(slot) = &mut block.slot {
                 if self.cpu.pc == slot.addr && self.instructions < self.max_instructions {
                     let target = self.cpu.npc;
-                    self.pc_counts[block.start + n] += 1;
-                    if let Some(cache) = self.icache.as_mut() {
-                        if slot.probe_gen == cache.generation() {
-                            cache.record_hits(1);
-                        } else if cache.access(slot.addr) {
-                            slot.probe_gen = cache.generation();
-                        } else {
-                            slot.probe_gen = cache.generation();
-                            let penalty = u64::from(cache.penalty());
-                            self.advance_pipe(penalty);
-                        }
+                    let word = block.start + n;
+                    self.pc_counts[word] += 1;
+                    if let Some(t) = self.timer.as_mut() {
+                        t.fetch_one(slot.addr, &mut slot.probe_gen);
+                        let dmiss = t
+                            .dcache
+                            .as_mut()
+                            .is_some_and(|c| load_missed(c, &self.cpu, &slot.insn));
+                        let prepared = slot.prepared.expect("timed runs prepare the slot");
+                        let seq = Seq {
+                            insns: std::slice::from_ref(&slot.insn),
+                            prepared: std::slice::from_ref(&prepared),
+                            first_word: word,
+                            imiss: 0,
+                            dmiss: u64::from(dmiss),
+                        };
+                        let key = seq.key(slot.content);
+                        let entry_ctx = t.ctx;
+                        let way = (entry_ctx as usize) & (HINT_WAYS - 1);
+                        let hint = match slot.hints[way] {
+                            (k, c, e) if k == key && c == entry_ctx => e,
+                            _ => NO_ENTRY,
+                        };
+                        let entry = t.time_sequence(key, hint, &seq);
+                        slot.hints[way] = (key, entry_ctx, entry);
                     }
-                    let entry_ctx = self.ctx;
-                    let way = (entry_ctx as usize) & (HINT_WAYS - 1);
-                    let hint = match slot.hints[way] {
-                        (k, c, e) if k == slot.content && c == entry_ctx => e,
-                        _ => NO_ENTRY,
-                    };
-                    let insn = slot.insn;
-                    let prepared = slot.prepared;
-                    let entry = self.time_sequence(slot.content, &[insn], &[prepared], hint, 0, 0);
-                    slot.hints[way] = (slot.content, entry_ctx, entry);
                     if slot.is_mem {
                         self.mem_ops += 1;
                     }
-                    let (op, addr) = (slot.op, slot.addr);
-                    self.exec_flat(op, &insn, addr)?;
+                    exec_flat(&mut self.cpu, &mut self.mem, slot.op, &slot.insn, slot.addr)?;
                     self.instructions += 1;
                     self.fused += 1;
                     self.cpu.pc = target;
@@ -1062,13 +1015,161 @@ impl Engine<'_> {
     }
 }
 
-/// Runs `exe` through the block-replay engine. The caller has already
-/// established eligibility: a timed run with a model, no data cache,
-/// and no stall attribution.
+/// Batched fetch modeling for one block execution: probes every word
+/// in program order (identical hit/miss sequence and counts to the
+/// reference) and returns which instructions missed. The hot case —
+/// no misses — replays the block's plain timing entry; a miss pattern
+/// folds into the memo key and its walk interleaves the penalties in
+/// reference order, so cycles are exact either way.
+fn probe_block(cache: &mut ICache, block: &mut Block, entry_pc: u32) -> u64 {
+    let n = block.insns.len();
+    if block.probe_gen == cache.generation() {
+        // No fill since this block last probed all-hit: every tag it
+        // touched is still resident, so a re-probe would hit on each
+        // word and leave the tags untouched.
+        cache.record_hits(n as u64);
+        return 0;
+    }
+    // One real probe per line: the first block word touching a line
+    // decides hit/miss (and fills on a miss), so the line's remaining
+    // words always hit — credit them without touching the tags.
+    let mut missmask = 0u64;
+    let line_words = (cache.line() / 4).max(1) as usize;
+    let mut i = 0;
+    while i < n {
+        let addr = entry_pc + 4 * i as u32;
+        let in_line = line_words - (addr / 4) as usize % line_words;
+        let span = in_line.min(n - i);
+        if !cache.access(addr) {
+            missmask |= 1u64 << i;
+        }
+        if span > 1 {
+            cache.record_hits(span as u64 - 1);
+        }
+        i += span;
+    }
+    // After a full probe every word's line is resident, so the skip is
+    // valid even past misses — unless the block spans more
+    // (consecutive) lines than the cache has sets, where a later line
+    // can evict an earlier one mid-probe.
+    let line = u64::from(cache.line());
+    let first = u64::from(entry_pc) / line;
+    let last = (u64::from(entry_pc) + 4 * n as u64 - 1) / line;
+    block.probe_gen = if missmask == 0 || (last - first) < cache.sets() as u64 {
+        cache.generation()
+    } else {
+        u64::MAX
+    };
+    missmask
+}
+
+/// Executes one lowered straight-line op against architectural state.
+/// Does not touch pc/npc (`pc` is for fault payloads only); the
+/// generic fallback restores them around `step_decoded`.
+#[inline]
+fn exec_flat(
+    cpu: &mut Cpu,
+    mem: &mut Memory,
+    op: BlockOp,
+    insn: &Instruction,
+    pc: u32,
+) -> Result<(), SimError> {
+    match op {
+        BlockOp::AluImm { op, rs1, imm, rd } => {
+            let a = cpu.reg(rs1);
+            let r = cpu.alu(op, a, imm, pc)?;
+            cpu.set_reg(rd, r);
+        }
+        BlockOp::AluReg { op, rs1, rs2, rd } => {
+            let a = cpu.reg(rs1);
+            let b = cpu.reg(rs2);
+            let r = cpu.alu(op, a, b, pc)?;
+            cpu.set_reg(rd, r);
+        }
+        BlockOp::Sethi { value, rd } => cpu.set_reg(rd, value),
+        BlockOp::LoadWordImm { base, off, rd } => {
+            let ea = cpu.reg(base).wrapping_add(off);
+            let v = mem.read_u32(ea)?;
+            cpu.set_reg(rd, v);
+        }
+        BlockOp::StoreWordImm { src, base, off } => {
+            let ea = cpu.reg(base).wrapping_add(off);
+            mem.write_u32(ea, cpu.reg(src))?;
+        }
+        BlockOp::Load {
+            width,
+            base,
+            off,
+            rd,
+        } => {
+            let ea = cpu.reg(base).wrapping_add(cpu.operand(off));
+            cpu.do_load(mem, width, ea, rd, pc)?;
+        }
+        BlockOp::Store {
+            width,
+            src,
+            base,
+            off,
+        } => {
+            let ea = cpu.reg(base).wrapping_add(cpu.operand(off));
+            cpu.do_store(mem, width, src, ea, pc)?;
+        }
+        BlockOp::LoadFp {
+            double,
+            base,
+            off,
+            rd,
+        } => {
+            let ea = cpu.reg(base).wrapping_add(cpu.operand(off));
+            cpu.do_load_fp(mem, double, ea, rd, pc)?;
+        }
+        BlockOp::StoreFp {
+            double,
+            src,
+            base,
+            off,
+        } => {
+            let ea = cpu.reg(base).wrapping_add(cpu.operand(off));
+            cpu.do_store_fp(mem, double, src, ea, pc)?;
+        }
+        BlockOp::Fp { op, rs1, rs2, rd } => cpu.fp_op(op, rs1, rs2, rd),
+        BlockOp::FCmp { double, rs1, rs2 } => cpu.do_fcmp(double, rs1, rs2),
+        BlockOp::Save { rs1, src2, rd } => {
+            let v = cpu.reg(rs1).wrapping_add(cpu.operand(src2));
+            cpu.do_save(v, rd);
+        }
+        BlockOp::Restore { rs1, src2, rd } => {
+            let v = cpu.reg(rs1).wrapping_add(cpu.operand(src2));
+            cpu.do_restore(v, rd, pc)?;
+        }
+        BlockOp::RdY { rd } => {
+            let y = cpu.y;
+            cpu.set_reg(rd, y);
+        }
+        BlockOp::WrY { rs1, src2 } => {
+            cpu.y = cpu.reg(rs1) ^ cpu.operand(src2);
+        }
+        BlockOp::Other => {
+            // Unreachable by construction (every straight-line
+            // instruction lowers); kept as a correct generic fallback.
+            cpu.pc = pc;
+            cpu.npc = pc.wrapping_add(4);
+            let step = cpu.step_decoded(mem, insn)?;
+            debug_assert_eq!(
+                step,
+                Step::Continue { taken_cti: false },
+                "interior block ops are straight-line"
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Runs `exe` to completion: timed when both `model` and
+/// `config.timing` are given, functional-only otherwise.
 pub(crate) fn run_blocks<S: Sink>(
     exe: &Executable,
-    model: &MachineModel,
-    timing: &TimingConfig,
+    model: Option<&MachineModel>,
     config: &RunConfig,
     sink: &S,
 ) -> Result<RunResult, SimError> {
@@ -1086,39 +1187,45 @@ pub(crate) fn run_blocks<S: Sink>(
     } else {
         None
     };
-    debug_assert!(timing.dcache.is_none() && !config.attribute_stalls);
     let text_len = exe.text_len();
-    let mem = Memory::load(exe);
+    let timer = model
+        .zip(config.timing.as_ref())
+        .map(|(model, timing)| Timer {
+            model,
+            pipe: PipelineState::new(model),
+            icache: timing.icache.map(ICache::new),
+            dcache: timing.dcache.map(|c| {
+                ICache::new(ICacheConfig {
+                    size: c.size,
+                    line: c.line,
+                    miss_penalty: c.miss_penalty,
+                })
+            }),
+            predictor: timing.predictor.map(BranchPredictor::new),
+            recorder: config.attribute_stalls.then(StallRecorder::new),
+            memo: TimingMemo::default(),
+            ctx: 0,
+            pending: None,
+            virt_cycle: 0,
+            trail_advance: 0,
+            #[cfg(debug_assertions)]
+            key_scratch: Vec::new(),
+            last_complete: 0,
+            taken_penalty: u64::from(timing.taken_branch_penalty),
+        });
     let mut eng = Engine {
-        model,
+        mem: Memory::load(exe),
         cpu: Cpu::new(exe.entry()),
-        pipe: PipelineState::new(model),
-        icache: timing.icache.map(ICache::new),
-        predictor: timing.predictor.map(BranchPredictor::new),
+        timer,
         pc_counts: vec![0u64; text_len],
         taken_counts: vec![0u64; text_len],
-        decoded: vec![None; text_len],
-        prepared: vec![None; text_len],
-        step_last: vec![(0, NO_ENTRY); text_len],
-        memo: TimingMemo::default(),
-        ctx: 0,
-        pending: None,
-        virt_cycle: 0,
-        trail_advance: 0,
-        #[cfg(debug_assertions)]
-        key_scratch: Vec::new(),
         instructions: 0,
         taken_branches: 0,
         mem_ops: 0,
-        last_complete: 0,
         builds: 0,
         fused: 0,
-        decode_rebuilds: 0,
-        prepare_rebuilds: 0,
         text_base: exe.text_base(),
-        taken_penalty: u64::from(timing.taken_branch_penalty),
         max_instructions: config.max_instructions,
-        mem,
     };
     let mut blocks: Vec<Option<Box<Block>>> = (0..text_len).map(|_| None).collect();
 
@@ -1140,12 +1247,13 @@ pub(crate) fn run_blocks<S: Sink>(
             continue;
         }
         if blocks[word_idx].is_none() {
+            let model = eng.timer.as_ref().map(|t| t.model);
             let block = Box::new(build_block(
                 &eng.mem,
                 eng.text_base,
                 text_len,
                 word_idx,
-                eng.model,
+                model,
             ));
             if S::TRACE_ENABLED {
                 sink.trace_instant(
@@ -1174,30 +1282,26 @@ pub(crate) fn run_blocks<S: Sink>(
 
     // Expand per-block execution counts into the per-word profile.
     for block in blocks.iter().flatten() {
-        if block.execs > 0 {
-            for (i, c) in eng.pc_counts[block.start..block.start + block.insns.len()]
-                .iter_mut()
-                .enumerate()
-            {
-                let _ = i;
-                *c += block.execs;
-            }
+        for c in &mut eng.pc_counts[block.start..block.start + block.insns.len()] {
+            *c += block.execs;
         }
     }
 
-    let cycles = eng.last_complete + 1;
+    let timer = eng.timer;
+    let cycles = timer.as_ref().map_or(0, |t| t.last_complete + 1);
+    let (hits, misses) = timer
+        .as_ref()
+        .map_or((0, 0), |t| (t.memo.hits, t.memo.misses));
     if S::ENABLED {
         sink.add("sim.runs", 1);
         sink.add("sim.instructions", eng.instructions);
         sink.add("sim.cycles", cycles);
         sink.add("sim.mem_ops", eng.mem_ops);
         sink.add("sim.taken_branches", eng.taken_branches);
-        sink.add("sim.decode_rebuilds", eng.decode_rebuilds);
-        sink.add("sim.prepare_rebuilds", eng.prepare_rebuilds);
         sink.add("sim.block_builds", eng.builds);
         sink.add("sim.block_slot_fused", eng.fused);
-        sink.add("sim.block_ctx_hits", eng.memo.hits);
-        sink.add("sim.block_ctx_misses", eng.memo.misses);
+        sink.add("sim.block_ctx_hits", hits);
+        sink.add("sim.block_ctx_misses", misses);
         sink.record("sim.run_cycles", cycles);
         if let Some(t0) = start {
             sink.record("sim.run_ns", t0.elapsed().as_nanos() as u64);
@@ -1207,21 +1311,27 @@ pub(crate) fn run_blocks<S: Sink>(
         // Summaries for the too-hot-to-trace paths: context-memo
         // hit/miss totals (misses ≈ materialized timing walks) and
         // build/fuse totals for the block cache itself.
-        sink.trace_instant("sim", "block_cache", eng.memo.hits, eng.memo.misses);
+        sink.trace_instant("sim", "block_cache", hits, misses);
         sink.trace_instant("sim", "block_totals", eng.builds, eng.fused);
     }
+    let cache_misses = |c: &Option<ICache>| c.as_ref().map_or(0, ICache::misses);
     Ok(RunResult {
         instructions: eng.instructions,
         cycles,
         exit_code,
         pc_counts: eng.pc_counts,
-        icache_misses: eng.icache.map(|c| c.misses()).unwrap_or(0),
-        dcache_misses: 0,
-        mispredicts: eng.predictor.map(|p| p.mispredicts()).unwrap_or(0),
+        icache_misses: timer.as_ref().map_or(0, |t| cache_misses(&t.icache)),
+        dcache_misses: timer.as_ref().map_or(0, |t| cache_misses(&t.dcache)),
+        mispredicts: timer
+            .as_ref()
+            .and_then(|t| t.predictor.as_ref())
+            .map_or(0, BranchPredictor::mispredicts),
         taken_branches: eng.taken_branches,
         mem_ops: eng.mem_ops,
         taken_counts: eng.taken_counts,
         memory: eng.mem,
-        stall_profile: None,
+        stall_profile: timer
+            .and_then(|t| t.recorder)
+            .map(StallRecorder::into_profile),
     })
 }

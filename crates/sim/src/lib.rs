@@ -6,14 +6,13 @@
 //! demand-grown register windows, and an exit trap (`ta 0`). The
 //! timing engine ([`run`]) retires each instruction through the same
 //! SADL-derived pipeline state the scheduler consults
-//! (`eel-pipeline`), optionally adding taken-branch and
-//! instruction-cache penalties the scheduler's model deliberately
-//! omits — reproducing the paper's model-vs-machine gap. Eligible
-//! timed runs execute on a block-memoized replay engine that caches
-//! the decode/`prepare`/timing walk per (basic block, entry pipeline
-//! context); [`ReferenceCpu`] is the per-instruction oracle it is
-//! differentially pinned to, and `EEL_NO_BLOCK_CACHE=1` forces every
-//! run onto that reference path.
+//! (`eel-pipeline`), optionally adding taken-branch, cache, and
+//! mispredict penalties the scheduler's model deliberately omits —
+//! reproducing the paper's model-vs-machine gap. Every run executes on
+//! a block-memoized replay engine that caches the decode/`prepare`/
+//! timing walk per (basic block, entry pipeline context);
+//! [`ReferenceCpu`] is the per-instruction test oracle it is
+//! differentially pinned to.
 //!
 //! Per-word execution counts ([`RunResult::pc_counts`]) let tests
 //! validate QPT2 profiles against ground truth.

@@ -1,18 +1,11 @@
 //! The interpretive reference simulator: the original per-instruction
-//! fetch → decode → issue → execute loop, retained verbatim as the
-//! oracle the block-memoized fast path (`crate::block`) is pinned to.
-//!
-//! [`ReferenceCpu`] is the public face: it always takes the
-//! per-instruction path, regardless of configuration or environment.
-//! `crate::run` routes through the same loop whenever a run is not
-//! eligible for block replay (functional-only runs, data-cache
-//! modeling, stall attribution, or `EEL_NO_BLOCK_CACHE=1`), so the
-//! two entry points cannot drift apart.
+//! fetch → decode → issue → execute loop, kept as the test oracle the
+//! block-replay engine behind [`crate::run`] (`crate::block`) is
+//! pinned to. No production path calls it.
 
 use eel_edit::Executable;
-use eel_pipeline::{MachineModel, PipelineState, PreparedInsn, StallRecorder};
+use eel_pipeline::{MachineModel, PipelineState, StallRecorder};
 use eel_sparc::Instruction;
-use eel_telemetry::Sink;
 
 use crate::cpu::{Cpu, Step};
 use crate::error::SimError;
@@ -44,202 +37,119 @@ impl ReferenceCpu {
         model: Option<&MachineModel>,
         config: &RunConfig,
     ) -> Result<RunResult, SimError> {
-        run_interpretive(exe, model, config, &())
-    }
+        let mut mem = Memory::load(exe);
+        let mut cpu = Cpu::new(exe.entry());
+        let mut pc_counts = vec![0u64; exe.text_len()];
+        let mut taken_counts = vec![0u64; exe.text_len()];
 
-    /// [`ReferenceCpu::run`] observed through a telemetry sink.
-    ///
-    /// # Errors
-    ///
-    /// As [`ReferenceCpu::run`].
-    pub fn run_with<S: Sink>(
-        exe: &Executable,
-        model: Option<&MachineModel>,
-        config: &RunConfig,
-        sink: &S,
-    ) -> Result<RunResult, SimError> {
-        run_interpretive(exe, model, config, sink)
-    }
-}
+        let timing = config.timing.as_ref().zip(model);
+        let mut pipe = model.map(PipelineState::new);
+        let mut icache = timing.and_then(|(t, _)| t.icache).map(ICache::new);
+        let mut dcache = timing.and_then(|(t, _)| t.dcache).map(|c| {
+            ICache::new(ICacheConfig {
+                size: c.size,
+                line: c.line,
+                miss_penalty: c.miss_penalty,
+            })
+        });
+        let mut predictor = timing
+            .and_then(|(t, _)| t.predictor)
+            .map(BranchPredictor::new);
 
-/// The per-instruction retire loop shared by [`ReferenceCpu`] and the
-/// ineligible-configuration fallback in [`crate::run::run_with`].
-pub(crate) fn run_interpretive<S: Sink>(
-    exe: &Executable,
-    model: Option<&MachineModel>,
-    config: &RunConfig,
-    sink: &S,
-) -> Result<RunResult, SimError> {
-    let start = if S::ENABLED {
-        Some(std::time::Instant::now())
-    } else {
-        None
-    };
-    let mut decode_rebuilds = 0u64;
-    let mut prepare_rebuilds = 0u64;
-    let mut mem = Memory::load(exe);
-    let mut cpu = Cpu::new(exe.entry());
-    let mut pc_counts = vec![0u64; exe.text_len()];
-    let mut taken_counts = vec![0u64; exe.text_len()];
-
-    let timing = config.timing.as_ref().zip(model);
-    let mut pipe = model.map(PipelineState::new);
-    let mut icache = timing.and_then(|(t, _)| t.icache).map(ICache::new);
-    let mut dcache = timing.and_then(|(t, _)| t.dcache).map(|c| {
-        ICache::new(ICacheConfig {
-            size: c.size,
-            line: c.line,
-            miss_penalty: c.miss_penalty,
-        })
-    });
-    let mut predictor = timing
-        .and_then(|(t, _)| t.predictor)
-        .map(BranchPredictor::new);
-
-    let mut recorder = if config.attribute_stalls && timing.is_some() {
-        Some(StallRecorder::new())
-    } else {
-        None
-    };
-    let mut instructions = 0u64;
-    let mut taken_branches = 0u64;
-    let mut mem_ops = 0u64;
-    let mut last_complete = 0u64;
-
-    // Per-text-word caches, validated against the fetched word so even
-    // self-modifying text stays correct (a stale entry just misses and
-    // is rebuilt). Hot loops decode and model-resolve each instruction
-    // once instead of on every dynamic execution.
-    let mut decoded: Vec<Option<(u32, Instruction)>> = vec![None; exe.text_len()];
-    let mut prepared: Vec<Option<(u32, PreparedInsn)>> = if timing.is_some() {
-        vec![None; exe.text_len()]
-    } else {
-        Vec::new()
-    };
-
-    loop {
-        if instructions >= config.max_instructions {
-            return Err(SimError::InstructionLimit {
-                limit: config.max_instructions,
-                retired: instructions,
-            });
-        }
-        let pc = cpu.pc;
-        let word = mem.fetch(pc)?;
-        let word_idx = ((pc - exe.text_base()) / 4) as usize;
-        pc_counts[word_idx] += 1;
-        let insn = match decoded[word_idx] {
-            Some((w, i)) if w == word => i,
-            _ => {
-                if S::ENABLED {
-                    decode_rebuilds += 1;
-                }
-                let i = Instruction::decode(word);
-                decoded[word_idx] = Some((word, i));
-                i
-            }
+        let mut recorder = if config.attribute_stalls && timing.is_some() {
+            Some(StallRecorder::new())
+        } else {
+            None
         };
+        let mut instructions = 0u64;
+        let mut taken_branches = 0u64;
+        let mut mem_ops = 0u64;
+        let mut last_complete = 0u64;
 
-        if let (Some((tc, model)), Some(pipe)) = (timing, pipe.as_mut()) {
-            if let Some(cache) = icache.as_mut() {
-                if !cache.access(pc) {
-                    pipe.advance(u64::from(cache.penalty()));
-                }
-            }
-            let p = match prepared[word_idx] {
-                Some((w, p)) if w == word => p,
-                _ => {
-                    if S::ENABLED {
-                        prepare_rebuilds += 1;
-                    }
-                    let p = model.prepare(&insn);
-                    prepared[word_idx] = Some((word, p));
-                    p
-                }
-            };
-            let info = match recorder.as_mut() {
-                Some(rec) => {
-                    let info = pipe.issue_with(model, &insn, &p, rec);
-                    rec.note_issue(word_idx as u32, &insn);
-                    info
-                }
-                None => pipe.issue_prepared(model, &insn, &p),
-            };
-            last_complete = last_complete.max(info.completes);
-            if let (Some(cache), Some(addr)) = (dcache.as_mut(), insn.mem_address()) {
-                // The access address is computable before the step:
-                // registers still hold their pre-execution values.
-                let offset = match addr.offset {
-                    eel_sparc::Operand::Reg(r) => cpu.reg(r),
-                    eel_sparc::Operand::Imm(v) => v as i32 as u32,
-                };
-                let ea = cpu.reg(addr.base).wrapping_add(offset);
-                if !cache.access(ea) && insn.is_load() {
-                    pipe.add_result_latency(&insn, u64::from(cache.penalty()));
-                }
-            }
-            let _ = tc;
-        }
-
-        if insn.is_mem() {
-            mem_ops += 1;
-        }
-        let step = cpu.step_decoded(&mut mem, &insn)?;
-        instructions += 1;
-        match step {
-            Step::Continue { taken_cti } => {
-                if let Some(p) = predictor.as_mut() {
-                    if insn.control_kind() == eel_sparc::ControlKind::CondBranch
-                        && p.observe(pc, taken_cti)
-                    {
-                        if let Some(pipe) = pipe.as_mut() {
-                            pipe.advance(u64::from(p.penalty()));
-                        }
-                    }
-                }
-                if taken_cti {
-                    taken_branches += 1;
-                    taken_counts[word_idx] += 1;
-                    if let (Some((tc, _)), Some(pipe)) = (timing, pipe.as_mut()) {
-                        if tc.taken_branch_penalty > 0 {
-                            pipe.advance(u64::from(tc.taken_branch_penalty));
-                        }
-                    }
-                }
-            }
-            Step::Exit(code) => {
-                let cycles = if timing.is_some() {
-                    last_complete + 1
-                } else {
-                    0
-                };
-                if S::ENABLED {
-                    sink.add("sim.runs", 1);
-                    sink.add("sim.instructions", instructions);
-                    sink.add("sim.cycles", cycles);
-                    sink.add("sim.mem_ops", mem_ops);
-                    sink.add("sim.taken_branches", taken_branches);
-                    sink.add("sim.decode_rebuilds", decode_rebuilds);
-                    sink.add("sim.prepare_rebuilds", prepare_rebuilds);
-                    sink.record("sim.run_cycles", cycles);
-                    if let Some(t0) = start {
-                        sink.record("sim.run_ns", t0.elapsed().as_nanos() as u64);
-                    }
-                }
-                return Ok(RunResult {
-                    instructions,
-                    cycles,
-                    exit_code: code,
-                    pc_counts,
-                    icache_misses: icache.map(|c| c.misses()).unwrap_or(0),
-                    dcache_misses: dcache.map(|c| c.misses()).unwrap_or(0),
-                    mispredicts: predictor.map(|p| p.mispredicts()).unwrap_or(0),
-                    taken_branches,
-                    mem_ops,
-                    taken_counts,
-                    memory: mem,
-                    stall_profile: recorder.map(StallRecorder::into_profile),
+        loop {
+            if instructions >= config.max_instructions {
+                return Err(SimError::InstructionLimit {
+                    limit: config.max_instructions,
+                    retired: instructions,
                 });
+            }
+            let pc = cpu.pc;
+            let word = mem.fetch(pc)?;
+            let word_idx = ((pc - exe.text_base()) / 4) as usize;
+            pc_counts[word_idx] += 1;
+            let insn = Instruction::decode(word);
+
+            if let (Some((_, model)), Some(pipe)) = (timing, pipe.as_mut()) {
+                if let Some(cache) = icache.as_mut() {
+                    if !cache.access(pc) {
+                        pipe.advance(u64::from(cache.penalty()));
+                    }
+                }
+                let p = model.prepare(&insn);
+                let info = match recorder.as_mut() {
+                    Some(rec) => {
+                        let info = pipe.issue_with(model, &insn, &p, rec);
+                        rec.note_issue(word_idx as u32, &insn);
+                        info
+                    }
+                    None => pipe.issue_prepared(model, &insn, &p),
+                };
+                last_complete = last_complete.max(info.completes);
+                if let (Some(cache), Some(addr)) = (dcache.as_mut(), insn.mem_address()) {
+                    // The access address is computable before the step:
+                    // registers still hold their pre-execution values.
+                    if !cache.access(cpu.ea(addr)) && insn.is_load() {
+                        pipe.add_result_latency(&insn, u64::from(cache.penalty()));
+                    }
+                }
+            }
+
+            if insn.is_mem() {
+                mem_ops += 1;
+            }
+            let step = cpu.step_decoded(&mut mem, &insn)?;
+            instructions += 1;
+            match step {
+                Step::Continue { taken_cti } => {
+                    if let Some(p) = predictor.as_mut() {
+                        if insn.control_kind() == eel_sparc::ControlKind::CondBranch
+                            && p.observe(pc, taken_cti)
+                        {
+                            if let Some(pipe) = pipe.as_mut() {
+                                pipe.advance(u64::from(p.penalty()));
+                            }
+                        }
+                    }
+                    if taken_cti {
+                        taken_branches += 1;
+                        taken_counts[word_idx] += 1;
+                        if let (Some((tc, _)), Some(pipe)) = (timing, pipe.as_mut()) {
+                            if tc.taken_branch_penalty > 0 {
+                                pipe.advance(u64::from(tc.taken_branch_penalty));
+                            }
+                        }
+                    }
+                }
+                Step::Exit(code) => {
+                    return Ok(RunResult {
+                        instructions,
+                        cycles: if timing.is_some() {
+                            last_complete + 1
+                        } else {
+                            0
+                        },
+                        exit_code: code,
+                        pc_counts,
+                        icache_misses: icache.map(|c| c.misses()).unwrap_or(0),
+                        dcache_misses: dcache.map(|c| c.misses()).unwrap_or(0),
+                        mispredicts: predictor.map(|p| p.mispredicts()).unwrap_or(0),
+                        taken_branches,
+                        mem_ops,
+                        taken_counts,
+                        memory: mem,
+                        stall_profile: recorder.map(StallRecorder::into_profile),
+                    });
+                }
             }
         }
     }

@@ -1,15 +1,12 @@
 //! The top-level simulator: functional execution optionally coupled to
-//! the pipeline timing model and an instruction cache.
+//! the pipeline timing model, caches, and a branch predictor.
 //!
-//! [`run`] is a dispatcher over two engines with identical observable
-//! behavior. Timed runs without a data-cache model or stall
-//! attribution take the block-memoized replay path (`crate::block`),
+//! Every [`run`] executes on the block-replay engine (`crate::block`),
 //! which caches the decode/`prepare`/timing walk per basic block and
-//! entry pipeline context; everything else — and everything, when
-//! `EEL_NO_BLOCK_CACHE=1` — takes the interpretive per-instruction
-//! path ([`crate::ReferenceCpu`]). The differential property test
-//! `tests/block_vs_reference.rs` pins the two engines to exact
-//! agreement on every counter, cycle, and fault.
+//! entry pipeline context. The differential property test
+//! `tests/block_vs_reference.rs` pins it to exact agreement with the
+//! interpretive [`crate::ReferenceCpu`] on every counter, cycle,
+//! profile, and fault.
 
 use eel_edit::Executable;
 use eel_pipeline::{MachineModel, StallProfile};
@@ -50,8 +47,8 @@ pub struct RunConfig {
     /// or RAW/WAR/WAW hazard and the register plus producer behind
     /// it) and return the aggregate in [`RunResult::stall_profile`].
     /// Requires `timing`; costs an extra hazard query per retired
-    /// instruction, so it defaults to off and the hot path is
-    /// untouched.
+    /// instruction and bypasses the timing memo, so it defaults to off
+    /// and the hot path is untouched.
     pub attribute_stalls: bool,
 }
 
@@ -154,9 +151,8 @@ pub fn run(
 ///
 /// With a live sink every *completed* run flushes one batch of
 /// counters (`sim.runs`, `sim.instructions`, `sim.cycles`,
-/// `sim.mem_ops`, `sim.taken_branches`, the `sim.decode_rebuilds` /
-/// `sim.prepare_rebuilds` cache-rebuild counts, and — on the block
-/// path — `sim.block_builds` / `sim.block_ctx_hits` /
+/// `sim.mem_ops`, `sim.taken_branches`, `sim.block_builds`,
+/// `sim.block_slot_fused`, `sim.block_ctx_hits` and
 /// `sim.block_ctx_misses`) plus `sim.run_ns` / `sim.run_cycles`
 /// histogram samples. Totals are accumulated in locals and flushed
 /// once at exit, so the retire loop performs no atomic operations;
@@ -168,24 +164,7 @@ pub fn run_with<S: Sink>(
     config: &RunConfig,
     sink: &S,
 ) -> Result<RunResult, SimError> {
-    if let (Some(model), Some(timing)) = (model, config.timing.as_ref()) {
-        // Block replay batches I-cache charges at block entry and
-        // cannot interleave per-instruction data-cache latency or
-        // stall attribution, so those configurations (and functional
-        // runs, which have no timing walk to memoize) stay on the
-        // reference path.
-        if timing.dcache.is_none() && !config.attribute_stalls && !block_replay_disabled() {
-            return crate::block::run_blocks(exe, model, timing, config, sink);
-        }
-    }
-    crate::reference::run_interpretive(exe, model, config, sink)
-}
-
-/// `EEL_NO_BLOCK_CACHE=1` forces every run onto the interpretive
-/// reference path (the analogue of the engine's `EEL_NO_CACHE`).
-/// Checked per run so tests can toggle it.
-fn block_replay_disabled() -> bool {
-    std::env::var_os("EEL_NO_BLOCK_CACHE").is_some_and(|v| v == "1")
+    crate::block::run_blocks(exe, model, config, sink)
 }
 
 #[cfg(test)]
@@ -547,7 +526,7 @@ mod tests {
         assert_eq!(snap.counters["sim.instructions"], plain.instructions);
         assert_eq!(snap.counters["sim.cycles"], plain.cycles);
         assert_eq!(snap.counters["sim.taken_branches"], plain.taken_branches);
-        // The timed run takes the block path: the loop's two blocks
+        // The loop's two blocks
         // (entry + back-edge target) and the exit trap build once each,
         // and the steady-state iterations replay memoized timing.
         assert_eq!(snap.counters["sim.block_builds"], 3);
@@ -555,24 +534,6 @@ mod tests {
         assert!(snap.counters["sim.block_ctx_misses"] >= 3);
         assert_eq!(snap.histograms["sim.run_ns"].count, 1);
         assert_eq!(snap.histograms["sim.run_cycles"].max, plain.cycles);
-    }
-
-    #[test]
-    fn telemetry_pins_reference_path_rebuild_counts() {
-        let exe = loop_program(10);
-        let model = MachineModel::ultrasparc();
-        let cfg = RunConfig {
-            timing: Some(TimingConfig::default()),
-            ..RunConfig::default()
-        };
-        let reg = eel_telemetry::Registry::new();
-        let observed = crate::ReferenceCpu::run_with(&exe, Some(&model), &cfg, &reg).unwrap();
-        let snap = reg.snapshot();
-        assert_eq!(snap.counters["sim.instructions"], observed.instructions);
-        // Every static text word decodes exactly once (no self-modifying
-        // code here), and only timed words get prepared.
-        assert_eq!(snap.counters["sim.decode_rebuilds"], 7);
-        assert_eq!(snap.counters["sim.prepare_rebuilds"], 7);
     }
 
     /// Every observable a run produces, for cross-engine equality
