@@ -4,17 +4,13 @@
 //! profiling counter updates) and a single `pipeline_stalls` query
 //! against a warm mid-block pipeline state.
 //!
-//! Besides the human-readable report, the bench persists its medians
-//! to `BENCH_sched.json` at the repo root (where the perf-trajectory
-//! tracker reads) and mirrors it under `results/`. The first run
-//! establishes the `baseline` section; later runs keep it and record
-//! themselves under `current`, with a computed `speedup` map — which
-//! is how the before/after effect of reservation-table compilation is
-//! tracked. A `--test` smoke run (CI) executes everything once and
-//! writes nothing.
+//! The bench prints its medians and writes nothing; a `--test` smoke
+//! run (CI) executes everything once. The scheduler's recorded cost is
+//! the repository benchmark's `edit` workload, whose `core.*`
+//! per-layer metrics split it into blocks, stall queries and ns per
+//! query.
 
-use criterion::{black_box, BenchResult, Criterion};
-use eel_bench::report::{results_dir, workspace_root, Trajectory};
+use criterion::{black_box, Criterion};
 use eel_core::{Priority, SchedOptions, Scheduler};
 use eel_edit::{BlockCode, Tagged};
 use eel_pipeline::{MachineModel, PipelineState};
@@ -114,8 +110,9 @@ fn bench_schedule_block(c: &mut Criterion) {
 
 /// Per-policy cost of `schedule_block` on the paper's default machine
 /// (UltraSPARC): StallsFirst is the refactor-regression canary, the
-/// alternatives price what each policy's extra work (no pruning,
-/// shadow analysis, lookahead cloning) costs on the same block.
+/// alternatives price what each policy's extra work (a different
+/// order, shadow analysis, lookahead cloning) costs on the same
+/// block.
 fn bench_policies(c: &mut Criterion) {
     let body = instrumented_block_32();
     let mut g = c.benchmark_group("sched_hot/policy_32");
@@ -157,36 +154,9 @@ fn bench_stalls_query(c: &mut Criterion) {
     g.finish();
 }
 
-fn write_report(results: &[BenchResult]) {
-    // Prior runs kept the trajectory only under `results/`; prefer the
-    // repo-root copy but fall back so the frozen baseline (the
-    // pre-optimization medians) carries over.
-    let root_path = workspace_root().join("BENCH_sched.json");
-    let mut traj = Trajectory::load(&root_path)
-        .or_else(|| Trajectory::load(&results_dir().join("BENCH_sched.json")))
-        .unwrap_or_else(|| Trajectory::new("ns/iter (median)"));
-    let metrics: Vec<(String, f64)> = results
-        .iter()
-        .map(|r| (r.name.clone(), r.median_ns.max(1) as f64))
-        .collect();
-    traj.update(&metrics);
-    let paths = [root_path, results_dir().join("BENCH_sched.json")];
-    match traj.write_to(&paths) {
-        Ok(()) => println!(
-            "sched_hot: wrote {} and {}",
-            paths[0].display(),
-            paths[1].display()
-        ),
-        Err(e) => eprintln!("sched_hot: could not write trajectory: {e}"),
-    }
-}
-
 fn main() {
     let mut c = Criterion::default();
     bench_schedule_block(&mut c);
     bench_policies(&mut c);
     bench_stalls_query(&mut c);
-    if !c.is_smoke() {
-        write_report(c.results());
-    }
 }

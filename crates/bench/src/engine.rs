@@ -29,7 +29,7 @@
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -39,7 +39,7 @@ use eel_pipeline::{MachineModel, StallProfile};
 use eel_qpt::{ProfileOptions, Profiler};
 use eel_sim::{run_with, RunConfig, RunResult, SimError};
 use eel_telemetry::trace::OwnedEvent;
-use eel_telemetry::{Registry, RunReport, TraceFile, Traced, Tracer};
+use eel_telemetry::{Registry, RunReport, Snapshot, TraceFile, Traced, Tracer};
 use eel_workloads::{Benchmark, BuildOptions, Suite};
 
 use crate::experiment::{ExperimentConfig, Row};
@@ -73,8 +73,7 @@ enum Stage {
 const STAGE_NAMES: [&str; 5] = ["build", "baseline", "instrument", "schedule", "runs"];
 
 /// Per-stage wall-time histogram sites (one sample per `stage()`
-/// closure, so the distribution of stage chunks is visible, not just
-/// the totals the [`Stats`] atomics keep).
+/// closure); each histogram's `sum` is the stage's total.
 const STAGE_SITES: [&str; 5] = [
     "engine.stage.build_ns",
     "engine.stage.baseline_ns",
@@ -83,43 +82,42 @@ const STAGE_SITES: [&str; 5] = [
     "engine.stage.runs_ns",
 ];
 
-/// Counters the engine accumulates across all measurements; printed by
-/// every `eel` table run as a closing stats line.
-#[derive(Debug, Default)]
-pub struct Stats {
-    sims: AtomicU64,
-    mem_hits: AtomicU64,
-    disk_hits: AtomicU64,
-    computed: AtomicU64,
-    stall_queries: AtomicU64,
-    stage_nanos: [AtomicU64; 5],
-}
+/// The engine's accumulated counters and stage timings, read from its
+/// telemetry registry; printed by every `eel` table run as a closing
+/// stats line.
+#[derive(Debug)]
+pub struct Stats(Snapshot);
 
 impl Stats {
+    fn counter(&self, site: &str) -> u64 {
+        self.0.counters.get(site).copied().unwrap_or(0)
+    }
+
+    fn stage_nanos(&self, stage: usize) -> u64 {
+        self.0
+            .histograms
+            .get(STAGE_SITES[stage])
+            .map_or(0, |h| h.sum)
+    }
+
     /// Simulator invocations actually performed.
     pub fn sims(&self) -> u64 {
-        self.sims.load(Ordering::Relaxed)
+        self.counter("engine.sims")
     }
 
     /// Cells answered from the in-process map.
     pub fn mem_hits(&self) -> u64 {
-        self.mem_hits.load(Ordering::Relaxed)
+        self.counter("engine.cache.mem_hits")
     }
 
     /// Cells answered from the on-disk artifact cache.
     pub fn disk_hits(&self) -> u64 {
-        self.disk_hits.load(Ordering::Relaxed)
+        self.counter("engine.cache.disk_hits")
     }
 
     /// Cells computed cold (each one simulator invocation).
     pub fn computed(&self) -> u64 {
-        self.computed.load(Ordering::Relaxed)
-    }
-
-    /// `pipeline_stalls` queries issued by the scheduling stages — the
-    /// hot-path work behind the `schedule` stage time.
-    pub fn stall_queries(&self) -> u64 {
-        self.stall_queries.load(Ordering::Relaxed)
+        self.counter("engine.cells.computed")
     }
 
     /// A two-line human-readable summary for the end of a run.
@@ -136,13 +134,14 @@ impl Stats {
             self.computed(),
             if self.computed() == 1 { "" } else { "s" },
         );
-        for (name, nanos) in STAGE_NAMES.iter().zip(&self.stage_nanos) {
-            let secs = nanos.load(Ordering::Relaxed) as f64 / 1e9;
-            let _ = write!(out, " {name} {secs:.2}s");
+        for (stage, name) in STAGE_NAMES.iter().enumerate() {
+            let _ = write!(out, " {name} {:.2}s", self.stage_nanos(stage) as f64 / 1e9);
         }
-        let queries = self.stall_queries();
+        // `pipeline_stalls` queries issued by the scheduling stages:
+        // the hot-path work behind the `schedule` stage time.
+        let queries = self.counter("sched.queries");
         if queries > 0 {
-            let sched_nanos = self.stage_nanos[Stage::Schedule as usize].load(Ordering::Relaxed);
+            let sched_nanos = self.stage_nanos(Stage::Schedule as usize);
             let _ = write!(
                 out,
                 "\nscheduler: {} stall quer{} ({:.0} ns/query)",
@@ -166,7 +165,6 @@ pub struct Engine {
     cfg: ExperimentConfig,
     disk: Option<PathBuf>,
     mem: Mutex<HashMap<u64, CellValue>>,
-    stats: Stats,
     telemetry: Registry,
     tracer: Option<Arc<Tracer>>,
     flight_dir: Option<PathBuf>,
@@ -186,7 +184,6 @@ impl Engine {
             cfg: cfg.clone(),
             disk: None,
             mem: Mutex::new(HashMap::new()),
-            stats: Stats::default(),
             telemetry: Registry::new(),
             tracer: None,
             flight_dir: None,
@@ -258,8 +255,8 @@ impl Engine {
     }
 
     /// The engine's accumulated counters and stage timings.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
+    pub fn stats(&self) -> Stats {
+        Stats(self.telemetry.snapshot())
     }
 
     /// The engine's live telemetry registry. Every simulator run,
@@ -276,9 +273,8 @@ impl Engine {
             .map(|t| t.span("engine", STAGE_NAMES[stage as usize], 0, 0));
         let t = Instant::now();
         let v = f();
-        let nanos = t.elapsed().as_nanos() as u64;
-        self.stats.stage_nanos[stage as usize].fetch_add(nanos, Ordering::Relaxed);
-        self.telemetry.record(STAGE_SITES[stage as usize], nanos);
+        self.telemetry
+            .record(STAGE_SITES[stage as usize], t.elapsed().as_nanos() as u64);
         drop(trace);
         v
     }
@@ -331,7 +327,6 @@ impl Engine {
     }
 
     fn sim(&self, stage: Stage, exe: &Executable, measured: &MachineModel) -> RunResult {
-        self.stats.sims.fetch_add(1, Ordering::Relaxed);
         self.telemetry.add("engine.sims", 1);
         let config = self.run_config();
         self.stage(stage, || match self.tracer.as_deref() {
@@ -395,7 +390,6 @@ impl Engine {
     fn cell(&self, key: u64, compute: impl FnOnce() -> CellValue) -> CellValue {
         let tracer = self.tracer.as_deref();
         if let Some(&v) = self.mem.lock().expect("cache lock").get(&key) {
-            self.stats.mem_hits.fetch_add(1, Ordering::Relaxed);
             self.telemetry.add("engine.cache.mem_hits", 1);
             if let Some(t) = tracer {
                 t.instant("cell", "mem_hit", key, 0);
@@ -403,7 +397,6 @@ impl Engine {
             return v;
         }
         if let Some(v) = self.disk_get(key) {
-            self.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
             self.telemetry.add("engine.cache.disk_hits", 1);
             if let Some(t) = tracer {
                 t.instant("cell", "disk_hit", key, 0);
@@ -437,7 +430,6 @@ impl Engine {
         });
         if lock.as_ref().is_some_and(Option::is_some) {
             if let Some(v) = self.disk_get(key) {
-                self.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
                 self.telemetry.add("engine.cache.disk_hits", 1);
                 self.telemetry.add("engine.cache.lock_races_won", 1);
                 if let Some(t) = tracer {
@@ -450,7 +442,6 @@ impl Engine {
         let compute_trace = tracer.map(|t| t.span("cell", "compute", key, 0));
         let v = compute();
         drop(compute_trace);
-        self.stats.computed.fetch_add(1, Ordering::Relaxed);
         self.telemetry.add("engine.cells.computed", 1);
         self.disk_put(key, v);
         self.mem.lock().expect("cache lock").insert(key, v);
@@ -622,10 +613,6 @@ impl Engine {
         assert_eq!(inst.exit_code, baseline.exit_code, "{}", bench.name);
         assert_eq!(sched.exit_code, baseline.exit_code, "{}", bench.name);
 
-        self.stats
-            .stall_queries
-            .fetch_add(scheduler.stall_queries(), Ordering::Relaxed);
-
         Row {
             name: bench.name,
             suite: bench.suite,
@@ -721,12 +708,13 @@ impl Engine {
         for (k, v) in extra_meta {
             meta.insert((*k).to_string(), v.clone());
         }
+        let stats = self.stats();
         let stages = STAGE_NAMES
             .iter()
-            .zip(&self.stats.stage_nanos)
-            .map(|(name, nanos)| (name.to_string(), nanos.load(Ordering::Relaxed)))
+            .enumerate()
+            .map(|(stage, name)| (name.to_string(), stats.stage_nanos(stage)))
             .collect();
-        RunReport::new(meta, stages, &self.telemetry.snapshot())
+        RunReport::new(meta, stages, &stats.0)
     }
 }
 
@@ -751,7 +739,6 @@ pub struct Attribution {
 
 impl Engine {
     fn sim_attributed(&self, exe: &Executable, measured: &MachineModel) -> RunResult {
-        self.stats.sims.fetch_add(1, Ordering::Relaxed);
         self.telemetry.add("engine.sims", 1);
         let config = RunConfig {
             attribute_stalls: true,
@@ -814,9 +801,6 @@ impl Engine {
 
         let inst = self.sim_attributed(&instrumented, &measured);
         let sched = self.sim_attributed(&scheduled, &measured);
-        self.stats
-            .stall_queries
-            .fetch_add(scheduler.stall_queries(), Ordering::Relaxed);
         Attribution {
             name: bench.name,
             suite: bench.suite,

@@ -1,27 +1,18 @@
-//! Results-directory housekeeping, the scheduler's perf-trajectory
-//! file, and the regression gate.
+//! Results-directory housekeeping and the regression gate.
 //!
 //! * **Traces** — flight-recorder traces and crash dumps, written
 //!   content-addressed under `results/` (`TRACE_<hash>.jsonl`,
 //!   `FLIGHT_<hash>.jsonl`). Runs write telemetry run reports only
 //!   where `eel experiment --report FILE` asks; `eel report --gc`
 //!   sweeps the legacy `results/RUN_<hash>.json` files.
-//! * **Trajectory files** — `BENCH_sched.json` at the repo root,
-//!   mirrored under `results/`, written by the `sched_hot` bench. It
-//!   holds a frozen `baseline` map, a `current` map updated on every
-//!   bench run, and the derived `speedup` ratios; keys unseen before
-//!   are seeded into the baseline. End-to-end engine performance is
-//!   recorded by the benchmark `BENCHMARK.json` declares instead.
 //! * **Gate outcomes** — [`gate`] compares a fresh report against a
 //!   checked-in baseline: deterministic counters must match exactly,
 //!   wall-time metrics may regress at most `tolerance_pct`.
 //!   `eel perf-gate` turns a failed outcome into a nonzero exit.
 
-use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use eel_telemetry::json::Json;
 use eel_telemetry::{fnv1a, HistogramSnapshot, RunReport, TraceFile};
 
 /// The workspace root (two levels up from this crate's manifest).
@@ -114,7 +105,7 @@ pub fn referenced_run_hashes(root: &Path) -> Vec<String> {
 /// whose hash appears in `referenced`, plus the newest `keep` by
 /// modification time, and deletes the rest. Returns how many were
 /// kept and the paths deleted. Only `RUN_` files are touched —
-/// traces, flight dumps, and trajectory mirrors survive any sweep.
+/// traces and flight dumps survive any sweep.
 ///
 /// # Errors
 ///
@@ -167,111 +158,6 @@ pub fn gc_run_reports(
         }
     }
     Ok((kept, deleted))
-}
-
-/// A perf-trajectory file: a frozen baseline, the latest measurement,
-/// and their ratio, per metric.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Trajectory {
-    /// What the numbers are (e.g. `ns/iter (median)`).
-    pub unit: String,
-    /// The frozen reference values. New metrics are seeded here on
-    /// first sight and kept verbatim afterwards.
-    pub baseline: BTreeMap<String, f64>,
-    /// The most recent values.
-    pub current: BTreeMap<String, f64>,
-}
-
-impl Trajectory {
-    /// An empty trajectory measuring in `unit`.
-    pub fn new(unit: &str) -> Trajectory {
-        Trajectory {
-            unit: unit.to_string(),
-            baseline: BTreeMap::new(),
-            current: BTreeMap::new(),
-        }
-    }
-
-    /// Loads `path`, or starts fresh with `unit` when the file is
-    /// missing or unreadable (trajectory files are regenerable build
-    /// artifacts, so corruption is repaired, not fatal).
-    pub fn load_or_new(path: &Path, unit: &str) -> Trajectory {
-        Trajectory::load(path).unwrap_or_else(|| Trajectory::new(unit))
-    }
-
-    /// Parses a trajectory file, `None` on any shape problem.
-    pub fn load(path: &Path) -> Option<Trajectory> {
-        let text = std::fs::read_to_string(path).ok()?;
-        let root = Json::parse(&text).ok()?;
-        let map = |key: &str| -> Option<BTreeMap<String, f64>> {
-            let mut out = BTreeMap::new();
-            for (k, v) in root.get(key)?.members()? {
-                out.insert(k.clone(), v.as_f64()?);
-            }
-            Some(out)
-        };
-        Some(Trajectory {
-            unit: root.get("unit")?.as_str()?.to_string(),
-            baseline: map("baseline")?,
-            current: map("current")?,
-        })
-    }
-
-    /// Folds fresh measurements in: every metric updates `current`,
-    /// and metrics the baseline has never seen are seeded there too.
-    /// Metrics not mentioned keep their previous values, so different
-    /// binaries updating disjoint key sets coexist in one file.
-    pub fn update(&mut self, metrics: &[(String, f64)]) {
-        for (name, value) in metrics {
-            self.current.insert(name.clone(), *value);
-            self.baseline.entry(name.clone()).or_insert(*value);
-        }
-    }
-
-    /// Serializes with the derived `speedup` section
-    /// (baseline ÷ current, two decimals; >1 means faster than the
-    /// frozen baseline).
-    pub fn to_json(&self) -> String {
-        let num_map = |m: &BTreeMap<String, f64>| {
-            Json::Obj(m.iter().map(|(k, v)| (k.clone(), Json::Num(*v))).collect())
-        };
-        let speedup = Json::Obj(
-            self.current
-                .iter()
-                .filter_map(|(k, &cur)| {
-                    let base = *self.baseline.get(k)?;
-                    if cur <= 0.0 {
-                        return None;
-                    }
-                    Some((k.clone(), Json::Num((base / cur * 100.0).round() / 100.0)))
-                })
-                .collect(),
-        );
-        Json::Obj(vec![
-            ("unit".to_string(), Json::Str(self.unit.clone())),
-            ("baseline".to_string(), num_map(&self.baseline)),
-            ("current".to_string(), num_map(&self.current)),
-            ("speedup".to_string(), speedup),
-        ])
-        .to_pretty()
-    }
-
-    /// Writes the trajectory to every path in `paths` (repo root plus
-    /// the `results/` mirror), creating parent directories as needed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first filesystem error.
-    pub fn write_to(&self, paths: &[PathBuf]) -> io::Result<()> {
-        let body = self.to_json();
-        for path in paths {
-            if let Some(parent) = path.parent() {
-                std::fs::create_dir_all(parent)?;
-            }
-            std::fs::write(path, &body)?;
-        }
-        Ok(())
-    }
 }
 
 /// Deterministic counters the regression gate compares exactly: these
@@ -497,36 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn trajectory_merges_and_freezes_baseline() {
-        let mut t = Trajectory::new("ns");
-        t.update(&[("a.x".to_string(), 100.0)]);
-        // A later, faster run: current moves, baseline does not.
-        t.update(&[("a.x".to_string(), 50.0), ("b.y".to_string(), 7.0)]);
-        assert_eq!(t.baseline["a.x"], 100.0);
-        assert_eq!(t.current["a.x"], 50.0);
-        assert_eq!(t.baseline["b.y"], 7.0);
-        let json = t.to_json();
-        assert!(json.contains("\"a.x\": 2"), "speedup 2.0 in:\n{json}");
-    }
-
-    #[test]
-    fn trajectory_round_trips_through_disk() {
-        let dir = std::env::temp_dir().join(format!("eel-traj-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("BENCH_test.json");
-        let mut t = Trajectory::new("ns/iter (median)");
-        t.update(&[("m.total_ns".to_string(), 123456.0)]);
-        t.write_to(std::slice::from_ref(&path)).unwrap();
-        let back = Trajectory::load(&path).expect("parse back");
-        assert_eq!(back, t);
-        // Corrupt file: load_or_new falls back to a fresh trajectory.
-        std::fs::write(&path, "{broken").unwrap();
-        let fresh = Trajectory::load_or_new(&path, "ns");
-        assert!(fresh.current.is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn gate_exact_counters_fail_on_any_drift() {
         let base = report_with(&[("engine.sims", 10), ("sim.cycles", 5000)], &[]);
         let same = report_with(&[("engine.sims", 10), ("sim.cycles", 5000)], &[]);
@@ -643,7 +499,7 @@ mod tests {
             std::fs::write(dir.join(format!("RUN_{i:016x}.json")), "{}").unwrap();
         }
         std::fs::write(dir.join("TRACE_0000000000000000.jsonl"), "x").unwrap();
-        std::fs::write(dir.join("BENCH_sched.json"), "{}").unwrap();
+        std::fs::write(dir.join("notes.json"), "{}").unwrap();
         let referenced = vec!["0000000000000004".to_string()];
         let (kept, deleted) = gc_run_reports(&dir, 2, &referenced).unwrap();
         assert_eq!(kept, 3, "2 newest + 1 referenced");
@@ -653,7 +509,7 @@ mod tests {
             "referenced survives"
         );
         assert!(dir.join("TRACE_0000000000000000.jsonl").exists());
-        assert!(dir.join("BENCH_sched.json").exists());
+        assert!(dir.join("notes.json").exists());
         // Idempotent: a second sweep deletes nothing.
         let (kept2, deleted2) = gc_run_reports(&dir, 2, &referenced).unwrap();
         assert_eq!((kept2, deleted2.len()), (3, 0));

@@ -17,10 +17,11 @@ use std::path::PathBuf;
 use eel_bench::engine::Engine;
 use eel_bench::experiment::{format_table, ExperimentConfig};
 use eel_bench::gap::{format_gap_report, gap_table};
-use eel_core::Scheduler;
+use eel_core::{Priority, SchedOptions, Scheduler};
 use eel_edit::{BlockCode, Tagged};
 use eel_pipeline::MachineModel;
 use eel_sparc::{Address, AluOp, FpOp, FpReg, Instruction, IntReg, MemWidth, Operand};
+use eel_telemetry::Registry;
 use eel_workloads::{cfp95, cint95, Benchmark};
 
 /// The two smallest deterministic workloads: 130.li (smallest CINT
@@ -237,37 +238,50 @@ fn fnv1a(digest: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// Pins the default (`Priority::StallsFirst`) schedules on the four
-/// original machines byte-for-byte: any refactor of the candidate
-/// loop that changes a single pick — or issues a different number of
-/// stall queries — fails here against a pre-refactor snapshot.
+/// Pins every list policy's schedules on all six shipped machines
+/// byte-for-byte: any change to the candidate loop that alters a
+/// single pick fails here against the checked-in snapshot. `queries=`
+/// is the `sched.queries` total, so a change in the number of stall
+/// queries issued shows too and must be re-baselined deliberately.
 #[test]
-fn stallsfirst_schedule_digests_are_pinned() {
+fn list_schedule_digests_are_pinned() {
     let corpus = digest_corpus();
     let mut text = String::new();
-    for model in [
-        MachineModel::hypersparc(),
-        MachineModel::supersparc(),
-        MachineModel::ultrasparc(),
-        MachineModel::microsparc(),
-    ] {
-        let sched = Scheduler::new(model.clone());
-        let mut digest: u64 = 0xCBF2_9CE4_8422_2325;
-        for block in &corpus {
-            let out = sched.schedule_block(block.clone());
-            for t in &out.body {
-                fnv1a(
-                    &mut digest,
-                    format!("{:?}|{}\n", t.origin, t.insn).as_bytes(),
-                );
+    for priority in Priority::ALL {
+        for model in [
+            MachineModel::hypersparc(),
+            MachineModel::supersparc(),
+            MachineModel::ultrasparc(),
+            MachineModel::microsparc(),
+            MachineModel::vliw(),
+            MachineModel::deepsparc(),
+        ] {
+            let sched = Scheduler::with_options(
+                model.clone(),
+                SchedOptions {
+                    priority,
+                    ..SchedOptions::default()
+                },
+            );
+            let reg = Registry::new();
+            let mut digest: u64 = 0xCBF2_9CE4_8422_2325;
+            for block in &corpus {
+                let out = sched.schedule_block_with(block.clone(), &reg);
+                for t in &out.body {
+                    fnv1a(
+                        &mut digest,
+                        format!("{:?}|{}\n", t.origin, t.insn).as_bytes(),
+                    );
+                }
+                fnv1a(&mut digest, b"--\n");
             }
-            fnv1a(&mut digest, b"--\n");
+            text.push_str(&format!(
+                "{:<13} {:<12} digest={digest:016x} queries={}\n",
+                priority.to_string(),
+                model.name(),
+                reg.snapshot().counters["sched.queries"]
+            ));
         }
-        text.push_str(&format!(
-            "{:<12} digest={digest:016x} queries={}\n",
-            model.name(),
-            sched.stall_queries()
-        ));
     }
     check_golden("sched_digest.txt", &text);
 }

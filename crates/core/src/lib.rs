@@ -13,9 +13,9 @@
 //! * [`Scheduler`] — the two-pass list scheduler driven by
 //!   `pipeline_stalls` (see `eel-pipeline`), usable directly or as an
 //!   [`eel_edit::EditSession::emit`] transform.
-//! * [`SchedulePolicy`] — the pluggable ready-list rule: the paper's
+//! * [`Priority`] — the ready-list rule: the paper's
 //!   fewest-stalls-first default plus critical-path, load-delay-aware,
-//!   and lookahead variants, selected via [`Priority`].
+//!   and lookahead variants, each comparing two [`Candidate`]s.
 //! * [`exact`] — the branch-and-bound oracle behind
 //!   [`Priority::Exact`]: proven minimum-latency schedules for blocks
 //!   up to [`EXACT_MAX_BLOCK`] instructions, used to measure each list
@@ -60,5 +60,5 @@ mod sched;
 
 pub use dep::{DepEdge, DepGraph, DepKind};
 pub use exact::{exact_schedule, ExactOutcome, DEFAULT_EXACT_BUDGET, EXACT_MAX_BLOCK};
-pub use policy::{Candidate, ChainFirst, LoadDelay, LookaheadK, SchedulePolicy, StallsFirst};
-pub use sched::{Priority, SchedOptions, ScheduleExplain, Scheduler};
+pub use policy::{Candidate, Priority};
+pub use sched::{SchedOptions, ScheduleExplain, Scheduler};

@@ -15,8 +15,6 @@
 //! instructions still have the same priority, the instruction listed
 //! earlier in the original code sequence is chosen.*
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use eel_edit::{BlockCode, BlockInfo, Tagged};
@@ -27,95 +25,7 @@ use eel_sparc::Instruction;
 use eel_telemetry::Sink;
 
 use crate::dep::DepGraph;
-use crate::policy::{Candidate, ChainFirst, LoadDelay, LookaheadK, SchedulePolicy, StallsFirst};
-
-/// Which rule orders the ready list (the ablation of §4's priority).
-///
-/// Each variant names a [`SchedulePolicy`] implementation; the
-/// scheduler resolves it once at construction. The enum stays `Copy`
-/// and `Eq` so it can live in cache keys and option structs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Priority {
-    /// The paper's rule: fewest stalls, then longest chain to the
-    /// block end, then original order.
-    #[default]
-    StallsFirst,
-    /// Classic critical-path list scheduling: longest chain first,
-    /// then fewest stalls, then original order.
-    ChainFirst,
-    /// Fewest stalls, but stall ties prefer producers whose consumers
-    /// are not already covered by a load shadow (Diavastos & Carlson).
-    LoadDelay,
-    /// Fewest stalls, with ties resolved by simulating the top-`k`
-    /// tied candidates one step ahead on a cloned scoreboard.
-    Lookahead(u8),
-    /// The branch-and-bound oracle (see [`crate::exact`]): the body is
-    /// list-scheduled under the paper's rule for an incumbent, then
-    /// searched to a proven minimum-latency order (or to the node
-    /// budget, falling back to the incumbent). Excluded from
-    /// [`Priority::ALL`]: it is a ground-truth backend for gap
-    /// measurement, not a sweepable ready-list rule.
-    Exact,
-}
-
-impl Priority {
-    /// Every selectable ready-list policy, with the default lookahead
-    /// depth — the sweep axis for ablations and property tests. The
-    /// [`Priority::Exact`] oracle is deliberately not here: sweeps and
-    /// property loops iterate this array, and the oracle is orders of
-    /// magnitude slower than any list policy.
-    pub const ALL: [Priority; 4] = [
-        Priority::StallsFirst,
-        Priority::ChainFirst,
-        Priority::LoadDelay,
-        Priority::Lookahead(3),
-    ];
-
-    /// Resolves the variant to its policy object. The exact oracle has
-    /// no ready-list rule of its own; it resolves to the paper's
-    /// [`StallsFirst`], which generates its incumbent and orders its
-    /// search candidates.
-    pub fn policy(self) -> Arc<dyn SchedulePolicy> {
-        match self {
-            Priority::StallsFirst | Priority::Exact => Arc::new(StallsFirst),
-            Priority::ChainFirst => Arc::new(ChainFirst),
-            Priority::LoadDelay => Arc::new(LoadDelay),
-            Priority::Lookahead(k) => Arc::new(LookaheadK { k: k as usize }),
-        }
-    }
-
-    /// Parses a `--policy` flag value: `stalls-first`, `chain-first`,
-    /// `load-delay`, `lookahead[:k]` (default k = 3), or `exact`.
-    pub fn parse(s: &str) -> Option<Priority> {
-        match s {
-            "stalls" | "stalls-first" => Some(Priority::StallsFirst),
-            "chain" | "chain-first" => Some(Priority::ChainFirst),
-            "load-delay" | "loaddelay" => Some(Priority::LoadDelay),
-            "lookahead" => Some(Priority::Lookahead(3)),
-            "exact" => Some(Priority::Exact),
-            _ => {
-                let k = s.strip_prefix("lookahead:")?.parse::<u8>().ok()?;
-                if k == 0 {
-                    None
-                } else {
-                    Some(Priority::Lookahead(k))
-                }
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for Priority {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Priority::StallsFirst => f.write_str("stalls-first"),
-            Priority::ChainFirst => f.write_str("chain-first"),
-            Priority::LoadDelay => f.write_str("load-delay"),
-            Priority::Lookahead(k) => write!(f, "lookahead:{k}"),
-            Priority::Exact => f.write_str("exact"),
-        }
-    }
-}
+use crate::policy::{Candidate, Priority};
 
 /// Options controlling the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,12 +107,6 @@ pub struct ScheduleExplain {
 pub struct Scheduler {
     model: MachineModel,
     options: SchedOptions,
-    /// The ready-list rule, resolved once from `options.priority`.
-    policy: Arc<dyn SchedulePolicy>,
-    /// Total `pipeline_stalls` queries across all blocks scheduled.
-    /// Clones share the counter: the bench engine hands clones to
-    /// worker threads and reads one aggregate afterwards.
-    queries: Arc<AtomicU64>,
 }
 
 impl Scheduler {
@@ -213,18 +117,7 @@ impl Scheduler {
 
     /// A scheduler with explicit options.
     pub fn with_options(model: MachineModel, options: SchedOptions) -> Scheduler {
-        Scheduler {
-            model,
-            policy: options.priority.policy(),
-            options,
-            queries: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// The active ready-list policy (resolved from
-    /// [`SchedOptions::priority`]).
-    pub fn policy(&self) -> &dyn SchedulePolicy {
-        &*self.policy
+        Scheduler { model, options }
     }
 
     /// The machine model being scheduled for.
@@ -235,13 +128,6 @@ impl Scheduler {
     /// The active options.
     pub fn options(&self) -> SchedOptions {
         self.options
-    }
-
-    /// How many `pipeline_stalls` queries this scheduler (and its
-    /// clones) have issued — the hot-path work metric the bench
-    /// harness reports as ns/query.
-    pub fn stall_queries(&self) -> u64 {
-        self.queries.load(Ordering::Relaxed)
     }
 
     /// Schedules one block: reorders the body by two-pass list
@@ -259,7 +145,8 @@ impl Scheduler {
     /// sink.
     ///
     /// With a live sink (for example `&eel_telemetry::Registry`), each
-    /// block records `sched.blocks` / `sched.queries` counters and
+    /// block records `sched.blocks` / `sched.queries` counters (the
+    /// queries include lookahead clones and the exact oracle's search) and
     /// `sched.block_ns` / `sched.block_len` / `sched.dep_build_ns` /
     /// `sched.stall_query_ns` histograms. With `&()` every telemetry
     /// operation — including the per-query clock reads — is statically
@@ -398,18 +285,10 @@ impl Scheduler {
             body.iter().map(|t| self.model.prepare(&t.insn)).collect();
         let mut remaining_preds: Vec<u32> = graph.pred_counts().to_vec();
         let mut scheduled = vec![false; n];
-        // Lower bound on each candidate's earliest absolute issue
-        // cycle, from its most recent `stalls` answer. Sound because
-        // issuing other instructions only consumes units and raises
-        // register-hazard cycles — a candidate's earliest slot never
-        // moves earlier — so a candidate whose bound already loses to
-        // the round's best needs no fresh query.
-        let mut bound = vec![0u64; n];
         let mut pipe = PipelineState::new(&self.model);
         let mut out = Vec::with_capacity(n);
 
-        let policy = &*self.policy;
-        let prunes = policy.prunes_on_stall_bound();
+        let policy = self.options.priority;
         let lookahead = policy.lookahead();
         let shadowed: Vec<bool> = if policy.uses_load_shadow() {
             graph.load_shadowed()
@@ -431,21 +310,6 @@ impl Scheduler {
                 if scheduled[i] || remaining_preds[i] != 0 {
                     continue;
                 }
-                // §3.2 monotone skip, gated per policy: a candidate
-                // whose optimistic bound already has strictly more
-                // stalls than the round leader can neither win nor
-                // tie when stalls is the primary key. Only strict
-                // losses are skipped — a candidate that could tie
-                // must still be queried, since tie-breaks can favor
-                // it — so the chosen schedule is unchanged.
-                if prunes {
-                    if let Some(b) = &best {
-                        let lb = bound[i].saturating_sub(pipe.cycle());
-                        if lb > b.stalls {
-                            continue;
-                        }
-                    }
-                }
                 let stalls = if let Some(h) = &query_hist {
                     let t0 = Instant::now();
                     let stalls = pipe.stalls_prepared(&self.model, &body[i].insn, &prepared[i]);
@@ -454,7 +318,6 @@ impl Scheduler {
                 } else {
                     pipe.stalls_prepared(&self.model, &body[i].insn, &prepared[i])
                 };
-                bound[i] = pipe.cycle() + stalls;
                 let cand = Candidate {
                     stalls,
                     chain_to_end: cte[i],
@@ -464,13 +327,8 @@ impl Scheduler {
                 if lookahead > 0 {
                     round.push(cand);
                 }
-                match &best {
-                    None => best = Some(cand),
-                    Some(b) => {
-                        if policy.better(&cand, b) {
-                            best = Some(cand);
-                        }
-                    }
+                if best.is_none_or(|b| policy.better(&cand, &b)) {
+                    best = Some(cand);
                 }
             }
             let best = best.expect("dependence graph of a finite body always has a ready node");
@@ -497,11 +355,9 @@ impl Scheduler {
             }
             out.push(body[pick]);
         }
-        let block_queries = pipe.stall_queries() + lookahead_queries;
-        self.queries.fetch_add(block_queries, Ordering::Relaxed);
         if S::ENABLED {
             sink.add("sched.blocks", 1);
-            sink.add("sched.queries", block_queries);
+            sink.add("sched.queries", pipe.stall_queries() + lookahead_queries);
             sink.record("sched.block_len", n as u64);
         }
         out
@@ -529,8 +385,8 @@ impl Scheduler {
             &incumbent,
             u64::from(self.options.exact_budget),
         );
-        self.queries.fetch_add(outcome.queries, Ordering::Relaxed);
         if S::ENABLED {
+            sink.add("sched.queries", outcome.queries);
             sink.add("sched.exact_blocks", 1);
             sink.add("sched.exact_nodes", outcome.nodes);
             sink.add("sched.gap_cycles", outcome.gap());
@@ -563,7 +419,7 @@ impl Scheduler {
         scheduled: &[bool],
         remaining_preds: &[u32],
     ) -> (usize, u64) {
-        let policy = &*self.policy;
+        let policy = self.options.priority;
         let tied: Vec<&Candidate> = round
             .iter()
             .filter(|c| c.index == best.index || policy.ties(c, best))
@@ -1117,21 +973,16 @@ mod tests {
         assert_eq!(observed, sched.schedule_block(code), "same schedule");
         let snap = reg.snapshot();
         assert_eq!(snap.counters["sched.blocks"], 1);
-        assert_eq!(
-            snap.counters["sched.queries"],
-            sched.stall_queries() / 2,
-            "both runs issued the same number of queries; only the observed one recorded them"
-        );
         assert_eq!(snap.histograms["sched.block_len"].count, 1);
         assert_eq!(snap.histograms["sched.block_len"].max, 3);
         assert_eq!(snap.histograms["sched.block_ns"].count, 1);
         assert_eq!(snap.histograms["sched.dep_build_ns"].count, 1);
-        // The candidate-selection queries are individually timed; the
-        // pipe's total also counts the implicit query inside each
-        // issue, so the histogram is a nonempty subset.
+        // Every ready candidate is queried (and timed) each round; the
+        // pipe's total also counts the implicit query inside each of
+        // the three issues.
         let timed = snap.histograms["sched.stall_query_ns"].count;
         assert!(timed > 0);
-        assert!(timed <= snap.counters["sched.queries"]);
+        assert_eq!(snap.counters["sched.queries"], timed + 3);
     }
 
     #[test]

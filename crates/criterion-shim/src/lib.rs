@@ -7,16 +7,10 @@
 //! the median time per iteration (plus throughput when declared).
 //! There are no plots or statistics files.
 //!
-//! Two extensions beyond plain reporting:
-//!
-//! * like the real criterion, `--test` on the command line (as passed
-//!   by `cargo bench -- --test`) switches every benchmark to a single
-//!   quick iteration — a smoke run that proves the bench still builds
-//!   and executes without spending measurement time;
-//! * each completed measurement is recorded and can be read back with
-//!   [`Criterion::results`], so benches that persist machine-readable
-//!   output (e.g. `sched_hot` writing `results/BENCH_sched.json`) can
-//!   do so without re-timing anything.
+//! Like the real criterion, `--test` on the command line (as passed
+//! by `cargo bench -- --test`) switches every benchmark to a single
+//! quick iteration — a smoke run that proves the bench still builds
+//! and executes without spending measurement time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -95,20 +89,10 @@ impl Bencher<'_> {
     }
 }
 
-/// One completed measurement, readable back via [`Criterion::results`].
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    /// The full benchmark name (`group/function/parameter`).
-    pub name: String,
-    /// Median time per iteration, in nanoseconds.
-    pub median_ns: u128,
-}
-
 /// The top-level benchmark driver.
 pub struct Criterion {
     sample_size: usize,
     smoke: bool,
-    results: Vec<BenchResult>,
 }
 
 impl Default for Criterion {
@@ -118,17 +102,11 @@ impl Default for Criterion {
             // `cargo bench -- --test` asks for a build-and-run smoke
             // pass, like the real criterion.
             smoke: std::env::args().any(|a| a == "--test"),
-            results: Vec::new(),
         }
     }
 }
 
-fn report(
-    name: &str,
-    samples: &mut [Duration],
-    throughput: Option<Throughput>,
-    results: &mut Vec<BenchResult>,
-) {
+fn report(name: &str, samples: &mut [Duration], throughput: Option<Throughput>) {
     samples.sort();
     let median = samples[samples.len() / 2];
     let rate = match throughput {
@@ -143,10 +121,6 @@ fn report(
         _ => String::new(),
     };
     println!("{name:<44} {median:>12.3?}/iter{rate}");
-    results.push(BenchResult {
-        name: name.to_string(),
-        median_ns: median.as_nanos(),
-    });
 }
 
 impl Criterion {
@@ -156,17 +130,6 @@ impl Criterion {
         assert!(n >= 1);
         self.sample_size = n;
         self
-    }
-
-    /// Whether this run is a `--test` smoke pass (single quick
-    /// iteration per benchmark; measurements are not meaningful).
-    pub fn is_smoke(&self) -> bool {
-        self.smoke
-    }
-
-    /// Every measurement completed so far, in execution order.
-    pub fn results(&self) -> &[BenchResult] {
-        &self.results
     }
 
     /// Runs one named benchmark.
@@ -181,7 +144,7 @@ impl Criterion {
             sample_size: self.sample_size,
             smoke: self.smoke,
         });
-        report(name, &mut samples, None, &mut self.results);
+        report(name, &mut samples, None);
         self
     }
 
@@ -225,7 +188,6 @@ impl BenchmarkGroup<'_> {
             &format!("{}/{name}", self.name),
             &mut samples,
             self.throughput,
-            &mut self.criterion.results,
         );
         self
     }
@@ -250,7 +212,6 @@ impl BenchmarkGroup<'_> {
             &format!("{}/{id}", self.name),
             &mut samples,
             self.throughput,
-            &mut self.criterion.results,
         );
         self
     }
@@ -300,8 +261,6 @@ mod tests {
         let mut runs = 0u64;
         c.bench_function("smoke", |b| b.iter(|| runs += 1));
         assert!(runs > 0);
-        assert_eq!(c.results().len(), 1);
-        assert_eq!(c.results()[0].name, "smoke");
     }
 
     #[test]
@@ -309,7 +268,6 @@ mod tests {
         let mut c = Criterion {
             sample_size: 10,
             smoke: true,
-            results: Vec::new(),
         };
         let mut runs = 0u64;
         c.bench_function("quick", |b| b.iter(|| runs += 1));

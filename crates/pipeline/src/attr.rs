@@ -6,17 +6,15 @@
 //! the RAW/WAR/WAW hazard — without touching the scheduler's hot
 //! path.
 //!
-//! # The zero-overhead contract
+//! # Attribution is a separate call
 //!
-//! Attribution is driven through the [`StallSink`] trait, whose
-//! associated `ENABLED` constant statically gates all classification
-//! work. [`PipelineState::stalls_with`] and
-//! [`PipelineState::issue_with`] are generic over the sink;
-//! instantiated with `()` (the disabled sink, `ENABLED = false`) they
-//! compile to exactly the unattributed `stalls_prepared` /
-//! `issue_prepared` hot path — no extra branches, no extra state.
-//! Recording costs are paid only by callers that opt in with a live
-//! sink such as [`StallRecorder`].
+//! [`PipelineState::stalls_with`] and [`PipelineState::issue_with`]
+//! classify every stalled cycle into a [`StallSink`] such as
+//! [`StallRecorder`] or [`CollectSink`]. The hot paths — the
+//! scheduler's candidate loop and the simulator's unattributed runs —
+//! call `stalls_prepared` / `issue_prepared` directly and so carry no
+//! classification branch or state at all; only callers that want
+//! causes pay for them.
 //!
 //! # The attribution taxonomy
 //!
@@ -97,25 +95,9 @@ impl StallCause {
 }
 
 /// A consumer of per-cycle stall classifications.
-///
-/// The `ENABLED` constant is the zero-overhead switch: when `false`
-/// (the `()` impl), the attributed query paths skip classification
-/// entirely at compile time and are byte-for-byte the unattributed
-/// hot path.
 pub trait StallSink {
-    /// Whether this sink observes anything. Classification work is
-    /// statically gated on it.
-    const ENABLED: bool = true;
-
     /// One stalled cycle at absolute cycle `cycle`, lost to `cause`.
     fn stall(&mut self, cycle: u64, cause: StallCause);
-}
-
-/// The disabled sink: attribution off, zero cost.
-impl StallSink for () {
-    const ENABLED: bool = false;
-
-    fn stall(&mut self, _cycle: u64, _cause: StallCause) {}
 }
 
 /// A sink that simply collects `(cycle, cause)` events — used by the
@@ -496,11 +478,5 @@ mod tests {
         assert_eq!(StallProfile::default().summary(&m), "no stalls");
         let rendered = p1.render(&m);
         assert!(rendered.contains("total"), "{rendered}");
-    }
-
-    #[test]
-    fn disabled_sink_is_zero_sized_and_silent() {
-        assert!(!<() as StallSink>::ENABLED);
-        assert_eq!(std::mem::size_of::<()>(), 0);
     }
 }

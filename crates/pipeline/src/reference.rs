@@ -187,13 +187,11 @@ impl ReferencePipeline {
         sink: &mut S,
     ) -> u64 {
         let stalls = self.stalls(model, insn);
-        if S::ENABLED {
-            for t in self.cycle..self.cycle + stalls {
-                let cause = self
-                    .classify_at(model, insn, t)
-                    .expect("a stalled cycle has a failing hazard check");
-                sink.stall(t, cause);
-            }
+        for t in self.cycle..self.cycle + stalls {
+            let cause = self
+                .classify_at(model, insn, t)
+                .expect("a stalled cycle has a failing hazard check");
+            sink.stall(t, cause);
         }
         stalls
     }
@@ -242,9 +240,7 @@ impl ReferencePipeline {
         insn: &Instruction,
         sink: &mut S,
     ) -> IssueInfo {
-        if S::ENABLED {
-            self.stalls_with(model, insn, sink);
-        }
+        self.stalls_with(model, insn, sink);
         self.issue(model, insn)
     }
 

@@ -312,10 +312,6 @@ impl PipelineState {
     /// attribution: reports every stalled cycle's [`StallCause`] to
     /// `sink` before returning the count.
     ///
-    /// With the disabled sink (`&mut ()`) this is exactly
-    /// `stalls_prepared` — the classification pass is statically
-    /// compiled out (see [`StallSink::ENABLED`]).
-    ///
     /// # Panics
     ///
     /// As [`PipelineState::stalls_prepared`].
@@ -327,22 +323,19 @@ impl PipelineState {
         sink: &mut S,
     ) -> u64 {
         let stalls = self.stalls_prepared(model, insn, p);
-        if S::ENABLED {
-            let tab = model.tables();
-            for t in self.cycle..self.cycle + stalls {
-                let cause = self
-                    .classify_at(tab, p, t)
-                    .expect("a stalled cycle has a failing hazard check");
-                sink.stall(t, cause);
-            }
+        let tab = model.tables();
+        for t in self.cycle..self.cycle + stalls {
+            let cause = self
+                .classify_at(tab, p, t)
+                .expect("a stalled cycle has a failing hazard check");
+            sink.stall(t, cause);
         }
         stalls
     }
 
     /// [`PipelineState::issue_prepared`] with stall-cause
     /// attribution: classifies every stalled cycle into `sink`, then
-    /// issues. With the disabled sink (`&mut ()`) this is exactly
-    /// `issue_prepared`.
+    /// issues.
     pub fn issue_with<S: StallSink>(
         &mut self,
         model: &MachineModel,
@@ -350,12 +343,10 @@ impl PipelineState {
         p: &PreparedInsn,
         sink: &mut S,
     ) -> IssueInfo {
-        if S::ENABLED {
-            // Classification must see the pre-issue state; the extra
-            // stalls query is the recorded path's price, not the hot
-            // path's.
-            self.stalls_with(model, insn, p, sink);
-        }
+        // Classification must see the pre-issue state; the extra
+        // stalls query is the recorded path's price, not the hot
+        // path's.
+        self.stalls_with(model, insn, p, sink);
         self.issue_prepared(model, insn, p)
     }
 

@@ -28,12 +28,14 @@
 //! # The zero-cost-when-off contract
 //!
 //! Instrumented hot paths are generic over [`Sink`], whose associated
-//! `ENABLED` constant statically gates every telemetry operation —
-//! the same trick as `eel-pipeline`'s `StallSink`. Instantiated with
-//! `()` (the disabled sink, `ENABLED = false`), every timing read,
-//! site lookup, and record call is dead code: the monomorphized
-//! function is the uninstrumented hot path, byte for byte. Live
-//! recording is paid only by callers that pass a [`Registry`].
+//! `ENABLED` constant statically gates every telemetry operation; it
+//! is the workspace's one static on/off gate (stall attribution in
+//! `eel-pipeline` is a separate call, not a disabled sink).
+//! Instantiated with `()` (the disabled sink, `ENABLED = false`),
+//! every timing read, site lookup, and record call is dead code: the
+//! monomorphized function is the uninstrumented hot path, byte for
+//! byte. Live recording is paid only by callers that pass a
+//! [`Registry`].
 //!
 //! ```
 //! use eel_telemetry::{Registry, Sink};

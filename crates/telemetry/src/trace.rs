@@ -1042,10 +1042,18 @@ mod tests {
         assert_eq!(reg.snapshot().counters["work.count"], 2);
         let events = tracer.events();
         assert_eq!(events.len(), 2);
-        assert!(events
+        let work = events.iter().find(|e| e.name == "work").expect("span");
+        let tick = events
             .iter()
-            .any(|e| e.name == "work" && e.dur_ns > 0 || e.name == "work"));
-        assert!(events.iter().any(|e| e.name == "tick" && e.a0 == 3));
+            .find(|e| e.name == "tick" && e.a0 == 3)
+            .expect("instant");
+        assert!(
+            work.ts_ns <= tick.ts_ns && tick.ts_ns <= work.ts_ns + work.dur_ns,
+            "the work span [{}, +{}] must cover the tick at {}",
+            work.ts_ns,
+            work.dur_ns,
+            tick.ts_ns
+        );
     }
 
     #[test]
