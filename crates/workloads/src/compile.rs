@@ -124,6 +124,8 @@ pub fn optimize_block(model: &MachineModel, body: Vec<Instruction>) -> Vec<Instr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gen::Gen;
+    use crate::GenShape;
     use eel_sparc::{Address, AluOp, FpOp, FpReg, IntReg, MemWidth, Operand};
 
     fn add(rs1: IntReg, rd: IntReg) -> Instruction {
@@ -220,6 +222,63 @@ mod tests {
             if body[e.from] != body[e.to] {
                 assert!(pos(body[e.from]) < pos(body[e.to]), "violated {:?}", e);
             }
+        }
+    }
+
+    /// Seeded generator bodies of 3 to 140 instructions: the default
+    /// integer and FP mixes, the deep-chain shape, and huge FP blocks.
+    fn pinned_bodies() -> Vec<Vec<Instruction>> {
+        let deep = GenShape {
+            chain_bias: 0.95,
+            ..GenShape::default()
+        };
+        let sets: [(f64, GenShape, &[usize]); 4] = [
+            (0.0, GenShape::default(), &[3, 5, 8, 13, 20]),
+            (0.6, GenShape::default(), &[4, 9, 16, 27]),
+            (0.0, deep, &[6, 11, 24]),
+            (0.65, GenShape::default(), &[70, 140]),
+        ];
+        let mut bodies = Vec::new();
+        for (k, (fp, shape, lens)) in sets.into_iter().enumerate() {
+            let mut gen = Gen::new(0x5eed + k as u64, fp, shape);
+            for &len in lens {
+                bodies.push((0..len).map(|_| gen.body_insn()).collect());
+            }
+        }
+        bodies
+    }
+
+    #[test]
+    fn optimize_block_digests_are_pinned() {
+        // FNV-1a over every optimized body's encoding, one digest per
+        // shipped machine. The constants were recorded with the
+        // original search, which re-timed the whole 3x body from an
+        // empty pipe for every candidate slide; any change to the
+        // chosen orders moves them.
+        let pinned: [(fn() -> MachineModel, u64); 6] = [
+            (MachineModel::hypersparc, 0xb0f4_8b47_4073_bd00),
+            (MachineModel::supersparc, 0x4574_5413_8ca4_e6ee),
+            (MachineModel::ultrasparc, 0x0eb7_6875_d43e_36aa),
+            (MachineModel::microsparc, 0x4f94_a3c4_6050_6092),
+            (MachineModel::vliw, 0xe42c_7978_ab62_1b8c),
+            (MachineModel::deepsparc, 0x4214_15e8_fae6_c08a),
+        ];
+        let bodies = pinned_bodies();
+        for (machine, want) in pinned {
+            let model = machine();
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for body in &bodies {
+                for insn in optimize_block(&model, body.clone()) {
+                    h = (h ^ u64::from(insn.encode())).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+                h = (h ^ u64::MAX).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            assert_eq!(
+                h,
+                want,
+                "{}: optimized bodies changed ({h:#018x})",
+                model.name()
+            );
         }
     }
 

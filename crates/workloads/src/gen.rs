@@ -76,7 +76,7 @@ enum Tail {
 
 /// Generation state: tracks which registers were written recently so
 /// dependence chains look like real code.
-struct Gen {
+pub(crate) struct Gen {
     rng: StdRng,
     /// Recently defined integer registers (most recent last).
     recent: Vec<IntReg>,
@@ -87,7 +87,7 @@ struct Gen {
 }
 
 impl Gen {
-    fn new(seed: u64, fp_frac: f64, shape: GenShape) -> Gen {
+    pub(crate) fn new(seed: u64, fp_frac: f64, shape: GenShape) -> Gen {
         Gen {
             rng: StdRng::seed_from_u64(seed),
             recent: vec![IntReg::O0, IntReg::O1],
@@ -153,7 +153,7 @@ impl Gen {
     }
 
     /// One body instruction with the benchmark's mix.
-    fn body_insn(&mut self) -> Instruction {
+    pub(crate) fn body_insn(&mut self) -> Instruction {
         if self.rng.gen_bool(self.fp_frac) {
             return self.fp_insn();
         }
