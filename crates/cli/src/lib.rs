@@ -7,6 +7,7 @@
 //! eel list-benchmarks
 //! eel machines
 //! eel gen 130.li -o li.eelx [--iterations N] [--optimize MACHINE]
+//!                           # compiled as the tables build it
 //! eel disasm li.eelx
 //! eel cfg li.eelx
 //! eel instrument li.eelx -o out.eelx [--mode slow|fast|trace]
@@ -108,8 +109,10 @@ eel — instruction scheduling and executable editing (MICRO 1996 reproduction)
 commands:
   list-benchmarks                      the synthetic SPEC95 suite
   machines                             the shipped SADL machine models
-  gen <benchmark> -o FILE              generate a workload image
-      [--iterations N] [--optimize MACHINE]
+  gen <benchmark> -o FILE              generate a workload image;
+      [--iterations N]                 --optimize compiles it as the tables
+      [--optimize MACHINE]             do, for MACHINE with loads 2 cycles
+                                       slower (run it with --load-bias 2)
   disasm FILE                          disassemble an image
   cfg FILE                             routine/block/edge summary
   instrument FILE -o OUT               add instrumentation

@@ -56,6 +56,51 @@ fn new_machines_run_and_schedule() {
 }
 
 #[test]
+fn gen_optimize_writes_the_engines_build() {
+    // The tables compile every original for the measured machine (the
+    // nominal model with the experiments' load bias); `gen --optimize`
+    // must write that same image, not the nominal-model build.
+    let f = tmp("tomcatv-opt.eelx");
+    call(&[
+        "gen",
+        "101.tomcatv",
+        "-o",
+        &f,
+        "--optimize",
+        "ultrasparc",
+        "--iterations",
+        "2",
+    ])
+    .unwrap();
+    let bench = eel_workloads::spec95()
+        .into_iter()
+        .find(|b| b.name == "101.tomcatv")
+        .unwrap();
+    let build = |model: MachineModel| {
+        bench.build(&eel_workloads::BuildOptions {
+            iterations: Some(2),
+            optimize: Some(model),
+        })
+    };
+    let bias = eel_bench::experiment::ExperimentConfig::default().mem_bias;
+    let measured = build(MachineModel::ultrasparc().with_load_latency_bias(bias));
+    let written = load(&f).unwrap();
+    assert!(
+        written.text() == measured.text() && written.data() == measured.data(),
+        "gen --optimize wrote another image than the tables build"
+    );
+    assert!(
+        written.text() != build(MachineModel::ultrasparc()).text(),
+        "tomcatv compiles differently for the nominal model"
+    );
+    assert!(
+        USAGE.contains(&format!("loads {bias} cycles")),
+        "usage names the bias"
+    );
+    std::fs::remove_file(&f).ok();
+}
+
+#[test]
 fn explain_accepts_every_policy() {
     let f = tmp("li-policy.eelx");
     call(&["gen", "130.li", "-o", &f, "--iterations", "2"]).unwrap();

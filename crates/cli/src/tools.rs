@@ -3,6 +3,7 @@
 
 use std::fs;
 
+use eel_bench::experiment::ExperimentConfig;
 use eel_core::{Priority, SchedOptions, Scheduler};
 use eel_edit::{Cfg, Edge, EditSession};
 use eel_pipeline::{chrome_trace, render_issue_trace, MachineModel};
@@ -61,9 +62,12 @@ pub(crate) fn gen(mut args: Args) -> Result<String, CliError> {
         .ok_or_else(|| err("gen needs a benchmark name"))?;
     let out_path = args.value("-o")?.ok_or_else(|| err("gen needs -o FILE"))?;
     let iterations = args.parsed("--iterations")?;
+    // Compile for the measured machine, as every table does: the
+    // nominal model with the experiments' extra load latency.
+    let mem_bias = ExperimentConfig::default().mem_bias;
     let optimize = args
         .value("--optimize")?
-        .map(|m| machine_by_name(&m))
+        .map(|m| machine_by_name(&m).map(|m| m.with_load_latency_bias(mem_bias)))
         .transpose()?;
     args.finish()?;
     let bench = spec95()

@@ -514,7 +514,10 @@ impl PipelineState {
     /// stall computation into `out` (cleared first), as a canonical,
     /// issue-cycle-relative key. Two states with equal keys evolve
     /// identically under the same instruction sequence — the basis for
-    /// block-level timing memoization in `eel-sim`.
+    /// block-level timing memoization in `eel-sim`, for dominance
+    /// pruning in `eel-core`'s exact scheduler, and for the workload
+    /// compiler's incremental steady-state cost.
+    /// [`Self::restore_context`] turns a key back into a state.
     ///
     /// Values are clamped at the boundary where they stop mattering:
     ///
@@ -565,6 +568,52 @@ impl PipelineState {
                 }
             }
         }
+    }
+
+    /// The inverse of [`Self::context_key`]: overwrites this state with
+    /// the context `key` describes, anchored at absolute cycle `cycle`.
+    /// Afterwards `context_key` yields `key` again, and the state
+    /// evolves exactly like the one the key was taken from, shifted by
+    /// the difference of the two cycles. Entries the key omits were
+    /// clamped as dead and rest at zero, the same stand-in
+    /// [`Self::set_to_transition`] uses. So a run can be snapshotted
+    /// as keys alone and resumed from any of them.
+    ///
+    /// `key` must come from a state of this machine. At cycle 0 only a
+    /// key taken at cycle 0 fits, since there every register entry is
+    /// live.
+    pub fn restore_context(&mut self, key: &[u32], cycle: u64) {
+        for abs in self.base..self.hi {
+            self.restore_row(abs);
+        }
+        self.cycle = cycle;
+        self.base = cycle;
+        self.hi = cycle;
+        self.write_avail.fill(0);
+        self.last_read.fill(0);
+        // Resource indices are never `KEY_SEP`, so the first word of
+        // each pair tells a pair from the section end.
+        let mut at = 0;
+        while key[at] != KEY_SEP {
+            self.write_avail[key[at] as usize] = cycle + u64::from(key[at + 1]) - 1;
+            at += 2;
+        }
+        at += 1;
+        while key[at] != KEY_SEP {
+            self.last_read[key[at] as usize] = cycle + u64::from(key[at + 1]);
+            at += 2;
+        }
+        for cell in key[at + 1..].chunks_exact(3) {
+            let abs = cycle + u64::from(cell[0]);
+            let u = cell[1] as usize;
+            let slot = (abs as usize & self.slot_mask) * self.unit_kinds;
+            self.win[slot + u] = self.counts[u] - cell[2];
+            self.hi = abs + 1;
+        }
+        debug_assert!(
+            (self.hi - self.base) as usize <= self.slot_mask + 1,
+            "restored live span exceeds ring capacity"
+        );
     }
 
     /// Collects the live-span unit-deficit cells relative to the

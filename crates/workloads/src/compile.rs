@@ -13,45 +13,193 @@
 //! scheduler starts from an empty pipeline every time and cannot see
 //! that context, so rescheduling such code tends to hurt (the paper's
 //! "de-scheduling").
+//!
+//! # Cost
+//!
+//! This search is most of the time a build takes. It tries every legal
+//! slide of an instruction by up to six places, for up to four rounds,
+//! and keeps only the few slides that lower the cost. Each try is
+//! costed exactly but incrementally. The current order's 3x run is
+//! recorded once, as one cycle and one [`PipelineState::context_key`]
+//! per position. A slide changes only its own span of positions in
+//! each copy. So each copy resumes from the recorded key where the
+//! span starts, and once the pipe's key matches the record again, the
+//! rest of that copy is the recorded run shifted by a fixed number of
+//! cycles. A key costs about four issues to build, so the pipe is
+//! compared right after the span and then every [`CHECK_STRIDE`]
+//! positions, not at every one. Bodies shorter than
+//! [`INCREMENTAL_MIN_LEN`] are replayed whole instead, since there the
+//! checks cost about what they save. Both ways give the cost of timing
+//! the whole 3x body from an empty pipe, so the chosen order is the
+//! same. DESIGN.md §3.10 has the argument and the measurements.
 
 use eel_core::{DepGraph, Scheduler};
 use eel_edit::{BlockCode, Tagged};
-use eel_pipeline::{evaluate_block, MachineModel};
+use eel_pipeline::{MachineModel, PipelineState, PreparedInsn};
 use eel_sparc::Instruction;
 
-/// Steady-state cost of a body: issue latency of the block repeated
-/// three times back-to-back (approximating a loop's repeating
-/// context).
-fn steady_cost(model: &MachineModel, body: &[Instruction]) -> u64 {
-    let mut repeated = Vec::with_capacity(body.len() * 3);
-    for _ in 0..3 {
-        repeated.extend_from_slice(body);
-    }
-    evaluate_block(model, &repeated).issue_latency()
-}
+/// Back-to-back copies of the body the steady-state cost times
+/// (approximating a loop's repeating context).
+const COPIES: usize = 3;
 
-/// Pairwise dependence matrix over the body, by *original index*: a
-/// reordering is legal iff every dependent pair keeps its original
-/// relative order. Dependence between two instructions does not depend
-/// on their positions, so the matrix is computed once.
-fn conflict_matrix(model: &MachineModel, body: &[Instruction]) -> Vec<Vec<bool>> {
-    let n = body.len();
-    let mut m = vec![vec![false; n]; n];
-    for i in 0..n {
-        for j in i + 1..n {
-            let pair = [Tagged::original(body[i]), Tagged::original(body[j])];
-            if !DepGraph::build(model, &pair, true).edges.is_empty() {
-                m[i][j] = true;
-                m[j][i] = true;
-            }
-        }
-    }
-    m
-}
+/// The shortest body whose slides are costed incrementally; shorter
+/// ones are replayed whole. Picked by timing SPEC95 and corpus builds
+/// (DESIGN.md §3.10).
+const INCREMENTAL_MIN_LEN: usize = 16;
+
+/// After a slide's span, how many positions apart the pipe's key is
+/// compared with the record (starting right after the span). Picked
+/// with [`INCREMENTAL_MIN_LEN`]; the first match is usually 4 to 20
+/// positions out.
+const CHECK_STRIDE: usize = 8;
 
 /// How far the local search slides an instruction per move.
 const MOVE_WINDOW: usize = 6;
 const MAX_ROUNDS: usize = 4;
+
+/// Pairwise dependence matrix over the body, row-major `n × n`: a
+/// reordering is legal iff every dependent pair keeps its relative
+/// order. Whether two instructions depend does not depend on their
+/// positions, and [`DepGraph`] records one edge per dependent pair, so
+/// one graph gives the whole matrix.
+fn conflict_matrix(model: &MachineModel, body: &[Tagged]) -> Vec<bool> {
+    let n = body.len();
+    let mut m = vec![false; n * n];
+    for e in DepGraph::build(model, body, true).edges {
+        m[e.from * n + e.to] = true;
+        m[e.to * n + e.from] = true;
+    }
+    m
+}
+
+/// The steady-state cost of orders of one body: the issue latency of
+/// [`COPIES`] back-to-back copies, timed from an empty pipe. An order
+/// is a permutation of body indices.
+struct SteadyCost<'a> {
+    model: &'a MachineModel,
+    body: &'a [Instruction],
+    prepared: Vec<PreparedInsn>,
+    pipe: PipelineState,
+    /// Whether [`Self::slide`] resumes from the recorded run (long
+    /// bodies) or replays from an empty pipe (short ones).
+    incremental: bool,
+    /// The recorded order's run: `cycles[p]` is the pipe's cycle after
+    /// `p` issues, for `p` in `0..=COPIES * n` ...
+    cycles: Vec<u64>,
+    /// ... and `keys[bounds[p]..bounds[p + 1]]` its context key after
+    /// `p` issues, for `p` in `0..COPIES * n`.
+    keys: Vec<u32>,
+    bounds: Vec<usize>,
+    scratch: Vec<u32>,
+}
+
+impl<'a> SteadyCost<'a> {
+    fn new(model: &'a MachineModel, body: &'a [Instruction]) -> SteadyCost<'a> {
+        SteadyCost {
+            model,
+            body,
+            prepared: body.iter().map(|insn| model.prepare(insn)).collect(),
+            pipe: PipelineState::new(model),
+            incremental: body.len() >= INCREMENTAL_MIN_LEN,
+            cycles: Vec::new(),
+            keys: Vec::new(),
+            bounds: Vec::new(),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Issues position `pos` of the repeated `order`.
+    fn issue(&mut self, order: &[usize], pos: usize) {
+        let k = order[pos % order.len()];
+        self.pipe
+            .issue_prepared(self.model, &self.body[k], &self.prepared[k]);
+    }
+
+    /// Times `order` from an empty pipe. For an incremental body this
+    /// also records the run that [`Self::slide`] resumes from.
+    fn run(&mut self, order: &[usize]) -> u64 {
+        self.pipe.reset();
+        self.cycles.clear();
+        self.keys.clear();
+        self.bounds.clear();
+        for pos in 0..COPIES * order.len() {
+            if self.incremental {
+                self.cycles.push(self.pipe.cycle());
+                self.bounds.push(self.keys.len());
+                self.pipe.context_key(&mut self.scratch);
+                self.keys.extend_from_slice(&self.scratch);
+            }
+            self.issue(order, pos);
+        }
+        if self.incremental {
+            self.cycles.push(self.pipe.cycle());
+            self.bounds.push(self.keys.len());
+        }
+        self.pipe.cycle() + 1
+    }
+
+    /// Restores the recorded pipe after `pos` issues, `shift` cycles
+    /// later (two's complement, so a run that gained cycles shifts
+    /// back).
+    fn resume(&mut self, pos: usize, shift: u64) {
+        let key = &self.keys[self.bounds[pos]..self.bounds[pos + 1]];
+        self.pipe
+            .restore_context(key, self.cycles[pos].wrapping_add(shift));
+    }
+
+    /// Whether the pipe's context equals the record's after `pos`
+    /// issues.
+    fn matches_record(&mut self, pos: usize) -> bool {
+        self.pipe.context_key(&mut self.scratch);
+        self.scratch[..] == self.keys[self.bounds[pos]..self.bounds[pos + 1]]
+    }
+
+    /// The cost of `order`, which differs from the recorded order only
+    /// at body positions `lo..=hi`.
+    ///
+    /// Each copy issues its changed span from where the record left
+    /// off, then the unchanged positions until the pipe's key equals
+    /// the record's. From a matching key on, the two runs are one run
+    /// `shift` cycles apart until the next copy's span, so the next
+    /// copy resumes from the record; after the last copy the recorded
+    /// cost plus `shift` is the answer. Which positions are compared
+    /// changes only how soon a match is seen, never the cost.
+    fn slide(&mut self, order: &[usize], lo: usize, hi: usize) -> u64 {
+        if !self.incremental {
+            return self.run(order);
+        }
+        let n = order.len();
+        let end = COPIES * n;
+        self.resume(lo, 0);
+        let mut pos = lo;
+        for copy in 0..COPIES {
+            while pos <= copy * n + hi {
+                self.issue(order, pos);
+                pos += 1;
+            }
+            let next = if copy + 1 < COPIES {
+                (copy + 1) * n + lo
+            } else {
+                end
+            };
+            let span_end = pos;
+            while pos < next {
+                if (pos - span_end).is_multiple_of(CHECK_STRIDE) && self.matches_record(pos) {
+                    let shift = self.pipe.cycle().wrapping_sub(self.cycles[pos]);
+                    if next == end {
+                        return self.cycles[end].wrapping_add(shift) + 1;
+                    }
+                    self.resume(next, shift);
+                    pos = next;
+                    break;
+                }
+                self.issue(order, pos);
+                pos += 1;
+            }
+        }
+        self.pipe.cycle() + 1
+    }
+}
 
 /// Schedules and then locally improves a block body for `model`.
 pub fn optimize_block(model: &MachineModel, body: Vec<Instruction>) -> Vec<Instruction> {
@@ -73,13 +221,13 @@ pub fn optimize_block(model: &MachineModel, body: Vec<Instruction>) -> Vec<Instr
     if n <= 2 {
         return insns;
     }
-    let conflicts = conflict_matrix(model, &insns);
+    let conflicts = conflict_matrix(model, &scheduled);
 
     // Local search over permutations, tracked by original index so
     // legality checks stay valid after moves.
     let mut perm: Vec<usize> = (0..n).collect();
-    let current = |perm: &[usize]| -> Vec<Instruction> { perm.iter().map(|&k| insns[k]).collect() };
-    let mut cost = steady_cost(model, &current(&perm));
+    let mut steady = SteadyCost::new(model, &insns);
+    let mut cost = steady.run(&perm);
 
     let legal_slide = |perm: &[usize], from: usize, to: usize| -> bool {
         // Slide the element at `from` to position `to`, shifting the
@@ -90,7 +238,7 @@ pub fn optimize_block(model: &MachineModel, body: Vec<Instruction>) -> Vec<Instr
         } else {
             (to, from - 1)
         };
-        perm[lo..=hi].iter().all(|&y| !conflicts[x][y])
+        perm[lo..=hi].iter().all(|&y| !conflicts[x * n + y])
     };
 
     let mut improved = true;
@@ -107,9 +255,11 @@ pub fn optimize_block(model: &MachineModel, body: Vec<Instruction>) -> Vec<Instr
                 }
                 let x = perm.remove(from);
                 perm.insert(to, x);
-                let c = steady_cost(model, &current(&perm));
+                let c = steady.slide(&perm, from.min(to), from.max(to));
                 if c < cost {
-                    cost = c;
+                    // Re-record the accepted order for the next slides.
+                    cost = steady.run(&perm);
+                    debug_assert_eq!(cost, c, "incremental cost diverged from replay");
                     improved = true;
                 } else {
                     let x = perm.remove(to);
@@ -118,7 +268,7 @@ pub fn optimize_block(model: &MachineModel, body: Vec<Instruction>) -> Vec<Instr
             }
         }
     }
-    current(&perm)
+    perm.iter().map(|&k| insns[k]).collect()
 }
 
 #[cfg(test)]
@@ -126,7 +276,186 @@ mod tests {
     use super::*;
     use crate::gen::Gen;
     use crate::GenShape;
+    use eel_pipeline::evaluate_block;
     use eel_sparc::{Address, AluOp, FpOp, FpReg, IntReg, MemWidth, Operand};
+    use proptest::prelude::*;
+
+    /// The steady-state cost by definition: the 3x body timed from an
+    /// empty pipe.
+    fn steady_cost(model: &MachineModel, body: &[Instruction]) -> u64 {
+        let mut repeated = Vec::with_capacity(body.len() * COPIES);
+        for _ in 0..COPIES {
+            repeated.extend_from_slice(body);
+        }
+        evaluate_block(model, &repeated).issue_latency()
+    }
+
+    /// The search as it was before slides were costed incrementally,
+    /// kept as the differential oracle: one two-instruction
+    /// `DepGraph` per pair for the conflicts, and every candidate
+    /// order timed whole by [`steady_cost`].
+    fn oracle(model: &MachineModel, body: Vec<Instruction>) -> Vec<Instruction> {
+        if body.len() <= 1 {
+            return body;
+        }
+        let tagged: Vec<Tagged> = body.into_iter().map(Tagged::original).collect();
+        let insns: Vec<Instruction> = Scheduler::new(model.clone())
+            .schedule_block(BlockCode {
+                body: tagged,
+                tail: vec![],
+            })
+            .body
+            .iter()
+            .map(|t| t.insn)
+            .collect();
+        let n = insns.len();
+        if n <= 2 {
+            return insns;
+        }
+        let mut conflicts = vec![vec![false; n]; n];
+        for i in 0..n {
+            for j in i + 1..n {
+                let pair = [Tagged::original(insns[i]), Tagged::original(insns[j])];
+                if !DepGraph::build(model, &pair, true).edges.is_empty() {
+                    conflicts[i][j] = true;
+                    conflicts[j][i] = true;
+                }
+            }
+        }
+        let mut perm: Vec<usize> = (0..n).collect();
+        let current =
+            |perm: &[usize]| -> Vec<Instruction> { perm.iter().map(|&k| insns[k]).collect() };
+        let mut cost = steady_cost(model, &current(&perm));
+        let mut improved = true;
+        let mut rounds = 0;
+        while improved && rounds < MAX_ROUNDS {
+            improved = false;
+            rounds += 1;
+            for from in 0..n {
+                for to in from.saturating_sub(MOVE_WINDOW)..=(from + MOVE_WINDOW).min(n - 1) {
+                    if to == from {
+                        continue;
+                    }
+                    let (lo, hi) = if from < to {
+                        (from + 1, to)
+                    } else {
+                        (to, from - 1)
+                    };
+                    if perm[lo..=hi].iter().any(|&y| conflicts[perm[from]][y]) {
+                        continue;
+                    }
+                    let x = perm.remove(from);
+                    perm.insert(to, x);
+                    let c = steady_cost(model, &current(&perm));
+                    if c < cost {
+                        cost = c;
+                        improved = true;
+                    } else {
+                        let x = perm.remove(to);
+                        perm.insert(from, x);
+                    }
+                }
+            }
+        }
+        current(&perm)
+    }
+
+    fn shipped_models() -> [MachineModel; 6] {
+        [
+            MachineModel::hypersparc(),
+            MachineModel::supersparc(),
+            MachineModel::ultrasparc(),
+            MachineModel::microsparc(),
+            MachineModel::vliw(),
+            MachineModel::deepsparc(),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+        /// The incremental search picks exactly the oracle's order, on
+        /// generator bodies on both sides of the incremental cutover,
+        /// with a few arbitrary decoded words mixed in for the odd
+        /// timing groups and barriers.
+        #[test]
+        fn incremental_search_matches_full_replay(
+            seed in any::<u64>(),
+            fp in prop::sample::select(vec![0.0, 0.35, 0.7]),
+            chain_bias in prop::sample::select(vec![0.5, 0.95]),
+            len in 3usize..48,
+            words in prop::collection::vec((any::<usize>(), any::<u32>()), 0..3),
+        ) {
+            let shape = GenShape { chain_bias, ..GenShape::default() };
+            let mut gen = Gen::new(seed, fp, shape);
+            let mut body: Vec<Instruction> = (0..len).map(|_| gen.body_insn()).collect();
+            for (at, word) in words {
+                body.insert(at % body.len(), Instruction::decode(word));
+            }
+            for model in shipped_models() {
+                prop_assert_eq!(
+                    optimize_block(&model, body.clone()),
+                    oracle(&model, body.clone()),
+                    "{} chose a different order for {:?}",
+                    model.name(),
+                    body
+                );
+            }
+        }
+
+        /// Every slide's incremental cost equals the 3x body timed
+        /// whole, kept or not: a wrong cost on a rejected slide need
+        /// not change the chosen order. Slides ignore legality, which
+        /// costing does not depend on; every other one is kept and
+        /// re-recorded, as an accepted slide is.
+        #[test]
+        fn every_slide_cost_matches_full_replay(
+            seed in any::<u64>(),
+            fp in prop::sample::select(vec![0.0, 0.35, 0.7]),
+            len in INCREMENTAL_MIN_LEN..64,
+            slides in prop::collection::vec(
+                (any::<usize>(), 1usize..=MOVE_WINDOW, any::<bool>()),
+                1..24,
+            ),
+        ) {
+            let mut gen = Gen::new(seed, fp, GenShape::default());
+            let body: Vec<Instruction> = (0..len).map(|_| gen.body_insn()).collect();
+            for model in shipped_models() {
+                let mut steady = SteadyCost::new(&model, &body);
+                let mut perm: Vec<usize> = (0..len).collect();
+                steady.run(&perm);
+                for (i, &(at, dist, back)) in slides.iter().enumerate() {
+                    let from = at % len;
+                    let to = if back {
+                        from.saturating_sub(dist)
+                    } else {
+                        (from + dist).min(len - 1)
+                    };
+                    if to == from {
+                        continue;
+                    }
+                    let x = perm.remove(from);
+                    perm.insert(to, x);
+                    let order: Vec<Instruction> = perm.iter().map(|&k| body[k]).collect();
+                    prop_assert_eq!(
+                        steady.slide(&perm, from.min(to), from.max(to)),
+                        steady_cost(&model, &order),
+                        "{}: slide {} -> {} of {:?}",
+                        model.name(),
+                        from,
+                        to,
+                        order
+                    );
+                    if i % 2 == 0 {
+                        steady.run(&perm);
+                    } else {
+                        let x = perm.remove(to);
+                        perm.insert(from, x);
+                    }
+                }
+            }
+        }
+    }
 
     fn add(rs1: IntReg, rd: IntReg) -> Instruction {
         Instruction::Alu {
