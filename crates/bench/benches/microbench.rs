@@ -1,81 +1,18 @@
-//! Microbenchmarks of the library's hot paths: the `pipeline_stalls`
-//! hazard check, the two-pass list scheduler, SADL compilation, CFG
-//! construction, executable editing, and the timing simulator.
+//! Microbenchmarks of the library's hot paths: SADL compilation, CFG
+//! construction, executable editing, the simulator's functional and
+//! timed kernels, and the static analyses. The scheduler's own kernel
+//! is `sched_hot`'s.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 use eel_core::Scheduler;
-use eel_edit::{BlockCode, Cfg, EditSession, Tagged};
-use eel_pipeline::{MachineModel, PipelineState};
+use eel_edit::{Cfg, EditSession};
+use eel_pipeline::MachineModel;
 use eel_qpt::{ProfileOptions, Profiler};
 use eel_sadl::ArchDescription;
 use eel_sim::{run, RunConfig, TimingConfig};
-use eel_sparc::{Address, AluOp, Instruction, IntReg, MemWidth, Operand};
 use eel_workloads::{spec95, BuildOptions};
-
-fn body_of(n: usize) -> Vec<Tagged> {
-    // A mix of loads, stores, and ALU ops with moderate chains.
-    (0..n)
-        .map(|i| {
-            let r = IntReg::new((8 + i % 6) as u8);
-            let insn = match i % 4 {
-                0 => Instruction::Load {
-                    width: MemWidth::Word,
-                    addr: Address::base_imm(IntReg::L1, (4 * (i % 64)) as i32),
-                    rd: r,
-                },
-                1 | 2 => Instruction::Alu {
-                    op: AluOp::Add,
-                    rs1: r,
-                    src2: Operand::imm((i % 100) as i32 + 1),
-                    rd: IntReg::new((8 + (i + 1) % 6) as u8),
-                },
-                _ => Instruction::Store {
-                    width: MemWidth::Word,
-                    src: r,
-                    addr: Address::base_imm(IntReg::L1, (4 * (i % 64)) as i32),
-                },
-            };
-            Tagged::original(insn)
-        })
-        .collect()
-}
-
-fn bench_pipeline_stalls(c: &mut Criterion) {
-    let model = MachineModel::ultrasparc();
-    let body = body_of(64);
-    let mut g = c.benchmark_group("pipeline_stalls");
-    g.throughput(Throughput::Elements(64));
-    g.bench_function("issue_64_mixed", |b| {
-        b.iter(|| {
-            let mut pipe = PipelineState::new(&model);
-            for t in &body {
-                black_box(pipe.issue(&model, &t.insn));
-            }
-        })
-    });
-    g.finish();
-}
-
-fn bench_scheduler(c: &mut Criterion) {
-    let model = MachineModel::ultrasparc();
-    let sched = Scheduler::new(model);
-    let mut g = c.benchmark_group("scheduler");
-    for n in [4usize, 16, 64] {
-        let body = body_of(n);
-        g.throughput(Throughput::Elements(n as u64));
-        g.bench_with_input(BenchmarkId::new("schedule_block", n), &body, |b, body| {
-            b.iter(|| {
-                black_box(sched.schedule_block(BlockCode {
-                    body: body.clone(),
-                    tail: vec![],
-                }))
-            })
-        });
-    }
-    g.finish();
-}
 
 fn bench_sadl_compile(c: &mut Criterion) {
     c.bench_function("sadl/compile_ultrasparc", |b| {
@@ -117,27 +54,38 @@ fn bench_editing(c: &mut Criterion) {
     });
 }
 
+/// The simulator's kernels on one CINT body (130.li: blocks of about
+/// two instructions, branch-bound) and one CFP body (102.swim: blocks
+/// of about fifty, FP-double-bound), each run long enough — about
+/// 2.5 M instructions — that loading the image and building blocks are
+/// noise against steady-state replay. Throughput is in instructions, so
+/// ns per instruction is the median over the count.
 fn bench_simulator(c: &mut Criterion) {
-    let bench = &spec95()[3];
-    let exe = bench.build(&BuildOptions {
-        iterations: Some(20),
-        optimize: None,
-    });
     let model = MachineModel::ultrasparc();
     let functional = RunConfig::default();
     let timed = RunConfig {
         timing: Some(TimingConfig::default()),
         ..RunConfig::default()
     };
-    let insns = run(&exe, None, &functional).expect("runs").instructions;
     let mut g = c.benchmark_group("simulator");
-    g.throughput(Throughput::Elements(insns));
-    g.bench_function("functional", |b| {
-        b.iter(|| black_box(run(&exe, None, &functional).expect("runs")))
-    });
-    g.bench_function("timed", |b| {
-        b.iter(|| black_box(run(&exe, Some(&model), &timed).expect("runs")))
-    });
+    for name in ["130.li", "102.swim"] {
+        let bench = spec95()
+            .into_iter()
+            .find(|b| b.name == name)
+            .expect("in the suite");
+        let exe = bench.build(&BuildOptions {
+            iterations: Some(4000),
+            optimize: None,
+        });
+        let insns = run(&exe, None, &functional).expect("runs").instructions;
+        g.throughput(Throughput::Elements(insns));
+        g.bench_with_input(BenchmarkId::new("functional", name), &exe, |b, exe| {
+            b.iter(|| black_box(run(exe, None, &functional).expect("runs")))
+        });
+        g.bench_with_input(BenchmarkId::new("timed", name), &exe, |b, exe| {
+            b.iter(|| black_box(run(exe, Some(&model), &timed).expect("runs")))
+        });
+    }
     g.finish();
 }
 
@@ -195,8 +143,6 @@ fn bench_parser(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_pipeline_stalls,
-    bench_scheduler,
     bench_sadl_compile,
     bench_editing,
     bench_simulator,

@@ -3,8 +3,7 @@
 //! * **Traces** — flight-recorder traces and crash dumps, written
 //!   content-addressed under `results/` (`TRACE_<hash>.jsonl`,
 //!   `FLIGHT_<hash>.jsonl`). Runs write telemetry run reports only
-//!   where `eel experiment --report FILE` asks; `eel report --gc`
-//!   sweeps the legacy `results/RUN_<hash>.json` files.
+//!   where `eel experiment --report FILE` asks.
 //! * **Gate outcomes** — [`gate`] compares a fresh report against a
 //!   checked-in baseline: deterministic counters must match exactly,
 //!   wall-time metrics may regress at most `tolerance_pct`.
@@ -54,110 +53,6 @@ pub fn write_flight_dump_in(dir: &Path, trace: &TraceFile) -> io::Result<PathBuf
     std::fs::create_dir_all(dir)?;
     std::fs::write(&path, body)?;
     Ok(path)
-}
-
-/// Scans the repo for `RUN_<16 hex>` references so the report GC never
-/// deletes a run some document or baseline still points at. Looks in
-/// every `*.md` at `root` and every file under `root/baselines/`
-/// (non-recursive — both flat by construction).
-pub fn referenced_run_hashes(root: &Path) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut scan = |text: &str| {
-        let bytes = text.as_bytes();
-        let mut i = 0;
-        while let Some(pos) = text[i..].find("RUN_") {
-            let start = i + pos + 4;
-            let end = start
-                + bytes[start.min(bytes.len())..]
-                    .iter()
-                    .take(16)
-                    .take_while(|b| b.is_ascii_hexdigit())
-                    .count();
-            if end - start == 16 {
-                out.push(text[start..end].to_ascii_lowercase());
-            }
-            i = start;
-        }
-    };
-    let mut files: Vec<PathBuf> = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(root) {
-        for e in entries.flatten() {
-            let p = e.path();
-            if p.extension().is_some_and(|x| x == "md") {
-                files.push(p);
-            }
-        }
-    }
-    if let Ok(entries) = std::fs::read_dir(root.join("baselines")) {
-        files.extend(entries.flatten().map(|e| e.path()));
-    }
-    for p in files {
-        if let Ok(text) = std::fs::read_to_string(&p) {
-            scan(&text);
-        }
-    }
-    out.sort();
-    out.dedup();
-    out
-}
-
-/// Garbage-collects `RUN_*.json` files under `dir`: keeps every run
-/// whose hash appears in `referenced`, plus the newest `keep` by
-/// modification time, and deletes the rest. Returns how many were
-/// kept and the paths deleted. Only `RUN_` files are touched —
-/// traces and flight dumps survive any sweep.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from listing or deleting.
-pub fn gc_run_reports(
-    dir: &Path,
-    keep: usize,
-    referenced: &[String],
-) -> io::Result<(usize, Vec<PathBuf>)> {
-    let mut runs: Vec<(std::time::SystemTime, String, PathBuf)> = Vec::new();
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((0, Vec::new())),
-        Err(e) => return Err(e),
-    };
-    for e in entries.flatten() {
-        let path = e.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        let Some(hash) = name
-            .strip_prefix("RUN_")
-            .and_then(|rest| rest.strip_suffix(".json"))
-        else {
-            continue;
-        };
-        if hash.len() != 16 || !hash.bytes().all(|b| b.is_ascii_hexdigit()) {
-            continue;
-        }
-        let mtime = e
-            .metadata()
-            .and_then(|m| m.modified())
-            .unwrap_or(std::time::UNIX_EPOCH);
-        runs.push((mtime, hash.to_ascii_lowercase(), path));
-    }
-    // Newest first; ties broken by name so the sweep is deterministic.
-    runs.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-    let mut kept = 0;
-    let mut deleted = Vec::new();
-    let mut fresh_kept = 0;
-    for (_, hash, path) in runs {
-        if referenced.iter().any(|r| r == &hash) {
-            kept += 1;
-        } else if fresh_kept < keep {
-            fresh_kept += 1;
-            kept += 1;
-        } else {
-            std::fs::remove_file(&path)?;
-            deleted.push(path);
-        }
-    }
-    Ok((kept, deleted))
 }
 
 /// Deterministic counters the regression gate compares exactly: these
@@ -466,56 +361,6 @@ mod tests {
             .to_str()
             .unwrap()
             .starts_with("FLIGHT_"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn referenced_hashes_found_in_docs_and_baselines() {
-        let root = std::env::temp_dir().join(format!("eel-refscan-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        std::fs::create_dir_all(root.join("baselines")).unwrap();
-        std::fs::write(
-            root.join("EXPERIMENTS.md"),
-            "see results/RUN_00112233aabbccdd.json and RUN_tooshort.json\n",
-        )
-        .unwrap();
-        std::fs::write(
-            root.join("baselines").join("table1.json"),
-            "{\"source\": \"RUN_FFEEDDCCBBAA9988.json\"}",
-        )
-        .unwrap();
-        std::fs::write(root.join("notes.txt"), "RUN_9999999999999999 ignored").unwrap();
-        let refs = referenced_run_hashes(&root);
-        assert_eq!(refs, ["00112233aabbccdd", "ffeeddccbbaa9988"]);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn gc_keeps_referenced_and_newest_runs() {
-        let dir = std::env::temp_dir().join(format!("eel-gc-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        for i in 0..5u64 {
-            std::fs::write(dir.join(format!("RUN_{i:016x}.json")), "{}").unwrap();
-        }
-        std::fs::write(dir.join("TRACE_0000000000000000.jsonl"), "x").unwrap();
-        std::fs::write(dir.join("notes.json"), "{}").unwrap();
-        let referenced = vec!["0000000000000004".to_string()];
-        let (kept, deleted) = gc_run_reports(&dir, 2, &referenced).unwrap();
-        assert_eq!(kept, 3, "2 newest + 1 referenced");
-        assert_eq!(deleted.len(), 2);
-        assert!(
-            dir.join("RUN_0000000000000004.json").exists(),
-            "referenced survives"
-        );
-        assert!(dir.join("TRACE_0000000000000000.jsonl").exists());
-        assert!(dir.join("notes.json").exists());
-        // Idempotent: a second sweep deletes nothing.
-        let (kept2, deleted2) = gc_run_reports(&dir, 2, &referenced).unwrap();
-        assert_eq!((kept2, deleted2.len()), (3, 0));
-        // Missing directory is a clean no-op.
-        let (k, d) = gc_run_reports(&dir.join("nope"), 2, &referenced).unwrap();
-        assert_eq!((k, d.len()), (0, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

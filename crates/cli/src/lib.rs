@@ -27,7 +27,6 @@
 //! eel merge --trace FILE... [--out FILE]
 //! eel report FILE [--json]
 //! eel report --diff OLD NEW [--json]
-//! eel report --gc [--keep N]
 //! ```
 //!
 //! Commands live in one module per family: `tools` (images and
@@ -200,10 +199,6 @@ commands:
                                        `experiment --report`
   report --diff OLD NEW [--json]       compare two run reports metric by
                                        metric with per-row deltas
-  report --gc [--keep N]               delete stale results/RUN_*.json,
-                                       keeping the newest N (default 10) and
-                                       every run referenced by the repo's
-                                       docs or checked-in baselines
 ";
 
 /// Simple flag/value argument cursor. Every command consumes the flags

@@ -5,7 +5,6 @@ use std::collections::BTreeSet;
 use std::fs;
 
 use eel_bench::experiment::{format_csv, format_table};
-use eel_bench::report::{gc_run_reports, referenced_run_hashes, results_dir, workspace_root};
 use eel_bench::shard::{merge_rows, ShardRows};
 use eel_telemetry::json::Json;
 use eel_telemetry::{RunReport, TraceFile};
@@ -167,24 +166,6 @@ pub(crate) fn merge(mut args: Args) -> Result<String, CliError> {
 
 pub(crate) fn report(mut args: Args) -> Result<String, CliError> {
     let json = args.flag("--json");
-    if args.flag("--gc") {
-        let keep = args.parsed("--keep")?.unwrap_or(10);
-        args.finish()?;
-        let referenced = referenced_run_hashes(&workspace_root());
-        let (kept, deleted) = gc_run_reports(&results_dir(), keep, &referenced)
-            .map_err(|e| err(format!("gc failed: {e}")))?;
-        let mut out = format!(
-            "kept {kept} run reports ({} referenced by docs/baselines, newest {keep} retained), deleted {}\n",
-            referenced.len(),
-            deleted.len()
-        );
-        for p in &deleted {
-            if let Some(name) = p.file_name().and_then(|n| n.to_str()) {
-                out.push_str(&format!("  deleted {name}\n"));
-            }
-        }
-        return Ok(out);
-    }
     if args.flag("--diff") {
         let old_path = args
             .positional()

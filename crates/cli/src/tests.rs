@@ -616,16 +616,6 @@ fn four_shard_traces_merge_into_one_timeline() {
 }
 
 #[test]
-fn report_gc_flag_validates_arguments() {
-    let e = call(&["report", "--gc", "--keep", "zebra"])
-        .unwrap_err()
-        .to_string();
-    assert!(e.contains("bad --keep"), "{e}");
-    let e = call(&["report", "--gc", "extra"]).unwrap_err().to_string();
-    assert!(e.contains("unexpected argument"), "{e}");
-}
-
-#[test]
 fn report_renders_and_diffs() {
     let p = tmp("report.json");
     call(&[

@@ -15,6 +15,7 @@ const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 /// Text is read-only; the data segment (including bss) is backed
 /// directly; any other address falls into demand-zeroed pages.
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct Memory {
     text_base: u32,
     text: Vec<u32>,
@@ -41,8 +42,13 @@ impl Memory {
         self.text_base + 4 * self.text.len() as u32
     }
 
-    fn data_end(&self) -> u32 {
-        self.data_base + self.data.len() as u32
+    /// The data-segment offset of a `size`-byte access at `addr`, when
+    /// the access lies wholly inside the data segment.
+    #[inline(always)]
+    fn data_offset(&self, addr: u32, size: usize) -> Option<usize> {
+        // Below the base, the wrapped offset exceeds the segment.
+        let i = addr.wrapping_sub(self.data_base) as usize;
+        (i + size <= self.data.len()).then_some(i)
     }
 
     /// Fetches the instruction word at `addr`.
@@ -68,8 +74,8 @@ impl Memory {
 
     /// Reads one byte.
     pub fn read_u8(&mut self, addr: u32) -> Result<u8, SimError> {
-        if addr >= self.data_base && addr < self.data_end() {
-            return Ok(self.data[(addr - self.data_base) as usize]);
+        if let Some(i) = self.data_offset(addr, 1) {
+            return Ok(self.data[i]);
         }
         if addr >= self.text_base && addr < self.text_end() {
             let w = self.text[((addr - self.text_base) / 4) as usize];
@@ -88,8 +94,8 @@ impl Memory {
         if addr >= self.text_base && addr < self.text_end() {
             return Err(SimError::TextWrite { addr });
         }
-        if addr >= self.data_base && addr < self.data_end() {
-            self.data[(addr - self.data_base) as usize] = value;
+        if let Some(i) = self.data_offset(addr, 1) {
+            self.data[i] = value;
             return Ok(());
         }
         let (page, off) = self.page(addr);
@@ -119,9 +125,7 @@ impl Memory {
         if !addr.is_multiple_of(4) {
             return Err(SimError::Unaligned { addr, size: 4 });
         }
-        // Fast path: word-aligned data-segment access.
-        if addr >= self.data_base && addr + 4 <= self.data_end() {
-            let i = (addr - self.data_base) as usize;
+        if let Some(i) = self.data_offset(addr, 4) {
             return Ok(u32::from_be_bytes(
                 self.data[i..i + 4].try_into().expect("4 bytes"),
             ));
@@ -138,8 +142,7 @@ impl Memory {
         if !addr.is_multiple_of(4) {
             return Err(SimError::Unaligned { addr, size: 4 });
         }
-        if addr >= self.data_base && addr + 4 <= self.data_end() {
-            let i = (addr - self.data_base) as usize;
+        if let Some(i) = self.data_offset(addr, 4) {
             self.data[i..i + 4].copy_from_slice(&value.to_be_bytes());
             return Ok(());
         }
@@ -154,6 +157,11 @@ impl Memory {
         if !addr.is_multiple_of(8) {
             return Err(SimError::Unaligned { addr, size: 8 });
         }
+        if let Some(i) = self.data_offset(addr, 8) {
+            return Ok(u64::from_be_bytes(
+                self.data[i..i + 8].try_into().expect("8 bytes"),
+            ));
+        }
         Ok(u64::from(self.read_u32(addr)?) << 32 | u64::from(self.read_u32(addr + 4)?))
     }
 
@@ -161,6 +169,10 @@ impl Memory {
     pub fn write_u64(&mut self, addr: u32, value: u64) -> Result<(), SimError> {
         if !addr.is_multiple_of(8) {
             return Err(SimError::Unaligned { addr, size: 8 });
+        }
+        if let Some(i) = self.data_offset(addr, 8) {
+            self.data[i..i + 8].copy_from_slice(&value.to_be_bytes());
+            return Ok(());
         }
         self.write_u32(addr, (value >> 32) as u32)?;
         self.write_u32(addr + 4, value as u32)
@@ -255,5 +267,29 @@ mod tests {
         m.write_u64(0x7000_0000, 0x0102_0304_0506_0708).unwrap();
         assert_eq!(m.read_u64(0x7000_0000).unwrap(), 0x0102_0304_0506_0708);
         assert_eq!(m.read_u32(0x7000_0004).unwrap(), 0x0506_0708);
+    }
+
+    /// A doubleword is its two words, high word first, whether it
+    /// lies inside the data segment (the fast path), straddles its end,
+    /// or lies outside it.
+    #[test]
+    fn u64_is_two_big_endian_words_everywhere() {
+        let mut m = mem();
+        // Data is 4 bytes plus 8 of bss: 0x80_0008 straddles the end.
+        for addr in [0x80_0000, 0x80_0008, 0x7000_0000] {
+            m.write_u64(addr, 0x0102_0304_0506_0708).unwrap();
+            assert_eq!(m.read_u32(addr).unwrap(), 0x0102_0304, "{addr:#x}");
+            assert_eq!(m.read_u32(addr + 4).unwrap(), 0x0506_0708, "{addr:#x}");
+            assert_eq!(m.read_u8(addr + 7).unwrap(), 0x08, "{addr:#x}");
+            m.write_u32(addr + 4, 0xAABB_CCDD).unwrap();
+            assert_eq!(
+                m.read_u64(addr).unwrap(),
+                0x0102_0304_AABB_CCDD,
+                "{addr:#x}"
+            );
+        }
+        // The top of the address space is paged memory too.
+        m.write_u32(0xFFFF_FFFC, 0x1122_3344).unwrap();
+        assert_eq!(m.read_u64(0xFFFF_FFF8).unwrap(), 0x1122_3344);
     }
 }

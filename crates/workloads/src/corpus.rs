@@ -18,6 +18,8 @@
 //! gen small 90 101        # gen KIND COUNT SEED
 //! ```
 //!
+//! COUNT is at most [`MAX_GEN_COUNT`].
+//!
 //! Generation is a pure function of `(KIND, COUNT, SEED)`: every
 //! entry's name, seed, and shape derive deterministically, so two
 //! processes loading the same manifest always agree on the cell keys
@@ -50,6 +52,12 @@ gen deep-chains 40 505
 gen reg-pressure 35 606
 gen random-cfg 32 707
 ";
+
+/// The largest COUNT one `gen` line may ask for: far above any real
+/// corpus (the built-in `full` asks for at most 90), and small enough
+/// that a corrupt or hostile count is a typed error rather than an
+/// allocation the process cannot survive.
+pub const MAX_GEN_COUNT: usize = 10_000;
 
 /// Why a corpus manifest failed to load.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -303,6 +311,12 @@ pub fn parse_manifest(text: &str) -> Result<Vec<Benchmark>, CorpusError> {
                     line: line_no,
                     what: format!("gen COUNT `{count}` is not a number"),
                 })?;
+                if count > MAX_GEN_COUNT {
+                    return Err(CorpusError::Malformed {
+                        line: line_no,
+                        what: format!("gen COUNT {count} is above the limit of {MAX_GEN_COUNT}"),
+                    });
+                }
                 let seed: u64 = seed.parse().map_err(|_| CorpusError::Malformed {
                     line: line_no,
                     what: format!("gen SEED `{seed}` is not a number"),
@@ -482,6 +496,16 @@ mod tests {
         assert!(matches!(e, CorpusError::Malformed { line: 2, .. }), "{e}");
         let e = parse_manifest("# eel-corpus-v1\nfrobnicate\n").unwrap_err();
         assert!(matches!(e, CorpusError::Malformed { line: 2, .. }), "{e}");
+        // A huge COUNT is refused before anything is generated (this
+        // one once aborted on an 8.8 TB allocation).
+        let e = parse_manifest("# eel-corpus-v1\ngen huge-blocks 99999999999 1\n").unwrap_err();
+        assert!(matches!(e, CorpusError::Malformed { line: 2, .. }), "{e}");
+        assert!(e.to_string().contains("limit"), "{e}");
+        let limit = format!("# eel-corpus-v1\ngen small {} 1\n", MAX_GEN_COUNT + 1);
+        assert!(matches!(
+            parse_manifest(&limit),
+            Err(CorpusError::Malformed { line: 2, .. })
+        ));
         // Comments and blank lines are fine; trailing comments too.
         let ok = parse_manifest("# eel-corpus-v1\n\n# note\ninclude cint95 # the int suite\n")
             .expect("comments parse");

@@ -32,7 +32,7 @@ use eel_pipeline::MachineModel;
 pub use compile::optimize_block;
 pub use corpus::{
     corpus_by_name, full_corpus, golden_corpus, intern_name, load_corpus, parse_manifest,
-    CorpusError, CORPUS_SCHEMA, FULL_MANIFEST,
+    CorpusError, CORPUS_SCHEMA, FULL_MANIFEST, MAX_GEN_COUNT,
 };
 
 /// Which SPEC95 suite a benchmark belongs to.
