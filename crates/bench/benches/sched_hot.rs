@@ -1,8 +1,14 @@
 //! The scheduling hot path, measured in isolation on every shipped
-//! machine model: `schedule_block` over a 32-instruction instrumented
-//! block (the paper's workload shape — original code interleaved with
-//! profiling counter updates) and a single `pipeline_stalls` query
-//! against a warm mid-block pipeline state.
+//! machine model: the stream of blocks an emit of the instrumented
+//! SPEC95 programs hands one `Scheduler::transform` (the editor's real
+//! block mix, reported per block), `schedule_block` over a
+//! 32-instruction instrumented block (the paper's workload shape —
+//! original code interleaved with profiling counter updates) and a
+//! single `pipeline_stalls` query against a warm mid-block pipeline
+//! state.
+//!
+//! The stream group prints blocks per second; ns per block is 1e9
+//! divided by that rate.
 //!
 //! The bench prints its medians and writes nothing; a `--test` smoke
 //! run (CI) executes everything once. The scheduler's recorded cost is
@@ -10,11 +16,13 @@
 //! per-layer metrics split it into blocks, stall queries and ns per
 //! query.
 
-use criterion::{black_box, Criterion};
+use criterion::{black_box, Criterion, Throughput};
 use eel_core::{Priority, SchedOptions, Scheduler};
-use eel_edit::{BlockCode, Tagged};
+use eel_edit::{BlockCode, BlockInfo, EditSession, Tagged};
 use eel_pipeline::{MachineModel, PipelineState};
+use eel_qpt::{ProfileOptions, Profiler};
 use eel_sparc::{Address, AluOp, Instruction, IntReg, MemWidth, Operand};
+use eel_workloads::{spec95, BuildOptions};
 
 fn add(rs1: IntReg, rd: IntReg) -> Instruction {
     Instruction::Alu {
@@ -91,6 +99,56 @@ fn shipped_models() -> [(&'static str, MachineModel); 6] {
     ]
 }
 
+/// Every block the scheduled emit of each QPT-instrumented SPEC95
+/// program hands its transform, in emit order, captured once. The
+/// programs are built as the benchmark's `edit` workload builds them:
+/// optimized for UltraSPARC.
+fn instrumented_spec95_blocks() -> Vec<BlockCode> {
+    let opts = BuildOptions {
+        iterations: None,
+        optimize: Some(MachineModel::ultrasparc()),
+    };
+    let mut blocks = Vec::new();
+    for bench in spec95() {
+        let exe = bench.build(&opts);
+        let mut session = EditSession::new(&exe).expect("SPEC95 stand-ins analyze");
+        Profiler::instrument(&mut session, ProfileOptions::default());
+        session
+            .emit(|_info, code| {
+                blocks.push(code.clone());
+                code
+            })
+            .expect("instrumented SPEC95 stand-ins emit");
+    }
+    blocks
+}
+
+/// The editor's scheduling kernel: one `transform()` per iteration
+/// scheduling the whole captured stream, as one emit would.
+fn bench_spec95_stream(c: &mut Criterion) {
+    let blocks = instrumented_spec95_blocks();
+    let info = BlockInfo {
+        routine: "spec95",
+        routine_index: 0,
+        block_index: 0,
+        addr: 0,
+    };
+    let mut g = c.benchmark_group("sched_hot/spec95_stream");
+    g.throughput(Throughput::Elements(blocks.len() as u64));
+    for (name, model) in shipped_models() {
+        let sched = Scheduler::new(model);
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut schedule = sched.transform();
+                for code in &blocks {
+                    black_box(schedule(info, code.clone()));
+                }
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_schedule_block(c: &mut Criterion) {
     let body = instrumented_block_32();
     let mut g = c.benchmark_group("sched_hot/schedule_block_32");
@@ -156,6 +214,7 @@ fn bench_stalls_query(c: &mut Criterion) {
 
 fn main() {
     let mut c = Criterion::default();
+    bench_spec95_stream(&mut c);
     bench_schedule_block(&mut c);
     bench_policies(&mut c);
     bench_stalls_query(&mut c);

@@ -24,7 +24,7 @@ use eel_pipeline::{
 use eel_sparc::Instruction;
 use eel_telemetry::Sink;
 
-use crate::dep::DepGraph;
+use crate::dep::{DepGraph, DepScratch};
 use crate::policy::{Candidate, Priority};
 
 /// Options controlling the scheduler.
@@ -76,6 +76,79 @@ pub struct ScheduleExplain {
     pub after_profile: StallProfile,
 }
 
+/// One block as the list pass sees it: the body in original order,
+/// each instruction prepared against the model once, its dependence
+/// graph, chain-to-end lengths (§4's first pass) and, for
+/// [`Priority::LoadDelay`], its load shadows.
+#[derive(Debug, Default)]
+struct Block {
+    body: Vec<Tagged>,
+    prepared: Vec<PreparedInsn>,
+    graph: DepGraph,
+    cte: Vec<u32>,
+    shadowed: Vec<bool>,
+}
+
+impl Block {
+    /// Loads `body`: prepares it, builds its graph from the prepared
+    /// form, and runs the backward chain-length pass.
+    fn load(
+        &mut self,
+        model: &MachineModel,
+        body: &[Tagged],
+        instr_mem_independent: bool,
+        dep: &mut DepScratch,
+    ) {
+        self.body.clear();
+        self.body.extend_from_slice(body);
+        self.prepared.clear();
+        self.prepared
+            .extend(body.iter().map(|t| model.prepare(&t.insn)));
+        self.graph
+            .rebuild(&self.body, &self.prepared, instr_mem_independent, dep);
+        self.graph.chain_to_end_into(&mut self.cte);
+    }
+}
+
+/// Lookahead's scratch: the round's candidates, a copy of the pipe to
+/// try each tied candidate on, and the follow-up ready set.
+#[derive(Debug, Default)]
+struct Lookahead {
+    round: Vec<Candidate>,
+    /// Refilled with `clone_from` per tied candidate; created on first
+    /// use, so policies without lookahead never build it.
+    pipe: Option<PipelineState>,
+    followup: Vec<usize>,
+}
+
+/// Everything scheduling a block needs besides the block itself, kept
+/// from block to block so that steady-state scheduling allocates
+/// nothing: buffers only grow, and the pipe is `reset`, not rebuilt.
+/// [`Scheduler::transform`]'s closure owns one for a whole emit.
+#[derive(Debug)]
+struct Workspace {
+    block: Block,
+    dep: DepScratch,
+    remaining_preds: Vec<u32>,
+    /// Ready nodes, by ascending original index.
+    ready: Vec<usize>,
+    pipe: PipelineState,
+    lookahead: Lookahead,
+}
+
+impl Workspace {
+    fn new(model: &MachineModel) -> Workspace {
+        Workspace {
+            block: Block::default(),
+            dep: DepScratch::default(),
+            remaining_preds: Vec::new(),
+            ready: Vec::new(),
+            pipe: PipelineState::new(model),
+            lookahead: Lookahead::default(),
+        }
+    }
+}
+
 /// The local instruction scheduler added to EEL.
 ///
 /// ```
@@ -108,6 +181,13 @@ pub struct Scheduler {
     model: MachineModel,
     options: SchedOptions,
 }
+
+// Callers share one scheduler across threads; per-block scratch lives
+// in each transform closure's workspace, never in the scheduler.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Scheduler>();
+};
 
 impl Scheduler {
     /// A scheduler for `model` with default options.
@@ -152,20 +232,19 @@ impl Scheduler {
     /// operation — including the per-query clock reads — is statically
     /// dead code, so the scheduled output and the cost of producing it
     /// are identical to the plain method's.
+    ///
+    /// Each call sets up its own scratch state; to schedule many
+    /// blocks, [`Scheduler::transform_with`] reuses one.
     pub fn schedule_block_with<S: Sink>(&self, code: BlockCode, sink: &S) -> BlockCode {
-        let mut out = BlockCode {
-            body: self.schedule_body(code.body, sink),
-            tail: code.tail,
-        };
-        if self.options.fill_delay_slots {
-            self.fill_delay_slot(&mut out);
-        }
-        out
+        self.schedule_in(code, sink, &mut Workspace::new(&self.model))
     }
 
-    /// An adapter for [`eel_edit::EditSession::emit`].
+    /// An adapter for [`eel_edit::EditSession::emit`]. The closure owns
+    /// the scheduler's scratch state, so one emit schedules all its
+    /// blocks without per-block set-up allocations.
     pub fn transform(&self) -> impl FnMut(BlockInfo<'_>, BlockCode) -> BlockCode + '_ {
-        move |_info, code| self.schedule_block(code)
+        let mut ws = Workspace::new(&self.model);
+        move |_info, code| self.schedule_in(code, &(), &mut ws)
     }
 
     /// A [`Scheduler::transform`] that records telemetry into `sink`
@@ -174,7 +253,17 @@ impl Scheduler {
         &'a self,
         sink: &'a S,
     ) -> impl FnMut(BlockInfo<'_>, BlockCode) -> BlockCode + 'a {
-        move |_info, code| self.schedule_block_with(code, sink)
+        let mut ws = Workspace::new(&self.model);
+        move |_info, code| self.schedule_in(code, sink, &mut ws)
+    }
+
+    /// [`Scheduler::schedule_block_with`] over the scratch state `ws`.
+    fn schedule_in<S: Sink>(&self, mut code: BlockCode, sink: &S, ws: &mut Workspace) -> BlockCode {
+        self.schedule_body(&mut code.body, sink, ws);
+        if self.options.fill_delay_slots {
+            self.fill_delay_slot(&mut code);
+        }
+        code
     }
 
     /// Schedules one block and attributes every stall cycle of the
@@ -212,27 +301,33 @@ impl Scheduler {
     /// mirroring [`Scheduler::schedule_block`].
     pub fn exact_block(&self, code: &BlockCode) -> crate::exact::ExactOutcome {
         let body = &code.body;
-        let graph = DepGraph::build(&self.model, body, self.options.instr_mem_independent);
-        let incumbent = if body.len() <= 1 {
-            body.clone()
-        } else {
-            self.list_pass(body, &graph, &graph.chain_to_end(), &())
-        };
+        let mut ws = Workspace::new(&self.model);
+        ws.block.load(
+            &self.model,
+            body,
+            self.options.instr_mem_independent,
+            &mut ws.dep,
+        );
+        let mut incumbent = body.clone();
+        if body.len() > 1 {
+            self.list_pass(&mut ws, &mut incumbent, &());
+        }
         crate::exact::exact_schedule(
             &self.model,
             body,
-            &graph,
+            &ws.block.graph,
             &incumbent,
             u64::from(self.options.exact_budget),
         )
     }
 
-    /// Two-pass list scheduling over a straight-line body, plus the
-    /// exact-oracle refinement when [`Priority::Exact`] is selected.
-    fn schedule_body<S: Sink>(&self, body: Vec<Tagged>, sink: &S) -> Vec<Tagged> {
+    /// Two-pass list scheduling over a straight-line body, in place,
+    /// plus the exact-oracle refinement when [`Priority::Exact`] is
+    /// selected.
+    fn schedule_body<S: Sink>(&self, body: &mut Vec<Tagged>, sink: &S, ws: &mut Workspace) {
         let n = body.len();
         if n <= 1 {
-            return body;
+            return;
         }
         let block_span = sink.span("sched.block_ns");
         let _trace = if S::TRACE_ENABLED {
@@ -241,34 +336,35 @@ impl Scheduler {
             None
         };
 
-        let graph = {
+        {
             let _dep_span = sink.span("sched.dep_build_ns");
-            DepGraph::build(&self.model, &body, self.options.instr_mem_independent)
-        };
-
-        // Pass 1 (backward): dependence-chain length to block end.
-        let cte = graph.chain_to_end();
-
-        let out = self.list_pass(&body, &graph, &cte, sink);
-        let out = if self.options.priority == Priority::Exact {
-            self.exact_pass(&body, &graph, out, sink)
-        } else {
-            out
-        };
+            ws.block.load(
+                &self.model,
+                body,
+                self.options.instr_mem_independent,
+                &mut ws.dep,
+            );
+        }
+        self.list_pass(ws, body, sink);
+        if self.options.priority == Priority::Exact {
+            let incumbent = std::mem::take(body);
+            *body = self.exact_pass(&ws.block.body, &ws.block.graph, incumbent, sink);
+        }
         drop(block_span);
-        out
     }
 
-    /// The forward list-scheduling pass (§4's second pass), over a
-    /// prebuilt dependence graph and chain-to-end lengths.
-    fn list_pass<S: Sink>(
-        &self,
-        body: &[Tagged],
-        graph: &DepGraph,
-        cte: &[u32],
-        sink: &S,
-    ) -> Vec<Tagged> {
-        let n = body.len();
+    /// The forward list-scheduling pass (§4's second pass) over the
+    /// block loaded into `ws`, writing the schedule into `out`.
+    fn list_pass<S: Sink>(&self, ws: &mut Workspace, out: &mut Vec<Tagged>, sink: &S) {
+        let Workspace {
+            block,
+            remaining_preds,
+            ready,
+            pipe,
+            lookahead,
+            ..
+        } = ws;
+        let n = block.body.len();
         // Telemetry handles are resolved once per block; per-query
         // recording below goes straight through the `Arc`.
         let query_hist = if S::ENABLED {
@@ -278,23 +374,24 @@ impl Scheduler {
         };
 
         // Forward pass: list scheduling against the pipeline model.
-        // Resolve every instruction against the model once; candidates
-        // are re-queried across rounds, and the prepared form makes
-        // each query pure array arithmetic.
-        let prepared: Vec<PreparedInsn> =
-            body.iter().map(|t| self.model.prepare(&t.insn)).collect();
-        let mut remaining_preds: Vec<u32> = graph.pred_counts().to_vec();
-        let mut scheduled = vec![false; n];
-        let mut pipe = PipelineState::new(&self.model);
-        let mut out = Vec::with_capacity(n);
+        // The ready list holds every node whose predecessors have all
+        // issued, by ascending original index; each round queries all
+        // of them in that order.
+        remaining_preds.clear();
+        remaining_preds.extend_from_slice(block.graph.pred_counts());
+        ready.clear();
+        ready.extend((0..n).filter(|&i| remaining_preds[i] == 0));
+        pipe.reset();
+        let queries_before = pipe.stall_queries();
+        out.clear();
 
         let policy = self.options.priority;
-        let lookahead = policy.lookahead();
-        let shadowed: Vec<bool> = if policy.uses_load_shadow() {
-            graph.load_shadowed()
+        let depth = policy.lookahead();
+        if policy.uses_load_shadow() {
+            block.graph.load_shadowed_into(&mut block.shadowed);
         } else {
-            Vec::new()
-        };
+            block.shadowed.clear();
+        }
         // Stall queries issued on cloned scoreboards during lookahead;
         // the main pipe's counter never sees them.
         let mut lookahead_queries: u64 = 0;
@@ -305,62 +402,59 @@ impl Scheduler {
             let mut best: Option<Candidate> = None;
             // Candidates queried this round, in original order — the
             // lookahead tie set is drawn from these.
-            let mut round: Vec<Candidate> = Vec::new();
-            for i in 0..n {
-                if scheduled[i] || remaining_preds[i] != 0 {
-                    continue;
-                }
+            lookahead.round.clear();
+            for &i in ready.iter() {
+                let (insn, prepared) = (&block.body[i].insn, &block.prepared[i]);
                 let stalls = if let Some(h) = &query_hist {
                     let t0 = Instant::now();
-                    let stalls = pipe.stalls_prepared(&self.model, &body[i].insn, &prepared[i]);
+                    let stalls = pipe.stalls_prepared(&self.model, insn, prepared);
                     h.record(t0.elapsed().as_nanos() as u64);
                     stalls
                 } else {
-                    pipe.stalls_prepared(&self.model, &body[i].insn, &prepared[i])
+                    pipe.stalls_prepared(&self.model, insn, prepared)
                 };
                 let cand = Candidate {
                     stalls,
-                    chain_to_end: cte[i],
+                    chain_to_end: block.cte[i],
                     index: i,
-                    load_shadowed: shadowed.get(i).copied().unwrap_or(false),
+                    load_shadowed: block.shadowed.get(i).copied().unwrap_or(false),
                 };
-                if lookahead > 0 {
-                    round.push(cand);
+                if depth > 0 {
+                    lookahead.round.push(cand);
                 }
                 if best.is_none_or(|b| policy.better(&cand, &b)) {
                     best = Some(cand);
                 }
             }
             let best = best.expect("dependence graph of a finite body always has a ready node");
-            let pick = if lookahead > 0 {
-                let (pick, extra) = self.lookahead_pick(
-                    &best,
-                    &round,
-                    &pipe,
-                    body,
-                    &prepared,
-                    graph,
-                    &scheduled,
-                    &remaining_preds,
-                );
+            let pick = if depth > 0 {
+                let (pick, extra) =
+                    self.lookahead_pick(&best, block, ready, remaining_preds, pipe, lookahead);
                 lookahead_queries += extra;
                 pick
             } else {
                 best.index
             };
-            pipe.issue_prepared(&self.model, &body[pick].insn, &prepared[pick]);
-            scheduled[pick] = true;
-            for e in graph.succ_edges(pick) {
+            pipe.issue_prepared(&self.model, &block.body[pick].insn, &block.prepared[pick]);
+            let at = ready.binary_search(&pick).expect("the pick is ready");
+            ready.remove(at);
+            for e in block.graph.succ_edges(pick) {
                 remaining_preds[e.to] -= 1;
+                if remaining_preds[e.to] == 0 {
+                    let at = ready.partition_point(|&r| r < e.to);
+                    ready.insert(at, e.to);
+                }
             }
-            out.push(body[pick]);
+            out.push(block.body[pick]);
         }
         if S::ENABLED {
             sink.add("sched.blocks", 1);
-            sink.add("sched.queries", pipe.stall_queries() + lookahead_queries);
+            sink.add(
+                "sched.queries",
+                pipe.stall_queries() - queries_before + lookahead_queries,
+            );
             sink.record("sched.block_len", n as u64);
         }
-        out
     }
 
     /// The exact-oracle refinement behind [`Priority::Exact`]: search
@@ -403,29 +497,26 @@ impl Scheduler {
     /// Resolves one round's pick by one-step lookahead: among the
     /// round's candidates tied with `best` under the policy's `ties`
     /// relation, issue each of the first `k` (original order) on a
-    /// cloned scoreboard and keep the one whose best follow-up
+    /// copy of the scoreboard and keep the one whose best follow-up
     /// candidate would stall least; remaining ties fall back to the
     /// base order's winner (the smallest original index). Returns the
-    /// chosen index and the number of stall queries spent on clones.
-    #[allow(clippy::too_many_arguments)]
+    /// chosen index and the number of stall queries spent on copies.
     fn lookahead_pick(
         &self,
         best: &Candidate,
-        round: &[Candidate],
-        pipe: &PipelineState,
-        body: &[Tagged],
-        prepared: &[PreparedInsn],
-        graph: &DepGraph,
-        scheduled: &[bool],
+        block: &Block,
+        ready: &[usize],
         remaining_preds: &[u32],
+        pipe: &PipelineState,
+        la: &mut Lookahead,
     ) -> (usize, u64) {
         let policy = self.options.priority;
-        let tied: Vec<&Candidate> = round
+        let tied = la
+            .round
             .iter()
             .filter(|c| c.index == best.index || policy.ties(c, best))
-            .take(policy.lookahead())
-            .collect();
-        if tied.len() < 2 {
+            .take(policy.lookahead());
+        if tied.clone().count() < 2 {
             return (best.index, 0);
         }
         let mut extra = 0u64;
@@ -434,28 +525,40 @@ impl Scheduler {
         // lookahead degenerates to the base order.
         let mut winner = (u64::MAX, usize::MAX);
         for c in tied {
-            let mut clone = pipe.clone();
-            let before = clone.stall_queries();
-            clone.issue_prepared(&self.model, &body[c.index].insn, &prepared[c.index]);
-            let mut followup = u64::MAX;
-            for j in 0..body.len() {
-                if j == c.index || scheduled[j] {
-                    continue;
+            let copy = match &mut la.pipe {
+                Some(copy) => {
+                    copy.clone_from(pipe);
+                    copy
                 }
-                // Ready after `c` issues? Edges are deduplicated (one
-                // strongest edge per pair), so `c` accounts for at
-                // most one predecessor of `j`.
-                let mut preds = remaining_preds[j];
-                if preds > 0 && graph.succ_edges(c.index).any(|e| e.to == j) {
-                    preds -= 1;
+                None => la.pipe.insert(pipe.clone()),
+            };
+            let before = copy.stall_queries();
+            copy.issue_prepared(
+                &self.model,
+                &block.body[c.index].insn,
+                &block.prepared[c.index],
+            );
+            // Ready once `c` issues: the ready list less `c`, plus the
+            // successors whose last predecessor is `c` (edges are one
+            // per pair), queried in original order.
+            la.followup.clear();
+            la.followup
+                .extend(ready.iter().copied().filter(|&j| j != c.index));
+            for e in block.graph.succ_edges(c.index) {
+                if remaining_preds[e.to] == 1 {
+                    let at = la.followup.partition_point(|&j| j < e.to);
+                    la.followup.insert(at, e.to);
                 }
-                if preds != 0 {
-                    continue;
-                }
-                followup =
-                    followup.min(clone.stalls_prepared(&self.model, &body[j].insn, &prepared[j]));
             }
-            extra += clone.stall_queries() - before;
+            let mut followup = u64::MAX;
+            for &j in &la.followup {
+                followup = followup.min(copy.stalls_prepared(
+                    &self.model,
+                    &block.body[j].insn,
+                    &block.prepared[j],
+                ));
+            }
+            extra += copy.stall_queries() - before;
             // An empty follow-up ready set stalls nothing.
             let score = (if followup == u64::MAX { 0 } else { followup }, c.index);
             if score < winner {
@@ -993,5 +1096,124 @@ mod tests {
             tail: vec![],
         });
         assert!(out.is_empty());
+    }
+
+    /// A deterministic `n`-instruction body: original load/ALU/store/FP
+    /// work over a few registers mixed with instrumentation counter
+    /// updates, with a register-window barrier in the middle when
+    /// `barrier` is set.
+    fn stream_body(n: usize, seed: u32, barrier: bool) -> Vec<Tagged> {
+        let regs = [
+            IntReg::O0,
+            IntReg::O1,
+            IntReg::O2,
+            IntReg::O3,
+            IntReg::L0,
+            IntReg::L1,
+        ];
+        (0..n)
+            .map(|k| {
+                let x = (k as u32 ^ seed).wrapping_mul(0x9E37_79B1) >> 8;
+                let r = |shift: u32| regs[((x >> shift) % 6) as usize];
+                if barrier && k == n / 2 {
+                    return orig(Instruction::Restore {
+                        rs1: IntReg::G0,
+                        src2: Operand::imm(0),
+                        rd: IntReg::G0,
+                    });
+                }
+                match x % 7 {
+                    0 => orig(ld(r(3), r(6))),
+                    1 => orig(add(r(3), r(6))),
+                    2 => orig(st(r(3), r(6))),
+                    3 => orig(Instruction::Fp {
+                        op: eel_sparc::FpOp::FMulD,
+                        rs1: eel_sparc::FpReg::new(2 * (x % 4) as u8),
+                        rs2: eel_sparc::FpReg::new(8),
+                        rd: eel_sparc::FpReg::new(2 * ((x >> 3) % 4) as u8),
+                    }),
+                    4 => inst(Instruction::Sethi {
+                        imm22: 0x2000 + k as u32,
+                        rd: IntReg::G1,
+                    }),
+                    5 => inst(ld(IntReg::G1, IntReg::G2)),
+                    _ => inst(st(IntReg::G2, IntReg::G1)),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn workspace_reuse_is_invisible() {
+        // One emit-like stream through a single transform (one reused
+        // workspace) must equal fresh per-block calls: same schedules,
+        // same stall-query total. The sizes cross the one-, two- and
+        // three-word bitset boundaries and then shrink again, so stale
+        // state from a larger block would show.
+        let mut blocks = Vec::new();
+        for (k, &n) in [0, 1, 2, 63, 64, 65, 130, 3, 2, 9, 1, 5].iter().enumerate() {
+            for barrier in [false, true] {
+                let tail = if k % 2 == 0 {
+                    vec![]
+                } else {
+                    vec![
+                        orig(Instruction::Branch {
+                            cond: Cond::Ne,
+                            annul: false,
+                            disp: 8,
+                        }),
+                        orig(Instruction::nop()),
+                    ]
+                };
+                blocks.push(BlockCode {
+                    body: stream_body(n, k as u32 * 31 + u32::from(barrier), barrier),
+                    tail,
+                });
+            }
+        }
+        let info = BlockInfo {
+            routine: "stream",
+            routine_index: 0,
+            block_index: 0,
+            addr: 0x10000,
+        };
+        let policies = Priority::ALL.into_iter().chain([Priority::Exact]);
+        for model in [
+            MachineModel::hypersparc(),
+            MachineModel::supersparc(),
+            MachineModel::ultrasparc(),
+            MachineModel::microsparc(),
+            MachineModel::vliw(),
+            MachineModel::deepsparc(),
+        ] {
+            for priority in policies.clone() {
+                let sched = Scheduler::with_options(
+                    model.clone(),
+                    SchedOptions {
+                        priority,
+                        ..SchedOptions::default()
+                    },
+                );
+                let reused = eel_telemetry::Registry::new();
+                let mut transform = sched.transform_with(&reused);
+                let fresh = eel_telemetry::Registry::new();
+                for (k, code) in blocks.iter().enumerate() {
+                    let got = transform(info, code.clone());
+                    let want = sched.schedule_block_with(code.clone(), &fresh);
+                    assert_eq!(got, want, "{} {priority} block {k}", model.name());
+                }
+                let (reused, fresh) = (reused.snapshot(), fresh.snapshot());
+                assert_eq!(
+                    reused.counters["sched.queries"],
+                    fresh.counters["sched.queries"],
+                    "{} {priority}",
+                    model.name()
+                );
+                assert_eq!(
+                    reused.counters["sched.blocks"],
+                    fresh.counters["sched.blocks"]
+                );
+            }
+        }
     }
 }

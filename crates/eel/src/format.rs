@@ -292,6 +292,21 @@ mod tests {
         ));
     }
 
+    /// A bss that fits the address space but not the image limit is a
+    /// typed error, not a multi-gigabyte zero fill at load time.
+    #[test]
+    fn hostile_bss_size_rejected() {
+        let exe = sample();
+        let bss_at = 16 + 4 * exe.text_len() + 8 + exe.data().len();
+        let mut b = exe.to_bytes();
+        assert_eq!(b[bss_at..bss_at + 4], exe.bss_size().to_be_bytes());
+        b[bss_at..bss_at + 4].copy_from_slice(&0xF000_0000u32.to_be_bytes());
+        match Executable::from_bytes(&b) {
+            Err(FormatError::Invalid(why)) => assert!(why.contains("image limit"), "{why}"),
+            other => panic!("{other:?}"),
+        }
+    }
+
     /// A text-length field of 0xFFFFFFF0 reserves no more than the
     /// file could fill before the reader finds the truncation.
     #[test]

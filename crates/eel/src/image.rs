@@ -13,6 +13,12 @@ use eel_sparc::Instruction;
 
 use crate::error::EditError;
 
+/// The most initialized data plus bss an image may declare: 64 MiB,
+/// far above any image the workloads or tools produce (tens of KiB), so
+/// a hostile `.eelx` header cannot make the simulator's loader
+/// zero-fill gigabytes.
+const MAX_DATA_BYTES: u64 = 64 << 20;
+
 /// A named routine entry point.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Symbol {
@@ -116,8 +122,15 @@ impl Executable {
         if text_end > u64::from(data_base) {
             return Err("text overlaps data segment".into());
         }
-        if u64::from(data_base) + data.len() as u64 + u64::from(bss_size) > 1 << 32 {
+        let data_bytes = data.len() as u64 + u64::from(bss_size);
+        if u64::from(data_base) + data_bytes > 1 << 32 {
             return Err("data segment runs past the end of the address space".into());
+        }
+        if data_bytes > MAX_DATA_BYTES {
+            return Err(format!(
+                "data + bss of {data_bytes} bytes exceeds the {} MiB image limit",
+                MAX_DATA_BYTES >> 20
+            ));
         }
         let in_text = |a: u32| (u64::from(text_base)..text_end).contains(&u64::from(a));
         if !in_text(entry) && !text.is_empty() {

@@ -87,6 +87,11 @@ struct ModelTables {
     usage: Vec<Vec<Vec<(usize, u32)>>>,
     /// The dense per-cycle reservation tables the hot path consumes.
     reservations: ReservationTables,
+    /// `group_of[i]` — the group bound to the `i`-th name of
+    /// [`Instruction::ALL_TIMING_NAMES`] (see
+    /// [`Instruction::timing_index`]), so resolving an instruction is
+    /// an array index, not a mnemonic hash.
+    group_of: Vec<GroupId>,
     /// Stable hash of the description, for artifact-cache keys.
     content_hash: u64,
 }
@@ -141,10 +146,11 @@ pub(crate) struct ReservationTables {
 
 /// An instruction pre-resolved against one [`MachineModel`]: its
 /// timing-group id plus its operand resources paired with their hazard
-/// cycles, all in fixed inline storage. Building one performs the only
-/// name-based lookup; every subsequent `stalls`/`issue` on it is pure
-/// array arithmetic. Prepared instructions are only meaningful on the
-/// model (or an identically-compiled clone) that produced them.
+/// cycles, all in fixed inline storage. Every `stalls`/`issue` on it is
+/// pure array arithmetic, and dependence analysis reads its operands
+/// and latencies from [`PreparedInsn::reads`] and
+/// [`PreparedInsn::writes`]. Prepared instructions are only meaningful
+/// on the model (or an identically-compiled clone) that produced them.
 #[derive(Debug, Clone, Copy)]
 pub struct PreparedInsn {
     pub(crate) gid: u32,
@@ -160,6 +166,22 @@ impl PreparedInsn {
     /// The timing-group id the instruction resolved to.
     pub fn group_id(&self) -> GroupId {
         self.gid as usize
+    }
+
+    /// The resources the instruction reads, in
+    /// [`Instruction::uses_fixed`] order: `(Resource::index, cycle)`
+    /// pairs, where `cycle` is the issue-relative cycle the operand is
+    /// read (the group's read cycle for the resource's class).
+    pub fn reads(&self) -> &[(u8, u32)] {
+        &self.uses[..self.n_uses as usize]
+    }
+
+    /// The resources the instruction writes, in
+    /// [`Instruction::defs_fixed`] order: `(Resource::index, offset)`
+    /// pairs, where `offset` is the issue-relative cycle the result
+    /// becomes visible (the group's `write_cycle + 1` for the class).
+    pub fn writes(&self) -> &[(u8, u32)] {
+        &self.defs[..self.n_defs as usize]
     }
 }
 
@@ -298,14 +320,10 @@ impl MachineModel {
             || self.inner.content_hash == other.inner.content_hash
     }
 
-    /// The timing group for an instruction. Total: instructions whose
-    /// mnemonic somehow lacks a binding use the `unknown` group.
+    /// The timing group for an instruction. Total: a validated model
+    /// binds every timing name, undecodable words' `unknown` included.
     pub fn group(&self, insn: &Instruction) -> &TimingGroup {
-        self.inner
-            .desc
-            .group_for(insn.timing_name())
-            .or_else(|| self.inner.desc.group_for("unknown"))
-            .expect("validated models bind `unknown`")
+        &self.inner.desc.groups[self.group_id_of(insn)]
     }
 
     /// A variant of this model whose loads have `extra` additional
@@ -350,13 +368,7 @@ impl MachineModel {
     /// `usage(insn)[c]` lists `(unit, copies)` held during cycle `c`
     /// of its execution.
     pub fn usage(&self, insn: &Instruction) -> &[Vec<(usize, u32)>] {
-        let id = self
-            .inner
-            .desc
-            .group_id(insn.timing_name())
-            .or_else(|| self.inner.desc.group_id("unknown"))
-            .expect("validated models bind `unknown`");
-        &self.inner.usage[id]
+        &self.inner.usage[self.group_id_of(insn)]
     }
 
     /// Total number of distinct unit kinds (for sizing state vectors).
@@ -374,15 +386,11 @@ impl MachineModel {
         &self.inner.reservations
     }
 
-    /// The timing-group id for an instruction. Total, like
-    /// [`MachineModel::group`]: unbound mnemonics fall back to the
-    /// `unknown` group.
+    /// The timing-group id for an instruction: one index into a table
+    /// compiled at construction, keyed by [`Instruction::timing_index`].
+    /// Total, like [`MachineModel::group`].
     pub fn group_id_of(&self, insn: &Instruction) -> GroupId {
-        self.inner
-            .desc
-            .group_id(insn.timing_name())
-            .or_else(|| self.inner.desc.group_id("unknown"))
-            .expect("validated models bind `unknown`")
+        self.inner.group_of[insn.timing_index()]
     }
 
     /// The compiled per-class timing of a group: read cycles and
@@ -446,11 +454,19 @@ fn compile_tables(desc: ArchDescription) -> Result<ModelTables, ModelError> {
         .map(|g| occupancy(g, desc.units.len()))
         .collect();
     let reservations = compile_reservations(&desc, &usage)?;
+    let group_of = Instruction::ALL_TIMING_NAMES
+        .iter()
+        .map(|name| {
+            desc.group_id(name)
+                .expect("validated models bind every timing name")
+        })
+        .collect();
     let content_hash = fnv1a(canonical_description(&desc).as_bytes());
     Ok(ModelTables {
         desc,
         usage,
         reservations,
+        group_of,
         content_hash,
     })
 }

@@ -920,55 +920,47 @@ impl Instruction {
     /// pipeline timing. Conditional variants of a branch share one
     /// timing name, and all conditions of `Ticc` are `"ticc"`.
     pub fn timing_name(&self) -> &'static str {
+        Instruction::ALL_TIMING_NAMES[self.timing_index()]
+    }
+
+    /// This instruction's position in [`Instruction::ALL_TIMING_NAMES`]
+    /// — the one mapping from instructions to timing names. Machine
+    /// models resolve it to a timing group by array index, so no hot
+    /// path hashes a mnemonic.
+    pub fn timing_index(&self) -> usize {
+        // The ALU and FP families sit in ALL_TIMING_NAMES in their
+        // enums' declaration order.
         match self {
-            Instruction::Sethi { .. } => "sethi",
-            Instruction::Alu { op, .. } => op.mnemonic(),
+            Instruction::Alu { op, .. } => *op as usize,
+            Instruction::Sethi { .. } => 31,
             Instruction::Load { width, .. } => match width {
-                MemWidth::SByte => "ldsb",
-                MemWidth::UByte => "ldub",
-                MemWidth::SHalf => "ldsh",
-                MemWidth::UHalf => "lduh",
-                MemWidth::Word => "ld",
-                MemWidth::Double => "ldd",
+                MemWidth::Word => 32,
+                MemWidth::UByte => 33,
+                MemWidth::SByte => 34,
+                MemWidth::UHalf => 35,
+                MemWidth::SHalf => 36,
+                MemWidth::Double => 37,
             },
             Instruction::Store { width, .. } => match width {
-                MemWidth::SByte | MemWidth::UByte => "stb",
-                MemWidth::SHalf | MemWidth::UHalf => "sth",
-                MemWidth::Word => "st",
-                MemWidth::Double => "std",
+                MemWidth::Word => 38,
+                MemWidth::SByte | MemWidth::UByte => 39,
+                MemWidth::SHalf | MemWidth::UHalf => 40,
+                MemWidth::Double => 41,
             },
-            Instruction::LoadFp { double, .. } => {
-                if *double {
-                    "lddf"
-                } else {
-                    "ldf"
-                }
-            }
-            Instruction::StoreFp { double, .. } => {
-                if *double {
-                    "stdf"
-                } else {
-                    "stf"
-                }
-            }
-            Instruction::Branch { .. } => "bicc",
-            Instruction::FBranch { .. } => "fbfcc",
-            Instruction::Call { .. } => "call",
-            Instruction::Jmpl { .. } => "jmpl",
-            Instruction::Save { .. } => "save",
-            Instruction::Restore { .. } => "restore",
-            Instruction::Fp { op, .. } => op.mnemonic(),
-            Instruction::FCmp { double, .. } => {
-                if *double {
-                    "fcmpd"
-                } else {
-                    "fcmps"
-                }
-            }
-            Instruction::RdY { .. } => "rdy",
-            Instruction::WrY { .. } => "wry",
-            Instruction::Trap { .. } => "ticc",
-            Instruction::Unknown(_) => "unknown",
+            Instruction::LoadFp { double, .. } => 42 + usize::from(*double),
+            Instruction::StoreFp { double, .. } => 44 + usize::from(*double),
+            Instruction::Branch { .. } => 46,
+            Instruction::FBranch { .. } => 47,
+            Instruction::Call { .. } => 48,
+            Instruction::Jmpl { .. } => 49,
+            Instruction::Save { .. } => 50,
+            Instruction::Restore { .. } => 51,
+            Instruction::Fp { op, .. } => 52 + *op as usize,
+            Instruction::FCmp { double, .. } => 71 + usize::from(*double),
+            Instruction::RdY { .. } => 73,
+            Instruction::WrY { .. } => 74,
+            Instruction::Trap { .. } => 75,
+            Instruction::Unknown(_) => 76,
         }
     }
 
@@ -1380,28 +1372,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_timing_names_in_canonical_list() {
-        for i in [
-            Instruction::nop(),
-            Instruction::ret(),
-            Instruction::Call { disp: 0 },
-            Instruction::Branch {
-                cond: Cond::Ne,
-                annul: false,
-                disp: 0,
-            },
-            Instruction::Unknown(0),
-            Instruction::RdY { rd: IntReg::O0 },
-        ] {
-            assert!(
-                Instruction::ALL_TIMING_NAMES.contains(&i.timing_name()),
-                "{} missing",
-                i.timing_name()
-            );
-        }
-    }
-
-    #[test]
     fn timing_names_cover_branch_conditions() {
         for &c in Cond::all() {
             let b = Instruction::Branch {
@@ -1411,6 +1381,225 @@ mod tests {
             };
             assert_eq!(b.timing_name(), "bicc");
         }
+    }
+
+    /// `timing_index` against an explicit mnemonic table: every ALU and
+    /// FP opcode, every memory width and FP precision, each control
+    /// transfer shape, traps, the `%y` moves and undecodable words. The
+    /// table also reaches every entry of `ALL_TIMING_NAMES`.
+    #[test]
+    fn timing_index_names_every_instruction_shape() {
+        use AluOp::*;
+        use FpOp::*;
+        let (r, f) = (IntReg::O1, FpReg::new(2));
+        let addr = Address::base_imm(IntReg::O0, 8);
+        let alu = |op| Instruction::Alu {
+            op,
+            rs1: r,
+            src2: Operand::Reg(IntReg::G0),
+            rd: IntReg::G0,
+        };
+        let fp = |op| Instruction::Fp {
+            op,
+            rs1: f,
+            rs2: f,
+            rd: f,
+        };
+        let load = |width| Instruction::Load { width, addr, rd: r };
+        let store = |width| Instruction::Store {
+            width,
+            src: r,
+            addr,
+        };
+        let mut table: Vec<(Instruction, &str)> = [
+            (Add, "add"),
+            (AddCc, "addcc"),
+            (AddX, "addx"),
+            (AddXCc, "addxcc"),
+            (Sub, "sub"),
+            (SubCc, "subcc"),
+            (SubX, "subx"),
+            (SubXCc, "subxcc"),
+            (And, "and"),
+            (AndCc, "andcc"),
+            (AndN, "andn"),
+            (AndNCc, "andncc"),
+            (Or, "or"),
+            (OrCc, "orcc"),
+            (OrN, "orn"),
+            (OrNCc, "orncc"),
+            (Xor, "xor"),
+            (XorCc, "xorcc"),
+            (XNor, "xnor"),
+            (XNorCc, "xnorcc"),
+            (Sll, "sll"),
+            (Srl, "srl"),
+            (Sra, "sra"),
+            (UMul, "umul"),
+            (SMul, "smul"),
+            (UMulCc, "umulcc"),
+            (SMulCc, "smulcc"),
+            (UDiv, "udiv"),
+            (SDiv, "sdiv"),
+            (UDivCc, "udivcc"),
+            (SDivCc, "sdivcc"),
+        ]
+        .into_iter()
+        .map(|(op, name)| (alu(op), name))
+        .collect();
+        assert_eq!(table.len(), AluOp::all().len());
+        let fps = [
+            (FMovS, "fmovs"),
+            (FNegS, "fnegs"),
+            (FAbsS, "fabss"),
+            (FAddS, "fadds"),
+            (FAddD, "faddd"),
+            (FSubS, "fsubs"),
+            (FSubD, "fsubd"),
+            (FMulS, "fmuls"),
+            (FMulD, "fmuld"),
+            (FDivS, "fdivs"),
+            (FDivD, "fdivd"),
+            (FiToS, "fitos"),
+            (FiToD, "fitod"),
+            (FsToI, "fstoi"),
+            (FdToI, "fdtoi"),
+            (FsToD, "fstod"),
+            (FdToS, "fdtos"),
+            (FSqrtS, "fsqrts"),
+            (FSqrtD, "fsqrtd"),
+        ];
+        assert_eq!(fps.len(), FpOp::all().len());
+        table.extend(fps.into_iter().map(|(op, name)| (fp(op), name)));
+        table.extend([
+            (Instruction::nop(), "sethi"),
+            (load(MemWidth::Word), "ld"),
+            (load(MemWidth::UByte), "ldub"),
+            (load(MemWidth::SByte), "ldsb"),
+            (load(MemWidth::UHalf), "lduh"),
+            (load(MemWidth::SHalf), "ldsh"),
+            (load(MemWidth::Double), "ldd"),
+            (store(MemWidth::Word), "st"),
+            (store(MemWidth::UByte), "stb"),
+            (store(MemWidth::SByte), "stb"),
+            (store(MemWidth::UHalf), "sth"),
+            (store(MemWidth::SHalf), "sth"),
+            (store(MemWidth::Double), "std"),
+            (
+                Instruction::LoadFp {
+                    double: false,
+                    addr,
+                    rd: f,
+                },
+                "ldf",
+            ),
+            (
+                Instruction::LoadFp {
+                    double: true,
+                    addr,
+                    rd: f,
+                },
+                "lddf",
+            ),
+            (
+                Instruction::StoreFp {
+                    double: false,
+                    src: f,
+                    addr,
+                },
+                "stf",
+            ),
+            (
+                Instruction::StoreFp {
+                    double: true,
+                    src: f,
+                    addr,
+                },
+                "stdf",
+            ),
+            (
+                Instruction::Branch {
+                    cond: Cond::A,
+                    annul: true,
+                    disp: 4,
+                },
+                "bicc",
+            ),
+            (
+                Instruction::FBranch {
+                    cond: FCond::Ne,
+                    annul: false,
+                    disp: -2,
+                },
+                "fbfcc",
+            ),
+            (Instruction::Call { disp: 64 }, "call"),
+            (Instruction::ret(), "jmpl"),
+            (
+                Instruction::Save {
+                    rs1: IntReg::SP,
+                    src2: Operand::imm(-96),
+                    rd: IntReg::SP,
+                },
+                "save",
+            ),
+            (
+                Instruction::Restore {
+                    rs1: IntReg::G0,
+                    src2: Operand::imm(0),
+                    rd: IntReg::G0,
+                },
+                "restore",
+            ),
+            (
+                Instruction::FCmp {
+                    double: false,
+                    rs1: f,
+                    rs2: f,
+                },
+                "fcmps",
+            ),
+            (
+                Instruction::FCmp {
+                    double: true,
+                    rs1: f,
+                    rs2: f,
+                },
+                "fcmpd",
+            ),
+            (Instruction::RdY { rd: r }, "rdy"),
+            (
+                Instruction::WrY {
+                    rs1: r,
+                    src2: Operand::imm(0),
+                },
+                "wry",
+            ),
+            (
+                Instruction::Trap {
+                    cond: Cond::A,
+                    rs1: IntReg::G0,
+                    src2: Operand::imm(5),
+                },
+                "ticc",
+            ),
+            (Instruction::Unknown(0), "unknown"),
+            (Instruction::decode(0xFFFF_FFFF), "unknown"),
+        ]);
+        let mut reached = vec![false; Instruction::ALL_TIMING_NAMES.len()];
+        for (insn, name) in table {
+            let index = insn.timing_index();
+            assert_eq!(Instruction::ALL_TIMING_NAMES[index], name, "{insn:?}");
+            assert_eq!(insn.timing_name(), name, "{insn:?}");
+            reached[index] = true;
+        }
+        let missed: Vec<&str> = Instruction::ALL_TIMING_NAMES
+            .iter()
+            .zip(&reached)
+            .filter(|(_, &hit)| !hit)
+            .map(|(name, _)| *name)
+            .collect();
+        assert!(missed.is_empty(), "unreached timing names: {missed:?}");
     }
 
     #[test]
