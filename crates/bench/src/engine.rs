@@ -54,6 +54,40 @@ struct CellValue {
     avg_bb: f64,
 }
 
+/// What the disk tier holds for one cell.
+enum DiskCell {
+    /// No file (or no disk tier).
+    Absent,
+    /// A well-formed body whose checksum matches its values.
+    Valid(CellValue),
+    /// Anything else: an older format, a bad checksum, a garbled or
+    /// truncated body, trailing fields.
+    Rejected,
+}
+
+/// A disk cell's body: `v2`, the three values, and an fnv1a checksum
+/// of the values' text, so a flipped digit is caught rather than
+/// served.
+fn cell_body(v: CellValue) -> String {
+    let values = format!("{} {} {:016x}", v.cycles, v.exit_code, v.avg_bb.to_bits());
+    format!("v2 {values} {:016x}\n", fnv1a(values.as_bytes()))
+}
+
+/// The inverse of [`cell_body`]: the values, when `text` is exactly the
+/// body they render to.
+fn parse_cell(text: &str) -> Option<CellValue> {
+    let mut parts = text.split_whitespace();
+    if parts.next()? != "v2" {
+        return None;
+    }
+    let v = CellValue {
+        cycles: parts.next()?.parse().ok()?,
+        exit_code: parts.next()?.parse().ok()?,
+        avg_bb: f64::from_bits(u64::from_str_radix(parts.next()?, 16).ok()?),
+    };
+    (cell_body(v) == text).then_some(v)
+}
+
 /// The pipeline stages the engine accounts wall time to.
 #[derive(Debug, Clone, Copy)]
 #[repr(usize)]
@@ -396,13 +430,18 @@ impl Engine {
             }
             return v;
         }
-        if let Some(v) = self.disk_get(key) {
-            self.telemetry.add("engine.cache.disk_hits", 1);
-            if let Some(t) = tracer {
-                t.instant("cell", "disk_hit", key, 0);
+        match self.disk_get(key) {
+            DiskCell::Valid(v) => {
+                self.telemetry.add("engine.cache.disk_hits", 1);
+                if let Some(t) = tracer {
+                    t.instant("cell", "disk_hit", key, 0);
+                }
+                self.mem.lock().expect("cache lock").insert(key, v);
+                return v;
             }
-            self.mem.lock().expect("cache lock").insert(key, v);
-            return v;
+            // Recomputed below, and the write-through overwrites it.
+            DiskCell::Rejected => self.telemetry.add("engine.cache.disk_rejected", 1),
+            DiskCell::Absent => {}
         }
         // Disk miss: when shard workers share the cache directory,
         // take the advisory per-cell file lock so only one process
@@ -429,7 +468,7 @@ impl Engine {
             lock
         });
         if lock.as_ref().is_some_and(Option::is_some) {
-            if let Some(v) = self.disk_get(key) {
+            if let DiskCell::Valid(v) = self.disk_get(key) {
                 self.telemetry.add("engine.cache.disk_hits", 1);
                 self.telemetry.add("engine.cache.lock_races_won", 1);
                 if let Some(t) = tracer {
@@ -449,19 +488,18 @@ impl Engine {
         v
     }
 
-    fn disk_get(&self, key: u64) -> Option<CellValue> {
-        let path = self.disk.as_ref()?.join(format!("{key:016x}.cell"));
+    fn disk_get(&self, key: u64) -> DiskCell {
+        let Some(dir) = self.disk.as_ref() else {
+            return DiskCell::Absent;
+        };
         let _span = self.telemetry.span("engine.cache.disk_read_ns");
-        let text = std::fs::read_to_string(path).ok()?;
-        let mut parts = text.split_whitespace();
-        if parts.next()? != "v1" {
-            return None;
+        match std::fs::read(dir.join(format!("{key:016x}.cell"))) {
+            Err(_) => DiskCell::Absent,
+            Ok(bytes) => String::from_utf8(bytes)
+                .ok()
+                .and_then(|text| parse_cell(&text))
+                .map_or(DiskCell::Rejected, DiskCell::Valid),
         }
-        Some(CellValue {
-            cycles: parts.next()?.parse().ok()?,
-            exit_code: parts.next()?.parse().ok()?,
-            avg_bb: f64::from_bits(u64::from_str_radix(parts.next()?, 16).ok()?),
-        })
     }
 
     /// Best-effort write-through: a failed write only costs a future
@@ -477,13 +515,7 @@ impl Engine {
             return;
         }
         let tmp = dir.join(format!("{key:016x}.tmp{}", std::process::id()));
-        let body = format!(
-            "v1 {} {} {:016x}\n",
-            v.cycles,
-            v.exit_code,
-            v.avg_bb.to_bits()
-        );
-        if std::fs::write(&tmp, body).is_ok() {
+        if std::fs::write(&tmp, cell_body(v)).is_ok() {
             let _ = std::fs::rename(&tmp, dir.join(format!("{key:016x}.cell")));
         }
     }
@@ -1033,6 +1065,60 @@ mod tests {
         assert_eq!(second.stats().disk_hits(), 3);
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A damaged cell is never served: a flipped digit, a truncated
+    /// file and a `v1` body are each rejected once, counted,
+    /// recomputed to the uncached value and overwritten with a valid
+    /// body.
+    #[test]
+    fn corrupt_disk_cells_are_rejected_and_recomputed() {
+        let model = MachineModel::supersparc();
+        let cfg = quick();
+        let bench = &cint95()[0];
+        let uncached = Engine::new(&model, &cfg).measure(bench, false);
+        let damage = |what: &str, body: &str| match what {
+            "flipped digit" => {
+                // The first digit of the cycle count.
+                let d = body.as_bytes()[3];
+                let flipped = char::from(b'0' + (d - b'0' + 1) % 10);
+                format!("{}{flipped}{}", &body[..3], &body[4..])
+            }
+            "truncated" => body[..body.len() / 2].to_string(),
+            _ => {
+                let fields: Vec<&str> = body.split_whitespace().collect();
+                format!("v1 {} {} {}\n", fields[1], fields[2], fields[3])
+            }
+        };
+        for what in ["flipped digit", "truncated", "v1 body"] {
+            let dir = std::env::temp_dir().join(format!(
+                "eel-artifacts-corrupt-{}-{}",
+                std::process::id(),
+                what.replace(' ', "-")
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            Engine::new(&model, &cfg)
+                .with_disk_cache(&dir)
+                .measure(bench, false);
+            let key = Engine::new(&model, &cfg).cell_key(bench, "uninst", false, false);
+            let path = dir.join(format!("{key:016x}.cell"));
+            let body = std::fs::read_to_string(&path).expect("cell written");
+            std::fs::write(&path, damage(what, &body)).expect("cell rewritten");
+
+            let engine = Engine::new(&model, &cfg).with_disk_cache(&dir);
+            let row = engine.measure(bench, false);
+            assert!(
+                rows_equal(&row, &uncached),
+                "{what}: served {row:?}, uncached {uncached:?}"
+            );
+            let stats = engine.stats();
+            assert_eq!(stats.counter("engine.cache.disk_rejected"), 1, "{what}");
+            assert_eq!(stats.computed(), 1, "{what}: only the damaged cell");
+            assert_eq!(stats.disk_hits(), 2, "{what}");
+            let rewritten = std::fs::read_to_string(&path).expect("cell rewritten");
+            assert_eq!(rewritten, body, "{what}: overwritten with the valid body");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -30,8 +30,13 @@
 //!   captured transition, an `advance`), which identifies the entry
 //!   context without rescanning the scoreboard: a transition leaves
 //!   the pipe in a state that is a pure function of the transition
-//!   itself, so equal chains imply equal contexts. Debug builds
-//!   verify every hit against the canonical serialized context.
+//!   itself, so equal chains imply equal contexts. A hit reads a
+//!   24-byte entry record and costs a compare and a few adds inline
+//!   in the block loop: each block (and fused delay slot) keeps a few
+//!   hint ways from `(key, context id)` to entries, and only a hint
+//!   miss probes the map or walks. Debug builds verify every hit
+//!   against the canonical serialized context, in the one replay
+//!   path every hit takes.
 //! * **Batched I-cache and predictor updates** — fetch probes for a
 //!   block are issued in program order in one batch at block entry
 //!   (the resulting miss pattern folds into the timing-memo key, so
@@ -53,12 +58,13 @@
 //! Functional execution stays exact and per-instruction: every
 //! retired instruction runs against architectural state, but as one of
 //! the block's lowered ops ([`BlockOp`]) — no fetch, no decode, no
-//! per-instruction profile counter (per-word execution counts are
-//! reconstructed from per-block execution counts at run end). Lowering
-//! resolves every register operand to its slot in the [`Cpu`]'s
-//! working register file, which holds the current window whatever the
-//! window depth, so a slot is fixed for the life of the block and a
-//! `%g0` destination becomes the discard slot. The hot opcodes — the
+//! per-instruction profile counter (per-word execution and taken
+//! counts are reconstructed from per-block execution, taken and
+//! fused-slot counts at run end). Lowering resolves every register
+//! operand to its slot in the [`Cpu`]'s working register file, which
+//! holds the current window whatever the window depth, so a slot is
+//! fixed for the life of the block and a `%g0` destination becomes the
+//! discard slot. The hot opcodes — the
 //! common integer ALU ops, `sethi`, word and FP-double memory ops with an
 //! immediate offset, and `faddd`/`fsubd`/`fmuld` — get one op each and
 //! own their semantics, pinned to [`Cpu::step_decoded`] shape by shape
@@ -487,6 +493,10 @@ enum TermOp {
 /// Ways in the per-block memo shortcut (see [`Block::hints`]).
 const HINT_WAYS: usize = 4;
 
+/// A per-block memo shortcut: `(memo key, entry context id, memo
+/// entry)` ways, indexed by the context id's low bits.
+type Hints = [(u64, u64, u32); HINT_WAYS];
+
 /// The delay slot after a block's terminator, precached at build time
 /// so a taken control transfer can execute its slot inline — without
 /// a fetch, decode-cache probe, or trip around the dispatch loop.
@@ -508,7 +518,7 @@ struct SlotInfo {
     /// [`Block::probe_gen`].
     probe_gen: u64,
     /// Memo shortcut, as [`Block::hints`].
-    hints: [(u64, u64, u32); HINT_WAYS],
+    hints: Hints,
 }
 
 /// A built basic block: one decode/`prepare`/lowering walk, reused by
@@ -538,6 +548,12 @@ struct Block {
     cond_branch: bool,
     /// Completed executions, expanded into per-word counts at run end.
     execs: u64,
+    /// Taken terminator executions, added to the terminator word's
+    /// taken count at run end.
+    taken: u64,
+    /// Fused delay-slot executions, added to the slot word's count at
+    /// run end.
+    slot_execs: u64,
     /// I-cache fill generation as of this block's last all-hit probe
     /// (`u64::MAX` = none): while the generation is unchanged no tag
     /// can have been evicted, so a re-probe would hit on every word
@@ -547,8 +563,9 @@ struct Block {
     /// memo entry)` from recent executions, indexed by the context
     /// id's low bits — a shortcut past the memo map for steady-state
     /// loops whose blocks alternate between a few entry contexts
-    /// (call sites, loop phases).
-    hints: [(u64, u64, u32); HINT_WAYS],
+    /// (call sites, loop phases). A matching way is replayed inline
+    /// ([`Timer::time_hinted`]).
+    hints: Hints,
 }
 
 const NO_ENTRY: u32 = u32::MAX;
@@ -637,21 +654,34 @@ fn build_block(
         slot,
         insns,
         execs: 0,
+        taken: 0,
+        slot_execs: 0,
         probe_gen: u64::MAX,
         hints: [(0, 0, NO_ENTRY); HINT_WAYS],
     }
 }
 
-/// The timing memo: `(content hash, entry context id)` → captured
+/// What a memo hit reads: the captured transition's issue-cycle and
+/// completion deltas and the context id of the pipe after it (a pure
+/// function of the transition — the exit state is determined by the
+/// transition alone). 24 bytes, kept apart from the
+/// [`BlockTransition`], which only materialization reads.
+#[derive(Clone, Copy)]
+struct MemoEntry {
+    cycles: u64,
+    completes: u64,
+    exit_id: u64,
+}
+
+/// The timing memo: `(memo key, entry context id)` → captured
 /// transition. Entries are append-only per run.
 #[derive(Default)]
 struct TimingMemo {
     map: FnvMap<(u64, u64), u32>,
+    /// Per entry, what a hit replays.
+    entries: Vec<MemoEntry>,
+    /// Per entry, the captured transition.
     transitions: Vec<BlockTransition>,
-    /// Context id of the pipe after each transition (a pure function
-    /// of the entry index — the exit state is determined by the
-    /// transition alone).
-    exit_ids: Vec<u64>,
     /// Canonical entry contexts, kept in debug builds to verify every
     /// memo hit against [`PipelineState::context_key`].
     #[cfg(debug_assertions)]
@@ -676,20 +706,20 @@ struct Seq<'s> {
     dmiss: u64,
 }
 
-impl Seq<'_> {
-    /// The timing-memo key: the content hash with this execution's
-    /// miss masks folded in, so each miss pattern has its own entries.
-    fn key(&self, content: u64) -> u64 {
-        let key = if self.imiss == 0 {
-            content
-        } else {
-            chain(content, CTX_MISS, self.imiss)
-        };
-        if self.dmiss == 0 {
-            key
-        } else {
-            chain(key, CTX_DMISS, self.dmiss)
-        }
+/// The timing-memo key of one execution: the content hash with its
+/// I-cache and D-cache miss masks (a bit per instruction) folded in, so
+/// each miss pattern has its own entries.
+#[inline(always)]
+fn memo_key(content: u64, imiss: u64, dmiss: u64) -> u64 {
+    let key = if imiss == 0 {
+        content
+    } else {
+        chain(content, CTX_MISS, imiss)
+    };
+    if dmiss == 0 {
+        key
+    } else {
+        chain(key, CTX_DMISS, dmiss)
     }
 }
 
@@ -812,13 +842,61 @@ impl Timer<'_> {
         completes
     }
 
-    /// Times an instruction sequence through the memo: replays the
-    /// captured transition for `(key, ctx)` — `hint` if it is a known
-    /// entry — or walks the sequence once and captures it. `key` must
-    /// fold in the sequence's miss masks ([`Seq::key`]) so replay stays
-    /// cycle-exact. Updates `last_complete` and the context chain;
-    /// returns the memo entry index ([`NO_ENTRY`] when attributing).
-    fn time_sequence(&mut self, key: u64, hint: u32, seq: &Seq) -> u32 {
+    /// Applies memo entry `i` as a hit. Nothing touches the pipe: the
+    /// completion bound, the virtual cycle and the chain all come from
+    /// the compact entry, and the exit pipeline state is a pure
+    /// function of the transition — so the entry is parked in
+    /// `pending`, and if the next event hits too its application
+    /// never needs to happen at all. The one hit path, inline or
+    /// through the map.
+    #[inline(always)]
+    fn replay(&mut self, i: u32) {
+        // Debug builds keep the pipe current at every event and check
+        // every hit against the canonical context key (this also
+        // exercises `set_to_transition` on every hit).
+        #[cfg(debug_assertions)]
+        {
+            self.materialize();
+            self.pipe.context_key(&mut self.key_scratch);
+            debug_assert_eq!(
+                self.memo.keys[i as usize], self.key_scratch,
+                "context chain aliased two distinct pipeline contexts"
+            );
+        }
+        let e = self.memo.entries[i as usize];
+        self.last_complete = self.last_complete.max(self.virt_cycle + e.completes);
+        self.virt_cycle += e.cycles;
+        self.trail_advance = 0;
+        self.pending = Some(i);
+        self.ctx = e.exit_id;
+        self.memo.hits += 1;
+        #[cfg(debug_assertions)]
+        self.materialize();
+    }
+
+    /// Times one execution of a block or fused slot keyed `key`
+    /// ([`memo_key`]): a hint way matching `(key, ctx)` replays its
+    /// entry inline; anything else builds the sequence and goes
+    /// through [`Self::time_sequence`], refreshing the way.
+    #[inline(always)]
+    fn time_hinted<'s>(&mut self, hints: &mut Hints, key: u64, seq: impl FnOnce() -> Seq<'s>) {
+        let ctx = self.ctx;
+        let way = &mut hints[(ctx as usize) & (HINT_WAYS - 1)];
+        if way.0 == key && way.1 == ctx && way.2 != NO_ENTRY {
+            self.replay(way.2);
+        } else {
+            *way = (key, ctx, self.time_sequence(key, &seq()));
+        }
+    }
+
+    /// Times an instruction sequence past the hint ways: replays the
+    /// memo entry for `(key, ctx)` if the map has one, or walks the
+    /// sequence once and captures it. `key` must be the sequence's
+    /// [`memo_key`] so replay stays cycle-exact. Updates
+    /// `last_complete` and the context chain; returns the memo entry
+    /// index ([`NO_ENTRY`] when attributing).
+    #[inline(never)]
+    fn time_sequence(&mut self, key: u64, seq: &Seq) -> u32 {
         if self.recorder.is_some() {
             // Attribution classifies every stall cycle, which a
             // replayed transition cannot report: walk the real pipe
@@ -828,45 +906,15 @@ impl Timer<'_> {
             self.virt_cycle = self.pipe.cycle();
             return NO_ENTRY;
         }
-        // Debug builds keep the pipe current at every event so memo
-        // hits can be cross-checked against the canonical context key
-        // (this also exercises `set_to_transition` on every hit).
-        #[cfg(debug_assertions)]
-        {
-            self.materialize();
-            self.pipe.context_key(&mut self.key_scratch);
-        }
-        let idx = if hint != NO_ENTRY {
-            Some(hint)
-        } else {
-            self.memo.map.get(&(key, self.ctx)).copied()
-        };
-        if let Some(i) = idx {
-            #[cfg(debug_assertions)]
-            debug_assert_eq!(
-                self.memo.keys[i as usize], self.key_scratch,
-                "context chain aliased two distinct pipeline contexts"
-            );
-            // Deferred application: nothing touches the pipe. The
-            // chain, the completion bound, and the virtual cycle are
-            // all derivable from the stored transition, and the exit
-            // pipeline state is a pure function of it — so if the
-            // next event hits too, this application never needs to
-            // happen at all.
-            let tr = &self.memo.transitions[i as usize];
-            let completes = self.virt_cycle + tr.completes();
-            self.last_complete = self.last_complete.max(completes);
-            self.virt_cycle += tr.cycles();
-            self.trail_advance = 0;
-            self.pending = Some(i);
-            self.ctx = self.memo.exit_ids[i as usize];
-            self.memo.hits += 1;
-            #[cfg(debug_assertions)]
-            self.materialize();
+        if let Some(&i) = self.memo.map.get(&(key, self.ctx)) {
+            self.replay(i);
             return i;
         }
         self.materialize();
         self.memo.misses += 1;
+        // The canonical entry context later hits are checked against.
+        #[cfg(debug_assertions)]
+        self.pipe.context_key(&mut self.key_scratch);
         let entry_cycle = self.pipe.cycle();
         let entry_ctx = self.ctx;
         let mut entry_ring = Vec::new();
@@ -883,8 +931,12 @@ impl Timer<'_> {
         // converge the chain, which is what lets steady-state loops
         // hit.
         let exit_id = tr.exit_fingerprint();
+        self.memo.entries.push(MemoEntry {
+            cycles: tr.cycles(),
+            completes: tr.completes(),
+            exit_id,
+        });
         self.memo.transitions.push(tr);
-        self.memo.exit_ids.push(exit_id);
         #[cfg(debug_assertions)]
         self.memo.keys.push(std::mem::take(&mut self.key_scratch));
         self.memo.map.insert((key, entry_ctx), i);
@@ -916,13 +968,14 @@ struct Engine<'a> {
     mem: Memory,
     cpu: Cpu,
     timer: Option<Timer<'a>>,
+    /// Per-word counts of single steps; blocks keep their own counts
+    /// and add them at run end.
     pc_counts: Vec<u64>,
+    /// Per-word taken counts of single steps, likewise.
     taken_counts: Vec<u64>,
     instructions: u64,
-    taken_branches: u64,
     mem_ops: u64,
     builds: u64,
-    fused: u64,
     text_base: u32,
     max_instructions: u64,
 }
@@ -963,7 +1016,7 @@ impl Engine<'_> {
                 imiss: 0,
                 dmiss: u64::from(dmiss),
             };
-            t.time_sequence(seq.key(fnv1a64(&[word])), NO_ENTRY, &seq);
+            t.time_sequence(memo_key(fnv1a64(&[word]), 0, seq.dmiss), &seq);
         }
         if insn.is_mem() {
             self.mem_ops += 1;
@@ -977,7 +1030,6 @@ impl Engine<'_> {
                     t.retire_cti(pc, cond, taken_cti);
                 }
                 if taken_cti {
-                    self.taken_branches += 1;
                     self.taken_counts[word_idx] += 1;
                 }
                 Ok(None)
@@ -1025,22 +1077,14 @@ impl Engine<'_> {
                 .icache
                 .as_mut()
                 .map_or(0, |c| probe_block(c, block, entry_pc));
-            let seq = Seq {
+            let key = memo_key(block.content, imiss, dmiss);
+            t.time_hinted(&mut block.hints, key, || Seq {
                 insns: &block.insns,
                 prepared: &block.prepared,
                 first_word: block.start,
                 imiss,
                 dmiss,
-            };
-            let key = seq.key(block.content);
-            let entry_ctx = t.ctx;
-            let way = (entry_ctx as usize) & (HINT_WAYS - 1);
-            let hint = match block.hints[way] {
-                (k, c, e) if k == key && c == entry_ctx => e,
-                _ => NO_ENTRY,
-            };
-            let entry = t.time_sequence(key, hint, &seq);
-            block.hints[way] = (key, entry_ctx, entry);
+            });
         }
 
         let term_pc = entry_pc.wrapping_add(4 * (n as u32 - 1));
@@ -1108,8 +1152,7 @@ impl Engine<'_> {
             t.retire_cti(term_pc, block.cond_branch, taken_cti);
         }
         if taken_cti {
-            self.taken_branches += 1;
-            self.taken_counts[block.start + n - 1] += 1;
+            block.taken += 1;
             // Fused delay slot: a taken transfer leaves `pc` at the
             // slot with a non-sequential `npc` — normally a trip
             // through the single-step path. With the slot precached,
@@ -1120,41 +1163,32 @@ impl Engine<'_> {
             // at the budget boundary so the limit fault reports the
             // exact count, and when the transfer annulled the slot
             // (`pc` is already the target).
-            if let Some(slot) = &mut block.slot {
+            if let Some(slot) = block.slot.as_deref_mut() {
                 if self.cpu.pc == slot.addr && self.instructions < self.max_instructions {
                     let target = self.cpu.npc;
-                    let word = block.start + n;
-                    self.pc_counts[word] += 1;
+                    block.slot_execs += 1;
                     if let Some(t) = self.timer.as_mut() {
                         t.fetch_one(slot.addr, &mut slot.probe_gen);
-                        let dmiss = t
-                            .dcache
-                            .as_mut()
-                            .is_some_and(|c| load_missed(c, &self.cpu, &slot.insn));
-                        let prepared = slot.prepared.expect("timed runs prepare the slot");
-                        let seq = Seq {
+                        let dmiss = u64::from(
+                            t.dcache
+                                .as_mut()
+                                .is_some_and(|c| load_missed(c, &self.cpu, &slot.insn)),
+                        );
+                        t.time_hinted(&mut slot.hints, memo_key(slot.content, 0, dmiss), || Seq {
                             insns: std::slice::from_ref(&slot.insn),
-                            prepared: std::slice::from_ref(&prepared),
-                            first_word: word,
+                            prepared: std::slice::from_ref(
+                                slot.prepared.as_ref().expect("timed runs prepare the slot"),
+                            ),
+                            first_word: block.start + n,
                             imiss: 0,
-                            dmiss: u64::from(dmiss),
-                        };
-                        let key = seq.key(slot.content);
-                        let entry_ctx = t.ctx;
-                        let way = (entry_ctx as usize) & (HINT_WAYS - 1);
-                        let hint = match slot.hints[way] {
-                            (k, c, e) if k == key && c == entry_ctx => e,
-                            _ => NO_ENTRY,
-                        };
-                        let entry = t.time_sequence(key, hint, &seq);
-                        slot.hints[way] = (key, entry_ctx, entry);
+                            dmiss,
+                        });
                     }
                     if slot.is_mem {
                         self.mem_ops += 1;
                     }
                     exec_op(&mut self.cpu, &mut self.mem, slot.op, slot.addr)?;
                     self.instructions += 1;
-                    self.fused += 1;
                     self.cpu.pc = target;
                     self.cpu.npc = target.wrapping_add(4);
                 }
@@ -1365,10 +1399,8 @@ pub(crate) fn run_blocks<S: Sink>(
         pc_counts: vec![0u64; text_len],
         taken_counts: vec![0u64; text_len],
         instructions: 0,
-        taken_branches: 0,
         mem_ops: 0,
         builds: 0,
-        fused: 0,
         text_base: exe.text_base(),
         max_instructions: config.max_instructions,
     };
@@ -1425,12 +1457,21 @@ pub(crate) fn run_blocks<S: Sink>(
         }
     };
 
-    // Expand per-block execution counts into the per-word profile.
+    // Expand the per-block counts into the per-word profiles.
+    let mut fused = 0;
     for block in blocks.iter().flatten() {
-        for c in &mut eng.pc_counts[block.start..block.start + block.insns.len()] {
+        let end = block.start + block.insns.len();
+        for c in &mut eng.pc_counts[block.start..end] {
             *c += block.execs;
         }
+        eng.taken_counts[end - 1] += block.taken;
+        if block.slot_execs > 0 {
+            eng.pc_counts[end] += block.slot_execs;
+            fused += block.slot_execs;
+        }
     }
+    // Every taken transfer is counted at its word.
+    let taken_branches = eng.taken_counts.iter().sum();
 
     let timer = eng.timer;
     let cycles = timer.as_ref().map_or(0, |t| t.last_complete + 1);
@@ -1442,9 +1483,9 @@ pub(crate) fn run_blocks<S: Sink>(
         sink.add("sim.instructions", eng.instructions);
         sink.add("sim.cycles", cycles);
         sink.add("sim.mem_ops", eng.mem_ops);
-        sink.add("sim.taken_branches", eng.taken_branches);
+        sink.add("sim.taken_branches", taken_branches);
         sink.add("sim.block_builds", eng.builds);
-        sink.add("sim.block_slot_fused", eng.fused);
+        sink.add("sim.block_slot_fused", fused);
         sink.add("sim.block_ctx_hits", hits);
         sink.add("sim.block_ctx_misses", misses);
         sink.record("sim.run_cycles", cycles);
@@ -1457,7 +1498,7 @@ pub(crate) fn run_blocks<S: Sink>(
         // hit/miss totals (misses ≈ materialized timing walks) and
         // build/fuse totals for the block cache itself.
         sink.trace_instant("sim", "block_cache", hits, misses);
-        sink.trace_instant("sim", "block_totals", eng.builds, eng.fused);
+        sink.trace_instant("sim", "block_totals", eng.builds, fused);
     }
     let cache_misses = |c: &Option<ICache>| c.as_ref().map_or(0, ICache::misses);
     Ok(RunResult {
@@ -1471,7 +1512,7 @@ pub(crate) fn run_blocks<S: Sink>(
             .as_ref()
             .and_then(|t| t.predictor.as_ref())
             .map_or(0, BranchPredictor::mispredicts),
-        taken_branches: eng.taken_branches,
+        taken_branches,
         mem_ops: eng.mem_ops,
         taken_counts: eng.taken_counts,
         memory: eng.mem,
