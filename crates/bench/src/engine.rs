@@ -4,8 +4,8 @@
 //! measurement into explicit stages — **build → baseline run →
 //! instrument → schedule → instrumented runs** — where every simulator
 //! invocation is a *cell* keyed by a stable content hash of everything
-//! that determines its value: the benchmark description, the machine
-//! description, and the experiment options. Cells are memoized in an
+//! that determines its value: the code that computes it, the benchmark
+//! description, the machine description, and the experiment options. Cells are memoized in an
 //! in-process map and (optionally) an on-disk artifact cache, so
 //! successive table runs stop recomputing shared work:
 //!
@@ -197,6 +197,9 @@ impl Stats {
 pub struct Engine {
     model: MachineModel,
     cfg: ExperimentConfig,
+    /// The digest of the code that computes a cell, part of every
+    /// cell key: [`CODE_DIGEST`].
+    code: u64,
     disk: Option<PathBuf>,
     mem: Mutex<HashMap<u64, CellValue>>,
     telemetry: Registry,
@@ -216,6 +219,7 @@ impl Engine {
         Engine {
             model: model.clone(),
             cfg: cfg.clone(),
+            code: CODE_DIGEST,
             disk: None,
             mem: Mutex::new(HashMap::new()),
             telemetry: Registry::new(),
@@ -269,9 +273,9 @@ impl Engine {
     /// Adds the environment-configured artifact cache the table
     /// binaries share: `$EEL_CACHE_DIR` if set, otherwise
     /// `target/eel-artifacts` in the workspace; `EEL_NO_CACHE=1`
-    /// disables it. `cargo clean` clears the default location, which
-    /// is also the recommended response to editing simulator or
-    /// scheduler code (cells do not hash the source).
+    /// disables it. Cells name the code that computed them (see
+    /// [`Engine::cell_key`]), so a rebuilt engine never serves a cell
+    /// an older build wrote.
     #[must_use]
     pub fn with_default_disk_cache(self) -> Engine {
         if std::env::var_os("EEL_NO_CACHE").is_some_and(|v| v == "1") {
@@ -378,7 +382,10 @@ impl Engine {
         })
     }
 
-    /// The content-hash key of one cell. `with_sched` folds in the
+    /// The content-hash key of one cell. It starts with the digest of
+    /// the sources the value depends on ([`CODE_DIGEST`]), so a change
+    /// to the generator, the compiler, a model, the scheduler, QPT or
+    /// the simulator moves every key. `with_sched` folds in the
     /// scheduler options and the scheduler's model (only cells whose
     /// executable passed through EEL's scheduler depend on them);
     /// `rescheduled_base` marks cells built on the Table 2 rescheduled
@@ -395,7 +402,8 @@ impl Engine {
         let mut s = String::new();
         let _ = write!(
             s,
-            "eel-cell-v1|{stage}|{bench:?}|iters={:?}|machine={:016x}|timing={:?}|bias={}",
+            "eel-cell-v2|code={:016x}|{stage}|{bench:?}|iters={:?}|machine={:016x}|timing={:?}|bias={}",
+            self.code,
             self.cfg.iterations,
             self.model.content_hash(),
             self.cfg.timing,
@@ -907,6 +915,9 @@ pub fn jobs_from_env() -> usize {
         .unwrap_or(1)
 }
 
+// `CODE_DIGEST` and, in tests, `CODE_SOURCES`: written by `build.rs`.
+include!(concat!(env!("OUT_DIR"), "/code_digest.rs"));
+
 /// FNV-1a, the workspace's stable content hash.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
@@ -1157,6 +1168,36 @@ mod tests {
             biased.cell_key(bench, "uninst", false, false),
             "mem_bias in key"
         );
+    }
+
+    #[test]
+    fn cache_keys_name_the_code() {
+        let model = MachineModel::ultrasparc();
+        let engine = Engine::new(&model, &quick());
+        let mut rebuilt = Engine::new(&model, &quick());
+        rebuilt.code ^= 1;
+        let bench = &cint95()[0];
+        for (stage, with_sched) in [("uninst", false), ("sched", true)] {
+            assert_ne!(
+                engine.cell_key(bench, stage, with_sched, false),
+                rebuilt.cell_key(bench, stage, with_sched, false),
+                "{stage}: the code digest is not in the key"
+            );
+        }
+    }
+
+    #[test]
+    fn code_digest_covers_existing_sources() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for rel in CODE_SOURCES {
+            let path = root.join(rel);
+            let non_empty = if path.is_dir() {
+                std::fs::read_dir(&path).is_ok_and(|mut d| d.next().is_some())
+            } else {
+                std::fs::metadata(&path).is_ok_and(|m| m.len() > 0)
+            };
+            assert!(non_empty, "{rel} is missing or empty");
+        }
     }
 
     #[test]

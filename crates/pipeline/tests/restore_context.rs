@@ -1,9 +1,10 @@
-//! Property test: [`PipelineState::restore_context`] is the inverse of
+//! Property tests: [`PipelineState::restore_context`] is the inverse of
 //! [`PipelineState::context_key`]. A state restored from a key, at any
 //! cycle and over any unrelated history, reads back the same key, and
 //! a random suffix issued on it lands at exactly the original's cycles
 //! shifted by the difference of the two anchor cycles — on every
-//! shipped model.
+//! shipped model. And [`PipelineState::matches_context`] answers
+//! exactly whether the state's key equals a given one.
 
 use eel_pipeline::{MachineModel, PipelineState};
 use eel_sparc::Instruction;
@@ -106,6 +107,43 @@ proptest! {
                         restored.advance(cycles);
                     }
                 }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Every state along a random history against every key taken
+    /// along it: `matches_context` holds exactly where the keys are
+    /// equal. A state's own key cut short by one word, or with one more
+    /// ring cell, never matches.
+    #[test]
+    fn matches_context_agrees_with_key_equality(
+        steps in prop::collection::vec(arb_step(), 1..50),
+        cell in (0u32..8, 0u32..4, 1u32..3),
+    ) {
+        for model in shipped_models() {
+            let mut state = PipelineState::new(&model);
+            let mut states = vec![(state.clone(), key(&state))];
+            for step in &steps {
+                apply(&model, &mut state, std::slice::from_ref(step));
+                states.push((state.clone(), key(&state)));
+            }
+            for (i, (s, own)) in states.iter().enumerate() {
+                for (j, (_, other)) in states.iter().enumerate() {
+                    prop_assert_eq!(
+                        s.matches_context(other),
+                        own == other,
+                        "state {} against key {} on {}",
+                        i, j, model.name()
+                    );
+                }
+                prop_assert!(!s.matches_context(&own[..own.len() - 1]), "truncated key matched");
+                let mut longer = own.clone();
+                longer.extend([cell.0, cell.1, cell.2]);
+                prop_assert!(!s.matches_context(&longer), "key with an extra cell matched");
             }
         }
     }

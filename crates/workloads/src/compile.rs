@@ -23,20 +23,24 @@
 //! recorded once, as one cycle and one [`PipelineState::context_key`]
 //! per position. A slide changes only its own span of positions in
 //! each copy. So each copy resumes from the recorded key where the
-//! span starts, and once the pipe's key matches the record again, the
-//! rest of that copy is the recorded run shifted by a fixed number of
-//! cycles. A key costs about four issues to build, so the pipe is
-//! compared right after the span and then every [`CHECK_STRIDE`]
-//! positions, not at every one. Bodies shorter than
-//! [`INCREMENTAL_MIN_LEN`] are replayed whole instead, since there the
-//! checks cost about what they save. Both ways give the cost of timing
-//! the whole 3x body from an empty pipe, so the chosen order is the
-//! same. DESIGN.md §3.10 has the argument and the measurements.
+//! span starts, and once the pipe matches the record again
+//! ([`PipelineState::matches_context`], which stops at the first
+//! difference), the rest of that copy is the recorded run shifted by a
+//! fixed number of cycles. The pipe is compared right after the span
+//! and then every [`CHECK_STRIDE`] positions, not at every one. Where
+//! the record repeats from one copy's span to the next, a copy that
+//! entered from the record repeats its predecessor too, so it is not
+//! issued at all. Bodies shorter than [`INCREMENTAL_MIN_LEN`] are
+//! replayed whole instead, since there the checks cost about what they
+//! save. Both ways give the cost of timing the whole 3x body from an
+//! empty pipe, so the chosen order is the same. The search also stops
+//! once the cost meets [`lower_bound`], which no legal order beats.
+//! DESIGN.md §3.10 has the argument and the measurements.
 
 use eel_core::{DepGraph, Scheduler};
 use eel_edit::{BlockCode, Tagged};
 use eel_pipeline::{MachineModel, PipelineState, PreparedInsn};
-use eel_sparc::Instruction;
+use eel_sparc::{Instruction, Resource};
 
 /// Back-to-back copies of the body the steady-state cost times
 /// (approximating a loop's repeating context).
@@ -72,6 +76,82 @@ fn conflict_matrix(model: &MachineModel, body: &[Tagged]) -> Vec<bool> {
     m
 }
 
+/// A cost no legal order of `body` beats: every order that keeps each
+/// dependent pair's relative order times at least this many cycles
+/// for [`COPIES`] copies. It is the larger of two bounds.
+///
+/// * Units. Every issue lies in `0..cost`, so a unit's held cycles lie
+///   in `first..cost + last`, its first and last held rows over the
+///   body. Its copy-cycles over the copies must fit there.
+/// * Registers. Each instruction issues no earlier than the RAW, WAW
+///   and WAR rules of `PipelineState::register_ready` allow, applied
+///   to bounds on its predecessors, and no copy issues before the one
+///   ahead of it has issued its last. Every pair that shares a written
+///   register is a [`DepGraph`] edge, so which instructions an
+///   instruction's rules see does not depend on the order. After each
+///   copy's latest issue the remaining copies still need their units.
+fn lower_bound(model: &MachineModel, body: &[Instruction]) -> u64 {
+    let counts = model.unit_counts();
+    let kinds = counts.len();
+    // Per unit: copy-cycles one copy holds, and the first and last
+    // rows any instruction holds it in.
+    let mut held = vec![0u64; kinds];
+    let mut first = vec![u64::MAX; kinds];
+    let mut last = vec![0u64; kinds];
+    for insn in body {
+        for (row, cells) in model.usage(insn).iter().enumerate() {
+            for &(u, n) in cells {
+                held[u] += u64::from(n);
+                first[u] = first[u].min(row as u64);
+                last[u] = last[u].max(row as u64);
+            }
+        }
+    }
+    let units = |copies: u64| -> u64 {
+        (0..kinds)
+            .filter(|&u| held[u] > 0)
+            .map(|u| {
+                (copies * held[u])
+                    .div_ceil(u64::from(counts[u]))
+                    .saturating_sub(last[u] - first[u])
+            })
+            .max()
+            .unwrap_or(0)
+    };
+
+    let prepared: Vec<PreparedInsn> = body.iter().map(|insn| model.prepare(insn)).collect();
+    let mut write_avail = [0u64; Resource::COUNT];
+    let mut last_read = [0u64; Resource::COUNT];
+    let mut bound = units(COPIES as u64);
+    let mut start = 0;
+    for copy in 1..=COPIES as u64 {
+        let mut latest = start;
+        for p in &prepared {
+            let mut t = start;
+            for &(r, rc) in p.reads() {
+                t = t.max(write_avail[usize::from(r)].saturating_sub(u64::from(rc)));
+            }
+            for &(r, off) in p.writes() {
+                let off = u64::from(off);
+                t = t.max((write_avail[usize::from(r)] + 1).saturating_sub(off));
+                t = t.max(last_read[usize::from(r)].saturating_sub(off));
+            }
+            for &(r, rc) in p.reads() {
+                let lr = &mut last_read[usize::from(r)];
+                *lr = (*lr).max(t + u64::from(rc));
+            }
+            for &(r, off) in p.writes() {
+                let wa = &mut write_avail[usize::from(r)];
+                *wa = (*wa).max(t + u64::from(off));
+            }
+            latest = latest.max(t);
+        }
+        start = latest;
+        bound = bound.max(latest + units(COPIES as u64 - copy).max(1));
+    }
+    bound
+}
+
 /// The steady-state cost of orders of one body: the issue latency of
 /// [`COPIES`] back-to-back copies, timed from an empty pipe. An order
 /// is a permutation of body indices.
@@ -87,9 +167,12 @@ struct SteadyCost<'a> {
     /// `p` issues, for `p` in `0..=COPIES * n` ...
     cycles: Vec<u64>,
     /// ... and `keys[bounds[p]..bounds[p + 1]]` its context key after
-    /// `p` issues, for `p` in `0..COPIES * n`.
+    /// `p` issues, for `p` in `0..COPIES * n` ...
     keys: Vec<u32>,
     bounds: Vec<usize>,
+    /// ... and `repeats[p]`, whether that key equals the one `n`
+    /// issues earlier (always false in the first copy).
+    repeats: Vec<bool>,
     scratch: Vec<u32>,
 }
 
@@ -104,6 +187,7 @@ impl<'a> SteadyCost<'a> {
             cycles: Vec::new(),
             keys: Vec::new(),
             bounds: Vec::new(),
+            repeats: Vec::new(),
             scratch: Vec::new(),
         }
     }
@@ -134,6 +218,13 @@ impl<'a> SteadyCost<'a> {
         if self.incremental {
             self.cycles.push(self.pipe.cycle());
             self.bounds.push(self.keys.len());
+            let n = order.len();
+            let key = |p: usize| &self.keys[self.bounds[p]..self.bounds[p + 1]];
+            self.repeats.clear();
+            self.repeats.resize(n, false);
+            for p in n..COPIES * n {
+                self.repeats.push(key(p) == key(p - n));
+            }
         }
         self.pipe.cycle() + 1
     }
@@ -149,9 +240,9 @@ impl<'a> SteadyCost<'a> {
 
     /// Whether the pipe's context equals the record's after `pos`
     /// issues.
-    fn matches_record(&mut self, pos: usize) -> bool {
-        self.pipe.context_key(&mut self.scratch);
-        self.scratch[..] == self.keys[self.bounds[pos]..self.bounds[pos + 1]]
+    fn matches_record(&self, pos: usize) -> bool {
+        self.pipe
+            .matches_context(&self.keys[self.bounds[pos]..self.bounds[pos + 1]])
     }
 
     /// The cost of `order`, which differs from the recorded order only
@@ -164,33 +255,64 @@ impl<'a> SteadyCost<'a> {
     /// copy resumes from the record; after the last copy the recorded
     /// cost plus `shift` is the answer. Which positions are compared
     /// changes only how soon a match is seen, never the cost.
+    ///
+    /// A copy that entered from the record at `start` and matched it
+    /// again at `q`, `d` cycles further apart, is repeated by the next
+    /// copy when the record's key at `start + n` equals the one at
+    /// `start`: both orders repeat with period `n` from there, so equal
+    /// keys issue the same instructions to equal keys at `q + n`, with
+    /// the same relative cycles. That copy is skipped, `d` cycles added.
+    /// A copy that ran on from its predecessor without matching entered
+    /// from no recorded key, so it hands the next copy nothing.
     fn slide(&mut self, order: &[usize], lo: usize, hi: usize) -> u64 {
         if !self.incremental {
             return self.run(order);
         }
         let n = order.len();
         let end = COPIES * n;
-        self.resume(lo, 0);
+        // The pipe's cycle minus the record's where the current copy
+        // enters the record ...
+        let mut shift = 0u64;
+        // ... unless it runs on from the previous copy's pipe instead ...
+        let mut running = false;
+        // ... and where the previous copy, if it entered the record,
+        // matched it again and how many cycles it added.
+        let mut repeat: Option<(usize, u64)> = None;
         let mut pos = lo;
         for copy in 0..COPIES {
+            let start = copy * n + lo;
+            let entered = !running;
+            if entered {
+                if let Some((q, d)) = repeat.filter(|&(q, _)| self.repeats[start] && q + n <= end) {
+                    shift = shift.wrapping_add(d);
+                    if copy + 1 == COPIES {
+                        return self.cycles[end].wrapping_add(shift) + 1;
+                    }
+                    repeat = Some((q + n, d));
+                    continue;
+                }
+                self.resume(start, shift);
+                pos = start;
+            }
+            repeat = None;
             while pos <= copy * n + hi {
                 self.issue(order, pos);
                 pos += 1;
             }
-            let next = if copy + 1 < COPIES {
-                (copy + 1) * n + lo
-            } else {
-                end
-            };
+            let next = if copy + 1 < COPIES { start + n } else { end };
             let span_end = pos;
+            running = true;
             while pos < next {
                 if (pos - span_end).is_multiple_of(CHECK_STRIDE) && self.matches_record(pos) {
-                    let shift = self.pipe.cycle().wrapping_sub(self.cycles[pos]);
+                    let matched = self.pipe.cycle().wrapping_sub(self.cycles[pos]);
                     if next == end {
-                        return self.cycles[end].wrapping_add(shift) + 1;
+                        return self.cycles[end].wrapping_add(matched) + 1;
                     }
-                    self.resume(next, shift);
-                    pos = next;
+                    if entered {
+                        repeat = Some((pos, matched.wrapping_sub(shift)));
+                    }
+                    shift = matched;
+                    running = false;
                     break;
                 }
                 self.issue(order, pos);
@@ -201,33 +323,42 @@ impl<'a> SteadyCost<'a> {
     }
 }
 
+/// Ordinary list scheduling, everything tagged as original code: the
+/// order the local search starts from.
+fn list_scheduled(model: &MachineModel, body: Vec<Instruction>) -> Vec<Tagged> {
+    Scheduler::new(model.clone())
+        .schedule_block(BlockCode {
+            body: body.into_iter().map(Tagged::original).collect(),
+            tail: vec![],
+        })
+        .body
+}
+
 /// Schedules and then locally improves a block body for `model`.
 pub fn optimize_block(model: &MachineModel, body: Vec<Instruction>) -> Vec<Instruction> {
     if body.len() <= 1 {
         return body;
     }
-    // First, ordinary list scheduling (everything is "original" code).
-    let sched = Scheduler::new(model.clone());
-    let tagged: Vec<Tagged> = body.into_iter().map(Tagged::original).collect();
-    let scheduled = sched
-        .schedule_block(BlockCode {
-            body: tagged,
-            tail: vec![],
-        })
-        .body;
+    let scheduled = list_scheduled(model, body);
     let insns: Vec<Instruction> = scheduled.iter().map(|t| t.insn).collect();
 
     let n = insns.len();
     if n <= 2 {
         return insns;
     }
-    let conflicts = conflict_matrix(model, &scheduled);
-
     // Local search over permutations, tracked by original index so
     // legality checks stay valid after moves.
     let mut perm: Vec<usize> = (0..n).collect();
     let mut steady = SteadyCost::new(model, &insns);
     let mut cost = steady.run(&perm);
+    // The search keeps only strictly cheaper orders, so at the bound
+    // nothing it could still try would be kept.
+    let floor = lower_bound(model, &insns);
+    debug_assert!(floor <= cost, "lower bound {floor} above the cost {cost}");
+    if cost == floor {
+        return insns;
+    }
+    let conflicts = conflict_matrix(model, &scheduled);
 
     let legal_slide = |perm: &[usize], from: usize, to: usize| -> bool {
         // Slide the element at `from` to position `to`, shifting the
@@ -243,7 +374,7 @@ pub fn optimize_block(model: &MachineModel, body: Vec<Instruction>) -> Vec<Instr
 
     let mut improved = true;
     let mut rounds = 0;
-    while improved && rounds < MAX_ROUNDS {
+    'search: while improved && rounds < MAX_ROUNDS {
         improved = false;
         rounds += 1;
         for from in 0..n {
@@ -260,6 +391,9 @@ pub fn optimize_block(model: &MachineModel, body: Vec<Instruction>) -> Vec<Instr
                     // Re-record the accepted order for the next slides.
                     cost = steady.run(&perm);
                     debug_assert_eq!(cost, c, "incremental cost diverged from replay");
+                    if cost == floor {
+                        break 'search;
+                    }
                     improved = true;
                 } else {
                     let x = perm.remove(to);
@@ -275,10 +409,13 @@ pub fn optimize_block(model: &MachineModel, body: Vec<Instruction>) -> Vec<Instr
 mod tests {
     use super::*;
     use crate::gen::Gen;
-    use crate::GenShape;
+    use crate::{cfp95, BuildOptions, GenShape};
+    use eel_edit::Cfg;
     use eel_pipeline::evaluate_block;
     use eel_sparc::{Address, AluOp, FpOp, FpReg, IntReg, MemWidth, Operand};
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// The steady-state cost by definition: the 3x body timed from an
     /// empty pipe.
@@ -298,16 +435,7 @@ mod tests {
         if body.len() <= 1 {
             return body;
         }
-        let tagged: Vec<Tagged> = body.into_iter().map(Tagged::original).collect();
-        let insns: Vec<Instruction> = Scheduler::new(model.clone())
-            .schedule_block(BlockCode {
-                body: tagged,
-                tail: vec![],
-            })
-            .body
-            .iter()
-            .map(|t| t.insn)
-            .collect();
+        let insns: Vec<Instruction> = list_scheduled(model, body).iter().map(|t| t.insn).collect();
         let n = insns.len();
         if n <= 2 {
             return insns;
@@ -451,6 +579,152 @@ mod tests {
                     } else {
                         let x = perm.remove(to);
                         perm.insert(from, x);
+                    }
+                }
+            }
+        }
+
+        /// No legal order beats the lower bound: not the list schedule,
+        /// not the search's pick, and not random orders that keep every
+        /// dependent pair's relative order, on the shipped machines
+        /// and their build variants with two cycles of load bias.
+        #[test]
+        fn lower_bound_holds_for_legal_orders(
+            seed in any::<u64>(),
+            fp in prop::sample::select(vec![0.0, 0.35, 0.7]),
+            chain_bias in prop::sample::select(vec![0.5, 0.95]),
+            len in 3usize..48,
+            words in prop::collection::vec((any::<usize>(), any::<u32>()), 0..3),
+            reorders in any::<u64>(),
+        ) {
+            let shape = GenShape { chain_bias, ..GenShape::default() };
+            let mut gen = Gen::new(seed, fp, shape);
+            let mut body: Vec<Instruction> = (0..len).map(|_| gen.body_insn()).collect();
+            for (at, word) in words {
+                body.insert(at % body.len(), Instruction::decode(word));
+            }
+            let mut rng = StdRng::seed_from_u64(reorders);
+            for model in shipped_models().into_iter().flat_map(|m| {
+                let biased = m.with_load_latency_bias(2);
+                [m, biased]
+            }) {
+                let scheduled = list_scheduled(&model, body.clone());
+                let insns: Vec<Instruction> = scheduled.iter().map(|t| t.insn).collect();
+                let floor = lower_bound(&model, &insns);
+                let conflicts = conflict_matrix(&model, &scheduled);
+                let mut orders = vec![insns.clone(), optimize_block(&model, body.clone())];
+                for _ in 0..4 {
+                    let perm = random_legal_order(&conflicts, insns.len(), &mut rng);
+                    orders.push(perm.iter().map(|&k| insns[k]).collect());
+                }
+                for order in &orders {
+                    let cost = steady_cost(&model, order);
+                    prop_assert!(
+                        floor <= cost,
+                        "{}: bound {} above cost {} of {:?}",
+                        model.name(),
+                        floor,
+                        cost,
+                        order
+                    );
+                }
+            }
+        }
+    }
+
+    /// A uniformly drawn next instruction at each step among those
+    /// whose conflicting predecessors are all placed: a random order
+    /// the search could reach.
+    fn random_legal_order(conflicts: &[bool], n: usize, rng: &mut StdRng) -> Vec<usize> {
+        let mut placed = vec![false; n];
+        let mut order = Vec::with_capacity(n);
+        while order.len() < n {
+            let ready: Vec<usize> = (0..n)
+                .filter(|&i| !placed[i] && (0..i).all(|j| placed[j] || !conflicts[i * n + j]))
+                .collect();
+            let k = ready[rng.gen_range(0..ready.len())];
+            placed[k] = true;
+            order.push(k);
+        }
+        order
+    }
+
+    /// Every block body of [`INCREMENTAL_MIN_LEN`] to 64 instructions
+    /// of the CFP stand-ins, in generated order: loop bodies a build
+    /// hands the compiler and costs incrementally.
+    fn cfp_bodies() -> Vec<Vec<Instruction>> {
+        let mut bodies = Vec::new();
+        for bench in cfp95() {
+            let exe = bench.build(&BuildOptions {
+                iterations: Some(1),
+                optimize: None,
+            });
+            let cfg = Cfg::build(&exe).expect("generated code analyzes");
+            for block in cfg.routines.iter().flat_map(|r| &r.blocks) {
+                if (INCREMENTAL_MIN_LEN..=64).contains(&block.body_len()) {
+                    let words = &exe.text()[block.start..block.start + block.body_len()];
+                    bodies.push(words.iter().map(|&w| Instruction::decode(w)).collect());
+                }
+            }
+        }
+        bodies
+    }
+
+    /// The search's own slide sequence on real loop bodies: every legal
+    /// slide in the window, kept exactly when the search keeps one,
+    /// each costed incrementally and checked against the 3x body timed
+    /// whole. It runs on past the lower bound, so every round that
+    /// could keep a slide is tried. Random bodies rarely repeat from
+    /// copy to copy; these do, so this is where a copy is skipped.
+    #[test]
+    fn search_slides_match_full_replay() {
+        let bodies = cfp_bodies();
+        for model in shipped_models() {
+            for body in &bodies {
+                let scheduled = list_scheduled(&model, body.clone());
+                let insns: Vec<Instruction> = scheduled.iter().map(|t| t.insn).collect();
+                let n = insns.len();
+                let conflicts = conflict_matrix(&model, &scheduled);
+                let mut steady = SteadyCost::new(&model, &insns);
+                let mut perm: Vec<usize> = (0..n).collect();
+                let mut cost = steady.run(&perm);
+                let mut improved = true;
+                let mut rounds = 0;
+                while improved && rounds < MAX_ROUNDS {
+                    improved = false;
+                    rounds += 1;
+                    for from in 0..n {
+                        for to in from.saturating_sub(MOVE_WINDOW)..=(from + MOVE_WINDOW).min(n - 1)
+                        {
+                            if to == from {
+                                continue;
+                            }
+                            let (lo, hi) = if from < to {
+                                (from + 1, to)
+                            } else {
+                                (to, from - 1)
+                            };
+                            if perm[lo..=hi].iter().any(|&y| conflicts[perm[from] * n + y]) {
+                                continue;
+                            }
+                            let x = perm.remove(from);
+                            perm.insert(to, x);
+                            let order: Vec<Instruction> = perm.iter().map(|&k| insns[k]).collect();
+                            let c = steady.slide(&perm, from.min(to), from.max(to));
+                            assert_eq!(
+                                c,
+                                steady_cost(&model, &order),
+                                "{}: slide {from} -> {to} of {order:?}",
+                                model.name()
+                            );
+                            if c < cost {
+                                cost = steady.run(&perm);
+                                improved = true;
+                            } else {
+                                let x = perm.remove(to);
+                                perm.insert(from, x);
+                            }
+                        }
                     }
                 }
             }
