@@ -24,12 +24,14 @@
 //! [`Engine::run_table`] fans benchmarks out over a scoped worker
 //! pool. Every cell value is deterministic (seeded workloads, pure
 //! simulation), and rows are slotted back by benchmark index, so the
-//! output is byte-identical for any `--jobs` value.
+//! output is byte-identical for any `--jobs` value. One process
+//! computes a whole table; its workers share the in-process map, and
+//! the disk tier carries cells from one run to the next.
 
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -39,7 +41,7 @@ use eel_pipeline::{MachineModel, StallProfile};
 use eel_qpt::{ProfileOptions, Profiler};
 use eel_sim::{run_with, RunConfig, RunResult, SimError};
 use eel_telemetry::trace::OwnedEvent;
-use eel_telemetry::{Registry, RunReport, Snapshot, TraceFile, Traced, Tracer};
+use eel_telemetry::{fnv1a, Registry, RunReport, Snapshot, TraceFile, Traced, Tracer};
 use eel_workloads::{Benchmark, BuildOptions, Suite};
 
 use crate::experiment::{ExperimentConfig, Row};
@@ -234,23 +236,15 @@ impl Engine {
     #[must_use]
     pub fn with_disk_cache(mut self, dir: impl Into<PathBuf>) -> Engine {
         self.disk = Some(dir.into());
-        // The lock sites only record under contention; register them
-        // up front so every disk-cached run's report renders the
-        // disk-cache lock section (zeros included), and sharded
-        // reports merge against identical counter sets.
-        self.telemetry.counter("engine.cache.lock_races_won");
-        self.telemetry.counter("engine.cache.lock_stale_reclaimed");
-        self.telemetry.counter("engine.cache.lock_timeouts");
-        self.telemetry.histogram("engine.cache.lock_wait_ns");
         self
     }
 
-    /// Attaches a flight recorder: every stage, cell decision, lock
-    /// acquisition, scheduler pass, and simulator run records trace
-    /// events into `tracer`, and a simulation fault dumps the last
-    /// events (see [`crate::report::write_flight_dump_in`]) before
-    /// panicking. Without a tracer the engine's hot paths keep their
-    /// untraced monomorphizations.
+    /// Attaches a flight recorder: every stage, cell decision,
+    /// scheduler pass, and simulator run records trace events into
+    /// `tracer`, and a simulation fault dumps the last events (see
+    /// [`crate::report::write_flight_dump_in`]) before panicking.
+    /// Without a tracer the engine's hot paths keep their untraced
+    /// monomorphizations.
     #[must_use]
     pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Engine {
         self.tracer = Some(tracer);
@@ -364,9 +358,20 @@ impl Engine {
         }
     }
 
-    fn sim(&self, stage: Stage, exe: &Executable, measured: &MachineModel) -> RunResult {
+    /// One simulator invocation, timed to `stage`. `attribute_stalls`
+    /// asks the simulator to classify every stall cycle as well.
+    fn sim(
+        &self,
+        stage: Stage,
+        exe: &Executable,
+        measured: &MachineModel,
+        attribute_stalls: bool,
+    ) -> RunResult {
         self.telemetry.add("engine.sims", 1);
-        let config = self.run_config();
+        let config = RunConfig {
+            attribute_stalls,
+            ..self.run_config()
+        };
         self.stage(stage, || match self.tracer.as_deref() {
             None => run_with(exe, Some(measured), &config, &self.telemetry)
                 .expect("generated workloads execute without faults"),
@@ -451,48 +456,12 @@ impl Engine {
             DiskCell::Rejected => self.telemetry.add("engine.cache.disk_rejected", 1),
             DiskCell::Absent => {}
         }
-        // Disk miss: when shard workers share the cache directory,
-        // take the advisory per-cell file lock so only one process
-        // computes each shared cell (Tables 1 and 2 overlap on their
-        // base/sched cells). The lock is advisory — a timeout means
-        // "compute anyway" — and a peer may have published the cell
-        // while we waited, so re-check disk under the lock.
-        let lock = self.disk.as_ref().map(|dir| {
-            let (lock, report) = crate::diskcache::lock_cell_traced(dir, key, tracer);
-            // Only waits that actually slept on a peer are worth a
-            // histogram entry; the uncontended path reports
-            // sub-poll-interval acquisition time.
-            if report.wait_ns >= 1_000_000 || report.timed_out {
-                self.telemetry
-                    .record("engine.cache.lock_wait_ns", report.wait_ns);
-            }
-            if report.stale_reclaimed > 0 {
-                self.telemetry
-                    .add("engine.cache.lock_stale_reclaimed", report.stale_reclaimed);
-            }
-            if report.timed_out {
-                self.telemetry.add("engine.cache.lock_timeouts", 1);
-            }
-            lock
-        });
-        if lock.as_ref().is_some_and(Option::is_some) {
-            if let DiskCell::Valid(v) = self.disk_get(key) {
-                self.telemetry.add("engine.cache.disk_hits", 1);
-                self.telemetry.add("engine.cache.lock_races_won", 1);
-                if let Some(t) = tracer {
-                    t.instant("cell", "race_won", key, 0);
-                }
-                self.mem.lock().expect("cache lock").insert(key, v);
-                return v;
-            }
-        }
         let compute_trace = tracer.map(|t| t.span("cell", "compute", key, 0));
         let v = compute();
         drop(compute_trace);
         self.telemetry.add("engine.cells.computed", 1);
         self.disk_put(key, v);
         self.mem.lock().expect("cache lock").insert(key, v);
-        drop(lock);
         v
     }
 
@@ -511,9 +480,11 @@ impl Engine {
     }
 
     /// Best-effort write-through: a failed write only costs a future
-    /// recomputation. Written via a per-process temp file and rename,
-    /// so concurrent writers (parallel tables in separate processes)
-    /// never expose a torn entry.
+    /// recomputation. Each write goes through its own temp file (the
+    /// process id and [`TMP_SEQ`] name it) and a rename, so concurrent
+    /// writers of one key — two workers measuring a benchmark a corpus
+    /// lists twice, or two processes sharing the directory — never
+    /// expose a torn entry.
     fn disk_put(&self, key: u64, v: CellValue) {
         let Some(dir) = self.disk.as_ref() else {
             return;
@@ -522,7 +493,11 @@ impl Engine {
         if std::fs::create_dir_all(dir).is_err() {
             return;
         }
-        let tmp = dir.join(format!("{key:016x}.tmp{}", std::process::id()));
+        let tmp = dir.join(format!(
+            "{key:016x}.tmp{}-{}",
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
         if std::fs::write(&tmp, cell_body(v)).is_ok() {
             let _ = std::fs::rename(&tmp, dir.join(format!("{key:016x}.cell")));
         }
@@ -576,7 +551,7 @@ impl Engine {
         // Stage 2: baseline run(s).
         let uninst = self.cell(self.cell_key(bench, "uninst", false, false), || {
             let exe = original.get_or_init(&build_original);
-            let r = self.sim(Stage::Baseline, exe, &measured);
+            let r = self.sim(Stage::Baseline, exe, &measured, false);
             CellValue {
                 cycles: r.cycles,
                 exit_code: r.exit_code,
@@ -588,7 +563,7 @@ impl Engine {
             // cell serves both the ratio and the Uninst column.
             let resched = self.cell(self.cell_key(bench, "resched", true, false), || {
                 let exe = rescheduled.get_or_init(&build_rescheduled);
-                let r = self.sim(Stage::Baseline, exe, &measured);
+                let r = self.sim(Stage::Baseline, exe, &measured, false);
                 CellValue {
                     cycles: r.cycles,
                     exit_code: r.exit_code,
@@ -614,7 +589,7 @@ impl Engine {
                     let _profiler = Profiler::instrument(&mut session, ProfileOptions::default());
                     session.emit_unscheduled().expect("instrumentable")
                 });
-                let r = self.sim(Stage::Runs, &instrumented, &measured);
+                let r = self.sim(Stage::Runs, &instrumented, &measured, false);
                 CellValue {
                     cycles: r.cycles,
                     exit_code: r.exit_code,
@@ -639,7 +614,7 @@ impl Engine {
                 }
                 .expect("schedulable")
             });
-            let r = self.sim(Stage::Runs, &scheduled, &measured);
+            let r = self.sim(Stage::Runs, &scheduled, &measured, false);
             CellValue {
                 cycles: r.cycles,
                 exit_code: r.exit_code,
@@ -674,35 +649,7 @@ impl Engine {
         reschedule_first: bool,
         jobs: usize,
     ) -> Vec<Row> {
-        let jobs = jobs.clamp(1, benchmarks.len().max(1));
-        if jobs <= 1 {
-            return benchmarks
-                .iter()
-                .map(|b| self.measure(b, reschedule_first))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Row>>> = benchmarks.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for _ in 0..jobs {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(bench) = benchmarks.get(i) else {
-                        break;
-                    };
-                    let row = self.measure(bench, reschedule_first);
-                    *slots[i].lock().expect("slot lock") = Some(row);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("slot lock")
-                    .expect("every slot filled")
-            })
-            .collect()
+        in_order(benchmarks, jobs, |b| self.measure(b, reschedule_first))
     }
 
     /// Distills everything this engine has measured so far into a
@@ -778,26 +725,6 @@ pub struct Attribution {
 }
 
 impl Engine {
-    fn sim_attributed(&self, exe: &Executable, measured: &MachineModel) -> RunResult {
-        self.telemetry.add("engine.sims", 1);
-        let config = RunConfig {
-            attribute_stalls: true,
-            ..self.run_config()
-        };
-        self.stage(Stage::Runs, || match self.tracer.as_deref() {
-            None => run_with(exe, Some(measured), &config, &self.telemetry)
-                .expect("generated workloads execute without faults"),
-            Some(tracer) => {
-                tracer.instant("engine", "sim_start", Stage::Runs as u64, 0);
-                let sink = Traced::new(&self.telemetry, tracer);
-                match run_with(exe, Some(measured), &config, &sink) {
-                    Ok(r) => r,
-                    Err(e) => self.flight_abort(tracer, Stage::Runs, &e),
-                }
-            }
-        })
-    }
-
     /// Re-measures the Table 1 `inst` and `sched` executables for one
     /// benchmark with stall attribution enabled.
     ///
@@ -839,8 +766,8 @@ impl Engine {
             })
         };
 
-        let inst = self.sim_attributed(&instrumented, &measured);
-        let sched = self.sim_attributed(&scheduled, &measured);
+        let inst = self.sim(Stage::Runs, &instrumented, &measured, true);
+        let sched = self.sim(Stage::Runs, &scheduled, &measured, true);
         Attribution {
             name: bench.name,
             suite: bench.suite,
@@ -854,34 +781,46 @@ impl Engine {
     /// [`Engine::attribute`] for every benchmark, fanned out over
     /// `jobs` workers; results come back in benchmark order.
     pub fn attribute_table(&self, benchmarks: &[Benchmark], jobs: usize) -> Vec<Attribution> {
-        let jobs = jobs.clamp(1, benchmarks.len().max(1));
-        if jobs <= 1 {
-            return benchmarks.iter().map(|b| self.attribute(b)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Attribution>>> =
-            benchmarks.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for _ in 0..jobs {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(bench) = benchmarks.get(i) else {
-                        break;
-                    };
-                    let attr = self.attribute(bench);
-                    *slots[i].lock().expect("slot lock") = Some(attr);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("slot lock")
-                    .expect("every slot filled")
-            })
-            .collect()
+        in_order(benchmarks, jobs, |b| self.attribute(b))
     }
+}
+
+/// Maps `f` over `items` on up to `jobs` scoped worker threads and
+/// returns the results in `items` order. Workers claim the next index
+/// from one atomic counter and slot each result by its index, so when
+/// `f` is a pure function of its item the output is the same for every
+/// `jobs` value.
+pub(crate) fn in_order<T: Sync, R: Send>(
+    items: &[T],
+    jobs: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let jobs = jobs.clamp(1, items.len().max(1));
+    if jobs <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|s| {
+        for _ in 0..jobs {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else {
+                    break;
+                };
+                let r = f(item);
+                *slots[i].lock().expect("slot lock") = Some(r);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|m| {
+            m.into_inner()
+                .expect("slot lock")
+                .expect("every slot filled")
+        })
+        .collect()
 }
 
 /// Dynamic average block size: executed instructions over executed
@@ -915,24 +854,18 @@ pub fn jobs_from_env() -> usize {
         .unwrap_or(1)
 }
 
+/// Numbers the disk tier's temp files within this process: with the
+/// process id it gives every write its own file.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
 // `CODE_DIGEST` and, in tests, `CODE_SOURCES`: written by `build.rs`.
 include!(concat!(env!("OUT_DIR"), "/code_digest.rs"));
-
-/// FNV-1a, the workspace's stable content hash.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use eel_core::{Priority, SchedOptions};
-    use eel_workloads::{cfp95, cint95};
+    use eel_workloads::{cfp95, cint95, parse_manifest};
 
     fn quick() -> ExperimentConfig {
         ExperimentConfig {
@@ -1130,6 +1063,63 @@ mod tests {
             assert_eq!(rewritten, body, "{what}: overwritten with the valid body");
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    /// Publishing through a temp file and a rename never exposes a torn
+    /// entry, even when several threads of one process write the same
+    /// key at once: every read between writes parses as a `v2` cell.
+    /// A table over a corpus that lists every entry twice, so that two
+    /// workers can compute one key together, then equals the serial
+    /// uncached rows, and leaves no cell a later engine rejects.
+    #[test]
+    fn concurrent_writers_of_one_key_never_tear() {
+        let model = MachineModel::ultrasparc();
+        let cfg = quick();
+        let dir = std::env::temp_dir().join(format!("eel-artifacts-tear-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        const KEYS: [u64; 3] = [11, 22, 33];
+        let engine = Engine::new(&model, &cfg).with_disk_cache(&dir);
+        std::thread::scope(|s| {
+            for t in 0..8u64 {
+                let engine = &engine;
+                s.spawn(move || {
+                    for round in 0..200u64 {
+                        for key in KEYS {
+                            let v = CellValue {
+                                cycles: t * 1_000 + round,
+                                exit_code: key as u32,
+                                avg_bb: t as f64 + 0.5,
+                            };
+                            engine.disk_put(key, v);
+                            let read = engine.disk_get(key);
+                            assert!(
+                                matches!(read, DiskCell::Valid(r) if r.exit_code == key as u32),
+                                "key {key}: a read between writes is not a whole v2 cell"
+                            );
+                        }
+                    }
+                });
+            }
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let corpus = parse_manifest("# eel-corpus-v1\ngen small 3 7\ngen small 3 7\n")
+            .expect("manifest parses");
+        let serial = Engine::new(&model, &cfg).run_table(&corpus, false, 1);
+        let cached = Engine::new(&model, &cfg)
+            .with_disk_cache(&dir)
+            .run_table(&corpus, false, 4);
+        assert_eq!(serial.len(), cached.len());
+        for (s, c) in serial.iter().zip(&cached) {
+            assert!(rows_equal(s, c), "serial {s:?} != cached {c:?}");
+        }
+        let again = Engine::new(&model, &cfg).with_disk_cache(&dir);
+        again.run_table(&corpus, false, 2);
+        let stats = again.stats();
+        assert_eq!(stats.counter("engine.cache.disk_rejected"), 0);
+        assert_eq!(stats.computed(), 0, "every cell is served from disk");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

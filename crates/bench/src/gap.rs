@@ -17,6 +17,8 @@ use eel_pipeline::MachineModel;
 use eel_qpt::{ProfileOptions, Profiler};
 use eel_workloads::{Benchmark, BuildOptions};
 
+use crate::engine::in_order;
+
 /// Per-benchmark aggregate of the oracle/list differential.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GapRow {
@@ -109,37 +111,7 @@ pub fn gap_table(
     budget: u32,
     jobs: usize,
 ) -> Vec<GapRow> {
-    let jobs = jobs.clamp(1, benchmarks.len().max(1));
-    if jobs <= 1 {
-        return benchmarks
-            .iter()
-            .map(|b| gap_row(model, b, iterations, budget))
-            .collect();
-    }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<GapRow>>> = benchmarks.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(bench) = benchmarks.get(i) else {
-                    break;
-                };
-                let row = gap_row(model, bench, iterations, budget);
-                *slots[i].lock().expect("slot lock") = Some(row);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot lock")
-                .expect("every slot filled")
-        })
-        .collect()
+    in_order(benchmarks, jobs, |b| gap_row(model, b, iterations, budget))
 }
 
 /// Renders the gap table, with a totals line, in the fixed-width style

@@ -6,21 +6,19 @@ use std::sync::Arc;
 use eel_bench::engine::Engine;
 use eel_bench::experiment::{format_csv, format_table, ExperimentConfig};
 use eel_bench::report::{results_dir, write_trace_report_in};
-use eel_bench::shard::{ShardRows, ShardSpec};
 use eel_core::{Priority, SchedOptions};
+use eel_pipeline::MachineModel;
 use eel_telemetry::Tracer;
 use eel_workloads::{load_corpus, spec95, Benchmark};
 
 use crate::{err, machine_by_name, policy_by_name, write, Args, CliError};
 
-/// The output, fan-out, corpus, and sharding flags `eel experiment`
-/// shares with `eel results table1|2|3`.
+/// The output, fan-out, and corpus flags `eel experiment` shares with
+/// `eel results table1|2|3`.
 pub(crate) struct TableFlags {
     pub(crate) csv: bool,
     pub(crate) jobs: usize,
     pub(crate) corpus: Option<String>,
-    pub(crate) shard: ShardSpec,
-    pub(crate) rows: Option<String>,
 }
 
 impl TableFlags {
@@ -29,8 +27,6 @@ impl TableFlags {
             csv: args.flag("--csv"),
             jobs: args.jobs()?,
             corpus: args.value("--corpus")?,
-            shard: args.parsed("--shard")?.unwrap_or_else(ShardSpec::full),
-            rows: args.value("--rows")?,
         })
     }
 
@@ -43,12 +39,12 @@ impl TableFlags {
     }
 }
 
-/// One table: its title, the machine it measures (a `machine_by_name`
-/// name, recorded in shard row files), whether the originals are first
-/// rescheduled (Table 2's protocol), and how the engine runs.
+/// One table: its title, the machine it measures, whether the
+/// originals are first rescheduled (Table 2's protocol), and how the
+/// engine runs.
 pub(crate) struct Table {
     pub(crate) title: String,
-    pub(crate) machine: String,
+    pub(crate) model: MachineModel,
     pub(crate) reschedule: bool,
     pub(crate) cfg: ExperimentConfig,
     pub(crate) cache: bool,
@@ -56,49 +52,23 @@ pub(crate) struct Table {
 }
 
 impl Table {
-    /// Measures this worker's shard of `benchmarks`, saves the rows when
-    /// `--rows` asks, and returns the rendering (CSV or the paper's
-    /// layout) with the engine that measured it.
-    pub(crate) fn run(
-        &self,
-        flags: &TableFlags,
-        benchmarks: &[Benchmark],
-    ) -> Result<(String, Engine), CliError> {
-        let model = machine_by_name(&self.machine)?;
-        let shard = flags.shard;
-        // This worker's slice: `(full corpus index, benchmark)`. The
-        // indices key the merge back into corpus order.
-        let indexed = shard.filter(benchmarks);
-        let mine: Vec<Benchmark> = indexed.iter().map(|(_, b)| b.clone()).collect();
-        let mut engine = Engine::new(&model, &self.cfg);
+    /// Measures `benchmarks` and returns the rendering (CSV or the
+    /// paper's layout) with the engine that measured it.
+    pub(crate) fn run(&self, flags: &TableFlags, benchmarks: &[Benchmark]) -> (String, Engine) {
+        let mut engine = Engine::new(&self.model, &self.cfg);
         if self.cache {
             engine = engine.with_default_disk_cache();
         }
         if let Some(t) = &self.tracer {
             engine = engine.with_tracer(Arc::clone(t));
-            shard.trace_ownership(benchmarks, t);
         }
-        let rows = engine.run_table(&mine, self.reschedule, flags.jobs);
+        let rows = engine.run_table(benchmarks, self.reschedule, flags.jobs);
         let text = if flags.csv {
             format_csv(&rows)
-        } else if shard.is_full() {
-            format_table(&self.title, &model, &rows, self.reschedule)
         } else {
-            let title = format!("{} [shard {shard}]", self.title);
-            format_table(&title, &model, &rows, self.reschedule)
+            format_table(&self.title, &self.model, &rows, self.reschedule)
         };
-        if let Some(p) = &flags.rows {
-            let sr = ShardRows {
-                title: self.title.clone(),
-                machine: self.machine.clone(),
-                show_resched: self.reschedule,
-                corpus_len: benchmarks.len(),
-                shard,
-                rows: indexed.iter().map(|(i, _)| *i).zip(rows).collect(),
-            };
-            write(p, &sr.to_text())?;
-        }
-        Ok((text, engine))
+        (text, engine)
     }
 }
 
@@ -152,7 +122,7 @@ pub(crate) fn experiment(mut args: Args) -> Result<String, CliError> {
             "Slow profiling instrumentation on the {}{protocol}{policy_note}",
             model.name()
         ),
-        machine,
+        model,
         reschedule,
         cfg: ExperimentConfig {
             iterations,
@@ -166,29 +136,19 @@ pub(crate) fn experiment(mut args: Args) -> Result<String, CliError> {
         cache: !no_cache,
         tracer: tracer.clone(),
     };
-    let (mut out, engine) = table.run(&flags, &benchmarks)?;
+    let (mut out, engine) = table.run(&flags, &benchmarks);
     out.push_str(&engine.stats().report());
     out.push('\n');
-    if let Some(p) = &flags.rows {
-        out.push_str(&format!("wrote shard rows {p}\n"));
-    }
-    let shard = flags.shard;
     if let Some(p) = &report_path {
-        let mut meta = vec![("jobs", flags.jobs.to_string())];
-        if !shard.is_full() {
-            meta.push(("shard", shard.to_string()));
-        }
+        let meta = [("jobs", flags.jobs.to_string())];
         write(p, &engine.run_report("experiment", &meta).to_json())?;
         out.push_str(&format!("wrote run report {p}\n"));
     }
     if let Some(t) = &tracer {
-        let mut meta = vec![
+        let meta = [
             ("label", "experiment".to_string()),
-            ("machine", model.name().to_string()),
+            ("machine", table.model.name().to_string()),
         ];
-        if !shard.is_full() {
-            meta.push(("shard", shard.to_string()));
-        }
         let file = t.trace_file(&meta);
         let written = match &trace_out {
             Some(p) => {

@@ -20,11 +20,11 @@
 //! eel experiment [--machine MACHINE] [--reschedule] [--jobs N] [--csv]
 //!                [--iterations N] [--benchmark NAME] [--no-cache]
 //!                [--report FILE] [--policy POLICY]
+//!                [--corpus golden|full|FILE]
 //!                [--trace | --trace-out FILE]
 //! eel results NAME [flags]          # stdout is results/NAME.txt
 //! eel perf-gate [--tolerance PCT] [--report FILE] [--update-baseline]
 //! eel trace FILE [--chrome OUT] [--check CAT,...] [--limit N]
-//! eel merge --trace FILE... [--out FILE]
 //! eel report FILE [--json]
 //! eel report --diff OLD NEW [--json]
 //! ```
@@ -138,15 +138,12 @@ commands:
       [--report FILE]                  --report also writes the telemetry
       [--policy POLICY]                run report as JSON; --policy picks the
       [--corpus golden|full|FILE]      ready-list rule (stalls-first,
-      [--shard I/N] [--rows FILE]      chain-first, load-delay, lookahead[:k],
-      [--exact-budget N]               or the exact branch-and-bound oracle);
-      [--trace | --trace-out FILE]     --corpus picks the benchmark set (a
+      [--exact-budget N]               chain-first, load-delay, lookahead[:k],
+      [--trace | --trace-out FILE]     or the exact branch-and-bound oracle);
+                                       --corpus picks the benchmark set (a
                                        built-in name or an eel-corpus-v1
-                                       manifest); --shard I/N runs only this
-                                       worker's 1-indexed slice over the
-                                       shared artifact cache, and --rows
-                                       saves its rows for `merge`; --trace
-                                       records a flight-recorder trace to
+                                       manifest); --trace records a
+                                       flight-recorder trace to
                                        results/TRACE_<hash>.jsonl (or the
                                        --trace-out path)
   results NAME                         regenerate results/NAME.txt on stdout
@@ -158,9 +155,8 @@ commands:
                                        scavenging model_accuracy
                                        scalar_control
       table1|table2|table3             the paper's tables over the shared
-        [--csv] [--jobs N]             artifact cache; --corpus, --shard
-        [--corpus golden|full|FILE]    and --rows as for `experiment`
-        [--shard I/N] [--rows FILE]
+        [--csv] [--jobs N]             artifact cache; --corpus as for
+        [--corpus golden|full|FILE]    `experiment`
       summary [--jobs N]               the abstract's 13%/33% averages
       ablations [--jobs N]             design-choice ablations and the
         [--iterations N]               policy x machine sweep
@@ -183,18 +179,6 @@ commands:
                                        JSON; --check exits nonzero unless
                                        every listed category recorded events
                                        and the Chrome export is valid JSON
-  merge FILE... [--out FILE]           fold per-shard telemetry run reports
-      [--check-counters REF]           (JSON) into one and render it; --out
-                                       writes the merged JSON;
-                                       --check-counters exits nonzero unless
-                                       counters and histogram event counts
-                                       match the reference report exactly
-  merge --rows FILE... [--csv]         reassemble shard row files into the
-                                       full table, byte-identical to the
-                                       unsharded rendering
-  merge --trace FILE... [--out FILE]   fold per-shard flight-recorder traces
-                                       onto one clock-aligned timeline;
-                                       --out writes the merged trace JSONL
   report FILE [--json]                 render a run report written by
                                        `experiment --report`
   report --diff OLD NEW [--json]       compare two run reports metric by
@@ -354,7 +338,6 @@ pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
         "results" => results::results(args),
         "perf-gate" => gate::perf_gate(args),
         "trace" => telemetry::trace(args),
-        "merge" => telemetry::merge(args),
         "report" => telemetry::report(args),
         other => Err(err(format!("unknown command `{other}`\n\n{USAGE}"))),
     }

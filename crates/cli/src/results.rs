@@ -31,15 +31,15 @@ type Generator = fn(Args) -> Result<String, CliError>;
 pub(crate) const RESULTS: &[(&str, Generator)] = &[
     ("table1", |a| {
         let title = "Table 1: Slow profiling instrumentation on the UltraSPARC";
-        paper_table(a, title, "ultrasparc", false)
+        paper_table(a, title, MachineModel::ultrasparc(), false)
     }),
     ("table2", |a| {
         let title = "Table 2: Slow profiling on the UltraSPARC, originals first rescheduled by EEL";
-        paper_table(a, title, "ultrasparc", true)
+        paper_table(a, title, MachineModel::ultrasparc(), true)
     }),
     ("table3", |a| {
         let title = "Table 3: Slow profiling instrumentation on the SuperSPARC";
-        paper_table(a, title, "supersparc", false)
+        paper_table(a, title, MachineModel::supersparc(), false)
     }),
     ("summary", summary),
     ("ablations", ablations),
@@ -74,7 +74,7 @@ pub(crate) fn results(mut args: Args) -> Result<String, CliError> {
     generate(args)
 }
 
-/// One of the paper's Tables 1–3 on `machine`, with the originals first
+/// One of the paper's Tables 1–3 on `model`, with the originals first
 /// rescheduled by EEL when `reschedule` (Table 2's protocol). Table 2
 /// shares its `Uninst` and `Sched` cells with Table 1 through the
 /// artifact cache, so after a `table1` run only the rescheduled
@@ -82,24 +82,21 @@ pub(crate) fn results(mut args: Args) -> Result<String, CliError> {
 fn paper_table(
     mut args: Args,
     title: &str,
-    machine: &str,
+    model: MachineModel,
     reschedule: bool,
 ) -> Result<String, CliError> {
     let flags = TableFlags::parse(&mut args)?;
     args.finish()?;
     let table = Table {
         title: title.to_string(),
-        machine: machine.to_string(),
+        model,
         reschedule,
         cfg: ExperimentConfig::default(),
         cache: true,
         tracer: None,
     };
-    let (text, engine) = table.run(&flags, &flags.corpus()?)?;
+    let (text, engine) = table.run(&flags, &flags.corpus()?);
     eprintln!("{}", engine.stats().report());
-    if let Some(p) = &flags.rows {
-        eprintln!("wrote shard rows {p}");
-    }
     Ok(if flags.csv { text } else { text + "\n" })
 }
 

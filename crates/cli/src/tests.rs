@@ -1,10 +1,7 @@
 use std::collections::BTreeSet;
 
 use eel_bench::report::{results_dir, workspace_root};
-use eel_bench::shard::ShardSpec;
 use eel_telemetry::json::Json;
-use eel_telemetry::TraceFile;
-use eel_workloads::load_corpus;
 
 use super::*;
 
@@ -367,139 +364,6 @@ fn experiment_exact_policy_runs_the_oracle() {
 }
 
 #[test]
-fn experiment_shard_errors_are_typed() {
-    // Malformed specs must fail before any engine work, with a
-    // message naming the problem (the binaries turn these into
-    // nonzero exits).
-    let e = call(&["experiment", "--shard", "0/4"])
-        .unwrap_err()
-        .to_string();
-    assert!(e.contains("1-indexed"), "{e}");
-    let e = call(&["experiment", "--shard", "5/4"])
-        .unwrap_err()
-        .to_string();
-    assert!(e.contains("out of range"), "{e}");
-    let e = call(&["experiment", "--shard", "a/b"])
-        .unwrap_err()
-        .to_string();
-    assert!(e.contains("not of the form i/n"), "{e}");
-    let e = call(&["experiment", "--shard", "3"])
-        .unwrap_err()
-        .to_string();
-    assert!(e.contains("not of the form i/n"), "{e}");
-    let e = call(&["experiment", "--shard", "1/0"])
-        .unwrap_err()
-        .to_string();
-    assert!(e.contains("at least 1"), "{e}");
-    let e = call(&["experiment", "--corpus", "bogus-corpus"])
-        .unwrap_err()
-        .to_string();
-    assert!(e.contains("neither a built-in corpus"), "{e}");
-}
-
-#[test]
-fn sharded_experiment_merges_byte_identical() {
-    // A 2-shard split over a small generated corpus, merged in
-    // reversed order, must reproduce the unsharded table and the
-    // unsharded telemetry counters exactly.
-    let manifest = tmp("shard-corpus.txt");
-    std::fs::write(&manifest, "# eel-corpus-v1\ngen small 4 7\n").unwrap();
-    let ref_report = tmp("shard-ref.json");
-    let base = &[
-        "experiment",
-        "--corpus",
-        &manifest,
-        "--no-cache",
-        "--jobs",
-        "1",
-    ];
-    let full_out = call(&[base.as_slice(), &["--report", &ref_report]].concat()).unwrap();
-    let (r1, r2) = (tmp("shard-r1.txt"), tmp("shard-r2.txt"));
-    let (p1, p2) = (tmp("shard-p1.json"), tmp("shard-p2.json"));
-    for (spec, rows, rep) in [("1/2", &r1, &p1), ("2/2", &r2, &p2)] {
-        call(
-            &[
-                base.as_slice(),
-                &["--shard", spec, "--rows", rows, "--report", rep],
-            ]
-            .concat(),
-        )
-        .unwrap();
-    }
-    // Rows: merged table (shards in reversed order) is a byte
-    // prefix of the unsharded output (which appends stats).
-    let merged = call(&["merge", "--rows", &r2, &r1]).unwrap();
-    assert!(
-        full_out.starts_with(&merged),
-        "merged table diverges from the unsharded one:\n--- merged\n{merged}\n--- full\n{full_out}"
-    );
-    // Reports: counters and histogram event counts match the
-    // unsharded reference.
-    let merged_json = tmp("shard-merged.json");
-    let out = call(&[
-        "merge",
-        &p2,
-        &p1,
-        "--check-counters",
-        &ref_report,
-        "--out",
-        &merged_json,
-    ])
-    .unwrap();
-    assert!(out.contains("match"), "{out}");
-    assert!(out.contains("counters:"), "{out}");
-    // A deliberately wrong merge (a non-empty shard counted
-    // twice) is rejected with a nonzero exit.
-    let corpus = load_corpus(&manifest).unwrap();
-    let s1: ShardSpec = "1/2".parse().unwrap();
-    let dup = if s1.filter(&corpus).is_empty() {
-        &p2
-    } else {
-        &p1
-    };
-    let e = call(&["merge", &p1, &p2, dup, "--check-counters", &ref_report])
-        .unwrap_err()
-        .to_string();
-    assert!(e.contains("disagrees"), "{e}");
-    for f in [&manifest, &ref_report, &r1, &r2, &p1, &p2, &merged_json] {
-        std::fs::remove_file(f).ok();
-    }
-}
-
-#[test]
-fn merge_rows_rejects_incomplete_and_inconsistent_sets() {
-    // Handcrafted shard row files keep this deterministic.
-    let one = f64::to_bits(1.0);
-    let head = "# eel-shard-rows v1\ntitle T\nmachine ultrasparc\nresched 0\ncorpus 2\n";
-    let r1 = tmp("merge-r1.txt");
-    std::fs::write(
-        &r1,
-        format!("{head}shard 1/2\nrow 0 a CINT95 {one:016x} 1 {one:016x} 1 1\n"),
-    )
-    .unwrap();
-    let e = call(&["merge", "--rows", &r1]).unwrap_err().to_string();
-    assert!(e.contains("missing indices"), "{e}");
-    let e = call(&["merge", "--rows", &r1, &r1])
-        .unwrap_err()
-        .to_string();
-    assert!(e.contains("more than one shard"), "{e}");
-    let e = call(&["merge"]).unwrap_err().to_string();
-    assert!(e.contains("at least one shard file"), "{e}");
-    let r2 = tmp("merge-r2.txt");
-    std::fs::write(
-        &r2,
-        format!("{head}shard 2/2\nrow 1 b CINT95 {one:016x} 1 {one:016x} 1 1\n"),
-    )
-    .unwrap();
-    let merged = call(&["merge", "--rows", &r1, &r2]).unwrap();
-    assert!(merged.starts_with("T\n"), "{merged}");
-    assert!(merged.contains("\na "), "{merged}");
-    assert!(merged.contains("\nb "), "{merged}");
-    std::fs::remove_file(&r1).ok();
-    std::fs::remove_file(&r2).ok();
-}
-
-#[test]
 fn experiment_trace_records_renders_and_checks() {
     let t = tmp("trace-run.jsonl");
     let out = call(&[
@@ -526,7 +390,8 @@ fn experiment_trace_records_renders_and_checks() {
     let checked = call(&["trace", &t, "--check", "engine,cell,sched,sim"]).unwrap();
     assert!(checked.contains("check engine:"), "{checked}");
     assert!(checked.contains("check chrome:"), "{checked}");
-    // --no-cache means no lock events; --check makes that loud.
+    // A category with no events fails the check: no layer records
+    // `lock` events.
     let e = call(&["trace", &t, "--check", "lock"])
         .unwrap_err()
         .to_string();
@@ -544,75 +409,6 @@ fn experiment_trace_records_renders_and_checks() {
     assert!(chrome.contains("engine/baseline"), "{chrome}");
     std::fs::remove_file(&t).ok();
     std::fs::remove_file(&j).ok();
-}
-
-#[test]
-fn four_shard_traces_merge_into_one_timeline() {
-    // The acceptance scenario: four shards of one corpus, each
-    // recording its own flight trace, folded by `merge --trace`
-    // into a single timeline. The fold must align clocks, keep
-    // per-thread event order (ts ties broken by file then seq),
-    // and remember every source.
-    let manifest = tmp("trace-shard-corpus.txt");
-    std::fs::write(&manifest, "# eel-corpus-v1\ngen small 4 7\n").unwrap();
-    let traces: Vec<String> = (1..=4)
-        .map(|i| tmp(&format!("trace-shard-{i}.jsonl")))
-        .collect();
-    for (i, t) in traces.iter().enumerate() {
-        call(&[
-            "experiment",
-            "--corpus",
-            &manifest,
-            "--no-cache",
-            "--jobs",
-            "1",
-            "--shard",
-            &format!("{}/4", i + 1),
-            "--trace-out",
-            t,
-        ])
-        .unwrap();
-    }
-    let merged_path = tmp("trace-merged.jsonl");
-    let argv: Vec<&str> = ["merge", "--trace"]
-        .into_iter()
-        .chain(traces.iter().map(String::as_str))
-        .chain(["--out", &merged_path])
-        .collect();
-    let out = call(&argv).unwrap();
-    assert!(out.contains("wrote merged trace"), "{out}");
-    assert!(out.contains("self time by category"), "{out}");
-    let merged = TraceFile::parse(&std::fs::read_to_string(&merged_path).unwrap()).unwrap();
-    assert_eq!(merged.meta["sources"], "4");
-    assert_eq!(merged.meta["shard"], "1/4+2/4+3/4+4/4");
-    // One consistent timeline: dense global sequence numbers, and
-    // per-thread timestamps monotone (each source thread maps to
-    // its own merged tid, so per-thread program order survives).
-    let mut last_ts: std::collections::BTreeMap<u64, u64> = Default::default();
-    for (i, e) in merged.events.iter().enumerate() {
-        assert_eq!(e.seq, i as u64, "dense reassigned seq");
-        let prev = last_ts.entry(e.tid).or_insert(0);
-        assert!(*prev <= e.ts_ns, "thread {} goes backwards", e.tid);
-        *prev = e.ts_ns;
-    }
-    // All four shards' engine work and ownership decisions landed:
-    // each shard owns 1 of the 4 corpus entries and skips 3.
-    let shard_events = |name: &str| {
-        merged
-            .events
-            .iter()
-            .filter(|e| e.cat == "shard" && e.name == name)
-            .count()
-    };
-    assert_eq!(shard_events("own"), 4);
-    assert_eq!(shard_events("skip"), 12);
-    assert!(merged.events.iter().any(|e| e.cat == "engine"));
-    assert!(merged.events.iter().any(|e| e.cat == "sim"));
-    std::fs::remove_file(&manifest).ok();
-    std::fs::remove_file(&merged_path).ok();
-    for t in &traces {
-        std::fs::remove_file(t).ok();
-    }
 }
 
 #[test]
@@ -677,6 +473,20 @@ fn errors_are_user_facing() {
         .unwrap_err()
         .to_string()
         .contains("unknown command"));
+    // One process computes every table: there is no shard flag and no
+    // merge command.
+    assert!(call(&["merge", "a.json"])
+        .unwrap_err()
+        .to_string()
+        .contains("unknown command `merge`"));
+    assert!(call(&["experiment", "--shard", "1/2"])
+        .unwrap_err()
+        .to_string()
+        .contains("unexpected argument `--shard`"));
+    assert!(call(&["experiment", "--corpus", "bogus-corpus"])
+        .unwrap_err()
+        .to_string()
+        .contains("neither a built-in corpus"));
     assert!(call(&["gen", "nope", "-o", "x"])
         .unwrap_err()
         .to_string()

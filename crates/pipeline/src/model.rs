@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use eel_sadl::{ArchDescription, GroupId, RegClass, SadlError, TimingGroup};
 use eel_sparc::{Instruction, Resource};
+use eel_telemetry::fnv1a;
 
 /// Maps a dependence-analysis [`Resource`] to the SADL register class
 /// whose read/write cycles the timing group records.
@@ -555,17 +556,6 @@ fn canonical_description(desc: &ArchDescription) -> String {
         let _ = write!(s, "|{name}->{:?}", desc.group_id(name));
     }
     s
-}
-
-/// FNV-1a, the workspace's stable content hash (never `DefaultHasher`,
-/// whose output may change between Rust releases).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Rolls a group's acquire/release events into per-cycle cumulative

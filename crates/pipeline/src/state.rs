@@ -498,12 +498,6 @@ pub struct BlockTransition {
     ring: Vec<(u32, u16, u32)>,
     /// Live-span length past the exit cycle (`hi - exit_cycle`).
     ring_rows: u64,
-    /// Unit-deficit cells of the live span at *entry*,
-    /// `(cycle - entry_cycle, unit)` — exactly the ring cells the
-    /// entry context key lists, so [`PipelineState::apply_transition`]
-    /// can clear the old span in O(live cells) instead of sweeping
-    /// every row.
-    entry_ring: Vec<(u32, u16)>,
 }
 
 impl BlockTransition {
@@ -519,7 +513,7 @@ impl BlockTransition {
 
     /// A hash of the transition's *exit picture* only (`wa`, `lr`,
     /// `ring`, `ring_rows` — not the entry-dependent deltas): after
-    /// [`PipelineState::apply_transition`] the pipe's semantic state
+    /// [`PipelineState::set_to_transition`] the pipe's semantic state
     /// is exactly this picture anchored at the exit cycle, so equal
     /// fingerprints identify equal exit contexts. The simulator's
     /// context-id chain relies on this to converge in steady-state
@@ -696,35 +690,12 @@ impl PipelineState {
         );
     }
 
-    /// Collects the live-span unit-deficit cells relative to the
-    /// current cycle — the ring section of [`Self::context_key`],
-    /// without the register sections. Record this *before* issuing a
-    /// sequence and hand it to [`Self::capture_transition`].
-    pub fn ring_deficit_cells(&self, out: &mut Vec<(u32, u16)>) {
-        out.clear();
-        debug_assert_eq!(self.base, self.cycle, "expects a trimmed state");
-        for abs in self.cycle..self.hi {
-            let slot = (abs as usize & self.slot_mask) * self.unit_kinds;
-            for u in 0..self.unit_kinds {
-                if self.win[slot + u] < self.counts[u] {
-                    out.push(((abs - self.cycle) as u32, u as u16));
-                }
-            }
-        }
-    }
-
     /// Captures the transition from `entry_cycle` (the value of
     /// [`PipelineState::cycle`] recorded before the sequence's first
     /// issue) to the current state, with `completes` the latest
-    /// absolute completion cycle among the sequence's issues and
-    /// `entry_ring` the [`Self::ring_deficit_cells`] recorded at
-    /// entry. Call directly after the last issue.
-    pub fn capture_transition(
-        &self,
-        entry_cycle: u64,
-        completes: u64,
-        entry_ring: Vec<(u32, u16)>,
-    ) -> BlockTransition {
+    /// absolute completion cycle among the sequence's issues. Call
+    /// directly after the last issue.
+    pub fn capture_transition(&self, entry_cycle: u64, completes: u64) -> BlockTransition {
         debug_assert!(self.cycle >= entry_cycle);
         debug_assert_eq!(self.base, self.cycle, "capture follows an issue");
         let exit = self.cycle;
@@ -759,49 +730,12 @@ impl PipelineState {
             lr,
             ring,
             ring_rows: self.hi - exit,
-            entry_ring,
         }
-    }
-
-    /// Replays a captured transition onto this state, which must have
-    /// the same [`PipelineState::context_key`] the transition was
-    /// captured against. Returns `(exit_cycle, completes)` in absolute
-    /// cycles, mirroring what issuing the sequence would have
-    /// reported.
-    pub fn apply_transition(&mut self, tr: &BlockTransition) -> (u64, u64) {
-        let entry = self.cycle;
-        // Clear the current live span. A matching context key means
-        // its deficit cells are exactly the `entry_ring` recorded at
-        // capture (all other cells already rest at full counts), so
-        // restoring those is enough — no full sweep of `[base, hi)`.
-        for &(rel, u) in &tr.entry_ring {
-            let slot = ((entry + u64::from(rel)) as usize & self.slot_mask) * self.unit_kinds;
-            self.win[slot + usize::from(u)] = self.counts[usize::from(u)];
-        }
-        self.cycle = entry + tr.cycles;
-        self.base = self.cycle;
-        self.hi = self.cycle + tr.ring_rows;
-        debug_assert!(
-            (self.hi - self.base) as usize <= self.slot_mask + 1,
-            "replayed live span exceeds ring capacity"
-        );
-        for &(rel, u, deficit) in &tr.ring {
-            let slot = ((self.cycle + u64::from(rel)) as usize & self.slot_mask) * self.unit_kinds;
-            self.win[slot + usize::from(u)] = self.counts[usize::from(u)] - deficit;
-        }
-        for &(r, d) in &tr.wa {
-            self.write_avail[usize::from(r)] = self.cycle + u64::from(d) - 1;
-        }
-        for &(r, d) in &tr.lr {
-            self.last_read[usize::from(r)] = self.cycle + u64::from(d);
-        }
-        (self.cycle, entry + tr.completes)
     }
 
     /// Overwrites this state with a captured transition's *exit
     /// picture*, anchored at absolute cycle `exit_cycle` (which must
-    /// not precede the current cycle). Unlike
-    /// [`Self::apply_transition`] this makes no assumption about the
+    /// not precede the current cycle). It makes no assumption about the
     /// current state beyond its live-span invariant: the simulator
     /// uses it to materialize the pipe after a chain of memo hits
     /// whose intermediate applications were skipped — the exit state
@@ -1263,66 +1197,25 @@ mod tests {
     }
 
     /// Issues `seq` and captures the transition, the way `eel-sim`
-    /// does: entry cycle and ring deficits recorded first, completion
-    /// folded across the issues.
+    /// does: entry cycle recorded first, completion folded across the
+    /// issues.
     fn issue_and_capture(
         m: &MachineModel,
         state: &mut PipelineState,
         seq: &[Instruction],
-    ) -> (BlockTransition, u64) {
+    ) -> BlockTransition {
         let entry = state.cycle();
-        let mut entry_ring = Vec::new();
-        state.ring_deficit_cells(&mut entry_ring);
         let mut completes = 0;
         for insn in seq {
             completes = completes.max(state.issue(m, insn).completes);
         }
-        (
-            state.capture_transition(entry, completes, entry_ring),
-            completes,
-        )
+        state.capture_transition(entry, completes)
     }
 
     fn key(state: &PipelineState) -> Vec<u32> {
         let mut k = Vec::new();
         state.context_key(&mut k);
         k
-    }
-
-    #[test]
-    fn apply_transition_replays_an_issued_sequence() {
-        let m = MachineModel::ultrasparc();
-        let warmup = [ld(IntReg::O0, IntReg::O1), add(IntReg::O1, IntReg::O2)];
-        let seq = [
-            ld(IntReg::O2, IntReg::O3),
-            add(IntReg::O3, IntReg::O4),
-            add(IntReg::O4, IntReg::O5),
-        ];
-        let mut a = PipelineState::new(&m);
-        let mut b = PipelineState::new(&m);
-        for s in [&mut a, &mut b] {
-            for insn in &warmup {
-                s.issue(&m, insn);
-            }
-            s.advance(1);
-        }
-        assert_eq!(key(&a), key(&b), "twin states must share a context");
-
-        let (tr, completes) = issue_and_capture(&m, &mut a, &seq);
-        let (exit, replayed_completes) = b.apply_transition(&tr);
-        assert_eq!(exit, a.cycle(), "replay lands on the issued exit cycle");
-        assert_eq!(replayed_completes, completes);
-        assert_eq!(key(&a), key(&b), "replayed exit context diverged");
-
-        // The contexts must also *behave* identically from here on.
-        let follow = [
-            add(IntReg::O5, IntReg::O0),
-            ld(IntReg::O0, IntReg::O1),
-            add(IntReg::O1, IntReg::O1),
-        ];
-        for insn in &follow {
-            assert_eq!(a.issue(&m, insn), b.issue(&m, insn), "diverged at `{insn}`");
-        }
     }
 
     #[test]
@@ -1336,7 +1229,7 @@ mod tests {
         let mut a = PipelineState::new(&m);
         a.issue(&m, &ld(IntReg::O0, IntReg::O1));
         a.advance(1);
-        let (tr, _) = issue_and_capture(&m, &mut a, &seq);
+        let tr = issue_and_capture(&m, &mut a, &seq);
 
         // `c` has an arbitrary, unrelated live span and register
         // timestamps; materialization must erase all of it.
@@ -1399,8 +1292,8 @@ mod tests {
         b.issue(&m, &add(IntReg::G2, IntReg::G3));
         b.advance(50);
         assert_ne!(a.cycle(), b.cycle());
-        let (tr_a, _) = issue_and_capture(&m, &mut a, &seq);
-        let (tr_b, _) = issue_and_capture(&m, &mut b, &seq);
+        let tr_a = issue_and_capture(&m, &mut a, &seq);
+        let tr_b = issue_and_capture(&m, &mut b, &seq);
         assert_eq!(
             tr_a.exit_fingerprint(),
             tr_b.exit_fingerprint(),
@@ -1408,7 +1301,7 @@ mod tests {
         );
         // And a genuinely different exit picture must not collide.
         let mut c = PipelineState::new(&m);
-        let (tr_c, _) = issue_and_capture(&m, &mut c, &seq[..2]);
+        let tr_c = issue_and_capture(&m, &mut c, &seq[..2]);
         assert_ne!(tr_a.exit_fingerprint(), tr_c.exit_fingerprint());
     }
 
@@ -1431,8 +1324,8 @@ mod tests {
         b.issue(&m, &ld(IntReg::G1, IntReg::O1));
         b.advance(1);
         assert_ne!(key(&a), key(&b), "entry contexts should differ");
-        let (tr_a, _) = issue_and_capture(&m, &mut a, &seq);
-        let (tr_b, _) = issue_and_capture(&m, &mut b, &seq);
+        let tr_a = issue_and_capture(&m, &mut a, &seq);
+        let tr_b = issue_and_capture(&m, &mut b, &seq);
         assert_eq!(tr_a.exit_fingerprint(), tr_b.exit_fingerprint());
     }
 }

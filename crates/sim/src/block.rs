@@ -917,14 +917,10 @@ impl Timer<'_> {
         self.pipe.context_key(&mut self.key_scratch);
         let entry_cycle = self.pipe.cycle();
         let entry_ctx = self.ctx;
-        let mut entry_ring = Vec::new();
-        self.pipe.ring_deficit_cells(&mut entry_ring);
         let completes = self.walk(seq);
         self.last_complete = self.last_complete.max(completes);
         let i = self.memo.transitions.len() as u32;
-        let tr = self
-            .pipe
-            .capture_transition(entry_cycle, completes, entry_ring);
+        let tr = self.pipe.capture_transition(entry_cycle, completes);
         // The exit pipeline state is a pure function of the applied
         // transition's exit picture, so its id is that picture's hash
         // — distinct executions converging on the same exit state

@@ -22,8 +22,8 @@
 //! * [`json`] — the minimal hand-rolled JSON reader/writer behind the
 //!   report (the workspace has no serde);
 //! * [`trace`] — the flight recorder: bounded rings of timestamped
-//!   structured events, serialized traces (`eel-trace` JSONL) with
-//!   cross-process merge, and the shared Chrome trace-event writer.
+//!   structured events, serialized traces (`eel-trace` JSONL), and the
+//!   shared Chrome trace-event writer.
 //!
 //! # The zero-cost-when-off contract
 //!

@@ -126,9 +126,7 @@ impl Histogram {
 /// A plain-data [`Histogram`] state: what run reports serialize, what
 /// diffs and gates compare.
 ///
-/// `buckets` holds only nonzero buckets, sorted by index. Merging is
-/// associative and commutative (bucket-wise addition), so per-thread
-/// or per-shard histograms can be folded in any order.
+/// `buckets` holds only nonzero buckets, sorted by index.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Number of recorded values.
@@ -181,27 +179,6 @@ impl HistogramSnapshot {
             }
         }
         self.max
-    }
-
-    /// Folds `other` into `self` (bucket-wise addition; min/max widen).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for &(idx, n) in &other.buckets {
-            match self.buckets.binary_search_by_key(&idx, |&(i, _)| i) {
-                Ok(pos) => self.buckets[pos].1 += n,
-                Err(pos) => self.buckets.insert(pos, (idx, n)),
-            }
-        }
     }
 }
 
@@ -314,22 +291,6 @@ pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
     /// Histogram states by site name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-}
-
-impl Snapshot {
-    /// Folds `other` into `self`: counters add, histograms merge
-    /// bucket-wise. Like [`HistogramSnapshot::merge`] this is
-    /// associative and commutative, so per-shard snapshots can be
-    /// folded in any order and always produce the same `Snapshot` —
-    /// the property `eel merge` relies on.
-    pub fn merge(&mut self, other: &Snapshot) {
-        for (site, n) in &other.counters {
-            *self.counters.entry(site.clone()).or_insert(0) += n;
-        }
-        for (site, h) in &other.histograms {
-            self.histograms.entry(site.clone()).or_default().merge(h);
-        }
-    }
 }
 
 /// The static on/off switch instrumented hot paths are generic over.
@@ -516,85 +477,6 @@ mod tests {
         let (lo, hi) = Histogram::bucket_range(Histogram::bucket_of(10_000));
         assert!(p99 >= lo && p99 <= hi, "p99 {p99} outside [{lo}, {hi}]");
         assert_eq!(s.quantile(1.0), 10_000, "p100 clamps to the observed max");
-    }
-
-    #[test]
-    fn merge_is_associative_and_commutative() {
-        let mk = |vals: &[u64]| {
-            let h = Histogram::new();
-            for &v in vals {
-                h.record(v);
-            }
-            h.snapshot()
-        };
-        let a = mk(&[1, 2, 3]);
-        let b = mk(&[100, 200]);
-        let c = mk(&[0, 7, 7, 7_000_000]);
-
-        let mut ab_c = a.clone();
-        ab_c.merge(&b);
-        ab_c.merge(&c);
-
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
-
-        assert_eq!(ab_c, a_bc, "(a ⊎ b) ⊎ c == a ⊎ (b ⊎ c)");
-
-        let mut ba = b.clone();
-        ba.merge(&a);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        assert_eq!(ab, ba, "a ⊎ b == b ⊎ a");
-
-        // Merging equals recording everything into one histogram.
-        assert_eq!(ab_c, mk(&[1, 2, 3, 100, 200, 0, 7, 7, 7_000_000]));
-
-        // Identity element.
-        let mut with_empty = a.clone();
-        with_empty.merge(&HistogramSnapshot::default());
-        assert_eq!(with_empty, a);
-        let mut empty = HistogramSnapshot::default();
-        empty.merge(&a);
-        assert_eq!(empty, a);
-    }
-
-    #[test]
-    fn snapshot_merge_is_order_independent() {
-        let mk = |counts: &[(&'static str, u64)], hist: &[u64]| {
-            let reg = Registry::new();
-            for &(site, n) in counts {
-                reg.add(site, n);
-            }
-            for &v in hist {
-                reg.record("lat_ns", v);
-            }
-            reg.snapshot()
-        };
-        let a = mk(&[("x", 3), ("y", 1)], &[10, 20]);
-        let b = mk(&[("x", 4), ("z", 9)], &[0, 1 << 40]);
-        let c = mk(&[], &[7]);
-
-        let mut abc = a.clone();
-        abc.merge(&b);
-        abc.merge(&c);
-        let mut cba = c.clone();
-        cba.merge(&b);
-        cba.merge(&a);
-        assert_eq!(abc, cba, "merge order must not matter");
-        assert_eq!(abc.counters["x"], 7);
-        assert_eq!(abc.counters["y"], 1);
-        assert_eq!(abc.counters["z"], 9);
-        assert_eq!(abc.histograms["lat_ns"].count, 5);
-
-        // Identity element.
-        let mut with_empty = a.clone();
-        with_empty.merge(&Snapshot::default());
-        assert_eq!(with_empty, a);
-        let mut empty = Snapshot::default();
-        empty.merge(&a);
-        assert_eq!(empty, a);
     }
 
     #[test]

@@ -213,38 +213,6 @@ impl RunReport {
                 let _ = writeln!(out, "  {k:<32} {v:>14}");
             }
         }
-        // The shared-artifact-cache lock protocol gets its own digest:
-        // these four sites tell the whole contention story (who raced,
-        // what was reclaimed from dead peers, who gave up, and how long
-        // everyone slept), and burying them in the flat counter list
-        // made multi-shard runs hard to read.
-        let lock_rows = [
-            ("engine.cache.lock_races_won", "races won (dup compute)"),
-            ("engine.cache.lock_stale_reclaimed", "stale locks reclaimed"),
-            ("engine.cache.lock_timeouts", "wait-budget timeouts"),
-        ];
-        let lock_wait = self.histograms.get("engine.cache.lock_wait_ns");
-        if lock_rows
-            .iter()
-            .any(|(k, _)| self.counters.contains_key(*k))
-            || lock_wait.is_some()
-        {
-            let _ = writeln!(out, "disk-cache locks:");
-            for (site, label) in lock_rows {
-                let v = self.counters.get(site).copied().unwrap_or(0);
-                let _ = writeln!(out, "  {label:<32} {v:>14}");
-            }
-            if let Some(h) = lock_wait {
-                let _ = writeln!(
-                    out,
-                    "  {:<32} {:>14} ({} contended acquisitions, p99 {})",
-                    "wait time (contended)",
-                    fmt_ns(h.sum),
-                    h.count,
-                    fmt_ns(h.quantile(0.99)),
-                );
-            }
-        }
         if !self.histograms.is_empty() {
             let _ = writeln!(out, "histograms:");
             let _ = writeln!(
@@ -265,39 +233,6 @@ impl RunReport {
             }
         }
         out
-    }
-
-    /// Folds `other` into `self`: counters and stage times add,
-    /// histograms merge bucket-wise, and metadata keys whose values
-    /// differ across the inputs become the sorted `+`-joined set of
-    /// distinct values (`"shard": "1/4+2/4"`). Every component is
-    /// associative and commutative, so folding per-shard reports in
-    /// any order yields a byte-identical merged report — the property
-    /// `eel merge` is built on and the shard proptests pin.
-    pub fn merge(&mut self, other: &RunReport) {
-        for (key, value) in &other.meta {
-            match self.meta.get_mut(key) {
-                None => {
-                    self.meta.insert(key.clone(), value.clone());
-                }
-                Some(existing) => {
-                    let mut parts: Vec<&str> =
-                        existing.split('+').chain(value.split('+')).collect();
-                    parts.sort_unstable();
-                    parts.dedup();
-                    *existing = parts.join("+");
-                }
-            }
-        }
-        for (stage, ns) in &other.stages {
-            *self.stages.entry(stage.clone()).or_insert(0) += ns;
-        }
-        for (site, n) in &other.counters {
-            *self.counters.entry(site.clone()).or_insert(0) += n;
-        }
-        for (site, h) in &other.histograms {
-            self.histograms.entry(site.clone()).or_default().merge(h);
-        }
     }
 
     /// Compares two reports metric by metric.
@@ -505,13 +440,21 @@ fn histogram_from_json(name: &str, v: &Json) -> Result<HistogramSnapshot, Report
         )));
     }
     buckets.sort_unstable();
-    Ok(HistogramSnapshot {
+    let h = HistogramSnapshot {
         count: field("count")?,
         sum: field("sum")?,
         min: field("min")?,
         max: field("max")?,
         buckets,
-    })
+    };
+    // Quantiles clamp to `[min, max]`, which must be a range.
+    if h.count > 0 && h.min > h.max {
+        return Err(ReportError::Malformed(format!(
+            "histogram `{name}`: min {} exceeds max {}",
+            h.min, h.max
+        )));
+    }
+    Ok(h)
 }
 
 fn string_map(root: &Json, key: &str) -> Result<Vec<(String, String)>, ReportError> {
@@ -618,41 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_metrics_and_unions_meta_order_independently() {
-        let shard = |spec: &str, sims: u64, lat: &[u64]| {
-            let reg = Registry::new();
-            reg.add("engine.sims", sims);
-            for &v in lat {
-                reg.record("sched.stall_query_ns", v);
-            }
-            let mut meta = BTreeMap::new();
-            meta.insert("label".to_string(), "experiment".to_string());
-            meta.insert("shard".to_string(), spec.to_string());
-            let mut stages = BTreeMap::new();
-            stages.insert("runs".to_string(), 1000 * sims);
-            RunReport::new(meta, stages, &reg.snapshot())
-        };
-        let a = shard("1/3", 5, &[10, 20]);
-        let b = shard("2/3", 7, &[30]);
-        let c = shard("3/3", 11, &[40, 50, 60]);
-
-        let mut abc = a.clone();
-        abc.merge(&b);
-        abc.merge(&c);
-        let mut cab = c.clone();
-        cab.merge(&a);
-        cab.merge(&b);
-        assert_eq!(abc, cab, "merge must be order-independent");
-        assert_eq!(abc.to_json(), cab.to_json(), "byte-identical JSON");
-
-        assert_eq!(abc.counters["engine.sims"], 23);
-        assert_eq!(abc.stages["runs"], 23_000);
-        assert_eq!(abc.histograms["sched.stall_query_ns"].count, 6);
-        assert_eq!(abc.meta["label"], "experiment", "equal values kept as-is");
-        assert_eq!(abc.meta["shard"], "1/3+2/3+3/3", "differing values union");
-    }
-
-    #[test]
     fn foreign_and_future_documents_are_typed_errors() {
         assert!(matches!(
             RunReport::from_json("not json at all"),
@@ -700,43 +608,50 @@ mod tests {
         }
     }
 
+    /// Quantiles clamp to `[min, max]`, so a histogram whose `min`
+    /// exceeds its `max` must not load: `eel report` and `eel report
+    /// --diff` would panic on it.
     #[test]
-    fn render_shows_lock_section_only_for_disk_cached_runs() {
-        use crate::Histogram;
-        // Hermetic (no disk cache) runs never register the lock sites,
-        // so their render skips the section entirely.
-        let plain = sample().render();
-        assert!(
-            !plain.contains("disk-cache locks:"),
-            "no locks in:\n{plain}"
-        );
+    fn inverted_histogram_range_is_a_typed_error() {
+        let text = r#"{"schema":"eel-run-report","version":1,"histograms":{"h":
+            {"count": 3, "sum": 10, "min": 500, "max": 1, "buckets": {"1": 1, "5": 1, "9": 1}}}}"#;
+        match RunReport::from_json(text) {
+            Err(ReportError::Malformed(what)) => assert!(what.contains("min 500"), "{what}"),
+            other => panic!("expected a malformed-report error, got {other:?}"),
+        }
+    }
 
-        let mut report = sample();
-        report
-            .counters
-            .insert("engine.cache.lock_races_won".into(), 2);
-        report
-            .counters
-            .insert("engine.cache.lock_stale_reclaimed".into(), 1);
-        report
-            .counters
-            .insert("engine.cache.lock_timeouts".into(), 0);
-        let h = Histogram::new();
-        h.record(1_500_000);
-        h.record(2_000_000);
-        report
-            .histograms
-            .insert("engine.cache.lock_wait_ns".into(), h.snapshot());
-        let text = report.render();
-        for needle in [
-            "disk-cache locks:",
-            "races won (dup compute)",
-            "stale locks reclaimed",
-            "wait-budget timeouts",
-            "wait time (contended)",
-            "2 contended acquisitions",
-        ] {
-            assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Whatever histogram a report file holds, loading it either
+            /// fails with a typed error or yields a report that renders
+            /// and diffs without panicking.
+            #[test]
+            fn any_histogram_loads_renders_and_diffs_without_panics(
+                hists in prop::collection::vec(
+                    (
+                        (0u64..1_000, 0u64..(1 << 40), 0u64..(1 << 40), 0u64..(1 << 40)),
+                        prop::collection::vec((0u8..65, 0u64..1_000), 0..7),
+                    ),
+                    1..4,
+                ),
+            ) {
+                let mut report = sample();
+                for (i, ((count, sum, min, max), buckets)) in hists.into_iter().enumerate() {
+                    report.histograms.insert(
+                        format!("fuzz.h{i}"),
+                        HistogramSnapshot { count, sum, min, max, buckets },
+                    );
+                }
+                if let Ok(loaded) = RunReport::from_json(&report.to_json()) {
+                    let _ = loaded.render();
+                    let _ = loaded.diff(&sample()).render(false);
+                    let _ = sample().diff(&loaded).to_json();
+                }
+            }
         }
     }
 }

@@ -4,26 +4,23 @@
 //!
 //! Where the [`crate::Registry`] answers *how much* (totals,
 //! distributions), the [`Tracer`] answers *when and in what order*:
-//! every instrumented layer — engine stages, cache cells, disk-cache
-//! locks, scheduler passes, simulator block cache, shard ownership —
-//! pushes [`Event`]s carrying a static category/name pair, two `u64`
-//! arguments, a monotonic timestamp, and a global sequence number.
-//! Recording is bounded: events land in per-thread-striped rings that
-//! overwrite their oldest entries, so a tracer can stay attached to an
-//! arbitrarily long run and always hold the most recent window — the
-//! flight-recorder property the post-mortem dump is built on.
+//! every instrumented layer — engine stages, cache cells, scheduler
+//! passes, simulator block cache — pushes [`Event`]s carrying a static
+//! category/name pair, two `u64` arguments, a monotonic timestamp, and
+//! a global sequence number. Recording is bounded: events land in
+//! per-thread-striped rings that overwrite their oldest entries, so a
+//! tracer can stay attached to an arbitrarily long run and always hold
+//! the most recent window — the flight-recorder property the
+//! post-mortem dump is built on.
 //!
-//! # Clock and merge semantics
+//! # Clock semantics
 //!
 //! Timestamps are nanoseconds from the tracer's creation instant
 //! (monotonic, per-process). Serialized traces carry the creation
-//! time's Unix anchor (`epoch_ns`), so [`TraceFile::merge`] can shift
-//! every file onto the earliest anchor and fold a sharded run into one
-//! timeline. Sequence numbers are allocated at event *start* from one
+//! time's Unix anchor (`epoch_ns`) and the recording process id.
+//! Sequence numbers are allocated at event *start* from one
 //! process-wide atomic, which makes per-thread sequence order and
-//! per-thread timestamp order agree — the invariant the merge sort key
-//! `(ts, file, seq)` relies on to never interleave one thread's events
-//! out of order.
+//! per-thread timestamp order agree.
 //!
 //! # Overhead discipline
 //!
@@ -69,8 +66,7 @@ pub struct Event {
     pub ts_ns: u64,
     /// Span duration in nanoseconds; 0 for instant events.
     pub dur_ns: u64,
-    /// Event category (`engine`, `cell`, `lock`, `sched`, `sim`,
-    /// `shard`).
+    /// Event category (`engine`, `cell`, `sched`, `sim`, ...).
     pub cat: &'static str,
     /// Event name within the category.
     pub name: &'static str,
@@ -155,8 +151,7 @@ impl Tracer {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// The Unix-time anchor (nanoseconds) of this tracer's epoch —
-    /// what cross-process merge aligns on.
+    /// The Unix-time anchor (nanoseconds) of this tracer's epoch.
     pub fn epoch_unix_ns(&self) -> u64 {
         self.epoch_unix_ns
     }
@@ -320,11 +315,11 @@ impl Sink for Traced<'_> {
 /// from a live [`Event`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OwnedEvent {
-    /// Sequence number (per source file; reassigned by merge).
+    /// Sequence number.
     pub seq: u64,
-    /// Thread index (remapped to a merged-unique index by merge).
+    /// Thread index.
     pub tid: u64,
-    /// Nanoseconds since the file's epoch (shifted by merge).
+    /// Nanoseconds since the file's epoch.
     pub ts_ns: u64,
     /// Span duration; 0 for instants.
     pub dur_ns: u64,
@@ -391,12 +386,11 @@ impl std::error::Error for TraceError {}
 /// as decimal *strings* so the JSON layer round-trips them exactly.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceFile {
-    /// Unix nanoseconds of the recording tracer's epoch (0 after a
-    /// merge normalizes onto the earliest input's anchor).
+    /// Unix nanoseconds of the recording tracer's epoch.
     pub epoch_unix_ns: u64,
-    /// Recording process id (0 for merged traces).
+    /// Recording process id.
     pub pid: u64,
-    /// Free-form string metadata (label, machine, shard, ...).
+    /// Free-form string metadata (label, machine, ...).
     pub meta: BTreeMap<String, String>,
     /// Events, ordered by sequence number.
     pub events: Vec<OwnedEvent>,
@@ -519,64 +513,6 @@ impl TraceFile {
             });
         }
         Ok(file)
-    }
-
-    /// Folds per-process traces into one timeline.
-    ///
-    /// Each input's timestamps are shifted onto the earliest input's
-    /// Unix anchor, every `(input, tid)` pair becomes a distinct
-    /// merged thread index, and events are ordered by
-    /// `(shifted ts, input, seq)` — per-thread sequence order is
-    /// preserved because sequence numbers are allocated at event start
-    /// (per-thread `ts` and `seq` order agree) and the sort key breaks
-    /// timestamp ties by input-file sequence. Sequence numbers are
-    /// reassigned densely over the merged order.
-    pub fn merge(files: &[TraceFile]) -> TraceFile {
-        let min_epoch = files.iter().map(|f| f.epoch_unix_ns).min().unwrap_or(0);
-        let mut tid_map: BTreeMap<(usize, u64), u64> = BTreeMap::new();
-        let mut keyed: Vec<(u64, usize, u64, OwnedEvent)> = Vec::new();
-        let mut meta: BTreeMap<String, String> = BTreeMap::new();
-        for (fi, f) in files.iter().enumerate() {
-            let shift = f.epoch_unix_ns - min_epoch;
-            for e in &f.events {
-                let next = tid_map.len() as u64;
-                let tid = *tid_map.entry((fi, e.tid)).or_insert(next);
-                let mut e = e.clone();
-                e.ts_ns += shift;
-                e.tid = tid;
-                keyed.push((e.ts_ns, fi, e.seq, e));
-            }
-            for (k, v) in &f.meta {
-                match meta.get_mut(k) {
-                    None => {
-                        meta.insert(k.clone(), v.clone());
-                    }
-                    Some(existing) if existing != v => {
-                        let mut parts: Vec<&str> =
-                            existing.split('+').chain(v.split('+')).collect();
-                        parts.sort_unstable();
-                        parts.dedup();
-                        *existing = parts.join("+");
-                    }
-                    Some(_) => {}
-                }
-            }
-        }
-        keyed.sort_by_key(|a| (a.0, a.1, a.2));
-        meta.insert("sources".to_string(), files.len().to_string());
-        TraceFile {
-            epoch_unix_ns: min_epoch,
-            pid: 0,
-            meta,
-            events: keyed
-                .into_iter()
-                .enumerate()
-                .map(|(i, (_, _, _, mut e))| {
-                    e.seq = i as u64;
-                    e
-                })
-                .collect(),
-        }
     }
 
     /// Per-category profile rows: `(category, events, total_ns,
@@ -936,66 +872,6 @@ mod tests {
             TraceFile::parse("{\"schema\":\"eel-trace\",\"version\":9}"),
             Err(TraceError::Version(9))
         ));
-    }
-
-    #[test]
-    fn merge_aligns_clocks_and_preserves_per_thread_order() {
-        let a = TraceFile {
-            epoch_unix_ns: 1_000_000,
-            pid: 1,
-            meta: [("shard".to_string(), "1/2".to_string())].into(),
-            events: vec![
-                mk(0, 0, 10, 0, "sim", "run", 0),
-                mk(1, 0, 500, 0, "sim", "run", 1),
-                mk(2, 1, 20, 0, "sched", "block", 0),
-            ],
-        };
-        let b = TraceFile {
-            epoch_unix_ns: 1_000_200,
-            pid: 2,
-            meta: [("shard".to_string(), "2/2".to_string())].into(),
-            events: vec![
-                mk(0, 0, 5, 0, "sim", "run", 10),
-                mk(1, 0, 600, 0, "sim", "run", 11),
-            ],
-        };
-        let merged = TraceFile::merge(&[a.clone(), b.clone()]);
-        assert_eq!(merged.events.len(), 5);
-        assert_eq!(merged.meta["sources"], "2");
-        assert_eq!(merged.meta["shard"], "1/2+2/2");
-        // b's events shifted onto a's (earlier) anchor.
-        assert_eq!(merged.epoch_unix_ns, 1_000_000);
-        let b_first = merged.events.iter().find(|e| e.a0 == 10).unwrap();
-        assert_eq!(b_first.ts_ns, 205);
-        // Global order is by shifted timestamp; per-(source, thread)
-        // relative order is preserved (a0 encodes program order here).
-        for pair in merged.events.windows(2) {
-            assert!(pair[0].ts_ns <= pair[1].ts_ns);
-            assert!(pair[0].seq < pair[1].seq, "reassigned seqs are dense");
-        }
-        let mut per_tid: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        for e in &merged.events {
-            per_tid.entry(e.tid).or_default().push(e.a0);
-        }
-        assert_eq!(per_tid.len(), 3, "each (source, tid) is its own row");
-        for (tid, a0s) in per_tid {
-            let mut sorted = a0s.clone();
-            sorted.sort_unstable();
-            assert_eq!(a0s, sorted, "tid {tid}: source order preserved");
-        }
-        // Merge is invariant to input order up to thread renaming:
-        // same multiset of (ts, cat, name, a0) rows.
-        let flip = TraceFile::merge(&[b, a]);
-        let key = |f: &TraceFile| {
-            let mut v: Vec<(u64, String, u64)> = f
-                .events
-                .iter()
-                .map(|e| (e.ts_ns, e.cat.clone(), e.a0))
-                .collect();
-            v.sort();
-            v
-        };
-        assert_eq!(key(&merged), key(&flip));
     }
 
     #[test]

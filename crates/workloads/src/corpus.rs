@@ -8,7 +8,8 @@
 //! * `full` — [`FULL_MANIFEST`], a seeded 20x corpus (360 entries)
 //!   adding size tiers (small/medium/large), stress shapes (huge
 //!   blocks, deep dependence chains, register-pressure extremes), and
-//!   randomized block-skipping CFGs. Nightly CI runs it sharded 4-way.
+//!   randomized block-skipping CFGs. Nightly CI runs it in one
+//!   uncached process.
 //!
 //! The manifest grammar is line-oriented:
 //!
@@ -22,8 +23,8 @@
 //!
 //! Generation is a pure function of `(KIND, COUNT, SEED)`: every
 //! entry's name, seed, and shape derive deterministically, so two
-//! processes loading the same manifest always agree on the cell keys
-//! they are sharding — the property `--shard i/n` partitioning needs.
+//! processes loading the same manifest always agree on every entry
+//! and on the cell keys that measure it.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -150,7 +151,7 @@ fn gen_bench(kind: &str, index: usize, manifest_seed: u64) -> Benchmark {
     );
     // Per-kind profile: block size, FP mix, shape knobs, and a
     // dynamic-instruction budget that keeps the full corpus cheap
-    // enough for nightly sharded runs.
+    // enough for a nightly run.
     let (tbs, fp, shape, static_budget, target_dyn) = match kind {
         "small" => (
             rng.gen_range(1.8..3.4),
@@ -391,8 +392,7 @@ mod tests {
         let golden = golden_corpus();
         assert_eq!(golden.len(), 18);
         assert_eq!(full.len(), 20 * golden.len(), "full corpus is exactly 20x");
-        // Names are unique (sharding partitions by content, which
-        // embeds the name).
+        // Names are unique, so every table row names one entry.
         let names: BTreeSet<&str> = full.iter().map(|b| b.name).collect();
         assert_eq!(names.len(), full.len(), "duplicate corpus entry names");
         // Loading twice yields identical descriptions.

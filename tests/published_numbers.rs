@@ -1,6 +1,6 @@
 //! The headline numbers the documents quote are the code's: every
 //! bold number in README's one-paragraph summary and in
-//! EXPERIMENTS.md's *Headline* and *Table 1* sections must read, at
+//! EXPERIMENTS.md's *Headline* and *Table 1–3* sections must read, at
 //! its printed precision, what the named row and column of its
 //! `results/` file says. Each of those places carries one source note,
 //! an HTML comment listing `FILE | ROW | COLUMN` for its bold numbers
@@ -17,6 +17,14 @@ const PLACES: &[(&str, &str)] = &[
     (
         "EXPERIMENTS.md",
         "## Table 1 — slow profiling on the UltraSPARC",
+    ),
+    (
+        "EXPERIMENTS.md",
+        "## Table 2 — UltraSPARC, originals first rescheduled by EEL",
+    ),
+    (
+        "EXPERIMENTS.md",
+        "## Table 3 — slow profiling on the SuperSPARC",
     ),
 ];
 
