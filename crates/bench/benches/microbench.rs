@@ -131,29 +131,12 @@ fn bench_edge_profiler(c: &mut Criterion) {
     });
 }
 
-fn bench_parser(c: &mut Criterion) {
-    use eel_sparc::parse_listing;
-    let bench = &spec95()[0];
-    let exe = bench.build(&BuildOptions {
-        iterations: Some(2),
-        optimize: None,
-    });
-    let listing = exe.disassemble();
-    let mut g = c.benchmark_group("parser");
-    g.throughput(Throughput::Elements(exe.text_len() as u64));
-    g.bench_function("parse_listing", |b| {
-        b.iter(|| black_box(parse_listing(&listing).expect("parses")))
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_sadl_compile,
     bench_editing,
     bench_simulator,
     bench_analyses,
-    bench_edge_profiler,
-    bench_parser
+    bench_edge_profiler
 );
 criterion_main!(benches);

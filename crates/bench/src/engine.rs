@@ -39,9 +39,8 @@ use eel_core::Scheduler;
 use eel_edit::{Cfg, EditSession, Executable};
 use eel_pipeline::{MachineModel, StallProfile};
 use eel_qpt::{ProfileOptions, Profiler};
-use eel_sim::{run_with, RunConfig, RunResult, SimError};
-use eel_telemetry::trace::OwnedEvent;
-use eel_telemetry::{fnv1a, Registry, RunReport, Snapshot, TraceFile, Traced, Tracer};
+use eel_sim::{run_with, RunConfig, RunResult};
+use eel_telemetry::{fnv1a, Registry, RunReport, Snapshot, Traced, Tracer};
 use eel_workloads::{Benchmark, BuildOptions, Suite};
 
 use crate::experiment::{ExperimentConfig, Row};
@@ -206,7 +205,6 @@ pub struct Engine {
     mem: Mutex<HashMap<u64, CellValue>>,
     telemetry: Registry,
     tracer: Option<Arc<Tracer>>,
-    flight_dir: Option<PathBuf>,
 }
 
 const _: () = {
@@ -226,7 +224,6 @@ impl Engine {
             mem: Mutex::new(HashMap::new()),
             telemetry: Registry::new(),
             tracer: None,
-            flight_dir: None,
         }
     }
 
@@ -241,21 +238,11 @@ impl Engine {
 
     /// Attaches a flight recorder: every stage, cell decision,
     /// scheduler pass, and simulator run records trace events into
-    /// `tracer`, and a simulation fault dumps the last events (see
-    /// [`crate::report::write_flight_dump_in`]) before panicking.
-    /// Without a tracer the engine's hot paths keep their untraced
-    /// monomorphizations.
+    /// `tracer`. Without a tracer the engine's hot paths keep their
+    /// untraced monomorphizations.
     #[must_use]
     pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Engine {
         self.tracer = Some(tracer);
-        self
-    }
-
-    /// Where fault-path flight dumps are written; defaults to
-    /// [`crate::report::results_dir`]. Only meaningful with a tracer.
-    #[must_use]
-    pub fn with_flight_dir(mut self, dir: impl Into<PathBuf>) -> Engine {
-        self.flight_dir = Some(dir.into());
         self
     }
 
@@ -311,53 +298,6 @@ impl Engine {
         v
     }
 
-    fn run_config(&self) -> RunConfig {
-        let mut config = RunConfig {
-            timing: Some(self.cfg.timing.clone()),
-            ..RunConfig::default()
-        };
-        if let Some(limit) = self.cfg.max_instructions {
-            config.max_instructions = limit;
-        }
-        config
-    }
-
-    /// Aborts a faulted simulation: emit the fault event, write the
-    /// flight-recorder dump (the last events leading up to the fault,
-    /// including this run's `engine/sim_start`), and panic with the
-    /// dump path. Only reachable with a tracer attached; the untraced
-    /// path keeps its plain `expect`.
-    fn flight_abort(&self, tracer: &Tracer, stage: Stage, err: &SimError) -> ! {
-        let stage_name = STAGE_NAMES[stage as usize];
-        tracer.instant("engine", "fault", stage as u64, 0);
-        let file = TraceFile {
-            epoch_unix_ns: tracer.epoch_unix_ns(),
-            pid: u64::from(std::process::id()),
-            meta: [
-                ("kind".to_string(), "flight-dump".to_string()),
-                ("stage".to_string(), stage_name.to_string()),
-                ("error".to_string(), err.to_string()),
-            ]
-            .into(),
-            events: tracer.last(256).iter().map(OwnedEvent::from).collect(),
-        };
-        let dir = self
-            .flight_dir
-            .clone()
-            .unwrap_or_else(crate::report::results_dir);
-        match crate::report::write_flight_dump_in(&dir, &file) {
-            Ok(path) => panic!(
-                "simulation fault during the {stage_name} stage: {err}; \
-                 flight-recorder dump written to {}",
-                path.display()
-            ),
-            Err(io) => panic!(
-                "simulation fault during the {stage_name} stage: {err} \
-                 (flight-recorder dump failed: {io})"
-            ),
-        }
-    }
-
     /// One simulator invocation, timed to `stage`. `attribute_stalls`
     /// asks the simulator to classify every stall cycle as well.
     fn sim(
@@ -369,22 +309,20 @@ impl Engine {
     ) -> RunResult {
         self.telemetry.add("engine.sims", 1);
         let config = RunConfig {
+            timing: Some(self.cfg.timing.clone()),
             attribute_stalls,
-            ..self.run_config()
+            ..RunConfig::default()
         };
         self.stage(stage, || match self.tracer.as_deref() {
-            None => run_with(exe, Some(measured), &config, &self.telemetry)
-                .expect("generated workloads execute without faults"),
-            Some(tracer) => {
-                // Names the stage a later fault dump belongs to.
-                tracer.instant("engine", "sim_start", stage as u64, 0);
-                let sink = Traced::new(&self.telemetry, tracer);
-                match run_with(exe, Some(measured), &config, &sink) {
-                    Ok(r) => r,
-                    Err(e) => self.flight_abort(tracer, stage, &e),
-                }
-            }
+            None => run_with(exe, Some(measured), &config, &self.telemetry),
+            Some(tracer) => run_with(
+                exe,
+                Some(measured),
+                &config,
+                &Traced::new(&self.telemetry, tracer),
+            ),
         })
+        .expect("generated workloads execute without faults")
     }
 
     /// The content-hash key of one cell. It starts with the digest of
@@ -425,11 +363,6 @@ impl Engine {
         }
         if rescheduled_base {
             s.push_str("|rescheduled-base");
-        }
-        // Appended only when overridden, so default-budget runs keep
-        // their existing cache entries.
-        if let Some(limit) = self.cfg.max_instructions {
-            let _ = write!(s, "|maxinsn={limit}");
         }
         fnv1a(s.as_bytes())
     }
@@ -1276,11 +1209,10 @@ mod tests {
                 .iter()
                 .any(|e| e.cat == cat && e.name == name)
         };
-        // Engine stages as spans, plus the sim_start instants.
+        // Engine stages as spans.
         for stage in ["build", "baseline", "instrument", "schedule", "runs"] {
             assert!(has("engine", stage), "missing engine/{stage} span");
         }
-        assert!(has("engine", "sim_start"));
         // Cell lifecycle: three cold computes, and a warm re-measure
         // turns into memory hits.
         assert!(has("cell", "compute"));
@@ -1300,55 +1232,5 @@ mod tests {
             .events()
             .iter()
             .any(|e| e.cat == "engine" && e.name == "baseline" && e.dur_ns > 0));
-    }
-
-    #[test]
-    fn instruction_limit_fault_writes_flight_dump() {
-        let model = MachineModel::ultrasparc();
-        let dir = std::env::temp_dir().join(format!("eel-flight-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = ExperimentConfig {
-            // Far below any real run: the very first simulation trips
-            // the instruction-limit fault.
-            max_instructions: Some(1_000),
-            ..quick()
-        };
-        let tracer = Arc::new(Tracer::new(4096));
-        let engine = Engine::new(&model, &cfg)
-            .with_tracer(Arc::clone(&tracer))
-            .with_flight_dir(&dir);
-        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.measure(&cint95()[4], false)
-        }))
-        .expect_err("the truncated run must fault");
-        let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(
-            msg.contains("flight-recorder dump written to"),
-            "panic names the dump: {msg}"
-        );
-        let dump = std::fs::read_dir(&dir)
-            .expect("flight dir exists")
-            .flatten()
-            .map(|e| e.path())
-            .find(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("FLIGHT_") && n.ends_with(".jsonl"))
-            })
-            .expect("FLIGHT_*.jsonl written");
-        let trace = TraceFile::parse(&std::fs::read_to_string(&dump).unwrap()).expect("parses");
-        assert_eq!(trace.meta["kind"], "flight-dump");
-        assert_eq!(trace.meta["stage"], "baseline", "first sim faults");
-        assert!(trace.meta["error"].contains("instruction"));
-        // The dump holds the *last* events leading up to the fault:
-        // the failing run's simulator activity (block builds fill the
-        // window — this run died mid-warmup) and the fault marker.
-        assert!(trace
-            .events
-            .iter()
-            .any(|e| e.cat == "sim" && e.name == "block_build"));
-        let last = trace.events.last().expect("non-empty dump");
-        assert_eq!((last.cat.as_str(), last.name.as_str()), ("engine", "fault"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -42,11 +42,6 @@ pub struct ExperimentConfig {
     /// machine's nominal description. Setting a *different* machine is
     /// the gross model-mismatch ablation.
     pub scheduler_model: Option<MachineModel>,
-    /// Override the simulator's retired-instruction budget
-    /// (`RunConfig::max_instructions`); `None` keeps the default.
-    /// Lowering it forces the instruction-limit fault path — the
-    /// flight-recorder tests drive engine failures through this.
-    pub max_instructions: Option<u64>,
 }
 
 impl Default for ExperimentConfig {
@@ -63,7 +58,6 @@ impl Default for ExperimentConfig {
             sched: SchedOptions::default(),
             mem_bias: 2,
             scheduler_model: None,
-            max_instructions: None,
         }
     }
 }

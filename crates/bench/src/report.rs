@@ -1,18 +1,16 @@
-//! Results-directory housekeeping and the regression gate.
+//! Workspace paths and the regression gate.
 //!
-//! * **Traces** — flight-recorder traces and crash dumps, written
-//!   content-addressed under `results/` (`TRACE_<hash>.jsonl`,
-//!   `FLIGHT_<hash>.jsonl`). Runs write telemetry run reports only
-//!   where `eel experiment --report FILE` asks.
-//! * **Gate outcomes** — [`gate`] compares a fresh report against a
-//!   checked-in baseline: deterministic counters must match exactly,
-//!   wall-time metrics may regress at most `tolerance_pct`.
-//!   `eel perf-gate` turns a failed outcome into a nonzero exit.
+//! Nothing is written under `results/` except the published
+//! `NAME.txt` files; runs write telemetry run reports and traces only
+//! where `eel experiment --report FILE` or `--trace FILE` asks.
+//! [`gate`] compares a fresh report against a checked-in baseline:
+//! deterministic counters must match exactly, wall-time metrics may
+//! regress at most `tolerance_pct`. `eel perf-gate` turns a failed
+//! outcome into a nonzero exit.
 
-use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-use eel_telemetry::{fnv1a, HistogramSnapshot, RunReport, TraceFile};
+use eel_telemetry::{HistogramSnapshot, RunReport};
 
 /// The workspace root (two levels up from this crate's manifest).
 pub fn workspace_root() -> PathBuf {
@@ -22,37 +20,6 @@ pub fn workspace_root() -> PathBuf {
 /// The `results/` directory at the workspace root.
 pub fn results_dir() -> PathBuf {
     workspace_root().join("results")
-}
-
-/// Writes a flight-recorder trace to `TRACE_<hash>.jsonl` under
-/// `dir`, where the hash is the FNV-1a of the serialized body, so
-/// identical traces collapse to one file. Returns the path written.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_trace_report_in(trace: &TraceFile, dir: &Path) -> io::Result<PathBuf> {
-    let body = trace.to_jsonl();
-    let path = dir.join(format!("TRACE_{:016x}.jsonl", fnv1a(body.as_bytes())));
-    std::fs::create_dir_all(dir)?;
-    std::fs::write(&path, body)?;
-    Ok(path)
-}
-
-/// Writes a panic/error flight dump (the tracer's last events at the
-/// moment of failure) to `FLIGHT_<hash>.jsonl` under `dir`. Same
-/// content-addressing as [`write_trace_report_in`], different prefix
-/// so crash evidence is never GC'd or confused with healthy traces.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_flight_dump_in(dir: &Path, trace: &TraceFile) -> io::Result<PathBuf> {
-    let body = trace.to_jsonl();
-    let path = dir.join(format!("FLIGHT_{:016x}.jsonl", fnv1a(body.as_bytes())));
-    std::fs::create_dir_all(dir)?;
-    std::fs::write(&path, body)?;
-    Ok(path)
 }
 
 /// Deterministic counters the regression gate compares exactly: these
@@ -338,29 +305,5 @@ mod tests {
             .checks
             .iter()
             .any(|c| c.name == "stage.schedule_ns" && !c.pass));
-    }
-
-    #[test]
-    fn trace_and_flight_writers_are_content_addressed() {
-        let dir = std::env::temp_dir().join(format!("eel-tracewrite-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let tracer = eel_telemetry::Tracer::new(64);
-        tracer.instant("engine", "sim_start", 3, 0);
-        let trace = tracer.trace_file(&[("label", "t".to_string())]);
-        let a = write_trace_report_in(&trace, &dir).unwrap();
-        let b = write_trace_report_in(&trace, &dir).unwrap();
-        assert_eq!(a, b, "same content, same file");
-        let name = a.file_name().unwrap().to_str().unwrap();
-        assert!(name.starts_with("TRACE_") && name.ends_with(".jsonl"));
-        let back = TraceFile::parse(&std::fs::read_to_string(&a).unwrap()).unwrap();
-        assert_eq!(back.events.len(), 1);
-        let f = write_flight_dump_in(&dir, &trace).unwrap();
-        assert!(f
-            .file_name()
-            .unwrap()
-            .to_str()
-            .unwrap()
-            .starts_with("FLIGHT_"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

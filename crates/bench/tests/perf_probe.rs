@@ -2,8 +2,8 @@
 //! nightly SPEC95 differential: every workload — as built, QPT-
 //! instrumented and scheduled, the three executables the tables time —
 //! runs on the block engine and on the [`ReferenceCpu`] oracle under
-//! the tables' own timing, with an I-cache and predictor, with a data
-//! cache, and with stall attribution, and both must agree exactly.
+//! the tables' own timing, with an I-cache, with a data cache, and
+//! with stall attribution, and both must agree exactly.
 //! Ignored by default; run with
 //! `cargo test -p eel-bench --release --test perf_probe -- --ignored --nocapture`.
 
@@ -59,7 +59,6 @@ fn assert_exact(what: &str, exe: &Executable, fast: &RunResult, slow: &RunResult
         fast.dcache_misses, slow.dcache_misses,
         "{what}: dcache misses"
     );
-    assert_eq!(fast.mispredicts, slow.mispredicts, "{what}: mispredicts");
     assert_eq!(
         fast.stall_profile, slow.stall_profile,
         "{what}: attribution"
@@ -84,7 +83,6 @@ fn real_workloads() {
         timing: Some(TimingConfig {
             taken_branch_penalty: 1,
             icache: Some(Default::default()),
-            predictor: Some(Default::default()),
             ..TimingConfig::default()
         }),
         ..RunConfig::default()
@@ -103,7 +101,7 @@ fn real_workloads() {
                 ..RunConfig::default()
             },
         ),
-        ("icache+predictor", cfg.clone()),
+        ("icache", cfg.clone()),
         ("dcache", dcache),
         (
             "attributed",

@@ -5,7 +5,6 @@ use std::sync::Arc;
 
 use eel_bench::engine::Engine;
 use eel_bench::experiment::{format_csv, format_table, ExperimentConfig};
-use eel_bench::report::{results_dir, write_trace_report_in};
 use eel_core::{Priority, SchedOptions};
 use eel_pipeline::MachineModel;
 use eel_telemetry::Tracer;
@@ -89,8 +88,7 @@ pub(crate) fn experiment(mut args: Args) -> Result<String, CliError> {
         .unwrap_or_default();
     let exact_budget = args.parsed("--exact-budget")?;
     let flags = TableFlags::parse(&mut args)?;
-    let trace_flag = args.flag("--trace");
-    let trace_out = args.value("--trace-out")?;
+    let trace_path = args.value("--trace")?;
     args.finish()?;
     if exact_budget.is_some() && priority != Priority::Exact {
         return Err(err("--exact-budget needs --policy exact"));
@@ -116,7 +114,7 @@ pub(crate) fn experiment(mut args: Args) -> Result<String, CliError> {
     } else {
         format!(", {priority} policy")
     };
-    let tracer = (trace_flag || trace_out.is_some()).then(|| Arc::new(Tracer::new(1 << 16)));
+    let tracer = trace_path.is_some().then(|| Arc::new(Tracer::new(1 << 16)));
     let table = Table {
         title: format!(
             "Slow profiling instrumentation on the {}{protocol}{policy_note}",
@@ -144,25 +142,14 @@ pub(crate) fn experiment(mut args: Args) -> Result<String, CliError> {
         write(p, &engine.run_report("experiment", &meta).to_json())?;
         out.push_str(&format!("wrote run report {p}\n"));
     }
-    if let Some(t) = &tracer {
+    if let (Some(t), Some(p)) = (&tracer, &trace_path) {
         let meta = [
             ("label", "experiment".to_string()),
             ("machine", table.model.name().to_string()),
         ];
         let file = t.trace_file(&meta);
-        let written = match &trace_out {
-            Some(p) => {
-                write(p, &file.to_jsonl())?;
-                std::path::PathBuf::from(p)
-            }
-            None => write_trace_report_in(&file, &results_dir())
-                .map_err(|e| err(format!("trace write failed: {e}")))?,
-        };
-        out.push_str(&format!(
-            "wrote trace {} ({} events)\n",
-            written.display(),
-            file.events.len()
-        ));
+        write(p, &file.to_jsonl())?;
+        out.push_str(&format!("wrote trace {p} ({} events)\n", file.events.len()));
     }
     Ok(out)
 }

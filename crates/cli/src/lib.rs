@@ -21,7 +21,7 @@
 //!                [--iterations N] [--benchmark NAME] [--no-cache]
 //!                [--report FILE] [--policy POLICY]
 //!                [--corpus golden|full|FILE]
-//!                [--trace | --trace-out FILE]
+//!                [--trace FILE]
 //! eel results NAME [flags]          # stdout is results/NAME.txt
 //! eel perf-gate [--tolerance PCT] [--report FILE] [--update-baseline]
 //! eel trace FILE [--chrome OUT] [--check CAT,...] [--limit N]
@@ -139,13 +139,11 @@ commands:
       [--policy POLICY]                run report as JSON; --policy picks the
       [--corpus golden|full|FILE]      ready-list rule (stalls-first,
       [--exact-budget N]               chain-first, load-delay, lookahead[:k],
-      [--trace | --trace-out FILE]     or the exact branch-and-bound oracle);
+      [--trace FILE]                   or the exact branch-and-bound oracle);
                                        --corpus picks the benchmark set (a
                                        built-in name or an eel-corpus-v1
-                                       manifest); --trace records a
-                                       flight-recorder trace to
-                                       results/TRACE_<hash>.jsonl (or the
-                                       --trace-out path)
+                                       manifest); --trace writes a
+                                       flight-recorder trace to FILE
   results NAME                         regenerate results/NAME.txt on stdout
                                        (engine stats on stderr); NAME is one
                                        of table1 table2 table3 summary

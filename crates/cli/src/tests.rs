@@ -375,11 +375,16 @@ fn experiment_trace_records_renders_and_checks() {
         "--jobs",
         "2",
         "--no-cache",
-        "--trace-out",
+        "--trace",
         &t,
     ])
     .unwrap();
-    assert!(out.contains("wrote trace"), "{out}");
+    assert!(out.contains(&format!("wrote trace {t} (")), "{out}");
+    // `--trace` takes the path; there is no second trace flag.
+    let e = call(&["experiment", "--trace-out", &t])
+        .unwrap_err()
+        .to_string();
+    assert!(e.contains("unexpected argument `--trace-out`"), "{e}");
     let rendered = call(&["trace", &t]).unwrap();
     assert!(rendered.starts_with("trace:"), "{rendered}");
     assert!(rendered.contains("timeline"), "{rendered}");
@@ -503,6 +508,21 @@ fn errors_are_user_facing() {
         .unwrap_err()
         .to_string()
         .contains("x"));
+    // Huge cycle counts are one-line errors, not allocation aborts.
+    let f = tmp("huge-bias.eelx");
+    call(&["gen", "130.li", "-o", &f, "--iterations", "1"]).unwrap();
+    for bias in ["4000000000", "4294967295"] {
+        let e = call(&["run", &f, "--machine", "ultrasparc", "--load-bias", bias])
+            .unwrap_err()
+            .to_string();
+        assert!(e.contains(&format!("--load-bias {bias} is above")), "{e}");
+    }
+    std::fs::remove_file(&f).ok();
+    let s = tmp("huge-delay.sadl");
+    std::fs::write(&s, "machine m 1 1\nsem x is D 4000000000\n").unwrap();
+    let e = call(&["sadl", &s]).unwrap_err().to_string();
+    assert!(e.contains("sem `x`"), "{e}");
+    std::fs::remove_file(&s).ok();
 }
 
 /// A two-program generated corpus: small enough to run the full table
@@ -542,22 +562,17 @@ fn results_table1_and_experiment_share_one_table_driver() {
 
 #[test]
 fn results_names_are_the_published_files() {
-    let names: BTreeSet<&str> = results::RESULTS.iter().map(|(n, _)| *n).collect();
+    // `results/` holds exactly one `NAME.txt` per published result and
+    // nothing else: no command writes anything there.
+    let names: BTreeSet<String> = results::RESULTS
+        .iter()
+        .map(|(n, _)| format!("{n}.txt"))
+        .collect();
     let published: BTreeSet<String> = std::fs::read_dir(results_dir())
         .unwrap()
-        .filter_map(|e| {
-            let path = e.unwrap().path();
-            let stem = path.file_stem()?.to_str()?.to_string();
-            (path.extension()? == "txt").then_some(stem)
-        })
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
         .collect();
-    assert_eq!(
-        names,
-        published
-            .iter()
-            .map(String::as_str)
-            .collect::<BTreeSet<_>>()
-    );
+    assert_eq!(names, published);
 }
 
 #[test]

@@ -210,8 +210,19 @@ pub(crate) fn run(mut args: Args) -> Result<String, CliError> {
     let branch_penalty = args.parsed("--branch-penalty")?.unwrap_or(0);
     let load_bias = args.parsed("--load-bias")?.unwrap_or(0);
     args.finish()?;
+    let model = machine
+        .map(|m| {
+            let max = m.max_load_latency_bias();
+            if load_bias > max {
+                return Err(err(format!(
+                    "--load-bias {load_bias} is above {}'s limit of {max}",
+                    m.name()
+                )));
+            }
+            Ok(m.with_load_latency_bias(load_bias))
+        })
+        .transpose()?;
     let exe = load(&path)?;
-    let model = machine.map(|m| m.with_load_latency_bias(load_bias));
     let cfg = RunConfig {
         timing: model.as_ref().map(|_| TimingConfig {
             taken_branch_penalty: branch_penalty,

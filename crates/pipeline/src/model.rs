@@ -5,7 +5,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use eel_sadl::{ArchDescription, GroupId, RegClass, SadlError, TimingGroup};
+use eel_sadl::{ArchDescription, GroupId, RegClass, SadlError, TimingGroup, MAX_GROUP_CYCLES};
 use eel_sparc::{Instruction, Resource};
 use eel_telemetry::fnv1a;
 
@@ -340,15 +340,20 @@ impl MachineModel {
     /// reproducing the paper's model-vs-machine gap; it is also the
     /// "balanced scheduling" knob of Kerns & Eggers that the paper
     /// cites for handling uncertain memory latency.
+    ///
+    /// # Panics
+    ///
+    /// If `extra` exceeds [`MachineModel::max_load_latency_bias`].
     pub fn with_load_latency_bias(&self, extra: u32) -> MachineModel {
         if extra == 0 {
             return self.clone();
         }
+        assert!(
+            extra <= self.max_load_latency_bias(),
+            "a load-latency bias of {extra} makes a load longer than {MAX_GROUP_CYCLES} cycles"
+        );
         let mut desc = self.inner.desc.clone();
-        const LOADS: &[&str] = &["ld", "ldub", "ldsb", "lduh", "ldsh", "ldd", "ldf", "lddf"];
-        let ids: std::collections::HashSet<usize> =
-            LOADS.iter().filter_map(|m| desc.group_id(m)).collect();
-        for &id in &ids {
+        for id in load_groups(&desc) {
             let g = &mut desc.groups[id];
             for w in &mut g.writes {
                 w.1 += extra;
@@ -363,6 +368,19 @@ impl MachineModel {
                 compile_tables(desc).expect("bias changes no units; recompilation cannot fail"),
             ),
         }
+    }
+
+    /// The largest bias [`MachineModel::with_load_latency_bias`]
+    /// accepts: the one that makes the latest load result land in the
+    /// last cycle a timing group may have ([`MAX_GROUP_CYCLES`]).
+    pub fn max_load_latency_bias(&self) -> u32 {
+        let desc = &self.inner.desc;
+        let latest = load_groups(desc)
+            .into_iter()
+            .flat_map(|id| desc.groups[id].writes.iter().map(|w| w.1))
+            .max()
+            .unwrap_or(0);
+        (MAX_GROUP_CYCLES - 1).saturating_sub(latest)
     }
 
     /// The per-cycle cumulative unit occupancy of an instruction:
@@ -442,6 +460,13 @@ impl MachineModel {
     pub fn max_pattern_rows(&self) -> usize {
         self.inner.reservations.max_rows
     }
+}
+
+/// The distinct timing groups of the load instructions, which
+/// [`MachineModel::with_load_latency_bias`] lengthens.
+fn load_groups(desc: &ArchDescription) -> std::collections::BTreeSet<GroupId> {
+    const LOADS: &[&str] = &["ld", "ldub", "ldsb", "lduh", "ldsh", "ldd", "ldf", "lddf"];
+    LOADS.iter().filter_map(|m| desc.group_id(m)).collect()
 }
 
 /// Compiles a validated description into the shared table set: the

@@ -91,6 +91,11 @@ pub type UnitId = usize;
 /// Identifies a [`TimingGroup`] within an [`ArchDescription`].
 pub type GroupId = usize;
 
+/// The longest a [`TimingGroup`] may be, in cycles. Far above any
+/// shipped description (whose longest single delay is 37 cycles), and
+/// low enough that a group's per-cycle tables stay small.
+pub const MAX_GROUP_CYCLES: u32 = 1024;
+
 /// The timing and resource-usage pattern shared by a group of
 /// instructions — Spawn's per-group tables.
 ///

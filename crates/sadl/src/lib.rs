@@ -43,7 +43,7 @@ mod lexer;
 mod parser;
 mod spawn;
 
-pub use desc::{ArchDescription, GroupId, RegClass, TimingGroup, Unit, UnitId};
+pub use desc::{ArchDescription, GroupId, RegClass, TimingGroup, Unit, UnitId, MAX_GROUP_CYCLES};
 pub use error::{Pos, SadlError};
 pub use parser::parse;
 

@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
 
 use crate::ast::{Decl, Expr, SpannedDecl};
-use crate::desc::{ArchDescription, RegClass, TimingGroup, Unit};
+use crate::desc::{ArchDescription, RegClass, TimingGroup, Unit, MAX_GROUP_CYCLES};
 use crate::error::{Pos, SadlError};
 use crate::parser::parse;
 
@@ -110,6 +110,34 @@ impl Compiler {
 
     fn err(&self, msg: impl Into<String>) -> SadlError {
         SadlError::at(self.pos, msg.into())
+    }
+
+    /// `cycle + n`, or an error when that runs past the bound on a
+    /// group's length (or past `u32`).
+    fn later(&self, cycle: u32, n: u32) -> Result<u32, SadlError> {
+        cycle
+            .checked_add(n)
+            .filter(|&c| c <= MAX_GROUP_CYCLES)
+            .ok_or_else(|| self.err(format!("delay runs past {MAX_GROUP_CYCLES} cycles")))
+    }
+
+    /// Logs `num` more copies of unit `u` at cycle `at`.
+    fn log_copies(
+        &self,
+        log: &mut BTreeMap<(u32, usize), u32>,
+        at: u32,
+        u: usize,
+        num: u32,
+    ) -> Result<(), SadlError> {
+        let n = log.entry((at, u)).or_default();
+        *n = n.checked_add(num).ok_or_else(|| {
+            self.err(format!(
+                "more than {} copies of unit `{}` in one cycle",
+                u32::MAX,
+                self.units[u].name
+            ))
+        })?;
+        Ok(())
     }
 
     fn decl(&mut self, d: &SpannedDecl) -> Result<(), SadlError> {
@@ -258,6 +286,11 @@ impl Compiler {
         for &(_, c) in &state.writes {
             cycles = cycles.max(c + 1);
         }
+        if cycles > MAX_GROUP_CYCLES {
+            return Err(self.err(format!(
+                "sem `{name}` is longer than {MAX_GROUP_CYCLES} cycles"
+            )));
+        }
 
         let mut acquires = vec![Vec::new(); cycles as usize + 1];
         for (&(c, u), &n) in &state.acquires {
@@ -354,22 +387,23 @@ impl Compiler {
             }
             Expr::Acquire { unit, num } => {
                 let u = self.unit(unit)?;
-                *st.acquires.entry((st.cycle, u)).or_default() += num;
+                self.log_copies(&mut st.acquires, st.cycle, u, *num)?;
                 Ok(Value::Unit)
             }
             Expr::AcquireRelease { unit, num, delay } => {
                 let u = self.unit(unit)?;
-                *st.acquires.entry((st.cycle, u)).or_default() += num;
-                *st.releases.entry((st.cycle + delay, u)).or_default() += num;
+                self.log_copies(&mut st.acquires, st.cycle, u, *num)?;
+                let at = self.later(st.cycle, *delay)?;
+                self.log_copies(&mut st.releases, at, u, *num)?;
                 Ok(Value::Unit)
             }
             Expr::Release { unit, num } => {
                 let u = self.unit(unit)?;
-                *st.releases.entry((st.cycle, u)).or_default() += num;
+                self.log_copies(&mut st.releases, st.cycle, u, *num)?;
                 Ok(Value::Unit)
             }
             Expr::Delay(n) => {
-                st.cycle += n;
+                st.cycle = self.later(st.cycle, *n)?;
                 Ok(Value::Unit)
             }
             Expr::Index(name, idx) => {
@@ -754,6 +788,30 @@ mod tests {
         let err = ArchDescription::compile("machine m 1 1\nsem x is (iflag = 1 ? D 2 : D 1), D 1")
             .unwrap_err();
         assert!(err.to_string().contains("different amounts"));
+    }
+
+    #[test]
+    fn huge_delay_is_a_typed_error() {
+        let compile = |sem: &str| {
+            ArchDescription::compile(&format!(
+                "machine m 1 1\nunit U 1\nregister untyped{{32}} R[32]\nsem x is {sem}"
+            ))
+        };
+        for sem in [
+            "D 4000000000",
+            "D 4294967295, D 4294967295",
+            "AR U 1 4294967295",
+            "D 1024, a := R[rs1]",
+        ] {
+            let err = compile(sem).unwrap_err().to_string();
+            assert!(err.contains("sem `x`"), "{sem}: {err}");
+            assert!(err.contains("1024 cycles"), "{sem}: {err}");
+        }
+        let err = compile("A U 4294967295, A U 1").unwrap_err().to_string();
+        assert!(err.contains("copies of unit `U`"), "{err}");
+        // The bound itself is a legal length.
+        let d = compile("D 1024").expect("a group at the bound compiles");
+        assert_eq!(d.group_for("x").unwrap().cycles, MAX_GROUP_CYCLES);
     }
 
     #[test]

@@ -37,6 +37,8 @@ fn arb_sadl_text() -> impl Strategy<Value = String> {
         Just("<< ".to_string()),
         Just("42 ".to_string()),
         Just("0x1F ".to_string()),
+        Just("4000000000 ".to_string()),
+        Just("4294967295 ".to_string()),
         Just("// comment\n".to_string()),
         Just("\n".to_string()),
         "[a-zA-Z0-9_]{1,8} ".prop_map(|s| s),

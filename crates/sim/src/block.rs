@@ -37,16 +37,13 @@
 //!   miss probes the map or walks. Debug builds verify every hit
 //!   against the canonical serialized context, in the one replay
 //!   path every hit takes.
-//! * **Batched I-cache and predictor updates** — fetch probes for a
-//!   block are issued in program order in one batch at block entry
-//!   (the resulting miss pattern folds into the timing-memo key, so
-//!   penalties still land between the right issues on a memo walk);
-//!   conditional-branch outcomes are observed once at block exit
-//!   (the branch is always the last instruction). Hit/miss and
-//!   mispredict counts *and* cycles are identical to the
-//!   per-instruction reference — the probe and observe sequences are
-//!   the same — which tests in `crate::run` pin on crafted and random
-//!   traces.
+//! * **Batched I-cache updates** — fetch probes for a block are
+//!   issued in program order in one batch at block entry (the
+//!   resulting miss pattern folds into the timing-memo key, so
+//!   penalties still land between the right issues on a memo walk).
+//!   Hit/miss counts *and* cycles are identical to the
+//!   per-instruction reference — the probe sequences are the same —
+//!   which tests in `crate::run` pin on crafted and random traces.
 //! * **D-cache misses in the memo key** — a block's straight-line ops
 //!   run functionally *before* its timing walk, probing the D-cache in
 //!   program order into a per-instruction load-miss mask that folds
@@ -85,16 +82,13 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use eel_edit::Executable;
 use eel_pipeline::{BlockTransition, MachineModel, PipelineState, PreparedInsn, StallRecorder};
-use eel_sparc::{
-    Address, AluOp, Cond, ControlKind, FCond, FpOp, FpReg, Instruction, IntReg, MemWidth, Operand,
-};
+use eel_sparc::{Address, AluOp, Cond, FCond, FpOp, FpReg, Instruction, IntReg, MemWidth, Operand};
 use eel_telemetry::Sink;
 
 use crate::cpu::{dest_slot, Cpu, Icc, Step};
 use crate::error::SimError;
 use crate::icache::{ICache, ICacheConfig};
 use crate::memory::Memory;
-use crate::predictor::BranchPredictor;
 use crate::run::{RunConfig, RunResult};
 
 /// Longest straight-line block the builder will form; regions longer
@@ -543,9 +537,6 @@ struct Block {
     content: u64,
     /// Loads + stores in the block.
     mem_ops: u64,
-    /// Whether the terminator is a conditional branch (predictor
-    /// observation point).
-    cond_branch: bool,
     /// Completed executions, expanded into per-word counts at run end.
     execs: u64,
     /// Taken terminator executions, added to the terminator word's
@@ -647,7 +638,6 @@ fn build_block(
         start,
         content: fnv1a64(&words),
         mem_ops: insns.iter().filter(|i| i.is_mem()).count() as u64,
-        cond_branch: insns[n - 1].control_kind() == ControlKind::CondBranch,
         prepared,
         ops,
         term,
@@ -737,7 +727,6 @@ struct Timer<'a> {
     pipe: PipelineState,
     icache: Option<ICache>,
     dcache: Option<ICache>,
-    predictor: Option<BranchPredictor>,
     /// Present when stall attribution was requested.
     recorder: Option<StallRecorder>,
     memo: TimingMemo,
@@ -941,18 +930,8 @@ impl Timer<'_> {
         i
     }
 
-    /// Charges a retired control transfer's fetch costs in reference
-    /// order: a conditional branch's mispredict penalty, then the
-    /// taken-transfer penalty.
-    fn retire_cti(&mut self, pc: u32, cond_branch: bool, taken: bool) {
-        if cond_branch {
-            if let Some(pred) = self.predictor.as_mut() {
-                if pred.observe(pc, taken) {
-                    let penalty = u64::from(pred.penalty());
-                    self.advance_pipe(penalty);
-                }
-            }
-        }
+    /// Charges a retired control transfer's taken-transfer penalty.
+    fn retire_cti(&mut self, taken: bool) {
         if taken {
             self.advance_pipe(self.taken_penalty);
         }
@@ -1022,8 +1001,7 @@ impl Engine<'_> {
         match step {
             Step::Continue { taken_cti } => {
                 if let Some(t) = self.timer.as_mut() {
-                    let cond = insn.control_kind() == ControlKind::CondBranch;
-                    t.retire_cti(pc, cond, taken_cti);
+                    t.retire_cti(taken_cti);
                 }
                 if taken_cti {
                     self.taken_counts[word_idx] += 1;
@@ -1145,7 +1123,7 @@ impl Engine<'_> {
         self.mem_ops += block.mem_ops;
         block.execs += 1;
         if let Some(t) = self.timer.as_mut() {
-            t.retire_cti(term_pc, block.cond_branch, taken_cti);
+            t.retire_cti(taken_cti);
         }
         if taken_cti {
             block.taken += 1;
@@ -1376,7 +1354,6 @@ pub(crate) fn run_blocks<S: Sink>(
                     miss_penalty: c.miss_penalty,
                 })
             }),
-            predictor: timing.predictor.map(BranchPredictor::new),
             recorder: config.attribute_stalls.then(StallRecorder::new),
             memo: TimingMemo::default(),
             ctx: 0,
@@ -1504,10 +1481,6 @@ pub(crate) fn run_blocks<S: Sink>(
         pc_counts: eng.pc_counts,
         icache_misses: timer.as_ref().map_or(0, |t| cache_misses(&t.icache)),
         dcache_misses: timer.as_ref().map_or(0, |t| cache_misses(&t.dcache)),
-        mispredicts: timer
-            .as_ref()
-            .and_then(|t| t.predictor.as_ref())
-            .map_or(0, BranchPredictor::mispredicts),
         taken_branches,
         mem_ops: eng.mem_ops,
         taken_counts: eng.taken_counts,

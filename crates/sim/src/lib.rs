@@ -9,8 +9,8 @@
 //! demand-grown register windows, and an exit trap (`ta 0`). The
 //! timing engine ([`run`]) retires each instruction through the same
 //! SADL-derived pipeline state the scheduler consults
-//! (`eel-pipeline`), optionally adding taken-branch, cache, and
-//! mispredict penalties the scheduler's model deliberately omits —
+//! (`eel-pipeline`), optionally adding taken-branch and cache
+//! penalties the scheduler's model deliberately omits —
 //! reproducing the paper's model-vs-machine gap. Every run executes on
 //! a block-memoized replay engine that lowers each basic block once
 //! into ops with their register-file slots resolved (one op per hot
@@ -30,7 +30,6 @@ mod cpu;
 mod error;
 mod icache;
 mod memory;
-mod predictor;
 mod reference;
 mod run;
 
@@ -38,6 +37,5 @@ pub use cpu::{Cpu, Fcc, Icc, Step, STACK_TOP};
 pub use error::SimError;
 pub use icache::{DCacheConfig, ICache, ICacheConfig};
 pub use memory::Memory;
-pub use predictor::{BranchPredictor, BranchPredictorConfig};
 pub use reference::ReferenceCpu;
 pub use run::{run, run_with, RunConfig, RunResult, TimingConfig};

@@ -11,7 +11,6 @@ use crate::cpu::{Cpu, Step};
 use crate::error::SimError;
 use crate::icache::{ICache, ICacheConfig};
 use crate::memory::Memory;
-use crate::predictor::BranchPredictor;
 use crate::run::{RunConfig, RunResult};
 
 /// The interpretive simulator: executes one instruction at a time,
@@ -19,7 +18,7 @@ use crate::run::{RunConfig, RunResult};
 ///
 /// This is the slow, obviously-correct formulation. The block-level
 /// replay engine behind [`crate::run`] must agree with it exactly —
-/// cycle counts, per-word profiles, cache and predictor counters,
+/// cycle counts, per-word profiles, cache counters,
 /// stall attribution, and faults — which the differential property
 /// test `tests/block_vs_reference.rs` pins on random programs across
 /// all shipped machines.
@@ -52,9 +51,6 @@ impl ReferenceCpu {
                 miss_penalty: c.miss_penalty,
             })
         });
-        let mut predictor = timing
-            .and_then(|(t, _)| t.predictor)
-            .map(BranchPredictor::new);
 
         let mut recorder = if config.attribute_stalls && timing.is_some() {
             Some(StallRecorder::new())
@@ -111,15 +107,6 @@ impl ReferenceCpu {
             instructions += 1;
             match step {
                 Step::Continue { taken_cti } => {
-                    if let Some(p) = predictor.as_mut() {
-                        if insn.control_kind() == eel_sparc::ControlKind::CondBranch
-                            && p.observe(pc, taken_cti)
-                        {
-                            if let Some(pipe) = pipe.as_mut() {
-                                pipe.advance(u64::from(p.penalty()));
-                            }
-                        }
-                    }
                     if taken_cti {
                         taken_branches += 1;
                         taken_counts[word_idx] += 1;
@@ -142,7 +129,6 @@ impl ReferenceCpu {
                         pc_counts,
                         icache_misses: icache.map(|c| c.misses()).unwrap_or(0),
                         dcache_misses: dcache.map(|c| c.misses()).unwrap_or(0),
-                        mispredicts: predictor.map(|p| p.mispredicts()).unwrap_or(0),
                         taken_branches,
                         mem_ops,
                         taken_counts,

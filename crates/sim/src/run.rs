@@ -1,5 +1,5 @@
 //! The top-level simulator: functional execution optionally coupled to
-//! the pipeline timing model, caches, and a branch predictor.
+//! the pipeline timing model and caches.
 //!
 //! Every [`run`] executes on the block-replay engine (`crate::block`),
 //! which caches the decode/`prepare`/timing walk per basic block and
@@ -15,7 +15,6 @@ use eel_telemetry::Sink;
 use crate::error::SimError;
 use crate::icache::{DCacheConfig, ICacheConfig};
 use crate::memory::Memory;
-use crate::predictor::BranchPredictorConfig;
 
 /// How to time a run.
 #[derive(Debug, Clone, Default)]
@@ -29,10 +28,6 @@ pub struct TimingConfig {
     /// Optional data-cache model: load misses extend the load's result
     /// latency (a memory-system effect the SADL descriptions omit).
     pub dcache: Option<DCacheConfig>,
-    /// Optional two-bit branch predictor: conditional-branch
-    /// mispredicts charge their penalty (instead of, or on top of,
-    /// `taken_branch_penalty`).
-    pub predictor: Option<BranchPredictorConfig>,
 }
 
 /// Limits and options for a run.
@@ -77,8 +72,6 @@ pub struct RunResult {
     pub icache_misses: u64,
     /// Data-cache misses (0 when no cache was modeled).
     pub dcache_misses: u64,
-    /// Conditional-branch mispredictions (0 without a predictor).
-    pub mispredicts: u64,
     /// Number of taken control transfers.
     pub taken_branches: u64,
     /// Number of executed loads and stores.
@@ -460,41 +453,6 @@ mod tests {
     }
 
     #[test]
-    fn predictor_charges_mispredicts() {
-        let exe = loop_program(100);
-        let model = MachineModel::ultrasparc();
-        let base = run(
-            &exe,
-            Some(&model),
-            &RunConfig {
-                timing: Some(TimingConfig::default()),
-                ..RunConfig::default()
-            },
-        )
-        .unwrap();
-        let predicted = run(
-            &exe,
-            Some(&model),
-            &RunConfig {
-                timing: Some(TimingConfig {
-                    predictor: Some(BranchPredictorConfig::default()),
-                    ..TimingConfig::default()
-                }),
-                ..RunConfig::default()
-            },
-        )
-        .unwrap();
-        // The back edge trains quickly: only warmup + the final exit
-        // mispredict.
-        assert!(predicted.mispredicts <= 3, "{}", predicted.mispredicts);
-        assert!(predicted.cycles >= base.cycles);
-        assert!(
-            predicted.cycles <= base.cycles + 4 * (predicted.mispredicts + 1),
-            "penalty bounded by mispredicts"
-        );
-    }
-
-    #[test]
     fn taken_counts_track_branch_outcomes() {
         let exe = loop_program(5);
         let r = run(&exe, None, &RunConfig::default()).unwrap();
@@ -539,14 +497,13 @@ mod tests {
     /// Every observable a run produces, for cross-engine equality
     /// checks (the memory image is compared via the counter words the
     /// programs under test write).
-    fn observables(r: &RunResult) -> (u64, u64, u32, Vec<u64>, u64, u64, u64, u64, Vec<u64>) {
+    fn observables(r: &RunResult) -> (u64, u64, u32, Vec<u64>, u64, u64, u64, Vec<u64>) {
         (
             r.instructions,
             r.cycles,
             r.exit_code,
             r.pc_counts.clone(),
             r.icache_misses,
-            r.mispredicts,
             r.taken_branches,
             r.mem_ops,
             r.taken_counts.clone(),
@@ -554,10 +511,9 @@ mod tests {
     }
 
     #[test]
-    fn batched_icache_and_predictor_counts_match_reference_on_crafted_trace() {
-        // A two-level loop: the inner branch alternates taken/untaken
-        // (exercising predictor training and mispredicts), the outer
-        // back edge stays taken, and a tiny I-cache forces conflict
+    fn batched_icache_counts_match_reference_on_crafted_trace() {
+        // A two-level loop: the inner branch alternates taken/untaken,
+        // the outer back edge stays taken, and a tiny I-cache forces conflict
         // misses on every pass over the loop body. The batched
         // per-block probes and the reference's per-instruction probes
         // must count identically.
@@ -596,21 +552,19 @@ mod tests {
                     miss_penalty: 6,
                 }),
                 dcache: None,
-                predictor: Some(BranchPredictorConfig::default()),
             }),
             ..RunConfig::default()
         };
         let fast = run(&exe, Some(&model), &cfg).unwrap();
         let reference = crate::ReferenceCpu::run(&exe, Some(&model), &cfg).unwrap();
         assert!(fast.icache_misses > 2, "{}", fast.icache_misses);
-        assert!(fast.mispredicts > 2, "{}", fast.mispredicts);
         assert_eq!(observables(&fast), observables(&reference));
     }
 
     #[test]
     fn batched_flush_counts_match_reference_on_random_traces() {
         // Pseudo-random straight-line bodies inside a branchy loop
-        // skeleton, replayed under a small I-cache and a predictor.
+        // skeleton, replayed under a small I-cache.
         // An LCG drives instruction selection so the test is
         // deterministic without an RNG dependency.
         let mut seed = 0x2545_f491_4f6c_dd1du64;
@@ -664,7 +618,6 @@ mod tests {
                         miss_penalty: 1 + next(8),
                     }),
                     dcache: None,
-                    predictor: Some(BranchPredictorConfig::default()),
                 }),
                 ..RunConfig::default()
             };

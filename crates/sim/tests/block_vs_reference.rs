@@ -2,11 +2,11 @@
 //! [`eel_sim::run`] must agree **exactly** with the per-instruction
 //! [`ReferenceCpu`] oracle — same retired-instruction count, same
 //! cycle count, same exit code or fault, same execution and
-//! taken-edge profiles, same cache/predictor totals, same stall
-//! attribution, and same final memory — on randomized programs, on
-//! every shipped machine model, functional-only and under every
-//! timing shape the engine specializes (bare pipeline, I-cache and
-//! predictor, D-cache, with and without stall attribution).
+//! taken-edge profiles, same cache totals, same stall attribution,
+//! and same final memory — on randomized programs, on every shipped
+//! machine model, functional-only and under every timing shape the
+//! engine specializes (bare pipeline, I-cache, D-cache, with and
+//! without stall attribution).
 //!
 //! Programs come from three generators: raw word soup (decode is
 //! total, so arbitrary `u32`s explore the whole instruction space,
@@ -21,10 +21,7 @@
 
 use eel_edit::Executable;
 use eel_pipeline::MachineModel;
-use eel_sim::{
-    run, BranchPredictorConfig, DCacheConfig, ICacheConfig, ReferenceCpu, RunConfig, SimError,
-    TimingConfig,
-};
+use eel_sim::{run, DCacheConfig, ICacheConfig, ReferenceCpu, RunConfig, SimError, TimingConfig};
 use eel_sparc::{Address, Assembler, Cond, IntReg, Operand};
 use proptest::prelude::*;
 
@@ -118,7 +115,6 @@ fn assert_engines_agree(exe: &Executable, model: Option<&MachineModel>, cfg: &Ru
             assert_eq!(a.taken_counts, b.taken_counts, "taken profile on {name}");
             assert_eq!(a.icache_misses, b.icache_misses, "icache misses on {name}");
             assert_eq!(a.dcache_misses, b.dcache_misses, "dcache misses on {name}");
-            assert_eq!(a.mispredicts, b.mispredicts, "mispredicts on {name}");
             assert_eq!(a.taken_branches, b.taken_branches, "taken branches");
             assert_eq!(a.mem_ops, b.mem_ops, "mem ops");
             assert_eq!(a.stall_profile, b.stall_profile, "attribution on {name}");
@@ -142,10 +138,9 @@ fn assert_engines_agree(exe: &Executable, model: Option<&MachineModel>, cfg: &Ru
 }
 
 /// Every timing shape the engine specializes: bare pipeline timing;
-/// the full measured machine with a deliberately tiny I-cache and
-/// predictor so conflict misses and mispredicts are dense; the same
-/// with a tiny D-cache; and attributed variants of the bare and
-/// D-cache shapes.
+/// the full measured machine with a deliberately tiny I-cache so
+/// conflict misses are dense; the same with a tiny D-cache; and
+/// attributed variants of the bare and D-cache shapes.
 fn configs() -> Vec<RunConfig> {
     let bare = RunConfig {
         max_instructions: 20_000,
@@ -162,10 +157,6 @@ fn configs() -> Vec<RunConfig> {
             size: 256,
             line: 32,
             miss_penalty: 7,
-        }),
-        predictor: Some(BranchPredictorConfig {
-            entries: 16,
-            mispredict_penalty: 3,
         }),
         ..TimingConfig::default()
     });
@@ -372,56 +363,5 @@ fn crafted_icache_conflicts_count_identically() {
         fast.icache_misses > 100,
         "thrashing loop must miss every iteration, got {}",
         fast.icache_misses
-    );
-}
-
-/// Crafted mispredict stream: an alternating branch defeats two-bit
-/// counters, so mispredicts are dense; the block engine observes the
-/// predictor once per conditional branch at the terminator, exactly
-/// like the reference observes it per retired branch.
-#[test]
-fn crafted_alternating_branch_mispredicts_identically() {
-    let mut a = Assembler::new();
-    let top = a.new_label();
-    let skip = a.new_label();
-    a.set(200, IntReg::L0);
-    a.set(0, IntReg::L1);
-    a.bind(top);
-    // Toggle L1 between 0 and 1; branch on its value: taken,
-    // untaken, taken, … — the worst case for 2-bit counters.
-    a.xor(IntReg::L1, Operand::imm(1), IntReg::L1);
-    a.subcc(IntReg::L1, Operand::imm(0), IntReg::G0);
-    a.b(Cond::Ne, skip); // taken when L1 flipped to 1
-    a.nop();
-    a.add(IntReg::O0, Operand::imm(1), IntReg::O0);
-    a.bind(skip);
-    a.subcc(IntReg::L0, Operand::imm(1), IntReg::L0);
-    a.b(Cond::Ne, top);
-    a.nop();
-    a.ta(0);
-    let words: Vec<u32> = a.finish().unwrap().iter().map(|i| i.encode()).collect();
-    let mut exe = Executable::from_words(0x10000, words);
-    exe.reserve_bss(64);
-    let model = MachineModel::ultrasparc();
-    let cfg = RunConfig {
-        timing: Some(TimingConfig {
-            predictor: Some(BranchPredictorConfig {
-                entries: 64,
-                mispredict_penalty: 4,
-            }),
-            taken_branch_penalty: 1,
-            ..TimingConfig::default()
-        }),
-        ..RunConfig::default()
-    };
-    let fast = run(&exe, Some(&model), &cfg).unwrap();
-    let refr = ReferenceCpu::run(&exe, Some(&model), &cfg).unwrap();
-    assert_eq!(fast.mispredicts, refr.mispredicts);
-    assert_eq!(fast.cycles, refr.cycles);
-    assert_eq!(fast.taken_branches, refr.taken_branches);
-    assert!(
-        fast.mispredicts > 80,
-        "alternation defeats 2-bit counters, got {}",
-        fast.mispredicts
     );
 }

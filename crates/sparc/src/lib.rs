@@ -43,10 +43,8 @@ mod decode;
 mod disasm;
 mod encode;
 mod insn;
-mod parse;
 mod regs;
 
 pub use builder::{AsmError, Assembler, Label};
 pub use insn::{Address, AluOp, Cond, ControlKind, FCond, FpOp, Instruction, MemWidth, Operand};
-pub use parse::{parse_instruction, parse_listing, ParseError};
 pub use regs::{FpReg, IntReg, Resource, ResourceList};

@@ -1,8 +1,7 @@
 //! Property tests for encode/decode and def/use invariants.
 
 use eel_sparc::{
-    parse_instruction, Address, AluOp, Cond, FCond, FpOp, FpReg, Instruction, IntReg, MemWidth,
-    Operand, Resource,
+    Address, AluOp, Cond, FCond, FpOp, FpReg, Instruction, IntReg, MemWidth, Operand, Resource,
 };
 use proptest::prelude::*;
 
@@ -144,24 +143,6 @@ proptest! {
     #[test]
     fn delay_slots_match_cti(insn in arb_instruction()) {
         prop_assert_eq!(insn.is_cti(), insn.has_delay_slot());
-    }
-
-    /// Disassembly parses back to the same instruction, for every
-    /// canonically constructed instruction. (Unary FP ops print no
-    /// `rs1`, and `jmpl %i7+8/%o7+8, %g0` print as `ret`/`retl`, so
-    /// those are normalized before comparing.)
-    #[test]
-    fn parse_inverts_disassembly(insn in arb_instruction()) {
-        let canonical = match insn {
-            Instruction::Fp { op, rs2, rd, .. } if op.is_unary() => {
-                Instruction::Fp { op, rs1: FpReg::F0, rs2, rd }
-            }
-            other => other,
-        };
-        let text = canonical.to_string();
-        let parsed = parse_instruction(&text)
-            .unwrap_or_else(|e| panic!("`{text}` fails to parse: {e}"));
-        prop_assert_eq!(parsed, canonical, "{}", text);
     }
 
     /// Retargeting a direct CTI changes only the displacement.

@@ -10,8 +10,7 @@
 //! a global sequence number. Recording is bounded: events land in
 //! per-thread-striped rings that overwrite their oldest entries, so a
 //! tracer can stay attached to an arbitrarily long run and always hold
-//! the most recent window — the flight-recorder property the
-//! post-mortem dump is built on.
+//! the most recent window — the flight-recorder property.
 //!
 //! # Clock semantics
 //!
@@ -151,11 +150,6 @@ impl Tracer {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// The Unix-time anchor (nanoseconds) of this tracer's epoch.
-    pub fn epoch_unix_ns(&self) -> u64 {
-        self.epoch_unix_ns
-    }
-
     fn push(&self, e: Event) {
         let stripe = e.tid as usize % STRIPES;
         self.stripes[stripe]
@@ -204,16 +198,6 @@ impl Tracer {
         }
         out.sort_unstable_by_key(|e| e.seq);
         out
-    }
-
-    /// The most recent `n` events by sequence number — the
-    /// flight-recorder window a post-mortem dump writes.
-    pub fn last(&self, n: usize) -> Vec<Event> {
-        let mut all = self.events();
-        if all.len() > n {
-            all.drain(..all.len() - n);
-        }
-        all
     }
 
     /// Total events pushed since creation (including overwritten ones).

@@ -124,23 +124,6 @@ fn scheduling_helps_or_is_harmless_on_every_benchmark() {
 }
 
 #[test]
-fn disassembly_listings_parse_back_exactly() {
-    // Disassemble a whole edited workload and parse the listing back:
-    // text→assembly→text is the identity.
-    use eel_repro::sparc::parse_listing;
-    let bench = &spec95()[5]; // ijpeg
-    let exe = bench.build(&BuildOptions {
-        iterations: Some(2),
-        optimize: None,
-    });
-    let mut session = EditSession::new(&exe).expect("analyzable");
-    let _p = Profiler::instrument(&mut session, ProfileOptions::default());
-    let edited = session.emit_unscheduled().expect("layout");
-    let parsed = parse_listing(&edited.disassemble()).expect("listing parses");
-    assert_eq!(parsed, edited.decode_text());
-}
-
-#[test]
 fn instruction_counts_grow_by_instrumentation_only() {
     let bench = &spec95()[3]; // compress
     let exe = bench.build(&BuildOptions {

@@ -1,6 +1,7 @@
 //! The headline numbers the documents quote are the code's: every
 //! bold number in README's one-paragraph summary and in
-//! EXPERIMENTS.md's *Headline* and *Table 1–3* sections must read, at
+//! EXPERIMENTS.md's *Headline*, *Table 1–3* and *Ablations* sections
+//! must read, at
 //! its printed precision, what the named row and column of its
 //! `results/` file says. Each of those places carries one source note,
 //! an HTML comment listing `FILE | ROW | COLUMN` for its bold numbers
@@ -26,6 +27,7 @@ const PLACES: &[(&str, &str)] = &[
         "EXPERIMENTS.md",
         "## Table 3 — slow profiling on the SuperSPARC",
     ),
+    ("EXPERIMENTS.md", "## Ablations (DESIGN.md §5)"),
 ];
 
 const NOTE_START: &str = "<!-- source:";
@@ -139,22 +141,23 @@ fn fields(line: &str) -> Vec<(&str, usize)> {
 
 /// The printed cell of `file` at (`row`, `column`).
 ///
-/// In a file with a header line (first field `Benchmark`; fields are
-/// separated by two or more spaces), the row is the line whose first
-/// field is `row`, the column is the header field whose right edge
-/// the cell's right edge meets, and the cell is that field's first
-/// number. Elsewhere a line reads `LABEL: VALUE` pairs, compared with
-/// runs of spaces collapsed: the row is the text the line starts with,
-/// either a name before its first label or that label itself, and the
-/// column is a label (empty for the row's own).
+/// In a file with a header line naming `column` (fields are separated
+/// by two or more spaces, as in `Benchmark  …  %Hidden` or
+/// `configuration  %hidden`), the row is the first line below it
+/// whose first field is `row`, the column is the header field whose
+/// right edge the cell's right edge meets, and the cell is that
+/// field's first number. Elsewhere a line reads `LABEL: VALUE` pairs,
+/// compared with runs of spaces collapsed: the row is the text the
+/// line starts with, either a name before its first label or that
+/// label itself, and the column is a label (empty for the row's own).
 fn cell(file: &str, row: &str, column: &str) -> Option<Printed> {
     let lines: Vec<&str> = file.lines().collect();
-    if let Some(header) = lines
+    if let Some(h) = lines
         .iter()
-        .find(|l| fields(l).first().is_some_and(|f| f.0 == "Benchmark"))
+        .position(|l| fields(l).iter().any(|f| f.0 == column))
     {
-        let end = fields(header).into_iter().find(|f| f.0 == column)?.1;
-        let line = lines
+        let end = fields(lines[h]).into_iter().find(|f| f.0 == column)?.1;
+        let line = lines[h + 1..]
             .iter()
             .find(|l| fields(l).first().is_some_and(|f| f.0 == row))?;
         let (text, _) = fields(line).into_iter().find(|f| f.1 == end)?;
@@ -246,6 +249,26 @@ CFP95 Average                                     1.47     26.9%
     assert_eq!(pick("CFP95 Average", "Inst.").as_deref(), Some("1.47"));
     assert_eq!(pick("CFP95 Average", "Uninst."), None);
     assert_eq!(pick("103.su2cor", "%Hidden"), None);
+
+    let ablations = "\
+configuration                 %hidden
+baseline (paper's options)      17.7%
+mismatch: hyperSPARC model     -91.8%
+
+machine      stalls-first  chain-first
+UltraSPARC          15.8%        12.9%
+";
+    let pick = |row, column| cell(ablations, row, column).map(|p| p.text);
+    assert_eq!(
+        pick("baseline (paper's options)", "%hidden").as_deref(),
+        Some("17.7")
+    );
+    assert_eq!(
+        pick("mismatch: hyperSPARC model", "%hidden").as_deref(),
+        Some("-91.8")
+    );
+    assert_eq!(pick("UltraSPARC", "chain-first").as_deref(), Some("12.9"));
+    assert_eq!(pick("mismatch", "%hidden"), None, "a row is a whole name");
 
     let labels = "\
 UltraSPARC   SPECINT hidden:  12.3%   SPECFP hidden:  26.9%

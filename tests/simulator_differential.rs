@@ -72,7 +72,6 @@ fn assert_exact(what: &str, exe: &Executable, fast: &RunResult, slow: &RunResult
         fast.dcache_misses, slow.dcache_misses,
         "{what}: dcache misses"
     );
-    assert_eq!(fast.mispredicts, slow.mispredicts, "{what}: mispredicts");
     assert_eq!(
         fast.stall_profile, slow.stall_profile,
         "{what}: attribution"
