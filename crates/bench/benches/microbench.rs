@@ -1,6 +1,6 @@
 //! Microbenchmarks of the library's hot paths: SADL compilation, CFG
-//! construction, executable editing, the simulator's functional and
-//! timed kernels, and the static analyses. The scheduler's own kernel
+//! construction, executable editing, the simulator's functional, timed
+//! and D-cache-timed kernels, and the static analyses. The scheduler's own kernel
 //! is `sched_hot`'s.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -12,8 +12,8 @@ use eel_edit::{Cfg, EditSession};
 use eel_pipeline::MachineModel;
 use eel_qpt::{ProfileOptions, Profiler};
 use eel_sadl::ArchDescription;
-use eel_sim::{run, RunConfig};
-use eel_workloads::{spec95, BuildOptions};
+use eel_sim::{run, DCacheConfig, RunConfig};
+use eel_workloads::{spec95, Benchmark, BuildOptions};
 
 fn bench_sadl_compile(c: &mut Criterion) {
     c.bench_function("sadl/compile_ultrasparc", |b| {
@@ -64,14 +64,39 @@ fn bench_editing(c: &mut Criterion) {
 /// is the tables' own measurement: the engine's timing (a taken-branch
 /// penalty, so each taken transfer advances the pipe before its fused
 /// delay slot) on the memory-biased machine, over bodies optimized for
-/// that machine as the engine builds them.
+/// that machine as the engine builds them. The `timed_dcache` kernel is
+/// `dcache_effect`'s measurement: no flat load bias, a 4 KiB D-cache of
+/// 32-byte lines with 8-cycle misses, over bodies optimized for the
+/// unbiased machine.
 fn bench_simulator(c: &mut Criterion) {
     let tables = ExperimentConfig::default();
     let model = MachineModel::ultrasparc().with_load_latency_bias(tables.mem_bias);
+    let mut dcache_tables = ExperimentConfig {
+        mem_bias: 0,
+        ..ExperimentConfig::default()
+    };
+    dcache_tables.timing.dcache = Some(DCacheConfig {
+        size: 4096,
+        line: 32,
+        miss_penalty: 8,
+    });
+    let dcache_model = MachineModel::ultrasparc().with_load_latency_bias(dcache_tables.mem_bias);
     let functional = RunConfig::default();
     let timed = RunConfig {
         timing: Some(tables.timing),
         ..RunConfig::default()
+    };
+    let timed_dcache = RunConfig {
+        timing: Some(dcache_tables.timing),
+        ..RunConfig::default()
+    };
+    let build = |bench: &Benchmark, model: &MachineModel| {
+        let exe = bench.build(&BuildOptions {
+            iterations: Some(4000),
+            optimize: Some(model.clone()),
+        });
+        let insns = run(&exe, None, &functional).expect("runs").instructions;
+        (exe, Throughput::Elements(insns))
     };
     let mut g = c.benchmark_group("simulator");
     for name in ["130.li", "102.swim"] {
@@ -79,17 +104,18 @@ fn bench_simulator(c: &mut Criterion) {
             .into_iter()
             .find(|b| b.name == name)
             .expect("in the suite");
-        let exe = bench.build(&BuildOptions {
-            iterations: Some(4000),
-            optimize: Some(model.clone()),
-        });
-        let insns = run(&exe, None, &functional).expect("runs").instructions;
-        g.throughput(Throughput::Elements(insns));
+        let (exe, insns) = build(&bench, &model);
+        g.throughput(insns);
         g.bench_with_input(BenchmarkId::new("functional", name), &exe, |b, exe| {
             b.iter(|| black_box(run(exe, None, &functional).expect("runs")))
         });
         g.bench_with_input(BenchmarkId::new("timed", name), &exe, |b, exe| {
             b.iter(|| black_box(run(exe, Some(&model), &timed).expect("runs")))
+        });
+        let (exe, insns) = build(&bench, &dcache_model);
+        g.throughput(insns);
+        g.bench_with_input(BenchmarkId::new("timed_dcache", name), &exe, |b, exe| {
+            b.iter(|| black_box(run(exe, Some(&dcache_model), &timed_dcache).expect("runs")))
         });
     }
     g.finish();

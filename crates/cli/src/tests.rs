@@ -523,6 +523,21 @@ fn errors_are_user_facing() {
     let e = call(&["sadl", &s]).unwrap_err().to_string();
     assert!(e.contains("sem `x`"), "{e}");
     std::fs::remove_file(&s).ok();
+    // So is a unit held more than u32::MAX times at once.
+    let s = tmp("overheld.sadl");
+    let src = eel_sadl::descriptions::MICROSPARC.replacen(
+        "(\\op. single, D 1, s1 := R[rs1], s2 := src2,",
+        "(\\op. A ALU 3000000000, D 1, A ALU 3000000000, D 1, R ALU 3000000000, \
+         D 1, R ALU 3000000000, single, D 1, s1 := R[rs1], s2 := src2,",
+        1,
+    );
+    std::fs::write(&s, src).unwrap();
+    let e = call(&["sadl", &s]).unwrap_err().to_string();
+    assert!(
+        e.contains("holds unit `ALU` more than 4294967295 times"),
+        "{e}"
+    );
+    std::fs::remove_file(&s).ok();
 }
 
 /// A two-program generated corpus: small enough to run the full table

@@ -139,6 +139,9 @@ pub struct EditSession {
     /// get inline code; taken edges get an out-of-line trampoline the
     /// branch is retargeted through.
     edge_insertions: HashMap<(usize, usize, usize), Vec<Instruction>>,
+    /// The size of the first bss reservation that did not fit, which
+    /// makes [`EditSession::emit`] fail.
+    bss_overflow: Option<u32>,
 }
 
 impl EditSession {
@@ -154,6 +157,7 @@ impl EditSession {
             cfg,
             insertions: HashMap::new(),
             edge_insertions: HashMap::new(),
+            bss_overflow: None,
         })
     }
 
@@ -178,9 +182,16 @@ impl EditSession {
     }
 
     /// Reserves zero-initialized data space (e.g. for counter tables)
-    /// and returns its address.
+    /// and returns its address. A reservation that would run the data
+    /// segment past the end of the address space or the image limit
+    /// returns 0, so address arithmetic on the result cannot overflow,
+    /// and makes [`EditSession::emit`] fail with
+    /// [`EditError::BssOverflow`].
     pub fn reserve_bss(&mut self, bytes: u32) -> u32 {
-        self.exe.reserve_bss(bytes)
+        self.exe.try_reserve_bss(bytes).unwrap_or_else(|| {
+            self.bss_overflow.get_or_insert(bytes);
+            0
+        })
     }
 
     /// Registers instrumentation to prepend to a block. Repeated calls
@@ -336,12 +347,16 @@ impl EditSession {
     /// Returns [`EditError::BadTransform`] if a transform breaks the
     /// control tail or introduces a CTI into a body,
     /// [`EditError::BadBranchTarget`] if a branch target is not a block
-    /// leader, and [`EditError::TextOverflow`] if the rewritten text
-    /// would collide with the data segment.
+    /// leader, [`EditError::TextOverflow`] if the rewritten text
+    /// would collide with the data segment, and
+    /// [`EditError::BssOverflow`] if a bss reservation did not fit.
     pub fn emit<F>(&self, mut transform: F) -> Result<Executable, EditError>
     where
         F: FnMut(BlockInfo<'_>, BlockCode) -> BlockCode,
     {
+        if let Some(bytes) = self.bss_overflow {
+            return Err(EditError::BssOverflow { bytes });
+        }
         let mut new_text: Vec<u32> = Vec::with_capacity(self.exe.text_len() * 2);
         // old leader word index -> new word index
         let mut leader_map: HashMap<usize, usize> = HashMap::new();
@@ -714,6 +729,27 @@ mod tests {
         let addr = session.reserve_bss(16);
         assert_eq!(addr, Executable::DEFAULT_DATA_BASE);
         assert_eq!(session.exe().data_end(), addr + 16);
+    }
+
+    #[test]
+    fn bss_overflow_fails_the_emit() {
+        let mut a = Assembler::new();
+        a.retl();
+        a.nop();
+        let words: Vec<u32> = a.finish().unwrap().iter().map(|i| i.encode()).collect();
+        // The data segment ends 8 bytes below the top of the address
+        // space: 8 bytes fit, 16 more do not.
+        let exe = Executable::new(0x1000, words, 0xFFFF_FFF0, vec![0; 8], 0, 0x1000, vec![]);
+        let mut session = EditSession::new(&exe).unwrap();
+        assert_eq!(session.reserve_bss(4), 0xFFFF_FFF8);
+        assert!(session.emit_unscheduled().is_ok());
+        assert_eq!(session.reserve_bss(16), 0, "does not fit");
+        assert_eq!(session.exe().data_end(), 0xFFFF_FFFC, "left as it was");
+        let err = session.emit_unscheduled().unwrap_err();
+        assert_eq!(err, EditError::BssOverflow { bytes: 16 });
+        assert!(err
+            .to_string()
+            .contains("past the end of the address space"));
     }
 
     #[test]

@@ -51,6 +51,12 @@ pub enum EditError {
         /// What went wrong.
         what: &'static str,
     },
+    /// A bss reservation would have run the data segment past the end
+    /// of the address space or the image limit.
+    BssOverflow {
+        /// Size of the reservation, in bytes.
+        bytes: u32,
+    },
 }
 
 impl fmt::Display for EditError {
@@ -83,6 +89,11 @@ impl fmt::Display for EditError {
             EditError::BadTransform { block_addr, what } => {
                 write!(f, "transform of block at {block_addr:#x} {what}")
             }
+            EditError::BssOverflow { bytes } => write!(
+                f,
+                "reserving {bytes} bytes of bss runs the data segment past the \
+                 end of the address space or the image limit"
+            ),
         }
     }
 }

@@ -123,7 +123,8 @@ impl Executable {
             return Err("text overlaps data segment".into());
         }
         let data_bytes = data.len() as u64 + u64::from(bss_size);
-        if u64::from(data_base) + data_bytes > 1 << 32 {
+        // The segment's end address must fit in 32 bits.
+        if u64::from(data_base) + data_bytes >= 1 << 32 {
             return Err("data segment runs past the end of the address space".into());
         }
         if data_bytes > MAX_DATA_BYTES {
@@ -204,10 +205,27 @@ impl Executable {
     /// Extends the zero-initialized data area, returning the address
     /// of the newly reserved bytes (word-aligned). Instrumentation
     /// tools use this to allocate counter tables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the grown data segment would run past the end of the
+    /// address space or exceed the image limit.
     pub fn reserve_bss(&mut self, bytes: u32) -> u32 {
-        let aligned_end = (self.data_end() + 3) & !3;
-        self.bss_size = aligned_end - self.data_base - self.data.len() as u32 + bytes;
-        aligned_end
+        self.try_reserve_bss(bytes)
+            .expect("bss reservation fits the image")
+    }
+
+    /// [`Executable::reserve_bss`], or `None`, leaving the image as it
+    /// was, when the reservation does not fit.
+    pub(crate) fn try_reserve_bss(&mut self, bytes: u32) -> Option<u32> {
+        let base = u64::from(self.data_base);
+        let aligned_end = (u64::from(self.data_end()) + 3) & !3;
+        let data_bytes = aligned_end - base + u64::from(bytes);
+        if base + data_bytes >= 1 << 32 || data_bytes > MAX_DATA_BYTES {
+            return None;
+        }
+        self.bss_size = (data_bytes - self.data.len() as u64) as u32;
+        Some(aligned_end as u32)
     }
 
     /// Whether `addr` is a word-aligned text address.
@@ -329,6 +347,25 @@ mod tests {
         let b = e.reserve_bss(4);
         assert_eq!(b, a + 8);
         assert_eq!(e.data_end(), b + 4);
+    }
+
+    #[test]
+    fn reservations_stay_below_the_top_and_the_limit() {
+        let image = |data_base: u32, bss: u32| {
+            Executable::try_new(0x10000, vec![0], data_base, vec![1], bss, 0x10000, vec![])
+        };
+        // A data segment's end address must fit in 32 bits.
+        assert!(image(0xFFFF_FFF0, 15).is_err());
+        let mut e = image(0xFFFF_FFF0, 3).unwrap();
+        assert_eq!(e.try_reserve_bss(8), Some(0xFFFF_FFF4));
+        assert_eq!(e.try_reserve_bss(4), None, "would end at 2^32");
+        assert_eq!(e.data_end(), 0xFFFF_FFFC, "unchanged by the refusal");
+        let mut e = image(0x80_0000, (MAX_DATA_BYTES - 8) as u32).unwrap();
+        assert_eq!(e.try_reserve_bss(8), None, "past the image limit");
+        assert_eq!(
+            e.try_reserve_bss(4),
+            Some(0x80_0000 + MAX_DATA_BYTES as u32 - 4)
+        );
     }
 
     #[test]

@@ -474,11 +474,9 @@ fn load_groups(desc: &ArchDescription) -> std::collections::BTreeSet<GroupId> {
 /// the reference pipeline), the dense reservation tables, and the
 /// content hash.
 fn compile_tables(desc: ArchDescription) -> Result<ModelTables, ModelError> {
-    let usage: Vec<Vec<Vec<(usize, u32)>>> = desc
-        .groups
-        .iter()
-        .map(|g| occupancy(g, desc.units.len()))
-        .collect();
+    let usage: Vec<Vec<Vec<(usize, u32)>>> = (0..desc.groups.len())
+        .map(|gid| occupancy(&desc, gid))
+        .collect::<Result<_, _>>()?;
     let reservations = compile_reservations(&desc, &usage)?;
     let group_of = Instruction::ALL_TIMING_NAMES
         .iter()
@@ -583,18 +581,36 @@ fn canonical_description(desc: &ArchDescription) -> String {
     s
 }
 
-/// Rolls a group's acquire/release events into per-cycle cumulative
+/// Rolls group `gid`'s acquire/release events into per-cycle cumulative
 /// occupancy. Within a cycle, releases apply before acquires (per the
 /// paper's §3.1).
-fn occupancy(group: &TimingGroup, unit_kinds: usize) -> Vec<Vec<(usize, u32)>> {
-    let mut held = vec![0u32; unit_kinds];
+///
+/// # Errors
+///
+/// [`ModelError::Unsupported`] when the group holds a unit more than
+/// `u32::MAX` times at once, naming the unit and one of the group's
+/// mnemonics.
+fn occupancy(desc: &ArchDescription, gid: GroupId) -> Result<Vec<Vec<(usize, u32)>>, ModelError> {
+    let group = &desc.groups[gid];
+    let mut held = vec![0u32; desc.units.len()];
     let mut out = Vec::with_capacity(group.cycles as usize + 1);
     for c in 0..=group.cycles {
         for &(u, n) in group.releases_at(c) {
             held[u] = held[u].saturating_sub(n);
         }
         for &(u, n) in group.acquires_at(c) {
-            held[u] += n;
+            held[u] = held[u].checked_add(n).ok_or_else(|| {
+                let mnemonic = desc
+                    .mnemonics()
+                    .filter(|&m| desc.group_id(m) == Some(gid))
+                    .min()
+                    .unwrap_or("?");
+                ModelError::Unsupported(format!(
+                    "`{mnemonic}` holds unit `{}` more than {} times at once",
+                    desc.unit_name(u).unwrap_or("?"),
+                    u32::MAX
+                ))
+            })?;
         }
         out.push(
             held.iter()
@@ -604,7 +620,7 @@ fn occupancy(group: &TimingGroup, unit_kinds: usize) -> Vec<Vec<(usize, u32)>> {
                 .collect(),
         );
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -670,6 +686,29 @@ mod tests {
     fn bad_sadl_rejected() {
         let err = MachineModel::from_source("unit ALU").unwrap_err();
         assert!(matches!(err, ModelError::Sadl(_)));
+    }
+
+    #[test]
+    fn unit_held_past_u32_rejected() {
+        // Balanced, and each copy count fits in u32, but the two
+        // acquires hold 6e9 ALU copies at once.
+        let body = "(\\op. single, D 1, s1 := R[rs1], s2 := src2,";
+        let src = eel_sadl::descriptions::MICROSPARC.replacen(
+            body,
+            "(\\op. A ALU 3000000000, D 1, A ALU 3000000000, D 1, \
+             R ALU 3000000000, D 1, R ALU 3000000000, single, D 1, \
+             s1 := R[rs1], s2 := src2,",
+            1,
+        );
+        assert_ne!(src, eel_sadl::descriptions::MICROSPARC);
+        let err = MachineModel::from_source(&src).unwrap_err();
+        assert!(matches!(err, ModelError::Unsupported(_)), "{err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("unit `ALU`") && msg.contains("4294967295"),
+            "{msg}"
+        );
+        assert!(msg.contains("`smul`") || msg.contains("`umul`"), "{msg}");
     }
 
     #[test]

@@ -716,6 +716,7 @@ fn memo_key(content: u64, imiss: u64, dmiss: u64) -> u64 {
 /// Probes the D-cache for `insn`'s data access, if any, while the
 /// registers still hold their pre-execution values. Returns whether it
 /// was a load that missed: stores probe and fill, but delay nothing.
+#[inline(always)]
 fn load_missed(cache: &mut ICache, cpu: &Cpu, insn: &Instruction) -> bool {
     insn.mem_address()
         .is_some_and(|a| !cache.access(cpu.ea(a)) && insn.is_load())
@@ -754,6 +755,7 @@ impl Timer<'_> {
     /// Advances the issue point and folds the advance into the
     /// context chain. While a transition application is deferred the
     /// advance is only recorded; materialization replays it.
+    #[inline(always)]
     fn advance_pipe(&mut self, cycles: u64) {
         if cycles > 0 {
             self.virt_cycle += cycles;
@@ -787,6 +789,7 @@ impl Timer<'_> {
     /// a fused delay slot), charging a miss as a pipeline advance.
     /// `probe_gen` is the caller's all-hit skip state, as
     /// [`Block::probe_gen`].
+    #[inline(always)]
     fn fetch_one(&mut self, addr: u32, probe_gen: &mut u64) {
         let Some(cache) = self.icache.as_mut() else {
             return;
@@ -931,6 +934,7 @@ impl Timer<'_> {
     }
 
     /// Charges a retired control transfer's taken-transfer penalty.
+    #[inline(always)]
     fn retire_cti(&mut self, taken: bool) {
         if taken {
             self.advance_pipe(self.taken_penalty);
@@ -1191,11 +1195,12 @@ fn probe_block(cache: &mut ICache, block: &mut Block, entry_pc: u32) -> u64 {
     // decides hit/miss (and fills on a miss), so the line's remaining
     // words always hit — credit them without touching the tags.
     let mut missmask = 0u64;
-    let line_words = (cache.line() / 4).max(1) as usize;
+    let line_shift = cache.line_shift();
+    let line_words = 1usize << line_shift.saturating_sub(2);
     let mut i = 0;
     while i < n {
         let addr = entry_pc + 4 * i as u32;
-        let in_line = line_words - (addr / 4) as usize % line_words;
+        let in_line = line_words - ((addr >> 2) as usize & (line_words - 1));
         let span = in_line.min(n - i);
         if !cache.access(addr) {
             missmask |= 1u64 << i;
@@ -1209,9 +1214,8 @@ fn probe_block(cache: &mut ICache, block: &mut Block, entry_pc: u32) -> u64 {
     // valid even past misses — unless the block spans more
     // (consecutive) lines than the cache has sets, where a later line
     // can evict an earlier one mid-probe.
-    let line = u64::from(cache.line());
-    let first = u64::from(entry_pc) / line;
-    let last = (u64::from(entry_pc) + 4 * n as u64 - 1) / line;
+    let first = u64::from(entry_pc) >> line_shift;
+    let last = (u64::from(entry_pc) + 4 * n as u64 - 1) >> line_shift;
     block.probe_gen = if missmask == 0 || (last - first) < cache.sets() as u64 {
         cache.generation()
     } else {

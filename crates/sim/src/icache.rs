@@ -53,10 +53,20 @@ impl Default for ICacheConfig {
 }
 
 /// A direct-mapped instruction cache.
+///
+/// Both sizes are powers of two, so the geometry is kept as shifts and
+/// a mask: an address's line is `addr >> line_shift`, the line's set
+/// its low `set_shift` bits and its tag the bits above them.
 #[derive(Debug, Clone)]
 pub struct ICache {
     config: ICacheConfig,
     tags: Vec<Option<u32>>,
+    /// log2 of the line size.
+    line_shift: u32,
+    /// The set count minus one.
+    set_mask: u32,
+    /// log2 of the set count.
+    set_shift: u32,
     hits: u64,
     misses: u64,
 }
@@ -78,10 +88,13 @@ impl ICache {
             "line size must be a power of two"
         );
         assert!(config.size >= config.line, "cache smaller than one line");
-        let sets = (config.size / config.line) as usize;
+        let sets = config.size / config.line;
         ICache {
             config,
-            tags: vec![None; sets],
+            tags: vec![None; sets as usize],
+            line_shift: config.line.trailing_zeros(),
+            set_mask: sets - 1,
+            set_shift: sets.trailing_zeros(),
             hits: 0,
             misses: 0,
         }
@@ -89,10 +102,11 @@ impl ICache {
 
     /// Looks up (and fills) the line containing `addr`. Returns whether
     /// it hit.
+    #[inline]
     pub fn access(&mut self, addr: u32) -> bool {
-        let line_addr = addr / self.config.line;
-        let set = (line_addr as usize) % self.tags.len();
-        let tag = line_addr / self.tags.len() as u32;
+        let line_addr = addr >> self.line_shift;
+        let set = (line_addr & self.set_mask) as usize;
+        let tag = line_addr >> self.set_shift;
         if self.tags[set] == Some(tag) {
             self.hits += 1;
             true
@@ -108,9 +122,9 @@ impl ICache {
         self.config.miss_penalty
     }
 
-    /// Line size in bytes.
-    pub fn line(&self) -> u32 {
-        self.config.line
+    /// log2 of the line size in bytes.
+    pub fn line_shift(&self) -> u32 {
+        self.line_shift
     }
 
     /// Number of sets (direct-mapped: lines).
@@ -157,6 +171,7 @@ impl ICache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn sequential_accesses_hit_within_a_line() {
@@ -206,5 +221,91 @@ mod tests {
             line: 32,
             miss_penalty: 8,
         });
+    }
+
+    /// The textbook direct-mapped cache, by division: the oracle for
+    /// [`ICache::access`]'s shifts and mask.
+    struct DividingCache {
+        line: u32,
+        sets: u32,
+        tags: Vec<Option<u32>>,
+    }
+
+    impl DividingCache {
+        fn access(&mut self, addr: u32) -> bool {
+            let line_addr = addr / self.line;
+            let set = (line_addr % self.sets) as usize;
+            let tag = line_addr / self.sets;
+            let hit = self.tags[set] == Some(tag);
+            self.tags[set] = Some(tag);
+            hit
+        }
+    }
+
+    /// A run start: anywhere, or in a small window at either end of
+    /// the address space, so runs revisit and conflict with each other.
+    fn arb_start() -> impl Strategy<Value = u32> {
+        prop_oneof![any::<u32>(), 0u32..0x4000, (u32::MAX - 0x4000)..=u32::MAX,]
+    }
+
+    /// An address stream: sequential word runs, strided runs and
+    /// single arbitrary addresses. Runs wrap at the top of the space.
+    fn arb_stream() -> impl Strategy<Value = Vec<u32>> {
+        let run = prop_oneof![
+            (arb_start(), 1u32..48).prop_map(|(start, n)| {
+                (0..n)
+                    .map(|k| start.wrapping_add(4 * k))
+                    .collect::<Vec<_>>()
+            }),
+            (arb_start(), 0u32..18, 1u32..24).prop_map(|(start, log, n)| {
+                (0..n)
+                    .map(|k| start.wrapping_add(k << log))
+                    .collect::<Vec<_>>()
+            }),
+            arb_start().prop_map(|a| vec![a]),
+        ];
+        prop::collection::vec(run, 1..32).prop_map(|runs| runs.concat())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Every power-of-two geometry from 4 B to 64 KiB, with lines
+        /// of 4 to 256 B, hits and misses exactly where the dividing
+        /// model does.
+        #[test]
+        fn access_matches_a_dividing_model(
+            (line_log, extra) in (2u32..=8, 0u32..=14),
+            stream in arb_stream(),
+        ) {
+            let line = 1u32 << line_log;
+            let size = 1u32 << (line_log + extra).min(16);
+            let mut cache = ICache::new(ICacheConfig {
+                size,
+                line,
+                miss_penalty: 8,
+            });
+            let mut model = DividingCache {
+                line,
+                sets: size / line,
+                tags: vec![None; (size / line) as usize],
+            };
+            let mut hits = 0;
+            for (i, &addr) in stream.iter().enumerate() {
+                let hit = model.access(addr);
+                prop_assert_eq!(
+                    cache.access(addr),
+                    hit,
+                    "access {} at {:#x}, {}-byte cache of {}-byte lines",
+                    i,
+                    addr,
+                    size,
+                    line
+                );
+                hits += u64::from(hit);
+            }
+            prop_assert_eq!(cache.hits(), hits);
+            prop_assert_eq!(cache.misses(), stream.len() as u64 - hits);
+        }
     }
 }

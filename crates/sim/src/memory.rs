@@ -51,6 +51,18 @@ impl Memory {
         (i + size <= self.data.len()).then_some(i)
     }
 
+    /// [`Self::data_offset`] for a `size`-aligned access (`size` a
+    /// power of two): the word and doubleword accessors' inline fast
+    /// path. Everything else — an alignment fault, text, demand-zero
+    /// pages — goes through their one `#[cold]` slow path each.
+    #[inline(always)]
+    fn aligned_data_offset(&self, addr: u32, size: usize) -> Option<usize> {
+        if addr as usize & (size - 1) != 0 {
+            return None;
+        }
+        self.data_offset(addr, size)
+    }
+
     /// Fetches the instruction word at `addr`.
     ///
     /// # Errors
@@ -121,14 +133,22 @@ impl Memory {
     }
 
     /// Reads a 32-bit word (must be 4-aligned).
+    #[inline]
     pub fn read_u32(&mut self, addr: u32) -> Result<u32, SimError> {
-        if !addr.is_multiple_of(4) {
-            return Err(SimError::Unaligned { addr, size: 4 });
-        }
-        if let Some(i) = self.data_offset(addr, 4) {
+        if let Some(i) = self.aligned_data_offset(addr, 4) {
             return Ok(u32::from_be_bytes(
                 self.data[i..i + 4].try_into().expect("4 bytes"),
             ));
+        }
+        self.read_u32_slow(addr)
+    }
+
+    /// [`Self::read_u32`] off its fast path.
+    #[cold]
+    #[inline(never)]
+    fn read_u32_slow(&mut self, addr: u32) -> Result<u32, SimError> {
+        if !addr.is_multiple_of(4) {
+            return Err(SimError::Unaligned { addr, size: 4 });
         }
         let mut v = 0u32;
         for k in 0..4 {
@@ -138,13 +158,21 @@ impl Memory {
     }
 
     /// Writes a 32-bit word (must be 4-aligned).
+    #[inline]
     pub fn write_u32(&mut self, addr: u32, value: u32) -> Result<(), SimError> {
-        if !addr.is_multiple_of(4) {
-            return Err(SimError::Unaligned { addr, size: 4 });
-        }
-        if let Some(i) = self.data_offset(addr, 4) {
+        if let Some(i) = self.aligned_data_offset(addr, 4) {
             self.data[i..i + 4].copy_from_slice(&value.to_be_bytes());
             return Ok(());
+        }
+        self.write_u32_slow(addr, value)
+    }
+
+    /// [`Self::write_u32`] off its fast path.
+    #[cold]
+    #[inline(never)]
+    fn write_u32_slow(&mut self, addr: u32, value: u32) -> Result<(), SimError> {
+        if !addr.is_multiple_of(4) {
+            return Err(SimError::Unaligned { addr, size: 4 });
         }
         for k in 0..4 {
             self.write_u8(addr + k, (value >> (8 * (3 - k))) as u8)?;
@@ -153,26 +181,42 @@ impl Memory {
     }
 
     /// Reads a 64-bit doubleword (must be 8-aligned).
+    #[inline]
     pub fn read_u64(&mut self, addr: u32) -> Result<u64, SimError> {
-        if !addr.is_multiple_of(8) {
-            return Err(SimError::Unaligned { addr, size: 8 });
-        }
-        if let Some(i) = self.data_offset(addr, 8) {
+        if let Some(i) = self.aligned_data_offset(addr, 8) {
             return Ok(u64::from_be_bytes(
                 self.data[i..i + 8].try_into().expect("8 bytes"),
             ));
+        }
+        self.read_u64_slow(addr)
+    }
+
+    /// [`Self::read_u64`] off its fast path.
+    #[cold]
+    #[inline(never)]
+    fn read_u64_slow(&mut self, addr: u32) -> Result<u64, SimError> {
+        if !addr.is_multiple_of(8) {
+            return Err(SimError::Unaligned { addr, size: 8 });
         }
         Ok(u64::from(self.read_u32(addr)?) << 32 | u64::from(self.read_u32(addr + 4)?))
     }
 
     /// Writes a 64-bit doubleword (must be 8-aligned).
+    #[inline]
     pub fn write_u64(&mut self, addr: u32, value: u64) -> Result<(), SimError> {
-        if !addr.is_multiple_of(8) {
-            return Err(SimError::Unaligned { addr, size: 8 });
-        }
-        if let Some(i) = self.data_offset(addr, 8) {
+        if let Some(i) = self.aligned_data_offset(addr, 8) {
             self.data[i..i + 8].copy_from_slice(&value.to_be_bytes());
             return Ok(());
+        }
+        self.write_u64_slow(addr, value)
+    }
+
+    /// [`Self::write_u64`] off its fast path.
+    #[cold]
+    #[inline(never)]
+    fn write_u64_slow(&mut self, addr: u32, value: u64) -> Result<(), SimError> {
+        if !addr.is_multiple_of(8) {
+            return Err(SimError::Unaligned { addr, size: 8 });
         }
         self.write_u32(addr, (value >> 32) as u32)?;
         self.write_u32(addr + 4, value as u32)
@@ -183,6 +227,7 @@ impl Memory {
 mod tests {
     use super::*;
     use eel_sparc::Instruction;
+    use proptest::prelude::*;
 
     fn mem() -> Memory {
         let exe = Executable::new(
@@ -291,5 +336,164 @@ mod tests {
         // The top of the address space is paged memory too.
         m.write_u32(0xFFFF_FFFC, 0x1122_3344).unwrap();
         assert_eq!(m.read_u64(0xFFFF_FFF8).unwrap(), 0x1122_3344);
+    }
+
+    const TEXT_BASE: u32 = 0x10000;
+    /// Three text words: the text ends off a doubleword boundary.
+    const TEXT_WORDS: u32 = 3;
+    /// Off a doubleword boundary, so doublewords straddle both ends of
+    /// the data segment.
+    const DATA_BASE: u32 = 0x80_0004;
+    const DATA: [u8; 6] = [0x11, 0x22, 0x33, 0x44, 0x55, 0x66];
+    const BSS: u32 = 10;
+
+    fn edge_image() -> Executable {
+        Executable::new(
+            TEXT_BASE,
+            (0..TEXT_WORDS).map(|k| 0x0100_0000 | k).collect(),
+            DATA_BASE,
+            DATA.to_vec(),
+            BSS,
+            TEXT_BASE,
+            vec![eel_edit::Symbol {
+                name: "main".into(),
+                addr: TEXT_BASE,
+            }],
+        )
+    }
+
+    /// Memory as a map from address to byte: the oracle for the
+    /// accessors' fast and slow paths. Bytes are read and written one
+    /// at a time in address order, and a write stops at the first
+    /// text byte.
+    struct ByteMap {
+        bytes: HashMap<u32, u8>,
+        text_end: u32,
+    }
+
+    impl ByteMap {
+        fn load(exe: &Executable) -> ByteMap {
+            let text = exe.text().iter().flat_map(|w| w.to_be_bytes());
+            let data = exe.data().iter().copied();
+            let bytes = (exe.text_base()..)
+                .zip(text)
+                .chain((exe.data_base()..).zip(data))
+                .collect();
+            ByteMap {
+                bytes,
+                text_end: exe.text_end(),
+            }
+        }
+
+        fn aligned(addr: u32, size: u32) -> Result<(), SimError> {
+            if addr.is_multiple_of(size) {
+                Ok(())
+            } else {
+                Err(SimError::Unaligned { addr, size })
+            }
+        }
+
+        fn read(&self, addr: u32, size: u32) -> Result<u64, SimError> {
+            ByteMap::aligned(addr, size)?;
+            Ok((addr..=addr + (size - 1)).fold(0, |v, a| {
+                v << 8 | u64::from(self.bytes.get(&a).copied().unwrap_or(0))
+            }))
+        }
+
+        fn write(&mut self, addr: u32, size: u32, value: u64) -> Result<(), SimError> {
+            ByteMap::aligned(addr, size)?;
+            for (k, a) in (addr..=addr + (size - 1)).enumerate() {
+                if (TEXT_BASE..self.text_end).contains(&a) {
+                    return Err(SimError::TextWrite { addr: a });
+                }
+                let shift = 8 * (size as usize - 1 - k);
+                self.bytes.insert(a, (value >> shift) as u8);
+            }
+            Ok(())
+        }
+    }
+
+    fn read(m: &mut Memory, addr: u32, size: u32) -> Result<u64, SimError> {
+        match size {
+            1 => m.read_u8(addr).map(u64::from),
+            2 => m.read_u16(addr).map(u64::from),
+            4 => m.read_u32(addr).map(u64::from),
+            _ => m.read_u64(addr),
+        }
+    }
+
+    fn write(m: &mut Memory, addr: u32, size: u32, value: u64) -> Result<(), SimError> {
+        match size {
+            1 => m.write_u8(addr, value as u8),
+            2 => m.write_u16(addr, value as u16),
+            4 => m.write_u32(addr, value as u32),
+            _ => m.write_u64(addr, value),
+        }
+    }
+
+    /// An address within 16 bytes of an edge: the text, data and bss
+    /// boundaries, a stack page boundary, and both ends of the address
+    /// space (which wrap into each other).
+    fn arb_addr() -> impl Strategy<Value = u32> {
+        let data_end = DATA_BASE + DATA.len() as u32 + BSS;
+        let edges = vec![
+            TEXT_BASE,
+            TEXT_BASE + 4 * TEXT_WORDS,
+            DATA_BASE,
+            DATA_BASE + DATA.len() as u32,
+            data_end,
+            0x7FFF_F000,
+            0,
+            u32::MAX - 7,
+        ];
+        (prop::sample::select(edges), -16i32..16).prop_map(|(edge, d)| edge.wrapping_add(d as u32))
+    }
+
+    /// One access: (is a write, size, address, value). Three in four
+    /// are aligned to their size.
+    fn arb_access() -> impl Strategy<Value = (bool, u32, u32, u64)> {
+        (
+            any::<bool>(),
+            prop::sample::select(vec![1u32, 2, 4, 8]),
+            arb_addr(),
+            0u32..4,
+            any::<u64>(),
+        )
+            .prop_map(|(write, size, addr, skew, value)| {
+                let addr = if skew == 0 { addr } else { addr & !(size - 1) };
+                (write, size, addr, value)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Every read and write — aligned or not, inside the data
+        /// segment, straddling its edges, in text or in demand-zero
+        /// pages — returns the byte map's value or error.
+        #[test]
+        fn accesses_match_a_byte_map(accesses in prop::collection::vec(arb_access(), 1..64)) {
+            let exe = edge_image();
+            let mut m = Memory::load(&exe);
+            let mut model = ByteMap::load(&exe);
+            for (i, &(is_write, size, addr, value)) in accesses.iter().enumerate() {
+                if is_write {
+                    prop_assert_eq!(
+                        write(&mut m, addr, size, value),
+                        model.write(addr, size, value),
+                        "access {}: {}-byte write at {:#x}", i, size, addr
+                    );
+                } else {
+                    prop_assert_eq!(
+                        read(&mut m, addr, size),
+                        model.read(addr, size),
+                        "access {}: {}-byte read at {:#x}", i, size, addr
+                    );
+                }
+            }
+            for (&a, &b) in &model.bytes {
+                prop_assert_eq!(m.read_u8(a), Ok(b), "final byte at {:#x}", a);
+            }
+        }
     }
 }
