@@ -255,7 +255,7 @@ impl Engine {
     /// binaries share: `$EEL_CACHE_DIR` if set, otherwise
     /// `target/eel-artifacts` in the workspace; `EEL_NO_CACHE=1`
     /// disables it. Cells name the code that computed them (see
-    /// [`Engine::cell_key`]), so a rebuilt engine never serves a cell
+    /// `Engine::cell_key`), so a rebuilt engine never serves a cell
     /// an older build wrote.
     #[must_use]
     pub fn with_default_disk_cache(self) -> Engine {
@@ -1232,5 +1232,38 @@ mod tests {
             .events()
             .iter()
             .any(|e| e.cat == "engine" && e.name == "baseline" && e.dur_ns > 0));
+    }
+
+    mod cell_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// `parse_cell` never panics, and it returns a value only
+            /// for the exact body `cell_body` writes for it: on
+            /// arbitrary text, and on a valid body with flipped bytes and
+            /// a cut tail.
+            #[test]
+            fn cells_never_panic(
+                text in prop_oneof![".{0,64}", "v2 [-+0-9a-fx ]{0,60}", "v2 [-+0-9a-f\n ]{0,60}"],
+                (cycles, exit_code, bits) in (any::<u64>(), any::<u32>(), any::<u64>()),
+                flips in prop::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+                cut in any::<usize>(),
+            ) {
+                let body = cell_body(CellValue { cycles, exit_code, avg_bb: f64::from_bits(bits) });
+                prop_assert!(parse_cell(&body).is_some(), "a written body reads back");
+                let mut damaged = body.clone().into_bytes();
+                for (at, b) in flips {
+                    let i = at % damaged.len();
+                    damaged[i] = b;
+                }
+                damaged.truncate(cut % (2 * damaged.len()));
+                for text in [text, body, String::from_utf8_lossy(&damaged).into_owned()] {
+                    if let Some(v) = parse_cell(&text) {
+                        prop_assert_eq!(cell_body(v), text);
+                    }
+                }
+            }
+        }
     }
 }

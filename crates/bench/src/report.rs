@@ -148,7 +148,7 @@ const TIME_GATE_FLOOR_NS: f64 = 25_000_000.0;
 /// deterministic functions of the workload set). Per-stage wall times
 /// and the mean stall-query and simulator-run latencies may grow by
 /// at most `tolerance_pct` percent; shrinking is always fine. Stages
-/// under [`TIME_GATE_FLOOR_NS`] on both sides are exempt. A metric
+/// under `TIME_GATE_FLOOR_NS` (25 ms) on both sides are exempt. A metric
 /// present in the baseline but absent fresh fails its check
 /// (instrumentation went missing); metrics only the fresh report has
 /// are ignored (additive change).

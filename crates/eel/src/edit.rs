@@ -257,8 +257,9 @@ impl EditSession {
     /// # Panics
     ///
     /// Panics if the code contains a CTI, the edge does not exist, or
-    /// the edge is an [`Edge::Exit`] (instrument the block body end
-    /// instead — exits have no landing site to trampoline to).
+    /// the edge is an [`Edge::Exit`](crate::Edge::Exit) (instrument the
+    /// block body end instead — exits have no landing site to
+    /// trampoline to).
     pub fn insert_on_edge(
         &mut self,
         routine: usize,

@@ -37,5 +37,5 @@ mod trace;
 pub use attr::{attribute_block, CollectSink, StallCause, StallProfile, StallRecorder, StallSink};
 pub use model::{class_of, GroupTiming, MachineModel, ModelError, PreparedInsn};
 pub use reference::ReferencePipeline;
-pub use state::{evaluate_block, BlockTiming, BlockTransition, IssueInfo, PipelineState};
+pub use state::{evaluate_block, BlockTiming, IssueInfo, PipelineState};
 pub use trace::{chrome_trace, issue_trace, render_issue_trace, IssueSlot};

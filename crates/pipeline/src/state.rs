@@ -471,72 +471,6 @@ impl PipelineState {
 /// Separator between sections of a [`PipelineState::context_key`].
 const KEY_SEP: u32 = u32::MAX;
 
-/// A memoized pipeline transition: what a fixed straight-line
-/// instruction sequence does to a [`PipelineState`], relative to the
-/// entry cycle. Captured once after issuing the sequence on a state
-/// whose [`PipelineState::context_key`] matched, it can be replayed
-/// onto any state with the same key and leaves the pipe in a state
-/// that is *observationally identical* to issuing the sequence again:
-/// same future stall counts, same attribution, same completion
-/// cycles. (Internal fields may differ only where the difference is
-/// semantically dead — see `context_key` for the clamping argument.)
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct BlockTransition {
-    /// Issue-cycle delta from entry to exit (exit is the cycle of the
-    /// last issue, where the next instruction may still co-issue).
-    cycles: u64,
-    /// Latest completion cycle of the sequence, relative to entry.
-    completes: u64,
-    /// Exit `write_avail` values still live at exit, stored as
-    /// `(resource, write_avail + 1 - exit_cycle)` with the delta > 0.
-    wa: Vec<(u16, u32)>,
-    /// Exit `last_read` values still live at exit, stored as
-    /// `(resource, last_read - exit_cycle)` with the delta > 0.
-    lr: Vec<(u16, u32)>,
-    /// Unit deficits of the live span at exit:
-    /// `(cycle - exit_cycle, unit, full_count - free)`.
-    ring: Vec<(u32, u16, u32)>,
-    /// Live-span length past the exit cycle (`hi - exit_cycle`).
-    ring_rows: u64,
-}
-
-impl BlockTransition {
-    /// Issue-cycle delta from entry to exit.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Latest completion cycle relative to the entry cycle.
-    pub fn completes(&self) -> u64 {
-        self.completes
-    }
-
-    /// A hash of the transition's *exit picture* only (`wa`, `lr`,
-    /// `ring`, `ring_rows` — not the entry-dependent deltas): after
-    /// [`PipelineState::set_to_transition`] the pipe's semantic state
-    /// is exactly this picture anchored at the exit cycle, so equal
-    /// fingerprints identify equal exit contexts. The simulator's
-    /// context-id chain relies on this to converge in steady-state
-    /// loops.
-    pub fn exit_fingerprint(&self) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &(r, d) in &self.wa {
-            h = (h ^ (u64::from(r) << 32 | u64::from(d))).wrapping_mul(PRIME);
-        }
-        h = (h ^ u64::MAX).wrapping_mul(PRIME);
-        for &(r, d) in &self.lr {
-            h = (h ^ (u64::from(r) << 32 | u64::from(d))).wrapping_mul(PRIME);
-        }
-        h = (h ^ u64::MAX).wrapping_mul(PRIME);
-        for &(rel, u, deficit) in &self.ring {
-            h = (h ^ (u64::from(rel) << 40 | u64::from(u) << 32 | u64::from(deficit)))
-                .wrapping_mul(PRIME);
-        }
-        (h ^ self.ring_rows).wrapping_mul(PRIME)
-    }
-}
-
 impl PipelineState {
     /// Serializes the parts of the state that can influence any future
     /// stall computation into `out` (cleared first), as a canonical,
@@ -649,9 +583,9 @@ impl PipelineState {
     /// Afterwards `context_key` yields `key` again, and the state
     /// evolves exactly like the one the key was taken from, shifted by
     /// the difference of the two cycles. Entries the key omits were
-    /// clamped as dead and rest at zero, the same stand-in
-    /// [`Self::set_to_transition`] uses. So a run can be snapshotted
-    /// as keys alone and resumed from any of them.
+    /// clamped as dead and rest at zero, an equally dead stand-in. So
+    /// a run can be snapshotted as keys alone and resumed from any of
+    /// them, as the workload compiler and `eel-sim`'s timing memo do.
     ///
     /// `key` must come from a state of this machine. At cycle 0 only a
     /// key taken at cycle 0 fits, since there every register entry is
@@ -688,89 +622,6 @@ impl PipelineState {
             (self.hi - self.base) as usize <= self.slot_mask + 1,
             "restored live span exceeds ring capacity"
         );
-    }
-
-    /// Captures the transition from `entry_cycle` (the value of
-    /// [`PipelineState::cycle`] recorded before the sequence's first
-    /// issue) to the current state, with `completes` the latest
-    /// absolute completion cycle among the sequence's issues. Call
-    /// directly after the last issue.
-    pub fn capture_transition(&self, entry_cycle: u64, completes: u64) -> BlockTransition {
-        debug_assert!(self.cycle >= entry_cycle);
-        debug_assert_eq!(self.base, self.cycle, "capture follows an issue");
-        let exit = self.cycle;
-        let mut wa = Vec::new();
-        for (r, &v) in self.write_avail.iter().enumerate() {
-            let d = (v + 1).saturating_sub(exit);
-            if d > 0 {
-                wa.push((r as u16, d as u32));
-            }
-        }
-        let mut lr = Vec::new();
-        for (r, &v) in self.last_read.iter().enumerate() {
-            let d = v.saturating_sub(exit);
-            if d > 0 {
-                lr.push((r as u16, d as u32));
-            }
-        }
-        let mut ring = Vec::new();
-        for abs in exit..self.hi {
-            let slot = (abs as usize & self.slot_mask) * self.unit_kinds;
-            for u in 0..self.unit_kinds {
-                let deficit = self.counts[u] - self.win[slot + u];
-                if deficit > 0 {
-                    ring.push(((abs - exit) as u32, u as u16, deficit));
-                }
-            }
-        }
-        BlockTransition {
-            cycles: exit - entry_cycle,
-            completes: completes.saturating_sub(entry_cycle),
-            wa,
-            lr,
-            ring,
-            ring_rows: self.hi - exit,
-        }
-    }
-
-    /// Overwrites this state with a captured transition's *exit
-    /// picture*, anchored at absolute cycle `exit_cycle` (which must
-    /// not precede the current cycle). It makes no assumption about the
-    /// current state beyond its live-span invariant: the simulator
-    /// uses it to materialize the pipe after a chain of memo hits
-    /// whose intermediate applications were skipped — the exit state
-    /// of such a chain is a pure function of the *last* transition
-    /// alone, so only it is ever written back.
-    pub fn set_to_transition(&mut self, tr: &BlockTransition, exit_cycle: u64) {
-        debug_assert!(exit_cycle >= self.cycle, "materialization moves forward");
-        // Restore the whole current live span; the incoming picture
-        // shares no provenance with it.
-        for abs in self.base..self.hi {
-            self.restore_row(abs);
-        }
-        self.cycle = exit_cycle;
-        self.base = exit_cycle;
-        self.hi = exit_cycle + tr.ring_rows;
-        debug_assert!(
-            (self.hi - self.base) as usize <= self.slot_mask + 1,
-            "replayed live span exceeds ring capacity"
-        );
-        for &(rel, u, deficit) in &tr.ring {
-            let slot = ((self.cycle + u64::from(rel)) as usize & self.slot_mask) * self.unit_kinds;
-            self.win[slot + usize::from(u)] = self.counts[usize::from(u)] - deficit;
-        }
-        // Resources absent from the exit picture were clamped at
-        // capture — dead at or before the exit cycle — and zero is an
-        // equally dead stand-in (`context_key` canonicalizes both to
-        // nothing).
-        self.write_avail.fill(0);
-        self.last_read.fill(0);
-        for &(r, d) in &tr.wa {
-            self.write_avail[usize::from(r)] = self.cycle + u64::from(d) - 1;
-        }
-        for &(r, d) in &tr.lr {
-            self.last_read[usize::from(r)] = self.cycle + u64::from(d);
-        }
     }
 }
 
@@ -1196,94 +1047,38 @@ mod tests {
         }
     }
 
-    /// Issues `seq` and captures the transition, the way `eel-sim`
-    /// does: entry cycle recorded first, completion folded across the
-    /// issues.
-    fn issue_and_capture(
-        m: &MachineModel,
-        state: &mut PipelineState,
-        seq: &[Instruction],
-    ) -> BlockTransition {
-        let entry = state.cycle();
-        let mut completes = 0;
-        for insn in seq {
-            completes = completes.max(state.issue(m, insn).completes);
-        }
-        state.capture_transition(entry, completes)
-    }
-
     fn key(state: &PipelineState) -> Vec<u32> {
         let mut k = Vec::new();
         state.context_key(&mut k);
         k
     }
 
-    #[test]
-    fn set_to_transition_overwrites_unrelated_history() {
-        let m = MachineModel::ultrasparc();
-        let seq = [
-            ld(IntReg::O2, IntReg::O3),
-            add(IntReg::O3, IntReg::O4),
-            add(IntReg::O4, IntReg::O5),
-        ];
-        let mut a = PipelineState::new(&m);
-        a.issue(&m, &ld(IntReg::O0, IntReg::O1));
-        a.advance(1);
-        let tr = issue_and_capture(&m, &mut a, &seq);
-
-        // `c` has an arbitrary, unrelated live span and register
-        // timestamps; materialization must erase all of it.
-        let mut c = PipelineState::new(&m);
-        c.issue(&m, &ld(IntReg::O5, IntReg::O7));
-        c.issue(&m, &add(IntReg::G1, IntReg::G2));
-        c.issue(&m, &ld(IntReg::G2, IntReg::G3));
-        c.advance(2);
-        let exit = c.cycle() + 5;
-        c.set_to_transition(&tr, exit);
-        assert_eq!(c.cycle(), exit);
-        assert_eq!(
-            key(&a),
-            key(&c),
-            "materialized context differs from the issued exit picture"
-        );
-
-        // Future issues agree modulo the absolute-cycle offset.
-        let a0 = a.cycle();
-        let c0 = c.cycle();
-        let follow = [
-            add(IntReg::O5, IntReg::O0),
-            ld(IntReg::O0, IntReg::O1),
-            add(IntReg::O1, IntReg::O1),
-        ];
-        for insn in &follow {
-            let ia = a.issue(&m, insn);
-            let ic = c.issue(&m, insn);
-            assert_eq!(ia.stalls, ic.stalls, "stalls diverged at `{insn}`");
-            assert_eq!(
-                ia.cycle - a0,
-                ic.cycle - c0,
-                "issue cycle diverged at `{insn}`"
-            );
-            assert_eq!(
-                ia.completes - a0,
-                ic.completes - c0,
-                "completion diverged at `{insn}`"
-            );
+    /// Issues `seq` and returns the exit context key, which is what
+    /// `eel-sim`'s timing memo keeps and hashes for each entry.
+    fn issue_and_key(m: &MachineModel, state: &mut PipelineState, seq: &[Instruction]) -> Vec<u32> {
+        for insn in seq {
+            state.issue(m, insn);
         }
+        key(state)
     }
 
-    #[test]
-    fn exit_fingerprint_is_a_pure_function_of_the_exit_picture() {
-        // The context-id chain converges in steady-state loops only if
-        // transitions reaching the same exit picture from *different*
-        // entry contexts fingerprint identically.
-        let m = MachineModel::ultrasparc();
-        let seq = [
+    /// A load feeding a chain of three adds.
+    fn load_chain() -> [Instruction; 4] {
+        [
             ld(IntReg::O0, IntReg::O1),
             add(IntReg::O1, IntReg::O2),
             add(IntReg::O2, IntReg::O3),
             add(IntReg::O3, IntReg::O4),
-        ];
+        ]
+    }
+
+    #[test]
+    fn exit_key_is_a_pure_function_of_the_exit_picture() {
+        // The simulator's context-id chain converges in steady-state
+        // loops only if the same sequence, entered from *different*
+        // contexts, leaves the same exit key.
+        let m = MachineModel::ultrasparc();
+        let seq = load_chain();
         // Entry A: empty pipe at cycle 0. Entry B: different history,
         // fully drained, at a different absolute cycle.
         let mut a = PipelineState::new(&m);
@@ -1292,40 +1087,28 @@ mod tests {
         b.issue(&m, &add(IntReg::G2, IntReg::G3));
         b.advance(50);
         assert_ne!(a.cycle(), b.cycle());
-        let tr_a = issue_and_capture(&m, &mut a, &seq);
-        let tr_b = issue_and_capture(&m, &mut b, &seq);
-        assert_eq!(
-            tr_a.exit_fingerprint(),
-            tr_b.exit_fingerprint(),
-            "fingerprint leaked entry-dependent state"
-        );
+        let key_a = issue_and_key(&m, &mut a, &seq);
+        let key_b = issue_and_key(&m, &mut b, &seq);
+        assert_eq!(key_a, key_b, "exit key leaked entry-dependent state");
         // And a genuinely different exit picture must not collide.
-        let mut c = PipelineState::new(&m);
-        let tr_c = issue_and_capture(&m, &mut c, &seq[..2]);
-        assert_ne!(tr_a.exit_fingerprint(), tr_c.exit_fingerprint());
+        let key_c = issue_and_key(&m, &mut PipelineState::new(&m), &seq[..2]);
+        assert_ne!(key_a, key_c);
     }
 
     #[test]
-    fn exit_fingerprint_converges_after_a_dead_dependency() {
+    fn exit_key_converges_after_a_dead_dependency() {
         // Entry B carries a pending load on O1 that the sequence's own
         // first instruction overwrites; by exit the old dependency is
-        // dead, so both transitions share one exit picture even though
-        // their entry contexts (and possibly cycle counts) differ.
+        // dead, so both runs share one exit key even though their
+        // entry contexts (and possibly cycle counts) differ.
         let m = MachineModel::ultrasparc();
-        let seq = [
-            ld(IntReg::O0, IntReg::O1),
-            add(IntReg::O1, IntReg::O2),
-            add(IntReg::O2, IntReg::O3),
-            add(IntReg::O3, IntReg::O4),
-        ];
         let mut a = PipelineState::new(&m);
         a.advance(1);
         let mut b = PipelineState::new(&m);
         b.issue(&m, &ld(IntReg::G1, IntReg::O1));
         b.advance(1);
         assert_ne!(key(&a), key(&b), "entry contexts should differ");
-        let tr_a = issue_and_capture(&m, &mut a, &seq);
-        let tr_b = issue_and_capture(&m, &mut b, &seq);
-        assert_eq!(tr_a.exit_fingerprint(), tr_b.exit_fingerprint());
+        let key_a = issue_and_key(&m, &mut a, &load_chain());
+        assert_eq!(key_a, issue_and_key(&m, &mut b, &load_chain()));
     }
 }

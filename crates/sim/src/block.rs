@@ -23,20 +23,21 @@
 //!   only on the block's instructions and the *entry pipeline
 //!   context* (live register availability and unit occupancy relative
 //!   to the issue cycle — see [`PipelineState::context_key`]). The
-//!   memo maps `(content hash, context id)` to a captured
-//!   [`BlockTransition`]; a hit replays the whole block's issue walk
-//!   in O(live state) instead of O(instructions). The context id is a
-//!   hash chain advanced at every pipeline event (a replayed or
-//!   captured transition, an `advance`), which identifies the entry
-//!   context without rescanning the scoreboard: a transition leaves
-//!   the pipe in a state that is a pure function of the transition
-//!   itself, so equal chains imply equal contexts. A hit reads a
-//!   24-byte entry record and costs a compare and a few adds inline
-//!   in the block loop: each block (and fused delay slot) keeps a few
-//!   hint ways from `(key, context id)` to entries, and only a hint
-//!   miss probes the map or walks. Debug builds verify every hit
-//!   against the canonical serialized context, in the one replay
-//!   path every hit takes.
+//!   memo maps `(content hash, context id)` to the block's cycle and
+//!   completion deltas and its *exit* context key; a hit replays the
+//!   block's issue walk without touching the pipe, and only the next
+//!   miss restores the last hit's exit key
+//!   ([`PipelineState::restore_context`]). The context id is a hash
+//!   chain advanced at every pipeline event (a replayed or walked
+//!   block, an `advance`) that identifies the entry context without
+//!   rescanning the scoreboard: it takes the hash of each block's exit
+//!   key, which alone determines the pipe after it, so equal chains
+//!   imply equal contexts. A hit reads a 24-byte entry record and
+//!   costs a compare and a few adds inline in the block loop: each
+//!   block (and fused delay slot) keeps a few hint ways from `(key,
+//!   context id)` to entries, and only a hint miss probes the map or
+//!   walks. Debug builds check every hit against the entry context it
+//!   was walked from, in the one replay path every hit takes.
 //! * **Batched I-cache updates** — fetch probes for a block are
 //!   issued in program order in one batch at block entry (the
 //!   resulting miss pattern folds into the timing-memo key, so
@@ -70,10 +71,10 @@
 //! words never lower: they end the block as its terminator
 //! ([`TermOp`]). Delay slots (`npc != pc + 4`) and instruction-budget
 //! boundaries fall back to single-stepping through `step_decoded`,
-//! which shares the timing memo via one-instruction transitions.
+//! which shares the timing memo via one-instruction sequences.
 //!
 //! Stall attribution walks every sequence on the real pipe through
-//! the recorder and never touches the memo (a replayed transition
+//! the recorder and never touches the memo (a replayed memo entry
 //! cannot report its stall cycles). Functional-only runs skip fetch
 //! probes, `prepare`, and timing altogether.
 
@@ -81,7 +82,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use eel_edit::Executable;
-use eel_pipeline::{BlockTransition, MachineModel, PipelineState, PreparedInsn, StallRecorder};
+use eel_pipeline::{MachineModel, PipelineState, PreparedInsn, StallRecorder};
 use eel_sparc::{Address, AluOp, Cond, FCond, FpOp, FpReg, Instruction, IntReg, MemWidth, Operand};
 use eel_telemetry::Sink;
 
@@ -651,11 +652,10 @@ fn build_block(
     }
 }
 
-/// What a memo hit reads: the captured transition's issue-cycle and
-/// completion deltas and the context id of the pipe after it (a pure
-/// function of the transition — the exit state is determined by the
-/// transition alone). 24 bytes, kept apart from the
-/// [`BlockTransition`], which only materialization reads.
+/// What a memo hit reads: the sequence's issue-cycle and completion
+/// deltas from its entry cycle, and the context id of the pipe after
+/// it, the hash of its exit context key. 24 bytes, kept apart from the
+/// exit key itself, which only materialization reads.
 #[derive(Clone, Copy)]
 struct MemoEntry {
     cycles: u64,
@@ -663,19 +663,43 @@ struct MemoEntry {
     exit_id: u64,
 }
 
-/// The timing memo: `(memo key, entry context id)` → captured
-/// transition. Entries are append-only per run.
+/// Context keys laid end to end in one buffer: key `i` is
+/// `words[ends[i - 1]..ends[i]]`, starting at 0 for the first.
+#[derive(Default)]
+struct Keys {
+    words: Vec<u32>,
+    ends: Vec<usize>,
+}
+
+impl Keys {
+    /// Appends `pipe`'s context key, built in `scratch`, and returns it.
+    fn push(&mut self, pipe: &PipelineState, scratch: &mut Vec<u32>) -> &[u32] {
+        pipe.context_key(scratch);
+        self.words.extend_from_slice(scratch);
+        self.ends.push(self.words.len());
+        &self.words[self.words.len() - scratch.len()..]
+    }
+
+    fn get(&self, i: u32) -> &[u32] {
+        let i = i as usize;
+        &self.words[if i == 0 { 0 } else { self.ends[i - 1] }..self.ends[i]]
+    }
+}
+
+/// The timing memo: `(memo key, entry context id)` → what the sequence
+/// did from that context. Entries are append-only per run.
 #[derive(Default)]
 struct TimingMemo {
     map: FnvMap<(u64, u64), u32>,
     /// Per entry, what a hit replays.
     entries: Vec<MemoEntry>,
-    /// Per entry, the captured transition.
-    transitions: Vec<BlockTransition>,
-    /// Canonical entry contexts, kept in debug builds to verify every
-    /// memo hit against [`PipelineState::context_key`].
+    /// Per entry, the [`PipelineState::context_key`] it leaves the pipe
+    /// in, which materialization restores.
+    exit_keys: Keys,
+    /// Per entry, the context key it was walked from, kept in debug
+    /// builds to verify every memo hit against.
     #[cfg(debug_assertions)]
-    keys: Vec<Vec<u32>>,
+    entry_keys: Keys,
     hits: u64,
     misses: u64,
 }
@@ -733,19 +757,18 @@ struct Timer<'a> {
     memo: TimingMemo,
     /// The pipeline-context hash chain (see module docs).
     ctx: u64,
-    /// Deferred transition application: on a memo hit nothing is
-    /// written to the pipe — the hit's entry index is parked here and
-    /// only the *last* transition of a hit chain is materialized
-    /// (the exit state is a pure function of it alone), when a miss
-    /// needs a real pipe to issue against. `None` means the pipe is
-    /// current.
+    /// Deferred materialization: on a memo hit nothing is written to
+    /// the pipe — the hit's entry index is parked here, and only the
+    /// *last* entry of a hit chain is materialized (its exit key alone
+    /// determines the pipe), when a miss needs a real pipe to issue
+    /// against. `None` means the pipe is current.
     pending: Option<u32>,
     /// What [`PipelineState::cycle`] would read if `pending` were
     /// materialized; equal to it when `pending` is `None`.
     virt_cycle: u64,
-    /// Advance cycles accumulated since the pending transition's exit.
+    /// Advance cycles accumulated since the pending entry's exit.
     trail_advance: u64,
-    #[cfg(debug_assertions)]
+    /// A miss's context keys, before they are copied into the memo.
     key_scratch: Vec<u32>,
     last_complete: u64,
     taken_penalty: u64,
@@ -753,8 +776,8 @@ struct Timer<'a> {
 
 impl Timer<'_> {
     /// Advances the issue point and folds the advance into the
-    /// context chain. While a transition application is deferred the
-    /// advance is only recorded; materialization replays it.
+    /// context chain. While materialization is deferred the advance is
+    /// only recorded; materialization replays it.
     #[inline(always)]
     fn advance_pipe(&mut self, cycles: u64) {
         if cycles > 0 {
@@ -769,14 +792,14 @@ impl Timer<'_> {
     }
 
     /// Brings the pipe up to date with the virtual timing position:
-    /// writes the pending transition's exit picture at its exit cycle
-    /// and replays any advances recorded since. No-op when nothing is
+    /// restores the pending entry's exit key at its exit cycle and
+    /// replays any advances recorded since. No-op when nothing is
     /// deferred.
     fn materialize(&mut self) {
         if let Some(i) = self.pending.take() {
             let exit = self.virt_cycle - self.trail_advance;
-            self.pipe
-                .set_to_transition(&self.memo.transitions[i as usize], exit);
+            debug_assert!(exit >= self.pipe.cycle(), "materialization moves forward");
+            self.pipe.restore_context(self.memo.exit_keys.get(i), exit);
             if self.trail_advance > 0 {
                 self.pipe.advance(self.trail_advance);
             }
@@ -836,22 +859,20 @@ impl Timer<'_> {
 
     /// Applies memo entry `i` as a hit. Nothing touches the pipe: the
     /// completion bound, the virtual cycle and the chain all come from
-    /// the compact entry, and the exit pipeline state is a pure
-    /// function of the transition — so the entry is parked in
-    /// `pending`, and if the next event hits too its application
-    /// never needs to happen at all. The one hit path, inline or
-    /// through the map.
+    /// the compact entry, and the entry's exit key alone determines the
+    /// pipe after it — so the entry is parked in `pending`, and if the
+    /// next event hits too its exit key is never restored at all. The
+    /// one hit path, inline or through the map.
     #[inline(always)]
     fn replay(&mut self, i: u32) {
         // Debug builds keep the pipe current at every event and check
-        // every hit against the canonical context key (this also
-        // exercises `set_to_transition` on every hit).
+        // every hit against the entry context it was walked from (this
+        // also exercises `restore_context` on every hit).
         #[cfg(debug_assertions)]
         {
             self.materialize();
-            self.pipe.context_key(&mut self.key_scratch);
-            debug_assert_eq!(
-                self.memo.keys[i as usize], self.key_scratch,
+            debug_assert!(
+                self.pipe.matches_context(self.memo.entry_keys.get(i)),
                 "context chain aliased two distinct pipeline contexts"
             );
         }
@@ -883,7 +904,7 @@ impl Timer<'_> {
 
     /// Times an instruction sequence past the hint ways: replays the
     /// memo entry for `(key, ctx)` if the map has one, or walks the
-    /// sequence once and captures it. `key` must be the sequence's
+    /// sequence once and records it. `key` must be the sequence's
     /// [`memo_key`] so replay stays cycle-exact. Updates
     /// `last_complete` and the context chain; returns the memo entry
     /// index ([`NO_ENTRY`] when attributing).
@@ -891,7 +912,7 @@ impl Timer<'_> {
     fn time_sequence(&mut self, key: u64, seq: &Seq) -> u32 {
         if self.recorder.is_some() {
             // Attribution classifies every stall cycle, which a
-            // replayed transition cannot report: walk the real pipe
+            // replayed memo entry cannot report: walk the real pipe
             // and leave the memo alone.
             let completes = self.walk(seq);
             self.last_complete = self.last_complete.max(completes);
@@ -906,27 +927,22 @@ impl Timer<'_> {
         self.memo.misses += 1;
         // The canonical entry context later hits are checked against.
         #[cfg(debug_assertions)]
-        self.pipe.context_key(&mut self.key_scratch);
+        self.memo.entry_keys.push(&self.pipe, &mut self.key_scratch);
         let entry_cycle = self.pipe.cycle();
         let entry_ctx = self.ctx;
         let completes = self.walk(seq);
         self.last_complete = self.last_complete.max(completes);
-        let i = self.memo.transitions.len() as u32;
-        let tr = self.pipe.capture_transition(entry_cycle, completes);
-        // The exit pipeline state is a pure function of the applied
-        // transition's exit picture, so its id is that picture's hash
-        // — distinct executions converging on the same exit state
-        // converge the chain, which is what lets steady-state loops
-        // hit.
-        let exit_id = tr.exit_fingerprint();
+        let i = self.memo.entries.len() as u32;
+        // The exit key alone determines the pipe after the walk, so
+        // the exit id is its hash — distinct executions converging on
+        // the same exit context converge the chain, which is what lets
+        // steady-state loops hit.
+        let exit_id = fnv1a64(self.memo.exit_keys.push(&self.pipe, &mut self.key_scratch));
         self.memo.entries.push(MemoEntry {
-            cycles: tr.cycles(),
-            completes: tr.completes(),
+            cycles: self.pipe.cycle() - entry_cycle,
+            completes: completes.saturating_sub(entry_cycle),
             exit_id,
         });
-        self.memo.transitions.push(tr);
-        #[cfg(debug_assertions)]
-        self.memo.keys.push(std::mem::take(&mut self.key_scratch));
         self.memo.map.insert((key, entry_ctx), i);
         self.ctx = exit_id;
         self.virt_cycle = self.pipe.cycle();
@@ -1364,7 +1380,6 @@ pub(crate) fn run_blocks<S: Sink>(
             pending: None,
             virt_cycle: 0,
             trail_advance: 0,
-            #[cfg(debug_assertions)]
             key_scratch: Vec::new(),
             last_complete: 0,
             taken_penalty: u64::from(timing.taken_branch_penalty),

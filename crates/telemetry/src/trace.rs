@@ -502,7 +502,9 @@ impl TraceFile {
     /// Per-category profile rows: `(category, events, total_ns,
     /// self_ns)`, sorted by self time descending. Self time is a
     /// span's duration minus its same-thread nested children's
-    /// durations; instants contribute counts only.
+    /// durations; instants contribute counts only. Sums saturate at
+    /// `u64::MAX`: a parsed duration may be as large as 2^53, so a
+    /// few thousand of them overflow.
     pub fn profile(&self) -> Vec<(String, u64, u64, u64)> {
         let mut self_ns: Vec<u64> = self.events.iter().map(|e| e.dur_ns).collect();
         let mut by_tid: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
@@ -531,8 +533,8 @@ impl TraceFile {
         for (i, e) in self.events.iter().enumerate() {
             let r = rows.entry(e.cat.as_str()).or_insert((0, 0, 0));
             r.0 += 1;
-            r.1 += e.dur_ns;
-            r.2 += self_ns[i];
+            r.1 = r.1.saturating_add(e.dur_ns);
+            r.2 = r.2.saturating_add(self_ns[i]);
         }
         let mut out: Vec<(String, u64, u64, u64)> = rows
             .into_iter()
@@ -1016,7 +1018,114 @@ mod tests {
                 prop_assert_eq!(&back, &file);
                 prop_assert_eq!(back.to_jsonl(), file.to_jsonl());
             }
+
+            /// `parse` never panics on trace-shaped lines or on a
+            /// recorded trace with flipped bytes and a cut tail, and
+            /// every trace it accepts renders, profiles and exports.
+            #[test]
+            fn traces_never_panic(
+                header in prop_oneof![Just(header()), Just(header()), Just(header()), arb_line()],
+                lines in prop::collection::vec(arb_line(), 0..10),
+                flips in prop::collection::vec((any::<usize>(), arb_byte()), 0..8),
+                cut in any::<usize>(),
+            ) {
+                let mut damaged = recorded().into_bytes();
+                for (at, b) in flips {
+                    let i = at % damaged.len();
+                    damaged[i] = b;
+                }
+                damaged.truncate(cut % (2 * damaged.len()));
+                let text = [vec![header], lines].concat().join("\n");
+                for text in [text, String::from_utf8_lossy(&damaged).into_owned()] {
+                    if let Ok(file) = TraceFile::parse(&text) {
+                        file.render(64);
+                        file.profile();
+                        file.to_chrome();
+                    }
+                }
+            }
         }
+
+        fn header() -> String {
+            format!(r#"{{"schema":"{TRACE_SCHEMA}","version":{TRACE_VERSION},"meta":{{"k":"v"}}}}"#)
+        }
+
+        /// An event line: well-formed four times in five, else an
+        /// object of trace members with values of any kind, or noise.
+        fn arb_line() -> impl Strategy<Value = String> {
+            let damaged = prop_oneof![arb_object(), ".{0,40}"];
+            prop_oneof![arb_event(), arb_event(), arb_event(), arb_event(), damaged]
+        }
+
+        /// A well-formed event line, with values anywhere in the ranges
+        /// `parse` admits.
+        fn arb_event() -> impl Strategy<Value = String> {
+            let n = || prop_oneof![0u64..=1 << 53, Just(1u64 << 53), 0u64..64];
+            let cat = prop::sample::select(vec!["engine", "sim", "sched", "cell"]);
+            ((n(), 0u64..4, n(), n()), (cat, "[a-z_]{0,8}", any::<u64>(), any::<u64>())).prop_map(
+                |((seq, tid, ts, dur), (cat, name, a0, a1))| {
+                    format!(
+                        r#"{{"seq":{seq},"tid":{tid},"ts":{ts},"dur":{dur},"cat":"{cat}","name":"{name}","a0":"{a0}","a1":"{a1}"}}"#
+                    )
+                },
+            )
+        }
+
+        /// An object of trace members with values of any kind.
+        fn arb_object() -> impl Strategy<Value = String> {
+            let key =
+                prop::sample::select(vec!["version", "meta", "seq", "ts", "dur", "cat", "a0"]);
+            let odd = r#"9007199254740993 -1 1.5 1e308 "x" null [1,{}] {}"#.split(' ');
+            let value = prop_oneof![
+                any::<u64>().prop_map(|n| n.to_string()),
+                (0u64..=1 << 53).prop_map(|n| n.to_string()),
+                any::<u64>().prop_map(|n| format!("\"{n}\"")),
+                prop::sample::select(odd.map(str::to_string).collect()),
+            ];
+            prop::collection::vec((key, value), 0..10).prop_map(|members| {
+                let members: Vec<_> = members
+                    .iter()
+                    .map(|(k, v)| format!("\"{k}\":{v}"))
+                    .collect();
+                format!("{{{}}}", members.join(","))
+            })
+        }
+
+        /// A byte to write over a recorded trace: anything, or (half
+        /// the time) a digit or JSON punctuation.
+        fn arb_byte() -> impl Strategy<Value = u8> {
+            prop_oneof![
+                any::<u8>(),
+                prop::sample::select(b"0123456789\"{}[]:,.-e".to_vec())
+            ]
+        }
+
+        /// A small trace as the flight recorder writes it: nested
+        /// spans, an instant with a full-width argument, metadata.
+        fn recorded() -> String {
+            let t = Tracer::new(64);
+            {
+                let _table = t.span("engine", "table", 1, 2);
+                t.instant("cell", "computed", u64::MAX, 7);
+                let _run = t.span("sim", "run", 3, 4);
+            }
+            t.trace_file(&[("label", "fuzz".to_string())]).to_jsonl()
+        }
+    }
+
+    #[test]
+    fn profile_saturates_on_huge_durations() {
+        // `Json::as_u64` admits durations up to 2^53, so 2,049 spans of
+        // that length, each on its own thread, overflow both sums.
+        let events = (0..2049).map(|i| mk(i, i, 0, 1 << 53, "sim", "run", 0));
+        let file = TraceFile {
+            events: events.collect(),
+            ..TraceFile::default()
+        };
+        let file = TraceFile::parse(&file.to_jsonl()).expect("durations of 2^53 parse");
+        let sim = ("sim".to_string(), 2049, u64::MAX, u64::MAX);
+        assert_eq!(file.profile(), vec![sim]);
+        assert!(file.render(4).contains("18446744073.710s"));
     }
 
     #[test]

@@ -530,4 +530,58 @@ mod tests {
         let b = intern_name("gen.test.000");
         assert!(std::ptr::eq(a, b), "same name, same interned pointer");
     }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        const WORDS: &str =
+            "include gen spec95 cfp95 spec2000 small huge-blocks # \n -1 99999999999 \
+                             18446744073709551616";
+
+        proptest! {
+            /// `parse_manifest` never panics, and an error about a line
+            /// names one the text has past the header: on manifest-shaped
+            /// words, and on the built-in manifest with flipped bytes and
+            /// a cut tail. Flips insert no bytes, so a count grows only by
+            /// merging with the seed after it, which puts it past the limit.
+            #[test]
+            fn manifests_never_panic(
+                header in any::<bool>(),
+                words in prop::collection::vec(
+                    prop_oneof![
+                        prop::sample::select(WORDS.split(' ').map(str::to_string).collect()),
+                        (0u32..24).prop_map(|n| n.to_string()),
+                        "[-a-z0-9]{1,6}",
+                    ],
+                    0..24,
+                ),
+                flips in prop::collection::vec(
+                    (any::<usize>(), prop::sample::select(b"0123456789 \n#-abcegilmnrsu".to_vec())),
+                    0..6,
+                ),
+                cut in any::<usize>(),
+            ) {
+                let mut damaged = FULL_MANIFEST.as_bytes().to_vec();
+                for (at, b) in flips {
+                    let i = at % damaged.len();
+                    damaged[i] = b;
+                }
+                damaged.truncate(cut % (2 * damaged.len()));
+                let header = if header { CORPUS_SCHEMA } else { "" };
+                let text = format!("{header}\n{}", words.join(" "));
+                for text in [text, String::from_utf8_lossy(&damaged).into_owned()] {
+                    match parse_manifest(&text) {
+                        Ok(_) | Err(CorpusError::MissingHeader) => {}
+                        Err(
+                            CorpusError::Malformed { line, .. }
+                            | CorpusError::UnknownSuite { line, .. }
+                            | CorpusError::UnknownKind { line, .. },
+                        ) => prop_assert!((2..=text.lines().count()).contains(&line), "{text}"),
+                        Err(CorpusError::Io(e)) => panic!("I/O error from a parse: {e}"),
+                    }
+                }
+            }
+        }
+    }
 }

@@ -1,9 +1,9 @@
 //! The headline numbers the documents quote are the code's: every
 //! bold number in README's one-paragraph summary and in
-//! EXPERIMENTS.md's *Headline*, *Table 1–3* and *Ablations* sections
-//! must read, at
-//! its printed precision, what the named row and column of its
-//! `results/` file says. Each of those places carries one source note,
+//! EXPERIMENTS.md's *Headline*, *Table 1–3*, *§4.1*, *Ablations* and
+//! *Extension experiments* sections must read, at its printed
+//! precision, what the named row and column of its `results/` file
+//! says. Each of those places carries one source note,
 //! an HTML comment listing `FILE | ROW | COLUMN` for its bold numbers
 //! in order. A bold number without a source line, or a source line
 //! that names no cell, fails.
@@ -27,7 +27,15 @@ const PLACES: &[(&str, &str)] = &[
         "EXPERIMENTS.md",
         "## Table 3 — slow profiling on the SuperSPARC",
     ),
+    (
+        "EXPERIMENTS.md",
+        "## §4.1 — block sizes and the cache effect",
+    ),
     ("EXPERIMENTS.md", "## Ablations (DESIGN.md §5)"),
+    (
+        "EXPERIMENTS.md",
+        "## Extension experiments (beyond the paper)",
+    ),
 ];
 
 const NOTE_START: &str = "<!-- source:";
@@ -141,56 +149,42 @@ fn fields(line: &str) -> Vec<(&str, usize)> {
 
 /// The printed cell of `file` at (`row`, `column`).
 ///
-/// In a file with a header line naming `column` (fields are separated
-/// by two or more spaces, as in `Benchmark  …  %Hidden` or
-/// `configuration  %hidden`), the row is the first line below it
+/// A `column` of `#N` is the `N`-th number (from 1) after the row's
+/// name on the line it names: the first line whose first field is
+/// `row`, or which starts with `row:` once runs of spaces are
+/// collapsed. This reads lines that hold one or more values, such as
+/// `SPECFP  average hidden:  22.9%` or `tracing overhead hidden: CINT
+/// 35.4%, CFP 27.5%`.
+///
+/// Otherwise the file has a header line naming `column` (fields are
+/// separated by two or more spaces, as in `Benchmark  …  %Hidden` or
+/// `configuration  %hidden`). The row is the first line below it
 /// whose first field is `row`, the column is the header field whose
 /// right edge the cell's right edge meets, and the cell is that
-/// field's first number. Elsewhere a line reads `LABEL: VALUE` pairs,
-/// compared with runs of spaces collapsed: the row is the text the
-/// line starts with, either a name before its first label or that
-/// label itself, and the column is a label (empty for the row's own).
+/// field's first number.
 fn cell(file: &str, row: &str, column: &str) -> Option<Printed> {
     let lines: Vec<&str> = file.lines().collect();
-    if let Some(h) = lines
-        .iter()
-        .position(|l| fields(l).iter().any(|f| f.0 == column))
-    {
-        let end = fields(lines[h]).into_iter().find(|f| f.0 == column)?.1;
-        let line = lines[h + 1..]
-            .iter()
-            .find(|l| fields(l).first().is_some_and(|f| f.0 == row))?;
-        let (text, _) = fields(line).into_iter().find(|f| f.1 == end)?;
-        return numbers(text).into_iter().next();
-    }
-    let column = if column.is_empty() { row } else { column };
-    for line in &lines {
-        let line = line.split_whitespace().collect::<Vec<_>>().join(" ");
-        let Some(rest) = line.strip_prefix(row) else {
-            continue;
-        };
-        let pairs = if rest.starts_with(':') {
-            &line[..]
-        } else if let Some(after) = rest.strip_prefix(' ') {
-            after
-        } else {
-            continue;
-        };
-        // `A: 1 B: 2` splits into `A`, ` 1 B`, ` 2`: each later
-        // segment opens with the value of the label ending the one
-        // before it.
-        let segments: Vec<&str> = pairs.split(':').collect();
-        let mut label = segments[0].trim();
-        for segment in &segments[1..] {
-            let segment = segment.trim();
-            let (value, next) = segment.split_once(' ').unwrap_or((segment, ""));
-            if label == column {
-                return numbers(value).into_iter().next();
+    if let Some(n) = column.strip_prefix('#') {
+        let after_row = lines.iter().find_map(|line| {
+            if fields(line).first().is_some_and(|f| f.0 == row) {
+                return Some(line.trim_start()[row.len()..].to_string());
             }
-            label = next.trim();
-        }
+            let collapsed = line.split_whitespace().collect::<Vec<_>>().join(" ");
+            let rest = collapsed.strip_prefix(row)?;
+            rest.starts_with(':').then(|| rest.to_string())
+        })?;
+        let n: usize = n.parse().ok()?;
+        return numbers(&after_row).into_iter().nth(n.checked_sub(1)?);
     }
-    None
+    let h = lines
+        .iter()
+        .position(|l| fields(l).iter().any(|f| f.0 == column))?;
+    let end = fields(lines[h]).into_iter().find(|f| f.0 == column)?.1;
+    let line = lines[h + 1..]
+        .iter()
+        .find(|l| fields(l).first().is_some_and(|f| f.0 == row))?;
+    let (text, _) = fields(line).into_iter().find(|f| f.1 == end)?;
+    numbers(text).into_iter().next()
 }
 
 /// Whether `quoted` is `file_value` printed at the quote's precision.
@@ -270,19 +264,26 @@ UltraSPARC          15.8%        12.9%
     assert_eq!(pick("UltraSPARC", "chain-first").as_deref(), Some("12.9"));
     assert_eq!(pick("mismatch", "%hidden"), None, "a row is a whole name");
 
-    let labels = "\
+    let lines = "\
 UltraSPARC   SPECINT hidden:  12.3%   SPECFP hidden:  26.9%
   SPECFP  average hidden:  22.9%
+text: 665 -> 1769 words (x2.66; the paper reports 2-3x)
+    1024B        25501        67201        67201      2.6x      4.3x
 ";
-    let pick = |row, column| cell(labels, row, column).map(|p| p.text);
-    assert_eq!(pick("UltraSPARC", "SPECFP hidden").as_deref(), Some("26.9"));
+    let pick = |row, column| cell(lines, row, column).map(|p| p.text);
+    assert_eq!(pick("UltraSPARC", "#2").as_deref(), Some("26.9"));
+    assert_eq!(pick("SPECFP average hidden", "#1").as_deref(), Some("22.9"));
+    assert_eq!(pick("text", "#3").as_deref(), Some("2.66"));
     assert_eq!(
-        pick("UltraSPARC", "SPECINT hidden").as_deref(),
-        Some("12.3")
+        pick("1024B", "#1").as_deref(),
+        Some("25501"),
+        "after the name"
     );
-    assert_eq!(pick("SPECFP average hidden", "").as_deref(), Some("22.9"));
-    assert_eq!(pick("SPECFP average", ""), None, "a row is a whole name");
-    assert_eq!(pick("SuperSPARC", "SPECFP hidden"), None);
+    assert_eq!(pick("1024B", "#5").as_deref(), Some("4.3"));
+    assert_eq!(pick("UltraSPARC", "#3"), None);
+    assert_eq!(pick("UltraSPARC", "#0"), None);
+    assert_eq!(pick("SPECFP average", "#1"), None, "a row is a whole name");
+    assert_eq!(pick("SuperSPARC", "#1"), None);
 
     let q = |text: &str, decimals| Printed {
         text: text.into(),
