@@ -96,15 +96,21 @@ impl Row {
         self.sched_cycles as f64 / self.uninst_cycles as f64
     }
 
-    /// The fraction of instrumentation overhead hidden by scheduling,
-    /// in percent. Can exceed 100 % or go negative, as in the paper.
+    /// This row's [`pct_hidden`].
     pub fn pct_hidden(&self) -> f64 {
-        let overhead = self.inst_cycles as f64 - self.uninst_cycles as f64;
-        if overhead <= 0.0 {
-            return 0.0;
-        }
-        100.0 * (self.inst_cycles as f64 - self.sched_cycles as f64) / overhead
+        pct_hidden(self.uninst_cycles, self.inst_cycles, self.sched_cycles)
     }
+}
+
+/// The fraction of instrumentation overhead hidden by scheduling, in
+/// percent: `(inst − sched) / (inst − uninst)`. Can exceed 100 % or go
+/// negative, as in the paper; 0 when instrumenting added no cycles.
+pub fn pct_hidden(uninst: u64, inst: u64, sched: u64) -> f64 {
+    let overhead = inst as f64 - uninst as f64;
+    if overhead <= 0.0 {
+        return 0.0;
+    }
+    100.0 * (inst as f64 - sched as f64) / overhead
 }
 
 /// Mean % hidden across a set of rows (the paper's suite averages).
@@ -123,22 +129,6 @@ pub fn mean_ratio<R: Borrow<Row>>(rows: &[R], f: impl Fn(&Row) -> f64) -> f64 {
     }
     let log_sum: f64 = rows.iter().map(|r| f(r.borrow()).ln()).sum();
     (log_sum / rows.len() as f64).exp()
-}
-
-/// Runs the full measurement for one benchmark on one machine.
-///
-/// `reschedule_first` selects the Table 2 protocol.
-///
-/// Convenience wrapper over [`Engine::measure`] with a throwaway
-/// in-process cache; callers measuring more than one cell should hold
-/// an [`Engine`] so shared work is reused (and stats accumulate).
-pub fn measure(
-    bench: &Benchmark,
-    model: &MachineModel,
-    cfg: &ExperimentConfig,
-    reschedule_first: bool,
-) -> Row {
-    Engine::new(model, cfg).measure(bench, reschedule_first)
 }
 
 /// Runs a whole table: every benchmark in `benchmarks` on `model`,
@@ -251,9 +241,19 @@ mod tests {
     }
 
     #[test]
+    fn pct_hidden_is_zero_without_overhead() {
+        // No instrumentation cost to hide: 0, not NaN (0/0) or ±∞.
+        assert_eq!(pct_hidden(100, 100, 100), 0.0);
+        assert_eq!(pct_hidden(100, 100, 90), 0.0);
+        assert_eq!(pct_hidden(100, 90, 95), 0.0);
+        assert_eq!(pct_hidden(100, 200, 150), 50.0);
+        assert_eq!(pct_hidden(100, 200, 250), -50.0);
+    }
+
+    #[test]
     fn int_benchmark_pipeline_end_to_end() {
         let model = MachineModel::ultrasparc();
-        let row = measure(&cint95()[4], &model, &quick(), false); // 130.li
+        let row = Engine::new(&model, &quick()).measure(&cint95()[4], false); // 130.li
         assert!(
             row.inst_cycles > row.uninst_cycles,
             "instrumentation costs time"
@@ -275,7 +275,7 @@ mod tests {
     #[test]
     fn fp_benchmark_pipeline_end_to_end() {
         let model = MachineModel::supersparc();
-        let row = measure(&cfp95()[1], &model, &quick(), false); // 102.swim
+        let row = Engine::new(&model, &quick()).measure(&cfp95()[1], false); // 102.swim
         assert!(
             row.inst_ratio() < 1.6,
             "long blocks amortize instrumentation"
@@ -290,7 +290,7 @@ mod tests {
     #[test]
     fn reschedule_protocol_reports_ratio() {
         let model = MachineModel::ultrasparc();
-        let row = measure(&cfp95()[3], &model, &quick(), true); // hydro2d
+        let row = Engine::new(&model, &quick()).measure(&cfp95()[3], true); // hydro2d
         assert!(row.resched_ratio > 0.5 && row.resched_ratio < 2.0);
     }
 
@@ -298,7 +298,7 @@ mod tests {
     fn measured_avg_bb_tracks_paper_targets() {
         let model = MachineModel::ultrasparc();
         for b in [&cint95()[4], &cint95()[3], &cfp95()[0]] {
-            let row = measure(b, &model, &quick(), false);
+            let row = Engine::new(&model, &quick()).measure(b, false);
             let rel = (row.avg_bb - b.target_block_size).abs() / b.target_block_size;
             assert!(
                 rel < 0.30,
@@ -313,7 +313,7 @@ mod tests {
     #[test]
     fn formatting_contains_all_rows() {
         let model = MachineModel::ultrasparc();
-        let rows = vec![measure(&cint95()[4], &model, &quick(), false)];
+        let rows = vec![Engine::new(&model, &quick()).measure(&cint95()[4], false)];
         let text = format_table("Table X", &model, &rows, false);
         assert!(text.contains("130.li"));
         assert!(text.contains("CINT95 Average"));

@@ -4,7 +4,11 @@
 //! workloads, and the rendered table is diffed byte-for-byte against a
 //! checked-in snapshot. Any drift in workload generation,
 //! instrumentation, scheduling, simulation, or table formatting fails
-//! here with a readable diff.
+//! here with a readable diff. Table 1's run also pins its engine's
+//! work counters (simulator runs, retired instructions, cycles, stall
+//! queries, block-memo builds, hits and misses) in
+//! `table1_counters.txt`: they count work, not time, so they are equal
+//! in debug and release and on every host.
 //!
 //! To regenerate the snapshots after an *intentional* change:
 //!
@@ -74,7 +78,9 @@ fn check_golden(name: &str, actual: &str) {
     }
 }
 
-fn run_golden(name: &str, model: &MachineModel, title: &str, reschedule_first: bool) {
+/// Checks one table against its snapshot and returns the engine that
+/// measured it.
+fn run_golden(name: &str, model: &MachineModel, title: &str, reschedule_first: bool) -> Engine {
     // `Engine::new` has no disk cache: this is exactly the
     // `EEL_NO_CACHE=1` path of `eel results`, so a stale artifact cache can
     // never mask drift.
@@ -82,6 +88,7 @@ fn run_golden(name: &str, model: &MachineModel, title: &str, reschedule_first: b
     let rows = engine.run_table(&golden_benchmarks(), reschedule_first, 2);
     let text = format_table(title, model, &rows, reschedule_first);
     check_golden(name, &text);
+    engine
 }
 
 /// The published full-suite tables under `results/` must agree with
@@ -89,7 +96,7 @@ fn run_golden(name: &str, model: &MachineModel, title: &str, reschedule_first: b
 /// without a `results/` regeneration (or vice versa) fails here.
 #[test]
 fn published_results_tables_agree_with_golden_rows() {
-    let results = eel_bench::report::workspace_root().join("results");
+    let results = eel_bench::results_dir();
     for name in ["table1.txt", "table2.txt", "table3.txt"] {
         let golden = std::fs::read_to_string(golden_path(name))
             .unwrap_or_else(|e| panic!("missing golden {name}: {e}"));
@@ -145,9 +152,7 @@ fn gap_report_matches_golden_snapshot() {
     }
     check_golden("gap_report.txt", &text);
     // The published copy is the same subset: it must match exactly.
-    let published = eel_bench::report::workspace_root()
-        .join("results")
-        .join("gap_report.txt");
+    let published = eel_bench::results_dir().join("gap_report.txt");
     if std::env::var_os("EEL_UPDATE_GOLDEN").is_some_and(|v| v == "1") {
         std::fs::write(&published, &text).unwrap();
     } else {
@@ -288,12 +293,20 @@ fn list_schedule_digests_are_pinned() {
 
 #[test]
 fn table1_matches_golden_snapshot() {
-    run_golden(
+    let engine = run_golden(
         "table1.txt",
         &MachineModel::ultrasparc(),
         "Table 1 (golden subset): slow profiling on the UltraSPARC",
         false,
     );
+    let counters: String = engine
+        .telemetry()
+        .snapshot()
+        .counters
+        .iter()
+        .map(|(name, value)| format!("{name} {value}\n"))
+        .collect();
+    check_golden("table1_counters.txt", &counters);
 }
 
 #[test]

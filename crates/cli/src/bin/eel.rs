@@ -11,7 +11,7 @@ fn main() -> ExitCode {
         }
         Err(e) => {
             eprintln!("eel: {e}");
-            ExitCode::from(e.exit_code())
+            ExitCode::FAILURE
         }
     }
 }

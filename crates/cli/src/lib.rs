@@ -23,7 +23,6 @@
 //!                [--corpus golden|full|FILE]
 //!                [--trace FILE]
 //! eel results NAME [flags]          # stdout is results/NAME.txt
-//! eel perf-gate [--tolerance PCT] [--report FILE] [--update-baseline]
 //! eel trace FILE [--chrome OUT] [--check CAT,...] [--limit N]
 //! eel report FILE [--json]
 //! eel report --diff OLD NEW [--json]
@@ -31,10 +30,11 @@
 //!
 //! Commands live in one module per family: `tools` (images and
 //! machines), `experiment` (the table protocol), `results` (every
-//! published result), `gate` (the perf gate), and `telemetry` (traces
-//! and run reports). They are pure functions over their arguments
-//! (file I/O and engine stats on stderr aside), so the crate's tests
-//! drive them directly.
+//! published result), and `telemetry` (traces and run reports). They
+//! are pure functions over their arguments (file I/O and engine stats
+//! on stderr aside), so the crate's tests drive them directly. Each
+//! reads its flags before its positional arguments, so flags may come
+//! before or after them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +52,6 @@ use eel_telemetry::RunReport;
 use eel_workloads::{cfp95, cint95, Benchmark};
 
 mod experiment;
-mod gate;
 mod results;
 mod telemetry;
 mod tools;
@@ -64,20 +63,6 @@ mod tests;
 #[derive(Debug)]
 pub struct CliError {
     message: String,
-    code: u8,
-}
-
-impl CliError {
-    /// The process exit status for this error: 1, except where a
-    /// command documents otherwise (`perf-gate` exits 2 on usage and
-    /// baseline problems).
-    pub fn exit_code(&self) -> u8 {
-        self.code
-    }
-
-    fn with_code(self, code: u8) -> CliError {
-        CliError { code, ..self }
-    }
 }
 
 impl fmt::Display for CliError {
@@ -97,7 +82,6 @@ impl From<fmt::Error> for CliError {
 fn err(msg: impl Into<String>) -> CliError {
     CliError {
         message: msg.into(),
-        code: 1,
     }
 }
 
@@ -164,12 +148,6 @@ commands:
         [--budget N] [--jobs N]        shrunken workloads)
       stall_breakdown [--jobs N]       per-benchmark stall attribution
         [--quick]
-  perf-gate [--tolerance PCT]          run the golden workloads and compare
-      [--report FILE] [--jobs N]       against crates/bench/baselines/
-      [--baseline FILE]                perf_gate.json: exact work counters,
-      [--update-baseline]              wall times within PCT (default 15);
-                                       exits 1 on a regression, 2 on a
-                                       usage or baseline problem
   trace FILE [--chrome OUT]            render a recorded trace: timeline plus
       [--check CAT,...] [--limit N]    the per-category self-time profile
                                        (--limit caps timeline lines, default
@@ -184,15 +162,19 @@ commands:
 ";
 
 /// Simple flag/value argument cursor. Every command consumes the flags
-/// it knows and then calls [`Args::finish`], so a misspelled flag is an
-/// error rather than silently ignored.
+/// it knows, then its positional arguments, and then calls
+/// [`Args::finish`], so a misspelled flag is an error rather than
+/// silently ignored.
 struct Args {
     items: Vec<String>,
 }
 
 impl Args {
+    /// The first remaining argument that is not a flag. Commands take
+    /// their flags (and the flags' values) first, so what is left is
+    /// the positional arguments plus any unknown flag.
     fn positional(&mut self) -> Option<String> {
-        let i = self.items.iter().position(|a| !a.starts_with("--"))?;
+        let i = self.items.iter().position(|a| !a.starts_with('-'))?;
         Some(self.items.remove(i))
     }
 
@@ -334,7 +316,6 @@ pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
         "sadl" => tools::sadl(args),
         "experiment" => experiment::experiment(args),
         "results" => results::results(args),
-        "perf-gate" => gate::perf_gate(args),
         "trace" => telemetry::trace(args),
         "report" => telemetry::report(args),
         other => Err(err(format!("unknown command `{other}`\n\n{USAGE}"))),

@@ -11,7 +11,9 @@
 use std::fmt::Write;
 
 use eel_bench::engine::Engine;
-use eel_bench::experiment::{format_table, mean_pct_hidden, run_table, ExperimentConfig, Row};
+use eel_bench::experiment::{
+    format_table, mean_pct_hidden, pct_hidden, run_table, ExperimentConfig, Row,
+};
 use eel_bench::gap::{format_gap_report, gap_table};
 use eel_core::{Priority, SchedOptions, Scheduler, DEFAULT_EXACT_BUDGET};
 use eel_edit::{Cfg, EditSession, Executable};
@@ -64,6 +66,12 @@ pub(crate) fn results(mut args: Args) -> Result<String, CliError> {
             .collect::<Vec<_>>()
             .join(", ")
     };
+    // The generator NAME picks parses the flags, so NAME comes first.
+    if let Some(flag) = args.items.first().filter(|a| a.starts_with('-')) {
+        return Err(err(format!(
+            "results needs NAME before its flags: `eel results NAME {flag} ...`"
+        )));
+    }
     let name = args
         .positional()
         .ok_or_else(|| err(format!("results needs a NAME (one of: {})", names())))?;
@@ -545,10 +553,6 @@ impl Measured {
             .expect("schedulable");
         (inst, self.run(&scheduled))
     }
-}
-
-fn pct_hidden(uninst: u64, inst: u64, sched: u64) -> f64 {
-    100.0 * (inst as f64 - sched as f64) / (inst as f64 - uninst as f64)
 }
 
 /// The §4.1 instruction-cache discussion: scheduling instrumentation

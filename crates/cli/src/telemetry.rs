@@ -14,10 +14,10 @@ fn load_trace(path: &str) -> Result<TraceFile, CliError> {
 }
 
 pub(crate) fn trace(mut args: Args) -> Result<String, CliError> {
-    let path = args.positional().ok_or_else(|| err("trace needs a file"))?;
     let chrome = args.value("--chrome")?;
     let check = args.value("--check")?;
     let limit = args.parsed("--limit")?.unwrap_or(40);
+    let path = args.positional().ok_or_else(|| err("trace needs a file"))?;
     args.finish()?;
     let trace = load_trace(&path)?;
     let mut out = trace.render(limit);

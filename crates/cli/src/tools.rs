@@ -57,10 +57,7 @@ pub(crate) fn machines(args: Args) -> Result<String, CliError> {
 }
 
 pub(crate) fn gen(mut args: Args) -> Result<String, CliError> {
-    let name = args
-        .positional()
-        .ok_or_else(|| err("gen needs a benchmark name"))?;
-    let out_path = args.value("-o")?.ok_or_else(|| err("gen needs -o FILE"))?;
+    let out_path = args.value("-o")?;
     let iterations = args.parsed("--iterations")?;
     // Compile for the measured machine, as every table does: the
     // nominal model with the experiments' extra load latency.
@@ -69,6 +66,10 @@ pub(crate) fn gen(mut args: Args) -> Result<String, CliError> {
         .value("--optimize")?
         .map(|m| machine_by_name(&m).map(|m| m.with_load_latency_bias(mem_bias)))
         .transpose()?;
+    let name = args
+        .positional()
+        .ok_or_else(|| err("gen needs a benchmark name"))?;
+    let out_path = out_path.ok_or_else(|| err("gen needs -o FILE"))?;
     args.finish()?;
     let bench = spec95()
         .into_iter()
@@ -134,18 +135,17 @@ pub(crate) fn cfg(mut args: Args) -> Result<String, CliError> {
 }
 
 pub(crate) fn instrument(mut args: Args) -> Result<String, CliError> {
-    let path = args
-        .positional()
-        .ok_or_else(|| err("instrument needs a file"))?;
-    let out_path = args
-        .value("-o")?
-        .ok_or_else(|| err("instrument needs -o FILE"))?;
+    let out_path = args.value("-o")?;
     let mode = args.value("--mode")?.unwrap_or_else(|| "slow".into());
     let schedule = args
         .value("--schedule")?
         .map(|m| machine_by_name(&m))
         .transpose()?;
     let scavenge = args.flag("--scavenge");
+    let path = args
+        .positional()
+        .ok_or_else(|| err("instrument needs a file"))?;
+    let out_path = out_path.ok_or_else(|| err("instrument needs -o FILE"))?;
     args.finish()?;
     let exe = load(&path)?;
     let mut session = EditSession::new(&exe).map_err(|e| err(e.to_string()))?;
@@ -202,13 +202,13 @@ pub(crate) fn instrument(mut args: Args) -> Result<String, CliError> {
 }
 
 pub(crate) fn run(mut args: Args) -> Result<String, CliError> {
-    let path = args.positional().ok_or_else(|| err("run needs a file"))?;
     let machine = args
         .value("--machine")?
         .map(|m| machine_by_name(&m))
         .transpose()?;
     let branch_penalty = args.parsed("--branch-penalty")?.unwrap_or(0);
     let load_bias = args.parsed("--load-bias")?.unwrap_or(0);
+    let path = args.positional().ok_or_else(|| err("run needs a file"))?;
     args.finish()?;
     let model = machine
         .map(|m| {
@@ -248,15 +248,15 @@ pub(crate) fn run(mut args: Args) -> Result<String, CliError> {
 }
 
 pub(crate) fn profile(mut args: Args) -> Result<String, CliError> {
-    let path = args
-        .positional()
-        .ok_or_else(|| err("profile needs a file"))?;
     let machine = args
         .value("--machine")?
         .unwrap_or_else(|| "ultrasparc".into());
     let model = machine_by_name(&machine)?;
     let mode = args.value("--mode")?.unwrap_or_else(|| "slow".into());
     let schedule = args.flag("--schedule");
+    let path = args
+        .positional()
+        .ok_or_else(|| err("profile needs a file"))?;
     args.finish()?;
     let exe = load(&path)?;
     let mut session = EditSession::new(&exe).map_err(|e| err(e.to_string()))?;
@@ -309,14 +309,12 @@ pub(crate) fn profile(mut args: Args) -> Result<String, CliError> {
 }
 
 pub(crate) fn pipeline(mut args: Args) -> Result<String, CliError> {
+    let machine = args.value("--machine")?;
+    let block = args.value("--block")?.unwrap_or_else(|| "0:0".into());
     let path = args
         .positional()
         .ok_or_else(|| err("pipeline needs a file"))?;
-    let machine = args
-        .value("--machine")?
-        .ok_or_else(|| err("pipeline needs --machine"))?;
-    let model = machine_by_name(&machine)?;
-    let block = args.value("--block")?.unwrap_or_else(|| "0:0".into());
+    let model = machine_by_name(&machine.ok_or_else(|| err("pipeline needs --machine"))?)?;
     args.finish()?;
     let (r, b) = block
         .split_once(':')
@@ -337,9 +335,6 @@ pub(crate) fn pipeline(mut args: Args) -> Result<String, CliError> {
 }
 
 pub(crate) fn explain(mut args: Args) -> Result<String, CliError> {
-    let path = args
-        .positional()
-        .ok_or_else(|| err("explain needs a file"))?;
     let machine = args
         .value("--machine")?
         .unwrap_or_else(|| "ultrasparc".into());
@@ -356,6 +351,9 @@ pub(crate) fn explain(mut args: Args) -> Result<String, CliError> {
     // implies the gap rendering `--exact` asks for.
     let exact = args.flag("--exact") || priority == Priority::Exact;
     let exact_budget = args.parsed("--exact-budget")?;
+    let path = args
+        .positional()
+        .ok_or_else(|| err("explain needs a file"))?;
     args.finish()?;
     if chrome.is_some() && block.is_none() {
         return Err(err("--chrome needs --block B (one block per trace)"));
@@ -453,8 +451,8 @@ pub(crate) fn explain(mut args: Args) -> Result<String, CliError> {
 }
 
 pub(crate) fn sadl(mut args: Args) -> Result<String, CliError> {
-    let path = args.positional().ok_or_else(|| err("sadl needs a file"))?;
     let groups = args.flag("--groups");
+    let path = args.positional().ok_or_else(|| err("sadl needs a file"))?;
     args.finish()?;
     let src = fs::read_to_string(&path).map_err(|e| err(format!("{path}: {e}")))?;
     let model = MachineModel::from_source(&src).map_err(|e| err(e.to_string()))?;

@@ -15,8 +15,6 @@
 //! instructions still have the same priority, the instruction listed
 //! earlier in the original code sequence is chosen.*
 
-use std::time::Instant;
-
 use eel_edit::{BlockCode, BlockInfo, Tagged};
 use eel_pipeline::{
     attribute_block, BlockTiming, MachineModel, PipelineState, PreparedInsn, StallProfile,
@@ -227,9 +225,8 @@ impl Scheduler {
     /// With a live sink (for example `&eel_telemetry::Registry`), each
     /// block records `sched.blocks` / `sched.queries` counters (the
     /// queries include lookahead clones and the exact oracle's search) and
-    /// `sched.block_ns` / `sched.block_len` / `sched.dep_build_ns` /
-    /// `sched.stall_query_ns` histograms. With `&()` every telemetry
-    /// operation — including the per-query clock reads — is statically
+    /// `sched.block_ns` / `sched.block_len` / `sched.dep_build_ns`
+    /// histograms. With `&()` every telemetry operation is statically
     /// dead code, so the scheduled output and the cost of producing it
     /// are identical to the plain method's.
     ///
@@ -365,13 +362,6 @@ impl Scheduler {
             ..
         } = ws;
         let n = block.body.len();
-        // Telemetry handles are resolved once per block; per-query
-        // recording below goes straight through the `Arc`.
-        let query_hist = if S::ENABLED {
-            sink.histogram("sched.stall_query_ns")
-        } else {
-            None
-        };
 
         // Forward pass: list scheduling against the pipeline model.
         // The ready list holds every node whose predecessors have all
@@ -405,14 +395,7 @@ impl Scheduler {
             lookahead.round.clear();
             for &i in ready.iter() {
                 let (insn, prepared) = (&block.body[i].insn, &block.prepared[i]);
-                let stalls = if let Some(h) = &query_hist {
-                    let t0 = Instant::now();
-                    let stalls = pipe.stalls_prepared(&self.model, insn, prepared);
-                    h.record(t0.elapsed().as_nanos() as u64);
-                    stalls
-                } else {
-                    pipe.stalls_prepared(&self.model, insn, prepared)
-                };
+                let stalls = pipe.stalls_prepared(&self.model, insn, prepared);
                 let cand = Candidate {
                     stalls,
                     chain_to_end: block.cte[i],
@@ -1080,12 +1063,11 @@ mod tests {
         assert_eq!(snap.histograms["sched.block_len"].max, 3);
         assert_eq!(snap.histograms["sched.block_ns"].count, 1);
         assert_eq!(snap.histograms["sched.dep_build_ns"].count, 1);
-        // Every ready candidate is queried (and timed) each round; the
+        // Every ready candidate is queried each round: the load and the
+        // independent add, then both adds, then the dependent add. The
         // pipe's total also counts the implicit query inside each of
         // the three issues.
-        let timed = snap.histograms["sched.stall_query_ns"].count;
-        assert!(timed > 0);
-        assert_eq!(snap.counters["sched.queries"], timed + 3);
+        assert_eq!(snap.counters["sched.queries"], (2 + 2 + 1) + 3);
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! Like the real criterion, `--test` on the command line (as passed
 //! by `cargo bench -- --test`) switches every benchmark to a single
 //! quick iteration — a smoke run that proves the bench still builds
-//! and executes without spending measurement time.
+//! and executes without spending measurement time — and the first
+//! argument that is not a flag filters benchmarks by substring of
+//! their full id (`group/name`): `cargo bench --bench microbench --
+//! simulator/timed` runs only the ids containing `simulator/timed`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -93,16 +96,12 @@ impl Bencher<'_> {
 pub struct Criterion {
     sample_size: usize,
     smoke: bool,
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Criterion {
-        Criterion {
-            sample_size: 10,
-            // `cargo bench -- --test` asks for a build-and-run smoke
-            // pass, like the real criterion.
-            smoke: std::env::args().any(|a| a == "--test"),
-        }
+        Criterion::from_args(std::env::args().skip(1))
     }
 }
 
@@ -124,6 +123,41 @@ fn report(name: &str, samples: &mut [Duration], throughput: Option<Throughput>) 
 }
 
 impl Criterion {
+    /// The harness for a bench executable's arguments: `--test` asks
+    /// for a build-and-run smoke pass, and the first argument that is
+    /// not a flag is the name filter, like the real criterion's. Other
+    /// flags (cargo's `--bench`) are ignored.
+    fn from_args(args: impl IntoIterator<Item = String>) -> Criterion {
+        let mut c = Criterion {
+            sample_size: 10,
+            smoke: false,
+            filter: None,
+        };
+        for arg in args {
+            if arg == "--test" {
+                c.smoke = true;
+            } else if !arg.starts_with('-') && c.filter.is_none() {
+                c.filter = Some(arg);
+            }
+        }
+        c
+    }
+
+    /// Runs `f` as the benchmark `id` and reports it, unless the name
+    /// filter excludes `id`.
+    fn run<F: FnOnce(&mut Bencher<'_>)>(&self, id: &str, throughput: Option<Throughput>, f: F) {
+        if self.filter.as_deref().is_some_and(|f| !id.contains(f)) {
+            return;
+        }
+        let mut samples = Vec::new();
+        f(&mut Bencher {
+            samples: &mut samples,
+            sample_size: self.sample_size,
+            smoke: self.smoke,
+        });
+        report(id, &mut samples, throughput);
+    }
+
     /// Sets the number of measured samples per benchmark.
     #[must_use]
     pub fn sample_size(mut self, n: usize) -> Criterion {
@@ -136,15 +170,9 @@ impl Criterion {
     pub fn bench_function<F: FnMut(&mut Bencher<'_>)>(
         &mut self,
         name: &str,
-        mut f: F,
+        f: F,
     ) -> &mut Criterion {
-        let mut samples = Vec::new();
-        f(&mut Bencher {
-            samples: &mut samples,
-            sample_size: self.sample_size,
-            smoke: self.smoke,
-        });
-        report(name, &mut samples, None);
+        self.run(name, None, f);
         self
     }
 
@@ -176,19 +204,10 @@ impl BenchmarkGroup<'_> {
     pub fn bench_function<F: FnMut(&mut Bencher<'_>)>(
         &mut self,
         name: impl std::fmt::Display,
-        mut f: F,
+        f: F,
     ) -> &mut Self {
-        let mut samples = Vec::new();
-        f(&mut Bencher {
-            samples: &mut samples,
-            sample_size: self.criterion.sample_size,
-            smoke: self.criterion.smoke,
-        });
-        report(
-            &format!("{}/{name}", self.name),
-            &mut samples,
-            self.throughput,
-        );
+        let id = format!("{}/{name}", self.name);
+        self.criterion.run(&id, self.throughput, f);
         self
     }
 
@@ -199,20 +218,8 @@ impl BenchmarkGroup<'_> {
         input: &I,
         mut f: F,
     ) -> &mut Self {
-        let mut samples = Vec::new();
-        f(
-            &mut Bencher {
-                samples: &mut samples,
-                sample_size: self.criterion.sample_size,
-                smoke: self.criterion.smoke,
-            },
-            input,
-        );
-        report(
-            &format!("{}/{id}", self.name),
-            &mut samples,
-            self.throughput,
-        );
+        let id = format!("{}/{id}", self.name);
+        self.criterion.run(&id, self.throughput, |b| f(b, input));
         self
     }
 
@@ -255,9 +262,14 @@ macro_rules! criterion_main {
 mod tests {
     use super::*;
 
+    /// The harness a bench executable run with `args` gets.
+    fn with_args(args: &[&str]) -> Criterion {
+        Criterion::from_args(args.iter().map(|a| a.to_string())).sample_size(2)
+    }
+
     #[test]
     fn bench_function_reports_and_runs() {
-        let mut c = Criterion::default().sample_size(2);
+        let mut c = with_args(&["--bench"]);
         let mut runs = 0u64;
         c.bench_function("smoke", |b| b.iter(|| runs += 1));
         assert!(runs > 0);
@@ -265,18 +277,34 @@ mod tests {
 
     #[test]
     fn smoke_mode_runs_once_per_sample() {
-        let mut c = Criterion {
-            sample_size: 10,
-            smoke: true,
-        };
+        let mut c = with_args(&["--test", "--bench"]).sample_size(10);
         let mut runs = 0u64;
         c.bench_function("quick", |b| b.iter(|| runs += 1));
         assert_eq!(runs, 1, "--test mode runs the routine exactly once");
     }
 
     #[test]
+    fn name_filter_skips_benchmarks_it_does_not_match() {
+        let mut c = with_args(&["--test", "sim/timed", "--bench"]);
+        let (mut kept, mut skipped) = (0u64, 0u64);
+        let mut g = c.benchmark_group("sim");
+        g.bench_function("functional/li", |b| b.iter(|| skipped += 1));
+        g.bench_function("timed/li", |b| b.iter(|| kept += 1));
+        g.bench_with_input(BenchmarkId::new("timed", "swim"), &2u64, |b, &n| {
+            b.iter(|| kept += n)
+        });
+        g.bench_with_input(BenchmarkId::from_parameter("swim"), &1u64, |b, &n| {
+            b.iter(|| skipped += n)
+        });
+        g.finish();
+        c.bench_function("timed", |b| b.iter(|| skipped += 1));
+        assert_eq!(skipped, 0, "a filtered-out closure never runs");
+        assert_eq!(kept, 1 + 2, "`--test` runs each matching one once");
+    }
+
+    #[test]
     fn groups_and_ids_compose() {
-        let mut c = Criterion::default().sample_size(2);
+        let mut c = with_args(&[]);
         let mut g = c.benchmark_group("g");
         g.throughput(Throughput::Elements(8));
         g.bench_with_input(BenchmarkId::new("f", 8), &8u32, |b, &n| {

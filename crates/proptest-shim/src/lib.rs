@@ -24,6 +24,9 @@ pub mod __rt {
 
 /// Strategy combinators and generation plumbing.
 pub mod strategy {
+    use std::iter::Peekable;
+    use std::str::Chars;
+
     use super::*;
 
     /// A generator of values for property tests.
@@ -207,47 +210,43 @@ pub mod strategy {
         }
     }
 
-    fn generate_pattern(pattern: &str, rng: &mut StdRng) -> String {
+    /// The characters of a `[...]` class whose opening `[` was just
+    /// consumed, in pattern order, consuming through the closing `]`.
+    /// As in regex syntax, `a-z` is a range, and a `-` with no single
+    /// character before it (first, or right after a range) or none
+    /// after it (last) is a literal `-`.
+    pub(crate) fn parse_class(chars: &mut Peekable<Chars<'_>>) -> Vec<char> {
+        let mut class = Vec::new();
+        // The last single character, which a following `-` turns into
+        // the start of a range.
+        let mut start: Option<char> = None;
+        while let Some(k) = chars.next() {
+            match k {
+                ']' => break,
+                '-' => match (start.take(), chars.peek()) {
+                    (Some(lo), Some(&hi)) if hi != ']' => {
+                        chars.next();
+                        class.pop();
+                        class.extend(lo..=hi);
+                    }
+                    _ => class.push('-'),
+                },
+                k => {
+                    class.push(k);
+                    start = Some(k);
+                }
+            }
+        }
+        class
+    }
+
+    pub(crate) fn generate_pattern(pattern: &str, rng: &mut StdRng) -> String {
         let mut out = String::new();
         let mut chars = pattern.chars().peekable();
         while let Some(c) = chars.next() {
             let atom: Atom = match c {
                 '.' => Atom::Dot,
-                '[' => {
-                    let mut class = Vec::new();
-                    let mut prev: Option<char> = None;
-                    for k in chars.by_ref() {
-                        match k {
-                            ']' => break,
-                            '-' if prev.is_some() => {
-                                // Range start recorded; the next char closes it.
-                                class.push(Atom::marker());
-                            }
-                            k => {
-                                if class.last() == Some(&Atom::marker()) {
-                                    class.pop();
-                                    let lo = prev.expect("range has a start");
-                                    class.pop();
-                                    for r in lo..=k {
-                                        class.push(Atom::Lit(r));
-                                    }
-                                } else {
-                                    class.push(Atom::Lit(k));
-                                }
-                                prev = Some(k);
-                            }
-                        }
-                    }
-                    Atom::Class(
-                        class
-                            .into_iter()
-                            .filter_map(|a| match a {
-                                Atom::Lit(c) => Some(c),
-                                _ => None,
-                            })
-                            .collect(),
-                    )
-                }
+                '[' => Atom::Class(parse_class(&mut chars)),
                 lit => Atom::Lit(lit),
             };
             // Optional {min,max} quantifier.
@@ -288,18 +287,10 @@ pub mod strategy {
         out
     }
 
-    #[derive(Debug, Clone, PartialEq)]
     enum Atom {
         Dot,
         Class(Vec<char>),
         Lit(char),
-    }
-
-    impl Atom {
-        /// Sentinel marking a pending `-` range inside a class parse.
-        fn marker() -> Atom {
-            Atom::Lit('\u{0}')
-        }
     }
 
     /// Run configuration, mirroring `proptest::test_runner::Config`.
@@ -543,6 +534,32 @@ mod tests {
             prop_assert!(stem.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'));
             prop_assert!(t.chars().count() <= 200);
         }
+    }
+
+    #[test]
+    fn class_ranges_and_literal_hyphens() {
+        use crate::strategy::{generate_pattern, parse_class};
+        let class = |p: &str| parse_class(&mut p[1..].chars().peekable());
+        let span = |lo: char, hi: char| (lo..=hi).collect::<Vec<char>>();
+        // The classes the workspace's fuzz tests use, in draw order.
+        assert_eq!(class("[ -~]"), span(' ', '~'));
+        let mut hyphen_first = vec!['-'];
+        hyphen_first.extend(span('a', 'z'));
+        hyphen_first.extend(span('0', '9'));
+        assert_eq!(class("[-a-z0-9]"), hyphen_first);
+        let mut underscore = span('a', 'z');
+        underscore.push('_');
+        assert_eq!(class("[a-z_]"), underscore);
+        // A `-` that ends the class, or follows a finished range, is a
+        // literal.
+        assert_eq!(class("[a-c-]"), ['a', 'b', 'c', '-']);
+        assert_eq!(class("[a-c-e]"), ['a', 'b', 'c', '-', 'e']);
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
+        let drawn: String = (0..500)
+            .map(|_| generate_pattern("[a-c-]{1,6}", &mut rng))
+            .collect();
+        assert!(drawn.contains('-'), "{drawn:?}");
+        assert!(drawn.chars().all(|c| "abc-".contains(c)), "{drawn:?}");
     }
 
     #[test]

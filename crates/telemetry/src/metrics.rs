@@ -210,7 +210,7 @@ impl Drop for Span {
 /// A named home for counters and histograms.
 ///
 /// Sites are `&'static str` names (dot-separated by convention:
-/// `engine.sims`, `sched.stall_query_ns`). Registration takes a lock;
+/// `engine.sims`, `sched.block_ns`). Registration takes a lock;
 /// hot paths resolve their handles once and record lock-free through
 /// the returned `Arc`s.
 #[derive(Debug, Default)]

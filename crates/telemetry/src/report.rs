@@ -5,7 +5,7 @@
 //! JSON under schema `eel-run-report`, version [`RUN_REPORT_VERSION`].
 //! Reports parse back losslessly, render as human-readable text, and
 //! [`diff`](RunReport::diff) against each other — the diff is what
-//! both `eel report --diff` and `eel perf-gate` are built on.
+//! `eel report --diff` prints.
 //!
 //! Parsing is strict about identity and lenient about content: the
 //! schema string and version must match exactly (a future version is a
@@ -501,7 +501,7 @@ mod tests {
         reg.add("engine.sims", 12);
         reg.add("sched.queries", 4096);
         for v in [3u64, 64, 65, 1000, 1001, 40_000] {
-            reg.record("sched.stall_query_ns", v);
+            reg.record("sched.block_ns", v);
         }
         let mut meta = BTreeMap::new();
         meta.insert("label".to_string(), "unit-test".to_string());
@@ -601,7 +601,7 @@ mod tests {
             "counters:",
             "histograms:",
             "engine.sims",
-            "sched.stall_query_ns",
+            "sched.block_ns",
             "ultrasparc",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");

@@ -27,7 +27,7 @@
 //! associated constant that defaults to `false` — so every existing
 //! sink (including the live [`Registry`]) compiles trace calls to
 //! nothing, and the monomorphized hot paths pinned by `sched_hot` and
-//! the perf gate are byte-for-byte unchanged. Only the [`Traced`]
+//! the golden Table 1 counters are byte-for-byte unchanged. Only the [`Traced`]
 //! wrapper turns tracing on, and the per-million-event paths (simulator
 //! block-cache *hits*) are deliberately summarized as one event per
 //! run rather than traced individually.

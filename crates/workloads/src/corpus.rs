@@ -4,7 +4,7 @@
 //! manifest (schema [`CORPUS_SCHEMA`]). Two corpora are built in:
 //!
 //! * `golden` — the 18-benchmark synthetic SPEC95 suite the paper's
-//!   tables run on (and the per-PR perf gate keeps);
+//!   tables run on;
 //! * `full` — [`FULL_MANIFEST`], a seeded 20x corpus (360 entries)
 //!   adding size tiers (small/medium/large), stress shapes (huge
 //!   blocks, deep dependence chains, register-pressure extremes), and
@@ -343,7 +343,7 @@ pub fn parse_manifest(text: &str) -> Result<Vec<Benchmark>, CorpusError> {
 }
 
 /// The golden corpus: the synthetic SPEC95 suite (what the paper's
-/// tables and the per-PR perf gate run on).
+/// tables run on).
 pub fn golden_corpus() -> Vec<Benchmark> {
     spec95()
 }
