@@ -117,12 +117,16 @@ impl Cfg {
     /// a CTI in another CTI's delay slot ([`EditError::CtiInDelaySlot`]),
     /// or a branch into a delay slot ([`EditError::DelaySlotTarget`]).
     pub fn build(exe: &Executable) -> Result<Cfg, EditError> {
-        let insns = exe.decode_text();
-        let mut routines = Vec::new();
-        let bounds = routine_bounds(exe);
-        for (name, start, end) in bounds {
-            routines.push(build_routine(exe, &insns, name, start, end)?);
-        }
+        Cfg::from_decoded(exe, &exe.decode_text())
+    }
+
+    /// [`Cfg::build`] over `exe`'s text already decoded, one
+    /// instruction per word, for a caller that keeps the words.
+    pub(crate) fn from_decoded(exe: &Executable, insns: &[Instruction]) -> Result<Cfg, EditError> {
+        let routines = routine_bounds(exe)
+            .into_iter()
+            .map(|(name, start, end)| build_routine(exe, insns, name, start, end))
+            .collect::<Result<_, _>>()?;
         Ok(Cfg { routines })
     }
 
@@ -310,9 +314,8 @@ fn build_routine(
 
     // Pass 4: invert edges for predecessors.
     for bi in 0..built.len() {
-        let succs = built[bi].succs.clone();
-        for e in succs {
-            if let Edge::Fall(t) | Edge::Taken(t) = e {
+        for si in 0..built[bi].succs.len() {
+            if let Edge::Fall(t) | Edge::Taken(t) = built[bi].succs[si] {
                 if !built[t].preds.contains(&bi) {
                     built[t].preds.push(bi);
                 }

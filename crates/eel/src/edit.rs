@@ -9,8 +9,6 @@
 //! executable, causing the original and new instructions to be
 //! scheduled together.*
 
-use std::collections::HashMap;
-
 use eel_sparc::Instruction;
 
 use crate::cfg::Cfg;
@@ -98,9 +96,22 @@ pub struct BlockInfo<'a> {
     pub addr: u32,
 }
 
-/// Per (routine, block): instrumentation keyed by the original body
-/// index it precedes, in insertion order within one position.
-type InsertionMap = HashMap<(usize, usize), Vec<(usize, Vec<Instruction>)>>;
+/// The instrumentation registered on one block.
+#[derive(Debug, Clone, Default)]
+struct Slot {
+    /// Code keyed by the *original body index* it precedes (`0` = block
+    /// head, `body_len()` = just before the control tail), sorted by
+    /// position with one entry per position; within one position,
+    /// insertion order is kept.
+    at: Vec<(usize, Vec<Instruction>)>,
+    /// Code keyed by successor index, executed exactly when that edge
+    /// is taken. Fall-through edges get inline code; taken edges get
+    /// an out-of-line trampoline the branch is retargeted through.
+    edges: Vec<(usize, Vec<Instruction>)>,
+}
+
+/// Marks an old text word that starts no block in `emit`'s leader map.
+const NOT_LEADER: usize = usize::MAX;
 
 /// An in-progress edit of one executable.
 ///
@@ -130,15 +141,14 @@ type InsertionMap = HashMap<(usize, usize), Vec<(usize, Vec<Instruction>)>>;
 pub struct EditSession {
     exe: Executable,
     cfg: Cfg,
-    /// Per block: instrumentation keyed by the *original body index*
-    /// it precedes (`0` = block head, `body_len()` = just before the
-    /// control tail). Within one position, insertion order is kept.
-    insertions: InsertionMap,
-    /// Per (routine, block, successor index): instrumentation that
-    /// executes exactly when that edge is taken. Fall-through edges
-    /// get inline code; taken edges get an out-of-line trampoline the
-    /// branch is retargeted through.
-    edge_insertions: HashMap<(usize, usize, usize), Vec<Instruction>>,
+    /// The text, decoded once, one instruction per word. A session
+    /// only ever reserves bss, so these never go stale.
+    insns: Vec<Instruction>,
+    /// Per routine, the flat id of its first block: block `b` of
+    /// routine `r` has id `first_block[r] + b`.
+    first_block: Vec<usize>,
+    /// Per block, by flat id: its instrumentation.
+    slots: Vec<Slot>,
     /// The size of the first bss reservation that did not fit, which
     /// makes [`EditSession::emit`] fail.
     bss_overflow: Option<u32>,
@@ -151,12 +161,20 @@ impl EditSession {
     ///
     /// Propagates CFG-construction errors (see [`Cfg::build`]).
     pub fn new(exe: &Executable) -> Result<EditSession, EditError> {
-        let cfg = Cfg::build(exe)?;
+        let insns = exe.decode_text();
+        let cfg = Cfg::from_decoded(exe, &insns)?;
+        let mut first_block = Vec::with_capacity(cfg.routines.len());
+        let mut blocks = 0;
+        for r in &cfg.routines {
+            first_block.push(blocks);
+            blocks += r.blocks.len();
+        }
         Ok(EditSession {
             exe: exe.clone(),
             cfg,
-            insertions: HashMap::new(),
-            edge_insertions: HashMap::new(),
+            insns,
+            first_block,
+            slots: vec![Slot::default(); blocks],
             bss_overflow: None,
         })
     }
@@ -229,21 +247,16 @@ impl EditSession {
             code.iter().all(|i| !i.is_cti()),
             "instrumentation inserted into a block must be straight-line"
         );
-        let b = self
-            .cfg
-            .routines
-            .get(routine)
-            .and_then(|r| r.blocks.get(block))
-            .unwrap_or_else(|| panic!("no block ({routine}, {block})"));
+        let b = self.block(routine, block);
         assert!(
             pos <= b.body_len(),
             "insertion position {pos} past the schedulable body ({})",
             b.body_len()
         );
-        let entries = self.insertions.entry((routine, block)).or_default();
-        match entries.iter_mut().find(|(p, _)| *p == pos) {
-            Some((_, v)) => v.extend(code),
-            None => entries.push((pos, code)),
+        let at = &mut self.slots[self.first_block[routine] + block].at;
+        match at.binary_search_by_key(&pos, |&(p, _)| p) {
+            Ok(k) => at[k].1.extend(code),
+            Err(k) => at.insert(k, (pos, code)),
         }
     }
 
@@ -271,12 +284,7 @@ impl EditSession {
             code.iter().all(|i| !i.is_cti()),
             "edge instrumentation must be straight-line"
         );
-        let b = self
-            .cfg
-            .routines
-            .get(routine)
-            .and_then(|r| r.blocks.get(block))
-            .unwrap_or_else(|| panic!("no block ({routine}, {block})"));
+        let b = self.block(routine, block);
         let edge = b
             .succs
             .get(succ)
@@ -296,47 +304,42 @@ impl EditSession {
                 assert!(b.cti.is_some(), "taken edges come from blocks with a CTI");
             }
         }
-        self.edge_insertions
-            .entry((routine, block, succ))
-            .or_default()
-            .extend(code);
+        let edges = &mut self.slots[self.first_block[routine] + block].edges;
+        match edges.iter_mut().find(|(s, _)| *s == succ) {
+            Some((_, v)) => v.extend(code),
+            None => edges.push((succ, code)),
+        }
+    }
+
+    /// The block `(routine, block)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block does not exist.
+    fn block(&self, routine: usize, block: usize) -> &crate::cfg::BasicBlock {
+        self.cfg
+            .routines
+            .get(routine)
+            .and_then(|r| r.blocks.get(block))
+            .unwrap_or_else(|| panic!("no block ({routine}, {block})"))
     }
 
     /// The code of a block as a transform would see it: insertions
     /// prepended to the body, control tail split off.
     pub fn block_code(&self, routine: usize, block: usize) -> BlockCode {
-        let r = &self.cfg.routines[routine];
-        let b = &r.blocks[block];
-        let insns = self.exe.text()[b.start..b.start + b.len]
-            .iter()
-            .map(|&w| Instruction::decode(w));
-        let entries = self.insertions.get(&(routine, block));
-        let at = |pos: usize| {
-            entries
-                .into_iter()
-                .flatten()
-                .filter(move |(p, _)| *p == pos)
-                .flat_map(|(_, v)| v.iter())
-                .copied()
-                .map(Tagged::instrumentation)
-        };
-        let mut body: Vec<Tagged> = Vec::new();
-        let mut tail = Vec::new();
-        for (k, insn) in insns.enumerate() {
-            if k < b.body_len() {
-                body.extend(at(k));
-                body.push(Tagged::original(insn));
-            } else {
-                if k == b.body_len() {
-                    body.extend(at(k));
-                }
-                tail.push(Tagged::original(insn));
-            }
+        let b = &self.cfg.routines[routine].blocks[block];
+        let at = &self.slots[self.first_block[routine] + block].at;
+        let (original, tail) = self.insns[b.start..b.start + b.len].split_at(b.body_len());
+        let inserted: usize = at.iter().map(|(_, code)| code.len()).sum();
+        let mut body = Vec::with_capacity(original.len() + inserted);
+        let mut next = 0;
+        for (pos, code) in at {
+            body.extend(original[next..*pos].iter().copied().map(Tagged::original));
+            body.extend(code.iter().copied().map(Tagged::instrumentation));
+            next = *pos;
         }
-        if b.body_len() == b.len {
-            // Fall-through block: trailing insertions go at the end.
-            body.extend(at(b.body_len()));
-        }
+        body.extend(original[next..].iter().copied().map(Tagged::original));
+        let tail = tail.iter().copied().map(Tagged::original).collect();
         BlockCode { body, tail }
     }
 
@@ -359,24 +362,25 @@ impl EditSession {
             return Err(EditError::BssOverflow { bytes });
         }
         let mut new_text: Vec<u32> = Vec::with_capacity(self.exe.text_len() * 2);
-        // old leader word index -> new word index
-        let mut leader_map: HashMap<usize, usize> = HashMap::new();
+        // Old text word index -> new word index of the block it starts.
+        let mut leader_map = vec![NOT_LEADER; self.exe.text_len()];
         // Pending displacement fixups: (new word index, how to find the
         // target, the instruction).
         enum Fix {
-            /// A block's own CTI: target = old CTI index + displacement
-            /// (unless retargeted through a trampoline).
+            /// A block's own CTI: target = old CTI index + displacement.
             FromCti { old_idx: usize },
             /// A synthesized branch straight to an old leader index.
             ToLeader { old_target: usize },
+            /// A block's own CTI retargeted through the edge trampoline
+            /// at this new word index.
+            ToNew { new_target: usize },
         }
         let mut ctis: Vec<(usize, Fix, Instruction)> = Vec::new();
-        // old CTI word index -> new word index of its edge trampoline
-        let mut retarget: HashMap<usize, usize> = HashMap::new();
 
         for (ri, r) in self.cfg.routines.iter().enumerate() {
             // Taken-edge trampolines of this routine, emitted after its
-            // last block: (instrumentation, old target leader, old CTI).
+            // last block: (instrumentation, old target leader, index of
+            // the block CTI's fixup in `ctis`).
             let mut deferred: Vec<(Vec<Instruction>, usize, usize)> = Vec::new();
             for (bi, b) in r.blocks.iter().enumerate() {
                 let block_addr = self.exe.text_addr(b.start);
@@ -389,10 +393,7 @@ impl EditSession {
                 let code = transform(info, self.block_code(ri, bi));
 
                 // Validate the control tail survived the transform.
-                let orig_cti = b
-                    .cti
-                    .map(|c| Instruction::decode(self.exe.text()[b.start + c]));
-                match orig_cti {
+                match b.cti.map(|c| self.insns[b.start + c]) {
                     Some(cti) => {
                         if code.tail.len() != 2 {
                             return Err(EditError::BadTransform {
@@ -429,24 +430,24 @@ impl EditSession {
                     });
                 }
 
-                leader_map.insert(b.start, new_text.len());
-                let body_len = code.body.len();
-                for t in code.body.iter().chain(&code.tail) {
-                    new_text.push(t.insn.encode());
-                }
-                if let Some(c) = b.cti {
+                let new_start = new_text.len();
+                leader_map[b.start] = new_start;
+                new_text.extend(code.body.iter().chain(&code.tail).map(|t| t.insn.encode()));
+                let cti_fix = b.cti.map(|c| {
                     ctis.push((
-                        leader_map[&b.start] + body_len,
+                        new_start + code.body.len(),
                         Fix::FromCti {
                             old_idx: b.start + c,
                         },
                         code.tail[0].insn,
                     ));
-                }
+                    ctis.len() - 1
+                });
 
                 // Edge instrumentation out of this block.
+                let edges = &self.slots[self.first_block[ri] + bi].edges;
                 for (si, edge) in b.succs.iter().enumerate() {
-                    let Some(snippet) = self.edge_insertions.get(&(ri, bi, si)) else {
+                    let Some((_, snippet)) = edges.iter().find(|(s, _)| *s == si) else {
                         continue;
                     };
                     let snippet_code = BlockCode {
@@ -470,13 +471,11 @@ impl EditSession {
                     match edge {
                         crate::cfg::Edge::Fall(_) => {
                             // Inline: runs exactly on the fall path.
-                            for i in &words {
-                                new_text.push(i.encode());
-                            }
+                            new_text.extend(words.iter().map(|i| i.encode()));
                         }
                         crate::cfg::Edge::Taken(t) => {
-                            let cti_old = b.start + b.cti.expect("taken edge implies CTI");
-                            deferred.push((words, r.blocks[*t].start, cti_old));
+                            let fix = cti_fix.expect("taken edge implies CTI");
+                            deferred.push((words, r.blocks[*t].start, fix));
                         }
                         crate::cfg::Edge::Exit => {
                             unreachable!("insert_on_edge rejects exit edges")
@@ -487,11 +486,11 @@ impl EditSession {
 
             // Emit this routine's taken-edge trampolines: snippet, then
             // `ba <original target>` with the delay slot unfilled.
-            for (words, old_target, cti_old) in deferred {
-                retarget.insert(cti_old, new_text.len());
-                for i in &words {
-                    new_text.push(i.encode());
-                }
+            for (words, old_target, fix) in deferred {
+                ctis[fix].1 = Fix::ToNew {
+                    new_target: new_text.len(),
+                };
+                new_text.extend(words.iter().map(|i| i.encode()));
                 let ba = Instruction::Branch {
                     cond: eel_sparc::Cond::A,
                     annul: false,
@@ -510,25 +509,27 @@ impl EditSession {
             };
             let new_target = match fix {
                 Fix::FromCti { old_idx } => {
-                    if let Some(&tramp) = retarget.get(&old_idx) {
-                        tramp
-                    } else {
-                        let old_target = old_idx as i64 + old_disp as i64;
-                        let from = self.exe.text_addr(old_idx);
-                        if old_target < 0 || old_target > u32::MAX as i64 {
-                            return Err(EditError::BadBranchTarget { from, to: 0 });
-                        }
-                        *leader_map.get(&(old_target as usize)).ok_or(
-                            EditError::BadBranchTarget {
+                    let old_target = old_idx as i64 + old_disp as i64;
+                    let from = self.exe.text_addr(old_idx);
+                    if old_target < 0 || old_target > u32::MAX as i64 {
+                        return Err(EditError::BadBranchTarget { from, to: 0 });
+                    }
+                    match leader_map.get(old_target as usize) {
+                        Some(&new) if new != NOT_LEADER => new,
+                        _ => {
+                            return Err(EditError::BadBranchTarget {
                                 from,
                                 to: self.exe.text_addr(old_target as usize),
-                            },
-                        )?
+                            })
+                        }
                     }
                 }
-                Fix::ToLeader { old_target } => *leader_map
-                    .get(&old_target)
-                    .expect("trampoline targets are block leaders"),
+                Fix::ToLeader { old_target } => {
+                    let new = leader_map[old_target];
+                    assert_ne!(new, NOT_LEADER, "trampoline targets are block leaders");
+                    new
+                }
+                Fix::ToNew { new_target } => new_target,
             };
             insn.set_branch_disp(new_target as i32 - new_idx as i32);
             new_text[new_idx] = insn.encode();
@@ -536,12 +537,13 @@ impl EditSession {
 
         // Remap the entry point and symbols.
         let remap = |addr: u32| -> Result<u32, EditError> {
-            let idx = self.exe.text_index(addr)?;
-            let new = leader_map.get(&idx).ok_or(EditError::BadBranchTarget {
-                from: addr,
-                to: addr,
-            })?;
-            Ok(self.exe.text_base() + 4 * *new as u32)
+            match leader_map[self.exe.text_index(addr)?] {
+                NOT_LEADER => Err(EditError::BadBranchTarget {
+                    from: addr,
+                    to: addr,
+                }),
+                new => Ok(self.exe.text_addr(new)),
+            }
         };
         let entry = remap(self.exe.entry())?;
         let symbols = self
@@ -818,6 +820,37 @@ mod tests {
         assert_eq!(
             out.symbols().iter().find(|s| s.name == "f").unwrap().addr,
             0x1001C
+        );
+    }
+
+    #[test]
+    fn call_past_the_top_of_the_address_space_is_a_typed_error() {
+        // Targets wrap modulo 2^32: a call at 0xF000_0000 with disp30
+        // 0x1000_0000 targets 0x3000_0000, outside the text.
+        let words = vec![
+            Instruction::Call { disp: 0x1000_0000 }.encode(),
+            Instruction::nop().encode(),
+            Instruction::nop().encode(),
+        ];
+        let exe = Executable::new(
+            0xF000_0000,
+            words,
+            0xF001_0000,
+            vec![],
+            0,
+            0xF000_0000,
+            vec![Symbol {
+                name: "main".into(),
+                addr: 0xF000_0000,
+            }],
+        );
+        let session = EditSession::new(&exe).unwrap();
+        assert_eq!(
+            session.emit_unscheduled().unwrap_err(),
+            EditError::BadBranchTarget {
+                from: 0xF000_0000,
+                to: 0x3000_0000
+            }
         );
     }
 

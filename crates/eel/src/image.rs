@@ -246,9 +246,11 @@ impl Executable {
         Ok(((addr - self.text_base) / 4) as usize)
     }
 
-    /// The address of text word `index`.
+    /// The address of text word `index`, modulo 2^32 as SPARC computes
+    /// branch and call targets: an index past the text (a target the
+    /// editor reports) wraps rather than overflows.
     pub fn text_addr(&self, index: usize) -> u32 {
-        self.text_base + 4 * index as u32
+        self.text_base.wrapping_add((index as u32).wrapping_mul(4))
     }
 
     /// Decodes the instruction at `addr`.

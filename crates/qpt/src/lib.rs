@@ -40,7 +40,7 @@ pub use trace::{trace_snippet, TraceOptions, Tracer};
 
 use std::collections::HashMap;
 
-use eel_edit::{Edge, EditSession, Liveness, ResourceSet};
+use eel_edit::{Cfg, Edge, EditSession, Liveness, ResourceSet};
 use eel_sparc::{Address, Instruction, IntReg, Operand};
 
 /// Options for profiling instrumentation.
@@ -75,8 +75,9 @@ impl Default for ProfileOptions {
 enum CountSource {
     /// Counted directly in counter-table slot `i`.
     Slot(usize),
-    /// Equal to another block's count (the skip rule).
-    SameAs(usize, usize),
+    /// Equal to the count of the block with this flat id (the skip
+    /// rule).
+    SameAs(usize),
 }
 
 /// The result of instrumenting an executable for block profiling.
@@ -84,7 +85,11 @@ enum CountSource {
 pub struct Profiler {
     counter_base: u32,
     slots: usize,
-    sources: HashMap<(usize, usize), CountSource>,
+    /// Per routine, the flat id of its first block, then the block
+    /// count: block `b` of routine `r` has id `first_block[r] + b`.
+    first_block: Vec<usize>,
+    /// Per block, by flat id.
+    sources: Vec<CountSource>,
 }
 
 impl Profiler {
@@ -92,10 +97,11 @@ impl Profiler {
     /// (minus skipped ones) of `session`, reserving a counter table in
     /// the executable's bss.
     pub fn instrument(session: &mut EditSession, options: ProfileOptions) -> Profiler {
-        let decisions = plan(session, options.apply_skip_rule);
+        let first_block = first_blocks(session.cfg());
+        let decisions = plan(session.cfg(), &first_block, options.apply_skip_rule);
 
         let n_counted = decisions
-            .values()
+            .iter()
             .filter(|d| matches!(d, CountSource::Slot(_)))
             .count();
         let counter_base = session.reserve_bss(4 * n_counted as u32);
@@ -113,9 +119,9 @@ impl Profiler {
             Vec::new()
         };
 
-        for (&(r, b), d) in &decisions {
+        for (r, b, d) in blocks(&first_block, &decisions) {
             if let CountSource::Slot(i) = d {
-                let addr = counter_base + 4 * *i as u32;
+                let addr = counter_base + 4 * i as u32;
                 let scratch = if options.scavenge {
                     let cands = liveness[r].scratch_candidates(b);
                     match (cands.first(), cands.get(1)) {
@@ -131,6 +137,7 @@ impl Profiler {
         Profiler {
             counter_base,
             slots: n_counted,
+            first_block,
             sources: decisions,
         }
     }
@@ -152,10 +159,12 @@ impl Profiler {
 
     /// Whether a block carries its own counter.
     pub fn is_counted(&self, routine: usize, block: usize) -> bool {
-        matches!(
-            self.sources.get(&(routine, block)),
-            Some(CountSource::Slot(_))
-        )
+        match self.first_block.get(routine..) {
+            Some(&[first, end, ..]) if block < end - first => {
+                matches!(self.sources[first + block], CountSource::Slot(_))
+            }
+            _ => false,
+        }
     }
 
     /// Recovers the full per-block profile from memory after a run.
@@ -169,24 +178,47 @@ impl Profiler {
     where
         F: FnMut(u32) -> u32,
     {
-        let mut out: HashMap<(usize, usize), u32> = HashMap::new();
-        for &key in self.sources.keys() {
-            let mut k = key;
+        let mut out = HashMap::with_capacity(self.sources.len());
+        for (r, b, mut source) in blocks(&self.first_block, &self.sources) {
             let mut hops = 0;
             let count = loop {
-                match self.sources[&k] {
+                match source {
                     CountSource::Slot(i) => break read_word(self.counter_base + 4 * i as u32),
-                    CountSource::SameAs(r, b) => {
-                        k = (r, b);
+                    CountSource::SameAs(id) => {
+                        source = self.sources[id];
                         hops += 1;
                         assert!(hops <= self.sources.len(), "cyclic skip chain");
                     }
                 }
             };
-            out.insert(key, count);
+            out.insert((r, b), count);
         }
         out
     }
+}
+
+/// Per routine of `cfg`, the flat id of its first block, then the
+/// total block count.
+fn first_blocks(cfg: &Cfg) -> Vec<usize> {
+    let mut first = Vec::with_capacity(cfg.routines.len() + 1);
+    first.push(0);
+    for r in &cfg.routines {
+        first.push(first[first.len() - 1] + r.blocks.len());
+    }
+    first
+}
+
+/// Every block's `(routine, block)` with its source, in block order.
+fn blocks<'a>(
+    first_block: &'a [usize],
+    sources: &'a [CountSource],
+) -> impl Iterator<Item = (usize, usize, CountSource)> + 'a {
+    first_block.windows(2).enumerate().flat_map(move |(r, w)| {
+        sources[w[0]..w[1]]
+            .iter()
+            .enumerate()
+            .map(move |(b, &source)| (r, b, source))
+    })
 }
 
 /// The four-instruction slow-profiling sequence of §4.2:
@@ -215,25 +247,25 @@ pub fn counter_snippet(counter_addr: u32, scratch: (IntReg, IntReg)) -> Vec<Inst
     ]
 }
 
-/// Decides, for every block, whether it gets a counter or inherits a
-/// neighbour's count.
-fn plan(session: &EditSession, apply_skip_rule: bool) -> HashMap<(usize, usize), CountSource> {
-    let cfg = session.cfg();
-    let mut sources: HashMap<(usize, usize), CountSource> = HashMap::new();
+/// Decides, for every block by flat id, whether it gets a counter or
+/// inherits a neighbour's count.
+fn plan(cfg: &Cfg, first_block: &[usize], apply_skip_rule: bool) -> Vec<CountSource> {
+    let mut sources: Vec<Option<CountSource>> = vec![None; first_block[cfg.routines.len()]];
     let mut next_slot = 0usize;
     // Blocks a skip decision depends on: they must take a counter.
-    let mut pinned: Vec<(usize, usize)> = Vec::new();
+    let mut pinned = vec![false; sources.len()];
 
     for (ri, r) in cfg.routines.iter().enumerate() {
+        let first = first_block[ri];
         for (bi, b) in r.blocks.iter().enumerate() {
-            let key = (ri, bi);
+            let id = first + bi;
             let mut slot = || {
                 let s = CountSource::Slot(next_slot);
                 next_slot += 1;
                 s
             };
-            if !apply_skip_rule || pinned.contains(&key) {
-                sources.insert(key, slot());
+            if !apply_skip_rule || pinned[id] {
+                sources[id] = Some(slot());
                 continue;
             }
 
@@ -241,9 +273,9 @@ fn plan(session: &EditSession, apply_skip_rule: bool) -> HashMap<(usize, usize),
             if b.preds.len() == 1 {
                 let p = b.preds[0];
                 let pred = &r.blocks[p];
-                let pred_counted = matches!(sources.get(&(ri, p)), Some(CountSource::Slot(_)));
+                let pred_counted = matches!(sources[first + p], Some(CountSource::Slot(_)));
                 if p != bi && pred.single_exit() && pred_counted {
-                    sources.insert(key, CountSource::SameAs(ri, p));
+                    sources[id] = Some(CountSource::SameAs(first + p));
                     continue;
                 }
             }
@@ -251,25 +283,27 @@ fn plan(session: &EditSession, apply_skip_rule: bool) -> HashMap<(usize, usize),
             if b.succs.len() == 1 {
                 if let Edge::Fall(s) | Edge::Taken(s) = b.succs[0] {
                     let succ = &r.blocks[s];
-                    let succ_key = (ri, s);
-                    let succ_ok = match sources.get(&succ_key) {
+                    let succ_ok = match sources[first + s] {
                         Some(CountSource::Slot(_)) => true,
-                        Some(CountSource::SameAs(..)) => false,
+                        Some(CountSource::SameAs(_)) => false,
                         None => {
-                            pinned.push(succ_key);
+                            pinned[first + s] = true;
                             true
                         }
                     };
                     if s != bi && succ.single_entry() && succ_ok {
-                        sources.insert(key, CountSource::SameAs(ri, s));
+                        sources[id] = Some(CountSource::SameAs(first + s));
                         continue;
                     }
                 }
             }
-            sources.insert(key, slot());
+            sources[id] = Some(slot());
         }
     }
     sources
+        .into_iter()
+        .map(|s| s.expect("every block is decided"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -427,14 +461,15 @@ mod tests {
 
     #[test]
     fn profile_resolves_skip_chains() {
-        let mut sources = HashMap::new();
-        sources.insert((0, 0), CountSource::Slot(0));
-        sources.insert((0, 1), CountSource::SameAs(0, 0));
-        sources.insert((0, 2), CountSource::SameAs(0, 1));
         let prof = Profiler {
             counter_base: 0x100,
             slots: 1,
-            sources,
+            first_block: vec![0, 3],
+            sources: vec![
+                CountSource::Slot(0),
+                CountSource::SameAs(0),
+                CountSource::SameAs(1),
+            ],
         };
         let counts = prof.profile(|addr| {
             assert_eq!(addr, 0x100);

@@ -4,7 +4,7 @@
 //! a timed and a functional simulation with typed errors only.
 
 use eel_repro::core::Scheduler;
-use eel_repro::edit::{Cfg, EditSession, Executable};
+use eel_repro::edit::{Cfg, EditSession, Executable, Symbol};
 use eel_repro::pipeline::MachineModel;
 use eel_repro::qpt::{ProfileOptions, Profiler};
 use eel_repro::sim::{run, DCacheConfig, ICacheConfig, RunConfig, TimingConfig};
@@ -38,6 +38,16 @@ enum Corruption {
     DataAtTop { slack: u32 },
     /// Replace text words with arbitrary words, then serialize.
     Text { words: Vec<(usize, u32)> },
+    /// Move the whole image up, so that the data segment ends `slack`
+    /// bytes (rounded up to a word) below the top of the address space
+    /// and the text ends `room` bytes (rounded up to a word) below the
+    /// data, then replace text words: calls and branches can then
+    /// target past 2^32, and a grown text can run past it.
+    TextAtTop {
+        slack: u32,
+        room: u32,
+        words: Vec<(usize, u32)>,
+    },
 }
 
 fn arb_corruption() -> impl Strategy<Value = Corruption> {
@@ -52,7 +62,21 @@ fn arb_corruption() -> impl Strategy<Value = Corruption> {
         (0u32..0x1000).prop_map(|slack| Corruption::DataAtTop { slack }),
         prop::collection::vec((any::<usize>(), any::<u32>()), 1..16)
             .prop_map(|words| Corruption::Text { words }),
+        (
+            1u32..0x1000,
+            prop_oneof![0u32..0x100, 0u32..0x10_0000],
+            prop::collection::vec((any::<usize>(), any::<u32>()), 1..16),
+        )
+            .prop_map(|(slack, room, words)| Corruption::TextAtTop { slack, room, words }),
     ]
+}
+
+/// Replaces text words of `text` with arbitrary words.
+fn overwrite(text: &mut [u32], words: &[(usize, u32)]) {
+    let n = text.len();
+    for &(at, word) in words {
+        text[at % n] = word;
+    }
 }
 
 /// The byte offsets of the image's length fields, as laid out by
@@ -90,10 +114,7 @@ fn corrupt(exe: &Executable, c: &Corruption) -> Vec<u8> {
         }
         Corruption::Text { words } => {
             let mut text = exe.text().to_vec();
-            for &(at, word) in words {
-                let n = text.len();
-                text[at % n] = word;
-            }
+            overwrite(&mut text, words);
             bytes = Executable::new(
                 exe.text_base(),
                 text,
@@ -102,6 +123,32 @@ fn corrupt(exe: &Executable, c: &Corruption) -> Vec<u8> {
                 exe.bss_size(),
                 exe.entry(),
                 exe.symbols().to_vec(),
+            )
+            .to_bytes();
+        }
+        Corruption::TextAtTop { slack, room, words } => {
+            let data_bytes = exe.data().len() as u32 + exe.bss_size();
+            let data_base = 0u32.wrapping_sub(data_bytes + slack) & !3;
+            let text_base = (data_base - room - 4 * exe.text_len() as u32) & !3;
+            let moved = |addr: u32| addr - exe.text_base() + text_base;
+            let mut text = exe.text().to_vec();
+            overwrite(&mut text, words);
+            let symbols = exe
+                .symbols()
+                .iter()
+                .map(|s| Symbol {
+                    name: s.name.clone(),
+                    addr: moved(s.addr),
+                })
+                .collect();
+            bytes = Executable::new(
+                text_base,
+                text,
+                data_base,
+                exe.data().to_vec(),
+                exe.bss_size(),
+                moved(exe.entry()),
+                symbols,
             )
             .to_bytes();
         }
