@@ -40,7 +40,7 @@ use eel_edit::{Cfg, EditSession, Executable};
 use eel_pipeline::{MachineModel, StallProfile};
 use eel_qpt::{ProfileOptions, Profiler};
 use eel_sim::{run_with, RunConfig, RunResult};
-use eel_telemetry::{fnv1a, Registry, RunReport, Snapshot, Traced, Tracer};
+use eel_telemetry::{fnv1a, Registry, RunReport, Snapshot, Tracer};
 use eel_workloads::{Benchmark, BuildOptions, Suite};
 
 use crate::experiment::{ExperimentConfig, Row};
@@ -204,7 +204,6 @@ pub struct Engine {
     disk: Option<PathBuf>,
     mem: Mutex<HashMap<u64, CellValue>>,
     telemetry: Registry,
-    tracer: Option<Arc<Tracer>>,
 }
 
 const _: () = {
@@ -223,7 +222,6 @@ impl Engine {
             disk: None,
             mem: Mutex::new(HashMap::new()),
             telemetry: Registry::new(),
-            tracer: None,
         }
     }
 
@@ -238,17 +236,12 @@ impl Engine {
 
     /// Attaches a flight recorder: every stage, cell decision,
     /// scheduler pass, and simulator run records trace events into
-    /// `tracer`. Without a tracer the engine's hot paths keep their
-    /// untraced monomorphizations.
+    /// `tracer`. The engine's registry starts over carrying it, so
+    /// call this on a fresh engine, before it measures anything.
     #[must_use]
     pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Engine {
-        self.tracer = Some(tracer);
+        self.telemetry = Registry::with_tracer(tracer);
         self
-    }
-
-    /// The attached flight recorder, if any.
-    pub fn tracer(&self) -> Option<&Arc<Tracer>> {
-        self.tracer.as_ref()
     }
 
     /// Adds the environment-configured artifact cache the table
@@ -287,8 +280,8 @@ impl Engine {
 
     fn stage<T>(&self, stage: Stage, f: impl FnOnce() -> T) -> T {
         let trace = self
-            .tracer
-            .as_deref()
+            .telemetry
+            .tracer()
             .map(|t| t.span("engine", STAGE_NAMES[stage as usize], 0, 0));
         let t = Instant::now();
         let v = f();
@@ -313,14 +306,8 @@ impl Engine {
             attribute_stalls,
             ..RunConfig::default()
         };
-        self.stage(stage, || match self.tracer.as_deref() {
-            None => run_with(exe, Some(measured), &config, &self.telemetry),
-            Some(tracer) => run_with(
-                exe,
-                Some(measured),
-                &config,
-                &Traced::new(&self.telemetry, tracer),
-            ),
+        self.stage(stage, || {
+            run_with(exe, Some(measured), &config, &self.telemetry)
         })
         .expect("generated workloads execute without faults")
     }
@@ -368,7 +355,7 @@ impl Engine {
     }
 
     fn cell(&self, key: u64, compute: impl FnOnce() -> CellValue) -> CellValue {
-        let tracer = self.tracer.as_deref();
+        let tracer = self.telemetry.tracer();
         if let Some(&v) = self.mem.lock().expect("cache lock").get(&key) {
             self.telemetry.add("engine.cache.mem_hits", 1);
             if let Some(t) = tracer {
@@ -450,13 +437,6 @@ impl Engine {
             .unwrap_or_else(|| self.model.clone());
         let scheduler = Scheduler::with_options(sched_model, self.cfg.sched);
         let measured = self.model.with_load_latency_bias(self.cfg.mem_bias);
-        // With a tracer, scheduling goes through the traced sink so
-        // per-block `sched` spans land in the timeline; without one,
-        // the plain Registry monomorphization runs.
-        let traced = self
-            .tracer
-            .as_deref()
-            .map(|t| Traced::new(&self.telemetry, t));
 
         // Stage 1: build — lazy, shared by every cell that misses.
         let original: OnceCell<Executable> = OnceCell::new();
@@ -473,11 +453,9 @@ impl Engine {
             let orig = original.get_or_init(&build_original);
             let session = EditSession::new(orig).expect("analyzable");
             self.stage(Stage::Schedule, || {
-                match &traced {
-                    Some(ts) => session.emit(scheduler.transform_with(ts)),
-                    None => session.emit(scheduler.transform_with(&self.telemetry)),
-                }
-                .expect("rescheduling preserves structure")
+                session
+                    .emit(scheduler.transform_with(&self.telemetry))
+                    .expect("rescheduling preserves structure")
             })
         };
 
@@ -541,11 +519,9 @@ impl Engine {
                 let _profiler = Profiler::instrument(&mut session, ProfileOptions::default());
             });
             let scheduled = self.stage(Stage::Schedule, || {
-                match &traced {
-                    Some(ts) => session.emit(scheduler.transform_with(ts)),
-                    None => session.emit(scheduler.transform_with(&self.telemetry)),
-                }
-                .expect("schedulable")
+                session
+                    .emit(scheduler.transform_with(&self.telemetry))
+                    .expect("schedulable")
             });
             let r = self.sim(Stage::Runs, &scheduled, &measured, false);
             CellValue {
@@ -1218,7 +1194,7 @@ mod tests {
         assert!(has("cell", "compute"));
         engine.measure(bench, false);
         assert!(has("cell", "mem_hit"));
-        // The hot loops report through the Traced sink: per-block
+        // The hot loops trace through the engine's registry: per-block
         // scheduler passes and simulator runs with cache summaries.
         assert!(has("sched", "block"));
         assert!(has("sim", "run"));

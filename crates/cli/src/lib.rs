@@ -14,7 +14,6 @@
 //!                [--schedule MACHINE] [--scavenge]
 //! eel run li.eelx [--machine MACHINE] [--branch-penalty N]
 //! eel profile li.eelx [--machine MACHINE] [--mode slow|fast] [--schedule]
-//! eel pipeline li.eelx --machine MACHINE [--block R:B]
 //! eel explain li.eelx [--machine MACHINE] [--routine R] [--block B]
 //!             [--chrome FILE] [--policy POLICY]
 //! eel experiment [--machine MACHINE] [--reschedule] [--jobs N] [--csv]
@@ -104,8 +103,6 @@ commands:
       [--branch-penalty N] [--load-bias N]
   profile FILE [--machine MACHINE]     instrument+run+report block counts
       [--mode slow|fast] [--schedule]
-  pipeline FILE --machine MACHINE      per-cycle issue trace of one block
-      [--block R:B]
   explain FILE [--machine MACHINE]     per-block stall attribution, before
       [--routine R] [--block B]        and after scheduling; one block (-B)
       [--chrome FILE]                  adds tables, traces, and optionally a
@@ -311,7 +308,6 @@ pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
         "instrument" => tools::instrument(args),
         "run" => tools::run(args),
         "profile" => tools::profile(args),
-        "pipeline" => tools::pipeline(args),
         "explain" => tools::explain(args),
         "sadl" => tools::sadl(args),
         "experiment" => experiment::experiment(args),

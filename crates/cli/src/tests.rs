@@ -217,15 +217,6 @@ fn profile_reports_counts() {
 }
 
 #[test]
-fn pipeline_traces_a_block() {
-    let f = tmp("ijpeg.eelx");
-    call(&["gen", "132.ijpeg", "-o", &f, "--iterations", "2"]).unwrap();
-    let out = call(&["pipeline", &f, "--machine", "supersparc", "--block", "0:1"]).unwrap();
-    assert!(out.contains("cycle"), "{out}");
-    std::fs::remove_file(&f).ok();
-}
-
-#[test]
 fn explain_attributes_block_stalls() {
     let f = tmp("li-explain.eelx");
     call(&["gen", "130.li", "-o", &f, "--iterations", "2"]).unwrap();
@@ -262,7 +253,37 @@ fn explain_attributes_block_stalls() {
         .unwrap_err()
         .to_string();
     assert!(e.contains("no routine"), "{e}");
+
+    // A block's per-cycle issue trace, unscheduled, opens the
+    // "before scheduling:" section.
+    let g = tmp("ijpeg-explain.eelx");
+    call(&["gen", "132.ijpeg", "-o", &g, "--iterations", "2"]).unwrap();
+    let out = call(&[
+        "explain",
+        &g,
+        "--machine",
+        "supersparc",
+        "--routine",
+        "0",
+        "--block",
+        "1",
+    ])
+    .unwrap();
+    let exe = load(&g).unwrap();
+    let blk = &eel_edit::Cfg::build(&exe).unwrap().routines[0].blocks[1];
+    let insns: Vec<_> = exe.text()[blk.start..blk.start + blk.len]
+        .iter()
+        .map(|&w| eel_sparc::Instruction::decode(w))
+        .collect();
+    let trace = eel_pipeline::render_issue_trace(&MachineModel::supersparc(), &insns);
+    assert!(trace.contains("cycle"), "{trace}");
+    let indented: String = trace.lines().map(|l| format!("  {l}\n")).collect();
+    assert!(
+        out.contains(&format!("before scheduling:\n{indented}")),
+        "{out}"
+    );
     std::fs::remove_file(&f).ok();
+    std::fs::remove_file(&g).ok();
     std::fs::remove_file(&j).ok();
 }
 

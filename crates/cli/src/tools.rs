@@ -308,32 +308,6 @@ pub(crate) fn profile(mut args: Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-pub(crate) fn pipeline(mut args: Args) -> Result<String, CliError> {
-    let machine = args.value("--machine")?;
-    let block = args.value("--block")?.unwrap_or_else(|| "0:0".into());
-    let path = args
-        .positional()
-        .ok_or_else(|| err("pipeline needs a file"))?;
-    let model = machine_by_name(&machine.ok_or_else(|| err("pipeline needs --machine"))?)?;
-    args.finish()?;
-    let (r, b) = block
-        .split_once(':')
-        .and_then(|(r, b)| Some((r.parse::<usize>().ok()?, b.parse::<usize>().ok()?)))
-        .ok_or_else(|| err("--block expects R:B"))?;
-    let exe = load(&path)?;
-    let cfg = Cfg::build(&exe).map_err(|e| err(e.to_string()))?;
-    let blk = cfg
-        .routines
-        .get(r)
-        .and_then(|rt| rt.blocks.get(b))
-        .ok_or_else(|| err(format!("no block {r}:{b}")))?;
-    let insns: Vec<Instruction> = exe.text()[blk.start..blk.start + blk.len]
-        .iter()
-        .map(|&w| Instruction::decode(w))
-        .collect();
-    Ok(render_issue_trace(&model, &insns))
-}
-
 pub(crate) fn explain(mut args: Args) -> Result<String, CliError> {
     let machine = args
         .value("--machine")?

@@ -20,7 +20,7 @@ use eel_pipeline::{
     attribute_block, BlockTiming, MachineModel, PipelineState, PreparedInsn, StallProfile,
 };
 use eel_sparc::Instruction;
-use eel_telemetry::Sink;
+use eel_telemetry::Registry;
 
 use crate::dep::{DepGraph, DepScratch};
 use crate::policy::{Candidate, Priority};
@@ -212,28 +212,28 @@ impl Scheduler {
     /// scheduling; the control tail stays in place (optionally
     /// receiving a delay-slot filler).
     ///
-    /// Equivalent to [`Scheduler::schedule_block_with`] with the
-    /// disabled telemetry sink `()` — this is the uninstrumented hot
-    /// path.
+    /// Equivalent to [`Scheduler::schedule_block_with`], recording
+    /// nothing.
     pub fn schedule_block(&self, code: BlockCode) -> BlockCode {
-        self.schedule_block_with(code, &())
+        self.schedule_in(code, None, &mut Workspace::new(&self.model))
     }
 
     /// [`Scheduler::schedule_block`] observed through a telemetry
-    /// sink.
+    /// registry.
     ///
-    /// With a live sink (for example `&eel_telemetry::Registry`), each
-    /// block records `sched.blocks` / `sched.queries` counters (the
-    /// queries include lookahead clones and the exact oracle's search) and
-    /// `sched.block_ns` / `sched.block_len` / `sched.dep_build_ns`
-    /// histograms. With `&()` every telemetry operation is statically
-    /// dead code, so the scheduled output and the cost of producing it
-    /// are identical to the plain method's.
+    /// Each block of two or more body instructions adds to the
+    /// `sched.blocks` and `sched.queries` counters (the queries
+    /// include lookahead clones and the exact oracle's search); the
+    /// oracle also adds to the `sched.exact_*`, `sched.gap_cycles` and
+    /// `sched.optimal_blocks` counters. When `telemetry` carries a
+    /// tracer, each such block also records a `sched/block` span (and
+    /// the oracle a `sched/exact` span). The scheduled output is the
+    /// plain method's.
     ///
     /// Each call sets up its own scratch state; to schedule many
     /// blocks, [`Scheduler::transform_with`] reuses one.
-    pub fn schedule_block_with<S: Sink>(&self, code: BlockCode, sink: &S) -> BlockCode {
-        self.schedule_in(code, sink, &mut Workspace::new(&self.model))
+    pub fn schedule_block_with(&self, code: BlockCode, telemetry: &Registry) -> BlockCode {
+        self.schedule_in(code, Some(telemetry), &mut Workspace::new(&self.model))
     }
 
     /// An adapter for [`eel_edit::EditSession::emit`]. The closure owns
@@ -241,22 +241,29 @@ impl Scheduler {
     /// blocks without per-block set-up allocations.
     pub fn transform(&self) -> impl FnMut(BlockInfo<'_>, BlockCode) -> BlockCode + '_ {
         let mut ws = Workspace::new(&self.model);
-        move |_info, code| self.schedule_in(code, &(), &mut ws)
+        move |_info, code| self.schedule_in(code, None, &mut ws)
     }
 
-    /// A [`Scheduler::transform`] that records telemetry into `sink`
-    /// for every block it schedules.
-    pub fn transform_with<'a, S: Sink>(
+    /// A [`Scheduler::transform`] that records telemetry into
+    /// `telemetry` for every block it schedules, as
+    /// [`Scheduler::schedule_block_with`] does.
+    pub fn transform_with<'a>(
         &'a self,
-        sink: &'a S,
+        telemetry: &'a Registry,
     ) -> impl FnMut(BlockInfo<'_>, BlockCode) -> BlockCode + 'a {
         let mut ws = Workspace::new(&self.model);
-        move |_info, code| self.schedule_in(code, sink, &mut ws)
+        move |_info, code| self.schedule_in(code, Some(telemetry), &mut ws)
     }
 
-    /// [`Scheduler::schedule_block_with`] over the scratch state `ws`.
-    fn schedule_in<S: Sink>(&self, mut code: BlockCode, sink: &S, ws: &mut Workspace) -> BlockCode {
-        self.schedule_body(&mut code.body, sink, ws);
+    /// Schedules one block over the scratch state `ws`, recording into
+    /// `telemetry` when it is given.
+    fn schedule_in(
+        &self,
+        mut code: BlockCode,
+        telemetry: Option<&Registry>,
+        ws: &mut Workspace,
+    ) -> BlockCode {
+        self.schedule_body(&mut code.body, telemetry, ws);
         if self.options.fill_delay_slots {
             self.fill_delay_slot(&mut code);
         }
@@ -307,7 +314,7 @@ impl Scheduler {
         );
         let mut incumbent = body.clone();
         if body.len() > 1 {
-            self.list_pass(&mut ws, &mut incumbent, &());
+            self.list_pass(&mut ws, &mut incumbent, None);
         }
         crate::exact::exact_schedule(
             &self.model,
@@ -321,38 +328,35 @@ impl Scheduler {
     /// Two-pass list scheduling over a straight-line body, in place,
     /// plus the exact-oracle refinement when [`Priority::Exact`] is
     /// selected.
-    fn schedule_body<S: Sink>(&self, body: &mut Vec<Tagged>, sink: &S, ws: &mut Workspace) {
+    fn schedule_body(
+        &self,
+        body: &mut Vec<Tagged>,
+        telemetry: Option<&Registry>,
+        ws: &mut Workspace,
+    ) {
         let n = body.len();
         if n <= 1 {
             return;
         }
-        let block_span = sink.span("sched.block_ns");
-        let _trace = if S::TRACE_ENABLED {
-            sink.trace_span("sched", "block", n as u64, 0)
-        } else {
-            None
-        };
-
-        {
-            let _dep_span = sink.span("sched.dep_build_ns");
-            ws.block.load(
-                &self.model,
-                body,
-                self.options.instr_mem_independent,
-                &mut ws.dep,
-            );
-        }
-        self.list_pass(ws, body, sink);
+        let _trace = telemetry
+            .and_then(Registry::tracer)
+            .map(|t| t.span("sched", "block", n as u64, 0));
+        ws.block.load(
+            &self.model,
+            body,
+            self.options.instr_mem_independent,
+            &mut ws.dep,
+        );
+        self.list_pass(ws, body, telemetry);
         if self.options.priority == Priority::Exact {
             let incumbent = std::mem::take(body);
-            *body = self.exact_pass(&ws.block.body, &ws.block.graph, incumbent, sink);
+            *body = self.exact_pass(&ws.block.body, &ws.block.graph, incumbent, telemetry);
         }
-        drop(block_span);
     }
 
     /// The forward list-scheduling pass (§4's second pass) over the
     /// block loaded into `ws`, writing the schedule into `out`.
-    fn list_pass<S: Sink>(&self, ws: &mut Workspace, out: &mut Vec<Tagged>, sink: &S) {
+    fn list_pass(&self, ws: &mut Workspace, out: &mut Vec<Tagged>, telemetry: Option<&Registry>) {
         let Workspace {
             block,
             remaining_preds,
@@ -430,31 +434,28 @@ impl Scheduler {
             }
             out.push(block.body[pick]);
         }
-        if S::ENABLED {
-            sink.add("sched.blocks", 1);
-            sink.add(
+        if let Some(reg) = telemetry {
+            reg.add("sched.blocks", 1);
+            reg.add(
                 "sched.queries",
                 pipe.stall_queries() - queries_before + lookahead_queries,
             );
-            sink.record("sched.block_len", n as u64);
         }
     }
 
     /// The exact-oracle refinement behind [`Priority::Exact`]: search
     /// from the list incumbent, record gap telemetry, and return the
     /// best order found (never worse than `incumbent`).
-    fn exact_pass<S: Sink>(
+    fn exact_pass(
         &self,
         body: &[Tagged],
         graph: &DepGraph,
         incumbent: Vec<Tagged>,
-        sink: &S,
+        telemetry: Option<&Registry>,
     ) -> Vec<Tagged> {
-        let _trace = if S::TRACE_ENABLED {
-            sink.trace_span("sched", "exact", body.len() as u64, 0)
-        } else {
-            None
-        };
+        let _trace = telemetry
+            .and_then(Registry::tracer)
+            .map(|t| t.span("sched", "exact", body.len() as u64, 0));
         let outcome = crate::exact::exact_schedule(
             &self.model,
             body,
@@ -462,16 +463,16 @@ impl Scheduler {
             &incumbent,
             u64::from(self.options.exact_budget),
         );
-        if S::ENABLED {
-            sink.add("sched.queries", outcome.queries);
-            sink.add("sched.exact_blocks", 1);
-            sink.add("sched.exact_nodes", outcome.nodes);
-            sink.add("sched.gap_cycles", outcome.gap());
+        if let Some(reg) = telemetry {
+            reg.add("sched.queries", outcome.queries);
+            reg.add("sched.exact_blocks", 1);
+            reg.add("sched.exact_nodes", outcome.nodes);
+            reg.add("sched.gap_cycles", outcome.gap());
             if outcome.proven_optimal {
-                sink.add("sched.optimal_blocks", 1);
+                reg.add("sched.optimal_blocks", 1);
             }
             if outcome.budget_exhausted {
-                sink.add("sched.exact_budget_exhausted", 1);
+                reg.add("sched.exact_budget_exhausted", 1);
             }
         }
         outcome.body
@@ -1054,20 +1055,52 @@ mod tests {
             orig(add(IntReg::O3, IntReg::O4)),
         ];
         let code = BlockCode { body, tail: vec![] };
-        let reg = eel_telemetry::Registry::new();
+        let plain = sched.schedule_block(code.clone());
+        let reg = Registry::new();
         let observed = sched.schedule_block_with(code.clone(), &reg);
-        assert_eq!(observed, sched.schedule_block(code), "same schedule");
+        assert_eq!(observed, plain, "same schedule");
         let snap = reg.snapshot();
         assert_eq!(snap.counters["sched.blocks"], 1);
-        assert_eq!(snap.histograms["sched.block_len"].count, 1);
-        assert_eq!(snap.histograms["sched.block_len"].max, 3);
-        assert_eq!(snap.histograms["sched.block_ns"].count, 1);
-        assert_eq!(snap.histograms["sched.dep_build_ns"].count, 1);
+        assert!(snap.histograms.is_empty(), "{:?}", snap.histograms);
         // Every ready candidate is queried each round: the load and the
         // independent add, then both adds, then the dependent add. The
         // pipe's total also counts the implicit query inside each of
         // the three issues.
         assert_eq!(snap.counters["sched.queries"], (2 + 2 + 1) + 3);
+
+        // A registry carrying a tracer schedules and counts the same,
+        // and records one `sched/block` span per counted block: none
+        // for a one-instruction body, which is left as it is.
+        let tracer = std::sync::Arc::new(eel_telemetry::Tracer::new(64));
+        let traced = Registry::with_tracer(std::sync::Arc::clone(&tracer));
+        let single = BlockCode {
+            body: vec![orig(add(IntReg::O3, IntReg::O4))],
+            tail: vec![],
+        };
+        assert_eq!(sched.schedule_block_with(single.clone(), &traced), single);
+        let mut transform = sched.transform_with(&traced);
+        let info = BlockInfo {
+            routine: "f",
+            routine_index: 0,
+            block_index: 0,
+            addr: 0x10000,
+        };
+        assert_eq!(transform(info, code.clone()), plain, "same schedule");
+        assert_eq!(transform(info, code), plain, "same schedule");
+        let counters = traced.snapshot().counters;
+        assert_eq!(counters["sched.blocks"], 2);
+        assert_eq!(
+            counters["sched.queries"],
+            2 * snap.counters["sched.queries"]
+        );
+        let spans: Vec<_> = tracer
+            .events()
+            .into_iter()
+            .filter(|e| e.cat == "sched" && e.name == "block")
+            .collect();
+        assert_eq!(spans.len() as u64, counters["sched.blocks"]);
+        assert!(spans.iter().all(|e| e.a0 == 3), "{spans:?}");
+        assert_eq!(tracer.events().len(), spans.len(), "nothing else traced");
     }
 
     #[test]

@@ -84,7 +84,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use eel_edit::Executable;
 use eel_pipeline::{MachineModel, PipelineState, PreparedInsn, StallRecorder};
 use eel_sparc::{Address, AluOp, Cond, FCond, FpOp, FpReg, Instruction, IntReg, MemWidth, Operand};
-use eel_telemetry::Sink;
+use eel_telemetry::Registry;
 
 use crate::cpu::{dest_slot, Cpu, Icc, Step};
 use crate::error::SimError;
@@ -1340,26 +1340,19 @@ fn exec_op(cpu: &mut Cpu, mem: &mut Memory, op: BlockOp, pc: u32) -> Result<(), 
 
 /// Runs `exe` to completion: timed when both `model` and
 /// `config.timing` are given, functional-only otherwise.
-pub(crate) fn run_blocks<S: Sink>(
+pub(crate) fn run_blocks(
     exe: &Executable,
     model: Option<&MachineModel>,
     config: &RunConfig,
-    sink: &S,
+    telemetry: Option<&Registry>,
 ) -> Result<RunResult, SimError> {
-    let start = if S::ENABLED {
-        Some(std::time::Instant::now())
-    } else {
-        None
-    };
+    let start = telemetry.map(|_| std::time::Instant::now());
+    let tracer = telemetry.and_then(Registry::tracer);
     // One span covering the whole simulated run. Per-event tracing of
     // block-cache *hits* would dominate the run (millions per run), so
     // hits/misses surface as one summary instant at the end instead —
     // only the rare build sites trace individually.
-    let _run_trace = if S::TRACE_ENABLED {
-        sink.trace_span("sim", "run", 0, 0)
-    } else {
-        None
-    };
+    let _run_trace = tracer.map(|t| t.span("sim", "run", 0, 0));
     let text_len = exe.text_len();
     let timer = model
         .zip(config.timing.as_ref())
@@ -1424,8 +1417,8 @@ pub(crate) fn run_blocks<S: Sink>(
                 word_idx,
                 model,
             ));
-            if S::TRACE_ENABLED {
-                sink.trace_instant(
+            if let Some(t) = tracer {
+                t.instant(
                     "sim",
                     "block_build",
                     word_idx as u64,
@@ -1470,27 +1463,27 @@ pub(crate) fn run_blocks<S: Sink>(
     let (hits, misses) = timer
         .as_ref()
         .map_or((0, 0), |t| (t.memo.hits, t.memo.misses));
-    if S::ENABLED {
-        sink.add("sim.runs", 1);
-        sink.add("sim.instructions", eng.instructions);
-        sink.add("sim.cycles", cycles);
-        sink.add("sim.mem_ops", eng.mem_ops);
-        sink.add("sim.taken_branches", taken_branches);
-        sink.add("sim.block_builds", eng.builds);
-        sink.add("sim.block_slot_fused", fused);
-        sink.add("sim.block_ctx_hits", hits);
-        sink.add("sim.block_ctx_misses", misses);
-        sink.record("sim.run_cycles", cycles);
+    if let Some(reg) = telemetry {
+        reg.add("sim.runs", 1);
+        reg.add("sim.instructions", eng.instructions);
+        reg.add("sim.cycles", cycles);
+        reg.add("sim.mem_ops", eng.mem_ops);
+        reg.add("sim.taken_branches", taken_branches);
+        reg.add("sim.block_builds", eng.builds);
+        reg.add("sim.block_slot_fused", fused);
+        reg.add("sim.block_ctx_hits", hits);
+        reg.add("sim.block_ctx_misses", misses);
+        reg.record("sim.run_cycles", cycles);
         if let Some(t0) = start {
-            sink.record("sim.run_ns", t0.elapsed().as_nanos() as u64);
+            reg.record("sim.run_ns", t0.elapsed().as_nanos() as u64);
         }
     }
-    if S::TRACE_ENABLED {
+    if let Some(t) = tracer {
         // Summaries for the too-hot-to-trace paths: context-memo
         // hit/miss totals (misses ≈ materialized timing walks) and
         // build/fuse totals for the block cache itself.
-        sink.trace_instant("sim", "block_cache", hits, misses);
-        sink.trace_instant("sim", "block_totals", eng.builds, fused);
+        t.instant("sim", "block_cache", hits, misses);
+        t.instant("sim", "block_totals", eng.builds, fused);
     }
     let cache_misses = |c: &Option<ICache>| c.as_ref().map_or(0, ICache::misses);
     Ok(RunResult {

@@ -10,7 +10,7 @@
 
 use eel_edit::Executable;
 use eel_pipeline::{MachineModel, StallProfile};
-use eel_telemetry::Sink;
+use eel_telemetry::Registry;
 
 use crate::error::SimError;
 use crate::icache::{DCacheConfig, ICacheConfig};
@@ -137,27 +137,28 @@ pub fn run(
     model: Option<&MachineModel>,
     config: &RunConfig,
 ) -> Result<RunResult, SimError> {
-    run_with(exe, model, config, &())
+    crate::block::run_blocks(exe, model, config, None)
 }
 
-/// [`run`] observed through a telemetry sink.
+/// [`run`] observed through a telemetry registry.
 ///
-/// With a live sink every *completed* run flushes one batch of
-/// counters (`sim.runs`, `sim.instructions`, `sim.cycles`,
-/// `sim.mem_ops`, `sim.taken_branches`, `sim.block_builds`,
-/// `sim.block_slot_fused`, `sim.block_ctx_hits` and
-/// `sim.block_ctx_misses`) plus `sim.run_ns` / `sim.run_cycles`
-/// histogram samples. Totals are accumulated in locals and flushed
-/// once at exit, so the retire loop performs no atomic operations;
-/// with the disabled sink `()` the accumulation itself is statically
-/// dead and this is exactly [`run`].
-pub fn run_with<S: Sink>(
+/// Every *completed* run flushes one batch of counters (`sim.runs`,
+/// `sim.instructions`, `sim.cycles`, `sim.mem_ops`,
+/// `sim.taken_branches`, `sim.block_builds`, `sim.block_slot_fused`,
+/// `sim.block_ctx_hits` and `sim.block_ctx_misses`) plus `sim.run_ns`
+/// / `sim.run_cycles` histogram samples. Totals are accumulated in
+/// locals and flushed once at exit, so the retire loop performs no
+/// atomic operations. When `telemetry` carries a tracer
+/// ([`Registry::with_tracer`]), the run also records a `sim/run`
+/// span, a `sim/block_build` instant per built block, and
+/// `sim/block_cache` and `sim/block_totals` summary instants.
+pub fn run_with(
     exe: &Executable,
     model: Option<&MachineModel>,
     config: &RunConfig,
-    sink: &S,
+    telemetry: &Registry,
 ) -> Result<RunResult, SimError> {
-    crate::block::run_blocks(exe, model, config, sink)
+    crate::block::run_blocks(exe, model, config, Some(telemetry))
 }
 
 #[cfg(test)]
@@ -492,6 +493,41 @@ mod tests {
         assert!(snap.counters["sim.block_ctx_misses"] >= 3);
         assert_eq!(snap.histograms["sim.run_ns"].count, 1);
         assert_eq!(snap.histograms["sim.run_cycles"].max, plain.cycles);
+
+        // A registry carrying a tracer runs the same, counts the same,
+        // and records one `sim/run` span, one `sim/block_build` instant
+        // per built block, and the memo's hit and miss totals as one
+        // `sim/block_cache` instant.
+        let tracer = std::sync::Arc::new(eel_telemetry::Tracer::new(64));
+        let traced = Registry::with_tracer(std::sync::Arc::clone(&tracer));
+        let r = run_with(&exe, Some(&model), &cfg, &traced).unwrap();
+        assert_eq!(observables(&r), observables(&plain));
+        assert_eq!(r.dcache_misses, plain.dcache_misses);
+        assert!(r.memory == plain.memory, "same final memory");
+        assert!(r.stall_profile.is_none() && plain.stall_profile.is_none());
+        let counters = traced.snapshot().counters;
+        assert_eq!(counters, snap.counters, "same counters");
+        let events = tracer.events();
+        let named = |name: &str| -> Vec<_> {
+            events
+                .iter()
+                .filter(|e| e.cat == "sim" && e.name == name)
+                .collect()
+        };
+        assert_eq!(named("run").len(), 1);
+        assert_eq!(
+            named("block_build").len() as u64,
+            counters["sim.block_builds"]
+        );
+        let cache = named("block_cache");
+        assert_eq!(cache.len(), 1);
+        assert_eq!(
+            (cache[0].a0, cache[0].a1),
+            (
+                counters["sim.block_ctx_hits"],
+                counters["sim.block_ctx_misses"]
+            )
+        );
     }
 
     /// Every observable a run produces, for cross-engine equality

@@ -15,7 +15,8 @@
 //!   nanoseconds into a histogram on drop;
 //! * [`Registry`] — a named home for counters and histograms, shared
 //!   freely across threads, snapshotted into deterministic
-//!   `BTreeMap`-ordered [`Snapshot`]s;
+//!   `BTreeMap`-ordered [`Snapshot`]s, optionally carrying a
+//!   [`Tracer`];
 //! * [`report::RunReport`] — the versioned machine-readable run
 //!   report (JSON, schema `eel-run-report` version 1) with rendering,
 //!   parsing, and [`report::RunReport::diff`];
@@ -25,35 +26,31 @@
 //!   structured events, serialized traces (`eel-trace` JSONL), and the
 //!   shared Chrome trace-event writer.
 //!
-//! # The zero-cost-when-off contract
+//! # A handle, not a type parameter
 //!
-//! Instrumented hot paths are generic over [`Sink`], whose associated
-//! `ENABLED` constant statically gates every telemetry operation; it
-//! is the workspace's one static on/off gate (stall attribution in
-//! `eel-pipeline` is a separate call, not a disabled sink).
-//! Instantiated with `()` (the disabled sink, `ENABLED = false`),
-//! every timing read, site lookup, and record call is dead code: the
-//! monomorphized function is the uninstrumented hot path, byte for
-//! byte. Live recording is paid only by callers that pass a
-//! [`Registry`].
+//! Instrumented code takes `Option<&Registry>`: `None` records
+//! nothing; `Some` records counters and histograms, and trace events
+//! as well when the registry carries a [`Tracer`]
+//! ([`Registry::with_tracer`]). Each instrumented path is compiled
+//! once. A runtime check is enough because no site records per
+//! instruction or per stall query: every site records once per block,
+//! run, stage or cell, and per-event totals are summed in locals and
+//! recorded once. (Stall attribution in `eel-pipeline` is a separate
+//! call, not a telemetry setting.)
 //!
 //! ```
-//! use eel_telemetry::{Registry, Sink};
+//! use eel_telemetry::Registry;
 //!
-//! fn work<S: Sink>(sink: &S) -> u64 {
-//!     let span = if S::ENABLED {
-//!         sink.histogram("work.ns").map(eel_telemetry::Span::new)
-//!     } else {
-//!         None // with S = (), the whole arm is statically dead
-//!     };
+//! fn work(telemetry: Option<&Registry>) -> u64 {
+//!     let span = telemetry.map(|reg| reg.span("work.ns"));
 //!     let result = 6 * 7;
 //!     drop(span);
 //!     result
 //! }
 //!
-//! assert_eq!(work(&()), 42); // off: free
+//! assert_eq!(work(None), 42); // off: no clock read, no site lookup
 //! let reg = Registry::new();
-//! assert_eq!(work(&reg), 42); // on: one recorded span
+//! assert_eq!(work(Some(&reg)), 42); // on: one recorded span
 //! assert_eq!(reg.snapshot().histograms["work.ns"].count, 1);
 //! ```
 
@@ -65,9 +62,9 @@ mod metrics;
 pub mod report;
 pub mod trace;
 
-pub use metrics::{Counter, Histogram, HistogramSnapshot, Registry, Sink, Snapshot, Span};
+pub use metrics::{Counter, Histogram, HistogramSnapshot, Registry, Snapshot, Span};
 pub use report::{ReportError, RunReport};
-pub use trace::{Event, OwnedEvent, TraceError, TraceFile, TraceGuard, Traced, Tracer};
+pub use trace::{Event, OwnedEvent, TraceError, TraceFile, TraceGuard, Tracer};
 
 /// FNV-1a, the workspace's stable content hash (used here to name run
 /// report artifacts by content).

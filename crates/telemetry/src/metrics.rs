@@ -1,9 +1,11 @@
-//! Counters, histograms, spans, the registry, and the [`Sink`] trait.
+//! Counters, histograms, spans, and the registry.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+use crate::trace::Tracer;
 
 /// Number of histogram buckets: bucket 0 holds the value `0`, bucket
 /// `i` (1..=64) holds values in `[2^(i-1), 2^i)` — together covering
@@ -39,9 +41,7 @@ impl Counter {
 /// A log2-bucketed distribution of `u64` values with lock-free
 /// recording.
 ///
-/// Recording is four relaxed atomic RMWs plus one indexed increment —
-/// cheap enough for per-query latencies on a ~60 ns hot path *when
-/// enabled*, and statically absent when not (see [`Sink`]).
+/// Recording is four relaxed atomic RMWs plus one indexed increment.
 #[derive(Debug)]
 pub struct Histogram {
     count: AtomicU64,
@@ -207,22 +207,40 @@ impl Drop for Span {
     }
 }
 
-/// A named home for counters and histograms.
+/// A named home for counters and histograms, and the telemetry
+/// handle instrumented code takes: `Option<&Registry>`, where `None`
+/// records nothing.
 ///
 /// Sites are `&'static str` names (dot-separated by convention:
-/// `engine.sims`, `sched.block_ns`). Registration takes a lock;
+/// `engine.sims`, `sim.run_ns`). Registration takes a lock;
 /// hot paths resolve their handles once and record lock-free through
-/// the returned `Arc`s.
+/// the returned `Arc`s. A registry may also carry a flight recorder
+/// ([`Registry::with_tracer`]); code that records trace events reads
+/// it through [`Registry::tracer`].
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<&'static str, Arc<Counter>>>,
     histograms: Mutex<BTreeMap<&'static str, Arc<Histogram>>>,
+    tracer: Option<Arc<Tracer>>,
 }
 
 impl Registry {
     /// An empty registry.
     pub fn new() -> Registry {
         Registry::default()
+    }
+
+    /// An empty registry that also records trace events into `tracer`.
+    pub fn with_tracer(tracer: Arc<Tracer>) -> Registry {
+        Registry {
+            tracer: Some(tracer),
+            ..Registry::default()
+        }
+    }
+
+    /// The flight recorder this registry carries, if any.
+    pub fn tracer(&self) -> Option<&Tracer> {
+        self.tracer.as_deref()
     }
 
     /// The counter named `site`, created on first use.
@@ -291,115 +309,6 @@ pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
     /// Histogram states by site name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-}
-
-/// The static on/off switch instrumented hot paths are generic over.
-///
-/// `ENABLED = false` (the `()` impl) makes every telemetry branch
-/// statically dead: the monomorphized caller is the uninstrumented
-/// hot path. Callers resolve handles through the sink so the disabled
-/// path pays no site lookups either:
-///
-/// ```
-/// use eel_telemetry::Sink;
-///
-/// fn hot<S: Sink>(sink: &S) {
-///     let hist = if S::ENABLED { sink.histogram("hot.ns") } else { None };
-///     // ... if let Some(h) = &hist { h.record(elapsed) } ...
-///     # let _ = hist;
-/// }
-/// # hot(&());
-/// ```
-pub trait Sink: Sync {
-    /// Whether this sink observes anything. All telemetry work is
-    /// statically gated on it.
-    const ENABLED: bool = true;
-
-    /// The counter handle for `site`, if this sink keeps one.
-    fn counter(&self, site: &'static str) -> Option<Arc<Counter>>;
-
-    /// The histogram handle for `site`, if this sink keeps one.
-    fn histogram(&self, site: &'static str) -> Option<Arc<Histogram>>;
-
-    /// Bumps the counter at `site` by `n`. Statically dead when
-    /// `ENABLED` is false.
-    fn add(&self, site: &'static str, n: u64) {
-        if Self::ENABLED {
-            if let Some(c) = self.counter(site) {
-                c.add(n);
-            }
-        }
-    }
-
-    /// Records `value` into the histogram at `site`. Statically dead
-    /// when `ENABLED` is false.
-    fn record(&self, site: &'static str, value: u64) {
-        if Self::ENABLED {
-            if let Some(h) = self.histogram(site) {
-                h.record(value);
-            }
-        }
-    }
-
-    /// Opens an RAII span recording its elapsed nanoseconds into the
-    /// histogram at `site` on drop. `None` (no clock read) when
-    /// `ENABLED` is false.
-    fn span(&self, site: &'static str) -> Option<Span> {
-        if Self::ENABLED {
-            self.histogram(site).map(Span::new)
-        } else {
-            None
-        }
-    }
-
-    /// Whether this sink also records flight-recorder trace events
-    /// (see [`crate::trace`]). Defaults to `false` — every existing
-    /// sink, including the live [`Registry`], keeps its exact
-    /// monomorphization; only [`crate::trace::Traced`] turns it on.
-    /// Callers gate trace calls on this constant so the off path is
-    /// statically dead.
-    const TRACE_ENABLED: bool = false;
-
-    /// Records an instant trace event. No-op unless `TRACE_ENABLED`.
-    fn trace_instant(&self, cat: &'static str, name: &'static str, a0: u64, a1: u64) {
-        let _ = (cat, name, a0, a1);
-    }
-
-    /// Opens a trace span recorded when the guard drops. `None` (no
-    /// clock read, no sequence allocation) unless `TRACE_ENABLED`.
-    fn trace_span(
-        &self,
-        cat: &'static str,
-        name: &'static str,
-        a0: u64,
-        a1: u64,
-    ) -> Option<crate::trace::TraceGuard<'_>> {
-        let _ = (cat, name, a0, a1);
-        None
-    }
-}
-
-/// The disabled sink: telemetry off, zero cost.
-impl Sink for () {
-    const ENABLED: bool = false;
-
-    fn counter(&self, _site: &'static str) -> Option<Arc<Counter>> {
-        None
-    }
-
-    fn histogram(&self, _site: &'static str) -> Option<Arc<Histogram>> {
-        None
-    }
-}
-
-impl Sink for Registry {
-    fn counter(&self, site: &'static str) -> Option<Arc<Counter>> {
-        Some(Registry::counter(self, site))
-    }
-
-    fn histogram(&self, site: &'static str) -> Option<Arc<Histogram>> {
-        Some(Registry::histogram(self, site))
-    }
 }
 
 #[cfg(test)]
@@ -537,11 +446,14 @@ mod tests {
     }
 
     #[test]
-    fn disabled_sink_is_statically_off() {
-        const { assert!(!<() as Sink>::ENABLED && <Registry as Sink>::ENABLED) };
-        assert!(Sink::counter(&(), "x").is_none());
-        assert!(Sink::histogram(&(), "x").is_none());
-        assert!(Sink::span(&(), "x").is_none(), "no clock read when off");
-        assert!(Sink::span(&Registry::new(), "x").is_some());
+    fn registry_carries_its_tracer() {
+        assert!(Registry::new().tracer().is_none());
+        let tracer = Arc::new(Tracer::new(64));
+        let reg = Registry::with_tracer(Arc::clone(&tracer));
+        let carried = reg.tracer().expect("the registry carries the tracer");
+        assert!(
+            std::ptr::eq(carried, &*tracer),
+            "the same tracer, not a copy"
+        );
     }
 }

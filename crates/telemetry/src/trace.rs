@@ -1,6 +1,6 @@
 //! Flight-recorder event tracing: a bounded, allocation-free ring of
-//! timestamped structured events behind the same zero-cost-when-off
-//! [`Sink`] gate as the counters and histograms.
+//! timestamped structured events, carried by the same
+//! [`crate::Registry`] handle as the counters and histograms.
 //!
 //! Where the [`crate::Registry`] answers *how much* (totals,
 //! distributions), the [`Tracer`] answers *when and in what order*:
@@ -23,14 +23,12 @@
 //!
 //! # Overhead discipline
 //!
-//! The trace side of [`Sink`] is gated by `TRACE_ENABLED`, a second
-//! associated constant that defaults to `false` — so every existing
-//! sink (including the live [`Registry`]) compiles trace calls to
-//! nothing, and the monomorphized hot paths pinned by `sched_hot` and
-//! the golden Table 1 counters are byte-for-byte unchanged. Only the [`Traced`]
-//! wrapper turns tracing on, and the per-million-event paths (simulator
-//! block-cache *hits*) are deliberately summarized as one event per
-//! run rather than traced individually.
+//! A registry records trace events only when it was built with
+//! [`crate::Registry::with_tracer`]; instrumented code reads the
+//! tracer once per block, run, stage or cell, never per instruction.
+//! The per-million-event paths (simulator block-cache *hits*) are
+//! deliberately summarized as one event per run rather than traced
+//! individually.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -39,8 +37,6 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::json::Json;
-use crate::metrics::{Counter, Histogram, Registry, Sink};
-use std::sync::Arc;
 
 /// The `schema` member every serialized trace carries.
 pub const TRACE_SCHEMA: &str = "eel-trace";
@@ -249,49 +245,6 @@ impl Drop for TraceGuard<'_> {
             a0: self.a0,
             a1: self.a1,
         });
-    }
-}
-
-/// A live sink recording metrics into a [`Registry`] *and* trace
-/// events into a [`Tracer`] — the only sink with `TRACE_ENABLED`
-/// turned on. Hot paths instantiated with `()` or a bare `Registry`
-/// keep their existing monomorphizations untouched.
-#[derive(Debug, Clone, Copy)]
-pub struct Traced<'a> {
-    metrics: &'a Registry,
-    tracer: &'a Tracer,
-}
-
-impl<'a> Traced<'a> {
-    /// A sink observing through both `metrics` and `tracer`.
-    pub fn new(metrics: &'a Registry, tracer: &'a Tracer) -> Traced<'a> {
-        Traced { metrics, tracer }
-    }
-}
-
-impl Sink for Traced<'_> {
-    const TRACE_ENABLED: bool = true;
-
-    fn counter(&self, site: &'static str) -> Option<Arc<Counter>> {
-        Some(self.metrics.counter(site))
-    }
-
-    fn histogram(&self, site: &'static str) -> Option<Arc<Histogram>> {
-        Some(self.metrics.histogram(site))
-    }
-
-    fn trace_instant(&self, cat: &'static str, name: &'static str, a0: u64, a1: u64) {
-        self.tracer.instant(cat, name, a0, a1);
-    }
-
-    fn trace_span(
-        &self,
-        cat: &'static str,
-        name: &'static str,
-        a0: u64,
-        a1: u64,
-    ) -> Option<TraceGuard<'_>> {
-        Some(self.tracer.span(cat, name, a0, a1))
     }
 }
 
@@ -883,39 +836,6 @@ mod tests {
         assert_eq!(own, 600, "sim self = 400 - sched child 100, + 300");
         let (_, _, total, own) = row("sched");
         assert_eq!((total, own), (100, 100));
-    }
-
-    #[test]
-    fn traced_sink_records_both_metrics_and_events() {
-        let reg = Registry::new();
-        let tracer = Tracer::new(64);
-        let sink = Traced::new(&reg, &tracer);
-        fn work<S: Sink>(sink: &S) {
-            sink.add("work.count", 2);
-            let _g = if S::TRACE_ENABLED {
-                sink.trace_span("test", "work", 1, 2)
-            } else {
-                None
-            };
-            sink.trace_instant("test", "tick", 3, 4);
-        }
-        work(&sink);
-        work(&()); // disabled path compiles to nothing and records nothing
-        assert_eq!(reg.snapshot().counters["work.count"], 2);
-        let events = tracer.events();
-        assert_eq!(events.len(), 2);
-        let work = events.iter().find(|e| e.name == "work").expect("span");
-        let tick = events
-            .iter()
-            .find(|e| e.name == "tick" && e.a0 == 3)
-            .expect("instant");
-        assert!(
-            work.ts_ns <= tick.ts_ns && tick.ts_ns <= work.ts_ns + work.dur_ns,
-            "the work span [{}, +{}] must cover the tick at {}",
-            work.ts_ns,
-            work.dur_ns,
-            tick.ts_ns
-        );
     }
 
     #[test]
