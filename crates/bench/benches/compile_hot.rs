@@ -18,13 +18,11 @@
 //! which dominate its `corpus` workload.
 
 use criterion::{black_box, Criterion, Throughput};
+use eel_bench::experiment::{ExperimentConfig, Measurement};
 use eel_edit::Cfg;
 use eel_pipeline::MachineModel;
 use eel_sparc::Instruction;
 use eel_workloads::{full_corpus, optimize_block, spec95, Benchmark, BuildOptions};
-
-/// The tables' build model's load bias.
-const BUILD_BIAS: u32 = 2;
 
 /// Every block body of `bench`'s unoptimized build, in program order:
 /// the bodies and the order `optimize_block` receives during a build.
@@ -77,7 +75,8 @@ fn bench_body(c: &mut Criterion, group: &str, body: &[Instruction]) {
 
 /// The compiler's build mix: every body of the SPEC95 builds and of
 /// the first entry of each full-corpus tier, one `optimize_block` call
-/// each per iteration, on the bias-2 build model.
+/// each per iteration, on the tables' build model (the measured
+/// machine).
 fn bench_stream(c: &mut Criterion) {
     let corpus = full_corpus();
     // Generated entries are named `gen.TIER.NNN`.
@@ -96,7 +95,7 @@ fn bench_stream(c: &mut Criterion) {
     let mut g = c.benchmark_group("compile_hot/stream");
     g.throughput(Throughput::Elements(bodies.len() as u64));
     for (name, model) in shipped_models() {
-        let model = model.with_load_latency_bias(BUILD_BIAS);
+        let model = Measurement::new(&model, &ExperimentConfig::default()).measured;
         g.bench_function(name, |b| {
             b.iter(|| {
                 for body in &bodies {

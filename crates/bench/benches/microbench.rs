@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use eel_bench::experiment::ExperimentConfig;
+use eel_bench::experiment::{ExperimentConfig, Measurement};
 use eel_core::Scheduler;
 use eel_edit::{Cfg, EditSession};
 use eel_pipeline::MachineModel;
@@ -69,32 +69,28 @@ fn bench_editing(c: &mut Criterion) {
 /// 32-byte lines with 8-cycle misses, over bodies optimized for the
 /// unbiased machine.
 fn bench_simulator(c: &mut Criterion) {
-    let tables = ExperimentConfig::default();
-    let model = MachineModel::ultrasparc().with_load_latency_bias(tables.mem_bias);
-    let mut dcache_tables = ExperimentConfig {
+    let model = MachineModel::ultrasparc();
+    let tables = Measurement::new(
+        &model,
+        &ExperimentConfig {
+            iterations: Some(4000),
+            ..ExperimentConfig::default()
+        },
+    );
+    let mut dcache_cfg = ExperimentConfig {
+        iterations: Some(4000),
         mem_bias: 0,
         ..ExperimentConfig::default()
     };
-    dcache_tables.timing.dcache = Some(DCacheConfig {
+    dcache_cfg.timing.dcache = Some(DCacheConfig {
         size: 4096,
         line: 32,
         miss_penalty: 8,
     });
-    let dcache_model = MachineModel::ultrasparc().with_load_latency_bias(dcache_tables.mem_bias);
+    let dcache = Measurement::new(&model, &dcache_cfg);
     let functional = RunConfig::default();
-    let timed = RunConfig {
-        timing: Some(tables.timing),
-        ..RunConfig::default()
-    };
-    let timed_dcache = RunConfig {
-        timing: Some(dcache_tables.timing),
-        ..RunConfig::default()
-    };
-    let build = |bench: &Benchmark, model: &MachineModel| {
-        let exe = bench.build(&BuildOptions {
-            iterations: Some(4000),
-            optimize: Some(model.clone()),
-        });
+    let build = |bench: &Benchmark, m: &Measurement| {
+        let exe = bench.build(&m.build);
         let insns = run(&exe, None, &functional).expect("runs").instructions;
         (exe, Throughput::Elements(insns))
     };
@@ -104,18 +100,18 @@ fn bench_simulator(c: &mut Criterion) {
             .into_iter()
             .find(|b| b.name == name)
             .expect("in the suite");
-        let (exe, insns) = build(&bench, &model);
+        let (exe, insns) = build(&bench, &tables);
         g.throughput(insns);
         g.bench_with_input(BenchmarkId::new("functional", name), &exe, |b, exe| {
             b.iter(|| black_box(run(exe, None, &functional).expect("runs")))
         });
         g.bench_with_input(BenchmarkId::new("timed", name), &exe, |b, exe| {
-            b.iter(|| black_box(run(exe, Some(&model), &timed).expect("runs")))
+            b.iter(|| black_box(run(exe, Some(&tables.measured), &tables.run).expect("runs")))
         });
-        let (exe, insns) = build(&bench, &dcache_model);
+        let (exe, insns) = build(&bench, &dcache);
         g.throughput(insns);
         g.bench_with_input(BenchmarkId::new("timed_dcache", name), &exe, |b, exe| {
-            b.iter(|| black_box(run(exe, Some(&dcache_model), &timed_dcache).expect("runs")))
+            b.iter(|| black_box(run(exe, Some(&dcache.measured), &dcache.run).expect("runs")))
         });
     }
     g.finish();

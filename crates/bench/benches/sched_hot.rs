@@ -1,7 +1,9 @@
 //! The scheduling hot path, measured in isolation on every shipped
 //! machine model: the stream of blocks an emit of the instrumented
 //! SPEC95 programs hands one `Scheduler::transform` (the editor's real
-//! block mix, reported per block), `schedule_block` over a
+//! block mix, reported per block; the programs are built for the
+//! measured UltraSPARC, as the tables and the benchmark's `edit`
+//! workload build them), `schedule_block` over a
 //! 32-instruction instrumented block (the paper's workload shape —
 //! original code interleaved with profiling counter updates) and a
 //! single `pipeline_stalls` query against a warm mid-block pipeline
@@ -17,12 +19,13 @@
 //! query.
 
 use criterion::{black_box, Criterion, Throughput};
+use eel_bench::experiment::{ExperimentConfig, Measurement};
 use eel_core::{Priority, SchedOptions, Scheduler};
 use eel_edit::{BlockCode, BlockInfo, EditSession, Tagged};
 use eel_pipeline::{MachineModel, PipelineState};
 use eel_qpt::{ProfileOptions, Profiler};
 use eel_sparc::{Address, AluOp, Instruction, IntReg, MemWidth, Operand};
-use eel_workloads::{spec95, BuildOptions};
+use eel_workloads::spec95;
 
 fn add(rs1: IntReg, rd: IntReg) -> Instruction {
     Instruction::Alu {
@@ -101,16 +104,13 @@ fn shipped_models() -> [(&'static str, MachineModel); 6] {
 
 /// Every block the scheduled emit of each QPT-instrumented SPEC95
 /// program hands its transform, in emit order, captured once. The
-/// programs are built as the benchmark's `edit` workload builds them:
-/// optimized for UltraSPARC.
+/// programs are built as the tables and the benchmark's `edit`
+/// workload build them: optimized for the measured UltraSPARC.
 fn instrumented_spec95_blocks() -> Vec<BlockCode> {
-    let opts = BuildOptions {
-        iterations: None,
-        optimize: Some(MachineModel::ultrasparc()),
-    };
+    let build = Measurement::new(&MachineModel::ultrasparc(), &ExperimentConfig::default()).build;
     let mut blocks = Vec::new();
     for bench in spec95() {
-        let exe = bench.build(&opts);
+        let exe = bench.build(&build);
         let mut session = EditSession::new(&exe).expect("SPEC95 stand-ins analyze");
         Profiler::instrument(&mut session, ProfileOptions::default());
         session

@@ -35,15 +35,14 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use eel_core::Scheduler;
 use eel_edit::{Cfg, EditSession, Executable};
 use eel_pipeline::{MachineModel, StallProfile};
 use eel_qpt::{ProfileOptions, Profiler};
 use eel_sim::{run_with, RunConfig, RunResult};
 use eel_telemetry::{fnv1a, Registry, RunReport, Snapshot, Tracer};
-use eel_workloads::{Benchmark, BuildOptions, Suite};
+use eel_workloads::{Benchmark, Suite};
 
-use crate::experiment::{ExperimentConfig, Row};
+use crate::experiment::{ExperimentConfig, Measurement, Row};
 
 /// One memoized measurement: the outcome of a single simulator
 /// invocation, plus the block-size statistic when the run is a
@@ -198,6 +197,9 @@ impl Stats {
 pub struct Engine {
     model: MachineModel,
     cfg: ExperimentConfig,
+    /// The measured machine, scheduler, build and timing `cfg`
+    /// describes on `model`.
+    setup: Measurement,
     /// The digest of the code that computes a cell, part of every
     /// cell key: [`CODE_DIGEST`].
     code: u64,
@@ -218,6 +220,7 @@ impl Engine {
         Engine {
             model: model.clone(),
             cfg: cfg.clone(),
+            setup: Measurement::new(model, cfg),
             code: CODE_DIGEST,
             disk: None,
             mem: Mutex::new(HashMap::new()),
@@ -291,25 +294,49 @@ impl Engine {
         v
     }
 
-    /// One simulator invocation, timed to `stage`. `attribute_stalls`
-    /// asks the simulator to classify every stall cycle as well.
-    fn sim(
-        &self,
-        stage: Stage,
-        exe: &Executable,
-        measured: &MachineModel,
-        attribute_stalls: bool,
-    ) -> RunResult {
+    /// One simulator invocation on the measured machine, timed to
+    /// `stage`. `attribute_stalls` asks the simulator to classify every
+    /// stall cycle as well.
+    fn sim(&self, stage: Stage, exe: &Executable, attribute_stalls: bool) -> RunResult {
         self.telemetry.add("engine.sims", 1);
         let config = RunConfig {
-            timing: Some(self.cfg.timing.clone()),
             attribute_stalls,
-            ..RunConfig::default()
+            ..self.setup.run.clone()
         };
         self.stage(stage, || {
-            run_with(exe, Some(measured), &config, &self.telemetry)
+            run_with(exe, Some(&self.setup.measured), &config, &self.telemetry)
         })
         .expect("generated workloads execute without faults")
+    }
+
+    /// `bench` compiled for the measured machine, timed to `build`.
+    fn build(&self, bench: &Benchmark) -> Executable {
+        self.stage(Stage::Build, || bench.build(&self.setup.build))
+    }
+
+    /// `base` with QPT2 slow profiling, emitted unscheduled; timed to
+    /// `instrument`.
+    fn instrumented(&self, base: &Executable) -> Executable {
+        self.stage(Stage::Instrument, || {
+            let mut session = EditSession::new(base).expect("analyzable");
+            let _profiler = Profiler::instrument(&mut session, ProfileOptions::default());
+            session.emit_unscheduled().expect("instrumentable")
+        })
+    }
+
+    /// `original` with QPT2 slow profiling, every block scheduled by
+    /// EEL as it is emitted; instrumenting is timed to `instrument`,
+    /// scheduling and emission to `schedule`.
+    fn scheduled(&self, original: &Executable) -> Executable {
+        let mut session = EditSession::new(original).expect("analyzable");
+        self.stage(Stage::Instrument, || {
+            let _profiler = Profiler::instrument(&mut session, ProfileOptions::default());
+        });
+        self.stage(Stage::Schedule, || {
+            session
+                .emit(self.setup.scheduler.transform_with(&self.telemetry))
+                .expect("schedulable")
+        })
     }
 
     /// The content-hash key of one cell. It starts with the digest of
@@ -340,12 +367,7 @@ impl Engine {
             self.cfg.mem_bias,
         );
         if with_sched {
-            let sm = self
-                .cfg
-                .scheduler_model
-                .as_ref()
-                .unwrap_or(&self.model)
-                .content_hash();
+            let sm = self.setup.scheduler.model().content_hash();
             let _ = write!(s, "|sched={:?}|smodel={sm:016x}", self.cfg.sched);
         }
         if rescheduled_base {
@@ -430,39 +452,24 @@ impl Engine {
     /// rescheduled executable becomes the baseline for the
     /// instrumented-unscheduled measurement.
     pub fn measure(&self, bench: &Benchmark, reschedule_first: bool) -> Row {
-        let sched_model = self
-            .cfg
-            .scheduler_model
-            .clone()
-            .unwrap_or_else(|| self.model.clone());
-        let scheduler = Scheduler::with_options(sched_model, self.cfg.sched);
-        let measured = self.model.with_load_latency_bias(self.cfg.mem_bias);
-
         // Stage 1: build — lazy, shared by every cell that misses.
         let original: OnceCell<Executable> = OnceCell::new();
-        let build_original = || {
-            self.stage(Stage::Build, || {
-                bench.build(&BuildOptions {
-                    iterations: self.cfg.iterations,
-                    optimize: Some(measured.clone()),
-                })
-            })
-        };
+        let build_original = || self.build(bench);
         let rescheduled: OnceCell<Executable> = OnceCell::new();
         let build_rescheduled = || {
-            let orig = original.get_or_init(&build_original);
+            let orig = original.get_or_init(build_original);
             let session = EditSession::new(orig).expect("analyzable");
             self.stage(Stage::Schedule, || {
                 session
-                    .emit(scheduler.transform_with(&self.telemetry))
+                    .emit(self.setup.scheduler.transform_with(&self.telemetry))
                     .expect("rescheduling preserves structure")
             })
         };
 
         // Stage 2: baseline run(s).
         let uninst = self.cell(self.cell_key(bench, "uninst", false, false), || {
-            let exe = original.get_or_init(&build_original);
-            let r = self.sim(Stage::Baseline, exe, &measured, false);
+            let exe = original.get_or_init(build_original);
+            let r = self.sim(Stage::Baseline, exe, false);
             CellValue {
                 cycles: r.cycles,
                 exit_code: r.exit_code,
@@ -473,8 +480,8 @@ impl Engine {
             // The rescheduled baseline is simulated exactly once; its
             // cell serves both the ratio and the Uninst column.
             let resched = self.cell(self.cell_key(bench, "resched", true, false), || {
-                let exe = rescheduled.get_or_init(&build_rescheduled);
-                let r = self.sim(Stage::Baseline, exe, &measured, false);
+                let exe = rescheduled.get_or_init(build_rescheduled);
+                let r = self.sim(Stage::Baseline, exe, false);
                 CellValue {
                     cycles: r.cycles,
                     exit_code: r.exit_code,
@@ -491,16 +498,11 @@ impl Engine {
             self.cell_key(bench, "inst", reschedule_first, reschedule_first),
             || {
                 let base: &Executable = if reschedule_first {
-                    rescheduled.get_or_init(&build_rescheduled)
+                    rescheduled.get_or_init(build_rescheduled)
                 } else {
-                    original.get_or_init(&build_original)
+                    original.get_or_init(build_original)
                 };
-                let instrumented = self.stage(Stage::Instrument, || {
-                    let mut session = EditSession::new(base).expect("analyzable");
-                    let _profiler = Profiler::instrument(&mut session, ProfileOptions::default());
-                    session.emit_unscheduled().expect("instrumentable")
-                });
-                let r = self.sim(Stage::Runs, &instrumented, &measured, false);
+                let r = self.sim(Stage::Runs, &self.instrumented(base), false);
                 CellValue {
                     cycles: r.cycles,
                     exit_code: r.exit_code,
@@ -513,17 +515,8 @@ impl Engine {
         // Identical across both protocols (the paper's Sched values
         // are the same in Tables 1 and 2), hence a shared cell.
         let sched = self.cell(self.cell_key(bench, "sched", true, false), || {
-            let orig = original.get_or_init(&build_original);
-            let mut session = EditSession::new(orig).expect("analyzable");
-            self.stage(Stage::Instrument, || {
-                let _profiler = Profiler::instrument(&mut session, ProfileOptions::default());
-            });
-            let scheduled = self.stage(Stage::Schedule, || {
-                session
-                    .emit(scheduler.transform_with(&self.telemetry))
-                    .expect("schedulable")
-            });
-            let r = self.sim(Stage::Runs, &scheduled, &measured, false);
+            let orig = original.get_or_init(build_original);
+            let r = self.sim(Stage::Runs, &self.scheduled(orig), false);
             CellValue {
                 cycles: r.cycles,
                 exit_code: r.exit_code,
@@ -577,14 +570,7 @@ impl Engine {
         );
         meta.insert(
             "scheduler_model_hash".to_string(),
-            format!(
-                "{:016x}",
-                self.cfg
-                    .scheduler_model
-                    .as_ref()
-                    .unwrap_or(&self.model)
-                    .content_hash()
-            ),
+            format!("{:016x}", self.setup.scheduler.model().content_hash()),
         );
         meta.insert("mem_bias".to_string(), self.cfg.mem_bias.to_string());
         meta.insert("policy".to_string(), self.cfg.sched.priority.to_string());
@@ -644,39 +630,9 @@ impl Engine {
     /// callers can check them against the plain cells (they must
     /// agree — attribution is observation, not simulation change).
     pub fn attribute(&self, bench: &Benchmark) -> Attribution {
-        let sched_model = self
-            .cfg
-            .scheduler_model
-            .clone()
-            .unwrap_or_else(|| self.model.clone());
-        let scheduler = Scheduler::with_options(sched_model, self.cfg.sched);
-        let measured = self.model.with_load_latency_bias(self.cfg.mem_bias);
-
-        let original = self.stage(Stage::Build, || {
-            bench.build(&BuildOptions {
-                iterations: self.cfg.iterations,
-                optimize: Some(measured.clone()),
-            })
-        });
-        let instrumented = self.stage(Stage::Instrument, || {
-            let mut session = EditSession::new(&original).expect("analyzable");
-            let _profiler = Profiler::instrument(&mut session, ProfileOptions::default());
-            session.emit_unscheduled().expect("instrumentable")
-        });
-        let scheduled = {
-            let mut session = EditSession::new(&original).expect("analyzable");
-            self.stage(Stage::Instrument, || {
-                let _profiler = Profiler::instrument(&mut session, ProfileOptions::default());
-            });
-            self.stage(Stage::Schedule, || {
-                session
-                    .emit(scheduler.transform_with(&self.telemetry))
-                    .expect("schedulable")
-            })
-        };
-
-        let inst = self.sim(Stage::Runs, &instrumented, &measured, true);
-        let sched = self.sim(Stage::Runs, &scheduled, &measured, true);
+        let original = self.build(bench);
+        let inst = self.sim(Stage::Runs, &self.instrumented(&original), true);
+        let sched = self.sim(Stage::Runs, &self.scheduled(&original), true);
         Attribution {
             name: bench.name,
             suite: bench.suite,

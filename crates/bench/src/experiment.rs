@@ -16,10 +16,10 @@
 
 use std::borrow::Borrow;
 
-use eel_core::SchedOptions;
+use eel_core::{SchedOptions, Scheduler};
 use eel_pipeline::MachineModel;
-use eel_sim::TimingConfig;
-use eel_workloads::{Benchmark, Suite};
+use eel_sim::{RunConfig, TimingConfig};
+use eel_workloads::{Benchmark, BuildOptions, Suite};
 
 use crate::engine::{jobs_from_env, Engine};
 
@@ -58,6 +58,46 @@ impl Default for ExperimentConfig {
             sched: SchedOptions::default(),
             mem_bias: 2,
             scheduler_model: None,
+        }
+    }
+}
+
+/// The setup behind every measurement of §4.2, resolved once from a
+/// machine and an [`ExperimentConfig`]: originals compiled for the
+/// measured machine (the nominal model with `mem_bias` extra cycles of
+/// load latency), EEL scheduling against the nominal description (or
+/// `scheduler_model`), and runs timed on the measured machine. The
+/// engine keeps one, and the side studies, benches and tools that
+/// drive the editor and simulator by hand build theirs here.
+#[derive(Debug, Clone)]
+pub struct Measurement {
+    /// The machine runs are timed on.
+    pub measured: MachineModel,
+    /// EEL's scheduler: the model it consults and the options it
+    /// schedules with.
+    pub scheduler: Scheduler,
+    /// How originals are built: optimized for the measured machine.
+    pub build: BuildOptions,
+    /// How runs are timed: the experiment's timing, nothing recorded.
+    pub run: RunConfig,
+}
+
+impl Measurement {
+    /// The setup `cfg` describes on `model`.
+    pub fn new(model: &MachineModel, cfg: &ExperimentConfig) -> Measurement {
+        let measured = model.with_load_latency_bias(cfg.mem_bias);
+        let scheduler_model = cfg.scheduler_model.as_ref().unwrap_or(model);
+        Measurement {
+            scheduler: Scheduler::with_options(scheduler_model.clone(), cfg.sched),
+            build: BuildOptions {
+                iterations: cfg.iterations,
+                optimize: Some(measured.clone()),
+            },
+            run: RunConfig {
+                timing: Some(cfg.timing.clone()),
+                ..RunConfig::default()
+            },
+            measured,
         }
     }
 }

@@ -4,20 +4,23 @@
 //!
 //! Unlike the experiment engine's cells this is pure static analysis —
 //! no simulation, no caching — so it gets its own small harness: build
-//! the workload, instrument it exactly like Table 1's `sched` arm,
-//! and hand every block body (instrumentation included) to
-//! [`Scheduler::exact_block`]. The per-benchmark aggregates — how many
-//! blocks the list scheduler already schedules optimally, and how many
-//! issue cycles the oracle wins back — are the paper-level answer to
-//! "how much is greedy leaving on the table?".
+//! the workload and instrument it exactly like Table 1's `sched` arm
+//! (one [`Measurement`] supplies the build and the scheduler), and
+//! hand every block body (instrumentation included) to
+//! [`Scheduler::exact_block`](eel_core::Scheduler::exact_block). The
+//! per-benchmark aggregates — how many blocks the list scheduler
+//! already schedules optimally, and how many issue cycles the oracle
+//! wins back — are the paper-level answer to "how much is greedy
+//! leaving on the table?".
 
-use eel_core::{SchedOptions, Scheduler};
+use eel_core::SchedOptions;
 use eel_edit::EditSession;
 use eel_pipeline::MachineModel;
 use eel_qpt::{ProfileOptions, Profiler};
-use eel_workloads::{Benchmark, BuildOptions};
+use eel_workloads::Benchmark;
 
 use crate::engine::in_order;
+use crate::experiment::{ExperimentConfig, Measurement};
 
 /// Per-benchmark aggregate of the oracle/list differential.
 #[derive(Debug, Clone, Copy, Default)]
@@ -57,27 +60,12 @@ impl GapRow {
     }
 }
 
-/// Runs the oracle over every instrumented block of `bench` on
-/// `model`, with `budget` search nodes per block.
-pub fn gap_row(
-    model: &MachineModel,
-    bench: &Benchmark,
-    iterations: Option<u32>,
-    budget: u32,
-) -> GapRow {
-    let exe = bench.build(&BuildOptions {
-        iterations,
-        optimize: Some(model.clone()),
-    });
+/// Runs `m`'s scheduler's oracle over every instrumented block of
+/// `bench` built as `m` builds it.
+pub fn gap_row(m: &Measurement, bench: &Benchmark) -> GapRow {
+    let exe = bench.build(&m.build);
     let mut session = EditSession::new(&exe).expect("analyzable");
     let _profiler = Profiler::instrument(&mut session, ProfileOptions::default());
-    let sched = Scheduler::with_options(
-        model.clone(),
-        SchedOptions {
-            exact_budget: budget,
-            ..SchedOptions::default()
-        },
-    );
     let mut row = GapRow {
         name: bench.name,
         ..GapRow::default()
@@ -87,7 +75,7 @@ pub fn gap_row(
         if code.body.len() < 2 {
             continue;
         }
-        let out = sched.exact_block(&code);
+        let out = m.scheduler.exact_block(&code);
         row.blocks += 1;
         row.list_cycles += out.list_latency;
         row.exact_cycles += out.latency;
@@ -101,9 +89,11 @@ pub fn gap_row(
     row
 }
 
-/// [`gap_row`] for every benchmark, fanned out over `jobs` workers;
-/// rows come back in benchmark order (the search is deterministic, so
-/// the report is byte-identical for any worker count).
+/// [`gap_row`] for every benchmark on `model`, built with `iterations`
+/// and searched with `budget` nodes per block, fanned out over `jobs`
+/// workers; rows come back in benchmark order (the search is
+/// deterministic, so the report is byte-identical for any worker
+/// count).
 pub fn gap_table(
     model: &MachineModel,
     benchmarks: &[Benchmark],
@@ -111,7 +101,16 @@ pub fn gap_table(
     budget: u32,
     jobs: usize,
 ) -> Vec<GapRow> {
-    in_order(benchmarks, jobs, |b| gap_row(model, b, iterations, budget))
+    let cfg = ExperimentConfig {
+        iterations,
+        sched: SchedOptions {
+            exact_budget: budget,
+            ..SchedOptions::default()
+        },
+        ..ExperimentConfig::default()
+    };
+    let m = Measurement::new(model, &cfg);
+    in_order(benchmarks, jobs, |b| gap_row(&m, b))
 }
 
 /// Renders the gap table, with a totals line, in the fixed-width style

@@ -12,15 +12,15 @@ use std::fmt::Write;
 
 use eel_bench::engine::Engine;
 use eel_bench::experiment::{
-    format_table, mean_pct_hidden, pct_hidden, run_table, ExperimentConfig, Row,
+    format_table, mean_pct_hidden, pct_hidden, run_table, ExperimentConfig, Measurement, Row,
 };
 use eel_bench::gap::{format_gap_report, gap_table};
-use eel_core::{Priority, SchedOptions, Scheduler, DEFAULT_EXACT_BUDGET};
+use eel_core::{Priority, SchedOptions, DEFAULT_EXACT_BUDGET};
 use eel_edit::{Cfg, EditSession, Executable};
 use eel_pipeline::{evaluate_block, MachineModel};
 use eel_qpt::{EdgeProfileOptions, EdgeProfiler, ProfileOptions, Profiler, TraceOptions, Tracer};
 use eel_sadl::RegClass;
-use eel_sim::{run, DCacheConfig, ICacheConfig, RunConfig, RunResult, TimingConfig};
+use eel_sim::{run, DCacheConfig, ICacheConfig, RunConfig, RunResult};
 use eel_sparc::Instruction;
 use eel_workloads::{spec95, Benchmark, BuildOptions, Suite};
 
@@ -507,52 +507,16 @@ fn blocksizes(args: Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// The Table 1 setup for the side studies that drive the editor and
-/// simulator by hand: the UltraSPARC, biased by the experiment's
-/// memory latency for measurement, its timing, and EEL's scheduler for
-/// the nominal model.
-struct Measured {
-    iterations: Option<u32>,
-    machine: MachineModel,
-    timing: RunConfig,
-    scheduler: Scheduler,
+/// `exe` timed on `m`'s measured machine.
+fn run_measured(m: &Measurement, exe: &Executable) -> RunResult {
+    run(exe, Some(&m.measured), &m.run).expect("runs")
 }
 
-impl Measured {
-    fn ultrasparc() -> Measured {
-        let model = MachineModel::ultrasparc();
-        let cfg = ExperimentConfig::default();
-        Measured {
-            iterations: cfg.iterations,
-            machine: model.with_load_latency_bias(cfg.mem_bias),
-            timing: RunConfig {
-                timing: Some(cfg.timing),
-                ..RunConfig::default()
-            },
-            scheduler: Scheduler::new(model),
-        }
-    }
-
-    /// `bench` compiled for the measured machine.
-    fn build(&self, bench: &Benchmark) -> Executable {
-        bench.build(&BuildOptions {
-            iterations: self.iterations,
-            optimize: Some(self.machine.clone()),
-        })
-    }
-
-    fn run(&self, exe: &Executable) -> RunResult {
-        run(exe, Some(&self.machine), &self.timing).expect("runs")
-    }
-
-    /// An instrumented session simulated unscheduled, then scheduled.
-    fn inst_and_sched(&self, session: &EditSession) -> (RunResult, RunResult) {
-        let inst = self.run(&session.emit_unscheduled().expect("layout"));
-        let scheduled = session
-            .emit(self.scheduler.transform())
-            .expect("schedulable");
-        (inst, self.run(&scheduled))
-    }
+/// An instrumented session simulated unscheduled, then scheduled.
+fn inst_and_sched(m: &Measurement, session: &EditSession) -> (RunResult, RunResult) {
+    let inst = run_measured(m, &session.emit_unscheduled().expect("layout"));
+    let scheduled = session.emit(m.scheduler.transform()).expect("schedulable");
+    (inst, run_measured(m, &scheduled))
 }
 
 /// The §4.1 instruction-cache discussion: scheduling instrumentation
@@ -564,21 +528,21 @@ impl Measured {
 fn cache_effect(args: Args) -> Result<String, CliError> {
     args.finish()?;
     let model = MachineModel::ultrasparc();
-    let cfg = ExperimentConfig::default();
+    let cfg = ExperimentConfig {
+        iterations: Some(300),
+        ..ExperimentConfig::default()
+    };
+    let m = Measurement::new(&model, &cfg);
     let bench = spec95()
         .into_iter()
         .find(|b| b.name == "126.gcc")
         .expect("exists");
-    let original = bench.build(&BuildOptions {
-        iterations: Some(300),
-        optimize: Some(model.with_load_latency_bias(cfg.mem_bias)),
-    });
+    let original = bench.build(&m.build);
 
     let mut session = EditSession::new(&original).expect("analyzable");
     let _p = Profiler::instrument(&mut session, ProfileOptions::default());
     let instrumented = session.emit_unscheduled().expect("instrumentable");
-    let scheduler = Scheduler::new(model.clone());
-    let scheduled = session.emit(scheduler.transform()).expect("schedulable");
+    let scheduled = session.emit(m.scheduler.transform()).expect("schedulable");
 
     let growth = instrumented.text_len() as f64 / original.text_len() as f64;
     let mut out = String::new();
@@ -595,24 +559,17 @@ fn cache_effect(args: Args) -> Result<String, CliError> {
         "{:>9} {:>12} {:>12} {:>12} {:>9} {:>9}",
         "icache", "uninst", "inst", "sched", "growth", "E*sqrt(E)"
     )?;
+    // The I-cache sees only the fetch stream, so one build and one
+    // schedule serve every cache size.
     for size in [1024u32, 2048, 4096, 8192] {
-        let run_cfg = RunConfig {
-            timing: Some(TimingConfig {
-                taken_branch_penalty: 1,
-                icache: Some(ICacheConfig {
-                    size,
-                    line: 32,
-                    miss_penalty: 8,
-                }),
-                ..TimingConfig::default()
-            }),
-            ..RunConfig::default()
-        };
-        let misses = |exe: &Executable| {
-            run(exe, Some(&model), &run_cfg)
-                .expect("runs")
-                .icache_misses
-        };
+        let mut cfg = cfg.clone();
+        cfg.timing.icache = Some(ICacheConfig {
+            size,
+            line: 32,
+            miss_penalty: 8,
+        });
+        let m = Measurement::new(&model, &cfg);
+        let misses = |exe: &Executable| run_measured(&m, exe).icache_misses;
         let (m0, m1, m2) = (misses(&original), misses(&instrumented), misses(&scheduled));
         let miss_growth = if m0 > 0 {
             m1 as f64 / m0 as f64
@@ -702,7 +659,7 @@ fn dcache_effect(args: Args) -> Result<String, CliError> {
 /// & Larus), and what scheduling hides of each.
 fn fast_vs_slow(args: Args) -> Result<String, CliError> {
     args.finish()?;
-    let m = Measured::ultrasparc();
+    let m = Measurement::new(&MachineModel::ultrasparc(), &ExperimentConfig::default());
     let mut out = String::new();
     writeln!(
         out,
@@ -712,8 +669,8 @@ fn fast_vs_slow(args: Args) -> Result<String, CliError> {
     let mut slow_ratios = Vec::new();
     let mut fast_ratios = Vec::new();
     for bench in spec95() {
-        let exe = m.build(&bench);
-        let uninst = m.run(&exe).cycles;
+        let exe = bench.build(&m.build);
+        let uninst = run_measured(&m, &exe).cycles;
         // (slowdown ratio, % hidden) for one profiling mode.
         let measure = |fast: bool| {
             let mut session = EditSession::new(&exe).expect("analyzable");
@@ -722,7 +679,7 @@ fn fast_vs_slow(args: Args) -> Result<String, CliError> {
             } else {
                 let _ = Profiler::instrument(&mut session, ProfileOptions::default());
             }
-            let (inst, sched) = m.inst_and_sched(&session);
+            let (inst, sched) = inst_and_sched(&m, &session);
             (
                 inst.cycles as f64 / uninst as f64,
                 pct_hidden(uninst, inst.cycles, sched.cycles),
@@ -763,7 +720,7 @@ fn fast_vs_slow(args: Args) -> Result<String, CliError> {
 /// hides profiling.
 fn tracing(args: Args) -> Result<String, CliError> {
     args.finish()?;
-    let m = Measured::ultrasparc();
+    let m = Measurement::new(&MachineModel::ultrasparc(), &ExperimentConfig::default());
     let mut out = String::new();
     writeln!(
         out,
@@ -773,11 +730,11 @@ fn tracing(args: Args) -> Result<String, CliError> {
     let mut int_hidden = Vec::new();
     let mut fp_hidden = Vec::new();
     for bench in spec95() {
-        let exe = m.build(&bench);
-        let uninst = m.run(&exe);
+        let exe = bench.build(&m.build);
+        let uninst = run_measured(&m, &exe);
         let mut session = EditSession::new(&exe).expect("analyzable");
         let _tracer = Tracer::instrument(&mut session, TraceOptions::default());
-        let (inst, sched) = m.inst_and_sched(&session);
+        let (inst, sched) = inst_and_sched(&m, &session);
         let hidden = pct_hidden(uninst.cycles, inst.cycles, sched.cycles);
         writeln!(
             out,
@@ -808,7 +765,7 @@ fn tracing(args: Args) -> Result<String, CliError> {
 /// freedom even as it frees the globals.
 fn scavenging(args: Args) -> Result<String, CliError> {
     args.finish()?;
-    let m = Measured::ultrasparc();
+    let m = Measurement::new(&MachineModel::ultrasparc(), &ExperimentConfig::default());
     let mut out = String::new();
     writeln!(
         out,
@@ -817,8 +774,8 @@ fn scavenging(args: Args) -> Result<String, CliError> {
     )?;
     let mut deltas = Vec::new();
     for bench in spec95() {
-        let exe = m.build(&bench);
-        let uninst = m.run(&exe).cycles;
+        let exe = bench.build(&m.build);
+        let uninst = run_measured(&m, &exe).cycles;
         let hidden = |scavenge: bool| {
             let mut session = EditSession::new(&exe).expect("analyzable");
             let _p = Profiler::instrument(
@@ -828,7 +785,7 @@ fn scavenging(args: Args) -> Result<String, CliError> {
                     ..ProfileOptions::default()
                 },
             );
-            let (inst, sched) = m.inst_and_sched(&session);
+            let (inst, sched) = inst_and_sched(&m, &session);
             pct_hidden(uninst, inst.cycles, sched.cycles)
         };
         let (fixed, scavenged) = (hidden(false), hidden(true));
@@ -866,8 +823,8 @@ fn scavenging(args: Args) -> Result<String, CliError> {
 /// measured machine takes.
 fn model_accuracy(args: Args) -> Result<String, CliError> {
     args.finish()?;
-    let m = Measured::ultrasparc();
-    let model = MachineModel::ultrasparc();
+    let m = Measurement::new(&MachineModel::ultrasparc(), &ExperimentConfig::default());
+    let model = m.scheduler.model();
     let mut out = String::new();
     writeln!(
         out,
@@ -875,8 +832,8 @@ fn model_accuracy(args: Args) -> Result<String, CliError> {
         "benchmark", "model cycles", "machine cycles", "model/mach"
     )?;
     for bench in spec95() {
-        let exe = m.build(&bench);
-        let result = m.run(&exe);
+        let exe = bench.build(&m.build);
+        let result = run_measured(&m, &exe);
         // The scheduler's view: every block starts on an empty pipe
         // and costs its issue latency, weighted by how often it runs.
         let cfg = Cfg::build(&exe).expect("analyzable");
@@ -886,7 +843,7 @@ fn model_accuracy(args: Args) -> Result<String, CliError> {
                 .iter()
                 .map(|&w| Instruction::decode(w))
                 .collect();
-            let lat = evaluate_block(&model, &insns).issue_latency() as f64;
+            let lat = evaluate_block(model, &insns).issue_latency() as f64;
             predicted += lat * result.pc_counts[b.start] as f64;
         }
         writeln!(
@@ -951,4 +908,45 @@ fn scalar_control(args: Args) -> Result<String, CliError> {
         writeln!(out, "{line}")?;
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The side studies measure what Table 1 measures: the chain they
+    /// drive by hand over a [`Measurement`] (build → run, instrument →
+    /// unscheduled emit → run, scheduled emit → run) gives exactly the
+    /// engine's three cycle counts.
+    #[test]
+    fn side_study_chain_matches_the_engine() {
+        let model = MachineModel::ultrasparc();
+        let cfg = ExperimentConfig {
+            iterations: Some(40),
+            ..ExperimentConfig::default()
+        };
+        let m = Measurement::new(&model, &cfg);
+        let engine = Engine::new(&model, &cfg);
+        for name in ["130.li", "104.hydro2d"] {
+            let bench = spec95().into_iter().find(|b| b.name == name).unwrap();
+            let row = engine.measure(&bench, false);
+            let exe = bench.build(&m.build);
+            let uninst = run_measured(&m, &exe);
+            let mut session = EditSession::new(&exe).expect("analyzable");
+            let _p = Profiler::instrument(&mut session, ProfileOptions::default());
+            let (inst, sched) = inst_and_sched(&m, &session);
+            assert_eq!(
+                [uninst.cycles, inst.cycles, sched.cycles],
+                [row.uninst_cycles, row.inst_cycles, row.sched_cycles],
+                "{name}"
+            );
+            // `measure` asserts that its three runs exit alike; so do
+            // the chain's.
+            assert_eq!(
+                [inst.exit_code, sched.exit_code],
+                [uninst.exit_code; 2],
+                "{name}"
+            );
+        }
+    }
 }

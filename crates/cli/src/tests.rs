@@ -1,5 +1,6 @@
 use std::collections::BTreeSet;
 
+use eel_bench::experiment::{ExperimentConfig, Measurement};
 use eel_bench::{results_dir, workspace_root};
 use eel_telemetry::json::Json;
 
@@ -73,23 +74,25 @@ fn gen_optimize_writes_the_engines_build() {
         .into_iter()
         .find(|b| b.name == "101.tomcatv")
         .unwrap();
-    let build = |model: MachineModel| {
-        bench.build(&eel_workloads::BuildOptions {
-            iterations: Some(2),
-            optimize: Some(model),
-        })
+    let cfg = ExperimentConfig {
+        iterations: Some(2),
+        ..ExperimentConfig::default()
     };
-    let bias = eel_bench::experiment::ExperimentConfig::default().mem_bias;
-    let measured = build(MachineModel::ultrasparc().with_load_latency_bias(bias));
+    let measured = bench.build(&Measurement::new(&MachineModel::ultrasparc(), &cfg).build);
     let written = load(&f).unwrap();
     assert!(
         written.text() == measured.text() && written.data() == measured.data(),
         "gen --optimize wrote another image than the tables build"
     );
+    let nominal = bench.build(&eel_workloads::BuildOptions {
+        iterations: Some(2),
+        optimize: Some(MachineModel::ultrasparc()),
+    });
     assert!(
-        written.text() != build(MachineModel::ultrasparc()).text(),
+        written.text() != nominal.text(),
         "tomcatv compiles differently for the nominal model"
     );
+    let bias = cfg.mem_bias;
     assert!(
         USAGE.contains(&format!("loads {bias} cycles")),
         "usage names the bias"

@@ -3,7 +3,7 @@
 
 use std::fs;
 
-use eel_bench::experiment::ExperimentConfig;
+use eel_bench::experiment::{ExperimentConfig, Measurement};
 use eel_core::{Priority, SchedOptions, Scheduler};
 use eel_edit::{Cfg, Edge, EditSession};
 use eel_pipeline::{chrome_trace, render_issue_trace, MachineModel};
@@ -59,12 +59,9 @@ pub(crate) fn machines(args: Args) -> Result<String, CliError> {
 pub(crate) fn gen(mut args: Args) -> Result<String, CliError> {
     let out_path = args.value("-o")?;
     let iterations = args.parsed("--iterations")?;
-    // Compile for the measured machine, as every table does: the
-    // nominal model with the experiments' extra load latency.
-    let mem_bias = ExperimentConfig::default().mem_bias;
     let optimize = args
         .value("--optimize")?
-        .map(|m| machine_by_name(&m).map(|m| m.with_load_latency_bias(mem_bias)))
+        .map(|m| machine_by_name(&m))
         .transpose()?;
     let name = args
         .positional()
@@ -75,10 +72,19 @@ pub(crate) fn gen(mut args: Args) -> Result<String, CliError> {
         .into_iter()
         .find(|b| b.name == name)
         .ok_or_else(|| err(format!("unknown benchmark `{name}`")))?;
-    let exe = bench.build(&BuildOptions {
+    // Compile for the measured machine, as every table does.
+    let cfg = ExperimentConfig {
         iterations,
-        optimize,
-    });
+        ..ExperimentConfig::default()
+    };
+    let build = match optimize {
+        Some(machine) => Measurement::new(&machine, &cfg).build,
+        None => BuildOptions {
+            iterations,
+            optimize: None,
+        },
+    };
+    let exe = bench.build(&build);
     save(&exe, &out_path)?;
     Ok(format!(
         "wrote {out_path}: {} instructions, {} bytes of data+bss\n",

@@ -15,12 +15,14 @@
 //! instructions still have the same priority, the instruction listed
 //! earlier in the original code sequence is chosen.*
 
+use std::sync::Arc;
+
 use eel_edit::{BlockCode, BlockInfo, Tagged};
 use eel_pipeline::{
     attribute_block, BlockTiming, MachineModel, PipelineState, PreparedInsn, StallProfile,
 };
 use eel_sparc::Instruction;
-use eel_telemetry::Registry;
+use eel_telemetry::{Counter, Registry};
 
 use crate::dep::{DepGraph, DepScratch};
 use crate::policy::{Candidate, Priority};
@@ -117,6 +119,28 @@ struct Lookahead {
     /// use, so policies without lookahead never build it.
     pipe: Option<PipelineState>,
     followup: Vec<usize>,
+}
+
+/// A registry with the list pass's two per-block counters resolved
+/// once, so that a scheduled block adds to them without looking its
+/// sites up.
+#[derive(Debug)]
+struct Recorder<'a> {
+    registry: &'a Registry,
+    /// `sched.blocks`.
+    blocks: Arc<Counter>,
+    /// `sched.queries`.
+    queries: Arc<Counter>,
+}
+
+impl Recorder<'_> {
+    fn new(registry: &Registry) -> Recorder<'_> {
+        Recorder {
+            registry,
+            blocks: registry.counter("sched.blocks"),
+            queries: registry.counter("sched.queries"),
+        }
+    }
 }
 
 /// Everything scheduling a block needs besides the block itself, kept
@@ -233,7 +257,8 @@ impl Scheduler {
     /// Each call sets up its own scratch state; to schedule many
     /// blocks, [`Scheduler::transform_with`] reuses one.
     pub fn schedule_block_with(&self, code: BlockCode, telemetry: &Registry) -> BlockCode {
-        self.schedule_in(code, Some(telemetry), &mut Workspace::new(&self.model))
+        let recorder = Recorder::new(telemetry);
+        self.schedule_in(code, Some(&recorder), &mut Workspace::new(&self.model))
     }
 
     /// An adapter for [`eel_edit::EditSession::emit`]. The closure owns
@@ -246,24 +271,27 @@ impl Scheduler {
 
     /// A [`Scheduler::transform`] that records telemetry into
     /// `telemetry` for every block it schedules, as
-    /// [`Scheduler::schedule_block_with`] does.
+    /// [`Scheduler::schedule_block_with`] does. The closure looks its
+    /// `sched.blocks` and `sched.queries` counters up once, so a
+    /// list-scheduled block takes no registry lock.
     pub fn transform_with<'a>(
         &'a self,
         telemetry: &'a Registry,
     ) -> impl FnMut(BlockInfo<'_>, BlockCode) -> BlockCode + 'a {
+        let recorder = Recorder::new(telemetry);
         let mut ws = Workspace::new(&self.model);
-        move |_info, code| self.schedule_in(code, Some(telemetry), &mut ws)
+        move |_info, code| self.schedule_in(code, Some(&recorder), &mut ws)
     }
 
     /// Schedules one block over the scratch state `ws`, recording into
-    /// `telemetry` when it is given.
+    /// `recorder` when it is given.
     fn schedule_in(
         &self,
         mut code: BlockCode,
-        telemetry: Option<&Registry>,
+        recorder: Option<&Recorder>,
         ws: &mut Workspace,
     ) -> BlockCode {
-        self.schedule_body(&mut code.body, telemetry, ws);
+        self.schedule_body(&mut code.body, recorder, ws);
         if self.options.fill_delay_slots {
             self.fill_delay_slot(&mut code);
         }
@@ -331,13 +359,14 @@ impl Scheduler {
     fn schedule_body(
         &self,
         body: &mut Vec<Tagged>,
-        telemetry: Option<&Registry>,
+        recorder: Option<&Recorder>,
         ws: &mut Workspace,
     ) {
         let n = body.len();
         if n <= 1 {
             return;
         }
+        let telemetry = recorder.map(|r| r.registry);
         let _trace = telemetry
             .and_then(Registry::tracer)
             .map(|t| t.span("sched", "block", n as u64, 0));
@@ -347,7 +376,7 @@ impl Scheduler {
             self.options.instr_mem_independent,
             &mut ws.dep,
         );
-        self.list_pass(ws, body, telemetry);
+        self.list_pass(ws, body, recorder);
         if self.options.priority == Priority::Exact {
             let incumbent = std::mem::take(body);
             *body = self.exact_pass(&ws.block.body, &ws.block.graph, incumbent, telemetry);
@@ -356,7 +385,7 @@ impl Scheduler {
 
     /// The forward list-scheduling pass (§4's second pass) over the
     /// block loaded into `ws`, writing the schedule into `out`.
-    fn list_pass(&self, ws: &mut Workspace, out: &mut Vec<Tagged>, telemetry: Option<&Registry>) {
+    fn list_pass(&self, ws: &mut Workspace, out: &mut Vec<Tagged>, recorder: Option<&Recorder>) {
         let Workspace {
             block,
             remaining_preds,
@@ -434,12 +463,10 @@ impl Scheduler {
             }
             out.push(block.body[pick]);
         }
-        if let Some(reg) = telemetry {
-            reg.add("sched.blocks", 1);
-            reg.add(
-                "sched.queries",
-                pipe.stall_queries() - queries_before + lookahead_queries,
-            );
+        if let Some(r) = recorder {
+            r.blocks.add(1);
+            r.queries
+                .add(pipe.stall_queries() - queries_before + lookahead_queries);
         }
     }
 

@@ -1,16 +1,21 @@
-//! QPT2 profile validation: the counter values recovered from the
-//! edited executable's memory must equal the simulator's ground-truth
-//! block execution counts — for every benchmark, scheduled or not,
-//! with and without the skip rule.
+//! QPT2 profile validation and semantic preservation: the edited
+//! executable must exit as the original does and leave the original's
+//! data and bss as the original run leaves them, and the counter
+//! values recovered from its memory must equal the simulator's
+//! ground-truth block execution counts — for every benchmark,
+//! scheduled or not, on every machine and under every policy, with
+//! and without the skip rule.
 
 use std::collections::HashMap;
 
-use eel_repro::core::Scheduler;
+use eel_repro::core::{Priority, SchedOptions, Scheduler};
 use eel_repro::edit::{Cfg, EditSession, Executable};
 use eel_repro::pipeline::MachineModel;
 use eel_repro::qpt::{ProfileOptions, Profiler};
-use eel_repro::sim::{run, RunConfig, RunResult};
-use eel_repro::workloads::{spec95, BuildOptions};
+use eel_repro::sim::{run, Memory, RunConfig, RunResult};
+use eel_repro::workloads::{full_corpus, spec95, Benchmark, BuildOptions};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Ground truth: executions of each original block, from the
 /// *uninstrumented* run's per-word counts.
@@ -25,13 +30,48 @@ fn ground_truth(exe: &Executable, result: &RunResult) -> HashMap<(usize, usize),
     out
 }
 
-fn check_profile(bench: &eel_repro::workloads::Benchmark, schedule: bool, skip_rule: bool) {
+/// The six shipped machines.
+fn machines() -> [MachineModel; 6] {
+    [
+        MachineModel::hypersparc(),
+        MachineModel::supersparc(),
+        MachineModel::ultrasparc(),
+        MachineModel::microsparc(),
+        MachineModel::vliw(),
+        MachineModel::deepsparc(),
+    ]
+}
+
+/// Every policy: the four list policies and the exact oracle.
+fn policies() -> Vec<Priority> {
+    Priority::ALL.into_iter().chain([Priority::Exact]).collect()
+}
+
+/// Instruments `bench` with QPT2 slow profiling and checks its
+/// unscheduled emit, then its emit scheduled for each of `machines`
+/// under each of `policies`, against the original's functional run:
+/// the exit code, data + bss over the original's range (the counters
+/// lie past it), and the recovered counts.
+fn check_profile(
+    bench: &Benchmark,
+    machines: &[MachineModel],
+    policies: &[Priority],
+    skip_rule: bool,
+) {
     let exe = bench.build(&BuildOptions {
         iterations: Some(7),
         optimize: None,
     });
     let truth_run = run(&exe, None, &RunConfig::default()).expect("baseline runs");
     let truth = ground_truth(&exe, &truth_run);
+    let data_end = exe.data_base() + exe.data().len() as u32 + exe.bss_size();
+    let data = |mem: &mut Memory| -> Vec<u32> {
+        (exe.data_base()..data_end)
+            .step_by(4)
+            .map(|addr| mem.read_u32(addr).expect("data readable"))
+            .collect()
+    };
+    let original_data = data(&mut truth_run.memory.clone());
 
     let mut session = EditSession::new(&exe).expect("analyzable");
     let profiler = Profiler::instrument(
@@ -41,51 +81,97 @@ fn check_profile(bench: &eel_repro::workloads::Benchmark, schedule: bool, skip_r
             ..ProfileOptions::default()
         },
     );
-    let edited = if schedule {
-        session
-            .emit(Scheduler::new(MachineModel::ultrasparc()).transform())
-            .expect("schedulable")
-    } else {
-        session.emit_unscheduled().expect("layout")
-    };
-    let run_result = run(&edited, None, &RunConfig::default()).expect("instrumented runs");
-
-    let mut mem = run_result.memory.clone();
-    let counts = profiler.profile(|a| mem.read_u32(a).expect("counter readable"));
-
-    assert_eq!(
-        counts.len(),
-        truth.len(),
-        "{}: profile covers every block",
-        bench.name
-    );
-    for (key, &expected) in &truth {
-        let got = u64::from(counts[key]);
+    assert!(profiler.counter_base() >= data_end, "{}", bench.name);
+    let check = |how: &str, edited: &Executable| {
+        let what = format!("{} {how} (skip={skip_rule})", bench.name);
+        let run_result = run(edited, None, &RunConfig::default()).expect("edited runs");
         assert_eq!(
-            got, expected,
-            "{}: block {:?} counted {} but executed {} (sched={schedule}, skip={skip_rule})",
-            bench.name, key, got, expected
+            run_result.exit_code, truth_run.exit_code,
+            "{what}: exit code"
         );
+        let mut mem = run_result.memory.clone();
+        let edited_data = data(&mut mem);
+        if let Some(i) = original_data
+            .iter()
+            .zip(&edited_data)
+            .position(|(a, b)| a != b)
+        {
+            panic!("{what}: memory at {:#x}", exe.data_base() + 4 * i as u32);
+        }
+        let counts = profiler.profile(|a| mem.read_u32(a).expect("counter readable"));
+        assert_eq!(
+            counts.len(),
+            truth.len(),
+            "{what}: profile covers every block"
+        );
+        for (key, &expected) in &truth {
+            let got = u64::from(counts[key]);
+            assert_eq!(
+                got, expected,
+                "{what}: block {key:?} counted {got} but executed {expected}"
+            );
+        }
+    };
+    check("unscheduled", &session.emit_unscheduled().expect("layout"));
+    for machine in machines {
+        for &priority in policies {
+            let sched = Scheduler::with_options(
+                machine.clone(),
+                SchedOptions {
+                    priority,
+                    ..SchedOptions::default()
+                },
+            );
+            let edited = session.emit(sched.transform()).expect("schedulable");
+            check(&format!("on {} ({priority})", machine.name()), &edited);
+        }
     }
 }
 
 #[test]
 fn profiles_match_ground_truth_unscheduled() {
     for bench in spec95().iter().step_by(5) {
-        check_profile(bench, false, true);
+        check_profile(bench, &[], &[], true);
     }
 }
 
 #[test]
 fn profiles_match_ground_truth_scheduled() {
+    let ultrasparc = [MachineModel::ultrasparc()];
     for bench in spec95().iter().step_by(5) {
-        check_profile(bench, true, true);
+        check_profile(bench, &ultrasparc, &[Priority::default()], true);
+    }
+}
+
+/// A seeded slice of the full corpus, edited for every machine under
+/// every policy; `editing_preserves_the_whole_corpus` runs all of it.
+#[test]
+fn editing_preserves_a_corpus_slice_on_every_machine_and_policy() {
+    let corpus = full_corpus();
+    let mut rng = StdRng::seed_from_u64(29);
+    let (machines, policies) = (machines(), policies());
+    // Five draws keep the slice to a few seconds in debug: the exact
+    // oracle's search takes most of it.
+    for _ in 0..5 {
+        let bench = &corpus[rng.gen_range(0..corpus.len())];
+        check_profile(bench, &machines, &policies, true);
+    }
+}
+
+/// Every entry of the full corpus on every machine under every policy.
+/// Nightly runs it in release with `--ignored`.
+#[test]
+#[ignore]
+fn editing_preserves_the_whole_corpus() {
+    let (machines, policies) = (machines(), policies());
+    for bench in full_corpus() {
+        check_profile(&bench, &machines, &policies, true);
     }
 }
 
 #[test]
 fn profiles_match_without_skip_rule() {
-    check_profile(&spec95()[1], false, false);
+    check_profile(&spec95()[1], &[], &[], false);
 }
 
 #[test]
@@ -95,12 +181,17 @@ fn profiles_match_on_fp_workloads() {
         .iter()
         .find(|b| b.name == "102.swim")
         .expect("exists");
-    check_profile(swim, true, true);
+    check_profile(
+        swim,
+        &[MachineModel::ultrasparc()],
+        &[Priority::default()],
+        true,
+    );
     let fpppp = benches
         .iter()
         .find(|b| b.name == "145.fpppp")
         .expect("exists");
-    check_profile(fpppp, false, true);
+    check_profile(fpppp, &[], &[], true);
 }
 
 #[test]
