@@ -124,7 +124,11 @@ fn instrumented_spec95_blocks() -> Vec<BlockCode> {
 }
 
 /// The editor's scheduling kernel: one `transform()` per iteration
-/// scheduling the whole captured stream, as one emit would.
+/// scheduling the whole captured stream, as one emit would. Each
+/// machine runs the paper's rule; UltraSPARC then runs each of the
+/// four list rules (`ultrasparc/RULE`), since the benchmark's `edit`
+/// workload schedules every emit under all four and each asks the
+/// pipe a different share of its ready nodes.
 fn bench_spec95_stream(c: &mut Criterion) {
     let blocks = instrumented_spec95_blocks();
     let info = BlockInfo {
@@ -135,8 +139,18 @@ fn bench_spec95_stream(c: &mut Criterion) {
     };
     let mut g = c.benchmark_group("sched_hot/spec95_stream");
     g.throughput(Throughput::Elements(blocks.len() as u64));
-    for (name, model) in shipped_models() {
-        let sched = Scheduler::new(model);
+    let schedulers = shipped_models()
+        .into_iter()
+        .map(|(name, model)| (name.to_string(), Scheduler::new(model)))
+        .chain(Priority::ALL.into_iter().map(|priority| {
+            let options = SchedOptions {
+                priority,
+                ..SchedOptions::default()
+            };
+            let sched = Scheduler::with_options(MachineModel::ultrasparc(), options);
+            (format!("ultrasparc/{priority}"), sched)
+        }));
+    for (name, sched) in schedulers {
         g.bench_function(name, |b| {
             b.iter(|| {
                 let mut schedule = sched.transform();

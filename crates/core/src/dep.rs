@@ -446,7 +446,7 @@ impl DepGraph {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use eel_edit::Tagged;
     use eel_pipeline::class_of;
@@ -683,7 +683,7 @@ mod tests {
         }
     }
 
-    fn shipped_models() -> [MachineModel; 6] {
+    pub(crate) fn shipped_models() -> [MachineModel; 6] {
         [
             MachineModel::hypersparc(),
             MachineModel::supersparc(),
@@ -694,6 +694,21 @@ mod tests {
         ]
     }
 
+    /// Random bodies with `len` instructions, expanded from
+    /// [`Spec`]s: dense with dependences of every kind, on both sides
+    /// of every memory rule.
+    pub(crate) fn arb_body(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Tagged>> {
+        let spec = (
+            0u8..12,
+            0u8..8,
+            0u8..8,
+            0u8..64,
+            any::<u32>(),
+            any::<bool>(),
+        );
+        prop::collection::vec(spec, len).prop_map(|specs| specs.into_iter().map(expand).collect())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
@@ -702,13 +717,7 @@ mod tests {
         /// view derived from them — on bodies of 1–200 instructions
         /// (one to four bitset words), both memory rules, all machines.
         #[test]
-        fn build_prepared_matches_all_pairs(
-            specs in prop::collection::vec(
-                (0u8..12, 0u8..8, 0u8..8, 0u8..64, any::<u32>(), any::<bool>()),
-                1..201,
-            ),
-        ) {
-            let body: Vec<Tagged> = specs.into_iter().map(expand).collect();
+        fn build_prepared_matches_all_pairs(body in arb_body(1..201)) {
             let n = body.len();
             for model in shipped_models() {
                 let prepared: Vec<PreparedInsn> =

@@ -123,6 +123,22 @@ impl Priority {
         }
     }
 
+    /// The rule's order with the stall count left out: for
+    /// [`Priority::LoadDelay`] the shadow flag, then the longer chain,
+    /// then the original index; for every other rule the longer chain,
+    /// then the index. The scheduler keeps its ready list in this
+    /// order, so the candidates most likely to win are asked first and
+    /// the ones that cannot win go unasked.
+    ///
+    /// Every rule ranks more stalls no better, so a candidate scored
+    /// with a lower bound on its stalls that neither beats nor
+    /// [`ties`](Priority::ties) the round's best cannot do so with its
+    /// true count either.
+    pub fn ready_key(self, c: &Candidate) -> (bool, Reverse<u32>, usize) {
+        let shadowed = self == Priority::LoadDelay && c.load_shadowed;
+        (shadowed, Reverse(c.chain_to_end), c.index)
+    }
+
     /// Whether `a` and `b` are tied up to the positional tie-break —
     /// the set [`Priority::Lookahead`] re-ranks by simulation. Every
     /// other rule's order is always decisive.
@@ -213,6 +229,50 @@ mod tests {
         assert_eq!(p.lookahead(), 3);
         assert!(!Priority::StallsFirst.ties(&cand(1, 4, 0), &cand(1, 4, 9)));
         assert_eq!(Priority::StallsFirst.lookahead(), 0);
+    }
+
+    #[test]
+    fn ready_key_is_each_rule_without_stalls() {
+        // Between candidates of equal stalls, the ready order and the
+        // rule agree, for every rule and the exact oracle's incumbent.
+        let cands: Vec<Candidate> = (0..24)
+            .map(|k| Candidate {
+                load_shadowed: k % 3 == 0,
+                ..cand(2, (k * 7 % 5) as u32, k)
+            })
+            .collect();
+        for p in Priority::ALL.into_iter().chain([Priority::Exact]) {
+            for a in &cands {
+                for b in &cands {
+                    assert_eq!(
+                        p.ready_key(a) < p.ready_key(b),
+                        p.better(a, b),
+                        "{p}: {a:?} vs {b:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn more_stalls_never_rank_better() {
+        // The monotonicity the scheduler's skip rule rests on.
+        for p in Priority::ALL.into_iter().chain([Priority::Exact]) {
+            for (chain, index, shadowed) in [(4, 0, false), (1, 3, true), (9, 7, false)] {
+                let b = cand(2, 5, 4);
+                let at = |stalls| Candidate {
+                    load_shadowed: shadowed,
+                    ..cand(stalls, chain, index)
+                };
+                for lo in 0..5 {
+                    for hi in lo..5 {
+                        let (lo, hi) = (at(lo), at(hi));
+                        assert!(!p.better(&hi, &b) || p.better(&lo, &b), "{p}");
+                        assert!(!p.ties(&hi, &b) || p.better(&lo, &b) || p.ties(&lo, &b));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -110,15 +110,14 @@ impl Block {
     }
 }
 
-/// Lookahead's scratch: the round's candidates, a copy of the pipe to
-/// try each tied candidate on, and the follow-up ready set.
+/// Lookahead's scratch: the round's queried candidates and a copy of
+/// the pipe to try each tied candidate on.
 #[derive(Debug, Default)]
 struct Lookahead {
     round: Vec<Candidate>,
     /// Refilled with `clone_from` per tied candidate; created on first
     /// use, so policies without lookahead never build it.
     pipe: Option<PipelineState>,
-    followup: Vec<usize>,
 }
 
 /// A registry with the list pass's two per-block counters resolved
@@ -152,8 +151,14 @@ struct Workspace {
     block: Block,
     dep: DepScratch,
     remaining_preds: Vec<u32>,
-    /// Ready nodes, by ascending original index.
+    /// Ready nodes, in the active rule's order without stalls
+    /// ([`Priority::ready_key`]).
     ready: Vec<usize>,
+    /// Per node, the absolute cycle its last query found it could
+    /// issue at, or 0 before its first. The pipe only gains
+    /// constraints as the block issues, so this only grows: it bounds
+    /// every later answer from below.
+    earliest: Vec<u64>,
     pipe: PipelineState,
     lookahead: Lookahead,
 }
@@ -165,6 +170,7 @@ impl Workspace {
             dep: DepScratch::default(),
             remaining_preds: Vec::new(),
             ready: Vec::new(),
+            earliest: Vec::new(),
             pipe: PipelineState::new(model),
             lookahead: Lookahead::default(),
         }
@@ -385,29 +391,24 @@ impl Scheduler {
 
     /// The forward list-scheduling pass (§4's second pass) over the
     /// block loaded into `ws`, writing the schedule into `out`.
+    ///
+    /// Each round picks the ready node the rule ranks best, asking the
+    /// pipe only what can change that pick. The ready list is in the
+    /// rule's order without stalls, and a node's last answer bounds its
+    /// stalls from below; a node whose bound neither beats nor ties the
+    /// round's best so far cannot win, and is not asked. The pick issues
+    /// with the stall count its own query returned.
     fn list_pass(&self, ws: &mut Workspace, out: &mut Vec<Tagged>, recorder: Option<&Recorder>) {
         let Workspace {
             block,
             remaining_preds,
             ready,
+            earliest,
             pipe,
             lookahead,
             ..
         } = ws;
         let n = block.body.len();
-
-        // Forward pass: list scheduling against the pipeline model.
-        // The ready list holds every node whose predecessors have all
-        // issued, by ascending original index; each round queries all
-        // of them in that order.
-        remaining_preds.clear();
-        remaining_preds.extend_from_slice(block.graph.pred_counts());
-        ready.clear();
-        ready.extend((0..n).filter(|&i| remaining_preds[i] == 0));
-        pipe.reset();
-        let queries_before = pipe.stall_queries();
-        out.clear();
-
         let policy = self.options.priority;
         let depth = policy.lookahead();
         if policy.uses_load_shadow() {
@@ -415,53 +416,91 @@ impl Scheduler {
         } else {
             block.shadowed.clear();
         }
+        let block = &*block;
+        let candidate = |i: usize, stalls: u64| Candidate {
+            stalls,
+            chain_to_end: block.cte[i],
+            index: i,
+            load_shadowed: block.shadowed.get(i).copied().unwrap_or(false),
+        };
+        let key = |i: usize| policy.ready_key(&candidate(i, 0));
+        let make_ready = |ready: &mut Vec<usize>, i: usize| {
+            let k = key(i);
+            let at = ready.partition_point(|&r| key(r) < k);
+            ready.insert(at, i);
+        };
+
+        remaining_preds.clear();
+        remaining_preds.extend_from_slice(block.graph.pred_counts());
+        ready.clear();
+        for i in (0..n).filter(|&i| remaining_preds[i] == 0) {
+            make_ready(ready, i);
+        }
+        earliest.clear();
+        earliest.resize(n, 0);
+        pipe.reset();
+        let queries_before = pipe.stall_queries();
+        out.clear();
         // Stall queries issued on cloned scoreboards during lookahead;
         // the main pipe's counter never sees them.
         let mut lookahead_queries: u64 = 0;
 
         for _ in 0..n {
-            // Pick the highest-priority ready instruction under the
-            // active policy.
-            let mut best: Option<Candidate> = None;
-            // Candidates queried this round, in original order — the
+            let cycle = pipe.cycle();
+            // The best candidate so far and its place in `ready`.
+            let mut best: Option<(Candidate, usize)> = None;
+            // Candidates queried this round, in ready order — the
             // lookahead tie set is drawn from these.
             lookahead.round.clear();
-            for &i in ready.iter() {
-                let (insn, prepared) = (&block.body[i].insn, &block.prepared[i]);
-                let stalls = pipe.stalls_prepared(&self.model, insn, prepared);
-                let cand = Candidate {
-                    stalls,
-                    chain_to_end: block.cte[i],
-                    index: i,
-                    load_shadowed: block.shadowed.get(i).copied().unwrap_or(false),
-                };
+            for (at, &i) in ready.iter().enumerate() {
+                if let Some((b, _)) = &best {
+                    let bound = candidate(i, earliest[i].saturating_sub(cycle));
+                    if !policy.better(&bound, b) && !policy.ties(&bound, b) {
+                        continue;
+                    }
+                }
+                let stalls =
+                    pipe.stalls_prepared(&self.model, &block.body[i].insn, &block.prepared[i]);
+                earliest[i] = cycle + stalls;
+                let cand = candidate(i, stalls);
                 if depth > 0 {
                     lookahead.round.push(cand);
                 }
-                if best.is_none_or(|b| policy.better(&cand, &b)) {
-                    best = Some(cand);
+                if best.is_none_or(|(b, _)| policy.better(&cand, &b)) {
+                    best = Some((cand, at));
                 }
             }
-            let best = best.expect("dependence graph of a finite body always has a ready node");
-            let pick = if depth > 0 {
-                let (pick, extra) =
-                    self.lookahead_pick(&best, block, ready, remaining_preds, pipe, lookahead);
-                lookahead_queries += extra;
-                pick
+            let (best, at) =
+                best.expect("dependence graph of a finite body always has a ready node");
+            let (pick, extra) = if depth > 0 {
+                self.lookahead_pick(&best, block, ready, remaining_preds, pipe, lookahead)
             } else {
-                best.index
+                (best, 0)
             };
-            pipe.issue_prepared(&self.model, &block.body[pick].insn, &block.prepared[pick]);
-            let at = ready.binary_search(&pick).expect("the pick is ready");
+            lookahead_queries += extra;
+            let at = if pick.index == best.index {
+                at
+            } else {
+                ready
+                    .iter()
+                    .position(|&r| r == pick.index)
+                    .expect("the pick is ready")
+            };
+            let i = pick.index;
+            pipe.issue_queried(
+                &self.model,
+                &block.body[i].insn,
+                &block.prepared[i],
+                pick.stalls,
+            );
             ready.remove(at);
-            for e in block.graph.succ_edges(pick) {
+            for e in block.graph.succ_edges(i) {
                 remaining_preds[e.to] -= 1;
                 if remaining_preds[e.to] == 0 {
-                    let at = ready.partition_point(|&r| r < e.to);
-                    ready.insert(at, e.to);
+                    make_ready(ready, e.to);
                 }
             }
-            out.push(block.body[pick]);
+            out.push(block.body[i]);
         }
         if let Some(r) = recorder {
             r.blocks.add(1);
@@ -511,7 +550,13 @@ impl Scheduler {
     /// copy of the scoreboard and keep the one whose best follow-up
     /// candidate would stall least; remaining ties fall back to the
     /// base order's winner (the smallest original index). Returns the
-    /// chosen index and the number of stall queries spent on copies.
+    /// chosen candidate and the number of stall queries spent on
+    /// copies.
+    ///
+    /// Tied candidates share their chain length, so the ready order
+    /// lists them by original index. Each issues on its copy with the
+    /// count its round query returned, and a follow-up scan ends at its
+    /// first zero, which no later answer can undercut.
     fn lookahead_pick(
         &self,
         best: &Candidate,
@@ -520,7 +565,7 @@ impl Scheduler {
         remaining_preds: &[u32],
         pipe: &PipelineState,
         la: &mut Lookahead,
-    ) -> (usize, u64) {
+    ) -> (Candidate, u64) {
         let policy = self.options.priority;
         let tied = la
             .round
@@ -528,13 +573,13 @@ impl Scheduler {
             .filter(|c| c.index == best.index || policy.ties(c, best))
             .take(policy.lookahead());
         if tied.clone().count() < 2 {
-            return (best.index, 0);
+            return (*best, 0);
         }
         let mut extra = 0u64;
         // (best follow-up stalls, original index), minimized. `best`
         // holds the smallest index among ties, so an all-equal
         // lookahead degenerates to the base order.
-        let mut winner = (u64::MAX, usize::MAX);
+        let mut winner = (u64::MAX, *best);
         for c in tied {
             let copy = match &mut la.pipe {
                 Some(copy) => {
@@ -544,36 +589,37 @@ impl Scheduler {
                 None => la.pipe.insert(pipe.clone()),
             };
             let before = copy.stall_queries();
-            copy.issue_prepared(
-                &self.model,
-                &block.body[c.index].insn,
-                &block.prepared[c.index],
-            );
+            let (insn, prepared) = (&block.body[c.index].insn, &block.prepared[c.index]);
+            copy.issue_queried(&self.model, insn, prepared, c.stalls);
             // Ready once `c` issues: the ready list less `c`, plus the
             // successors whose last predecessor is `c` (edges are one
-            // per pair), queried in original order.
-            la.followup.clear();
-            la.followup
-                .extend(ready.iter().copied().filter(|&j| j != c.index));
-            for e in block.graph.succ_edges(c.index) {
-                if remaining_preds[e.to] == 1 {
-                    let at = la.followup.partition_point(|&j| j < e.to);
-                    la.followup.insert(at, e.to);
-                }
-            }
+            // per pair).
+            let released = block
+                .graph
+                .succ_edges(c.index)
+                .filter(|e| remaining_preds[e.to] == 1)
+                .map(|e| e.to);
+            // An empty follow-up ready set stalls nothing.
             let mut followup = u64::MAX;
-            for &j in &la.followup {
+            for j in ready
+                .iter()
+                .copied()
+                .filter(|&j| j != c.index)
+                .chain(released)
+            {
                 followup = followup.min(copy.stalls_prepared(
                     &self.model,
                     &block.body[j].insn,
                     &block.prepared[j],
                 ));
+                if followup == 0 {
+                    break;
+                }
             }
             extra += copy.stall_queries() - before;
-            // An empty follow-up ready set stalls nothing.
-            let score = (if followup == u64::MAX { 0 } else { followup }, c.index);
-            if score < winner {
-                winner = score;
+            let score = if followup == u64::MAX { 0 } else { followup };
+            if (score, c.index) < (winner.0, winner.1.index) {
+                winner = (score, *c);
             }
         }
         (winner.1, extra)
@@ -1089,11 +1135,11 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.counters["sched.blocks"], 1);
         assert!(snap.histograms.is_empty(), "{:?}", snap.histograms);
-        // Every ready candidate is queried each round: the load and the
-        // independent add, then both adds, then the dependent add. The
-        // pipe's total also counts the implicit query inside each of
-        // the three issues.
-        assert_eq!(snap.counters["sched.queries"], (2 + 2 + 1) + 3);
+        // Round one asks the load, first by its longer chain, and skips
+        // the independent add: at no fewer stalls and a shorter chain
+        // it cannot win. Round two asks both adds, and round three the
+        // dependent add. Each pick issues with its own answer.
+        assert_eq!(snap.counters["sched.queries"], 1 + 2 + 1);
 
         // A registry carrying a tracer schedules and counts the same,
         // and records one `sched/block` span per counted block: none
@@ -1128,6 +1174,128 @@ mod tests {
         assert_eq!(spans.len() as u64, counters["sched.blocks"]);
         assert!(spans.iter().all(|e| e.a0 == 3), "{spans:?}");
         assert_eq!(tracer.events().len(), spans.len(), "nothing else traced");
+    }
+
+    /// The list pass as it was before it skipped any query, kept as the
+    /// oracle of the pruned one: every round asks every ready node, in
+    /// original order, and the pick again as it issues; lookahead asks
+    /// each tied candidate's whole follow-up set. Returns the schedule
+    /// and the stall queries spent.
+    fn full_scan(sched: &Scheduler, body: &[Tagged]) -> (Vec<Tagged>, u64) {
+        let model = sched.model();
+        let policy = sched.options().priority;
+        let mut block = Block::default();
+        let imi = sched.options().instr_mem_independent;
+        block.load(model, body, imi, &mut DepScratch::default());
+        if policy.uses_load_shadow() {
+            block.graph.load_shadowed_into(&mut block.shadowed);
+        }
+        let n = body.len();
+        let query = |pipe: &PipelineState, i: usize| {
+            pipe.stalls_prepared(model, &block.body[i].insn, &block.prepared[i])
+        };
+        let mut remaining = block.graph.pred_counts().to_vec();
+        let mut ready: Vec<usize> = (0..n).filter(|&i| remaining[i] == 0).collect();
+        let mut pipe = PipelineState::new(model);
+        let mut lookahead_queries = 0;
+        let mut out = Vec::new();
+        for _ in 0..n {
+            let round: Vec<Candidate> = ready
+                .iter()
+                .map(|&i| Candidate {
+                    stalls: query(&pipe, i),
+                    chain_to_end: block.cte[i],
+                    index: i,
+                    load_shadowed: block.shadowed.get(i).copied().unwrap_or(false),
+                })
+                .collect();
+            let best = round
+                .iter()
+                .copied()
+                .reduce(|b, c| if policy.better(&c, &b) { c } else { b })
+                .unwrap();
+            let tied: Vec<&Candidate> = round
+                .iter()
+                .filter(|c| c.index == best.index || policy.ties(c, &best))
+                .take(policy.lookahead())
+                .collect();
+            let mut pick = best.index;
+            if tied.len() >= 2 {
+                let mut winner = (u64::MAX, usize::MAX);
+                for c in tied {
+                    let mut copy = pipe.clone();
+                    let before = copy.stall_queries();
+                    let (insn, prepared) = (&block.body[c.index].insn, &block.prepared[c.index]);
+                    copy.issue_prepared(model, insn, prepared);
+                    let mut followup: Vec<usize> =
+                        ready.iter().copied().filter(|&j| j != c.index).collect();
+                    for e in block.graph.succ_edges(c.index) {
+                        if remaining[e.to] == 1 {
+                            followup.push(e.to);
+                        }
+                    }
+                    followup.sort_unstable();
+                    let stalls = followup.iter().map(|&j| query(&copy, j)).min();
+                    lookahead_queries += copy.stall_queries() - before;
+                    winner = winner.min((stalls.unwrap_or(0), c.index));
+                }
+                pick = winner.1;
+            }
+            pipe.issue_prepared(model, &block.body[pick].insn, &block.prepared[pick]);
+            ready.retain(|&r| r != pick);
+            for e in block.graph.succ_edges(pick) {
+                remaining[e.to] -= 1;
+                if remaining[e.to] == 0 {
+                    let at = ready.partition_point(|&r| r < e.to);
+                    ready.insert(at, e.to);
+                }
+            }
+            out.push(block.body[pick]);
+        }
+        (out, pipe.stall_queries() + lookahead_queries)
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// The pruned list pass gives the full scan's order and never
+        /// asks more queries, for every list rule and the exact
+        /// oracle's incumbent, both memory rules and all six machines,
+        /// on bodies of ALU ops, loads and stores of both origins,
+        /// barriers, FP doubles and `%g0`.
+        #[test]
+        fn pruned_pass_matches_the_full_scan(body in crate::dep::tests::arb_body(1..81)) {
+            for model in crate::dep::tests::shipped_models() {
+                let mut ws = Workspace::new(&model);
+                for priority in Priority::ALL.into_iter().chain([Priority::Exact]) {
+                    for instr_mem_independent in [true, false] {
+                        let sched = Scheduler::with_options(
+                            model.clone(),
+                            SchedOptions {
+                                priority,
+                                instr_mem_independent,
+                                ..SchedOptions::default()
+                            },
+                        );
+                        let (want, full_queries) = full_scan(&sched, &body);
+                        ws.block.load(&model, &body, instr_mem_independent, &mut ws.dep);
+                        let reg = Registry::new();
+                        let mut got = Vec::new();
+                        sched.list_pass(&mut ws, &mut got, Some(&Recorder::new(&reg)));
+                        let ctx = format!(
+                            "{} {priority} imi={instr_mem_independent} n={}",
+                            model.name(),
+                            body.len()
+                        );
+                        prop_assert_eq!(&got, &want, "{}", ctx);
+                        let queries = reg.snapshot().counters["sched.queries"];
+                        prop_assert!(queries <= full_queries, "{}: {} > {}", ctx, queries, full_queries);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,8 @@ pub enum ModelError {
     /// The description compiled but does not bind every instruction.
     Coverage(SadlError),
     /// The description exceeds a structural limit of the compiled
-    /// reservation tables (e.g. more than 64 distinct unit kinds).
+    /// reservation tables (e.g. unit lanes that do not pack into 64
+    /// bits).
     Unsupported(String),
 }
 
@@ -98,34 +99,47 @@ struct ModelTables {
 }
 
 /// Every timing group's resource pattern, compiled into one contiguous
-/// dense matrix at model construction — the paper's reservation-table
-/// formulation made concrete, so `pipeline_stalls` runs as array-stride
-/// loops over flat `u32` rows instead of chasing nested `Vec`s and
-/// `HashMap`s per probe cycle.
+/// array of packed rows at model construction — the paper's
+/// reservation-table formulation made concrete, so `pipeline_stalls`
+/// checks one pattern row with one subtract-and-mask instead of
+/// chasing nested `Vec`s and `HashMap`s per probe cycle.
+///
+/// A row is one `u64` holding a lane of `lane_bits` bits per unit kind,
+/// unit `u` at bit `u * lane_bits`: the bits of the machine's largest
+/// unit count plus a guard bit on top. The pipeline state keeps each
+/// cycle's free copies in the same layout with every guard set, so
+/// `(free - demand) & guards == guards` exactly when every unit has
+/// the copies the row asks for: a lane short of copies borrows its own
+/// guard, and the guard stops the borrow there.
 ///
 /// Layout (one allocation per field, shared by every handle):
 ///
 /// ```text
-/// demand:  row-major u32 matrix, stride = unit_kinds
+/// rows:    one packed demand word per pattern row (guards clear)
 ///          group g owns rows spans[g].0 .. spans[g].0 + spans[g].1
-///          demand[row * unit_kinds + u] = copies of unit u held
-/// masks:   one u64 per row; bit u set iff the row demands unit u
+/// full:    the free word of an idle cycle: every lane at its unit's
+///          count, every guard set
+/// guards:  every lane's guard bit
 /// read_at / avail_at: per group, per RegClass (dense index), the
 ///          operand read cycle / result-available offset with the
 ///          hazard defaults baked in
 /// ```
 #[derive(Debug)]
 pub(crate) struct ReservationTables {
-    /// Distinct unit kinds — the row stride of `demand`.
+    /// Distinct unit kinds — the lanes in use.
     pub(crate) unit_kinds: usize,
     /// Initial free copies per unit.
     pub(crate) counts: Vec<u32>,
-    /// All groups' per-cycle unit demand, concatenated row-major.
-    pub(crate) demand: Vec<u32>,
-    /// Per row, a bitmask of the units it demands (the fast path of
-    /// the structural scan; unit ids are `< 64` by construction).
-    pub(crate) masks: Vec<u64>,
-    /// Per group: `(first row, row count)` into `demand`/`masks`.
+    /// Bits per unit lane, guard included.
+    pub(crate) lane_bits: u32,
+    /// Every lane's guard bit.
+    pub(crate) guards: u64,
+    /// The free word of an idle cycle.
+    pub(crate) full: u64,
+    /// All groups' per-cycle unit demand, one packed word per row. An
+    /// infeasible group's rows hold 0: they are never checked.
+    pub(crate) rows: Vec<u64>,
+    /// Per group: `(first row, row count)` into `rows`.
     pub(crate) spans: Vec<(u32, u32)>,
     /// Per group, per class: operand read cycle, defaulted to 0 when
     /// the group never reads the class (the hazard check's rule).
@@ -143,6 +157,14 @@ pub(crate) struct ReservationTables {
     /// its issue cycle any instruction can occupy units, and therefore
     /// the bound on the pipeline state's ring capacity.
     pub(crate) max_rows: usize,
+}
+
+impl ReservationTables {
+    /// Group `gid`'s packed demand rows, issue cycle first.
+    pub(crate) fn group_rows(&self, gid: usize) -> &[u64] {
+        let (first, rows) = self.spans[gid];
+        &self.rows[first as usize..(first + rows) as usize]
+    }
 }
 
 /// An instruction pre-resolved against one [`MachineModel`]: its
@@ -496,24 +518,42 @@ fn compile_tables(desc: ArchDescription) -> Result<ModelTables, ModelError> {
 }
 
 /// Flattens the per-group occupancy into [`ReservationTables`]: one
-/// contiguous demand matrix with per-row unit masks, plus per-group,
-/// per-class timing rows with the hazard defaults applied.
+/// packed demand word per pattern row, plus per-group, per-class
+/// timing rows with the hazard defaults applied.
+///
+/// # Errors
+///
+/// [`ModelError::Unsupported`] when the unit lanes need more than 64
+/// bits, naming the machine and its unit counts.
 fn compile_reservations(
     desc: &ArchDescription,
     usage: &[Vec<Vec<(usize, u32)>>],
 ) -> Result<ReservationTables, ModelError> {
     let unit_kinds = desc.units.len();
-    if unit_kinds > 64 {
+    let counts: Vec<u32> = desc.units.iter().map(|u| u.count).collect();
+    let count_bits = 32 - counts.iter().max().copied().unwrap_or(0).leading_zeros();
+    let lane_bits = count_bits + 1;
+    let width = unit_kinds as u64 * u64::from(lane_bits);
+    if width > 64 {
+        let units: Vec<String> = desc
+            .units
+            .iter()
+            .map(|u| format!("{} {}", u.name, u.count))
+            .collect();
         return Err(ModelError::Unsupported(format!(
-            "{} unit kinds; reservation masks pack unit demand into a u64 (max 64)",
-            unit_kinds
+            "machine `{}` has {unit_kinds} unit kinds of {lane_bits}-bit lanes \
+             ({count_bits} count bits and a guard), {width} bits, but a packed \
+             reservation row holds 64 (unit counts: {})",
+            desc.machine,
+            units.join(", ")
         )));
     }
-    let counts: Vec<u32> = desc.units.iter().map(|u| u.count).collect();
+    let lane = |u: usize, n: u64| n << (u as u32 * lane_bits);
+    let guards = (0..unit_kinds).fold(0, |g, u| g | lane(u, 1 << count_bits));
+    let full = (0..unit_kinds).fold(guards, |f, u| f | lane(u, counts[u].into()));
     let total_rows: usize = usage.iter().map(Vec::len).sum();
 
-    let mut demand = vec![0u32; total_rows * unit_kinds];
-    let mut masks = vec![0u64; total_rows];
+    let mut rows_out = Vec::with_capacity(total_rows);
     let mut spans = Vec::with_capacity(desc.groups.len());
     let mut read_at = Vec::with_capacity(desc.groups.len());
     let mut avail_at = Vec::with_capacity(desc.groups.len());
@@ -521,18 +561,17 @@ fn compile_reservations(
     let mut feasible = Vec::with_capacity(desc.groups.len());
     let mut max_rows = 0usize;
 
-    let mut next_row = 0usize;
     for (group, rows) in desc.groups.iter().zip(usage) {
-        let start = next_row;
-        let mut fits = true;
-        for held in rows {
-            for &(u, n) in held {
-                demand[next_row * unit_kinds + u] = n;
-                masks[next_row] |= 1u64 << u;
-                fits &= n <= counts[u];
+        let start = rows_out.len();
+        let fits = rows.iter().flatten().all(|&(u, n)| n <= counts[u]);
+        // Only a demand within the unit's count fits its lane.
+        rows_out.extend(rows.iter().map(|held| {
+            if fits {
+                held.iter().fold(0, |row, &(u, n)| row | lane(u, n.into()))
+            } else {
+                0
             }
-            next_row += 1;
-        }
+        }));
         spans.push((start as u32, rows.len() as u32));
         max_rows = max_rows.max(rows.len());
 
@@ -551,8 +590,10 @@ fn compile_reservations(
     Ok(ReservationTables {
         unit_kinds,
         counts,
-        demand,
-        masks,
+        lane_bits,
+        guards,
+        full,
+        rows: rows_out,
         spans,
         read_at,
         avail_at,
@@ -709,6 +750,49 @@ mod tests {
             "{msg}"
         );
         assert!(msg.contains("`smul`") || msg.contains("`umul`"), "{msg}");
+    }
+
+    #[test]
+    fn every_shipped_machine_packs_into_one_word() {
+        for (m, bits) in [
+            (MachineModel::hypersparc(), 33),
+            (MachineModel::supersparc(), 15),
+            (MachineModel::ultrasparc(), 24),
+            (MachineModel::microsparc(), 10),
+            (MachineModel::vliw(), 20),
+            (MachineModel::deepsparc(), 15),
+        ] {
+            let t = m.tables();
+            assert_eq!(t.unit_kinds as u32 * t.lane_bits, bits, "{}", m.name());
+            assert_eq!(t.guards.count_ones() as usize, t.unit_kinds);
+            assert_eq!(t.full & !t.guards, {
+                let lane = |u: usize| u64::from(t.counts[u]) << (u as u32 * t.lane_bits);
+                (0..t.unit_kinds).fold(0, |f, u| f | lane(u))
+            });
+        }
+    }
+
+    #[test]
+    fn lanes_wider_than_a_word_rejected() {
+        // Five units whose widest count needs 12 bits: five 13-bit
+        // lanes, 65 bits.
+        let src = eel_sadl::descriptions::MICROSPARC.replacen("unit Group 1", "unit Group 4000", 1);
+        assert_ne!(src, eel_sadl::descriptions::MICROSPARC);
+        let err = MachineModel::from_source(&src).unwrap_err();
+        assert!(matches!(err, ModelError::Unsupported(_)), "{err}");
+        let msg = err.to_string();
+        assert!(!msg.contains('\n'), "{msg}");
+        for part in ["`microSPARC`", "5 unit kinds", "13-bit lanes", "65 bits"] {
+            assert!(msg.contains(part), "{part}: {msg}");
+        }
+        assert!(
+            msg.contains("Group 4000, ALU 1, LSU 1, FPU 1, FDIV 1"),
+            "{msg}"
+        );
+        // One bit less fits: 4000 → 2047 needs 11 count bits.
+        let src = eel_sadl::descriptions::MICROSPARC.replacen("unit Group 1", "unit Group 2047", 1);
+        let m = MachineModel::from_source(&src).unwrap();
+        assert_eq!(m.tables().lane_bits, 12);
     }
 
     #[test]
