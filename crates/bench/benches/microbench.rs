@@ -1,5 +1,5 @@
-//! Microbenchmarks of the library's hot paths: SADL compilation, CFG
-//! construction, executable editing, the simulator's functional, timed
+//! Microbenchmarks of the library's hot paths: SADL compilation and a
+//! whole machine-model build, CFG construction, executable editing, the simulator's functional, timed
 //! and D-cache-timed kernels, and the static analyses. The scheduler's own kernel
 //! is `sched_hot`'s.
 
@@ -22,6 +22,11 @@ fn bench_sadl_compile(c: &mut Criterion) {
                 ArchDescription::compile(eel_sadl::descriptions::ULTRASPARC).expect("compiles"),
             )
         })
+    });
+    // A whole model build (parse, Spawn and the pipeline's tables): what
+    // every benchmark set-up and every `eel` command pays per machine.
+    c.bench_function("sadl/model_ultrasparc", |b| {
+        b.iter(|| black_box(MachineModel::ultrasparc()))
     });
 }
 

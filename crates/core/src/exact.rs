@@ -68,7 +68,9 @@ pub struct ExactOutcome {
     pub budget_exhausted: bool,
     /// Search nodes expanded (issue attempts).
     pub nodes: u64,
-    /// Stall queries the search spent on cloned scoreboards.
+    /// Stall queries the search spent ranking the ready candidates of
+    /// each state it expanded; a child issues with its candidate's
+    /// answer and asks nothing again.
     pub queries: u64,
 }
 
@@ -342,7 +344,7 @@ impl Search<'_> {
         }
         self.queries += pipe.stall_queries() - q0;
         cands.sort_unstable();
-        for (_, _, i) in cands {
+        for (stalls, _, i) in cands {
             if self.exhausted {
                 return;
             }
@@ -351,10 +353,11 @@ impl Search<'_> {
                 return;
             }
             self.nodes += 1;
+            // The candidate loop's query on this same state is the
+            // child's stall count; issuing asks nothing again.
             let mut child = pipe.clone();
-            let c0 = child.stall_queries();
-            let info = child.issue_prepared(self.model, &self.body[i].insn, &self.prepared[i]);
-            self.queries += child.stall_queries() - c0;
+            let info =
+                child.issue_queried(self.model, &self.body[i].insn, &self.prepared[i], stalls);
             self.issue_at[i] = info.cycle;
             let child_mask = mask | (1u32 << i);
             if (child_mask.count_ones() as usize) < n {
@@ -480,6 +483,30 @@ mod tests {
         assert!(!out.proven_optimal);
         assert_eq!(out.nodes, 0);
         assert_eq!(out.body, body);
+    }
+
+    #[test]
+    fn children_issue_with_the_count_their_candidate_query_returned() {
+        // (queries, nodes) recorded while every child issue asked its
+        // stall count again: one query per node is gone, and the search
+        // itself (nodes, latency) is unchanged.
+        let model = MachineModel::ultrasparc();
+        let out = run(&model, two_pairs(), 1 << 16);
+        assert_eq!((out.latency, out.list_latency), (4, 5));
+        assert_eq!((out.queries, out.nodes), (18 - 9, 9));
+
+        let model = MachineModel::hypersparc();
+        let mut body = two_pairs();
+        body.extend([
+            orig(ld(IntReg::O2, IntReg::L3)),
+            orig(add(IntReg::L3, IntReg::O7)),
+            orig(add(IntReg::O5, IntReg::L0)),
+            orig(ld(IntReg::L1, IntReg::L2)),
+        ]);
+        let out = run(&model, body, 1 << 16);
+        assert!(out.proven_optimal);
+        assert_eq!((out.latency, out.list_latency), (5, 5));
+        assert_eq!((out.queries, out.nodes), (90 - 45, 45));
     }
 
     #[test]

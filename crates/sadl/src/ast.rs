@@ -1,95 +1,100 @@
 //! Abstract syntax for SADL descriptions.
+//!
+//! Every name borrows its text from the source the declarations were
+//! parsed from, so parsing allocates nothing per identifier, and the
+//! Spawn compiler shares lambda and macro bodies by reference into the
+//! parsed declarations instead of copying them.
 
 use crate::error::Pos;
 
 /// A SADL expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[allow(missing_docs)]
-pub enum Expr {
+pub enum Expr<'a> {
     /// Integer literal.
     Num(i64),
     /// `()` — the unit value.
     UnitLit,
     /// A name: a `val`, lambda parameter, primitive, register file,
     /// alias, or instruction field.
-    Name(String),
+    Name(&'a str),
     /// `#field` — the value of an instruction field (e.g. `#simm13`).
-    Field(String),
+    Field(&'a str),
     /// `N[e]` — indexed access to a register file or alias.
-    Index(String, Box<Expr>),
+    Index(&'a str, Box<Expr<'a>>),
     /// `\x. body`.
-    Lambda(String, Box<Expr>),
+    Lambda(&'a str, Box<Expr<'a>>),
     /// Juxtaposition application `f x`.
-    Apply(Box<Expr>, Box<Expr>),
+    Apply(Box<Expr<'a>>, Box<Expr<'a>>),
     /// Comma-separated sequence; value is the last element's value.
-    Seq(Vec<Expr>),
+    Seq(Vec<Expr<'a>>),
     /// `c ? t : f`.
-    Ternary(Box<Expr>, Box<Expr>, Box<Expr>),
+    Ternary(Box<Expr<'a>>, Box<Expr<'a>>, Box<Expr<'a>>),
     /// `a = b` comparison.
-    Eq(Box<Expr>, Box<Expr>),
+    Eq(Box<Expr<'a>>, Box<Expr<'a>>),
     /// `A unit n` — acquire `n` copies of a unit (stall until free).
-    Acquire { unit: String, num: u32 },
+    Acquire { unit: &'a str, num: u32 },
     /// `AR unit n d` — acquire `n` copies now, release them after `d`
     /// cycles.
-    AcquireRelease { unit: String, num: u32, delay: u32 },
+    AcquireRelease { unit: &'a str, num: u32, delay: u32 },
     /// `R unit n` — release `n` copies of a unit.
-    Release { unit: String, num: u32 },
+    Release { unit: &'a str, num: u32 },
     /// `D n` — advance the pipeline `n` cycles.
     Delay(u32),
     /// `x := e` — bind `x` for the rest of the enclosing sequence.
-    Bind(String, Box<Expr>),
+    Bind(&'a str, Box<Expr<'a>>),
     /// `T[i] := e` — write a register file or alias.
     WriteReg {
-        target: String,
-        index: Box<Expr>,
-        value: Box<Expr>,
+        target: &'a str,
+        index: Box<Expr<'a>>,
+        value: Box<Expr<'a>>,
     },
 }
 
 /// A top-level declaration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[allow(missing_docs)]
-pub enum Decl {
+pub enum Decl<'a> {
     /// `machine NAME issue clockMHz`.
     Machine {
-        name: String,
+        name: &'a str,
         issue: u32,
         clock_mhz: u32,
     },
     /// `unit N c, M c2, …`.
-    Unit(Vec<(String, u32)>),
+    Unit(Vec<(&'a str, u32)>),
     /// `register ty{w} NAME[count]`.
     Register {
-        class: String,
+        class: &'a str,
         width: u32,
-        name: String,
+        name: &'a str,
         count: u32,
     },
     /// `alias ty{w} NAME[param] is body`.
     Alias {
-        ty: String,
-        name: String,
-        param: String,
-        body: Expr,
+        ty: &'a str,
+        name: &'a str,
+        param: &'a str,
+        body: Expr<'a>,
     },
     /// `val names is body [@ [args]]`.
     Val {
-        names: Vec<String>,
-        body: Expr,
-        applied: Option<Vec<Expr>>,
+        names: Vec<&'a str>,
+        body: Expr<'a>,
+        applied: Option<Vec<Expr<'a>>>,
     },
     /// `sem names is body [@ [args]]` — binds instruction mnemonics.
     Sem {
-        names: Vec<String>,
-        body: Expr,
-        applied: Option<Vec<Expr>>,
+        names: Vec<&'a str>,
+        body: Expr<'a>,
+        applied: Option<Vec<Expr<'a>>>,
     },
 }
 
 /// A declaration with its source position (for error reporting).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[allow(missing_docs)]
-pub struct SpannedDecl {
-    pub decl: Decl,
+pub struct SpannedDecl<'a> {
+    pub decl: Decl<'a>,
     pub pos: Pos,
 }

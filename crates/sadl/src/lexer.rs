@@ -2,13 +2,14 @@
 
 use crate::error::{Pos, SadlError};
 
-/// A lexical token.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Tok {
+/// A lexical token. Names borrow their text from the source, so
+/// tokenizing allocates nothing per token.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tok<'a> {
     /// Alphanumeric identifier (`ALU`, `rs1`, `add32`).
-    Ident(String),
+    Ident(&'a str),
     /// Symbolic identifier usable as a `val` name (`+`, `<<`, `|`).
-    Sym(String),
+    Sym(&'a str),
     /// Decimal or hexadecimal integer literal.
     Num(i64),
     /// Keyword `machine`.
@@ -49,72 +50,59 @@ pub enum Tok {
 }
 
 /// A token together with its source position.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Spanned {
-    pub tok: Tok,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Spanned<'a> {
+    pub tok: Tok<'a>,
     pub pos: Pos,
 }
 
 /// Tokenizes SADL source. `//` comments run to end of line.
 ///
+/// SADL's alphabet is ASCII, so the scan runs over bytes: outside a
+/// comment, the first non-ASCII character is an error at its own
+/// position, and a comment's text only runs to the newline that resets
+/// the column.
+///
 /// # Errors
 ///
 /// Returns an error on characters outside the SADL alphabet or
 /// malformed numbers.
-pub fn tokenize(src: &str) -> Result<Vec<Spanned>, SadlError> {
+pub fn tokenize(src: &str) -> Result<Vec<Spanned<'_>>, SadlError> {
+    let bytes = src.as_bytes();
+    // The end of the run of bytes from `i` on that satisfy `pred`.
+    let run = |mut i: usize, pred: fn(u8) -> bool| {
+        while i < bytes.len() && pred(bytes[i]) {
+            i += 1;
+        }
+        i
+    };
     let mut out = Vec::new();
-    let mut chars = src.chars().peekable();
+    let mut i = 0;
     let mut line = 1u32;
     let mut col = 1u32;
-
-    macro_rules! bump {
-        () => {{
-            let c = chars.next();
-            if c == Some('\n') {
+    while let Some(&c) = bytes.get(i) {
+        let pos = Pos { line, col };
+        let start = i;
+        i += 1;
+        let tok = match c {
+            b'\n' => {
                 line += 1;
                 col = 1;
-            } else if c.is_some() {
+                continue;
+            }
+            b' ' | b'\t' | b'\r' => {
                 col += 1;
+                continue;
             }
-            c
-        }};
-    }
-
-    loop {
-        let pos = Pos { line, col };
-        let Some(&c) = chars.peek() else { break };
-        match c {
-            ' ' | '\t' | '\r' | '\n' => {
-                bump!();
+            b'/' if bytes.get(i) == Some(&b'/') => {
+                i = run(i, |b| b != b'\n');
+                continue;
             }
-            '/' => {
-                bump!();
-                if chars.peek() == Some(&'/') {
-                    while let Some(&c) = chars.peek() {
-                        if c == '\n' {
-                            break;
-                        }
-                        bump!();
-                    }
-                } else {
-                    // `/` as a symbolic name (division operator).
-                    out.push(Spanned {
-                        tok: Tok::Sym("/".into()),
-                        pos,
-                    });
-                }
-            }
-            'a'..='z' | 'A'..='Z' | '_' => {
-                let mut s = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_ascii_alphanumeric() || c == '_' {
-                        s.push(c);
-                        bump!();
-                    } else {
-                        break;
-                    }
-                }
-                let tok = match s.as_str() {
+            // `/` as a symbolic name (division operator).
+            b'/' => Tok::Sym("/"),
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                i = run(i, |b| b.is_ascii_alphanumeric() || b == b'_');
+                match &src[start..i] {
                     "machine" => Tok::Machine,
                     "unit" => Tok::Unit,
                     "register" => Tok::Register,
@@ -122,154 +110,59 @@ pub fn tokenize(src: &str) -> Result<Vec<Spanned>, SadlError> {
                     "val" => Tok::Val,
                     "sem" => Tok::Sem,
                     "is" => Tok::Is,
-                    _ => Tok::Ident(s),
-                };
-                out.push(Spanned { tok, pos });
-            }
-            '0'..='9' => {
-                let mut s = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_ascii_alphanumeric() {
-                        s.push(c);
-                        bump!();
-                    } else {
-                        break;
-                    }
+                    s => Tok::Ident(s),
                 }
+            }
+            b'0'..=b'9' => {
+                i = run(i, |b| b.is_ascii_alphanumeric());
+                let s = &src[start..i];
                 let v = if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
                     i64::from_str_radix(hex, 16)
                 } else {
                     s.parse()
                 };
                 match v {
-                    Ok(n) => out.push(Spanned {
-                        tok: Tok::Num(n),
-                        pos,
-                    }),
+                    Ok(n) => Tok::Num(n),
                     Err(_) => return Err(SadlError::at(pos, format!("malformed number `{s}`"))),
                 }
             }
-            '(' => {
-                bump!();
-                out.push(Spanned {
-                    tok: Tok::LParen,
-                    pos,
-                });
+            b':' if bytes.get(i) == Some(&b'=') => {
+                i += 1;
+                Tok::Assign
             }
-            ')' => {
-                bump!();
-                out.push(Spanned {
-                    tok: Tok::RParen,
-                    pos,
-                });
-            }
-            '[' => {
-                bump!();
-                out.push(Spanned {
-                    tok: Tok::LBracket,
-                    pos,
-                });
-            }
-            ']' => {
-                bump!();
-                out.push(Spanned {
-                    tok: Tok::RBracket,
-                    pos,
-                });
-            }
-            '{' => {
-                bump!();
-                out.push(Spanned {
-                    tok: Tok::LBrace,
-                    pos,
-                });
-            }
-            '}' => {
-                bump!();
-                out.push(Spanned {
-                    tok: Tok::RBrace,
-                    pos,
-                });
-            }
-            ',' => {
-                bump!();
-                out.push(Spanned {
-                    tok: Tok::Comma,
-                    pos,
-                });
-            }
-            '?' => {
-                bump!();
-                out.push(Spanned {
-                    tok: Tok::Question,
-                    pos,
-                });
-            }
-            ':' => {
-                bump!();
-                if chars.peek() == Some(&'=') {
-                    bump!();
-                    out.push(Spanned {
-                        tok: Tok::Assign,
-                        pos,
-                    });
-                } else {
-                    out.push(Spanned {
-                        tok: Tok::Colon,
-                        pos,
-                    });
-                }
-            }
-            '=' => {
-                bump!();
-                out.push(Spanned { tok: Tok::Eq, pos });
-            }
-            '.' => {
-                bump!();
-                out.push(Spanned { tok: Tok::Dot, pos });
-            }
-            '\\' => {
-                bump!();
-                out.push(Spanned {
-                    tok: Tok::Backslash,
-                    pos,
-                });
-            }
-            '#' => {
-                bump!();
-                out.push(Spanned {
-                    tok: Tok::Hash,
-                    pos,
-                });
-            }
-            '@' => {
-                bump!();
-                out.push(Spanned { tok: Tok::At, pos });
-            }
-            '+' | '-' | '*' | '&' | '|' | '^' | '~' | '<' | '>' | '%' | '!' => {
+            b':' => Tok::Colon,
+            b'+' | b'-' | b'*' | b'&' | b'|' | b'^' | b'~' | b'<' | b'>' | b'%' | b'!' => {
                 // Runs of operator characters form one symbolic name
                 // (`<<`, `>>`, `>>a` is spelled `>>>` instead).
-                let mut s = String::new();
-                while let Some(&c) = chars.peek() {
-                    if "+-*&|^~<>%!".contains(c) {
-                        s.push(c);
-                        bump!();
-                    } else {
-                        break;
-                    }
-                }
-                out.push(Spanned {
-                    tok: Tok::Sym(s),
-                    pos,
-                });
+                i = run(i, |b| b"+-*&|^~<>%!".contains(&b));
+                Tok::Sym(&src[start..i])
             }
-            other => {
+            b'(' => Tok::LParen,
+            b')' => Tok::RParen,
+            b'[' => Tok::LBracket,
+            b']' => Tok::RBracket,
+            b'{' => Tok::LBrace,
+            b'}' => Tok::RBrace,
+            b',' => Tok::Comma,
+            b'?' => Tok::Question,
+            b'=' => Tok::Eq,
+            b'.' => Tok::Dot,
+            b'\\' => Tok::Backslash,
+            b'#' => Tok::Hash,
+            b'@' => Tok::At,
+            _ => {
+                let other = src[start..]
+                    .chars()
+                    .next()
+                    .expect("a character starts here");
                 return Err(SadlError::at(
                     pos,
                     format!("unexpected character `{other}`"),
                 ));
             }
-        }
+        };
+        col += (i - start) as u32;
+        out.push(Spanned { tok, pos });
     }
     Ok(out)
 }
@@ -278,7 +171,7 @@ pub fn tokenize(src: &str) -> Result<Vec<Spanned>, SadlError> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
+    fn toks(src: &str) -> Vec<Tok<'_>> {
         tokenize(src).unwrap().into_iter().map(|s| s.tok).collect()
     }
 
@@ -288,10 +181,10 @@ mod tests {
             toks("unit ALU 1, ALUr 2"),
             vec![
                 Tok::Unit,
-                Tok::Ident("ALU".into()),
+                Tok::Ident("ALU"),
                 Tok::Num(1),
                 Tok::Comma,
-                Tok::Ident("ALUr".into()),
+                Tok::Ident("ALUr"),
                 Tok::Num(2),
             ]
         );
@@ -301,7 +194,7 @@ mod tests {
     fn comments_skipped() {
         assert_eq!(
             toks("// a comment\nval x is 1"),
-            vec![Tok::Val, Tok::Ident("x".into()), Tok::Is, Tok::Num(1),]
+            vec![Tok::Val, Tok::Ident("x"), Tok::Is, Tok::Num(1),]
         );
     }
 
@@ -311,11 +204,11 @@ mod tests {
             toks("[ + - << >> >>> ]"),
             vec![
                 Tok::LBracket,
-                Tok::Sym("+".into()),
-                Tok::Sym("-".into()),
-                Tok::Sym("<<".into()),
-                Tok::Sym(">>".into()),
-                Tok::Sym(">>>".into()),
+                Tok::Sym("+"),
+                Tok::Sym("-"),
+                Tok::Sym("<<"),
+                Tok::Sym(">>"),
+                Tok::Sym(">>>"),
                 Tok::RBracket,
             ]
         );
@@ -326,13 +219,13 @@ mod tests {
         assert_eq!(
             toks("x := a ? b : c"),
             vec![
-                Tok::Ident("x".into()),
+                Tok::Ident("x"),
                 Tok::Assign,
-                Tok::Ident("a".into()),
+                Tok::Ident("a"),
                 Tok::Question,
-                Tok::Ident("b".into()),
+                Tok::Ident("b"),
                 Tok::Colon,
-                Tok::Ident("c".into()),
+                Tok::Ident("c"),
             ]
         );
     }
@@ -344,13 +237,13 @@ mod tests {
             vec![
                 Tok::LParen,
                 Tok::Backslash,
-                Tok::Ident("op".into()),
+                Tok::Ident("op"),
                 Tok::Dot,
                 Tok::Backslash,
-                Tok::Ident("a".into()),
+                Tok::Ident("a"),
                 Tok::Dot,
-                Tok::Ident("op".into()),
-                Tok::Ident("a".into()),
+                Tok::Ident("op"),
+                Tok::Ident("a"),
                 Tok::RParen,
             ]
         );
@@ -385,10 +278,10 @@ mod tests {
             toks("#simm13 @ [ add32 ]"),
             vec![
                 Tok::Hash,
-                Tok::Ident("simm13".into()),
+                Tok::Ident("simm13"),
                 Tok::At,
                 Tok::LBracket,
-                Tok::Ident("add32".into()),
+                Tok::Ident("add32"),
                 Tok::RBracket,
             ]
         );

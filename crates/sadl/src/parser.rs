@@ -10,8 +10,8 @@ use crate::ast::{Decl, Expr, SpannedDecl};
 use crate::error::{Pos, SadlError};
 use crate::lexer::{tokenize, Spanned, Tok};
 
-pub(crate) struct Parser {
-    toks: Vec<Spanned>,
+pub(crate) struct Parser<'a> {
+    toks: Vec<Spanned<'a>>,
     at: usize,
 }
 
@@ -20,7 +20,7 @@ pub(crate) struct Parser {
 /// # Errors
 ///
 /// Returns the first lexical or syntactic error, with its position.
-pub fn parse(src: &str) -> Result<Vec<SpannedDecl>, SadlError> {
+pub fn parse(src: &str) -> Result<Vec<SpannedDecl<'_>>, SadlError> {
     let toks = tokenize(src)?;
     let mut p = Parser { toks, at: 0 };
     let mut decls = Vec::new();
@@ -30,16 +30,16 @@ pub fn parse(src: &str) -> Result<Vec<SpannedDecl>, SadlError> {
     Ok(decls)
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     fn eof(&self) -> bool {
         self.at >= self.toks.len()
     }
 
-    fn peek(&self) -> Option<&Tok> {
+    fn peek(&self) -> Option<&Tok<'a>> {
         self.toks.get(self.at).map(|s| &s.tok)
     }
 
-    fn peek2(&self) -> Option<&Tok> {
+    fn peek2(&self) -> Option<&Tok<'a>> {
         self.toks.get(self.at + 1).map(|s| &s.tok)
     }
 
@@ -51,13 +51,13 @@ impl Parser {
             .unwrap_or_default()
     }
 
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.at).map(|s| s.tok.clone());
+    fn bump(&mut self) -> Option<Tok<'a>> {
+        let t = self.toks.get(self.at).map(|s| s.tok);
         self.at += 1;
         t
     }
 
-    fn expect(&mut self, want: &Tok, what: &str) -> Result<(), SadlError> {
+    fn expect(&mut self, want: &Tok<'a>, what: &str) -> Result<(), SadlError> {
         let pos = self.pos();
         match self.bump() {
             Some(ref t) if t == want => Ok(()),
@@ -69,7 +69,7 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String, SadlError> {
+    fn ident(&mut self, what: &str) -> Result<&'a str, SadlError> {
         let pos = self.pos();
         match self.bump() {
             Some(Tok::Ident(s)) => Ok(s),
@@ -81,7 +81,7 @@ impl Parser {
         }
     }
 
-    fn name(&mut self, what: &str) -> Result<String, SadlError> {
+    fn name(&mut self, what: &str) -> Result<&'a str, SadlError> {
         let pos = self.pos();
         match self.bump() {
             Some(Tok::Ident(s)) | Some(Tok::Sym(s)) => Ok(s),
@@ -118,7 +118,7 @@ impl Parser {
 
     // --- declarations ----------------------------------------------------
 
-    fn decl(&mut self) -> Result<SpannedDecl, SadlError> {
+    fn decl(&mut self) -> Result<SpannedDecl<'a>, SadlError> {
         let pos = self.pos();
         let decl = match self.peek() {
             Some(Tok::Machine) => {
@@ -212,7 +212,7 @@ impl Parser {
     }
 
     /// `ty{width}` — e.g. `untyped{32}`, `signed{32}`.
-    fn ty(&mut self) -> Result<(String, u32), SadlError> {
+    fn ty(&mut self) -> Result<(&'a str, u32), SadlError> {
         let class = self.ident("type name")?;
         self.expect(&Tok::LBrace, "`{`")?;
         let width = self.num_u32("type width")?;
@@ -221,7 +221,7 @@ impl Parser {
     }
 
     /// `NAME` or `[ NAME+ ]`.
-    fn name_list(&mut self) -> Result<Vec<String>, SadlError> {
+    fn name_list(&mut self) -> Result<Vec<&'a str>, SadlError> {
         if self.peek() == Some(&Tok::LBracket) {
             self.bump();
             let mut names = Vec::new();
@@ -239,7 +239,7 @@ impl Parser {
     }
 
     /// Optional `@ [ name+ ]` suffix.
-    fn opt_applied(&mut self) -> Result<Option<Vec<Expr>>, SadlError> {
+    fn opt_applied(&mut self) -> Result<Option<Vec<Expr<'a>>>, SadlError> {
         if self.peek() != Some(&Tok::At) {
             return Ok(None);
         }
@@ -256,7 +256,7 @@ impl Parser {
     // --- expressions -------------------------------------------------------
 
     /// Comma-separated sequence of elements.
-    fn seq(&mut self) -> Result<Expr, SadlError> {
+    fn seq(&mut self) -> Result<Expr<'a>, SadlError> {
         let mut elems = vec![self.element()?];
         while self.peek() == Some(&Tok::Comma) {
             self.bump();
@@ -270,7 +270,7 @@ impl Parser {
     }
 
     /// A sequence element: `x := e`, `T[i] := e`, or a ternary expression.
-    fn element(&mut self) -> Result<Expr, SadlError> {
+    fn element(&mut self) -> Result<Expr<'a>, SadlError> {
         // `x := e`
         if let (Some(Tok::Ident(_)), Some(Tok::Assign)) = (self.peek(), self.peek2()) {
             let name = self.ident("binding name")?;
@@ -317,7 +317,7 @@ impl Parser {
         None
     }
 
-    fn ternary(&mut self) -> Result<Expr, SadlError> {
+    fn ternary(&mut self) -> Result<Expr<'a>, SadlError> {
         let cond = self.cmp()?;
         if self.peek() == Some(&Tok::Question) {
             self.bump();
@@ -330,7 +330,7 @@ impl Parser {
         }
     }
 
-    fn cmp(&mut self) -> Result<Expr, SadlError> {
+    fn cmp(&mut self) -> Result<Expr<'a>, SadlError> {
         let lhs = self.app()?;
         if self.peek() == Some(&Tok::Eq) {
             self.bump();
@@ -348,7 +348,7 @@ impl Parser {
         )
     }
 
-    fn app(&mut self) -> Result<Expr, SadlError> {
+    fn app(&mut self) -> Result<Expr<'a>, SadlError> {
         let mut e = self.atom()?;
         while let Some(t) = self.peek() {
             if Self::starts_atom(t) {
@@ -361,9 +361,9 @@ impl Parser {
         Ok(e)
     }
 
-    fn atom(&mut self) -> Result<Expr, SadlError> {
+    fn atom(&mut self) -> Result<Expr<'a>, SadlError> {
         let pos = self.pos();
-        match self.peek().cloned() {
+        match self.peek().copied() {
             Some(Tok::Num(n)) => {
                 self.bump();
                 Ok(Expr::Num(n))
@@ -396,7 +396,7 @@ impl Parser {
             }
             Some(Tok::Ident(id)) => {
                 // Timing commands are recognized contextually.
-                match id.as_str() {
+                match id {
                     "A" | "AR" | "R" if matches!(self.peek2(), Some(Tok::Ident(_))) => {
                         self.bump();
                         let unit = self.ident("unit name")?;
@@ -442,7 +442,7 @@ impl Parser {
 mod tests {
     use super::*;
 
-    fn one(src: &str) -> Decl {
+    fn one(src: &str) -> Decl<'_> {
         let mut d = parse(src).unwrap();
         assert_eq!(d.len(), 1, "expected one decl");
         d.pop().unwrap().decl
@@ -453,7 +453,7 @@ mod tests {
         assert_eq!(
             one("machine hyperSPARC 2 66"),
             Decl::Machine {
-                name: "hyperSPARC".into(),
+                name: "hyperSPARC",
                 issue: 2,
                 clock_mhz: 66
             }
@@ -464,11 +464,7 @@ mod tests {
     fn parse_units() {
         assert_eq!(
             one("unit ALU 1, ALUr 2, ALUw 1"),
-            Decl::Unit(vec![
-                ("ALU".into(), 1),
-                ("ALUr".into(), 2),
-                ("ALUw".into(), 1)
-            ])
+            Decl::Unit(vec![("ALU", 1), ("ALUr", 2), ("ALUw", 1)])
         );
     }
 
@@ -477,9 +473,9 @@ mod tests {
         assert_eq!(
             one("register untyped{32} R[32]"),
             Decl::Register {
-                class: "untyped".into(),
+                class: "untyped",
                 width: 32,
-                name: "R".into(),
+                name: "R",
                 count: 32
             }
         );
@@ -498,11 +494,11 @@ mod tests {
                     body,
                     Expr::Seq(vec![
                         Expr::AcquireRelease {
-                            unit: "ALUr".into(),
+                            unit: "ALUr",
                             num: 1,
                             delay: 1
                         },
-                        Expr::Index("R".into(), Box::new(Expr::Name("i".into()))),
+                        Expr::Index("R", Box::new(Expr::Name("i"))),
                     ])
                 );
             }
@@ -525,7 +521,7 @@ mod tests {
                     body,
                     Expr::Seq(vec![
                         Expr::AcquireRelease {
-                            unit: "Group".into(),
+                            unit: "Group",
                             num: 1,
                             delay: 1
                         },
@@ -545,7 +541,7 @@ mod tests {
                 body,
                 Expr::Seq(vec![
                     Expr::AcquireRelease {
-                        unit: "Group".into(),
+                        unit: "Group",
                         num: 2,
                         delay: 1
                     },
@@ -565,7 +561,7 @@ mod tests {
                 assert_eq!(names, vec!["+", "-"]);
                 assert_eq!(
                     applied,
-                    Some(vec![Expr::Name("add32".into()), Expr::Name("sub32".into())])
+                    Some(vec![Expr::Name("add32"), Expr::Name("sub32")])
                 );
             }
             other => panic!("not a val: {other:?}"),
@@ -580,14 +576,11 @@ mod tests {
                 body,
                 Expr::Ternary(
                     Box::new(Expr::Eq(
-                        Box::new(Expr::Name("iflag".into())),
+                        Box::new(Expr::Name("iflag")),
                         Box::new(Expr::Num(1)),
                     )),
-                    Box::new(Expr::Field("simm13".into())),
-                    Box::new(Expr::Index(
-                        "R4r".into(),
-                        Box::new(Expr::Name("rs2".into()))
-                    )),
+                    Box::new(Expr::Field("simm13")),
+                    Box::new(Expr::Index("R4r", Box::new(Expr::Name("rs2")))),
                 )
             ),
             other => panic!("not a val: {other:?}"),
@@ -645,7 +638,7 @@ mod tests {
                 assert_eq!(
                     body,
                     Expr::Release {
-                        unit: "ALU".into(),
+                        unit: "ALU",
                         num: 2
                     }
                 )
@@ -655,10 +648,7 @@ mod tests {
         let d = one("val y is R[rs1]");
         match d {
             Decl::Val { body, .. } => {
-                assert_eq!(
-                    body,
-                    Expr::Index("R".into(), Box::new(Expr::Name("rs1".into())))
-                )
+                assert_eq!(body, Expr::Index("R", Box::new(Expr::Name("rs1"))))
             }
             other => panic!("{other:?}"),
         }
@@ -685,7 +675,7 @@ mod tests {
             Decl::Val { body, .. } => assert_eq!(
                 body,
                 Expr::AcquireRelease {
-                    unit: "LSU".into(),
+                    unit: "LSU",
                     num: 1,
                     delay: 2
                 }

@@ -9,7 +9,7 @@
 //! [`TimingGroup`]s — exactly the information the paper's Appendix A
 //! generator consumed.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::ast::{Decl, Expr, SpannedDecl};
@@ -32,8 +32,11 @@ const FIELDS: &[&str] = &[
     "shcnt",
 ];
 
+/// A value. Closures and `val` macros hold their syntax by reference
+/// into the parsed declarations and their scope as a shared frame
+/// chain, so copying one copies pointers and bumps one count.
 #[derive(Clone)]
-enum Value {
+enum Value<'a> {
     /// A data value: `at` is the cycle it was computed (0 = available
     /// at issue); `known` is its numeric value when statically known.
     Data { at: u32, known: Option<i64> },
@@ -42,72 +45,182 @@ enum Value {
     /// A boolean; `None` means unknown until instruction decode time.
     Bool(Option<bool>),
     /// A lambda closure.
-    Closure(Rc<ClosureData>),
-    /// A `val` macro: re-evaluated (with effects) at every use site.
-    Thunk(Rc<ThunkData>),
+    Closure {
+        param: &'a str,
+        body: &'a Expr<'a>,
+        env: Scope<'a>,
+    },
+    /// A `val` macro, `body` or `body @ arg`: re-evaluated (with
+    /// effects) at every use site.
+    Thunk {
+        body: &'a Expr<'a>,
+        arg: Option<&'a Expr<'a>>,
+        env: Scope<'a>,
+    },
     /// A primitive operation.
     Prim,
 }
 
-struct ClosureData {
-    param: String,
-    body: Expr,
-    env: Env,
+/// The primitives and instruction fields every scope ends in.
+fn base(name: &str) -> Option<Value<'static>> {
+    if PRIMS.contains(&name) {
+        Some(Value::Prim)
+    } else if FIELDS.contains(&name) {
+        Some(Value::Data { at: 0, known: None })
+    } else {
+        None
+    }
 }
 
-struct ThunkData {
-    expr: Expr,
-    env: Env,
-}
-
-type Env = HashMap<String, Value>;
-
-/// Event log accumulated while interpreting one `sem` expression.
+/// A scope: an immutable chain of frames, newest binding first, over
+/// [`base`]. Extending one allocates one frame and leaves the original
+/// intact, so closures, `val`s and sequences capture a scope by
+/// copying a pointer.
 #[derive(Clone, Default)]
+struct Scope<'a>(Option<Rc<Frame<'a>>>);
+
+struct Frame<'a> {
+    name: &'a str,
+    value: Value<'a>,
+    next: Scope<'a>,
+}
+
+impl<'a> Scope<'a> {
+    /// This scope with `name` bound to `value` in front.
+    fn bind(&self, name: &'a str, value: Value<'a>) -> Scope<'a> {
+        Scope(Some(Rc::new(Frame {
+            name,
+            value,
+            next: self.clone(),
+        })))
+    }
+
+    /// The newest binding of `name`, else its primitive or field.
+    fn get(&self, name: &str) -> Option<Value<'a>> {
+        let mut at = self.0.as_deref();
+        while let Some(frame) = at {
+            if frame.name == name {
+                return Some(frame.value.clone());
+            }
+            at = frame.next.0.as_deref();
+        }
+        base(name)
+    }
+}
+
+impl Drop for Frame<'_> {
+    /// Unlinks the frames below this one in a loop, so a long chain
+    /// (one frame per `val` or `:=`) never recurses its length deep.
+    /// Each frame's value goes first: a closure or `val` in it usually
+    /// holds the chain below, and dropping it while `next` still does
+    /// only decrements a count.
+    fn drop(&mut self) {
+        self.value = Value::Unit;
+        let mut next = self.next.0.take();
+        while let Some(mut frame) = next.and_then(Rc::into_inner) {
+            frame.value = Value::Unit;
+            next = frame.next.0.take();
+        }
+    }
+}
+
+/// `(key, copies)` pairs sorted by key: `(cycle, unit)`.
+type CopyLog = Vec<((u32, usize), u32)>;
+
+/// Event log accumulated while interpreting one `sem` expression. The
+/// logs are small sorted vectors, which a conditional copies once.
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 struct State {
     cycle: u32,
-    acquires: BTreeMap<(u32, usize), u32>,
-    releases: BTreeMap<(u32, usize), u32>,
-    reads: BTreeSet<(RegClass, u32)>,
-    writes: BTreeSet<(RegClass, u32)>,
+    acquires: CopyLog,
+    releases: CopyLog,
+    /// Sorted, without duplicates.
+    reads: Vec<(RegClass, u32)>,
+    /// Sorted, without duplicates.
+    writes: Vec<(RegClass, u32)>,
 }
 
-struct Compiler {
-    pos: Pos,
-    units: Vec<Unit>,
-    unit_ids: HashMap<String, usize>,
-    regfiles: HashMap<String, RegClass>,
-    aliases: HashMap<String, (String, Expr)>,
-    env: Env,
-    machine: Option<(String, u32, u32)>,
-    groups: Vec<TimingGroup>,
-    group_ids: HashMap<TimingGroup, usize>,
-    bindings: HashMap<String, usize>,
+/// The copy count logged under `key`, inserted as 0 if absent.
+fn copies_at(log: &mut CopyLog, key: (u32, usize)) -> &mut u32 {
+    let i = log
+        .binary_search_by_key(&key, |&(k, _)| k)
+        .unwrap_or_else(|i| {
+            log.insert(i, (key, 0));
+            i
+        });
+    &mut log[i].1
 }
 
-impl Compiler {
-    fn new() -> Compiler {
-        let mut env = Env::new();
-        for p in PRIMS {
-            env.insert((*p).to_string(), Value::Prim);
+/// Adds `x` to a sorted set.
+fn note(set: &mut Vec<(RegClass, u32)>, x: (RegClass, u32)) {
+    if let Err(i) = set.binary_search(&x) {
+        set.insert(i, x);
+    }
+}
+
+impl State {
+    /// The group this log compiles to; `cycle` must already be the
+    /// group's length.
+    fn group(&self) -> TimingGroup {
+        let mut acquires = vec![Vec::new(); self.cycle as usize + 1];
+        for &((c, u), n) in &self.acquires {
+            acquires[c as usize].push((u, n));
         }
-        for f in FIELDS {
-            env.insert((*f).to_string(), Value::Data { at: 0, known: None });
+        let mut releases = vec![Vec::new(); self.cycle as usize + 1];
+        for &((c, u), n) in &self.releases {
+            releases[c as usize].push((u, n));
         }
-        Compiler {
-            pos: Pos::default(),
-            units: Vec::new(),
-            unit_ids: HashMap::new(),
-            regfiles: HashMap::new(),
-            aliases: HashMap::new(),
-            env,
-            machine: None,
-            groups: Vec::new(),
-            group_ids: HashMap::new(),
-            bindings: HashMap::new(),
+        TimingGroup {
+            cycles: self.cycle,
+            acquires,
+            releases,
+            reads: self.reads.clone(),
+            writes: self.writes.clone(),
         }
     }
 
+    /// Merges the other arm of an unknown conditional into this one:
+    /// the larger copy count under each key, every read and write.
+    /// Both arms started from the same state, so that is the state's
+    /// count plus the larger arm's.
+    fn merge(&mut self, other: &State) {
+        for (mine, theirs) in [
+            (&mut self.acquires, &other.acquires),
+            (&mut self.releases, &other.releases),
+        ] {
+            for &(k, n) in theirs {
+                let m = copies_at(mine, k);
+                *m = (*m).max(n);
+            }
+        }
+        for &x in &other.reads {
+            note(&mut self.reads, x);
+        }
+        for &x in &other.writes {
+            note(&mut self.writes, x);
+        }
+    }
+}
+
+#[derive(Default)]
+struct Compiler<'a> {
+    pos: Pos,
+    units: Vec<Unit>,
+    unit_ids: HashMap<&'a str, usize>,
+    regfiles: HashMap<&'a str, RegClass>,
+    aliases: HashMap<&'a str, (&'a str, &'a Expr<'a>)>,
+    /// The top-level scope: every `val` declared so far.
+    top: Scope<'a>,
+    machine: Option<(&'a str, u32, u32)>,
+    groups: Vec<TimingGroup>,
+    /// Each group's log, as [`Compiler::sem_log`] returns it: equal
+    /// logs compile to equal groups, so a `sem` that repeats an earlier
+    /// group's timing builds no group of its own.
+    group_ids: HashMap<State, usize>,
+    bindings: HashMap<String, usize>,
+}
+
+impl<'a> Compiler<'a> {
     fn err(&self, msg: impl Into<String>) -> SadlError {
         SadlError::at(self.pos, msg.into())
     }
@@ -122,14 +235,8 @@ impl Compiler {
     }
 
     /// Logs `num` more copies of unit `u` at cycle `at`.
-    fn log_copies(
-        &self,
-        log: &mut BTreeMap<(u32, usize), u32>,
-        at: u32,
-        u: usize,
-        num: u32,
-    ) -> Result<(), SadlError> {
-        let n = log.entry((at, u)).or_default();
+    fn log_copies(&self, log: &mut CopyLog, at: u32, u: usize, num: u32) -> Result<(), SadlError> {
+        let n = copies_at(log, (at, u));
         *n = n.checked_add(num).ok_or_else(|| {
             self.err(format!(
                 "more than {} copies of unit `{}` in one cycle",
@@ -140,7 +247,7 @@ impl Compiler {
         Ok(())
     }
 
-    fn decl(&mut self, d: &SpannedDecl) -> Result<(), SadlError> {
+    fn decl(&mut self, d: &'a SpannedDecl<'a>) -> Result<(), SadlError> {
         self.pos = d.pos;
         match &d.decl {
             Decl::Machine {
@@ -151,20 +258,20 @@ impl Compiler {
                 if self.machine.is_some() {
                     return Err(self.err("duplicate machine declaration"));
                 }
-                self.machine = Some((name.clone(), *issue, *clock_mhz));
+                self.machine = Some((name, *issue, *clock_mhz));
             }
             Decl::Unit(units) => {
-                for (name, count) in units {
+                for &(name, count) in units {
                     if self.unit_ids.contains_key(name) {
                         return Err(self.err(format!("duplicate unit `{name}`")));
                     }
-                    if *count == 0 {
+                    if count == 0 {
                         return Err(self.err(format!("unit `{name}` has zero copies")));
                     }
-                    self.unit_ids.insert(name.clone(), self.units.len());
+                    self.unit_ids.insert(name, self.units.len());
                     self.units.push(Unit {
-                        name: name.clone(),
-                        count: *count,
+                        name: name.to_string(),
+                        count,
                     });
                 }
             }
@@ -175,18 +282,14 @@ impl Compiler {
                          (expected R, F, ICC, FCC, or Y)"
                     ))
                 })?;
-                if self.regfiles.insert(name.clone(), class).is_some() {
+                if self.regfiles.insert(name, class).is_some() {
                     return Err(self.err(format!("duplicate register file `{name}`")));
                 }
             }
             Decl::Alias {
                 name, param, body, ..
             } => {
-                if self
-                    .aliases
-                    .insert(name.clone(), (param.clone(), body.clone()))
-                    .is_some()
-                {
+                if self.aliases.insert(name, (param, body)).is_some() {
                     return Err(self.err(format!("duplicate alias `{name}`")));
                 }
             }
@@ -195,13 +298,15 @@ impl Compiler {
                 body,
                 applied,
             } => {
-                let exprs = self.expand_macro(names, body, applied)?;
-                for (name, expr) in names.iter().zip(exprs) {
-                    let thunk = Value::Thunk(Rc::new(ThunkData {
-                        expr,
-                        env: self.env.clone(),
-                    }));
-                    self.env.insert(name.clone(), thunk);
+                self.check_macro(names, applied)?;
+                for (k, &name) in names.iter().enumerate() {
+                    // Each name's expansion sees the names before it.
+                    let thunk = Value::Thunk {
+                        body,
+                        arg: applied.as_ref().map(|args| &args[k]),
+                        env: self.top.clone(),
+                    };
+                    self.top = self.top.bind(name, thunk);
                 }
             }
             Decl::Sem {
@@ -209,64 +314,66 @@ impl Compiler {
                 body,
                 applied,
             } => {
-                let exprs = self.expand_macro(names, body, applied)?;
-                for (name, expr) in names.iter().zip(exprs) {
+                self.check_macro(names, applied)?;
+                for (k, &name) in names.iter().enumerate() {
                     if self.bindings.contains_key(name) {
                         return Err(self.err(format!("duplicate sem binding for `{name}`")));
                     }
-                    let group = self.extract_group(name, &expr)?;
-                    let id = *self.group_ids.entry(group.clone()).or_insert_with(|| {
-                        self.groups.push(group);
-                        self.groups.len() - 1
-                    });
-                    self.bindings.insert(name.clone(), id);
+                    let arg = applied.as_ref().map(|args| &args[k]);
+                    let log = self.sem_log(name, body, arg)?;
+                    let id = match self.group_ids.get(&log) {
+                        Some(&id) => id,
+                        None => {
+                            let id = self.groups.len();
+                            self.groups.push(log.group());
+                            self.group_ids.insert(log, id);
+                            id
+                        }
+                    };
+                    self.bindings.insert(name.to_string(), id);
                 }
             }
         }
         Ok(())
     }
 
-    /// Expands `body @ [a b c]` into one expression per bound name.
-    fn expand_macro(
+    /// Checks that `body @ [a b c]` has one entry per bound name.
+    fn check_macro(
         &self,
-        names: &[String],
-        body: &Expr,
-        applied: &Option<Vec<Expr>>,
-    ) -> Result<Vec<Expr>, SadlError> {
+        names: &[&str],
+        applied: &Option<Vec<Expr<'_>>>,
+    ) -> Result<(), SadlError> {
         match applied {
-            None => Ok(vec![body.clone(); names.len()]),
-            Some(args) => {
-                if args.len() != names.len() {
-                    return Err(self.err(format!(
-                        "`@` list has {} entries for {} names",
-                        args.len(),
-                        names.len()
-                    )));
-                }
-                Ok(args
-                    .iter()
-                    .map(|a| Expr::Apply(Box::new(body.clone()), Box::new(a.clone())))
-                    .collect())
-            }
+            Some(args) if args.len() != names.len() => Err(self.err(format!(
+                "`@` list has {} entries for {} names",
+                args.len(),
+                names.len()
+            ))),
+            _ => Ok(()),
         }
     }
 
-    /// Interprets a `sem` expression and packages its event log.
-    fn extract_group(&self, name: &str, expr: &Expr) -> Result<TimingGroup, SadlError> {
+    /// Interprets a `sem` expression (`body`, or `body @ arg`) and
+    /// checks its event log, whose `cycle` becomes the group's length.
+    fn sem_log(
+        &self,
+        name: &str,
+        body: &'a Expr<'a>,
+        arg: Option<&'a Expr<'a>>,
+    ) -> Result<State, SadlError> {
         let mut state = State::default();
-        let env = self.env.clone();
-        self.eval(expr, &env, &mut state)
+        self.eval_macro(body, arg, &self.top, &mut state)
             .map_err(|e| self.err(format!("in sem `{name}`: {e}")))?;
 
         // Every acquired copy must eventually be released.
-        let mut balance: BTreeMap<usize, i64> = BTreeMap::new();
-        for (&(_, u), &n) in &state.acquires {
-            *balance.entry(u).or_default() += i64::from(n);
+        let mut balance = vec![0i64; self.units.len()];
+        for &((_, u), n) in &state.acquires {
+            balance[u] += i64::from(n);
         }
-        for (&(_, u), &n) in &state.releases {
-            *balance.entry(u).or_default() -= i64::from(n);
+        for &((_, u), n) in &state.releases {
+            balance[u] -= i64::from(n);
         }
-        if let Some((&u, &d)) = balance.iter().find(|&(_, &d)| d != 0) {
+        if let Some((u, &d)) = balance.iter().enumerate().find(|&(_, &d)| d != 0) {
             return Err(self.err(format!(
                 "sem `{name}` leaves unit `{}` unbalanced by {d}",
                 self.units[u].name
@@ -274,16 +381,13 @@ impl Compiler {
         }
 
         let mut cycles = state.cycle;
-        for &(c, _) in state.acquires.keys() {
+        for &((c, _), _) in &state.acquires {
             cycles = cycles.max(c + 1);
         }
-        for &(c, _) in state.releases.keys() {
+        for &((c, _), _) in &state.releases {
             cycles = cycles.max(c);
         }
-        for &(_, c) in &state.reads {
-            cycles = cycles.max(c + 1);
-        }
-        for &(_, c) in &state.writes {
+        for &(_, c) in state.reads.iter().chain(&state.writes) {
             cycles = cycles.max(c + 1);
         }
         if cycles > MAX_GROUP_CYCLES {
@@ -291,27 +395,37 @@ impl Compiler {
                 "sem `{name}` is longer than {MAX_GROUP_CYCLES} cycles"
             )));
         }
-
-        let mut acquires = vec![Vec::new(); cycles as usize + 1];
-        for (&(c, u), &n) in &state.acquires {
-            acquires[c as usize].push((u, n));
-        }
-        let mut releases = vec![Vec::new(); cycles as usize + 1];
-        for (&(c, u), &n) in &state.releases {
-            releases[c as usize].push((u, n));
-        }
-        Ok(TimingGroup {
-            cycles,
-            acquires,
-            releases,
-            reads: state.reads.iter().copied().collect(),
-            writes: state.writes.iter().copied().collect(),
-        })
+        state.cycle = cycles;
+        Ok(state)
     }
 
     // --- expression interpreter -------------------------------------------
 
-    fn eval(&self, expr: &Expr, env: &Env, st: &mut State) -> Result<Value, SadlError> {
+    /// Evaluates `body`, or applies it to `arg` when there is one: an
+    /// application, or a `val` or `sem` with an `@` list.
+    fn eval_macro(
+        &self,
+        body: &'a Expr<'a>,
+        arg: Option<&'a Expr<'a>>,
+        env: &Scope<'a>,
+        st: &mut State,
+    ) -> Result<Value<'a>, SadlError> {
+        let f = self.eval(body, env, st)?;
+        match arg {
+            None => Ok(f),
+            Some(a) => {
+                let a = self.eval(a, env, st)?;
+                self.apply(f, a, st)
+            }
+        }
+    }
+
+    fn eval(
+        &self,
+        expr: &'a Expr<'a>,
+        env: &Scope<'a>,
+        st: &mut State,
+    ) -> Result<Value<'a>, SadlError> {
         match expr {
             Expr::Num(n) => Ok(Value::Data {
                 at: 0,
@@ -322,27 +436,22 @@ impl Compiler {
             Expr::Name(n) => {
                 let v = env
                     .get(n)
-                    .ok_or_else(|| self.err(format!("unbound name `{n}`")))?
-                    .clone();
+                    .ok_or_else(|| self.err(format!("unbound name `{n}`")))?;
                 self.force(v, st)
             }
-            Expr::Lambda(param, body) => Ok(Value::Closure(Rc::new(ClosureData {
-                param: param.clone(),
-                body: (**body).clone(),
+            Expr::Lambda(param, body) => Ok(Value::Closure {
+                param,
+                body,
                 env: env.clone(),
-            }))),
-            Expr::Apply(f, a) => {
-                let fv = self.eval(f, env, st)?;
-                let av = self.eval(a, env, st)?;
-                self.apply(fv, av, st)
-            }
+            }),
+            Expr::Apply(f, a) => self.eval_macro(f, Some(a), env, st),
             Expr::Seq(elems) => {
                 let mut env = env.clone();
                 let mut last = Value::Unit;
                 for e in elems {
                     if let Expr::Bind(name, value) = e {
                         let v = self.eval(value, &env, st)?;
-                        env.insert(name.clone(), v.clone());
+                        env = env.bind(name, v.clone());
                         last = v;
                     } else {
                         last = self.eval(e, &env, st)?;
@@ -368,18 +477,19 @@ impl Compiler {
                     Value::Bool(Some(true)) => self.eval(t, env, st),
                     Value::Bool(Some(false)) => self.eval(f, env, st),
                     Value::Bool(None) | Value::Data { .. } => {
-                        // Unknown until decode: take both arms and merge
-                        // (maximum resource usage, latest availability).
-                        let mut st_t = st.clone();
-                        let vt = self.eval(t, env, &mut st_t)?;
-                        let mut st_f = st.clone();
-                        let vf = self.eval(f, env, &mut st_f)?;
-                        if st_t.cycle != st_f.cycle {
+                        // Unknown until decode: take both arms from the
+                        // same state and merge (maximum resource usage,
+                        // latest availability).
+                        let start = st.clone();
+                        let vt = self.eval(t, env, st)?;
+                        let taken = std::mem::replace(st, start);
+                        let vf = self.eval(f, env, st)?;
+                        if taken.cycle != st.cycle {
                             return Err(self.err(
                                 "conditional arms advance the pipeline by different amounts",
                             ));
                         }
-                        *st = merge_states(st_t, st_f);
+                        st.merge(&taken);
                         merge_values(vt, vf).map_err(|m| self.err(m))
                     }
                     _ => Err(self.err("conditional condition is not a boolean")),
@@ -410,15 +520,14 @@ impl Compiler {
                 // Evaluate the index for effects (usually none).
                 self.eval(idx, env, st)?;
                 if let Some(&class) = self.regfiles.get(name) {
-                    st.reads.insert((class, st.cycle));
+                    note(&mut st.reads, (class, st.cycle));
                     return Ok(Value::Data {
                         at: st.cycle,
                         known: None,
                     });
                 }
-                if let Some((param, body)) = self.aliases.get(name) {
-                    let mut inner = self.env.clone();
-                    inner.insert(param.clone(), Value::Data { at: 0, known: None });
+                if let Some(&(param, body)) = self.aliases.get(name) {
+                    let inner = self.top.bind(param, Value::Data { at: 0, known: None });
                     return self.eval(body, &inner, st);
                 }
                 Err(self.err(format!("`{name}` is neither a register file nor an alias")))
@@ -445,16 +554,15 @@ impl Compiler {
     /// evaluating port-acquisition effects along the way.
     fn write_target(&self, target: &str, value_at: u32, st: &mut State) -> Result<(), SadlError> {
         if let Some(&class) = self.regfiles.get(target) {
-            st.writes.insert((class, value_at));
+            note(&mut st.writes, (class, value_at));
             return Ok(());
         }
-        let Some((param, body)) = self.aliases.get(target) else {
+        let Some(&(param, body)) = self.aliases.get(target) else {
             return Err(self.err(format!(
                 "write target `{target}` is neither a register file nor an alias"
             )));
         };
-        let mut env = self.env.clone();
-        env.insert(param.clone(), Value::Data { at: 0, known: None });
+        let env = self.top.bind(param, Value::Data { at: 0, known: None });
         // Evaluate every element of the alias body except the final
         // register access, which becomes the write.
         let final_access = match body {
@@ -463,42 +571,38 @@ impl Compiler {
                 for e in init {
                     self.eval(e, &env, st)?;
                 }
-                last.clone()
+                last
             }
-            other => other.clone(),
+            other => other,
         };
         match final_access {
-            Expr::Index(inner, _) => self.write_target(&inner, value_at, st),
+            Expr::Index(inner, _) => self.write_target(inner, value_at, st),
             _ => Err(self.err(format!(
                 "alias `{target}` does not end in a register access; cannot write through it"
             ))),
         }
     }
 
-    fn force(&self, v: Value, st: &mut State) -> Result<Value, SadlError> {
+    fn force(&self, v: Value<'a>, st: &mut State) -> Result<Value<'a>, SadlError> {
         match v {
-            Value::Thunk(t) => {
-                let inner = self.eval(&t.expr, &t.env, st)?;
+            Value::Thunk { body, arg, env } => {
+                let inner = self.eval_macro(body, arg, &env, st)?;
                 self.force(inner, st)
             }
             other => Ok(other),
         }
     }
 
-    fn apply(&self, f: Value, a: Value, st: &mut State) -> Result<Value, SadlError> {
+    fn apply(&self, f: Value<'a>, a: Value<'a>, st: &mut State) -> Result<Value<'a>, SadlError> {
         match f {
-            Value::Closure(c) => {
-                let mut env = c.env.clone();
-                env.insert(c.param.clone(), a);
-                self.eval(&c.body, &env, st)
-            }
+            Value::Closure { param, body, env } => self.eval(body, &env.bind(param, a), st),
             // Applying a primitive (or continuing to apply its partial
             // result) computes a value in the current cycle.
             Value::Prim | Value::Data { .. } => Ok(Value::Data {
                 at: st.cycle,
                 known: None,
             }),
-            Value::Thunk(_) => unreachable!("thunks are forced at lookup"),
+            Value::Thunk { .. } => unreachable!("thunks are forced at lookup"),
             Value::Unit | Value::Bool(_) => Err(self.err("cannot apply a non-function value")),
         }
     }
@@ -511,29 +615,7 @@ impl Compiler {
     }
 }
 
-fn merge_states(a: State, b: State) -> State {
-    let mut out = State {
-        cycle: a.cycle,
-        ..State::default()
-    };
-    for m in [&a.acquires, &b.acquires] {
-        for (&k, &n) in m {
-            let e = out.acquires.entry(k).or_default();
-            *e = (*e).max(n);
-        }
-    }
-    for m in [&a.releases, &b.releases] {
-        for (&k, &n) in m {
-            let e = out.releases.entry(k).or_default();
-            *e = (*e).max(n);
-        }
-    }
-    out.reads = a.reads.union(&b.reads).copied().collect();
-    out.writes = a.writes.union(&b.writes).copied().collect();
-    out
-}
-
-fn merge_values(a: Value, b: Value) -> Result<Value, String> {
+fn merge_values<'a>(a: Value<'a>, b: Value<'a>) -> Result<Value<'a>, String> {
     match (a, b) {
         (Value::Data { at: x, .. }, Value::Data { at: y, .. }) => Ok(Value::Data {
             at: x.max(y),
@@ -570,7 +652,7 @@ impl ArchDescription {
     /// source position.
     pub fn compile(src: &str) -> Result<ArchDescription, SadlError> {
         let decls = parse(src)?;
-        let mut c = Compiler::new();
+        let mut c = Compiler::default();
         for d in &decls {
             c.decl(d)?;
         }
@@ -578,7 +660,7 @@ impl ArchDescription {
             .machine
             .ok_or_else(|| SadlError::new("description lacks a `machine` declaration"))?;
         Ok(ArchDescription {
-            machine,
+            machine: machine.to_string(),
             issue_width,
             clock_mhz,
             units: c.units,
@@ -812,6 +894,151 @@ mod tests {
         // The bound itself is a legal length.
         let d = compile("D 1024").expect("a group at the bound compiles");
         assert_eq!(d.group_for("x").unwrap().cycles, MAX_GROUP_CYCLES);
+    }
+
+    /// Compiles `decls` under a one-wide machine with the integer
+    /// register file, for the scoping tests below.
+    fn scoped(decls: &str) -> Result<ArchDescription, SadlError> {
+        ArchDescription::compile(&format!(
+            "machine m 1 1\nregister untyped{{32}} R[32]\n{decls}"
+        ))
+    }
+
+    /// `(cycles, reads, writes)` of a group.
+    type Shape = (u32, Vec<(RegClass, u32)>, Vec<(RegClass, u32)>);
+
+    /// The [`Shape`] of the group bound to `name`.
+    fn shape(d: &ArchDescription, name: &str) -> Shape {
+        let g = d
+            .group_for(name)
+            .unwrap_or_else(|| panic!("`{name}` is bound"));
+        (g.cycles, g.reads.clone(), g.writes.clone())
+    }
+
+    const INT: RegClass = RegClass::Int;
+
+    #[test]
+    fn a_val_sees_only_the_bindings_before_it() {
+        let d = scoped(
+            "val lag is D 1, ()
+             val step is lag, x := R[rs1], x
+             sem a is R[rd] := step
+             val lag is D 3, ()
+             sem b is R[rd] := step
+             sem c is lag, R[rd] := step
+             val step is lag, x := R[rs1], x
+             sem e is R[rd] := step",
+        )
+        .unwrap();
+        // `step` expands with the `lag` defined before it, before and
+        // after `lag` is redefined.
+        assert_eq!(shape(&d, "a"), (2, vec![(INT, 1)], vec![(INT, 1)]));
+        assert_eq!(shape(&d, "b"), shape(&d, "a"));
+        assert_eq!(d.group_id("a"), d.group_id("b"));
+        // A `sem` after the redefinition sees the new `lag`.
+        assert_eq!(shape(&d, "c"), (5, vec![(INT, 4)], vec![(INT, 4)]));
+        // So does a `step` redefined after it.
+        assert_eq!(shape(&d, "e"), (4, vec![(INT, 3)], vec![(INT, 3)]));
+        // A `val` cannot use a name bound only after it.
+        let err = scoped("val early is late\nval late is D 1, ()\nsem s is early").unwrap_err();
+        assert!(err.to_string().contains("unbound name `late`"), "{err}");
+    }
+
+    #[test]
+    fn parameters_and_bindings_shadow_only_inside_their_scope() {
+        let d = scoped(
+            r"val v is D 2, R[rs1]
+              sem lam is (\v. D 1, R[rd] := v) 5, v
+              sem bind is (v := 7, D 1, R[rd] := v), v
+              sem later is R[rd] := v, v := 7, D 1, R[rd] := v
+              sem prim is (\fadd. R[rd] := fadd) 3, x := fadd R[rs1], D 1",
+        )
+        .unwrap();
+        // Inside, `v` is the argument or the bound value (ready at
+        // issue, no delay); after the scope closes it is the `val`
+        // again: two cycles of delay, then a register read.
+        let inner_then_val = (4, vec![(INT, 3)], vec![(INT, 0)]);
+        assert_eq!(shape(&d, "lam"), inner_then_val);
+        assert_eq!(shape(&d, "bind"), inner_then_val);
+        // A binding shadows only the rest of its sequence.
+        assert_eq!(
+            shape(&d, "later"),
+            (3, vec![(INT, 2)], vec![(INT, 0), (INT, 2)])
+        );
+        // A parameter shadows a primitive inside the lambda only.
+        assert_eq!(shape(&d, "prim"), (1, vec![(INT, 0)], vec![(INT, 0)]));
+        let err = scoped("sem s is (\\x. D 1) 0, R[rd] := fadd").unwrap_err();
+        assert!(err.to_string().contains("cannot store a function"), "{err}");
+    }
+
+    #[test]
+    fn an_alias_sees_top_level_vals_and_its_parameter_only() {
+        let d = scoped(
+            "val lag is D 2, ()
+             val i is D 5, ()
+             alias signed{32} Rl[i] is lag, R[i]
+             sem a is lag := (), i := (), D 1, x := Rl[rs1], R[rd] := x
+             val lag is D 1, ()
+             sem b is D 1, x := Rl[rs1], R[rd] := x",
+        )
+        .unwrap();
+        // The alias's `lag` is the top-level `val`, not the `sem`'s
+        // local binding, and its index `i` is its own parameter, not
+        // the top-level `val i` (five cycles) or the local `i`.
+        assert_eq!(shape(&d, "a"), (4, vec![(INT, 3)], vec![(INT, 3)]));
+        // A `sem` after `lag` is redefined expands the alias with it.
+        assert_eq!(shape(&d, "b"), (3, vec![(INT, 2)], vec![(INT, 2)]));
+        // The alias cannot see the using `sem`'s locals at all.
+        let err = scoped(
+            "alias signed{32} Rj[i] is R[j]
+             sem s is j := 0, x := Rj[rs1]",
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("unbound name `j`"), "{err}");
+    }
+
+    /// Compiles `src` on a thread with a 256 KiB stack: a scope that
+    /// recursed its length deep, to look a name up or to drop, would
+    /// overflow it.
+    fn compile_on_a_small_stack(src: String) -> ArchDescription {
+        std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(move || ArchDescription::compile(&src).expect("compiles"))
+            .expect("spawns")
+            .join()
+            .expect("compiles without panicking")
+    }
+
+    /// Many bindings in one scope: each `val` and each `:=` extends its
+    /// scope by one frame, so 200,000 cost linear time and memory, and
+    /// dropping the chain unlinks it in a loop.
+    const LONG: usize = 200_000;
+
+    #[test]
+    fn many_vals_make_one_long_top_level_scope() {
+        use std::fmt::Write;
+        let mut src = String::from("machine m 1 1\nregister untyped{32} R[32]\n");
+        src.push_str("val v0 is D 1, ()\n");
+        for i in 1..LONG - 1 {
+            writeln!(src, "val v{i} is {i}").unwrap();
+        }
+        writeln!(src, "val v{} is D 2, ()", LONG - 1).unwrap();
+        writeln!(src, "sem s is v0, x := R[rs1], v{}, R[rd] := x", LONG - 1).unwrap();
+        let d = compile_on_a_small_stack(src);
+        assert_eq!(shape(&d, "s"), (3, vec![(INT, 1)], vec![(INT, 1)]));
+    }
+
+    #[test]
+    fn a_sem_with_many_bindings_makes_one_long_local_scope() {
+        use std::fmt::Write;
+        let mut src = String::from("machine m 1 1\nregister untyped{32} R[32]\n");
+        src.push_str("sem s is D 1, x := R[rs1]");
+        for i in 0..LONG {
+            write!(src, ", b{i} := {i}").unwrap();
+        }
+        src.push_str(", D 1, R[rd] := x\n");
+        let d = compile_on_a_small_stack(src);
+        assert_eq!(shape(&d, "s"), (2, vec![(INT, 1)], vec![(INT, 1)]));
     }
 
     #[test]
