@@ -1,17 +1,17 @@
 //! `eel sadl FILE` on a description the pipeline model cannot compile
 //! runs the real binary: the error is one `eel: ...` line on stderr,
-//! the exit status is 1, and nothing panics.
+//! the exit status is 1, and nothing panics or overflows its stack.
 
 use std::process::Command;
 
-#[test]
-fn unpackable_unit_lanes_are_a_one_line_error() {
-    // Five units whose widest count needs 12 bits: five 13-bit lanes,
-    // one bit more than a packed reservation row holds.
-    let src = eel_sadl::descriptions::MICROSPARC.replacen("unit Group 1", "unit Group 4000", 1);
-    assert_ne!(src, eel_sadl::descriptions::MICROSPARC);
+/// Runs `eel sadl` on `src` and returns its stderr, after checking the
+/// one-line error contract.
+fn sadl_error(name: &str, src: &str) -> String {
     let mut path = std::env::temp_dir();
-    path.push(format!("eel-sadl-errors-{}.sadl", std::process::id()));
+    path.push(format!(
+        "eel-sadl-errors-{name}-{}.sadl",
+        std::process::id()
+    ));
     std::fs::write(&path, src).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_eel"))
         .arg("sadl")
@@ -19,15 +19,44 @@ fn unpackable_unit_lanes_are_a_one_line_error() {
         .output()
         .unwrap();
     std::fs::remove_file(&path).ok();
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(out.stdout.is_empty());
     assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    stderr
+}
+
+#[test]
+fn unpackable_unit_lanes_are_a_one_line_error() {
+    // Five units whose widest count needs 12 bits: five 13-bit lanes,
+    // one bit more than a packed reservation row holds.
+    let src = eel_sadl::descriptions::MICROSPARC.replacen("unit Group 1", "unit Group 4000", 1);
+    assert_ne!(src, eel_sadl::descriptions::MICROSPARC);
+    let stderr = sadl_error("lanes", &src);
     assert!(
         stderr.starts_with("eel: unsupported description: machine `microSPARC`"),
         "{stderr}"
     );
     assert!(stderr.contains("65 bits"), "{stderr}");
     assert!(stderr.contains("Group 4000, ALU 1"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn endless_and_deep_recursion_are_one_line_errors() {
+    // A self-application evaluates forever; 200,000 brackets nest far
+    // past the parser's bound. Each used to overflow the stack.
+    let endless = "machine m 1 1\nunit U 1\nsem s is (\\x. x x) (\\x. x x)\n";
+    let deep = format!(
+        "machine m 1 1\nunit U 1\nsem s is {}D 1{}\n",
+        "(".repeat(200_000),
+        ")".repeat(200_000)
+    );
+    for (name, src) in [("endless", endless), ("deep", deep.as_str())] {
+        let stderr = sadl_error(name, src);
+        assert!(stderr.starts_with("eel: SADL error: 3:"), "{stderr}");
+        assert!(stderr.contains("in sem `s`"), "{stderr}");
+        let bound = format!("deeper than {} levels", eel_sadl::MAX_NESTING);
+        assert!(stderr.contains(&bound), "{stderr}");
+    }
 }

@@ -486,7 +486,7 @@ mod tests {
     }
 
     #[test]
-    fn children_issue_with_the_count_their_candidate_query_returned() {
+    fn children_issue_at_the_count_their_candidate_query_returned() {
         // (queries, nodes) recorded while every child issue asked its
         // stall count again: one query per node is gone, and the search
         // itself (nodes, latency) is unchanged.

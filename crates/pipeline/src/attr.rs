@@ -6,15 +6,19 @@
 //! the RAW/WAR/WAW hazard — without touching the scheduler's hot
 //! path.
 //!
-//! # Attribution is a separate call
+//! # One query, one record
 //!
-//! [`PipelineState::stalls_with`] and [`PipelineState::issue_with`]
-//! classify every stalled cycle into a [`StallSink`] such as
-//! [`StallRecorder`] or [`CollectSink`]. The hot paths — the
-//! scheduler's candidate loop and the simulator's unattributed runs —
-//! call `stalls_prepared` / `issue_prepared` directly and so carry no
-//! classification branch or state at all; only callers that want
-//! causes pay for them.
+//! Each pipeline answers one attribution query, `stall_causes`
+//! ([`PipelineState::stall_causes`],
+//! [`crate::ReferencePipeline::stall_causes`]): the cause of each
+//! cycle the next instruction would stall, in cycle order, so the
+//! stall count is the list's length. [`StallProfile`] is the one
+//! record: a count per cause. [`StallProfile::issue`] asks the query
+//! once, records each cause and issues with that count. The hot paths
+//! — the scheduler's candidate loop and the simulator's unattributed
+//! runs — call `stalls_prepared` / `issue_prepared` directly and so
+//! carry no classification branch or state at all; only callers that
+//! want causes pay for them.
 //!
 //! # The attribution taxonomy
 //!
@@ -35,17 +39,14 @@
 //! the flat scoreboard and [`crate::ReferencePipeline`] agree not
 //! just on stall *counts* but on per-cycle *causes* — pinned by the
 //! differential proptest in `tests/flat_vs_reference.rs`.
-//!
-//! [`PipelineState::stalls_with`]: crate::PipelineState::stalls_with
-//! [`PipelineState::issue_with`]: crate::PipelineState::issue_with
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use eel_sparc::{Instruction, Resource};
 
-use crate::model::MachineModel;
-use crate::state::{BlockTiming, PipelineState};
+use crate::model::{MachineModel, PreparedInsn};
+use crate::state::{BlockTiming, IssueInfo, PipelineState};
 
 /// Why one stall cycle was lost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -82,35 +83,21 @@ impl StallCause {
     /// through the model's description (e.g. `structural:IEU`,
     /// `raw:%o1`).
     pub fn label(&self, model: &MachineModel) -> String {
-        match *self {
-            StallCause::Structural { unit } => {
-                let name = model.desc().unit_name(unit).unwrap_or("?");
-                format!("structural:{name}")
-            }
-            StallCause::Raw { resource } => format!("raw:{resource}"),
-            StallCause::War { resource } => format!("war:{resource}"),
-            StallCause::Waw { resource } => format!("waw:{resource}"),
-        }
+        let (kind, name) = self.name(model);
+        format!("{kind}:{name}")
     }
-}
 
-/// A consumer of per-cycle stall classifications.
-pub trait StallSink {
-    /// One stalled cycle at absolute cycle `cycle`, lost to `cause`.
-    fn stall(&mut self, cycle: u64, cause: StallCause);
-}
-
-/// A sink that simply collects `(cycle, cause)` events — used by the
-/// differential tests and the Chrome-trace exporter.
-#[derive(Debug, Clone, Default)]
-pub struct CollectSink {
-    /// Every classified stall cycle, in query order.
-    pub events: Vec<(u64, StallCause)>,
-}
-
-impl StallSink for CollectSink {
-    fn stall(&mut self, cycle: u64, cause: StallCause) {
-        self.events.push((cycle, cause));
+    /// The cause's kind and the unit or register it names.
+    fn name(&self, model: &MachineModel) -> (&'static str, String) {
+        match *self {
+            StallCause::Structural { unit } => (
+                "structural",
+                model.desc().unit_name(unit).unwrap_or("?").to_string(),
+            ),
+            StallCause::Raw { resource } => ("raw", resource.to_string()),
+            StallCause::War { resource } => ("war", resource.to_string()),
+            StallCause::Waw { resource } => ("waw", resource.to_string()),
+        }
     }
 }
 
@@ -122,89 +109,76 @@ impl StallSink for CollectSink {
 /// once.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StallProfile {
-    /// Stall cycles charged to each contended unit, by unit id.
-    pub structural: BTreeMap<usize, u64>,
-    /// RAW stall cycles per operand resource (dense index).
-    pub raw: BTreeMap<usize, u64>,
-    /// WAR stall cycles per written resource (dense index).
-    pub war: BTreeMap<usize, u64>,
-    /// WAW stall cycles per written resource (dense index).
-    pub waw: BTreeMap<usize, u64>,
-    /// RAW stall cycles per `(resource index, producer label)`, when
-    /// the recording sink knew the producing instruction. Labels are
-    /// caller-chosen (block position for the scheduler, text word
-    /// index for the simulator).
-    pub producers: BTreeMap<(usize, u32), u64>,
+    /// Stall cycles per cause, in [`StallCause`]'s order: structural
+    /// by unit id, then RAW, WAR and WAW by register.
+    pub causes: BTreeMap<StallCause, u64>,
 }
 
 impl StallProfile {
-    /// Adds one stall cycle under `cause`.
-    pub fn record(&mut self, cause: StallCause) {
-        match cause {
-            StallCause::Structural { unit } => *self.structural.entry(unit).or_insert(0) += 1,
-            StallCause::Raw { resource } => *self.raw.entry(resource.index()).or_insert(0) += 1,
-            StallCause::War { resource } => *self.war.entry(resource.index()).or_insert(0) += 1,
-            StallCause::Waw { resource } => *self.waw.entry(resource.index()).or_insert(0) += 1,
+    /// Issues `insn` (prepared as `p`) on `pipe`, recording the cause
+    /// of each cycle it stalls: one [`PipelineState::stall_causes`]
+    /// query, whose length is the count
+    /// [`PipelineState::issue_queried`] issues with.
+    pub fn issue(
+        &mut self,
+        pipe: &mut PipelineState,
+        model: &MachineModel,
+        insn: &Instruction,
+        p: &PreparedInsn,
+    ) -> IssueInfo {
+        let causes = pipe.stall_causes(model, insn, p);
+        for &cause in &causes {
+            *self.causes.entry(cause).or_insert(0) += 1;
         }
+        pipe.issue_queried(model, insn, p, causes.len() as u64)
+    }
+
+    /// Total stall cycles whose cause `kind` accepts.
+    fn sum(&self, kind: impl Fn(&StallCause) -> bool) -> u64 {
+        self.causes
+            .iter()
+            .filter(|(c, _)| kind(c))
+            .map(|(_, &n)| n)
+            .sum()
     }
 
     /// Total stall cycles lost to structural hazards.
     pub fn structural_total(&self) -> u64 {
-        self.structural.values().sum()
+        self.sum(|c| matches!(c, StallCause::Structural { .. }))
     }
 
     /// Total stall cycles lost to RAW hazards.
     pub fn raw_total(&self) -> u64 {
-        self.raw.values().sum()
+        self.sum(|c| matches!(c, StallCause::Raw { .. }))
     }
 
     /// Total stall cycles lost to WAR hazards.
     pub fn war_total(&self) -> u64 {
-        self.war.values().sum()
+        self.sum(|c| matches!(c, StallCause::War { .. }))
     }
 
     /// Total stall cycles lost to WAW hazards.
     pub fn waw_total(&self) -> u64 {
-        self.waw.values().sum()
+        self.sum(|c| matches!(c, StallCause::Waw { .. }))
     }
 
     /// Total classified stall cycles — equals the sequence's total
     /// stall count exactly.
     pub fn total(&self) -> u64 {
-        self.structural_total() + self.raw_total() + self.war_total() + self.waw_total()
-    }
-
-    /// Whether no stall cycle has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.structural.is_empty()
-            && self.raw.is_empty()
-            && self.war.is_empty()
-            && self.waw.is_empty()
-    }
-
-    /// Folds another profile into this one.
-    pub fn merge(&mut self, other: &StallProfile) {
-        for (&u, &n) in &other.structural {
-            *self.structural.entry(u).or_insert(0) += n;
-        }
-        for (&r, &n) in &other.raw {
-            *self.raw.entry(r).or_insert(0) += n;
-        }
-        for (&r, &n) in &other.war {
-            *self.war.entry(r).or_insert(0) += n;
-        }
-        for (&r, &n) in &other.waw {
-            *self.waw.entry(r).or_insert(0) += n;
-        }
-        for (&k, &n) in &other.producers {
-            *self.producers.entry(k).or_insert(0) += n;
-        }
+        self.causes.values().sum()
     }
 
     /// The most contended units, `(unit id, stall cycles)`, heaviest
     /// first (ties broken by unit id for determinism), at most `n`.
     pub fn top_units(&self, n: usize) -> Vec<(usize, u64)> {
-        let mut units: Vec<(usize, u64)> = self.structural.iter().map(|(&u, &c)| (u, c)).collect();
+        let mut units: Vec<(usize, u64)> = self
+            .causes
+            .iter()
+            .filter_map(|(c, &n)| match *c {
+                StallCause::Structural { unit } => Some((unit, n)),
+                _ => None,
+            })
+            .collect();
         units.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         units.truncate(n);
         units
@@ -215,53 +189,26 @@ impl StallProfile {
     /// Cause kinds with zero cycles are omitted; an empty profile
     /// renders as `no stalls`.
     pub fn summary(&self, model: &MachineModel) -> String {
-        fn resources(map: &BTreeMap<usize, u64>) -> String {
-            map.iter()
-                .map(|(&r, &n)| {
-                    let name = Resource::from_index(r)
-                        .map(|r| r.to_string())
-                        .unwrap_or_else(|| format!("#{r}"));
-                    format!("{name} {n}")
-                })
-                .collect::<Vec<_>>()
-                .join(", ")
+        // Per kind, in order: its total and its `name cycles` items.
+        let mut kinds: Vec<(&str, u64, Vec<String>)> = Vec::new();
+        for (cause, &n) in &self.causes {
+            let (kind, name) = cause.name(model);
+            match kinds.last_mut() {
+                Some((k, total, items)) if *k == kind => {
+                    *total += n;
+                    items.push(format!("{name} {n}"));
+                }
+                _ => kinds.push((kind, n, vec![format!("{name} {n}")])),
+            }
         }
-        let mut parts = Vec::new();
-        if !self.structural.is_empty() {
-            let units = self
-                .structural
-                .iter()
-                .map(|(&u, &n)| format!("{} {n}", model.desc().unit_name(u).unwrap_or("?")))
-                .collect::<Vec<_>>()
-                .join(", ");
-            parts.push(format!("structural {} ({units})", self.structural_total()));
+        if kinds.is_empty() {
+            return "no stalls".to_string();
         }
-        if !self.raw.is_empty() {
-            parts.push(format!(
-                "raw {} ({})",
-                self.raw_total(),
-                resources(&self.raw)
-            ));
-        }
-        if !self.war.is_empty() {
-            parts.push(format!(
-                "war {} ({})",
-                self.war_total(),
-                resources(&self.war)
-            ));
-        }
-        if !self.waw.is_empty() {
-            parts.push(format!(
-                "waw {} ({})",
-                self.waw_total(),
-                resources(&self.waw)
-            ));
-        }
-        if parts.is_empty() {
-            "no stalls".to_string()
-        } else {
-            parts.join(" | ")
-        }
+        kinds
+            .iter()
+            .map(|(kind, total, items)| format!("{kind} {total} ({})", items.join(", ")))
+            .collect::<Vec<_>>()
+            .join(" | ")
     }
 
     /// A multi-line attribution table resolving names through the
@@ -278,116 +225,26 @@ impl StallProfile {
             };
             let _ = writeln!(out, "  {label:<24} {cycles:>8}  {pct:>5.1}%");
         };
-        for (&u, &n) in &self.structural {
-            let name = model.desc().unit_name(u).unwrap_or("?");
-            row(format!("structural {name}"), n);
-        }
-        for (kind, map) in [("raw", &self.raw), ("war", &self.war), ("waw", &self.waw)] {
-            for (&r, &n) in map {
-                let name = Resource::from_index(r)
-                    .map(|r| r.to_string())
-                    .unwrap_or_else(|| format!("#{r}"));
-                row(format!("{kind} {name}"), n);
-            }
+        for (cause, &n) in &self.causes {
+            let (kind, name) = cause.name(model);
+            row(format!("{kind} {name}"), n);
         }
         row("total".to_string(), total);
         out
     }
 }
 
-/// A recording [`StallSink`] that aggregates causes into a
-/// [`StallProfile`] and attributes RAW stalls to producing
-/// instructions.
-///
-/// Producer tracking lives here — not in [`PipelineState`] — so the
-/// hot pipeline state carries no attribution fields. Callers label
-/// each issued instruction via [`StallRecorder::note_issue`]
-/// immediately after its `issue_with`; the recorder remembers the
-/// last writer of every resource and charges subsequent RAW stalls on
-/// that resource to it.
-#[derive(Debug, Clone)]
-pub struct StallRecorder {
-    profile: StallProfile,
-    /// Per resource (dense index): label of the most recent writer.
-    last_writer: [Option<u32>; Resource::COUNT],
-}
-
-impl Default for StallRecorder {
-    fn default() -> StallRecorder {
-        StallRecorder::new()
-    }
-}
-
-impl StallRecorder {
-    /// An empty recorder.
-    pub fn new() -> StallRecorder {
-        StallRecorder {
-            profile: StallProfile::default(),
-            last_writer: [None; Resource::COUNT],
-        }
-    }
-
-    /// Registers that the instruction labeled `label` issued, so
-    /// later RAW stalls on its results are charged to it. Call right
-    /// after the corresponding `issue_with`.
-    pub fn note_issue(&mut self, label: u32, insn: &Instruction) {
-        for r in &insn.defs_fixed() {
-            self.last_writer[r.index()] = Some(label);
-        }
-    }
-
-    /// The profile accumulated so far.
-    pub fn profile(&self) -> &StallProfile {
-        &self.profile
-    }
-
-    /// Consumes the recorder, yielding its profile.
-    pub fn into_profile(self) -> StallProfile {
-        self.profile
-    }
-}
-
-impl StallSink for StallRecorder {
-    fn stall(&mut self, _cycle: u64, cause: StallCause) {
-        self.profile.record(cause);
-        if let StallCause::Raw { resource } = cause {
-            if let Some(producer) = self.last_writer[resource.index()] {
-                *self
-                    .profile
-                    .producers
-                    .entry((resource.index(), producer))
-                    .or_insert(0) += 1;
-            }
-        }
-    }
-}
-
 /// Times a straight-line sequence on an empty pipe, attributing every
 /// stall cycle — the recorded counterpart of
-/// [`crate::evaluate_block`]. Instructions are labeled by position,
-/// so `profile.producers` names producers by block index.
+/// [`crate::evaluate_block`].
 pub fn attribute_block(model: &MachineModel, insns: &[Instruction]) -> (BlockTiming, StallProfile) {
-    let mut state = PipelineState::new(model);
-    let mut rec = StallRecorder::new();
-    let mut issue_cycles = Vec::with_capacity(insns.len());
-    let mut stalls = 0;
-    let mut completes = 0;
-    for (i, insn) in insns.iter().enumerate() {
-        let p = model.prepare(insn);
-        let info = state.issue_with(model, insn, &p, &mut rec);
-        rec.note_issue(i as u32, insn);
-        issue_cycles.push(info.cycle);
-        stalls += info.stalls;
-        completes = completes.max(info.completes);
-    }
-    (
-        BlockTiming {
-            issue_cycles,
-            stalls,
-            completes,
-        },
-        rec.into_profile(),
-    )
+    let mut pipe = PipelineState::new(model);
+    let mut profile = StallProfile::default();
+    let timing = insns
+        .iter()
+        .map(|insn| profile.issue(&mut pipe, model, insn, &model.prepare(insn)))
+        .collect();
+    (timing, profile)
 }
 
 #[cfg(test)]
@@ -419,16 +276,11 @@ mod tests {
         let (timing, profile) = attribute_block(&m, &block);
         assert_eq!(profile.total(), timing.stalls);
         assert_eq!(
-            profile.raw.get(&Resource::Int(IntReg::O1).index()),
+            profile.causes.get(&StallCause::Raw {
+                resource: Resource::Int(IntReg::O1)
+            }),
             Some(&timing.stalls),
             "every stall is a RAW on %o1: {profile:?}"
-        );
-        // The producer is the load, block index 0.
-        assert_eq!(
-            profile
-                .producers
-                .get(&(Resource::Int(IntReg::O1).index(), 0)),
-            Some(&timing.stalls)
         );
     }
 
@@ -458,21 +310,19 @@ mod tests {
         let (timing, profile) = attribute_block(&m, &block);
         assert!(timing.stalls > 0);
         assert_eq!(
-            profile.waw.get(&Resource::Int(IntReg::O0).index()),
+            profile.causes.get(&StallCause::Waw {
+                resource: Resource::Int(IntReg::O0)
+            }),
             Some(&timing.stalls),
             "{profile:?}"
         );
     }
 
     #[test]
-    fn profile_merge_and_summary() {
+    fn profile_summary_and_render() {
         let m = MachineModel::ultrasparc();
         let block = [load(IntReg::O0, IntReg::O1), add(IntReg::O1, IntReg::O2)];
-        let (timing, p1) = attribute_block(&m, &block);
-        let mut total = StallProfile::default();
-        total.merge(&p1);
-        total.merge(&p1);
-        assert_eq!(total.total(), 2 * timing.stalls);
+        let (_, p1) = attribute_block(&m, &block);
         let s = p1.summary(&m);
         assert!(s.contains("raw") && s.contains("%o1"), "{s}");
         assert_eq!(StallProfile::default().summary(&m), "no stalls");

@@ -34,8 +34,8 @@ mod reference;
 mod state;
 mod trace;
 
-pub use attr::{attribute_block, CollectSink, StallCause, StallProfile, StallRecorder, StallSink};
+pub use attr::{attribute_block, StallCause, StallProfile};
 pub use model::{class_of, GroupTiming, MachineModel, ModelError, PreparedInsn};
 pub use reference::ReferencePipeline;
 pub use state::{evaluate_block, BlockTiming, IssueInfo, PipelineState};
-pub use trace::{chrome_trace, issue_trace, render_issue_trace, IssueSlot};
+pub use trace::{chrome_trace, render_issue_trace};

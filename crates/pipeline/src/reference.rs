@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 
 use eel_sparc::{Instruction, Resource};
 
-use crate::attr::{StallCause, StallSink};
+use crate::attr::StallCause;
 use crate::model::{class_of, MachineModel};
 use crate::state::IssueInfo;
 
@@ -172,28 +172,22 @@ impl ReferencePipeline {
         );
     }
 
-    /// [`ReferencePipeline::stalls`] with stall-cause attribution:
-    /// reports every stalled cycle's first failing hazard to `sink`
-    /// before returning the count. The specification the flat
-    /// scoreboard's [`crate::PipelineState::stalls_with`] must match.
+    /// The cause of each cycle `insn` would stall before issuing, in
+    /// cycle order; its length is [`ReferencePipeline::stalls`]. The
+    /// specification the flat scoreboard's
+    /// [`crate::PipelineState::stall_causes`] must match.
     ///
     /// # Panics
     ///
     /// As [`ReferencePipeline::stalls`].
-    pub fn stalls_with<S: StallSink>(
-        &self,
-        model: &MachineModel,
-        insn: &Instruction,
-        sink: &mut S,
-    ) -> u64 {
+    pub fn stall_causes(&self, model: &MachineModel, insn: &Instruction) -> Vec<StallCause> {
         let stalls = self.stalls(model, insn);
-        for t in self.cycle..self.cycle + stalls {
-            let cause = self
-                .classify_at(model, insn, t)
-                .expect("a stalled cycle has a failing hazard check");
-            sink.stall(t, cause);
-        }
-        stalls
+        (self.cycle..self.cycle + stalls)
+            .map(|t| {
+                self.classify_at(model, insn, t)
+                    .expect("a stalled cycle has a failing hazard check")
+            })
+            .collect()
     }
 
     /// Issues `insn`, updating unit occupancy and register history,
@@ -230,18 +224,6 @@ impl ReferencePipeline {
             cycle: t,
             completes: t + u64::from(group.cycles),
         }
-    }
-
-    /// [`ReferencePipeline::issue`] with stall-cause attribution:
-    /// classifies every stalled cycle into `sink`, then issues.
-    pub fn issue_with<S: StallSink>(
-        &mut self,
-        model: &MachineModel,
-        insn: &Instruction,
-        sink: &mut S,
-    ) -> IssueInfo {
-        self.stalls_with(model, insn, sink);
-        self.issue(model, insn)
     }
 
     /// Advances the issue point past the current cycle.

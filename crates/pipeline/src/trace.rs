@@ -8,40 +8,8 @@ use std::fmt::Write as _;
 use eel_sparc::Instruction;
 use eel_telemetry::trace::{chrome_trace_json, ChromeEvent};
 
-use crate::attr::CollectSink;
 use crate::model::MachineModel;
-use crate::state::PipelineState;
-
-/// One instruction's placement in an issue trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IssueSlot {
-    /// Position in the input sequence.
-    pub index: usize,
-    /// The instruction.
-    pub insn: Instruction,
-    /// The cycle it issued in.
-    pub cycle: u64,
-    /// Stalls it waited before issuing.
-    pub stalls: u64,
-}
-
-/// Issues `insns` on an empty pipe and reports where each landed.
-pub fn issue_trace(model: &MachineModel, insns: &[Instruction]) -> Vec<IssueSlot> {
-    let mut pipe = PipelineState::new(model);
-    insns
-        .iter()
-        .enumerate()
-        .map(|(index, insn)| {
-            let info = pipe.issue(model, insn);
-            IssueSlot {
-                index,
-                insn: *insn,
-                cycle: info.cycle,
-                stalls: info.stalls,
-            }
-        })
-        .collect()
-}
+use crate::state::{evaluate_block, PipelineState};
 
 /// Renders an issue trace as text: one line per cycle, the
 /// instructions that issued together on it, and `-- stall --` markers
@@ -60,20 +28,25 @@ pub fn issue_trace(model: &MachineModel, insns: &[Instruction]) -> Vec<IssueSlot
 /// assert!(text.starts_with("cycle"));
 /// ```
 pub fn render_issue_trace(model: &MachineModel, insns: &[Instruction]) -> String {
-    let slots = issue_trace(model, insns);
+    let cycles = evaluate_block(model, insns).issue_cycles;
     let mut out = String::new();
-    let last_cycle = slots.last().map(|s| s.cycle).unwrap_or(0);
+    let last_cycle = cycles.last().copied().unwrap_or(0);
     for cycle in 0..=last_cycle {
-        let in_cycle: Vec<&IssueSlot> = slots.iter().filter(|s| s.cycle == cycle).collect();
+        let in_cycle: Vec<&Instruction> = insns
+            .iter()
+            .zip(&cycles)
+            .filter(|&(_, &c)| c == cycle)
+            .map(|(insn, _)| insn)
+            .collect();
         if in_cycle.is_empty() {
             let _ = writeln!(out, "cycle {cycle:>3}:   -- stall --");
             continue;
         }
-        for (k, s) in in_cycle.iter().enumerate() {
+        for (k, insn) in in_cycle.iter().enumerate() {
             if k == 0 {
-                let _ = writeln!(out, "cycle {cycle:>3}:   {}", s.insn);
+                let _ = writeln!(out, "cycle {cycle:>3}:   {insn}");
             } else {
-                let _ = writeln!(out, "            {}", s.insn);
+                let _ = writeln!(out, "            {insn}");
             }
         }
     }
@@ -96,7 +69,6 @@ pub fn render_issue_trace(model: &MachineModel, insns: &[Instruction]) -> String
 /// the same writer the whole-engine `eel trace --chrome` export uses.
 pub fn chrome_trace(model: &MachineModel, insns: &[Instruction]) -> String {
     let mut pipe = PipelineState::new(model);
-    let mut collect = CollectSink::default();
 
     // Unit rows first (tid 2 + unit id), then issue (0) and stalls (1).
     let desc = model.desc();
@@ -106,9 +78,25 @@ pub fn chrome_trace(model: &MachineModel, insns: &[Instruction]) -> String {
     }
 
     let mut events: Vec<ChromeEvent> = Vec::new();
+    // One event per classified stall cycle, after all the others.
+    let mut stalls: Vec<ChromeEvent> = Vec::new();
     for (index, insn) in insns.iter().enumerate() {
         let p = model.prepare(insn);
-        let info = pipe.issue_with(model, insn, &p, &mut collect);
+        let causes = pipe.stall_causes(model, insn, &p);
+        stalls.extend(
+            causes
+                .iter()
+                .zip(pipe.cycle()..)
+                .map(|(cause, cycle)| ChromeEvent {
+                    name: cause.label(model),
+                    cat: "stall".to_string(),
+                    ts: cycle,
+                    dur: 1,
+                    tid: 1,
+                    args: Vec::new(),
+                }),
+        );
+        let info = pipe.issue_queried(model, insn, &p, causes.len() as u64);
         let name = insn.to_string();
         events.push(ChromeEvent {
             name: name.clone(),
@@ -150,17 +138,7 @@ pub fn chrome_trace(model: &MachineModel, insns: &[Instruction]) -> String {
         }
     }
 
-    for &(cycle, cause) in &collect.events {
-        events.push(ChromeEvent {
-            name: cause.label(model),
-            cat: "stall".to_string(),
-            ts: cycle,
-            dur: 1,
-            tid: 1,
-            args: Vec::new(),
-        });
-    }
-
+    events.extend(stalls);
     chrome_trace_json(&threads, &events)
 }
 
@@ -179,13 +157,13 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_dual_issue() {
+    fn render_shows_dual_issue() {
         let model = MachineModel::ultrasparc();
         let code = [add(IntReg::O0, IntReg::O0), add(IntReg::O1, IntReg::O1)];
-        let slots = issue_trace(&model, &code);
-        assert_eq!(slots[0].cycle, 0);
-        assert_eq!(slots[1].cycle, 0);
-        assert_eq!(slots[1].stalls, 0);
+        assert_eq!(
+            render_issue_trace(&model, &code),
+            format!("cycle   0:   {}\n            {}\n", code[0], code[1])
+        );
     }
 
     #[test]

@@ -47,6 +47,17 @@ pub use desc::{ArchDescription, GroupId, RegClass, TimingGroup, Unit, UnitId, MA
 pub use error::{Pos, SadlError};
 pub use parser::parse;
 
+/// The deepest a description may nest: expressions inside one
+/// declaration's body (each bracket, conditional, lambda body and
+/// applied argument is a level), and Spawn's evaluations of them (each
+/// expansion of a `val`, alias or closure is a level too). Deeper input
+/// is an error, not a stack overflow, and a `sem` that would recurse
+/// without end, such as `(\x. x x) (\x. x x)`, stops here. The
+/// shipped descriptions nest 5 levels deep and evaluate 7. A level
+/// costs up to about 11 KiB of stack in a debug build, so a description
+/// at this bound still compiles on a 256 KiB thread.
+pub const MAX_NESTING: u32 = 16;
+
 /// The microarchitecture descriptions shipped with this crate.
 pub mod descriptions {
     /// ROSS hyperSPARC: 2-way superscalar, the paper's Figure 2 machine.

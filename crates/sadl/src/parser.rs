@@ -9,10 +9,17 @@
 use crate::ast::{Decl, Expr, SpannedDecl};
 use crate::error::{Pos, SadlError};
 use crate::lexer::{tokenize, Spanned, Tok};
+use crate::MAX_NESTING;
 
 pub(crate) struct Parser<'a> {
     toks: Vec<Spanned<'a>>,
     at: usize,
+    /// How deep the expression being parsed nests: enclosing
+    /// expressions, plus the applications it is the argument of.
+    depth: u32,
+    /// The declaration whose body is being parsed, as its keyword and
+    /// (first) name, for the nesting error.
+    decl: (&'static str, &'a str),
 }
 
 /// Parses a SADL source file into declarations.
@@ -22,7 +29,12 @@ pub(crate) struct Parser<'a> {
 /// Returns the first lexical or syntactic error, with its position.
 pub fn parse(src: &str) -> Result<Vec<SpannedDecl<'_>>, SadlError> {
     let toks = tokenize(src)?;
-    let mut p = Parser { toks, at: 0 };
+    let mut p = Parser {
+        toks,
+        at: 0,
+        depth: 0,
+        decl: ("", ""),
+    };
     let mut decls = Vec::new();
     while !p.eof() {
         decls.push(p.decl()?);
@@ -169,7 +181,7 @@ impl<'a> Parser<'a> {
                 let param = self.ident("alias parameter")?;
                 self.expect(&Tok::RBracket, "`]`")?;
                 self.expect(&Tok::Is, "`is`")?;
-                let body = self.seq()?;
+                let body = self.body("alias", name)?;
                 Decl::Alias {
                     ty,
                     name,
@@ -181,7 +193,7 @@ impl<'a> Parser<'a> {
                 self.bump();
                 let names = self.name_list()?;
                 self.expect(&Tok::Is, "`is`")?;
-                let body = self.seq()?;
+                let body = self.body("val", names[0])?;
                 let applied = self.opt_applied()?;
                 Decl::Val {
                     names,
@@ -193,7 +205,7 @@ impl<'a> Parser<'a> {
                 self.bump();
                 let names = self.name_list()?;
                 self.expect(&Tok::Is, "`is`")?;
-                let body = self.seq()?;
+                let body = self.body("sem", names[0])?;
                 let applied = self.opt_applied()?;
                 Decl::Sem {
                     names,
@@ -254,6 +266,25 @@ impl<'a> Parser<'a> {
     }
 
     // --- expressions -------------------------------------------------------
+
+    /// The body of the declaration `keyword name`.
+    fn body(&mut self, keyword: &'static str, name: &'a str) -> Result<Expr<'a>, SadlError> {
+        self.decl = (keyword, name);
+        self.seq()
+    }
+
+    /// One level deeper, or the nesting error past [`MAX_NESTING`].
+    fn deeper(&mut self) -> Result<(), SadlError> {
+        if self.depth == MAX_NESTING {
+            let (keyword, name) = self.decl;
+            return Err(SadlError::at(
+                self.pos(),
+                format!("in {keyword} `{name}`: expressions nest deeper than {MAX_NESTING} levels"),
+            ));
+        }
+        self.depth += 1;
+        Ok(())
+    }
 
     /// Comma-separated sequence of elements.
     fn seq(&mut self) -> Result<Expr<'a>, SadlError> {
@@ -317,7 +348,16 @@ impl<'a> Parser<'a> {
         None
     }
 
+    /// A conditional, one level deeper. Every recursion of the parser
+    /// passes through here, so this bounds its depth.
     fn ternary(&mut self) -> Result<Expr<'a>, SadlError> {
+        self.deeper()?;
+        let e = self.conditional();
+        self.depth -= 1;
+        e
+    }
+
+    fn conditional(&mut self) -> Result<Expr<'a>, SadlError> {
         let cond = self.cmp()?;
         if self.peek() == Some(&Tok::Question) {
             self.bump();
@@ -348,16 +388,22 @@ impl<'a> Parser<'a> {
         )
     }
 
+    /// Juxtaposition, left-associative: `f a b` is `(f a) b`. Each
+    /// argument nests the application one level deeper, as Spawn
+    /// evaluates it.
     fn app(&mut self) -> Result<Expr<'a>, SadlError> {
+        let depth = self.depth;
         let mut e = self.atom()?;
         while let Some(t) = self.peek() {
             if Self::starts_atom(t) {
+                self.deeper()?;
                 let arg = self.atom()?;
                 e = Expr::Apply(Box::new(e), Box::new(arg));
             } else {
                 break;
             }
         }
+        self.depth = depth;
         Ok(e)
     }
 

@@ -9,6 +9,7 @@
 //! [`TimingGroup`]s — exactly the information the paper's Appendix A
 //! generator consumed.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -16,6 +17,7 @@ use crate::ast::{Decl, Expr, SpannedDecl};
 use crate::desc::{ArchDescription, RegClass, TimingGroup, Unit, MAX_GROUP_CYCLES};
 use crate::error::{Pos, SadlError};
 use crate::parser::parse;
+use crate::MAX_NESTING;
 
 /// Primitive operation names available to descriptions. Applying a
 /// primitive produces a value computed in the current cycle.
@@ -218,6 +220,8 @@ struct Compiler<'a> {
     /// group's timing builds no group of its own.
     group_ids: HashMap<State, usize>,
     bindings: HashMap<String, usize>,
+    /// How many evaluations (and alias writes) enclose the current one.
+    depth: Cell<u32>,
 }
 
 impl<'a> Compiler<'a> {
@@ -420,7 +424,34 @@ impl<'a> Compiler<'a> {
         }
     }
 
+    /// One level deeper: the old depth, to restore on the way out, or
+    /// the nesting error past [`MAX_NESTING`]. A self-application
+    /// such as `(\x. x x) (\x. x x)` evaluates forever, one level per
+    /// application, so it stops here.
+    fn deeper(&self) -> Result<u32, SadlError> {
+        let depth = self.depth.get();
+        if depth == MAX_NESTING {
+            return Err(self.err(format!("evaluation nests deeper than {MAX_NESTING} levels")));
+        }
+        self.depth.set(depth + 1);
+        Ok(depth)
+    }
+
+    /// Evaluates `expr` one level deeper. Every recursion of the
+    /// interpreter passes through here or [`Self::write_target`].
     fn eval(
+        &self,
+        expr: &'a Expr<'a>,
+        env: &Scope<'a>,
+        st: &mut State,
+    ) -> Result<Value<'a>, SadlError> {
+        let depth = self.deeper()?;
+        let v = self.eval_expr(expr, env, st);
+        self.depth.set(depth);
+        v
+    }
+
+    fn eval_expr(
         &self,
         expr: &'a Expr<'a>,
         env: &Scope<'a>,
@@ -551,8 +582,16 @@ impl<'a> Compiler<'a> {
     }
 
     /// Resolves a write through aliases down to a register file,
-    /// evaluating port-acquisition effects along the way.
+    /// evaluating port-acquisition effects along the way, one level
+    /// deeper per alias.
     fn write_target(&self, target: &str, value_at: u32, st: &mut State) -> Result<(), SadlError> {
+        let depth = self.deeper()?;
+        let written = self.write_through(target, value_at, st);
+        self.depth.set(depth);
+        written
+    }
+
+    fn write_through(&self, target: &str, value_at: u32, st: &mut State) -> Result<(), SadlError> {
         if let Some(&class) = self.regfiles.get(target) {
             note(&mut st.writes, (class, value_at));
             return Ok(());
@@ -1039,6 +1078,69 @@ mod tests {
         src.push_str(", D 1, R[rd] := x\n");
         let d = compile_on_a_small_stack(src);
         assert_eq!(shape(&d, "s"), (2, vec![(INT, 1)], vec![(INT, 1)]));
+    }
+
+    /// A description whose one-cycle `sem s` nests `n` deep in `shape`:
+    /// brackets and lambdas nest its body for the parser; chains of
+    /// `val`s (`v{n}` expands `v{n-1}`) and of closures (`g{n}` calls
+    /// `g{n-1}`) nest its evaluation for Spawn.
+    fn nested(shape: &str, n: usize) -> String {
+        use std::fmt::Write;
+        let mut src = String::from("machine m 1 1\nval v0 is D 1\nval g0 is \\x. D 1\n");
+        for k in 1..=n {
+            writeln!(src, "val v{k} is v{}", k - 1).unwrap();
+            writeln!(src, "val g{k} is \\x. g{} x", k - 1).unwrap();
+        }
+        let body = match shape {
+            "brackets" => format!("{}D 1{}", "(".repeat(n), ")".repeat(n)),
+            "lambdas" => format!("({}D 1){}", "\\a. ".repeat(n), " 0".repeat(n)),
+            "vals" => format!("v{n}"),
+            _ => format!("g{n} 0"),
+        };
+        writeln!(src, "sem s is {body}").unwrap();
+        src
+    }
+
+    #[test]
+    fn nesting_at_the_bound_compiles_on_a_small_stack() {
+        for shape in ["brackets", "lambdas", "vals", "closures"] {
+            // The deepest `n` that compiles.
+            let n = (0..)
+                .take_while(|&n| ArchDescription::compile(&nested(shape, n)).is_ok())
+                .last()
+                .unwrap_or_else(|| panic!("{shape}: no depth compiles"));
+            assert!(n + 3 >= MAX_NESTING as usize, "{shape}: only {n} deep");
+            let d = compile_on_a_small_stack(nested(shape, n));
+            assert_eq!(d.group_for("s").unwrap().cycles, 1, "{shape}");
+            let err = ArchDescription::compile(&nested(shape, n + 1)).unwrap_err();
+            let msg = err.to_string();
+            assert!(msg.contains("in sem `s`"), "{shape}: {msg}");
+            assert!(
+                msg.contains(&format!("deeper than {MAX_NESTING} levels")),
+                "{shape}: {msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn endless_recursion_is_an_error() {
+        for (what, src) in [
+            ("self-application", "sem s is (\\x. x x) (\\x. x x)"),
+            (
+                "self-reading alias",
+                "alias signed{32} X[i] is X[i]\nsem s is x := X[rs1]",
+            ),
+            (
+                "self-writing alias",
+                "alias signed{32} X[i] is X[i]\nsem s is X[rd] := 1",
+            ),
+        ] {
+            let err = scoped(src).unwrap_err().to_string();
+            assert!(
+                err.contains("in sem `s`") && err.contains("evaluation nests deeper"),
+                "{what}: {err}"
+            );
+        }
     }
 
     #[test]

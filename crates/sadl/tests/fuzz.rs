@@ -31,6 +31,7 @@ fn arb_sadl_text() -> impl Strategy<Value = String> {
         Just("{ ".to_string()),
         Just("} ".to_string()),
         Just("\\x. ".to_string()),
+        Just("(\\x. x x) (\\x. x x) ".to_string()),
         Just("#simm13 ".to_string()),
         Just("@ ".to_string()),
         Just("+ ".to_string()),
@@ -46,6 +47,17 @@ fn arb_sadl_text() -> impl Strategy<Value = String> {
     prop::collection::vec(frag, 0..40).prop_map(|v| v.concat())
 }
 
+/// Shapes that nest one level per repetition, as `(opener, closer)`:
+/// brackets, lambdas, conditionals, applications and self-application.
+const NESTINGS: [(&str, &str); 6] = [
+    ("(", ")"),
+    ("R[", "]"),
+    ("\\x. ", ""),
+    ("1 = 1 ? D 1 : ", ""),
+    ("f (", ")"),
+    ("(\\x. x x) ", ""),
+];
+
 proptest! {
     /// The parser is total: any string produces Ok or Err, never a panic.
     #[test]
@@ -56,6 +68,24 @@ proptest! {
     /// The whole compiler is total too.
     #[test]
     fn compiler_never_panics(src in arb_sadl_text()) {
+        let _ = ArchDescription::compile(&src);
+    }
+
+    /// Nesting of any depth, closed or not, is an error rather than a
+    /// stack overflow, and so is self-application, which never ends.
+    #[test]
+    fn deep_nesting_and_self_application_never_overflow(
+        shape in 0usize..NESTINGS.len(),
+        depth in 0usize..20_000,
+        closed in any::<bool>(),
+    ) {
+        let (opener, closer) = NESTINGS[shape];
+        let closers = if closed { closer.repeat(depth) } else { String::new() };
+        let src = format!(
+            "machine m 1 1\nregister untyped{{32}} R[32]\nval f is \\x. x\n\
+             sem s is {}D 1{closers}",
+            opener.repeat(depth)
+        );
         let _ = ArchDescription::compile(&src);
     }
 

@@ -73,16 +73,16 @@
 //! boundaries fall back to single-stepping through `step_decoded`,
 //! which shares the timing memo via one-instruction sequences.
 //!
-//! Stall attribution walks every sequence on the real pipe through
-//! the recorder and never touches the memo (a replayed memo entry
-//! cannot report its stall cycles). Functional-only runs skip fetch
+//! Stall attribution walks every sequence on the real pipe into the
+//! run's `StallProfile` and never touches the memo (a replayed memo
+//! entry cannot report its stall cycles). Functional-only runs skip fetch
 //! probes, `prepare`, and timing altogether.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use eel_edit::Executable;
-use eel_pipeline::{MachineModel, PipelineState, PreparedInsn, StallRecorder};
+use eel_pipeline::{MachineModel, PipelineState, PreparedInsn, StallProfile};
 use eel_sparc::{Address, AluOp, Cond, FCond, FpOp, FpReg, Instruction, IntReg, MemWidth, Operand};
 use eel_telemetry::Registry;
 
@@ -709,9 +709,6 @@ struct TimingMemo {
 struct Seq<'s> {
     insns: &'s [Instruction],
     prepared: &'s [PreparedInsn],
-    /// Text-word index of `insns[0]`: the stall-attribution label of
-    /// instruction `i` is `first_word + i`.
-    first_word: usize,
     /// I-cache misses, a bit per instruction: the penalty lands before
     /// its issue.
     imiss: u64,
@@ -753,7 +750,7 @@ struct Timer<'a> {
     icache: Option<ICache>,
     dcache: Option<ICache>,
     /// Present when stall attribution was requested.
-    recorder: Option<StallRecorder>,
+    profile: Option<StallProfile>,
     memo: TimingMemo,
     /// The pipeline-context hash chain (see module docs).
     ctx: u64,
@@ -831,7 +828,7 @@ impl Timer<'_> {
 
     /// Issues `seq` on the real pipe in reference order — each I-cache
     /// miss penalty before its instruction's issue, each D-cache miss
-    /// latency right after — classifying and labeling every issue when
+    /// latency right after — recording every stall cycle's cause when
     /// attributing. Returns the latest completion cycle.
     fn walk(&mut self, seq: &Seq) -> u64 {
         let penalty = |c: &Option<ICache>| c.as_ref().map_or(0, |c| u64::from(c.penalty()));
@@ -841,12 +838,8 @@ impl Timer<'_> {
             if seq.imiss & (1u64 << i) != 0 {
                 self.pipe.advance(ipen);
             }
-            let info = match self.recorder.as_mut() {
-                Some(rec) => {
-                    let info = self.pipe.issue_with(self.model, insn, p, rec);
-                    rec.note_issue((seq.first_word + i) as u32, insn);
-                    info
-                }
+            let info = match self.profile.as_mut() {
+                Some(profile) => profile.issue(&mut self.pipe, self.model, insn, p),
                 None => self.pipe.issue_prepared(self.model, insn, p),
             };
             if seq.dmiss & (1u64 << i) != 0 {
@@ -910,7 +903,7 @@ impl Timer<'_> {
     /// index ([`NO_ENTRY`] when attributing).
     #[inline(never)]
     fn time_sequence(&mut self, key: u64, seq: &Seq) -> u32 {
-        if self.recorder.is_some() {
+        if self.profile.is_some() {
             // Attribution classifies every stall cycle, which a
             // replayed memo entry cannot report: walk the real pipe
             // and leave the memo alone.
@@ -1007,7 +1000,6 @@ impl Engine<'_> {
             let seq = Seq {
                 insns: &[insn],
                 prepared: &[t.model.prepare(&insn)],
-                first_word: word_idx,
                 imiss: 0,
                 dmiss: u64::from(dmiss),
             };
@@ -1075,7 +1067,6 @@ impl Engine<'_> {
             t.time_hinted(&mut block.hints, key, || Seq {
                 insns: &block.insns,
                 prepared: &block.prepared,
-                first_word: block.start,
                 imiss,
                 dmiss,
             });
@@ -1173,7 +1164,6 @@ impl Engine<'_> {
                             prepared: std::slice::from_ref(
                                 slot.prepared.as_ref().expect("timed runs prepare the slot"),
                             ),
-                            first_word: block.start + n,
                             imiss: 0,
                             dmiss,
                         });
@@ -1367,7 +1357,7 @@ pub(crate) fn run_blocks(
                     miss_penalty: c.miss_penalty,
                 })
             }),
-            recorder: config.attribute_stalls.then(StallRecorder::new),
+            profile: config.attribute_stalls.then(StallProfile::default),
             memo: TimingMemo::default(),
             ctx: 0,
             pending: None,
@@ -1497,9 +1487,7 @@ pub(crate) fn run_blocks(
         mem_ops: eng.mem_ops,
         taken_counts: eng.taken_counts,
         memory: eng.mem,
-        stall_profile: timer
-            .and_then(|t| t.recorder)
-            .map(StallRecorder::into_profile),
+        stall_profile: timer.and_then(|t| t.profile),
     })
 }
 

@@ -4,7 +4,7 @@
 //! pinned to. No production path calls it.
 
 use eel_edit::Executable;
-use eel_pipeline::{MachineModel, PipelineState, StallRecorder};
+use eel_pipeline::{MachineModel, PipelineState, StallProfile};
 use eel_sparc::Instruction;
 
 use crate::cpu::{Cpu, Step};
@@ -52,11 +52,7 @@ impl ReferenceCpu {
             })
         });
 
-        let mut recorder = if config.attribute_stalls && timing.is_some() {
-            Some(StallRecorder::new())
-        } else {
-            None
-        };
+        let mut profile = (config.attribute_stalls && timing.is_some()).then(StallProfile::default);
         let mut instructions = 0u64;
         let mut taken_branches = 0u64;
         let mut mem_ops = 0u64;
@@ -82,12 +78,8 @@ impl ReferenceCpu {
                     }
                 }
                 let p = model.prepare(&insn);
-                let info = match recorder.as_mut() {
-                    Some(rec) => {
-                        let info = pipe.issue_with(model, &insn, &p, rec);
-                        rec.note_issue(word_idx as u32, &insn);
-                        info
-                    }
+                let info = match profile.as_mut() {
+                    Some(profile) => profile.issue(pipe, model, &insn, &p),
                     None => pipe.issue_prepared(model, &insn, &p),
                 };
                 last_complete = last_complete.max(info.completes);
@@ -133,7 +125,7 @@ impl ReferenceCpu {
                         mem_ops,
                         taken_counts,
                         memory: mem,
-                        stall_profile: recorder.map(StallRecorder::into_profile),
+                        stall_profile: profile,
                     });
                 }
             }

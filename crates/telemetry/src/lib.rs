@@ -76,3 +76,18 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     }
     h
 }
+
+/// A duration in nanoseconds at a readable scale, three decimals past
+/// a microsecond (`999ns`, `1.500µs`, `2.000ms`, `3.250s`): the one
+/// format of `eel report` and `eel trace` tables.
+fn fmt_ns(ns: u64) -> String {
+    if ns >= 1_000_000_000 {
+        format!("{:.3}s", ns as f64 / 1e9)
+    } else if ns >= 1_000_000 {
+        format!("{:.3}ms", ns as f64 / 1e6)
+    } else if ns >= 1_000 {
+        format!("{:.3}µs", ns as f64 / 1e3)
+    } else {
+        format!("{ns}ns")
+    }
+}

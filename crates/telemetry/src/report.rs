@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::json::{Json, JsonError};
-use crate::{HistogramSnapshot, Snapshot};
+use crate::{fmt_ns, HistogramSnapshot, Snapshot};
 
 /// The `schema` member every run report carries.
 pub const RUN_REPORT_SCHEMA: &str = "eel-run-report";
@@ -382,18 +382,6 @@ impl ReportDiff {
             ("rows".into(), Json::Arr(rows)),
         ])
         .to_pretty()
-    }
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.3}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.3}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.3}µs", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
     }
 }
 

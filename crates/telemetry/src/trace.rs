@@ -36,6 +36,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use crate::fmt_ns;
 use crate::json::Json;
 
 /// The `schema` member every serialized trace carries.
@@ -674,18 +675,6 @@ pub fn json_escape(s: &str) -> String {
         }
     }
     out
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.3}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.3}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.3}µs", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
-    }
 }
 
 #[cfg(test)]
