@@ -106,32 +106,19 @@ enum Stage {
 
 const STAGE_NAMES: [&str; 5] = ["build", "baseline", "instrument", "schedule", "runs"];
 
-/// Per-stage wall-time histogram sites (one sample per `stage()`
-/// closure); each histogram's `sum` is the stage's total.
-const STAGE_SITES: [&str; 5] = [
-    "engine.stage.build_ns",
-    "engine.stage.baseline_ns",
-    "engine.stage.instrument_ns",
-    "engine.stage.schedule_ns",
-    "engine.stage.runs_ns",
-];
-
-/// The engine's accumulated counters and stage timings, read from its
-/// telemetry registry; printed by every `eel` table run as a closing
-/// stats line.
+/// The engine's accumulated counters, read from its telemetry
+/// registry, and its stage wall times; printed by every `eel` table
+/// run as a closing stats line.
 #[derive(Debug)]
-pub struct Stats(Snapshot);
+pub struct Stats {
+    snapshot: Snapshot,
+    /// Wall time per [`Stage`], in nanoseconds.
+    stage_ns: [u64; 5],
+}
 
 impl Stats {
     fn counter(&self, site: &str) -> u64 {
-        self.0.counters.get(site).copied().unwrap_or(0)
-    }
-
-    fn stage_nanos(&self, stage: usize) -> u64 {
-        self.0
-            .histograms
-            .get(STAGE_SITES[stage])
-            .map_or(0, |h| h.sum)
+        self.snapshot.counters.get(site).copied().unwrap_or(0)
     }
 
     /// Simulator invocations actually performed.
@@ -169,13 +156,13 @@ impl Stats {
             if self.computed() == 1 { "" } else { "s" },
         );
         for (stage, name) in STAGE_NAMES.iter().enumerate() {
-            let _ = write!(out, " {name} {:.2}s", self.stage_nanos(stage) as f64 / 1e9);
+            let _ = write!(out, " {name} {:.2}s", self.stage_ns[stage] as f64 / 1e9);
         }
         // `pipeline_stalls` queries issued by the scheduling stages:
         // the hot-path work behind the `schedule` stage time.
         let queries = self.counter("sched.queries");
         if queries > 0 {
-            let sched_nanos = self.stage_nanos(Stage::Schedule as usize);
+            let sched_nanos = self.stage_ns[Stage::Schedule as usize];
             let _ = write!(
                 out,
                 "\nscheduler: {} stall quer{} ({:.0} ns/query)",
@@ -206,6 +193,10 @@ pub struct Engine {
     disk: Option<PathBuf>,
     mem: Mutex<HashMap<u64, CellValue>>,
     telemetry: Registry,
+    /// Wall time per [`Stage`], in nanoseconds, summed by
+    /// [`Engine::stage`]. Not registry counters: those count work,
+    /// which is equal across runs and `--jobs` values, and time is not.
+    stage_ns: [AtomicU64; 5],
 }
 
 const _: () = {
@@ -225,6 +216,7 @@ impl Engine {
             disk: None,
             mem: Mutex::new(HashMap::new()),
             telemetry: Registry::new(),
+            stage_ns: Default::default(),
         }
     }
 
@@ -271,7 +263,13 @@ impl Engine {
 
     /// The engine's accumulated counters and stage timings.
     pub fn stats(&self) -> Stats {
-        Stats(self.telemetry.snapshot())
+        Stats {
+            snapshot: self.telemetry.snapshot(),
+            stage_ns: self
+                .stage_ns
+                .each_ref()
+                .map(|ns| ns.load(Ordering::Relaxed)),
+        }
     }
 
     /// The engine's live telemetry registry. Every simulator run,
@@ -288,8 +286,7 @@ impl Engine {
             .map(|t| t.span("engine", STAGE_NAMES[stage as usize], 0, 0));
         let t = Instant::now();
         let v = f();
-        self.telemetry
-            .record(STAGE_SITES[stage as usize], t.elapsed().as_nanos() as u64);
+        self.stage_ns[stage as usize].fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
         drop(trace);
         v
     }
@@ -411,7 +408,6 @@ impl Engine {
         let Some(dir) = self.disk.as_ref() else {
             return DiskCell::Absent;
         };
-        let _span = self.telemetry.span("engine.cache.disk_read_ns");
         match std::fs::read(dir.join(format!("{key:016x}.cell"))) {
             Err(_) => DiskCell::Absent,
             Ok(bytes) => String::from_utf8(bytes)
@@ -431,7 +427,6 @@ impl Engine {
         let Some(dir) = self.disk.as_ref() else {
             return;
         };
-        let _span = self.telemetry.span("engine.cache.disk_write_ns");
         if std::fs::create_dir_all(dir).is_err() {
             return;
         }
@@ -556,10 +551,10 @@ impl Engine {
 
     /// Distills everything this engine has measured so far into a
     /// versioned [`RunReport`]: per-stage wall time, every telemetry
-    /// counter and histogram (cache tiers, scheduler query latency,
-    /// simulator totals), and identifying metadata. `label` names the
-    /// workload (e.g. `table1`); `extra_meta` lets callers add
-    /// run-scoped facts such as the jobs count.
+    /// counter (cache tiers, scheduler queries, simulator totals), and
+    /// identifying metadata. `label` names the workload (e.g.
+    /// `table1`); `extra_meta` lets callers add run-scoped facts such
+    /// as the jobs count.
     pub fn run_report(&self, label: &str, extra_meta: &[(&str, String)]) -> RunReport {
         let mut meta = std::collections::BTreeMap::new();
         meta.insert("label".to_string(), label.to_string());
@@ -593,10 +588,10 @@ impl Engine {
         let stats = self.stats();
         let stages = STAGE_NAMES
             .iter()
-            .enumerate()
-            .map(|(stage, name)| (name.to_string(), stats.stage_nanos(stage)))
+            .zip(stats.stage_ns)
+            .map(|(name, ns)| (name.to_string(), ns))
             .collect();
-        RunReport::new(meta, stages, &stats.0)
+        RunReport::new(meta, stages, &stats.snapshot)
     }
 }
 
@@ -789,12 +784,6 @@ mod tests {
         // every counter total matches; only wall times may differ.
         assert_eq!(s.counters, p.counters, "counters diverge across jobs");
         assert!(s.counters["engine.sims"] > 0);
-        for (site, hist) in &s.histograms {
-            assert_eq!(
-                hist.count, p.histograms[site].count,
-                "histogram {site} observed a different number of events"
-            );
-        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use eel_bench::engine::Engine;
 use eel_bench::experiment::{format_table, ExperimentConfig};
 use eel_bench::gap::{format_gap_report, gap_table};
 use eel_core::{Priority, SchedOptions, Scheduler};
-use eel_edit::{BlockCode, Tagged};
+use eel_edit::{BlockCode, BlockInfo, Tagged};
 use eel_pipeline::MachineModel;
 use eel_sparc::{Address, AluOp, FpOp, FpReg, Instruction, IntReg, MemWidth, Operand};
 use eel_telemetry::Registry;
@@ -269,9 +269,16 @@ fn list_schedule_digests_are_pinned() {
                 },
             );
             let reg = Registry::new();
+            let mut schedule = sched.transform_with(&reg);
+            let info = BlockInfo {
+                routine: "digest",
+                routine_index: 0,
+                block_index: 0,
+                addr: 0x10000,
+            };
             let mut digest: u64 = 0xCBF2_9CE4_8422_2325;
             for block in &corpus {
-                let out = sched.schedule_block_with(block.clone(), &reg);
+                let out = schedule(info, block.clone());
                 for t in &out.body {
                     fnv1a(
                         &mut digest,

@@ -60,3 +60,20 @@ fn endless_and_deep_recursion_are_one_line_errors() {
         assert!(stderr.contains(&bound), "{stderr}");
     }
 }
+
+#[test]
+fn repeated_vals_are_a_one_line_error() {
+    // Each `val` repeats the one before 1,000 times: 12 KB that would
+    // expand `v0` 10^9 times at only a few levels deep.
+    let mut src = String::from("machine m 1 1\nunit U 1\nval v0 is ()\n");
+    for n in 1..=3 {
+        let copies = vec![format!("v{}", n - 1); 1_000];
+        src.push_str(&format!("val v{n} is {}\n", copies.join(", ")));
+    }
+    src.push_str("sem s is v3\n");
+    let stderr = sadl_error("repeated", &src);
+    assert!(stderr.starts_with("eel: SADL error: 7:"), "{stderr}");
+    assert!(stderr.contains("in sem `s`"), "{stderr}");
+    let bound = format!("more than {} steps", eel_sadl::MAX_EVALUATIONS);
+    assert!(stderr.contains(&bound), "{stderr}");
+}

@@ -242,29 +242,10 @@ impl Scheduler {
     /// scheduling; the control tail stays in place (optionally
     /// receiving a delay-slot filler).
     ///
-    /// Equivalent to [`Scheduler::schedule_block_with`], recording
-    /// nothing.
+    /// Each call sets up its own scratch state; to schedule many
+    /// blocks, [`Scheduler::transform`] reuses one.
     pub fn schedule_block(&self, code: BlockCode) -> BlockCode {
         self.schedule_in(code, None, &mut Workspace::new(&self.model))
-    }
-
-    /// [`Scheduler::schedule_block`] observed through a telemetry
-    /// registry.
-    ///
-    /// Each block of two or more body instructions adds to the
-    /// `sched.blocks` and `sched.queries` counters (the queries
-    /// include lookahead clones and the exact oracle's search); the
-    /// oracle also adds to the `sched.exact_*`, `sched.gap_cycles` and
-    /// `sched.optimal_blocks` counters. When `telemetry` carries a
-    /// tracer, each such block also records a `sched/block` span (and
-    /// the oracle a `sched/exact` span). The scheduled output is the
-    /// plain method's.
-    ///
-    /// Each call sets up its own scratch state; to schedule many
-    /// blocks, [`Scheduler::transform_with`] reuses one.
-    pub fn schedule_block_with(&self, code: BlockCode, telemetry: &Registry) -> BlockCode {
-        let recorder = Recorder::new(telemetry);
-        self.schedule_in(code, Some(&recorder), &mut Workspace::new(&self.model))
     }
 
     /// An adapter for [`eel_edit::EditSession::emit`]. The closure owns
@@ -276,8 +257,16 @@ impl Scheduler {
     }
 
     /// A [`Scheduler::transform`] that records telemetry into
-    /// `telemetry` for every block it schedules, as
-    /// [`Scheduler::schedule_block_with`] does. The closure looks its
+    /// `telemetry` for every block it schedules; the scheduled output is
+    /// the plain transform's.
+    ///
+    /// Each block of two or more body instructions adds to the
+    /// `sched.blocks` and `sched.queries` counters (the queries
+    /// include lookahead clones and the exact oracle's search); the
+    /// oracle also adds to the `sched.exact_*`, `sched.gap_cycles` and
+    /// `sched.optimal_blocks` counters. When `telemetry` carries a
+    /// tracer, each such block also records a `sched/block` span (and
+    /// the oracle a `sched/exact` span). The closure looks its
     /// `sched.blocks` and `sched.queries` counters up once, so a
     /// list-scheduled block takes no registry lock.
     pub fn transform_with<'a>(
@@ -1129,12 +1118,17 @@ mod tests {
         ];
         let code = BlockCode { body, tail: vec![] };
         let plain = sched.schedule_block(code.clone());
+        let info = BlockInfo {
+            routine: "f",
+            routine_index: 0,
+            block_index: 0,
+            addr: 0x10000,
+        };
         let reg = Registry::new();
-        let observed = sched.schedule_block_with(code.clone(), &reg);
+        let observed = sched.transform_with(&reg)(info, code.clone());
         assert_eq!(observed, plain, "same schedule");
         let snap = reg.snapshot();
         assert_eq!(snap.counters["sched.blocks"], 1);
-        assert!(snap.histograms.is_empty(), "{:?}", snap.histograms);
         // Round one asks the load, first by its longer chain, and skips
         // the independent add: at no fewer stalls and a shorter chain
         // it cannot win. Round two asks both adds, and round three the
@@ -1150,14 +1144,8 @@ mod tests {
             body: vec![orig(add(IntReg::O3, IntReg::O4))],
             tail: vec![],
         };
-        assert_eq!(sched.schedule_block_with(single.clone(), &traced), single);
         let mut transform = sched.transform_with(&traced);
-        let info = BlockInfo {
-            routine: "f",
-            routine_index: 0,
-            block_index: 0,
-            addr: 0x10000,
-        };
+        assert_eq!(transform(info, single.clone()), single);
         assert_eq!(transform(info, code.clone()), plain, "same schedule");
         assert_eq!(transform(info, code), plain, "same schedule");
         let counters = traced.snapshot().counters;
@@ -1356,10 +1344,10 @@ mod tests {
     #[test]
     fn workspace_reuse_is_invisible() {
         // One emit-like stream through a single transform (one reused
-        // workspace) must equal fresh per-block calls: same schedules,
-        // same stall-query total. The sizes cross the one-, two- and
-        // three-word bitset boundaries and then shrink again, so stale
-        // state from a larger block would show.
+        // workspace) must equal a fresh transform per block: same
+        // schedules, same stall-query total. The sizes cross the one-,
+        // two- and three-word bitset boundaries and then shrink again,
+        // so stale state from a larger block would show.
         let mut blocks = Vec::new();
         for (k, &n) in [0, 1, 2, 63, 64, 65, 130, 3, 2, 9, 1, 5].iter().enumerate() {
             for barrier in [false, true] {
@@ -1409,7 +1397,7 @@ mod tests {
                 let fresh = eel_telemetry::Registry::new();
                 for (k, code) in blocks.iter().enumerate() {
                     let got = transform(info, code.clone());
-                    let want = sched.schedule_block_with(code.clone(), &fresh);
+                    let want = sched.transform_with(&fresh)(info, code.clone());
                     assert_eq!(got, want, "{} {priority} block {k}", model.name());
                 }
                 let (reused, fresh) = (reused.snapshot(), fresh.snapshot());

@@ -13,7 +13,7 @@
 //! deepens it to 96 cases.
 
 use eel_core::{DepGraph, Priority, SchedOptions, Scheduler};
-use eel_edit::{BlockCode, Tagged};
+use eel_edit::{BlockCode, BlockInfo, Tagged};
 use eel_pipeline::{evaluate_block, MachineModel, PipelineState, PreparedInsn};
 use eel_sparc::{Address, AluOp, FpOp, FpReg, Instruction, IntReg, MemWidth, Operand};
 use proptest::prelude::*;
@@ -290,6 +290,13 @@ fn budget_exhaustion_falls_back_to_the_list_schedule() {
     );
     let list = Scheduler::new(model.clone());
     let reg = eel_telemetry::Registry::new();
+    let mut exact = starved.transform_with(&reg);
+    let info = BlockInfo {
+        routine: "corpus",
+        routine_index: 0,
+        block_index: 0,
+        addr: 0x10000,
+    };
     let mut rnd = xorshift(0x9E37_79B9_7F4A_7C15);
     for _ in 0..100 {
         let n = 4 + (rnd() % 9) as usize;
@@ -309,7 +316,7 @@ fn budget_exhaustion_falls_back_to_the_list_schedule() {
             body: body_of(&insns),
             tail: vec![],
         };
-        let exact_out = starved.schedule_block_with(code.clone(), &reg);
+        let exact_out = exact(info, code.clone());
         let list_out = list.schedule_block(code);
         assert_eq!(
             exact_out, list_out,

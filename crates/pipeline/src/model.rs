@@ -3,11 +3,11 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use eel_sadl::{ArchDescription, GroupId, RegClass, SadlError, TimingGroup, MAX_GROUP_CYCLES};
 use eel_sparc::{Instruction, Resource};
-use eel_telemetry::fnv1a;
+use eel_telemetry::Fnv1a;
 
 /// Maps a dependence-analysis [`Resource`] to the SADL register class
 /// whose read/write cycles the timing group records.
@@ -94,8 +94,9 @@ struct ModelTables {
     /// [`Instruction::timing_index`]), so resolving an instruction is
     /// an array index, not a mnemonic hash.
     group_of: Vec<GroupId>,
-    /// Stable hash of the description, for artifact-cache keys.
-    content_hash: u64,
+    /// Stable hash of the description, for artifact-cache keys;
+    /// computed on first use, since most models are never keyed.
+    content_hash: OnceLock<u64>,
 }
 
 /// Every timing group's resource pattern, compiled into one contiguous
@@ -334,13 +335,15 @@ impl MachineModel {
     /// with the same effective tables), stable across runs and
     /// platforms. Artifact caches use it to key per-machine work.
     pub fn content_hash(&self) -> u64 {
-        self.inner.content_hash
+        *self
+            .inner
+            .content_hash
+            .get_or_init(|| canonical_hash(&self.inner.desc))
     }
 
     /// Whether two handles share (or equal) the same compiled tables.
     pub fn same_tables(&self, other: &MachineModel) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-            || self.inner.content_hash == other.inner.content_hash
+        Arc::ptr_eq(&self.inner, &other.inner) || self.content_hash() == other.content_hash()
     }
 
     /// The timing group for an instruction. Total: a validated model
@@ -493,8 +496,7 @@ fn load_groups(desc: &ArchDescription) -> std::collections::BTreeSet<GroupId> {
 
 /// Compiles a validated description into the shared table set: the
 /// sparse per-group occupancy (kept for [`MachineModel::usage`] and
-/// the reference pipeline), the dense reservation tables, and the
-/// content hash.
+/// the reference pipeline) and the dense reservation tables.
 fn compile_tables(desc: ArchDescription) -> Result<ModelTables, ModelError> {
     let usage: Vec<Vec<Vec<(usize, u32)>>> = (0..desc.groups.len())
         .map(|gid| occupancy(&desc, gid))
@@ -507,13 +509,12 @@ fn compile_tables(desc: ArchDescription) -> Result<ModelTables, ModelError> {
                 .expect("validated models bind every timing name")
         })
         .collect();
-    let content_hash = fnv1a(canonical_description(&desc).as_bytes());
     Ok(ModelTables {
         desc,
         usage,
         reservations,
         group_of,
-        content_hash,
+        content_hash: OnceLock::new(),
     })
 }
 
@@ -603,23 +604,25 @@ fn compile_reservations(
     })
 }
 
-/// A canonical rendering of a description for content hashing. The
-/// `Debug` form won't do: the mnemonic→group bindings live in a
-/// `HashMap`, whose iteration order differs from process to process,
-/// and the hash must be stable across processes (it keys on-disk
-/// artifact caches).
-fn canonical_description(desc: &ArchDescription) -> String {
+/// The FNV-1a hash of a canonical rendering of a description,
+/// streamed as it is written. The `Debug` form won't do: the
+/// mnemonic→group bindings live in a `HashMap`, whose iteration order
+/// differs from process to process, and the hash must be stable across
+/// processes (it keys on-disk artifact caches).
+fn canonical_hash(desc: &ArchDescription) -> u64 {
     use std::fmt::Write;
-    let mut s = format!(
+    let mut h = Fnv1a::default();
+    let _ = write!(
+        h,
         "{}|{}|{}|units={:?}|groups={:?}",
         desc.machine, desc.issue_width, desc.clock_mhz, desc.units, desc.groups
     );
     let mut names: Vec<&str> = desc.mnemonics().collect();
     names.sort_unstable();
     for name in names {
-        let _ = write!(s, "|{name}->{:?}", desc.group_id(name));
+        let _ = write!(h, "|{name}->{:?}", desc.group_id(name));
     }
-    s
+    h.finish()
 }
 
 /// Rolls group `gid`'s acquire/release events into per-cycle cumulative

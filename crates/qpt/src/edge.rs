@@ -12,31 +12,20 @@
 use std::collections::HashMap;
 
 use eel_edit::{Dominators, Edge, EditSession, Loops};
-use eel_sparc::IntReg;
 
-use crate::counter_snippet;
+use crate::{counter_snippet, SCRATCH};
 
 /// Identifies a CFG edge: `(routine, block, successor index)`.
 pub type EdgeKey = (usize, usize, usize);
 
-/// Options for edge profiling.
-#[derive(Debug, Clone)]
+/// Options for edge profiling. Counter snippets use the reserved
+/// globals `%g1` and `%g2`, as block profiling does.
+#[derive(Debug, Clone, Default)]
 pub struct EdgeProfileOptions {
-    /// Scratch registers for the counter snippets.
-    pub scratch: (IntReg, IntReg),
     /// Edge execution weights guiding spanning-tree selection (e.g.
     /// from a previous profile). Missing edges use a static heuristic:
     /// back edges are hot, exits are cold.
     pub weights: HashMap<EdgeKey, u64>,
-}
-
-impl Default for EdgeProfileOptions {
-    fn default() -> EdgeProfileOptions {
-        EdgeProfileOptions {
-            scratch: (IntReg::G1, IntReg::G2),
-            weights: HashMap::new(),
-        }
-    }
 }
 
 /// The recovered profile.
@@ -199,7 +188,7 @@ impl EdgeProfiler {
                 .find(|e| e.key == Some(key))
                 .and_then(|e| e.slot)
                 .expect("site comes from a counted edge");
-            let snippet = counter_snippet(counter_base + 4 * slot as u32, options.scratch);
+            let snippet = counter_snippet(counter_base + 4 * slot as u32, SCRATCH);
             if at_block_end {
                 session.insert_before(key.0, key.1, pos, snippet);
             } else {
@@ -333,7 +322,7 @@ impl EdgeProfiler {
 mod tests {
     use super::*;
     use eel_edit::Executable;
-    use eel_sparc::{Assembler, Cond, Operand};
+    use eel_sparc::{Assembler, Cond, IntReg, Operand};
 
     /// init → loop{body} → exit, the canonical profiling example.
     fn loop_exe() -> Executable {
@@ -382,13 +371,7 @@ mod tests {
         let mut weights = HashMap::new();
         weights.insert((0usize, 0usize, 0usize), 0u64);
         let mut session = EditSession::new(&exe).unwrap();
-        let prof = EdgeProfiler::instrument(
-            &mut session,
-            EdgeProfileOptions {
-                weights,
-                ..EdgeProfileOptions::default()
-            },
-        );
+        let prof = EdgeProfiler::instrument(&mut session, EdgeProfileOptions { weights });
         assert!(prof.instrumented_edges() >= 1);
     }
 

@@ -43,18 +43,22 @@ use std::collections::HashMap;
 use eel_edit::{Cfg, Edge, EditSession, Liveness, ResourceSet};
 use eel_sparc::{Address, Instruction, IntReg, Operand};
 
-/// Options for profiling instrumentation.
+/// The scratch registers of every profiling counter sequence that
+/// does not scavenge its own. QPT2 uses reserved globals; programs
+/// edited here must not carry live values in them across block
+/// entries.
+pub(crate) const SCRATCH: (IntReg, IntReg) = (IntReg::G1, IntReg::G2);
+
+/// Options for profiling instrumentation. Counter sequences use the
+/// reserved globals `%g1` and `%g2`, so programs edited here must not
+/// carry live values in them across block entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProfileOptions {
     /// Apply the paper's block-skipping rule (on by default). With it
     /// off, every block is counted directly.
     pub apply_skip_rule: bool,
-    /// Scratch registers for the counter sequence. QPT2 uses reserved
-    /// globals; programs edited here must not carry live values in
-    /// them across block entries.
-    pub scratch: (IntReg, IntReg),
     /// Scavenge dead registers per block (EEL's liveness analysis)
-    /// instead of always using `scratch`. Varies the snippet's
+    /// instead of always using `%g1` and `%g2`. Varies the snippet's
     /// registers block to block, which also removes the cross-block
     /// serialization of reusing one global pair.
     pub scavenge: bool,
@@ -64,7 +68,6 @@ impl Default for ProfileOptions {
     fn default() -> ProfileOptions {
         ProfileOptions {
             apply_skip_rule: true,
-            scratch: (IntReg::G1, IntReg::G2),
             scavenge: false,
         }
     }
@@ -126,10 +129,10 @@ impl Profiler {
                     let cands = liveness[r].scratch_candidates(b);
                     match (cands.first(), cands.get(1)) {
                         (Some(&a), Some(&v)) => (a, v),
-                        _ => options.scratch,
+                        _ => SCRATCH,
                     }
                 } else {
-                    options.scratch
+                    SCRATCH
                 };
                 session.insert_at_block_head(r, b, counter_snippet(addr, scratch));
             }

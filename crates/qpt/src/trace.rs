@@ -12,22 +12,21 @@
 use eel_edit::EditSession;
 use eel_sparc::{Address, AluOp, Instruction, IntReg, MemWidth, Operand};
 
-/// Options for address tracing.
+/// The `(base, cursor, scratch)` registers reserved for the tracer.
+const TRACE_REGS: (IntReg, IntReg, IntReg) = (IntReg::G3, IntReg::G4, IntReg::G5);
+
+/// Options for address tracing. The tracer reserves `%g3`, `%g4` and
+/// `%g5` (ring base, cursor and scratch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceOptions {
     /// Ring-buffer size in bytes. Must be a power of two and at most
     /// 4096 (the wrap mask must fit a SPARC immediate).
     pub buffer_bytes: u32,
-    /// `(base, cursor, scratch)` registers reserved for the tracer.
-    pub regs: (IntReg, IntReg, IntReg),
 }
 
 impl Default for TraceOptions {
     fn default() -> TraceOptions {
-        TraceOptions {
-            buffer_bytes: 4096,
-            regs: (IntReg::G3, IntReg::G4, IntReg::G5),
-        }
+        TraceOptions { buffer_bytes: 4096 }
     }
 }
 
@@ -56,7 +55,7 @@ impl Tracer {
             options.buffer_bytes.is_power_of_two() && (8..=4096).contains(&options.buffer_bytes),
             "ring buffer must be a power of two between 8 and 4096 bytes"
         );
-        let (base, cursor, _scratch) = options.regs;
+        let (base, cursor, _) = TRACE_REGS;
         let buffer_base = session.reserve_bss(options.buffer_bytes);
 
         // Find every traced site first (borrowing the CFG), then
@@ -126,7 +125,7 @@ impl Tracer {
 
 /// The four-instruction trace snippet for one memory operation.
 pub fn trace_snippet(addr: Address, options: TraceOptions) -> Vec<Instruction> {
-    let (base, cursor, scratch) = options.regs;
+    let (base, cursor, scratch) = TRACE_REGS;
     let mask = (options.buffer_bytes - 1) as i32;
     vec![
         // scratch := effective address of the traced operation
@@ -224,13 +223,7 @@ mod tests {
     fn oversized_buffer_rejected() {
         let exe = program();
         let mut session = EditSession::new(&exe).unwrap();
-        let _ = Tracer::instrument(
-            &mut session,
-            TraceOptions {
-                buffer_bytes: 8192,
-                ..TraceOptions::default()
-            },
-        );
+        let _ = Tracer::instrument(&mut session, TraceOptions { buffer_bytes: 8192 });
     }
 
     #[test]

@@ -58,6 +58,15 @@ pub use parser::parse;
 /// at this bound still compiles on a 256 KiB thread.
 pub const MAX_NESTING: u32 = 16;
 
+/// The most evaluations Spawn spends on one `sem` (each counted where
+/// a level of [`MAX_NESTING`] is). A `val` is expanded anew at every
+/// use, so `val`s that each repeat the one before k times cost about
+/// 2k^n evaluations while nesting only about 2n levels; past this bound
+/// such a `sem` is an error, not hours of work. The shipped `sem`s
+/// take at most 48; a `sem` that makes 200,000 local bindings takes
+/// about as many.
+pub const MAX_EVALUATIONS: u32 = 1_000_000;
+
 /// The microarchitecture descriptions shipped with this crate.
 pub mod descriptions {
     /// ROSS hyperSPARC: 2-way superscalar, the paper's Figure 2 machine.

@@ -17,7 +17,7 @@ use crate::ast::{Decl, Expr, SpannedDecl};
 use crate::desc::{ArchDescription, RegClass, TimingGroup, Unit, MAX_GROUP_CYCLES};
 use crate::error::{Pos, SadlError};
 use crate::parser::parse;
-use crate::MAX_NESTING;
+use crate::{MAX_EVALUATIONS, MAX_NESTING};
 
 /// Primitive operation names available to descriptions. Applying a
 /// primitive produces a value computed in the current cycle.
@@ -222,6 +222,9 @@ struct Compiler<'a> {
     bindings: HashMap<String, usize>,
     /// How many evaluations (and alias writes) enclose the current one.
     depth: Cell<u32>,
+    /// How many evaluations (and alias writes) the current `sem` has
+    /// taken.
+    evals: Cell<u32>,
 }
 
 impl<'a> Compiler<'a> {
@@ -366,6 +369,7 @@ impl<'a> Compiler<'a> {
         arg: Option<&'a Expr<'a>>,
     ) -> Result<State, SadlError> {
         let mut state = State::default();
+        self.evals.set(0);
         self.eval_macro(body, arg, &self.top, &mut state)
             .map_err(|e| self.err(format!("in sem `{name}`: {e}")))?;
 
@@ -425,14 +429,23 @@ impl<'a> Compiler<'a> {
     }
 
     /// One level deeper: the old depth, to restore on the way out, or
-    /// the nesting error past [`MAX_NESTING`]. A self-application
-    /// such as `(\x. x x) (\x. x x)` evaluates forever, one level per
-    /// application, so it stops here.
+    /// the nesting error past [`MAX_NESTING`], or the work error past
+    /// [`MAX_EVALUATIONS`] in this `sem`. A self-application such as
+    /// `(\x. x x) (\x. x x)` evaluates forever, one level per
+    /// application, and `val`s that repeat each other multiply their
+    /// expansions, so both stop here.
     fn deeper(&self) -> Result<u32, SadlError> {
         let depth = self.depth.get();
         if depth == MAX_NESTING {
             return Err(self.err(format!("evaluation nests deeper than {MAX_NESTING} levels")));
         }
+        let evals = self.evals.get();
+        if evals == MAX_EVALUATIONS {
+            return Err(self.err(format!(
+                "evaluation takes more than {MAX_EVALUATIONS} steps"
+            )));
+        }
+        self.evals.set(evals + 1);
         self.depth.set(depth + 1);
         Ok(depth)
     }
@@ -1141,6 +1154,33 @@ mod tests {
                 "{what}: {err}"
             );
         }
+    }
+
+    /// `val`s that each repeat the one before `k` times: `sem s`
+    /// expands `v0` k^3 times, about 2k^3 evaluations, yet nests only a
+    /// few levels deep.
+    fn repeated(k: usize) -> String {
+        let mut src = String::from("machine m 1 1\nval v0 is ()\n");
+        for n in 1..=3 {
+            let copies = vec![format!("v{}", n - 1); k];
+            src.push_str(&format!("val v{n} is {}\n", copies.join(", ")));
+        }
+        src + "sem s is v3\n"
+    }
+
+    #[test]
+    fn a_sem_past_the_evaluation_bound_is_an_error() {
+        // k = 50 takes 255,102 evaluations; k = 100 takes 2,020,202.
+        let d = ArchDescription::compile(&repeated(50)).expect("within the bound");
+        assert!(d.group_for("s").is_some());
+        let msg = ArchDescription::compile(&repeated(100))
+            .unwrap_err()
+            .to_string();
+        assert!(msg.contains("in sem `s`"), "{msg}");
+        assert!(
+            msg.contains(&format!("more than {MAX_EVALUATIONS} steps")),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the SADL front end: the lexer, parser, and
 //! compiler must never panic, whatever the input — they return errors.
 
-use eel_sadl::{parse, ArchDescription};
+use eel_sadl::{parse, ArchDescription, MAX_EVALUATIONS};
 use proptest::prelude::*;
 
 /// Characters from SADL's alphabet plus noise.
@@ -113,5 +113,38 @@ proptest! {
         let src = format!("machine m 1 1\nsem x is D {d}");
         let desc = ArchDescription::compile(&src).expect("compiles");
         assert_eq!(desc.group_for("x").expect("bound").cycles, d);
+    }
+}
+
+proptest! {
+    // A draw past the bound spends its million evaluations, about 0.2 s
+    // in a debug build, so this property draws fewer cases.
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// `val`s that each repeat the one before `k` times cost Spawn two
+    /// evaluations per expansion, `k^n` expansions of `v0` at level
+    /// `n`: a `sem` within [`MAX_EVALUATIONS`] compiles, and one past
+    /// it is an error naming the `sem` after at most that many steps.
+    #[test]
+    fn repeated_vals_stop_at_the_evaluation_bound(levels in 1u32..5, k in 1u64..200) {
+        let mut src = String::from("machine m 1 1\nval v0 is ()\n");
+        for n in 1..=levels {
+            let copies = vec![format!("v{}", n - 1); k as usize];
+            src.push_str(&format!("val v{n} is {}\n", copies.join(", ")));
+        }
+        src.push_str(&format!("sem s is v{levels}\n"));
+        let evaluations: u64 = (0..=levels).map(|n| 2 * k.pow(n)).sum();
+        match ArchDescription::compile(&src) {
+            Ok(desc) => {
+                assert!(evaluations <= u64::from(MAX_EVALUATIONS), "{levels} x {k}");
+                assert!(desc.group_for("s").is_some());
+            }
+            Err(e) => {
+                let msg = e.to_string();
+                assert!(evaluations > u64::from(MAX_EVALUATIONS), "{levels} x {k}: {msg}");
+                assert!(msg.contains("in sem `s`"), "{msg}");
+                assert!(msg.contains(&format!("more than {MAX_EVALUATIONS} steps")), "{msg}");
+            }
+        }
     }
 }

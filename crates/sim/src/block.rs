@@ -1336,7 +1336,6 @@ pub(crate) fn run_blocks(
     config: &RunConfig,
     telemetry: Option<&Registry>,
 ) -> Result<RunResult, SimError> {
-    let start = telemetry.map(|_| std::time::Instant::now());
     let tracer = telemetry.and_then(Registry::tracer);
     // One span covering the whole simulated run. Per-event tracing of
     // block-cache *hits* would dominate the run (millions per run), so
@@ -1463,10 +1462,6 @@ pub(crate) fn run_blocks(
         reg.add("sim.block_slot_fused", fused);
         reg.add("sim.block_ctx_hits", hits);
         reg.add("sim.block_ctx_misses", misses);
-        reg.record("sim.run_cycles", cycles);
-        if let Some(t0) = start {
-            reg.record("sim.run_ns", t0.elapsed().as_nanos() as u64);
-        }
     }
     if let Some(t) = tracer {
         // Summaries for the too-hot-to-trace paths: context-memo

@@ -7,51 +7,51 @@
 //! crate is the dependency-free substrate the rest of the workspace
 //! threads through its stages:
 //!
-//! * [`Counter`] — a relaxed atomic event counter;
-//! * [`Histogram`] — a log2-bucketed value distribution (65 buckets
-//!   cover the full `u64` range) with lock-free recording and
-//!   quantile estimation from the bucketed [`HistogramSnapshot`];
-//! * [`Span`] — an RAII wall-time guard that records its elapsed
-//!   nanoseconds into a histogram on drop;
-//! * [`Registry`] — a named home for counters and histograms, shared
-//!   freely across threads, snapshotted into deterministic
-//!   `BTreeMap`-ordered [`Snapshot`]s, optionally carrying a
-//!   [`Tracer`];
+//! * [`Counter`] — a relaxed atomic count of deterministic work;
+//! * [`Registry`] — a named home for counters, shared freely across
+//!   threads, snapshotted into deterministic `BTreeMap`-ordered
+//!   [`Snapshot`]s, optionally carrying a [`Tracer`];
 //! * [`report::RunReport`] — the versioned machine-readable run
-//!   report (JSON, schema `eel-run-report` version 1) with rendering,
-//!   parsing, and [`report::RunReport::diff`];
+//!   report (JSON, schema `eel-run-report` version 1): metadata,
+//!   per-stage wall time and counters, with rendering, parsing, and
+//!   [`report::RunReport::diff`];
 //! * [`json`] — the minimal hand-rolled JSON reader/writer behind the
 //!   report (the workspace has no serde);
 //! * [`trace`] — the flight recorder: bounded rings of timestamped
 //!   structured events, serialized traces (`eel-trace` JSONL), and the
 //!   shared Chrome trace-event writer.
 //!
+//! The registry counts and the flight recorder times: a counter
+//! totals work, which is equal across runs and `--jobs` values, and
+//! durations are trace spans. The one wall-time total a run report
+//! carries, per engine stage, is summed by the engine itself.
+//!
 //! # A handle, not a type parameter
 //!
 //! Instrumented code takes `Option<&Registry>`: `None` records
-//! nothing; `Some` records counters and histograms, and trace events
-//! as well when the registry carries a [`Tracer`]
-//! ([`Registry::with_tracer`]). Each instrumented path is compiled
-//! once. A runtime check is enough because no site records per
-//! instruction or per stall query: every site records once per block,
-//! run, stage or cell, and per-event totals are summed in locals and
-//! recorded once. (Stall attribution in `eel-pipeline` is a separate
-//! call, not a telemetry setting.)
+//! nothing; `Some` records counters, and trace events as well when
+//! the registry carries a [`Tracer`] ([`Registry::with_tracer`]). Each
+//! instrumented path is compiled once. A runtime check is enough
+//! because no site records per instruction or per stall query: every
+//! site records once per block, run, stage or cell, and per-event
+//! totals are summed in locals and recorded once. (Stall attribution
+//! in `eel-pipeline` is a separate call, not a telemetry setting.)
 //!
 //! ```
 //! use eel_telemetry::Registry;
 //!
 //! fn work(telemetry: Option<&Registry>) -> u64 {
-//!     let span = telemetry.map(|reg| reg.span("work.ns"));
 //!     let result = 6 * 7;
-//!     drop(span);
+//!     if let Some(reg) = telemetry {
+//!         reg.add("work.calls", 1);
+//!     }
 //!     result
 //! }
 //!
-//! assert_eq!(work(None), 42); // off: no clock read, no site lookup
+//! assert_eq!(work(None), 42); // off: no site lookup
 //! let reg = Registry::new();
-//! assert_eq!(work(Some(&reg)), 42); // on: one recorded span
-//! assert_eq!(reg.snapshot().histograms["work.ns"].count, 1);
+//! assert_eq!(work(Some(&reg)), 42); // on: one counted call
+//! assert_eq!(reg.snapshot().counters["work.calls"], 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -62,19 +62,50 @@ mod metrics;
 pub mod report;
 pub mod trace;
 
-pub use metrics::{Counter, Histogram, HistogramSnapshot, Registry, Snapshot, Span};
+pub use metrics::{Counter, Registry, Snapshot};
 pub use report::{ReportError, RunReport};
 pub use trace::{Event, OwnedEvent, TraceError, TraceFile, TraceGuard, Tracer};
 
-/// FNV-1a, the workspace's stable content hash (used here to name run
-/// report artifacts by content).
+/// FNV-1a, the workspace's stable content hash (the engine's cell keys
+/// and cell checksums, the machine models' content hashes).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    let mut h = Fnv1a::default();
+    h.write(bytes);
+    h.finish()
+}
+
+/// [`fnv1a`] fed in pieces: after bytes or text written in any split,
+/// [`Fnv1a::finish`] is `fnv1a` of all of them in order, so a caller
+/// can hash what it formats without building the text.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    /// The hash of no bytes.
+    fn default() -> Fnv1a {
+        Fnv1a(0xCBF2_9CE4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a {
+    /// Hashes `bytes` after what was written before.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// The hash of everything written.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// A duration in nanoseconds at a readable scale, three decimals past

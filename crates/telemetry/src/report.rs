@@ -1,8 +1,9 @@
 //! Versioned machine-readable run reports.
 //!
-//! Every harness run distills its [`crate::Snapshot`] plus stage wall
-//! times and free-form metadata into a [`RunReport`], serialized as
-//! JSON under schema `eel-run-report`, version [`RUN_REPORT_VERSION`].
+//! Every harness run distills its counters ([`crate::Snapshot`]), its
+//! stage wall times and free-form metadata into a [`RunReport`],
+//! serialized as JSON under schema `eel-run-report`, version
+//! [`RUN_REPORT_VERSION`].
 //! Reports parse back losslessly, render as human-readable text, and
 //! [`diff`](RunReport::diff) against each other — the diff is what
 //! `eel report --diff` prints.
@@ -10,13 +11,14 @@
 //! Parsing is strict about identity and lenient about content: the
 //! schema string and version must match exactly (a future version is a
 //! typed [`ReportError::Version`], not a crash), while unknown extra
-//! members are ignored so version-1 readers tolerate additive change.
+//! members are ignored so version-1 readers tolerate additive change
+//! (and older reports that still carry a `histograms` member load).
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::json::{Json, JsonError};
-use crate::{fmt_ns, HistogramSnapshot, Snapshot};
+use crate::{fmt_ns, Snapshot};
 
 /// The `schema` member every run report carries.
 pub const RUN_REPORT_SCHEMA: &str = "eel-run-report";
@@ -34,8 +36,6 @@ pub struct RunReport {
     pub stages: BTreeMap<String, u64>,
     /// Final counter values by site name.
     pub counters: BTreeMap<String, u64>,
-    /// Final histogram snapshots by site name.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
 /// Why a run report failed to load.
@@ -78,7 +78,7 @@ impl From<JsonError> for ReportError {
 }
 
 impl RunReport {
-    /// Builds a report from a metric snapshot plus metadata and stage
+    /// Builds a report from a counter snapshot plus metadata and stage
     /// timings.
     pub fn new(
         meta: BTreeMap<String, String>,
@@ -89,7 +89,6 @@ impl RunReport {
             meta,
             stages,
             counters: snapshot.counters.clone(),
-            histograms: snapshot.histograms.clone(),
         }
     }
 
@@ -127,15 +126,6 @@ impl RunReport {
                     .collect(),
             ),
         ));
-        root.push((
-            "histograms".to_string(),
-            Json::Obj(
-                self.histograms
-                    .iter()
-                    .map(|(k, h)| (k.clone(), histogram_to_json(h)))
-                    .collect(),
-            ),
-        ));
         Json::Obj(root).to_pretty()
     }
 
@@ -170,21 +160,12 @@ impl RunReport {
         }
         report.stages = u64_map(&root, "stages")?;
         report.counters = u64_map(&root, "counters")?;
-        if let Some(hists) = root.get("histograms") {
-            let members = hists
-                .members()
-                .ok_or_else(|| ReportError::Malformed("`histograms` is not an object".into()))?;
-            for (name, value) in members {
-                report
-                    .histograms
-                    .insert(name.clone(), histogram_from_json(name, value)?);
-            }
-        }
         Ok(report)
     }
 
-    /// Renders a human-readable summary (stages, counters, histogram
-    /// quantiles).
+    /// Renders a human-readable summary (meta, stages, counters). The
+    /// stage total saturates at `u64::MAX` rather than wrap: a report
+    /// admits stage times up to 2^53 each.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -195,7 +176,10 @@ impl RunReport {
             }
         }
         if !self.stages.is_empty() {
-            let total: u64 = self.stages.values().sum();
+            let total = self
+                .stages
+                .values()
+                .fold(0u64, |sum, &ns| sum.saturating_add(ns));
             let _ = writeln!(out, "stages:");
             for (k, ns) in &self.stages {
                 let pct = if total > 0 {
@@ -213,51 +197,18 @@ impl RunReport {
                 let _ = writeln!(out, "  {k:<32} {v:>14}");
             }
         }
-        if !self.histograms.is_empty() {
-            let _ = writeln!(out, "histograms:");
-            let _ = writeln!(
-                out,
-                "  {:<28} {:>10} {:>10} {:>10} {:>10} {:>10}",
-                "site", "count", "p50", "p90", "p99", "max"
-            );
-            for (k, h) in &self.histograms {
-                let _ = writeln!(
-                    out,
-                    "  {k:<28} {:>10} {:>10} {:>10} {:>10} {:>10}",
-                    h.count,
-                    h.quantile(0.50),
-                    h.quantile(0.90),
-                    h.quantile(0.99),
-                    h.max,
-                );
-            }
-        }
         out
     }
 
     /// Compares two reports metric by metric.
     ///
-    /// Every counter, stage time, and histogram summary statistic
-    /// present in either report becomes a [`DiffRow`]; metrics missing
-    /// on one side are treated as zero there and flagged.
+    /// Every stage time and counter present in either report becomes a
+    /// [`DiffRow`]; metrics missing on one side are treated as zero
+    /// there and flagged.
     pub fn diff(&self, new: &RunReport) -> ReportDiff {
         let mut rows = Vec::new();
         collect_diff(&mut rows, "stage", &self.stages, &new.stages);
         collect_diff(&mut rows, "counter", &self.counters, &new.counters);
-        let mut old_h: BTreeMap<String, u64> = BTreeMap::new();
-        let mut new_h: BTreeMap<String, u64> = BTreeMap::new();
-        for (map, src) in [
-            (&mut old_h, &self.histograms),
-            (&mut new_h, &new.histograms),
-        ] {
-            for (name, h) in src.iter() {
-                map.insert(format!("{name}.count"), h.count);
-                map.insert(format!("{name}.p50"), h.quantile(0.50));
-                map.insert(format!("{name}.p99"), h.quantile(0.99));
-                map.insert(format!("{name}.mean"), h.mean().round() as u64);
-            }
-        }
-        collect_diff(&mut rows, "histogram", &old_h, &new_h);
         ReportDiff { rows }
     }
 }
@@ -284,10 +235,9 @@ fn collect_diff(
 /// One metric compared across two reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiffRow {
-    /// `stage`, `counter`, or `histogram`.
+    /// `stage` or `counter`.
     pub kind: String,
-    /// Metric name (histogram rows are suffixed `.count` / `.p50` /
-    /// `.p99` / `.mean`).
+    /// Metric name: a stage (`runs`) or a counter site (`engine.sims`).
     pub name: String,
     /// Value in the old report (0 if absent there).
     pub old: u64,
@@ -316,8 +266,8 @@ impl DiffRow {
 /// The result of [`RunReport::diff`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReportDiff {
-    /// All compared metrics, grouped stages → counters → histograms,
-    /// alphabetical within each group.
+    /// All compared metrics, stages then counters, alphabetical within
+    /// each group.
     pub rows: Vec<DiffRow>,
 }
 
@@ -385,66 +335,6 @@ impl ReportDiff {
     }
 }
 
-fn histogram_to_json(h: &HistogramSnapshot) -> Json {
-    let buckets = h
-        .buckets
-        .iter()
-        .map(|(idx, n)| (idx.to_string(), Json::Num(*n as f64)))
-        .collect();
-    Json::Obj(vec![
-        ("count".into(), Json::Num(h.count as f64)),
-        ("sum".into(), Json::Num(h.sum as f64)),
-        ("min".into(), Json::Num(h.min as f64)),
-        ("max".into(), Json::Num(h.max as f64)),
-        ("buckets".into(), Json::Obj(buckets)),
-    ])
-}
-
-fn histogram_from_json(name: &str, v: &Json) -> Result<HistogramSnapshot, ReportError> {
-    let field = |key: &str| {
-        v.get(key).and_then(Json::as_u64).ok_or_else(|| {
-            ReportError::Malformed(format!("histogram `{name}`: bad or missing `{key}`"))
-        })
-    };
-    let mut buckets = Vec::new();
-    if let Some(members) = v.get("buckets").and_then(Json::members) {
-        for (idx, count) in members {
-            let idx: u8 = idx.parse().map_err(|_| {
-                ReportError::Malformed(format!("histogram `{name}`: bucket index `{idx}`"))
-            })?;
-            if usize::from(idx) >= crate::metrics::BUCKETS {
-                return Err(ReportError::Malformed(format!(
-                    "histogram `{name}`: bucket index {idx} out of range"
-                )));
-            }
-            let count = count.as_u64().ok_or_else(|| {
-                ReportError::Malformed(format!("histogram `{name}`: non-integer bucket count"))
-            })?;
-            buckets.push((idx, count));
-        }
-    } else {
-        return Err(ReportError::Malformed(format!(
-            "histogram `{name}`: missing `buckets` object"
-        )));
-    }
-    buckets.sort_unstable();
-    let h = HistogramSnapshot {
-        count: field("count")?,
-        sum: field("sum")?,
-        min: field("min")?,
-        max: field("max")?,
-        buckets,
-    };
-    // Quantiles clamp to `[min, max]`, which must be a range.
-    if h.count > 0 && h.min > h.max {
-        return Err(ReportError::Malformed(format!(
-            "histogram `{name}`: min {} exceeds max {}",
-            h.min, h.max
-        )));
-    }
-    Ok(h)
-}
-
 fn string_map(root: &Json, key: &str) -> Result<Vec<(String, String)>, ReportError> {
     let Some(v) = root.get(key) else {
         return Ok(Vec::new());
@@ -488,9 +378,6 @@ mod tests {
         let reg = Registry::new();
         reg.add("engine.sims", 12);
         reg.add("sched.queries", 4096);
-        for v in [3u64, 64, 65, 1000, 1001, 40_000] {
-            reg.record("sched.block_ns", v);
-        }
         let mut meta = BTreeMap::new();
         meta.insert("label".to_string(), "unit-test".to_string());
         meta.insert("machine".to_string(), "ultrasparc".to_string());
@@ -572,12 +459,16 @@ mod tests {
         ));
     }
 
+    /// Unknown members are skipped, among them the `histograms` section
+    /// that version-1 reports used to carry.
     #[test]
     fn unknown_members_are_ignored() {
-        let text =
-            r#"{"schema":"eel-run-report","version":1,"future_field":[1,2],"counters":{"a":3}}"#;
+        let text = r#"{"schema":"eel-run-report","version":1,"future_field":[1,2],"counters":{"a":3},
+            "histograms":{"sim.run_ns":{"count":1,"sum":9,"min":9,"max":9,"buckets":{"4":1}}}}"#;
         let report = RunReport::from_json(text).expect("lenient parse");
         assert_eq!(report.counters["a"], 3);
+        assert!(!report.to_json().contains("histograms"));
+        assert!(report.diff(&sample()).render(false).contains("engine.sims"));
     }
 
     #[test]
@@ -587,58 +478,137 @@ mod tests {
             "meta:",
             "stages:",
             "counters:",
-            "histograms:",
             "engine.sims",
-            "sched.block_ns",
             "ultrasparc",
+            "total",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
     }
 
-    /// Quantiles clamp to `[min, max]`, so a histogram whose `min`
-    /// exceeds its `max` must not load: `eel report` and `eel report
-    /// --diff` would panic on it.
+    /// A report admits stage times up to 2^53 each, so 2,100 of them
+    /// sum past `u64::MAX`: the total saturates instead of overflowing
+    /// (a panic in debug builds, a wrong total in release).
     #[test]
-    fn inverted_histogram_range_is_a_typed_error() {
-        let text = r#"{"schema":"eel-run-report","version":1,"histograms":{"h":
-            {"count": 3, "sum": 10, "min": 500, "max": 1, "buckets": {"1": 1, "5": 1, "9": 1}}}}"#;
-        match RunReport::from_json(text) {
-            Err(ReportError::Malformed(what)) => assert!(what.contains("min 500"), "{what}"),
-            other => panic!("expected a malformed-report error, got {other:?}"),
-        }
+    fn stage_total_saturates_instead_of_overflowing() {
+        let stages: Vec<String> = (0..2_100)
+            .map(|i| format!(r#""s{i}":9007199254740992"#))
+            .collect();
+        let text = format!(
+            r#"{{"schema":"eel-run-report","version":1,"stages":{{{}}}}}"#,
+            stages.join(",")
+        );
+        let report = RunReport::from_json(&text).expect("every stage is in range");
+        let rendered = report.render();
+        let total = rendered
+            .lines()
+            .find(|l| l.trim_start().starts_with("total"))
+            .expect("a total line");
+        assert!(total.ends_with(&fmt_ns(u64::MAX)), "{total}");
     }
 
     mod props {
         use super::*;
         use proptest::prelude::*;
 
+        /// What `eel experiment --benchmark 130.li --no-cache --report`
+        /// wrote.
+        const REAL: &str = include_str!("../testdata/experiment_report.json");
+
+        /// A JSON string.
+        fn string() -> impl Strategy<Value = String> {
+            "[a-z0-9 λ]{0,8}".prop_map(|s| format!("\"{s}\""))
+        }
+
+        /// An integer `from_json` admits as a stage time or a counter:
+        /// up to 2^53, often at that edge.
+        fn admitted() -> impl Strategy<Value = String> {
+            prop_oneof![0u64..=1 << 53, (1u64 << 53) - 2..=1 << 53].prop_map(|n| n.to_string())
+        }
+
+        /// Any member value: integers over all of `u64` and the other
+        /// kinds of JSON value.
+        fn value() -> impl Strategy<Value = String> {
+            prop_oneof![
+                any::<u64>().prop_map(|n| n.to_string()),
+                ((1u64 << 53) + 1..(1 << 53) + 3).prop_map(|n| n.to_string()),
+                admitted(),
+                string(),
+                prop::sample::select(vec![
+                    "-1",
+                    "0.5",
+                    "-0",
+                    "1e300",
+                    "null",
+                    "true",
+                    "[]",
+                    "{}",
+                    "[1,2]",
+                    "{\"a\":1}",
+                ])
+                .prop_map(String::from),
+            ]
+        }
+
+        /// An object of drawn members.
+        fn object(value: impl Strategy<Value = String>) -> impl Strategy<Value = String> {
+            prop::collection::vec(("[a-z._]{0,10}", value), 0..6).prop_map(|members| {
+                let members: Vec<String> = members
+                    .iter()
+                    .map(|(k, v)| format!("\"{k}\":{v}"))
+                    .collect();
+                format!("{{{}}}", members.join(","))
+            })
+        }
+
+        /// One report section: half the time every member is `valid`
+        /// there, half the time any value.
+        fn section(
+            valid: impl Strategy<Value = String> + 'static,
+        ) -> impl Strategy<Value = String> {
+            prop_oneof![object(valid), object(value())]
+        }
+
+        /// Loads `text` and, when it loads, renders it and diffs it
+        /// against the real report both ways.
+        fn exercise(text: &str) {
+            let Ok(report) = RunReport::from_json(text) else {
+                return;
+            };
+            let real = RunReport::from_json(REAL).expect("the real report loads");
+            let _ = report.render();
+            for diff in [report.diff(&real), real.diff(&report)] {
+                let _ = diff.render(false);
+                let _ = diff.render(true);
+                let _ = diff.to_json();
+            }
+        }
+
         proptest! {
-            /// Whatever histogram a report file holds, loading it either
-            /// fails with a typed error or yields a report that renders
-            /// and diffs without panicking.
+            /// Whatever a report file holds, loading it fails with a
+            /// typed error or yields a report that renders and diffs
+            /// without panicking: drawn `meta`, `stages` and `counters`
+            /// members, and bit-flipped and truncated copies of a real
+            /// report.
             #[test]
-            fn any_histogram_loads_renders_and_diffs_without_panics(
-                hists in prop::collection::vec(
-                    (
-                        (0u64..1_000, 0u64..(1 << 40), 0u64..(1 << 40), 0u64..(1 << 40)),
-                        prop::collection::vec((0u8..65, 0u64..1_000), 0..7),
-                    ),
-                    1..4,
-                ),
+            fn reports_never_panic(
+                meta in section(string()),
+                stages in section(admitted()),
+                counters in section(admitted()),
+                flips in prop::collection::vec((any::<usize>(), 0u32..8), 0..4),
+                cut in any::<usize>(),
             ) {
-                let mut report = sample();
-                for (i, ((count, sum, min, max), buckets)) in hists.into_iter().enumerate() {
-                    report.histograms.insert(
-                        format!("fuzz.h{i}"),
-                        HistogramSnapshot { count, sum, min, max, buckets },
-                    );
+                exercise(&format!(
+                    r#"{{"schema":"eel-run-report","version":1,"meta":{meta},"stages":{stages},"counters":{counters}}}"#
+                ));
+                let mut bytes = REAL.as_bytes().to_vec();
+                for (at, bit) in flips {
+                    let i = at % bytes.len();
+                    bytes[i] ^= 1 << bit;
                 }
-                if let Ok(loaded) = RunReport::from_json(&report.to_json()) {
-                    let _ = loaded.render();
-                    let _ = loaded.diff(&sample()).render(false);
-                    let _ = sample().diff(&loaded).to_json();
-                }
+                exercise(&String::from_utf8_lossy(&bytes));
+                bytes.truncate(cut % (bytes.len() + 1));
+                exercise(&String::from_utf8_lossy(&bytes));
             }
         }
     }

@@ -1,9 +1,9 @@
 //! Flight-recorder event tracing: a bounded, allocation-free ring of
 //! timestamped structured events, carried by the same
-//! [`crate::Registry`] handle as the counters and histograms.
+//! [`crate::Registry`] handle as the counters.
 //!
-//! Where the [`crate::Registry`] answers *how much* (totals,
-//! distributions), the [`Tracer`] answers *when and in what order*:
+//! Where the [`crate::Registry`] answers *how much* (work totals), the
+//! [`Tracer`] answers *how long, when and in what order*:
 //! every instrumented layer — engine stages, cache cells, scheduler
 //! passes, simulator block cache — pushes [`Event`]s carrying a static
 //! category/name pair, two `u64` arguments, a monotonic timestamp, and

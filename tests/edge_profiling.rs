@@ -180,7 +180,6 @@ fn edge_profile_with_measured_weights_is_cheaper_still() {
         &mut second,
         EdgeProfileOptions {
             weights: profile.edge_counts.clone(),
-            ..Default::default()
         },
     );
     let r2 = run(

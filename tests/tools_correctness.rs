@@ -115,13 +115,7 @@ fn trace_records_exact_addresses_in_order() {
     let (exe, expected) = traced_program();
     for schedule in [false, true] {
         let mut session = EditSession::new(&exe).expect("analyzable");
-        let tracer = Tracer::instrument(
-            &mut session,
-            TraceOptions {
-                buffer_bytes: 64,
-                ..TraceOptions::default()
-            },
-        );
+        let tracer = Tracer::instrument(&mut session, TraceOptions { buffer_bytes: 64 });
         assert_eq!(tracer.traced_ops(), 2, "two static memory ops");
         let edited = if schedule {
             session
@@ -177,13 +171,7 @@ fn traced_and_profiled_together() {
 
     let mut session = EditSession::new(&exe).expect("analyzable");
     let profiler = Profiler::instrument(&mut session, ProfileOptions::default());
-    let tracer = Tracer::instrument(
-        &mut session,
-        TraceOptions {
-            buffer_bytes: 64,
-            ..TraceOptions::default()
-        },
-    );
+    let tracer = Tracer::instrument(&mut session, TraceOptions { buffer_bytes: 64 });
     let edited = session
         .emit(Scheduler::new(MachineModel::supersparc()).transform())
         .expect("schedulable");
