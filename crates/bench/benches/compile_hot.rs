@@ -52,21 +52,10 @@ fn longest_body(bench: &Benchmark) -> Vec<Instruction> {
         .expect("every program has a block")
 }
 
-fn shipped_models() -> [(&'static str, MachineModel); 6] {
-    [
-        ("hypersparc", MachineModel::hypersparc()),
-        ("supersparc", MachineModel::supersparc()),
-        ("ultrasparc", MachineModel::ultrasparc()),
-        ("microsparc", MachineModel::microsparc()),
-        ("vliw", MachineModel::vliw()),
-        ("deepsparc", MachineModel::deepsparc()),
-    ]
-}
-
 fn bench_body(c: &mut Criterion, group: &str, body: &[Instruction]) {
     let mut g = c.benchmark_group(&format!("compile_hot/{group}_{}", body.len()));
-    for (name, model) in shipped_models() {
-        g.bench_function(name, |b| {
+    for model in MachineModel::shipped() {
+        g.bench_function(model.name().to_ascii_lowercase(), |b| {
             b.iter(|| black_box(optimize_block(&model, body.to_vec())))
         });
     }
@@ -94,7 +83,8 @@ fn bench_stream(c: &mut Criterion) {
         .collect();
     let mut g = c.benchmark_group("compile_hot/stream");
     g.throughput(Throughput::Elements(bodies.len() as u64));
-    for (name, model) in shipped_models() {
+    for model in MachineModel::shipped() {
+        let name = model.name().to_ascii_lowercase();
         let model = Measurement::new(&model, &ExperimentConfig::default()).measured;
         g.bench_function(name, |b| {
             b.iter(|| {

@@ -91,17 +91,6 @@ fn instrumented_block_32() -> Vec<Tagged> {
     body
 }
 
-fn shipped_models() -> [(&'static str, MachineModel); 6] {
-    [
-        ("hypersparc", MachineModel::hypersparc()),
-        ("supersparc", MachineModel::supersparc()),
-        ("ultrasparc", MachineModel::ultrasparc()),
-        ("microsparc", MachineModel::microsparc()),
-        ("vliw", MachineModel::vliw()),
-        ("deepsparc", MachineModel::deepsparc()),
-    ]
-}
-
 /// Every block the scheduled emit of each QPT-instrumented SPEC95
 /// program hands its transform, in emit order, captured once. The
 /// programs are built as the tables and the benchmark's `edit`
@@ -139,9 +128,9 @@ fn bench_spec95_stream(c: &mut Criterion) {
     };
     let mut g = c.benchmark_group("sched_hot/spec95_stream");
     g.throughput(Throughput::Elements(blocks.len() as u64));
-    let schedulers = shipped_models()
+    let schedulers = MachineModel::shipped()
         .into_iter()
-        .map(|(name, model)| (name.to_string(), Scheduler::new(model)))
+        .map(|model| (model.name().to_ascii_lowercase(), Scheduler::new(model)))
         .chain(Priority::ALL.into_iter().map(|priority| {
             let options = SchedOptions {
                 priority,
@@ -166,7 +155,8 @@ fn bench_spec95_stream(c: &mut Criterion) {
 fn bench_schedule_block(c: &mut Criterion) {
     let body = instrumented_block_32();
     let mut g = c.benchmark_group("sched_hot/schedule_block_32");
-    for (name, model) in shipped_models() {
+    for model in MachineModel::shipped() {
+        let name = model.name().to_ascii_lowercase();
         let sched = Scheduler::new(model);
         g.bench_function(name, |b| {
             b.iter(|| {
@@ -211,7 +201,7 @@ fn bench_policies(c: &mut Criterion) {
 fn bench_stalls_query(c: &mut Criterion) {
     let body = instrumented_block_32();
     let mut g = c.benchmark_group("sched_hot/stalls_query");
-    for (name, model) in shipped_models() {
+    for model in MachineModel::shipped() {
         // Warm the pipe with the first half of the block, then time the
         // pure query the list scheduler issues per ready candidate.
         let mut pipe = PipelineState::new(&model);
@@ -219,7 +209,7 @@ fn bench_stalls_query(c: &mut Criterion) {
             pipe.issue(&model, &t.insn);
         }
         let candidate = body[16].insn;
-        g.bench_function(name, |b| {
+        g.bench_function(model.name().to_ascii_lowercase(), |b| {
             b.iter(|| black_box(pipe.stalls(&model, &candidate)))
         });
     }

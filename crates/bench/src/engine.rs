@@ -35,14 +35,14 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use eel_edit::{Cfg, EditSession, Executable};
+use eel_edit::{EditSession, Executable};
 use eel_pipeline::{MachineModel, StallProfile};
 use eel_qpt::{ProfileOptions, Profiler};
 use eel_sim::{run_with, RunConfig, RunResult};
 use eel_telemetry::{fnv1a, Registry, RunReport, Snapshot, Tracer};
 use eel_workloads::{Benchmark, Suite};
 
-use crate::experiment::{ExperimentConfig, Measurement, Row};
+use crate::experiment::{dynamic_avg_bb, ExperimentConfig, Measurement, Row};
 
 /// One memoized measurement: the outcome of a single simulator
 /// invocation, plus the block-size statistic when the run is a
@@ -681,22 +681,6 @@ pub(crate) fn in_order<T: Sync, R: Send>(
                 .expect("every slot filled")
         })
         .collect()
-}
-
-/// Dynamic average block size: executed instructions over executed
-/// block entries.
-fn dynamic_avg_bb(exe: &Executable, result: &RunResult) -> f64 {
-    let cfg = Cfg::build(exe).expect("workloads analyze");
-    let mut entries = 0u64;
-    for r in &cfg.routines {
-        for b in &r.blocks {
-            entries += result.pc_counts[b.start];
-        }
-    }
-    if entries == 0 {
-        return 0.0;
-    }
-    result.instructions as f64 / entries as f64
 }
 
 /// `$EEL_JOBS` if set and positive, otherwise all available cores.

@@ -17,8 +17,9 @@
 use std::borrow::Borrow;
 
 use eel_core::{SchedOptions, Scheduler};
+use eel_edit::{Cfg, Executable};
 use eel_pipeline::MachineModel;
-use eel_sim::{RunConfig, TimingConfig};
+use eel_sim::{RunConfig, RunResult, TimingConfig};
 use eel_workloads::{Benchmark, BuildOptions, Suite};
 
 use crate::engine::{jobs_from_env, Engine};
@@ -151,6 +152,22 @@ pub fn pct_hidden(uninst: u64, inst: u64, sched: u64) -> f64 {
         return 0.0;
     }
     100.0 * (inst as f64 - sched as f64) / overhead
+}
+
+/// Dynamic average block size, the tables' `Avg.BB` column: executed
+/// instructions over executed block entries (0 when no block ran).
+pub fn dynamic_avg_bb(exe: &Executable, result: &RunResult) -> f64 {
+    let cfg = Cfg::build(exe).expect("workloads analyze");
+    let mut entries = 0u64;
+    for r in &cfg.routines {
+        for b in &r.blocks {
+            entries += result.pc_counts[b.start];
+        }
+    }
+    if entries == 0 {
+        return 0.0;
+    }
+    result.instructions as f64 / entries as f64
 }
 
 /// Mean % hidden across a set of rows (the paper's suite averages).

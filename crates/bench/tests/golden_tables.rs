@@ -253,14 +253,7 @@ fn list_schedule_digests_are_pinned() {
     let corpus = digest_corpus();
     let mut text = String::new();
     for priority in Priority::ALL {
-        for model in [
-            MachineModel::hypersparc(),
-            MachineModel::supersparc(),
-            MachineModel::ultrasparc(),
-            MachineModel::microsparc(),
-            MachineModel::vliw(),
-            MachineModel::deepsparc(),
-        ] {
+        for model in MachineModel::shipped() {
             let sched = Scheduler::with_options(
                 model.clone(),
                 SchedOptions {

@@ -10,7 +10,7 @@ use eel_pipeline::MachineModel;
 use eel_telemetry::Tracer;
 use eel_workloads::{load_corpus, spec95, Benchmark};
 
-use crate::{err, machine_by_name, policy_by_name, write, Args, CliError};
+use crate::{err, policy_by_name, write, Args, CliError};
 
 /// The output, fan-out, and corpus flags `eel experiment` shares with
 /// `eel results table1|2|3`.
@@ -72,10 +72,9 @@ impl Table {
 }
 
 pub(crate) fn experiment(mut args: Args) -> Result<String, CliError> {
-    let machine = args
-        .value("--machine")?
-        .unwrap_or_else(|| "ultrasparc".into());
-    let model = machine_by_name(&machine)?;
+    let model = args
+        .machine("--machine")?
+        .unwrap_or_else(MachineModel::ultrasparc);
     let reschedule = args.flag("--reschedule");
     let no_cache = args.flag("--no-cache");
     let iterations = args.parsed("--iterations")?;

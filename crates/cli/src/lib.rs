@@ -47,6 +47,7 @@ use eel_bench::engine::jobs_from_env;
 use eel_core::Priority;
 use eel_edit::Executable;
 use eel_pipeline::MachineModel;
+use eel_sadl::descriptions;
 use eel_telemetry::RunReport;
 use eel_workloads::{cfp95, cint95, Benchmark};
 
@@ -138,8 +139,7 @@ commands:
         [--corpus golden|full|FILE]    `experiment`
       summary [--jobs N]               the abstract's 13%/33% averages
       ablations [--jobs N]             design-choice ablations and the
-        [--iterations N]               policy x machine sweep
-        [--sweep-only]
+                                       policy x machine sweep
       gap_report [--machine MACHINE]   exact oracle vs the list scheduler
         [--full] [--quick]             (--full: all of SPEC95; --quick:
         [--budget N] [--jobs N]        shrunken workloads)
@@ -217,36 +217,30 @@ impl Args {
         Ok(self.parsed("--jobs")?.unwrap_or_else(jobs_from_env).max(1))
     }
 
+    /// The shipped machine model [`Args::value`] names, in any ASCII
+    /// case; an unknown name is an error listing the shipped ones.
+    fn machine(&mut self, name: &str) -> Result<Option<MachineModel>, CliError> {
+        let Some(machine) = self.value(name)? else {
+            return Ok(None);
+        };
+        MachineModel::named(&machine).map(Some).ok_or_else(|| {
+            let known: Vec<String> = descriptions::ALL
+                .iter()
+                .map(|(n, _)| n.to_ascii_lowercase())
+                .collect();
+            err(format!(
+                "unknown machine `{}` (try: {})",
+                machine.to_ascii_lowercase(),
+                known.join(", ")
+            ))
+        })
+    }
+
     fn finish(self) -> Result<(), CliError> {
         if let Some(extra) = self.items.first() {
             return Err(err(format!("unexpected argument `{extra}`")));
         }
         Ok(())
-    }
-}
-
-/// The shipped machine models, by their CLI names.
-const MACHINES: [&str; 6] = [
-    "hypersparc",
-    "supersparc",
-    "ultrasparc",
-    "microsparc",
-    "vliw",
-    "deepsparc",
-];
-
-fn machine_by_name(name: &str) -> Result<MachineModel, CliError> {
-    match name.to_ascii_lowercase().as_str() {
-        "hypersparc" => Ok(MachineModel::hypersparc()),
-        "supersparc" => Ok(MachineModel::supersparc()),
-        "ultrasparc" => Ok(MachineModel::ultrasparc()),
-        "microsparc" => Ok(MachineModel::microsparc()),
-        "vliw" => Ok(MachineModel::vliw()),
-        "deepsparc" => Ok(MachineModel::deepsparc()),
-        other => Err(err(format!(
-            "unknown machine `{other}` (try: {})",
-            MACHINES.join(", ")
-        ))),
     }
 }
 

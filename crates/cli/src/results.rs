@@ -12,7 +12,8 @@ use std::fmt::Write;
 
 use eel_bench::engine::Engine;
 use eel_bench::experiment::{
-    format_table, mean_pct_hidden, pct_hidden, run_table, ExperimentConfig, Measurement, Row,
+    dynamic_avg_bb, format_table, mean_pct_hidden, pct_hidden, run_table, ExperimentConfig,
+    Measurement, Row,
 };
 use eel_bench::gap::{format_gap_report, gap_table};
 use eel_core::{Priority, SchedOptions, DEFAULT_EXACT_BUDGET};
@@ -25,7 +26,7 @@ use eel_sparc::Instruction;
 use eel_workloads::{spec95, Benchmark, BuildOptions, Suite};
 
 use crate::experiment::{Table, TableFlags};
-use crate::{err, golden_pair, machine_by_name, Args, CliError, MACHINES};
+use crate::{err, golden_pair, Args, CliError};
 
 type Generator = fn(Args) -> Result<String, CliError>;
 
@@ -157,14 +158,9 @@ fn summary(mut args: Args) -> Result<String, CliError> {
 /// pair, as a table and as `sweep,MACHINE,POLICY,PCT` lines.
 fn ablations(mut args: Args) -> Result<String, CliError> {
     let jobs = args.jobs()?;
-    let sweep_only = args.flag("--sweep-only");
-    let iterations = args.parsed("--iterations")?;
     args.finish()?;
     let model = MachineModel::ultrasparc();
-    let base_cfg = ExperimentConfig {
-        iterations,
-        ..ExperimentConfig::default()
-    };
+    let base_cfg = ExperimentConfig::default();
     let subset: Vec<Benchmark> = spec95()
         .into_iter()
         .filter(|b| {
@@ -190,62 +186,60 @@ fn ablations(mut args: Args) -> Result<String, CliError> {
     };
     let mut out = String::new();
 
-    if !sweep_only {
-        let base = run_with(&base_cfg, &model, &subset);
-        writeln!(out, "{:<28} {:>8}", "configuration", "%hidden")?;
-        writeln!(
-            out,
-            "{:<28} {:>7.1}%",
-            "baseline (paper's options)",
-            mean_pct_hidden(&base)
-        )?;
-        let variants = [
-            (
-                "memdep: fully conservative",
-                SchedOptions {
-                    instr_mem_independent: false,
-                    ..SchedOptions::default()
-                },
-                None,
-            ),
-            (
-                "delayslot: filling on",
-                SchedOptions {
-                    fill_delay_slots: true,
-                    ..SchedOptions::default()
-                },
-                None,
-            ),
-            (
-                "priority: chain-first",
-                SchedOptions {
-                    priority: Priority::ChainFirst,
-                    ..SchedOptions::default()
-                },
-                None,
-            ),
-            (
-                "mismatch: hyperSPARC model",
-                SchedOptions::default(),
-                Some(MachineModel::hypersparc()),
-            ),
-        ];
-        for (label, sched, scheduler_model) in variants {
-            let cfg = ExperimentConfig {
-                sched,
-                scheduler_model,
-                ..base_cfg.clone()
-            };
-            let rows = run_with(&cfg, &model, &subset);
-            writeln!(out, "{label:<28} {:>7.1}%", mean_pct_hidden(&rows))?;
-        }
-        writeln!(out)?;
-        writeln!(out, "Per-benchmark baseline detail:")?;
-        for r in &base {
-            writeln!(out, "  {:<14} {:>6.1}%", r.name, r.pct_hidden())?;
-        }
-        writeln!(out)?;
+    let base = run_with(&base_cfg, &model, &subset);
+    writeln!(out, "{:<28} {:>8}", "configuration", "%hidden")?;
+    writeln!(
+        out,
+        "{:<28} {:>7.1}%",
+        "baseline (paper's options)",
+        mean_pct_hidden(&base)
+    )?;
+    let variants = [
+        (
+            "memdep: fully conservative",
+            SchedOptions {
+                instr_mem_independent: false,
+                ..SchedOptions::default()
+            },
+            None,
+        ),
+        (
+            "delayslot: filling on",
+            SchedOptions {
+                fill_delay_slots: true,
+                ..SchedOptions::default()
+            },
+            None,
+        ),
+        (
+            "priority: chain-first",
+            SchedOptions {
+                priority: Priority::ChainFirst,
+                ..SchedOptions::default()
+            },
+            None,
+        ),
+        (
+            "mismatch: hyperSPARC model",
+            SchedOptions::default(),
+            Some(MachineModel::hypersparc()),
+        ),
+    ];
+    for (label, sched, scheduler_model) in variants {
+        let cfg = ExperimentConfig {
+            sched,
+            scheduler_model,
+            ..base_cfg.clone()
+        };
+        let rows = run_with(&cfg, &model, &subset);
+        writeln!(out, "{label:<28} {:>7.1}%", mean_pct_hidden(&rows))?;
     }
+    writeln!(out)?;
+    writeln!(out, "Per-benchmark baseline detail:")?;
+    for r in &base {
+        writeln!(out, "  {:<14} {:>6.1}%", r.name, r.pct_hidden())?;
+    }
+    writeln!(out)?;
 
     // Every (machine, policy) pair gets its own engine — and, through
     // the SchedOptions in the cell key, its own cached artifacts.
@@ -259,8 +253,7 @@ fn ablations(mut args: Args) -> Result<String, CliError> {
     }
     writeln!(out)?;
     let mut lines = Vec::new();
-    for name in MACHINES {
-        let machine = machine_by_name(name)?;
+    for machine in MachineModel::shipped() {
         write!(out, "{:<12}", machine.name())?;
         for priority in Priority::ALL {
             let cfg = ExperimentConfig {
@@ -293,7 +286,7 @@ fn ablations(mut args: Args) -> Result<String, CliError> {
 /// machine, `--full` sweeps SPEC95, `--quick` shrinks the workloads,
 /// `--budget` caps search nodes per block.
 fn gap_report(mut args: Args) -> Result<String, CliError> {
-    let machine = args.value("--machine")?;
+    let machine = args.machine("--machine")?;
     let full = args.flag("--full");
     let iterations = args.flag("--quick").then_some(40);
     let budget = args.parsed("--budget")?.unwrap_or(DEFAULT_EXACT_BUDGET);
@@ -301,7 +294,7 @@ fn gap_report(mut args: Args) -> Result<String, CliError> {
     args.finish()?;
     let models = match machine {
         None => vec![MachineModel::ultrasparc(), MachineModel::hypersparc()],
-        Some(m) => vec![machine_by_name(&m)?],
+        Some(m) => vec![m],
     };
     let (benchmarks, scope) = if full {
         (spec95(), "SPEC95")
@@ -474,15 +467,7 @@ fn blocksizes(args: Args) -> Result<String, CliError> {
             optimize: None,
         });
         let result = run(&exe, None, &RunConfig::default()).expect("runs");
-        let cfg = Cfg::build(&exe).expect("analyzes");
-        // Executed instructions over executed block entries.
-        let entries: u64 = cfg
-            .routines
-            .iter()
-            .flat_map(|r| &r.blocks)
-            .map(|blk| result.pc_counts[blk.start])
-            .sum();
-        let dynamic = result.instructions as f64 / entries as f64;
+        let dynamic = dynamic_avg_bb(&exe, &result);
         let err = 100.0 * (dynamic - b.target_block_size) / b.target_block_size;
         writeln!(
             out,
@@ -490,7 +475,7 @@ fn blocksizes(args: Args) -> Result<String, CliError> {
             b.name,
             b.target_block_size,
             dynamic,
-            cfg.mean_block_len(),
+            Cfg::build(&exe).expect("analyzes").mean_block_len(),
             err
         )?;
         if b.suite == Suite::Cint {
@@ -885,8 +870,12 @@ fn scalar_control(args: Args) -> Result<String, CliError> {
         "{:<12} {:>6} {:>14} {:>14}",
         "machine", "width", "CINT hidden", "CFP hidden"
     )?;
-    for name in ["microsparc", "hypersparc", "supersparc", "ultrasparc"] {
-        let model = machine_by_name(name)?;
+    for model in [
+        MachineModel::microsparc(),
+        MachineModel::hypersparc(),
+        MachineModel::supersparc(),
+        MachineModel::ultrasparc(),
+    ] {
         let (int, fp) = suite_means(&run_table(&benchmarks, &model, &cfg, false));
         writeln!(
             out,

@@ -665,9 +665,10 @@ fn bad_flags_are_one_line_errors_not_fallbacks() {
         (&["results", "table1", "--jobs", "abc"], "bad --jobs `abc`"),
         (&["experiment", "--jobs", "abc"], "bad --jobs `abc`"),
         (&["results", "summary", "--jobs"], "--jobs needs a value"),
+        // The ablations always run the published configuration.
         (
-            &["results", "ablations", "--iterations", "x"],
-            "bad --iterations `x`",
+            &["results", "ablations", "--iterations", "2"],
+            "unexpected argument `--iterations`",
         ),
         (
             &["results", "gap_report", "--budget", "lots"],

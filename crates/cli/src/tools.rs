@@ -12,7 +12,7 @@ use eel_sim::{run as simulate, RunConfig, TimingConfig};
 use eel_sparc::Instruction;
 use eel_workloads::{spec95, BuildOptions};
 
-use crate::{err, load, machine_by_name, policy_by_name, save, write, Args, CliError, MACHINES};
+use crate::{err, load, policy_by_name, save, write, Args, CliError};
 
 /// Indents every non-empty line of a rendered sub-report two spaces.
 fn indent(text: &str) -> String {
@@ -42,8 +42,7 @@ pub(crate) fn list_benchmarks(args: Args) -> Result<String, CliError> {
 pub(crate) fn machines(args: Args) -> Result<String, CliError> {
     args.finish()?;
     let mut out = String::new();
-    for name in MACHINES {
-        let m = machine_by_name(name)?;
+    for m in MachineModel::shipped() {
         out.push_str(&format!(
             "{:<12} {}-way, {} MHz, {} units, {} timing groups\n",
             m.name(),
@@ -59,10 +58,7 @@ pub(crate) fn machines(args: Args) -> Result<String, CliError> {
 pub(crate) fn gen(mut args: Args) -> Result<String, CliError> {
     let out_path = args.value("-o")?;
     let iterations = args.parsed("--iterations")?;
-    let optimize = args
-        .value("--optimize")?
-        .map(|m| machine_by_name(&m))
-        .transpose()?;
+    let optimize = args.machine("--optimize")?;
     let name = args
         .positional()
         .ok_or_else(|| err("gen needs a benchmark name"))?;
@@ -143,10 +139,7 @@ pub(crate) fn cfg(mut args: Args) -> Result<String, CliError> {
 pub(crate) fn instrument(mut args: Args) -> Result<String, CliError> {
     let out_path = args.value("-o")?;
     let mode = args.value("--mode")?.unwrap_or_else(|| "slow".into());
-    let schedule = args
-        .value("--schedule")?
-        .map(|m| machine_by_name(&m))
-        .transpose()?;
+    let schedule = args.machine("--schedule")?;
     let scavenge = args.flag("--scavenge");
     let path = args
         .positional()
@@ -208,10 +201,7 @@ pub(crate) fn instrument(mut args: Args) -> Result<String, CliError> {
 }
 
 pub(crate) fn run(mut args: Args) -> Result<String, CliError> {
-    let machine = args
-        .value("--machine")?
-        .map(|m| machine_by_name(&m))
-        .transpose()?;
+    let machine = args.machine("--machine")?;
     let branch_penalty = args.parsed("--branch-penalty")?.unwrap_or(0);
     let load_bias = args.parsed("--load-bias")?.unwrap_or(0);
     let path = args.positional().ok_or_else(|| err("run needs a file"))?;
@@ -254,10 +244,9 @@ pub(crate) fn run(mut args: Args) -> Result<String, CliError> {
 }
 
 pub(crate) fn profile(mut args: Args) -> Result<String, CliError> {
-    let machine = args
-        .value("--machine")?
-        .unwrap_or_else(|| "ultrasparc".into());
-    let model = machine_by_name(&machine)?;
+    let model = args
+        .machine("--machine")?
+        .unwrap_or_else(MachineModel::ultrasparc);
     let mode = args.value("--mode")?.unwrap_or_else(|| "slow".into());
     let schedule = args.flag("--schedule");
     let path = args
@@ -315,10 +304,9 @@ pub(crate) fn profile(mut args: Args) -> Result<String, CliError> {
 }
 
 pub(crate) fn explain(mut args: Args) -> Result<String, CliError> {
-    let machine = args
-        .value("--machine")?
-        .unwrap_or_else(|| "ultrasparc".into());
-    let model = machine_by_name(&machine)?;
+    let model = args
+        .machine("--machine")?
+        .unwrap_or_else(MachineModel::ultrasparc);
     let routine = args.parsed("--routine")?.unwrap_or(0);
     let block: Option<usize> = args.parsed("--block")?;
     let chrome = args.value("--chrome")?;

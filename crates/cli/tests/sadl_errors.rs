@@ -62,6 +62,16 @@ fn endless_and_deep_recursion_are_one_line_errors() {
 }
 
 #[test]
+fn an_error_inside_a_sem_names_its_position_once() {
+    let src = "machine m 1 1\nunit U 1\nsem s is A W\n";
+    let stderr = sadl_error("undeclared", src);
+    assert_eq!(
+        stderr.trim_end(),
+        "eel: SADL error: 3:1: in sem `s`: undeclared unit `W`"
+    );
+}
+
+#[test]
 fn repeated_vals_are_a_one_line_error() {
     // Each `val` repeats the one before 1,000 times: 12 KB that would
     // expand `v0` 10^9 times at only a few levels deep.

@@ -683,17 +683,6 @@ pub(crate) mod tests {
         }
     }
 
-    pub(crate) fn shipped_models() -> [MachineModel; 6] {
-        [
-            MachineModel::hypersparc(),
-            MachineModel::supersparc(),
-            MachineModel::ultrasparc(),
-            MachineModel::microsparc(),
-            MachineModel::vliw(),
-            MachineModel::deepsparc(),
-        ]
-    }
-
     /// Random bodies with `len` instructions, expanded from
     /// [`Spec`]s: dense with dependences of every kind, on both sides
     /// of every memory rule.
@@ -719,7 +708,7 @@ pub(crate) mod tests {
         #[test]
         fn build_prepared_matches_all_pairs(body in arb_body(1..201)) {
             let n = body.len();
-            for model in shipped_models() {
+            for model in MachineModel::shipped() {
                 let prepared: Vec<PreparedInsn> =
                     body.iter().map(|t| model.prepare(&t.insn)).collect();
                 for imi in [true, false] {

@@ -333,16 +333,15 @@ impl Search<'_> {
         // (fewest stalls, longest chain, original index) so strong
         // incumbents surface before the bounds are tested against
         // weaker ones.
-        let q0 = pipe.stall_queries();
         let mut cands: Vec<(u64, std::cmp::Reverse<u32>, usize)> = Vec::new();
         for (i, &preds) in ready_preds.iter().enumerate().take(n) {
             if mask & (1u32 << i) != 0 || preds != 0 {
                 continue;
             }
             let stalls = pipe.stalls_prepared(self.model, &self.body[i].insn, &self.prepared[i]);
+            self.queries += 1;
             cands.push((stalls, std::cmp::Reverse(self.cte[i]), i));
         }
-        self.queries += pipe.stall_queries() - q0;
         cands.sort_unstable();
         for (stalls, _, i) in cands {
             if self.exhausted {

@@ -428,11 +428,10 @@ impl Scheduler {
         earliest.clear();
         earliest.resize(n, 0);
         pipe.reset();
-        let queries_before = pipe.stall_queries();
         out.clear();
-        // Stall queries issued on cloned scoreboards during lookahead;
-        // the main pipe's counter never sees them.
-        let mut lookahead_queries: u64 = 0;
+        // Stall queries asked, the lookahead's on cloned scoreboards
+        // included.
+        let mut queries: u64 = 0;
 
         for _ in 0..n {
             let cycle = pipe.cycle();
@@ -450,6 +449,7 @@ impl Scheduler {
                 }
                 let stalls =
                     pipe.stalls_prepared(&self.model, &block.body[i].insn, &block.prepared[i]);
+                queries += 1;
                 earliest[i] = cycle + stalls;
                 let cand = candidate(i, stalls);
                 if depth > 0 {
@@ -466,7 +466,7 @@ impl Scheduler {
             } else {
                 (best, 0)
             };
-            lookahead_queries += extra;
+            queries += extra;
             let at = if pick.index == best.index {
                 at
             } else {
@@ -493,8 +493,7 @@ impl Scheduler {
         }
         if let Some(r) = recorder {
             r.blocks.add(1);
-            r.queries
-                .add(pipe.stall_queries() - queries_before + lookahead_queries);
+            r.queries.add(queries);
         }
     }
 
@@ -577,7 +576,6 @@ impl Scheduler {
                 }
                 None => la.pipe.insert(pipe.clone()),
             };
-            let before = copy.stall_queries();
             let (insn, prepared) = (&block.body[c.index].insn, &block.prepared[c.index]);
             copy.issue_queried(&self.model, insn, prepared, c.stalls);
             // Ready once `c` issues: the ready list less `c`, plus the
@@ -601,11 +599,11 @@ impl Scheduler {
                     &block.body[j].insn,
                     &block.prepared[j],
                 ));
+                extra += 1;
                 if followup == 0 {
                     break;
                 }
             }
-            extra += copy.stall_queries() - before;
             let score = if followup == u64::MAX { 0 } else { followup };
             if (score, c.index) < (winner.0, winner.1.index) {
                 winner = (score, *c);
@@ -811,11 +809,7 @@ mod tests {
 
     #[test]
     fn dependences_hold_on_every_machine() {
-        for model in [
-            MachineModel::hypersparc(),
-            MachineModel::supersparc(),
-            MachineModel::ultrasparc(),
-        ] {
+        for model in MachineModel::shipped() {
             let sched = Scheduler::new(model);
             let body = vec![
                 orig(ld(IntReg::O0, IntReg::O1)),
@@ -1179,13 +1173,18 @@ mod tests {
             block.graph.load_shadowed_into(&mut block.shadowed);
         }
         let n = body.len();
+        let queries = std::cell::Cell::new(0u64);
         let query = |pipe: &PipelineState, i: usize| {
+            queries.set(queries.get() + 1);
             pipe.stalls_prepared(model, &block.body[i].insn, &block.prepared[i])
+        };
+        let issue = |pipe: &mut PipelineState, i: usize| {
+            let stalls = query(pipe, i);
+            pipe.issue_queried(model, &block.body[i].insn, &block.prepared[i], stalls);
         };
         let mut remaining = block.graph.pred_counts().to_vec();
         let mut ready: Vec<usize> = (0..n).filter(|&i| remaining[i] == 0).collect();
         let mut pipe = PipelineState::new(model);
-        let mut lookahead_queries = 0;
         let mut out = Vec::new();
         for _ in 0..n {
             let round: Vec<Candidate> = ready
@@ -1212,9 +1211,7 @@ mod tests {
                 let mut winner = (u64::MAX, usize::MAX);
                 for c in tied {
                     let mut copy = pipe.clone();
-                    let before = copy.stall_queries();
-                    let (insn, prepared) = (&block.body[c.index].insn, &block.prepared[c.index]);
-                    copy.issue_prepared(model, insn, prepared);
+                    issue(&mut copy, c.index);
                     let mut followup: Vec<usize> =
                         ready.iter().copied().filter(|&j| j != c.index).collect();
                     for e in block.graph.succ_edges(c.index) {
@@ -1224,12 +1221,11 @@ mod tests {
                     }
                     followup.sort_unstable();
                     let stalls = followup.iter().map(|&j| query(&copy, j)).min();
-                    lookahead_queries += copy.stall_queries() - before;
                     winner = winner.min((stalls.unwrap_or(0), c.index));
                 }
                 pick = winner.1;
             }
-            pipe.issue_prepared(model, &block.body[pick].insn, &block.prepared[pick]);
+            issue(&mut pipe, pick);
             ready.retain(|&r| r != pick);
             for e in block.graph.succ_edges(pick) {
                 remaining[e.to] -= 1;
@@ -1240,7 +1236,7 @@ mod tests {
             }
             out.push(block.body[pick]);
         }
-        (out, pipe.stall_queries() + lookahead_queries)
+        (out, queries.get())
     }
 
     use proptest::prelude::*;
@@ -1255,7 +1251,7 @@ mod tests {
         /// barriers, FP doubles and `%g0`.
         #[test]
         fn pruned_pass_matches_the_full_scan(body in crate::dep::tests::arb_body(1..81)) {
-            for model in crate::dep::tests::shipped_models() {
+            for model in MachineModel::shipped() {
                 let mut ws = Workspace::new(&model);
                 for priority in Priority::ALL.into_iter().chain([Priority::Exact]) {
                     for instr_mem_independent in [true, false] {
@@ -1376,14 +1372,7 @@ mod tests {
             addr: 0x10000,
         };
         let policies = Priority::ALL.into_iter().chain([Priority::Exact]);
-        for model in [
-            MachineModel::hypersparc(),
-            MachineModel::supersparc(),
-            MachineModel::ultrasparc(),
-            MachineModel::microsparc(),
-            MachineModel::vliw(),
-            MachineModel::deepsparc(),
-        ] {
+        for model in MachineModel::shipped() {
             for priority in policies.clone() {
                 let sched = Scheduler::with_options(
                     model.clone(),

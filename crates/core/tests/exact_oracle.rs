@@ -80,17 +80,6 @@ fn expand(i: usize, s: Spec) -> Instruction {
     }
 }
 
-fn shipped_models() -> Vec<MachineModel> {
-    vec![
-        MachineModel::hypersparc(),
-        MachineModel::supersparc(),
-        MachineModel::ultrasparc(),
-        MachineModel::microsparc(),
-        MachineModel::vliw(),
-        MachineModel::deepsparc(),
-    ]
-}
-
 fn body_of(insns: &[Instruction]) -> Vec<Tagged> {
     insns.iter().map(|&i| Tagged::original(i)).collect()
 }
@@ -182,7 +171,7 @@ fn brute_force_min(model: &MachineModel, body: &[Tagged], cap: u64) -> Option<u6
 #[test]
 fn oracle_matches_exhaustive_enumeration_on_small_blocks() {
     let mut rnd = xorshift(0xA076_1D64_78BD_642F);
-    let models = shipped_models();
+    let models = MachineModel::shipped();
     let mut checked = 0u64;
     let mut skipped = 0u64;
     for _ in 0..48 {
@@ -255,7 +244,7 @@ proptest! {
             .map(|(i, &s)| expand(i, s))
             .collect();
         let body = body_of(&insns);
-        for model in shipped_models() {
+        for model in MachineModel::shipped() {
             let Some(brute) = brute_force_min(&model, &body, 100_000) else {
                 continue;
             };
@@ -344,7 +333,7 @@ fn budget_exhaustion_falls_back_to_the_list_schedule() {
 #[test]
 fn oracle_never_worse_than_the_list_at_any_size() {
     let mut rnd = xorshift(0xD1B5_4A32_D192_ED03);
-    let models = shipped_models();
+    let models = MachineModel::shipped();
     for round in 0..24 {
         let n = 10 + (rnd() % 31) as usize; // 10..=40: spans the cap
         let insns: Vec<Instruction> = (0..n)

@@ -85,17 +85,6 @@ fn expand(i: usize, s: Spec) -> Instruction {
     }
 }
 
-fn shipped_models() -> Vec<MachineModel> {
-    vec![
-        MachineModel::hypersparc(),
-        MachineModel::supersparc(),
-        MachineModel::ultrasparc(),
-        MachineModel::microsparc(),
-        MachineModel::vliw(),
-        MachineModel::deepsparc(),
-    ]
-}
-
 proptest! {
     #[test]
     fn schedule_respects_deps_and_never_slows_the_block(
@@ -113,7 +102,7 @@ proptest! {
                 prop_assert_ne!(insns[a], insns[b]);
             }
         }
-        for model in shipped_models() {
+        for model in MachineModel::shipped() {
             let body: Vec<Tagged> = insns.iter().map(|&i| Tagged::original(i)).collect();
             let graph = DepGraph::build(&model, &body, true);
             // One oracle run per model×block serves every policy
@@ -258,7 +247,7 @@ fn list_gap_to_the_optimum_stays_tiny() {
         x ^= x << 17;
         x
     };
-    let models = shipped_models();
+    let models = MachineModel::shipped();
     let mut total = 0u64;
     let mut suboptimal = 0u64;
     let mut unproven = 0u64;

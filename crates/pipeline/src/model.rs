@@ -5,7 +5,9 @@ use std::error::Error;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use eel_sadl::{ArchDescription, GroupId, RegClass, SadlError, TimingGroup, MAX_GROUP_CYCLES};
+use eel_sadl::{
+    descriptions, ArchDescription, GroupId, RegClass, SadlError, TimingGroup, MAX_GROUP_CYCLES,
+};
 use eel_sparc::{Instruction, Resource};
 use eel_telemetry::Fnv1a;
 
@@ -271,43 +273,55 @@ impl MachineModel {
         MachineModel::new(desc)
     }
 
+    /// Every shipped model, in the order of [`descriptions::ALL`], the
+    /// one list of shipped machines.
+    pub fn shipped() -> Vec<MachineModel> {
+        descriptions::ALL
+            .iter()
+            .map(|&(name, src)| compile_shipped(name, src))
+            .collect()
+    }
+
+    /// The shipped model whose name is `name`, ignoring ASCII case.
+    /// Only that one description is compiled.
+    pub fn named(name: &str) -> Option<MachineModel> {
+        descriptions::ALL
+            .iter()
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
+            .map(|&(name, src)| compile_shipped(name, src))
+    }
+
     /// The shipped ROSS hyperSPARC model (2-way superscalar).
     pub fn hypersparc() -> MachineModel {
-        MachineModel::from_source(eel_sadl::descriptions::HYPERSPARC)
-            .expect("shipped hyperSPARC description is valid")
+        compile_shipped("hyperSPARC", descriptions::HYPERSPARC)
     }
 
     /// The shipped TI SuperSPARC model (3-way superscalar, 50 MHz).
     pub fn supersparc() -> MachineModel {
-        MachineModel::from_source(eel_sadl::descriptions::SUPERSPARC)
-            .expect("shipped SuperSPARC description is valid")
+        compile_shipped("SuperSPARC", descriptions::SUPERSPARC)
     }
 
     /// The shipped Sun UltraSPARC-I model (4-way superscalar, 167 MHz).
     pub fn ultrasparc() -> MachineModel {
-        MachineModel::from_source(eel_sadl::descriptions::ULTRASPARC)
-            .expect("shipped UltraSPARC description is valid")
+        compile_shipped("UltraSPARC", descriptions::ULTRASPARC)
     }
 
     /// The shipped scalar control machine (1-wide; not in the paper —
     /// used to show superscalar width is what makes hiding possible).
     pub fn microsparc() -> MachineModel {
-        MachineModel::from_source(eel_sadl::descriptions::MICROSPARC)
-            .expect("shipped microSPARC description is valid")
+        compile_shipped("microSPARC", descriptions::MICROSPARC)
     }
 
     /// The shipped 6-wide VLIW / exposed-datapath machine (not in the
     /// paper — maximal issue width with long visible latencies).
     pub fn vliw() -> MachineModel {
-        MachineModel::from_source(eel_sadl::descriptions::VLIW)
-            .expect("shipped VLIW description is valid")
+        compile_shipped("VLIW", descriptions::VLIW)
     }
 
     /// The shipped deeply pipelined dual-issue machine (not in the
     /// paper — long load/FP shadows with little width).
     pub fn deepsparc() -> MachineModel {
-        MachineModel::from_source(eel_sadl::descriptions::DEEPSPARC)
-            .expect("shipped DeepSPARC description is valid")
+        compile_shipped("DeepSPARC", descriptions::DEEPSPARC)
     }
 
     /// The underlying compiled description.
@@ -667,6 +681,13 @@ fn occupancy(desc: &ArchDescription, gid: GroupId) -> Result<Vec<Vec<(usize, u32
     Ok(out)
 }
 
+/// Compiles the shipped description `src` of machine `name`, which
+/// must build.
+fn compile_shipped(name: &str, src: &str) -> MachineModel {
+    MachineModel::from_source(src)
+        .unwrap_or_else(|e| panic!("shipped {name} description is valid: {e}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -674,17 +695,27 @@ mod tests {
 
     #[test]
     fn shipped_models_build() {
-        for m in [
-            MachineModel::hypersparc(),
-            MachineModel::supersparc(),
-            MachineModel::ultrasparc(),
-            MachineModel::vliw(),
-            MachineModel::deepsparc(),
-        ] {
+        let shipped = MachineModel::shipped();
+        let names: Vec<&str> = shipped.iter().map(MachineModel::name).collect();
+        let listed: Vec<&str> = descriptions::ALL.iter().map(|&(name, _)| name).collect();
+        assert_eq!(names, listed);
+        for m in &shipped {
             assert!(m.unit_kinds() > 0);
-            assert!(m.issue_width() >= 2);
+            // Only the scalar control machine issues one at a time.
+            let scalar = m.name() == "microSPARC";
+            assert!(m.issue_width() >= 1);
+            assert_eq!(m.issue_width() == 1, scalar, "{}", m.name());
+            for name in [m.name().to_string(), m.name().to_ascii_lowercase()] {
+                let named = MachineModel::named(&name).expect("a shipped name");
+                assert_eq!(named.content_hash(), m.content_hash(), "{name}");
+            }
         }
-        assert_eq!(MachineModel::microsparc().issue_width(), 1);
+        assert_eq!(
+            MachineModel::named("ULTRASPARC").map(|m| m.content_hash()),
+            Some(MachineModel::ultrasparc().content_hash())
+        );
+        assert!(MachineModel::named("z80").is_none());
+        assert!(MachineModel::named("").is_none());
     }
 
     #[test]
@@ -757,14 +788,19 @@ mod tests {
 
     #[test]
     fn every_shipped_machine_packs_into_one_word() {
-        for (m, bits) in [
-            (MachineModel::hypersparc(), 33),
-            (MachineModel::supersparc(), 15),
-            (MachineModel::ultrasparc(), 24),
-            (MachineModel::microsparc(), 10),
-            (MachineModel::vliw(), 20),
-            (MachineModel::deepsparc(), 15),
-        ] {
+        // Packed lane bits per shipped machine, in `shipped()` order.
+        let pinned = [
+            ("hyperSPARC", 33),
+            ("SuperSPARC", 15),
+            ("UltraSPARC", 24),
+            ("microSPARC", 10),
+            ("VLIW", 20),
+            ("DeepSPARC", 15),
+        ];
+        let shipped = MachineModel::shipped();
+        let names: Vec<&str> = shipped.iter().map(MachineModel::name).collect();
+        assert_eq!(names, pinned.map(|(name, _)| name), "one width per machine");
+        for (m, (_, bits)) in shipped.iter().zip(pinned) {
             let t = m.tables();
             assert_eq!(t.unit_kinds as u32 * t.lane_bits, bits, "{}", m.name());
             assert_eq!(t.guards.count_ones() as usize, t.unit_kinds);

@@ -42,21 +42,10 @@ fn arb_step() -> impl Strategy<Value = Step> {
     ]
 }
 
-fn shipped_models() -> Vec<MachineModel> {
-    vec![
-        MachineModel::hypersparc(),
-        MachineModel::supersparc(),
-        MachineModel::ultrasparc(),
-        MachineModel::microsparc(),
-        MachineModel::vliw(),
-        MachineModel::deepsparc(),
-    ]
-}
-
 proptest! {
     #[test]
     fn flat_state_matches_reference(steps in prop::collection::vec(arb_step(), 1..60)) {
-        for model in shipped_models() {
+        for model in MachineModel::shipped() {
             let mut flat = PipelineState::new(&model);
             let mut reference = ReferencePipeline::new(&model);
             for (i, step) in steps.iter().enumerate() {

@@ -42,17 +42,6 @@ fn apply(model: &MachineModel, state: &mut PipelineState, steps: &[Step]) {
     }
 }
 
-fn shipped_models() -> Vec<MachineModel> {
-    vec![
-        MachineModel::hypersparc(),
-        MachineModel::supersparc(),
-        MachineModel::ultrasparc(),
-        MachineModel::microsparc(),
-        MachineModel::vliw(),
-        MachineModel::deepsparc(),
-    ]
-}
-
 fn key(state: &PipelineState) -> Vec<u32> {
     let mut k = Vec::new();
     state.context_key(&mut k);
@@ -67,7 +56,7 @@ proptest! {
         suffix in prop::collection::vec(arb_step(), 1..40),
         delta in -20i64..40,
     ) {
-        for model in shipped_models() {
+        for model in MachineModel::shipped() {
             let mut original = PipelineState::new(&model);
             apply(&model, &mut original, &prefix);
             let k = key(&original);
@@ -124,7 +113,7 @@ proptest! {
         steps in prop::collection::vec(arb_step(), 1..50),
         cell in (0u32..8, 0u32..4, 1u32..3),
     ) {
-        for model in shipped_models() {
+        for model in MachineModel::shipped() {
             let mut state = PipelineState::new(&model);
             let mut states = vec![(state.clone(), key(&state))];
             for step in &steps {

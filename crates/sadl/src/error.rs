@@ -40,6 +40,15 @@ impl SadlError {
         }
     }
 
+    /// This error at its own position, with `context: ` before its
+    /// message.
+    pub(crate) fn within(self, context: &str) -> SadlError {
+        SadlError {
+            message: format!("{context}: {}", self.message),
+            ..self
+        }
+    }
+
     /// The source position the error refers to, when known.
     pub fn pos(&self) -> Option<Pos> {
         self.pos

@@ -371,7 +371,7 @@ impl<'a> Compiler<'a> {
         let mut state = State::default();
         self.evals.set(0);
         self.eval_macro(body, arg, &self.top, &mut state)
-            .map_err(|e| self.err(format!("in sem `{name}`: {e}")))?;
+            .map_err(|e| e.within(&format!("in sem `{name}`")))?;
 
         // Every acquired copy must eventually be released.
         let mut balance = vec![0i64; self.units.len()];

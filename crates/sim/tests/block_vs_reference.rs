@@ -25,17 +25,6 @@ use eel_sim::{run, DCacheConfig, ICacheConfig, ReferenceCpu, RunConfig, SimError
 use eel_sparc::{Address, Assembler, Cond, IntReg, Operand};
 use proptest::prelude::*;
 
-fn shipped_models() -> Vec<MachineModel> {
-    vec![
-        MachineModel::hypersparc(),
-        MachineModel::supersparc(),
-        MachineModel::ultrasparc(),
-        MachineModel::microsparc(),
-        MachineModel::vliw(),
-        MachineModel::deepsparc(),
-    ]
-}
-
 /// A raw program: the words as given, with a trap exit appended so at
 /// least one halting path exists.
 fn soup_exe(words: &[u32]) -> Executable {
@@ -174,7 +163,7 @@ fn configs() -> Vec<RunConfig> {
 }
 
 fn all_configs_agree(exe: &Executable) {
-    for model in shipped_models() {
+    for model in MachineModel::shipped() {
         for cfg in configs() {
             assert_engines_agree(exe, Some(&model), &cfg);
         }
@@ -261,7 +250,7 @@ fn crafted_dcache_misses_agree_on_every_timing_path() {
         attribute_stalls: true,
         ..plain.clone()
     };
-    for model in shipped_models() {
+    for model in MachineModel::shipped() {
         for cfg in [&plain, &attributed] {
             assert_engines_agree(&exe, Some(&model), cfg);
         }

@@ -453,6 +453,30 @@ impl TraceFile {
         Ok(file)
     }
 
+    /// Same-thread span nesting: the event indices in `(ts, seq)`
+    /// order, and each event's innermost enclosing span and depth. A
+    /// span encloses the later events of its thread that start before
+    /// it ends.
+    fn nesting(&self) -> (Vec<usize>, Vec<(Option<usize>, usize)>) {
+        let mut order: Vec<usize> = (0..self.events.len()).collect();
+        order.sort_by_key(|&i| (self.events[i].ts_ns, self.events[i].seq));
+        let mut nesting = vec![(None, 0); self.events.len()];
+        // Open spans per thread: (end_ts, event index).
+        let mut stacks: BTreeMap<u64, Vec<(u64, usize)>> = BTreeMap::new();
+        for &i in &order {
+            let e = &self.events[i];
+            let stack = stacks.entry(e.tid).or_default();
+            while stack.last().is_some_and(|&(end, _)| end <= e.ts_ns) {
+                stack.pop();
+            }
+            nesting[i] = (stack.last().map(|&(_, parent)| parent), stack.len());
+            if e.dur_ns > 0 {
+                stack.push((e.ts_ns + e.dur_ns, i));
+            }
+        }
+        (order, nesting)
+    }
+
     /// Per-category profile rows: `(category, events, total_ns,
     /// self_ns)`, sorted by self time descending. Self time is a
     /// span's duration minus its same-thread nested children's
@@ -461,26 +485,10 @@ impl TraceFile {
     /// few thousand of them overflow.
     pub fn profile(&self) -> Vec<(String, u64, u64, u64)> {
         let mut self_ns: Vec<u64> = self.events.iter().map(|e| e.dur_ns).collect();
-        let mut by_tid: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        for (i, e) in self.events.iter().enumerate() {
-            by_tid.entry(e.tid).or_default().push(i);
-        }
-        for indices in by_tid.values() {
-            let mut sorted = indices.clone();
-            sorted.sort_by_key(|&i| (self.events[i].ts_ns, self.events[i].seq));
-            // Stack of open spans: (end_ts, event index).
-            let mut stack: Vec<(u64, usize)> = Vec::new();
-            for &i in &sorted {
-                let e = &self.events[i];
-                while stack.last().is_some_and(|&(end, _)| end <= e.ts_ns) {
-                    stack.pop();
-                }
-                if let Some(&(_, parent)) = stack.last() {
-                    self_ns[parent] = self_ns[parent].saturating_sub(e.dur_ns);
-                }
-                if e.dur_ns > 0 {
-                    stack.push((e.ts_ns + e.dur_ns, i));
-                }
+        let (_, nesting) = self.nesting();
+        for (e, &(parent, _)) in self.events.iter().zip(&nesting) {
+            if let Some(p) = parent {
+                self_ns[p] = self_ns[p].saturating_sub(e.dur_ns);
             }
         }
         let mut rows: BTreeMap<&str, (u64, u64, u64)> = BTreeMap::new();
@@ -522,22 +530,7 @@ impl TraceFile {
         for (k, v) in &self.meta {
             let _ = writeln!(out, "  {k:<12} {v}");
         }
-        // Depth per event (same-thread nesting), for the indentation.
-        let mut depth: Vec<usize> = vec![0; self.events.len()];
-        let mut order: Vec<usize> = (0..self.events.len()).collect();
-        order.sort_by_key(|&i| (self.events[i].ts_ns, self.events[i].seq));
-        let mut stacks: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        for &i in &order {
-            let e = &self.events[i];
-            let stack = stacks.entry(e.tid).or_default();
-            while stack.last().is_some_and(|&end| end <= e.ts_ns) {
-                stack.pop();
-            }
-            depth[i] = stack.len();
-            if e.dur_ns > 0 {
-                stack.push(e.ts_ns + e.dur_ns);
-            }
-        }
+        let (order, nesting) = self.nesting();
         let _ = writeln!(out, "timeline (first {limit} of {}):", self.events.len());
         for &i in order.iter().take(limit) {
             let e = &self.events[i];
@@ -551,7 +544,7 @@ impl TraceFile {
                 "  [{:>12}] t{:<3} {}{}/{} {} a0={} a1={}",
                 fmt_ns(e.ts_ns),
                 e.tid,
-                "  ".repeat(depth[i]),
+                "  ".repeat(nesting[i].1),
                 e.cat,
                 e.name,
                 dur,

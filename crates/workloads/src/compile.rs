@@ -488,17 +488,6 @@ mod tests {
         current(&perm)
     }
 
-    fn shipped_models() -> [MachineModel; 6] {
-        [
-            MachineModel::hypersparc(),
-            MachineModel::supersparc(),
-            MachineModel::ultrasparc(),
-            MachineModel::microsparc(),
-            MachineModel::vliw(),
-            MachineModel::deepsparc(),
-        ]
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
@@ -520,7 +509,7 @@ mod tests {
             for (at, word) in words {
                 body.insert(at % body.len(), Instruction::decode(word));
             }
-            for model in shipped_models() {
+            for model in MachineModel::shipped() {
                 prop_assert_eq!(
                     optimize_block(&model, body.clone()),
                     oracle(&model, body.clone()),
@@ -548,7 +537,7 @@ mod tests {
         ) {
             let mut gen = Gen::new(seed, fp, GenShape::default());
             let body: Vec<Instruction> = (0..len).map(|_| gen.body_insn()).collect();
-            for model in shipped_models() {
+            for model in MachineModel::shipped() {
                 let mut steady = SteadyCost::new(&model, &body);
                 let mut perm: Vec<usize> = (0..len).collect();
                 steady.run(&perm);
@@ -604,7 +593,7 @@ mod tests {
                 body.insert(at % body.len(), Instruction::decode(word));
             }
             let mut rng = StdRng::seed_from_u64(reorders);
-            for model in shipped_models().into_iter().flat_map(|m| {
+            for model in MachineModel::shipped().into_iter().flat_map(|m| {
                 let biased = m.with_load_latency_bias(2);
                 [m, biased]
             }) {
@@ -679,7 +668,7 @@ mod tests {
     #[test]
     fn search_slides_match_full_replay() {
         let bodies = cfp_bodies();
-        for model in shipped_models() {
+        for model in MachineModel::shipped() {
             for body in &bodies {
                 let scheduled = list_scheduled(&model, body.clone());
                 let insns: Vec<Instruction> = scheduled.iter().map(|t| t.insn).collect();
@@ -858,20 +847,26 @@ mod tests {
         // original search, which re-timed the whole 3x body from an
         // empty pipe for every candidate slide; any change to the
         // chosen orders moves them.
-        let pinned: [(fn() -> MachineModel, u64); 6] = [
-            (MachineModel::hypersparc, 0xb0f4_8b47_4073_bd00),
-            (MachineModel::supersparc, 0x4574_5413_8ca4_e6ee),
-            (MachineModel::ultrasparc, 0x0eb7_6875_d43e_36aa),
-            (MachineModel::microsparc, 0x4f94_a3c4_6050_6092),
-            (MachineModel::vliw, 0xe42c_7978_ab62_1b8c),
-            (MachineModel::deepsparc, 0x4214_15e8_fae6_c08a),
+        let pinned = [
+            ("hyperSPARC", 0xb0f4_8b47_4073_bd00),
+            ("SuperSPARC", 0x4574_5413_8ca4_e6ee),
+            ("UltraSPARC", 0x0eb7_6875_d43e_36aa),
+            ("microSPARC", 0x4f94_a3c4_6050_6092),
+            ("VLIW", 0xe42c_7978_ab62_1b8c),
+            ("DeepSPARC", 0x4214_15e8_fae6_c08a),
         ];
+        let shipped = MachineModel::shipped();
+        let names: Vec<&str> = shipped.iter().map(MachineModel::name).collect();
+        assert_eq!(
+            names,
+            pinned.map(|(name, _)| name),
+            "one digest per machine"
+        );
         let bodies = pinned_bodies();
-        for (machine, want) in pinned {
-            let model = machine();
+        for (model, (_, want)) in shipped.iter().zip(pinned) {
             let mut h = 0xcbf2_9ce4_8422_2325u64;
             for body in &bodies {
-                for insn in optimize_block(&model, body.clone()) {
+                for insn in optimize_block(model, body.clone()) {
                     h = (h ^ u64::from(insn.encode())).wrapping_mul(0x0000_0100_0000_01b3);
                 }
                 h = (h ^ u64::MAX).wrapping_mul(0x0000_0100_0000_01b3);

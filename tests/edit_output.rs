@@ -76,18 +76,7 @@ fn inputs() -> Vec<(&'static str, Executable)> {
     benches.iter().map(|b| (b.name, b.build(&opts))).collect()
 }
 
-fn machines() -> [MachineModel; 6] {
-    [
-        MachineModel::hypersparc(),
-        MachineModel::supersparc(),
-        MachineModel::ultrasparc(),
-        MachineModel::microsparc(),
-        MachineModel::vliw(),
-        MachineModel::deepsparc(),
-    ]
-}
-
-/// One row per machine in [`machines`] order, one digest per policy in
+/// One row per machine in [`MachineModel::shipped`] order, one digest per policy in
 /// [`Priority::ALL`] order.
 const PINNED: [[u64; 4]; 6] = [
     [
@@ -130,7 +119,7 @@ const PINNED: [[u64; 4]; 6] = [
 
 #[test]
 fn emitted_bytes_are_pinned() {
-    let scheds: Vec<Vec<Scheduler>> = machines()
+    let scheds: Vec<Vec<Scheduler>> = MachineModel::shipped()
         .iter()
         .map(|m| {
             Priority::ALL
@@ -172,7 +161,7 @@ fn emitted_bytes_are_pinned() {
         .iter()
         .map(|row| row.iter().map(|d| d.0).collect())
         .collect();
-    for (row, model) in machines().iter().enumerate() {
+    for (row, model) in MachineModel::shipped().iter().enumerate() {
         for (col, priority) in Priority::ALL.iter().enumerate() {
             assert_eq!(
                 got[row][col],

@@ -63,34 +63,16 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, n)
 }
 
-/// A shipped model: its name, its constructor and its pinned hash.
-type Pinned = (&'static str, fn() -> MachineModel, u64);
-
-/// Each shipped model's `content_hash`, recorded before Spawn's scopes
+/// Each shipped model's name and `content_hash`, in
+/// `MachineModel::shipped()` order, recorded before Spawn's scopes
 /// became shared frames.
-const PINNED: &[Pinned] = &[
-    (
-        "hyperSPARC",
-        MachineModel::hypersparc,
-        0x6730_5720_239a_6a65,
-    ),
-    (
-        "SuperSPARC",
-        MachineModel::supersparc,
-        0xa7bd_aeb3_87b8_e228,
-    ),
-    (
-        "UltraSPARC",
-        MachineModel::ultrasparc,
-        0xbf05_16a0_b09a_5a16,
-    ),
-    (
-        "microSPARC",
-        MachineModel::microsparc,
-        0xbf84_aabe_61c5_8c50,
-    ),
-    ("VLIW", MachineModel::vliw, 0xd5f3_65df_f036_c330),
-    ("DeepSPARC", MachineModel::deepsparc, 0x5d07_523b_703d_ed08),
+const PINNED: &[(&str, u64)] = &[
+    ("hyperSPARC", 0x6730_5720_239a_6a65),
+    ("SuperSPARC", 0xa7bd_aeb3_87b8_e228),
+    ("UltraSPARC", 0xbf05_16a0_b09a_5a16),
+    ("microSPARC", 0xbf84_aabe_61c5_8c50),
+    ("VLIW", 0xd5f3_65df_f036_c330),
+    ("DeepSPARC", 0x5d07_523b_703d_ed08),
 ];
 
 /// UltraSPARC's hash at the load bias the tables build with.
@@ -103,8 +85,12 @@ const MAX_ALLOCS: u64 = 8_000;
 
 #[test]
 fn shipped_models_keep_their_content_hashes() {
-    for &(name, build, want) in PINNED {
-        let got = build().content_hash();
+    let shipped = MachineModel::shipped();
+    let names: Vec<&str> = shipped.iter().map(MachineModel::name).collect();
+    let pinned: Vec<&str> = PINNED.iter().map(|&(name, _)| name).collect();
+    assert_eq!(names, pinned, "one pinned hash per shipped machine");
+    for (model, &(name, want)) in shipped.iter().zip(PINNED) {
+        let got = model.content_hash();
         assert_eq!(got, want, "{name}: {got:#018x} != {want:#018x}");
     }
     let got = MachineModel::ultrasparc()

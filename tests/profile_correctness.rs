@@ -30,18 +30,6 @@ fn ground_truth(exe: &Executable, result: &RunResult) -> HashMap<(usize, usize),
     out
 }
 
-/// The six shipped machines.
-fn machines() -> [MachineModel; 6] {
-    [
-        MachineModel::hypersparc(),
-        MachineModel::supersparc(),
-        MachineModel::ultrasparc(),
-        MachineModel::microsparc(),
-        MachineModel::vliw(),
-        MachineModel::deepsparc(),
-    ]
-}
-
 /// Every policy: the four list policies and the exact oracle.
 fn policies() -> Vec<Priority> {
     Priority::ALL.into_iter().chain([Priority::Exact]).collect()
@@ -149,7 +137,7 @@ fn profiles_match_ground_truth_scheduled() {
 fn editing_preserves_a_corpus_slice_on_every_machine_and_policy() {
     let corpus = full_corpus();
     let mut rng = StdRng::seed_from_u64(29);
-    let (machines, policies) = (machines(), policies());
+    let (machines, policies) = (MachineModel::shipped(), policies());
     // Five draws keep the slice to a few seconds in debug: the exact
     // oracle's search takes most of it.
     for _ in 0..5 {
@@ -163,7 +151,7 @@ fn editing_preserves_a_corpus_slice_on_every_machine_and_policy() {
 #[test]
 #[ignore]
 fn editing_preserves_the_whole_corpus() {
-    let (machines, policies) = (machines(), policies());
+    let (machines, policies) = (MachineModel::shipped(), policies());
     for bench in full_corpus() {
         check_profile(&bench, &machines, &policies, true);
     }
