@@ -15,11 +15,16 @@
 //! * `summary` re-reports Table 1 and Table 3 rows without re-running
 //!   a single simulation when the disk cache is warm;
 //! * the Table 2 protocol runs the rescheduled baseline **once** (the
-//!   original pipeline simulated it twice).
+//!   original pipeline simulated it twice), and not at all where EEL's
+//!   rescheduling leaves the original unchanged (most integer code):
+//!   then its cells take the original's values.
 //!
-//! Builds and edits are *not* cached — they are cheap relative to
-//! simulation and are only performed lazily, when some cell on top of
-//! them actually misses.
+//! Builds are performed lazily, when some cell on top of them actually
+//! misses, and the disk tier keeps them too, keyed by what determines
+//! them: the code, the benchmark, the iteration count and the measured
+//! machine. So Table 2, whose rescheduled cells miss, loads the
+//! originals Table 1 built instead of compiling them again. Edits are
+//! not cached.
 //!
 //! [`Engine::run_table`] fans benchmarks out over a scoped worker
 //! pool. Every cell value is deterministic (seeded workloads, pure
@@ -54,12 +59,12 @@ struct CellValue {
     avg_bb: f64,
 }
 
-/// What the disk tier holds for one cell.
-enum DiskCell {
+/// What the disk tier holds for one cell or build.
+enum Disk<T> {
     /// No file (or no disk tier).
     Absent,
-    /// A well-formed body whose checksum matches its values.
-    Valid(CellValue),
+    /// A well-formed body whose checksum matches its contents.
+    Valid(T),
     /// Anything else: an older format, a bad checksum, a garbled or
     /// truncated body, trailing fields.
     Rejected,
@@ -73,9 +78,10 @@ fn cell_body(v: CellValue) -> String {
     format!("v2 {values} {:016x}\n", fnv1a(values.as_bytes()))
 }
 
-/// The inverse of [`cell_body`]: the values, when `text` is exactly the
+/// The inverse of [`cell_body`]: the values, when `body` is exactly the
 /// body they render to.
-fn parse_cell(text: &str) -> Option<CellValue> {
+fn parse_cell(body: &[u8]) -> Option<CellValue> {
+    let text = std::str::from_utf8(body).ok()?;
     let mut parts = text.split_whitespace();
     if parts.next()? != "v2" {
         return None;
@@ -86,6 +92,26 @@ fn parse_cell(text: &str) -> Option<CellValue> {
         avg_bb: f64::from_bits(u64::from_str_radix(parts.next()?, 16).ok()?),
     };
     (cell_body(v) == text).then_some(v)
+}
+
+/// A disk build's body: the `.eelx` image, then an fnv1a checksum of
+/// the image (8 bytes, big-endian), so a flipped bit is caught rather
+/// than served.
+fn build_body(exe: &Executable) -> Vec<u8> {
+    let mut body = exe.to_bytes();
+    let sum = fnv1a(&body);
+    body.extend_from_slice(&sum.to_be_bytes());
+    body
+}
+
+/// The inverse of [`build_body`]: the executable, when the checksum
+/// matches the image and the image decodes.
+fn parse_build(body: &[u8]) -> Option<Executable> {
+    let (image, sum) = body.split_last_chunk::<8>()?;
+    if u64::from_be_bytes(*sum) != fnv1a(image) {
+        return None;
+    }
+    Executable::from_bytes(image).ok()
 }
 
 /// The pipeline stages the engine accounts wall time to.
@@ -136,16 +162,23 @@ impl Stats {
         self.counter("engine.cache.disk_hits")
     }
 
-    /// Cells computed cold (each one simulator invocation).
+    /// Cells computed cold: each one simulator invocation, or none for
+    /// a Table 2 cell whose rescheduled executable is the original.
     pub fn computed(&self) -> u64 {
         self.counter("engine.cells.computed")
+    }
+
+    /// Built executables loaded from the on-disk artifact cache
+    /// instead of compiled.
+    pub fn build_hits(&self) -> u64 {
+        self.counter("engine.cache.build_hits")
     }
 
     /// A two-line human-readable summary for the end of a run.
     pub fn report(&self) -> String {
         use std::fmt::Write;
         let mut out = format!(
-            "engine: {} simulator invocation{}, {} cache hit{} ({} memory, {} disk), {} cell{} computed\nstages:",
+            "engine: {} simulator invocation{}, {} cache hit{} ({} memory, {} disk), {} cell{} computed",
             self.sims(),
             if self.sims() == 1 { "" } else { "s" },
             self.mem_hits() + self.disk_hits(),
@@ -155,6 +188,15 @@ impl Stats {
             self.computed(),
             if self.computed() == 1 { "" } else { "s" },
         );
+        let builds = self.build_hits();
+        if builds > 0 {
+            let _ = write!(
+                out,
+                ", {builds} build{} from disk",
+                if builds == 1 { "" } else { "s" }
+            );
+        }
+        out.push_str("\nstages:");
         for (stage, name) in STAGE_NAMES.iter().enumerate() {
             let _ = write!(out, " {name} {:.2}s", self.stage_ns[stage] as f64 / 1e9);
         }
@@ -242,9 +284,9 @@ impl Engine {
     /// Adds the environment-configured artifact cache the table
     /// binaries share: `$EEL_CACHE_DIR` if set, otherwise
     /// `target/eel-artifacts` in the workspace; `EEL_NO_CACHE=1`
-    /// disables it. Cells name the code that computed them (see
-    /// `Engine::cell_key`), so a rebuilt engine never serves a cell
-    /// an older build wrote.
+    /// disables it. Cells and builds name the code that made them (see
+    /// `Engine::cell_key` and `Engine::build_key`), so a rebuilt engine
+    /// never serves a cell or an executable an older build wrote.
     #[must_use]
     pub fn with_default_disk_cache(self) -> Engine {
         if std::env::var_os("EEL_NO_CACHE").is_some_and(|v| v == "1") {
@@ -306,9 +348,41 @@ impl Engine {
         .expect("generated workloads execute without faults")
     }
 
-    /// `bench` compiled for the measured machine, timed to `build`.
+    /// `bench` compiled for the measured machine, timed to `build`:
+    /// loaded from the disk tier when an earlier engine built it, and
+    /// written through when it is compiled here. A damaged build file
+    /// is counted as `engine.cache.disk_rejected` and replaced.
     fn build(&self, bench: &Benchmark) -> Executable {
-        self.stage(Stage::Build, || bench.build(&self.setup.build))
+        self.stage(Stage::Build, || {
+            let key = self.build_key(bench);
+            match self.disk_get(key, "eelx", parse_build) {
+                Disk::Valid(exe) => {
+                    self.telemetry.add("engine.cache.build_hits", 1);
+                    return exe;
+                }
+                Disk::Rejected => self.telemetry.add("engine.cache.disk_rejected", 1),
+                Disk::Absent => {}
+            }
+            let exe = bench.build(&self.setup.build);
+            self.disk_put(key, "eelx", &build_body(&exe));
+            exe
+        })
+    }
+
+    /// The content-hash key of one build: the code digest, the
+    /// benchmark, the iteration count and the measured machine (whose
+    /// hash folds in `mem_bias`), and nothing else. The timing, the
+    /// scheduler options and the scheduler's model do not change what
+    /// the workload compiler emits, so every table, ablation variant
+    /// and policy on one machine shares one build.
+    fn build_key(&self, bench: &Benchmark) -> u64 {
+        let key = format!(
+            "eel-build-v1|code={:016x}|{bench:?}|iters={:?}|measured={:016x}",
+            self.code,
+            self.cfg.iterations,
+            self.setup.measured.content_hash(),
+        );
+        fnv1a(key.as_bytes())
     }
 
     /// `base` with QPT2 slow profiling, emitted unscheduled; timed to
@@ -382,8 +456,8 @@ impl Engine {
             }
             return v;
         }
-        match self.disk_get(key) {
-            DiskCell::Valid(v) => {
+        match self.disk_get(key, "cell", parse_cell) {
+            Disk::Valid(v) => {
                 self.telemetry.add("engine.cache.disk_hits", 1);
                 if let Some(t) = tracer {
                     t.instant("cell", "disk_hit", key, 0);
@@ -392,38 +466,37 @@ impl Engine {
                 return v;
             }
             // Recomputed below, and the write-through overwrites it.
-            DiskCell::Rejected => self.telemetry.add("engine.cache.disk_rejected", 1),
-            DiskCell::Absent => {}
+            Disk::Rejected => self.telemetry.add("engine.cache.disk_rejected", 1),
+            Disk::Absent => {}
         }
         let compute_trace = tracer.map(|t| t.span("cell", "compute", key, 0));
         let v = compute();
         drop(compute_trace);
         self.telemetry.add("engine.cells.computed", 1);
-        self.disk_put(key, v);
+        self.disk_put(key, "cell", cell_body(v).as_bytes());
         self.mem.lock().expect("cache lock").insert(key, v);
         v
     }
 
-    fn disk_get(&self, key: u64) -> DiskCell {
+    /// The disk tier's file `{key:016x}.{ext}`, read by `parse`, which
+    /// returns `None` for any body it does not accept.
+    fn disk_get<T>(&self, key: u64, ext: &str, parse: impl FnOnce(&[u8]) -> Option<T>) -> Disk<T> {
         let Some(dir) = self.disk.as_ref() else {
-            return DiskCell::Absent;
+            return Disk::Absent;
         };
-        match std::fs::read(dir.join(format!("{key:016x}.cell"))) {
-            Err(_) => DiskCell::Absent,
-            Ok(bytes) => String::from_utf8(bytes)
-                .ok()
-                .and_then(|text| parse_cell(&text))
-                .map_or(DiskCell::Rejected, DiskCell::Valid),
+        match std::fs::read(dir.join(format!("{key:016x}.{ext}"))) {
+            Err(_) => Disk::Absent,
+            Ok(bytes) => parse(&bytes).map_or(Disk::Rejected, Disk::Valid),
         }
     }
 
-    /// Best-effort write-through: a failed write only costs a future
-    /// recomputation. Each write goes through its own temp file (the
-    /// process id and [`TMP_SEQ`] name it) and a rename, so concurrent
-    /// writers of one key — two workers measuring a benchmark a corpus
-    /// lists twice, or two processes sharing the directory — never
-    /// expose a torn entry.
-    fn disk_put(&self, key: u64, v: CellValue) {
+    /// Best-effort write-through of `{key:016x}.{ext}`: a failed write
+    /// only costs a future recomputation. Each write goes through its
+    /// own temp file (the process id and [`TMP_SEQ`] name it) and a
+    /// rename, so concurrent writers of one key — two workers measuring
+    /// a benchmark a corpus lists twice, or two processes sharing the
+    /// directory — never expose a torn entry.
+    fn disk_put(&self, key: u64, ext: &str, body: &[u8]) {
         let Some(dir) = self.disk.as_ref() else {
             return;
         };
@@ -435,8 +508,8 @@ impl Engine {
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        if std::fs::write(&tmp, cell_body(v)).is_ok() {
-            let _ = std::fs::rename(&tmp, dir.join(format!("{key:016x}.cell")));
+        if std::fs::write(&tmp, body).is_ok() {
+            let _ = std::fs::rename(&tmp, dir.join(format!("{key:016x}.{ext}")));
         }
     }
 
@@ -450,38 +523,50 @@ impl Engine {
         // Stage 1: build — lazy, shared by every cell that misses.
         let original: OnceCell<Executable> = OnceCell::new();
         let build_original = || self.build(bench);
-        let rescheduled: OnceCell<Executable> = OnceCell::new();
+        // EEL's rescheduling of the original, or `None` where it leaves
+        // the executable exactly as it was (most integer code does):
+        // then the rescheduled cells measure the original, so they take
+        // the original's values instead of simulating it again.
+        let rescheduled: OnceCell<Option<Executable>> = OnceCell::new();
         let build_rescheduled = || {
             let orig = original.get_or_init(build_original);
             let session = EditSession::new(orig).expect("analyzable");
-            self.stage(Stage::Schedule, || {
+            let exe = self.stage(Stage::Schedule, || {
                 session
                     .emit(self.setup.scheduler.transform_with(&self.telemetry))
                     .expect("rescheduling preserves structure")
-            })
+            });
+            (exe != *orig).then_some(exe)
         };
-
-        // Stage 2: baseline run(s).
-        let uninst = self.cell(self.cell_key(bench, "uninst", false, false), || {
-            let exe = original.get_or_init(build_original);
+        let baseline_run = |exe: &Executable| {
             let r = self.sim(Stage::Baseline, exe, false);
             CellValue {
                 cycles: r.cycles,
                 exit_code: r.exit_code,
                 avg_bb: dynamic_avg_bb(exe, &r),
             }
+        };
+        let instrumented_run = |base: &Executable| {
+            let r = self.sim(Stage::Runs, &self.instrumented(base), false);
+            CellValue {
+                cycles: r.cycles,
+                exit_code: r.exit_code,
+                avg_bb: 0.0,
+            }
+        };
+
+        // Stage 2: baseline run(s).
+        let uninst = self.cell(self.cell_key(bench, "uninst", false, false), || {
+            baseline_run(original.get_or_init(build_original))
         });
         let (baseline, resched_ratio) = if reschedule_first {
             // The rescheduled baseline is simulated exactly once; its
             // cell serves both the ratio and the Uninst column.
             let resched = self.cell(self.cell_key(bench, "resched", true, false), || {
-                let exe = rescheduled.get_or_init(build_rescheduled);
-                let r = self.sim(Stage::Baseline, exe, false);
-                CellValue {
-                    cycles: r.cycles,
-                    exit_code: r.exit_code,
-                    avg_bb: dynamic_avg_bb(exe, &r),
-                }
+                rescheduled
+                    .get_or_init(build_rescheduled)
+                    .as_ref()
+                    .map_or(uninst, baseline_run)
             });
             (resched, resched.cycles as f64 / uninst.cycles as f64)
         } else {
@@ -489,22 +574,22 @@ impl Engine {
         };
 
         // Stages 3+5: instrument the baseline, run it unscheduled.
-        let inst = self.cell(
-            self.cell_key(bench, "inst", reschedule_first, reschedule_first),
-            || {
-                let base: &Executable = if reschedule_first {
-                    rescheduled.get_or_init(build_rescheduled)
-                } else {
-                    original.get_or_init(build_original)
-                };
-                let r = self.sim(Stage::Runs, &self.instrumented(base), false);
-                CellValue {
-                    cycles: r.cycles,
-                    exit_code: r.exit_code,
-                    avg_bb: 0.0,
-                }
-            },
-        );
+        let original_inst = || {
+            self.cell(self.cell_key(bench, "inst", false, false), || {
+                instrumented_run(original.get_or_init(build_original))
+            })
+        };
+        let inst = if reschedule_first {
+            self.cell(
+                self.cell_key(bench, "inst", true, true),
+                || match rescheduled.get_or_init(build_rescheduled) {
+                    Some(exe) => instrumented_run(exe),
+                    None => original_inst(),
+                },
+            )
+        } else {
+            original_inst()
+        };
 
         // Stages 4+5: instrument and schedule the *original*, run it.
         // Identical across both protocols (the paper's Sched values
@@ -804,23 +889,39 @@ mod tests {
         assert_eq!(engine.stats().mem_hits(), 3);
     }
 
+    /// Table 2 after Table 1 shares the uninst and sched cells and
+    /// simulates the rescheduled baseline once. Where rescheduling
+    /// leaves the original as it was, its cells are the original's and
+    /// Table 2 simulates nothing.
     #[test]
     fn table2_shares_sched_cell_and_runs_baseline_once() {
         let model = MachineModel::ultrasparc();
-        let engine = Engine::new(&model, &quick());
-        let bench = &cfp95()[3]; // hydro2d
-        let t1 = engine.measure(bench, false); // 3 sims
-        let t2 = engine.measure(bench, true); // + resched + inst(resched) only
-        assert_eq!(
-            engine.stats().sims(),
-            5,
-            "uninst and sched cells are shared; the rescheduled baseline runs once"
-        );
-        assert_eq!(
-            t1.sched_cycles, t2.sched_cycles,
-            "Sched is identical across Tables 1 and 2"
-        );
-        assert!(t2.resched_ratio > 0.5 && t2.resched_ratio < 2.0);
+        // tomcatv's loops are rescheduled; hydro2d comes back unchanged.
+        for (bench, changed) in [(&cfp95()[0], true), (&cfp95()[3], false)] {
+            let engine = Engine::new(&model, &quick());
+            let original = engine.build(bench);
+            let session = EditSession::new(&original).expect("analyzable");
+            let rescheduled = session.emit(engine.setup.scheduler.transform());
+            assert_eq!(rescheduled.expect("schedulable") != original, changed);
+
+            let t1 = engine.measure(bench, false); // 3 sims
+            let t2 = engine.measure(bench, true); // + resched + inst(resched) only
+            assert_eq!(
+                engine.stats().sims(),
+                if changed { 5 } else { 3 },
+                "{}: uninst and sched cells are shared; the rescheduled baseline runs once",
+                bench.name
+            );
+            assert_eq!(
+                t1.sched_cycles, t2.sched_cycles,
+                "Sched is identical across Tables 1 and 2"
+            );
+            if changed {
+                assert!(t2.resched_ratio > 0.5 && t2.resched_ratio < 2.0);
+            } else {
+                assert!(rows_equal(&t1, &t2), "{t1:?} != {t2:?}");
+            }
+        }
     }
 
     #[test]
@@ -846,6 +947,40 @@ mod tests {
         assert_eq!(second.stats().sims(), 0);
         assert_eq!(second.stats().disk_hits(), 3);
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Table 2 after Table 1 over one disk tier loads the originals
+    /// Table 1 built instead of compiling them again, and measures the
+    /// rows a hermetic engine does.
+    #[test]
+    fn table2_loads_table1_builds_from_disk() {
+        let model = MachineModel::ultrasparc();
+        let cfg = quick();
+        let dir = std::env::temp_dir().join(format!("eel-artifacts-builds-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let benchmarks = [cint95()[4].clone(), cfp95()[3].clone()];
+
+        let table1 = Engine::new(&model, &cfg).with_disk_cache(&dir);
+        table1.run_table(&benchmarks, false, 2);
+        assert_eq!(
+            table1.stats().build_hits(),
+            0,
+            "a fresh directory holds no build"
+        );
+        let table2 = Engine::new(&model, &cfg).with_disk_cache(&dir);
+        let rows = table2.run_table(&benchmarks, true, 2);
+        assert_eq!(
+            table2.stats().build_hits(),
+            2,
+            "both originals load from disk"
+        );
+        assert!(table2.stats().report().contains(", 2 builds from disk\n"));
+
+        let hermetic = Engine::new(&model, &cfg).run_table(&benchmarks, true, 1);
+        for (r, h) in rows.iter().zip(&hermetic) {
+            assert!(rows_equal(r, h), "from disk {r:?} != hermetic {h:?}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -903,6 +1038,58 @@ mod tests {
         }
     }
 
+    /// A damaged build is never served: a flipped byte, a truncated
+    /// file and a cell body in a build's place are each rejected once,
+    /// counted, rebuilt to the executable a hermetic engine builds and
+    /// overwritten with a valid body.
+    #[test]
+    fn corrupt_disk_builds_are_rejected_and_rebuilt() {
+        let model = MachineModel::supersparc();
+        let cfg = quick();
+        let bench = &cint95()[0];
+        let hermetic = Engine::new(&model, &cfg).build(bench);
+        for what in ["flipped byte", "truncated", "cell body"] {
+            let dir = std::env::temp_dir().join(format!(
+                "eel-artifacts-corrupt-build-{}-{}",
+                std::process::id(),
+                what.replace(' ', "-")
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            Engine::new(&model, &cfg).with_disk_cache(&dir).build(bench);
+            let key = Engine::new(&model, &cfg).build_key(bench);
+            let path = dir.join(format!("{key:016x}.eelx"));
+            let body = std::fs::read(&path).expect("build written");
+            let damaged = match what {
+                // A byte of the text, which the image decoder accepts
+                // whatever its value: only the checksum catches it.
+                "flipped byte" => {
+                    let mut b = body.clone();
+                    b[body.len() / 2] ^= 0x10;
+                    b
+                }
+                "truncated" => body[..body.len() / 2].to_vec(),
+                _ => {
+                    let v = CellValue {
+                        cycles: 1,
+                        exit_code: 0,
+                        avg_bb: 1.0,
+                    };
+                    cell_body(v).into_bytes()
+                }
+            };
+            std::fs::write(&path, damaged).expect("build rewritten");
+
+            let engine = Engine::new(&model, &cfg).with_disk_cache(&dir);
+            assert_eq!(engine.build(bench), hermetic, "{what}");
+            let stats = engine.stats();
+            assert_eq!(stats.counter("engine.cache.disk_rejected"), 1, "{what}");
+            assert_eq!(stats.build_hits(), 0, "{what}");
+            let rewritten = std::fs::read(&path).expect("build rewritten");
+            assert!(rewritten == body, "{what}: overwritten with the valid body");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
     /// Publishing through a temp file and a rename never exposes a torn
     /// entry, even when several threads of one process write the same
     /// key at once: every read between writes parses as a `v2` cell.
@@ -929,10 +1116,10 @@ mod tests {
                                 exit_code: key as u32,
                                 avg_bb: t as f64 + 0.5,
                             };
-                            engine.disk_put(key, v);
-                            let read = engine.disk_get(key);
+                            engine.disk_put(key, "cell", cell_body(v).as_bytes());
+                            let read = engine.disk_get(key, "cell", parse_cell);
                             assert!(
-                                matches!(read, DiskCell::Valid(r) if r.exit_code == key as u32),
+                                matches!(read, Disk::Valid(r) if r.exit_code == key as u32),
                                 "key {key}: a read between writes is not a whole v2 cell"
                             );
                         }
@@ -996,6 +1183,46 @@ mod tests {
             biased.cell_key(bench, "uninst", false, false),
             "mem_bias in key"
         );
+
+        // A build depends on the benchmark, the iteration count and the
+        // measured machine, and on nothing the scheduler or the timing
+        // adds.
+        let build = engine.build_key(bench);
+        assert_ne!(build, engine.build_key(&cint95()[1]), "bench in build key");
+        assert_ne!(build, other.build_key(bench), "machine in build key");
+        assert_ne!(build, biased.build_key(bench), "mem_bias in build key");
+        let longer = Engine::new(
+            &model,
+            &ExperimentConfig {
+                iterations: Some(41),
+                ..quick()
+            },
+        );
+        assert_ne!(build, longer.build_key(bench), "iterations in build key");
+        for (what, cfg) in [
+            (
+                "timing",
+                ExperimentConfig {
+                    timing: eel_sim::TimingConfig::default(),
+                    ..quick()
+                },
+            ),
+            (
+                "scheduler model",
+                ExperimentConfig {
+                    scheduler_model: Some(MachineModel::supersparc()),
+                    ..quick()
+                },
+            ),
+        ] {
+            let variant = Engine::new(&model, &cfg);
+            assert_ne!(
+                engine.cell_key(bench, "sched", true, false),
+                variant.cell_key(bench, "sched", true, false),
+                "{what} in cell key"
+            );
+            assert_eq!(build, variant.build_key(bench), "{what} not in build key");
+        }
     }
 
     #[test]
@@ -1012,6 +1239,11 @@ mod tests {
                 "{stage}: the code digest is not in the key"
             );
         }
+        assert_ne!(
+            engine.build_key(bench),
+            rebuilt.build_key(bench),
+            "the code digest is not in the build key"
+        );
     }
 
     #[test]
@@ -1033,7 +1265,8 @@ mod tests {
         // Distinct scheduling policies must never share cached
         // artifacts: every Priority variant (including distinct
         // lookahead depths) gets its own scheduled-stage key. The
-        // uninstrumented stage never schedules, so it may share.
+        // uninstrumented stage and the build never schedule, so they
+        // may share.
         let bench = &cint95()[0];
         let model = MachineModel::ultrasparc();
         let engines: Vec<Engine> = [
@@ -1042,6 +1275,7 @@ mod tests {
             Priority::LoadDelay,
             Priority::Lookahead(3),
             Priority::Lookahead(5),
+            Priority::Exact,
         ]
         .iter()
         .map(|&priority| {
@@ -1073,6 +1307,11 @@ mod tests {
         assert!(
             unsched.iter().all(|k| k == &unsched[0]),
             "unscheduled artifacts are policy-independent"
+        );
+        let builds: Vec<u64> = engines.iter().map(|e| e.build_key(bench)).collect();
+        assert!(
+            builds.iter().all(|k| k == &builds[0]),
+            "builds are policy-independent"
         );
     }
 
@@ -1156,7 +1395,7 @@ mod tests {
                 cut in any::<usize>(),
             ) {
                 let body = cell_body(CellValue { cycles, exit_code, avg_bb: f64::from_bits(bits) });
-                prop_assert!(parse_cell(&body).is_some(), "a written body reads back");
+                prop_assert!(parse_cell(body.as_bytes()).is_some(), "a written body reads back");
                 let mut damaged = body.clone().into_bytes();
                 for (at, b) in flips {
                     let i = at % damaged.len();
@@ -1164,8 +1403,38 @@ mod tests {
                 }
                 damaged.truncate(cut % (2 * damaged.len()));
                 for text in [text, body, String::from_utf8_lossy(&damaged).into_owned()] {
-                    if let Some(v) = parse_cell(&text) {
+                    if let Some(v) = parse_cell(text.as_bytes()) {
                         prop_assert_eq!(cell_body(v), text);
+                    }
+                }
+            }
+
+            /// `parse_build` never panics, and it returns an executable
+            /// only for the exact body `build_body` writes for it: on
+            /// arbitrary bytes, and on a valid body with flipped bytes
+            /// and a cut tail, both with its checksum as damaged and
+            /// with one recomputed, so the image decoder sees the damage.
+            #[test]
+            fn builds_never_panic(
+                bytes in prop::collection::vec(any::<u8>(), 0..96),
+                words in prop::collection::vec(any::<u32>(), 1..48),
+                flips in prop::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+                cut in any::<usize>(),
+            ) {
+                let exe = Executable::from_words(Executable::DEFAULT_TEXT_BASE, words);
+                let body = build_body(&exe);
+                prop_assert_eq!(parse_build(&body), Some(exe), "a written body reads back");
+                let mut damaged = body.clone();
+                for (at, b) in flips {
+                    let i = at % damaged.len();
+                    damaged[i] = b;
+                }
+                damaged.truncate(cut % (2 * damaged.len()));
+                let mut resealed = damaged[..damaged.len().saturating_sub(8)].to_vec();
+                resealed.extend_from_slice(&fnv1a(&resealed).to_be_bytes());
+                for bytes in [bytes, body, damaged, resealed] {
+                    if let Some(exe) = parse_build(&bytes) {
+                        prop_assert_eq!(build_body(&exe), bytes);
                     }
                 }
             }
