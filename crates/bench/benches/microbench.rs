@@ -1,7 +1,7 @@
 //! Microbenchmarks of the library's hot paths: SADL compilation and a
-//! whole machine-model build, CFG construction, executable editing, the simulator's functional, timed
-//! and D-cache-timed kernels, and the static analyses. The scheduler's own kernel
-//! is `sched_hot`'s.
+//! whole machine-model build, CFG construction, executable editing,
+//! and the simulator's functional, timed and D-cache-timed kernels. The
+//! scheduler's own kernel is `sched_hot`'s.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -122,48 +122,5 @@ fn bench_simulator(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_analyses(c: &mut Criterion) {
-    use eel_edit::{Dominators, Liveness, Loops, ResourceSet};
-    let bench = &spec95()[0];
-    let exe = bench.build(&BuildOptions {
-        iterations: Some(2),
-        optimize: None,
-    });
-    let cfg = Cfg::build(&exe).expect("analyzable");
-    let routine = &cfg.routines[0];
-    c.bench_function("analysis/liveness", |b| {
-        b.iter(|| black_box(Liveness::analyze(&exe, routine, ResourceSet::all())))
-    });
-    c.bench_function("analysis/dominators_loops", |b| {
-        b.iter(|| {
-            let dom = Dominators::compute(routine);
-            black_box(Loops::compute(routine, &dom))
-        })
-    });
-}
-
-fn bench_edge_profiler(c: &mut Criterion) {
-    use eel_qpt::{EdgeProfileOptions, EdgeProfiler};
-    let bench = &spec95()[0];
-    let exe = bench.build(&BuildOptions {
-        iterations: Some(2),
-        optimize: None,
-    });
-    c.bench_function("edge_profiler/instrument_and_emit", |b| {
-        b.iter(|| {
-            let mut session = EditSession::new(&exe).expect("analyzable");
-            let _p = EdgeProfiler::instrument(&mut session, EdgeProfileOptions::default());
-            black_box(session.emit_unscheduled().expect("layout"))
-        })
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_sadl_compile,
-    bench_editing,
-    bench_simulator,
-    bench_analyses,
-    bench_edge_profiler
-);
+criterion_group!(benches, bench_sadl_compile, bench_editing, bench_simulator);
 criterion_main!(benches);

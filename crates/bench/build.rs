@@ -12,9 +12,13 @@ use std::path::{Path, PathBuf};
 
 /// Workspace-relative directories (walked recursively) and files whose
 /// contents determine a cell: the generator and workload compiler, the
-/// machine descriptions and pipeline model, the editor, scheduler and
-/// profiler, the simulator, and the engine's own measurement code.
+/// random-number shim the generator draws from, the machine
+/// descriptions and pipeline model, the editor, scheduler and profiler,
+/// the simulator, and the engine's own measurement code. The engine's
+/// `sources_cover_every_path_dependency` test checks that every path
+/// dependency of these crates is listed here or cannot change a value.
 const SOURCES: &[&str] = &[
+    "crates/rand-shim/src",
     "crates/sparc/src",
     "crates/sadl/src",
     "crates/pipeline/src",

@@ -1246,6 +1246,100 @@ mod tests {
         );
     }
 
+    /// A crate the digest covers may depend by path only on crates it
+    /// also covers, or on the few that cannot change a value: any
+    /// other would let a warm disk tier serve cells and builds that
+    /// older code computed. Read from the workspace manifests line by
+    /// line: the root's `[workspace.dependencies]` and each covered
+    /// crate's `[dependencies]`.
+    #[test]
+    fn sources_cover_every_path_dependency() {
+        /// Path dependencies that only count and trace.
+        const VALUE_FREE: &[&str] = &["eel-telemetry"];
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let read = |rel: &str| {
+            std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
+        };
+        // The trimmed lines of a manifest's `[section]` table.
+        let table = |manifest: &str, section: &str| -> Vec<String> {
+            let mut lines = manifest.lines().map(str::trim);
+            lines.find(|l| *l == section);
+            lines
+                .take_while(|l| !l.starts_with('['))
+                .map(String::from)
+                .collect()
+        };
+        // The dependency a line names (before its first `.` or `=`), and
+        // its `path = "P"`, if it has one.
+        let name_of = |line: &str| {
+            line.split(['.', '='])
+                .next()
+                .unwrap_or("")
+                .trim()
+                .to_string()
+        };
+        let path_of = |line: &str| {
+            Some(
+                line.split_once("path = \"")?
+                    .1
+                    .split_once('"')?
+                    .0
+                    .to_string(),
+            )
+        };
+        // `dir/rel` with `..` components resolved.
+        let join = |dir: &str, rel: &str| {
+            let mut parts: Vec<&str> = dir.split('/').collect();
+            for part in rel.split('/') {
+                if part == ".." {
+                    parts.pop();
+                } else {
+                    parts.push(part);
+                }
+            }
+            parts.join("/")
+        };
+        let workspace: Vec<(String, String)> =
+            table(&read("Cargo.toml"), "[workspace.dependencies]")
+                .iter()
+                .filter_map(|l| Some((name_of(l), path_of(l)?)))
+                .collect();
+        let covered = |dir: &str| {
+            CODE_SOURCES
+                .iter()
+                .any(|s| s.starts_with(&format!("{dir}/")))
+        };
+        let mut crates: Vec<String> = CODE_SOURCES
+            .iter()
+            .map(|s| s.split('/').take(2).collect::<Vec<_>>().join("/"))
+            .collect();
+        crates.sort();
+        crates.dedup();
+        let mut uncovered = Vec::new();
+        for krate in &crates {
+            for line in table(&read(&format!("{krate}/Cargo.toml")), "[dependencies]") {
+                let name = name_of(&line);
+                let path = if line.contains("workspace = true") {
+                    workspace
+                        .iter()
+                        .find(|(n, _)| *n == name)
+                        .map(|(_, p)| p.clone())
+                } else {
+                    path_of(&line).map(|p| join(krate, &p))
+                };
+                if let Some(path) = path {
+                    if !covered(&path) && !VALUE_FREE.contains(&name.as_str()) {
+                        uncovered.push(format!("{krate} -> {name} ({path})"));
+                    }
+                }
+            }
+        }
+        assert!(
+            uncovered.is_empty(),
+            "path dependencies outside build.rs's SOURCES: {uncovered:?}"
+        );
+    }
+
     #[test]
     fn code_digest_covers_existing_sources() {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");

@@ -10,10 +10,10 @@
 //!                           # compiled as the tables build it
 //! eel disasm li.eelx
 //! eel cfg li.eelx
-//! eel instrument li.eelx -o out.eelx [--mode slow|fast|trace]
-//!                [--schedule MACHINE] [--scavenge]
+//! eel instrument li.eelx -o out.eelx [--mode slow|trace]
+//!                [--schedule MACHINE]
 //! eel run li.eelx [--machine MACHINE] [--branch-penalty N]
-//! eel profile li.eelx [--machine MACHINE] [--mode slow|fast] [--schedule]
+//! eel profile li.eelx [--machine MACHINE] [--schedule]
 //! eel explain li.eelx [--machine MACHINE] [--routine R] [--block B]
 //!             [--chrome FILE] [--policy POLICY]
 //! eel experiment [--machine MACHINE] [--reschedule] [--jobs N] [--csv]
@@ -98,12 +98,13 @@ commands:
                                        slower (run it with --load-bias 2)
   disasm FILE                          disassemble an image
   cfg FILE                             routine/block/edge summary
-  instrument FILE -o OUT               add instrumentation
-      [--mode slow|fast|trace] [--schedule MACHINE] [--scavenge]
+  instrument FILE -o OUT               add instrumentation: slow profiling
+      [--mode slow|trace]              (the default) or address tracing
+      [--schedule MACHINE]
   run FILE [--machine MACHINE]         simulate (cycles, CPI, exit code)
       [--branch-penalty N] [--load-bias N]
   profile FILE [--machine MACHINE]     instrument+run+report block counts
-      [--mode slow|fast] [--schedule]
+      [--schedule]
   explain FILE [--machine MACHINE]     per-block stall attribution, before
       [--routine R] [--block B]        and after scheduling; one block (-B)
       [--chrome FILE]                  adds tables, traces, and optionally a
@@ -131,8 +132,7 @@ commands:
                                        of table1 table2 table3 summary
                                        ablations gap_report stall_breakdown
                                        figure2 blocksizes cache_effect
-                                       dcache_effect fast_vs_slow tracing
-                                       scavenging model_accuracy
+                                       dcache_effect tracing model_accuracy
                                        scalar_control
       table1|table2|table3             the paper's tables over the shared
         [--csv] [--jobs N]             artifact cache; --corpus as for

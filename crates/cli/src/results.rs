@@ -19,7 +19,7 @@ use eel_bench::gap::{format_gap_report, gap_table};
 use eel_core::{Priority, SchedOptions, DEFAULT_EXACT_BUDGET};
 use eel_edit::{Cfg, EditSession, Executable};
 use eel_pipeline::{evaluate_block, MachineModel};
-use eel_qpt::{EdgeProfileOptions, EdgeProfiler, ProfileOptions, Profiler, TraceOptions, Tracer};
+use eel_qpt::{ProfileOptions, Profiler, TraceOptions, Tracer};
 use eel_sadl::RegClass;
 use eel_sim::{run, DCacheConfig, ICacheConfig, RunConfig, RunResult};
 use eel_sparc::Instruction;
@@ -52,9 +52,7 @@ pub(crate) const RESULTS: &[(&str, Generator)] = &[
     ("blocksizes", blocksizes),
     ("cache_effect", cache_effect),
     ("dcache_effect", dcache_effect),
-    ("fast_vs_slow", fast_vs_slow),
     ("tracing", tracing),
-    ("scavenging", scavenging),
     ("model_accuracy", model_accuracy),
     ("scalar_control", scalar_control),
 ];
@@ -639,66 +637,6 @@ fn dcache_effect(args: Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// QPT2's two profiling modes side by side: *slow* (a counter in almost
-/// every block, §4.2) versus *fast* (spanning-tree edge counters, Ball
-/// & Larus), and what scheduling hides of each.
-fn fast_vs_slow(args: Args) -> Result<String, CliError> {
-    args.finish()?;
-    let m = Measurement::new(&MachineModel::ultrasparc(), &ExperimentConfig::default());
-    let mut out = String::new();
-    writeln!(
-        out,
-        "{:<14} {:>11} {:>9} {:>11} {:>9}",
-        "benchmark", "slow ratio", "hidden", "fast ratio", "hidden"
-    )?;
-    let mut slow_ratios = Vec::new();
-    let mut fast_ratios = Vec::new();
-    for bench in spec95() {
-        let exe = bench.build(&m.build);
-        let uninst = run_measured(&m, &exe).cycles;
-        // (slowdown ratio, % hidden) for one profiling mode.
-        let measure = |fast: bool| {
-            let mut session = EditSession::new(&exe).expect("analyzable");
-            if fast {
-                let _ = EdgeProfiler::instrument(&mut session, EdgeProfileOptions::default());
-            } else {
-                let _ = Profiler::instrument(&mut session, ProfileOptions::default());
-            }
-            let (inst, sched) = inst_and_sched(&m, &session);
-            (
-                inst.cycles as f64 / uninst as f64,
-                pct_hidden(uninst, inst.cycles, sched.cycles),
-            )
-        };
-        let (slow, slow_hidden) = measure(false);
-        let (fast, fast_hidden) = measure(true);
-        writeln!(
-            out,
-            "{:<14} {:>10.2}x {:>8.1}% {:>10.2}x {:>8.1}%",
-            bench.name, slow, slow_hidden, fast, fast_hidden
-        )?;
-        slow_ratios.push(slow);
-        fast_ratios.push(fast);
-    }
-    let gm = |v: &[f64]| (v.iter().map(|x| x.ln()).sum::<f64>() / v.len() as f64).exp();
-    writeln!(out)?;
-    writeln!(
-        out,
-        "geometric-mean slowdown: slow profiling {:.2}x, fast profiling {:.2}x",
-        gm(&slow_ratios),
-        gm(&fast_ratios)
-    )?;
-    writeln!(
-        out,
-        "Fast profiling leaves hot loop back edges uninstrumented entirely,"
-    )?;
-    writeln!(
-        out,
-        "which no amount of scheduling can match for slow profiling."
-    )?;
-    Ok(out)
-}
-
 /// The paper's closing argument applied to a heavier tool: address
 /// tracing (qpt's other mode) inserts four instructions per memory
 /// operation, and scheduling should hide part of it the same way it
@@ -739,65 +677,6 @@ fn tracing(args: Args) -> Result<String, CliError> {
         mean(&int_hidden),
         mean(&fp_hidden)
     )?;
-    Ok(out)
-}
-
-/// Register scavenging vs reserved globals for the profiling snippet.
-/// qpt reserved two globals; EEL's dataflow can instead scavenge
-/// registers dead at each point. Scavenged registers are ones the
-/// program also writes nearby, so the snippet picks up WAR/WAW edges
-/// that never-touched globals avoid — scavenging can cost scheduling
-/// freedom even as it frees the globals.
-fn scavenging(args: Args) -> Result<String, CliError> {
-    args.finish()?;
-    let m = Measurement::new(&MachineModel::ultrasparc(), &ExperimentConfig::default());
-    let mut out = String::new();
-    writeln!(
-        out,
-        "{:<14} {:>16} {:>16} {:>8}",
-        "benchmark", "fixed %hidden", "scavenged %hidden", "delta"
-    )?;
-    let mut deltas = Vec::new();
-    for bench in spec95() {
-        let exe = bench.build(&m.build);
-        let uninst = run_measured(&m, &exe).cycles;
-        let hidden = |scavenge: bool| {
-            let mut session = EditSession::new(&exe).expect("analyzable");
-            let _p = Profiler::instrument(
-                &mut session,
-                ProfileOptions {
-                    scavenge,
-                    ..ProfileOptions::default()
-                },
-            );
-            let (inst, sched) = inst_and_sched(&m, &session);
-            pct_hidden(uninst, inst.cycles, sched.cycles)
-        };
-        let (fixed, scavenged) = (hidden(false), hidden(true));
-        let delta = scavenged - fixed;
-        deltas.push(delta);
-        writeln!(
-            out,
-            "{:<14} {:>15.1}% {:>15.1}% {:>+7.1}",
-            bench.name, fixed, scavenged, delta
-        )?;
-    }
-    writeln!(out)?;
-    let mean = deltas.iter().sum::<f64>() / deltas.len() as f64;
-    writeln!(
-        out,
-        "mean scavenging effect: {mean:+.1} percentage points of hidden overhead"
-    )?;
-    if mean < 0.0 {
-        writeln!(
-            out,
-            "(negative: dead-but-nearby registers constrain the scheduler more"
-        )?;
-        writeln!(
-            out,
-            " than reserved globals — reserve registers when you can afford to)"
-        )?;
-    }
     Ok(out)
 }
 

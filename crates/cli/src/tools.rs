@@ -7,7 +7,7 @@ use eel_bench::experiment::{ExperimentConfig, Measurement};
 use eel_core::{Priority, SchedOptions, Scheduler};
 use eel_edit::{Cfg, Edge, EditSession};
 use eel_pipeline::{chrome_trace, render_issue_trace, MachineModel};
-use eel_qpt::{EdgeProfileOptions, EdgeProfiler, ProfileOptions, Profiler, TraceOptions, Tracer};
+use eel_qpt::{ProfileOptions, Profiler, TraceOptions, Tracer};
 use eel_sim::{run as simulate, RunConfig, TimingConfig};
 use eel_sparc::Instruction;
 use eel_workloads::{spec95, BuildOptions};
@@ -138,50 +138,35 @@ pub(crate) fn cfg(mut args: Args) -> Result<String, CliError> {
 
 pub(crate) fn instrument(mut args: Args) -> Result<String, CliError> {
     let out_path = args.value("-o")?;
-    let mode = args.value("--mode")?.unwrap_or_else(|| "slow".into());
+    let mode = args.value("--mode")?;
     let schedule = args.machine("--schedule")?;
-    let scavenge = args.flag("--scavenge");
     let path = args
         .positional()
         .ok_or_else(|| err("instrument needs a file"))?;
     let out_path = out_path.ok_or_else(|| err("instrument needs -o FILE"))?;
     args.finish()?;
+    let trace = match mode.as_deref() {
+        None | Some("slow") => false,
+        Some("trace") => true,
+        Some(other) => return Err(err(format!("unknown mode `{other}`"))),
+    };
     let exe = load(&path)?;
     let mut session = EditSession::new(&exe).map_err(|e| err(e.to_string()))?;
-    let what = match mode.as_str() {
-        "slow" => {
-            let p = Profiler::instrument(
-                &mut session,
-                ProfileOptions {
-                    scavenge,
-                    ..ProfileOptions::default()
-                },
-            );
-            format!(
-                "slow profiling: {} counters (+{} skipped), table at {:#x}",
-                p.instrumented_blocks(),
-                p.skipped_blocks(),
-                p.counter_base()
-            )
-        }
-        "fast" => {
-            let p = EdgeProfiler::instrument(&mut session, EdgeProfileOptions::default());
-            format!(
-                "fast profiling: {} edge counters of {} edges, table at {:#x}",
-                p.instrumented_edges(),
-                p.total_edges(),
-                p.counter_base()
-            )
-        }
-        "trace" => {
-            let t = Tracer::instrument(&mut session, TraceOptions::default());
-            format!(
-                "address tracing: {} memory operations, ring at {:#x}",
-                t.traced_ops(),
-                t.buffer_base()
-            )
-        }
-        other => return Err(err(format!("unknown mode `{other}`"))),
+    let what = if trace {
+        let t = Tracer::instrument(&mut session, TraceOptions::default());
+        format!(
+            "address tracing: {} memory operations, ring at {:#x}",
+            t.traced_ops(),
+            t.buffer_base()
+        )
+    } else {
+        let p = Profiler::instrument(&mut session, ProfileOptions::default());
+        format!(
+            "slow profiling: {} counters (+{} skipped), table at {:#x}",
+            p.instrumented_blocks(),
+            p.skipped_blocks(),
+            p.counter_base()
+        )
     };
     let edited = match &schedule {
         Some(model) => session
@@ -247,7 +232,6 @@ pub(crate) fn profile(mut args: Args) -> Result<String, CliError> {
     let model = args
         .machine("--machine")?
         .unwrap_or_else(MachineModel::ultrasparc);
-    let mode = args.value("--mode")?.unwrap_or_else(|| "slow".into());
     let schedule = args.flag("--schedule");
     let path = args
         .positional()
@@ -255,22 +239,7 @@ pub(crate) fn profile(mut args: Args) -> Result<String, CliError> {
     args.finish()?;
     let exe = load(&path)?;
     let mut session = EditSession::new(&exe).map_err(|e| err(e.to_string()))?;
-
-    enum P {
-        Slow(Profiler),
-        Fast(EdgeProfiler),
-    }
-    let prof = match mode.as_str() {
-        "slow" => P::Slow(Profiler::instrument(
-            &mut session,
-            ProfileOptions::default(),
-        )),
-        "fast" => P::Fast(EdgeProfiler::instrument(
-            &mut session,
-            EdgeProfileOptions::default(),
-        )),
-        other => return Err(err(format!("unknown mode `{other}`"))),
-    };
+    let prof = Profiler::instrument(&mut session, ProfileOptions::default());
     let edited = if schedule {
         session
             .emit(Scheduler::new(model.clone()).transform())
@@ -280,20 +249,11 @@ pub(crate) fn profile(mut args: Args) -> Result<String, CliError> {
     };
     let result = simulate(&edited, None, &RunConfig::default()).map_err(|e| err(e.to_string()))?;
     let mut mem = result.memory.clone();
-    let counts: Vec<((usize, usize), u64)> = match prof {
-        P::Slow(p) => {
-            let c = p.profile(|a| mem.read_u32(a).expect("counter readable"));
-            let mut v: Vec<_> = c.into_iter().map(|(k, n)| (k, u64::from(n))).collect();
-            v.sort();
-            v
-        }
-        P::Fast(p) => {
-            let c = p.profile(|a| mem.read_u32(a).expect("counter readable"));
-            let mut v: Vec<_> = c.block_counts.into_iter().collect();
-            v.sort();
-            v
-        }
-    };
+    let mut counts: Vec<_> = prof
+        .profile(|a| mem.read_u32(a).expect("counter readable"))
+        .into_iter()
+        .collect();
+    counts.sort();
     let cfg = session.cfg();
     let mut out = String::from("routine:block        address  executions\n");
     for ((r, b), n) in counts {

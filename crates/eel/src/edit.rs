@@ -96,19 +96,11 @@ pub struct BlockInfo<'a> {
     pub addr: u32,
 }
 
-/// The instrumentation registered on one block.
-#[derive(Debug, Clone, Default)]
-struct Slot {
-    /// Code keyed by the *original body index* it precedes (`0` = block
-    /// head, `body_len()` = just before the control tail), sorted by
-    /// position with one entry per position; within one position,
-    /// insertion order is kept.
-    at: Vec<(usize, Vec<Instruction>)>,
-    /// Code keyed by successor index, executed exactly when that edge
-    /// is taken. Fall-through edges get inline code; taken edges get
-    /// an out-of-line trampoline the branch is retargeted through.
-    edges: Vec<(usize, Vec<Instruction>)>,
-}
+/// The instrumentation registered on one block: code keyed by the
+/// *original body index* it precedes (`0` = block head, `body_len()` =
+/// just before the control tail), sorted by position with one entry per
+/// position; within one position, insertion order is kept.
+type Slot = Vec<(usize, Vec<Instruction>)>;
 
 /// Marks an old text word that starts no block in `emit`'s leader map.
 const NOT_LEADER: usize = usize::MAX;
@@ -174,7 +166,7 @@ impl EditSession {
             cfg,
             insns,
             first_block,
-            slots: vec![Slot::default(); blocks],
+            slots: vec![Slot::new(); blocks],
             bss_overflow: None,
         })
     }
@@ -253,61 +245,10 @@ impl EditSession {
             "insertion position {pos} past the schedulable body ({})",
             b.body_len()
         );
-        let at = &mut self.slots[self.first_block[routine] + block].at;
+        let at = &mut self.slots[self.first_block[routine] + block];
         match at.binary_search_by_key(&pos, |&(p, _)| p) {
             Ok(k) => at[k].1.extend(code),
             Err(k) => at.insert(k, (pos, code)),
-        }
-    }
-
-    /// Registers instrumentation on a control-flow edge: the code runs
-    /// exactly when the edge `block --succs[succ]--> target` is taken.
-    /// A fall-through edge's code is laid out inline between the two
-    /// blocks; a taken edge's code becomes an out-of-line trampoline
-    /// ending in `ba target`, and the branch is retargeted through it
-    /// (edge profiling's standard mechanism).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the code contains a CTI, the edge does not exist, or
-    /// the edge is an [`Edge::Exit`](crate::Edge::Exit) (instrument the
-    /// block body end instead — exits have no landing site to
-    /// trampoline to).
-    pub fn insert_on_edge(
-        &mut self,
-        routine: usize,
-        block: usize,
-        succ: usize,
-        code: Vec<Instruction>,
-    ) {
-        assert!(
-            code.iter().all(|i| !i.is_cti()),
-            "edge instrumentation must be straight-line"
-        );
-        let b = self.block(routine, block);
-        let edge = b
-            .succs
-            .get(succ)
-            .unwrap_or_else(|| panic!("block ({routine}, {block}) has no successor {succ}"));
-        match edge {
-            crate::cfg::Edge::Exit => {
-                panic!("exit edges cannot carry edge instrumentation")
-            }
-            crate::cfg::Edge::Fall(t) => {
-                assert_eq!(
-                    *t,
-                    block + 1,
-                    "fall edges go to the next block by construction"
-                );
-            }
-            crate::cfg::Edge::Taken(_) => {
-                assert!(b.cti.is_some(), "taken edges come from blocks with a CTI");
-            }
-        }
-        let edges = &mut self.slots[self.first_block[routine] + block].edges;
-        match edges.iter_mut().find(|(s, _)| *s == succ) {
-            Some((_, v)) => v.extend(code),
-            None => edges.push((succ, code)),
         }
     }
 
@@ -328,7 +269,7 @@ impl EditSession {
     /// prepended to the body, control tail split off.
     pub fn block_code(&self, routine: usize, block: usize) -> BlockCode {
         let b = &self.cfg.routines[routine].blocks[block];
-        let at = &self.slots[self.first_block[routine] + block].at;
+        let at = &self.slots[self.first_block[routine] + block];
         let (original, tail) = self.insns[b.start..b.start + b.len].split_at(b.body_len());
         let inserted: usize = at.iter().map(|(_, code)| code.len()).sum();
         let mut body = Vec::with_capacity(original.len() + inserted);
@@ -364,24 +305,11 @@ impl EditSession {
         let mut new_text: Vec<u32> = Vec::with_capacity(self.exe.text_len() * 2);
         // Old text word index -> new word index of the block it starts.
         let mut leader_map = vec![NOT_LEADER; self.exe.text_len()];
-        // Pending displacement fixups: (new word index, how to find the
-        // target, the instruction).
-        enum Fix {
-            /// A block's own CTI: target = old CTI index + displacement.
-            FromCti { old_idx: usize },
-            /// A synthesized branch straight to an old leader index.
-            ToLeader { old_target: usize },
-            /// A block's own CTI retargeted through the edge trampoline
-            /// at this new word index.
-            ToNew { new_target: usize },
-        }
-        let mut ctis: Vec<(usize, Fix, Instruction)> = Vec::new();
+        // Pending displacement fixups, one per block CTI: (new word
+        // index, old word index, the instruction).
+        let mut ctis: Vec<(usize, usize, Instruction)> = Vec::new();
 
         for (ri, r) in self.cfg.routines.iter().enumerate() {
-            // Taken-edge trampolines of this routine, emitted after its
-            // last block: (instrumentation, old target leader, index of
-            // the block CTI's fixup in `ctis`).
-            let mut deferred: Vec<(Vec<Instruction>, usize, usize)> = Vec::new();
             for (bi, b) in r.blocks.iter().enumerate() {
                 let block_addr = self.exe.text_addr(b.start);
                 let info = BlockInfo {
@@ -433,103 +361,31 @@ impl EditSession {
                 let new_start = new_text.len();
                 leader_map[b.start] = new_start;
                 new_text.extend(code.body.iter().chain(&code.tail).map(|t| t.insn.encode()));
-                let cti_fix = b.cti.map(|c| {
-                    ctis.push((
-                        new_start + code.body.len(),
-                        Fix::FromCti {
-                            old_idx: b.start + c,
-                        },
-                        code.tail[0].insn,
-                    ));
-                    ctis.len() - 1
-                });
-
-                // Edge instrumentation out of this block.
-                let edges = &self.slots[self.first_block[ri] + bi].edges;
-                for (si, edge) in b.succs.iter().enumerate() {
-                    let Some((_, snippet)) = edges.iter().find(|(s, _)| *s == si) else {
-                        continue;
-                    };
-                    let snippet_code = BlockCode {
-                        body: snippet
-                            .iter()
-                            .copied()
-                            .map(Tagged::instrumentation)
-                            .collect(),
-                        tail: vec![],
-                    };
-                    let transformed = transform(info, snippet_code);
-                    if !transformed.tail.is_empty()
-                        || transformed.body.iter().any(|t| t.insn.is_cti())
-                    {
-                        return Err(EditError::BadTransform {
-                            block_addr,
-                            what: "turned edge instrumentation into control flow",
-                        });
-                    }
-                    let words: Vec<Instruction> = transformed.body.iter().map(|t| t.insn).collect();
-                    match edge {
-                        crate::cfg::Edge::Fall(_) => {
-                            // Inline: runs exactly on the fall path.
-                            new_text.extend(words.iter().map(|i| i.encode()));
-                        }
-                        crate::cfg::Edge::Taken(t) => {
-                            let fix = cti_fix.expect("taken edge implies CTI");
-                            deferred.push((words, r.blocks[*t].start, fix));
-                        }
-                        crate::cfg::Edge::Exit => {
-                            unreachable!("insert_on_edge rejects exit edges")
-                        }
-                    }
+                if let Some(c) = b.cti {
+                    ctis.push((new_start + code.body.len(), b.start + c, code.tail[0].insn));
                 }
-            }
-
-            // Emit this routine's taken-edge trampolines: snippet, then
-            // `ba <original target>` with the delay slot unfilled.
-            for (words, old_target, fix) in deferred {
-                ctis[fix].1 = Fix::ToNew {
-                    new_target: new_text.len(),
-                };
-                new_text.extend(words.iter().map(|i| i.encode()));
-                let ba = Instruction::Branch {
-                    cond: eel_sparc::Cond::A,
-                    annul: false,
-                    disp: 0,
-                };
-                ctis.push((new_text.len(), Fix::ToLeader { old_target }, ba));
-                new_text.push(ba.encode());
-                new_text.push(Instruction::nop().encode());
             }
         }
 
-        // Fix up direct control-transfer displacements.
-        for (new_idx, fix, mut insn) in ctis {
+        // Fix up direct control-transfer displacements: the old target
+        // is the old CTI index plus its displacement.
+        for (new_idx, old_idx, mut insn) in ctis {
             let Some(old_disp) = insn.branch_disp() else {
                 continue;
             };
-            let new_target = match fix {
-                Fix::FromCti { old_idx } => {
-                    let old_target = old_idx as i64 + old_disp as i64;
-                    let from = self.exe.text_addr(old_idx);
-                    if old_target < 0 || old_target > u32::MAX as i64 {
-                        return Err(EditError::BadBranchTarget { from, to: 0 });
-                    }
-                    match leader_map.get(old_target as usize) {
-                        Some(&new) if new != NOT_LEADER => new,
-                        _ => {
-                            return Err(EditError::BadBranchTarget {
-                                from,
-                                to: self.exe.text_addr(old_target as usize),
-                            })
-                        }
-                    }
+            let old_target = old_idx as i64 + old_disp as i64;
+            let from = self.exe.text_addr(old_idx);
+            if old_target < 0 || old_target > u32::MAX as i64 {
+                return Err(EditError::BadBranchTarget { from, to: 0 });
+            }
+            let new_target = match leader_map.get(old_target as usize) {
+                Some(&new) if new != NOT_LEADER => new,
+                _ => {
+                    return Err(EditError::BadBranchTarget {
+                        from,
+                        to: self.exe.text_addr(old_target as usize),
+                    })
                 }
-                Fix::ToLeader { old_target } => {
-                    let new = leader_map[old_target];
-                    assert_ne!(new, NOT_LEADER, "trampoline targets are block leaders");
-                    new
-                }
-                Fix::ToNew { new_target } => new_target,
             };
             insn.set_branch_disp(new_target as i32 - new_idx as i32);
             new_text[new_idx] = insn.encode();
@@ -852,87 +708,6 @@ mod tests {
                 to: 0x3000_0000
             }
         );
-    }
-
-    #[test]
-    fn fall_edge_insertion_is_inline() {
-        // Diamond: block 0 branches or falls; instrument the fall edge.
-        let mut a = Assembler::new();
-        let t = a.new_label();
-        a.cmp(IntReg::O0, Operand::imm(0));
-        a.b(Cond::E, t); // block 0
-        a.nop();
-        a.mov(Operand::imm(1), IntReg::O1); // block 1 (fall path)
-        a.bind(t);
-        a.retl(); // block 2
-        a.nop();
-        let exe = Executable::from_words(
-            0x10000,
-            a.finish().unwrap().iter().map(|i| i.encode()).collect(),
-        );
-        let mut session = EditSession::new(&exe).unwrap();
-        // block 0's succs: [Taken(2), Fall(1)].
-        session.insert_on_edge(0, 0, 1, vec![Instruction::mov(Operand::imm(9), IntReg::O2)]);
-        let out = session.emit_unscheduled().unwrap();
-        // The marker sits between block 0 and block 1.
-        assert_eq!(
-            Instruction::decode(out.text()[3]),
-            Instruction::mov(Operand::imm(9), IntReg::O2)
-        );
-        // And the taken branch must skip over it: be now jumps 4 words
-        // further than before.
-        let b = Instruction::decode(out.text()[1]);
-        assert_eq!(b.branch_disp(), Some(4));
-    }
-
-    #[test]
-    fn taken_edge_insertion_uses_a_trampoline() {
-        let mut a = Assembler::new();
-        let t = a.new_label();
-        a.cmp(IntReg::O0, Operand::imm(0));
-        a.b(Cond::E, t); // block 0: Taken(2), Fall(1)
-        a.nop();
-        a.mov(Operand::imm(1), IntReg::O1); // block 1
-        a.bind(t);
-        a.retl(); // block 2
-        a.nop();
-        let exe = Executable::from_words(
-            0x10000,
-            a.finish().unwrap().iter().map(|i| i.encode()).collect(),
-        );
-        let mut session = EditSession::new(&exe).unwrap();
-        let marker = Instruction::mov(Operand::imm(7), IntReg::O3);
-        session.insert_on_edge(0, 0, 0, vec![marker]);
-        let out = session.emit_unscheduled().unwrap();
-        // Original 6 words + trampoline (marker, ba, nop).
-        assert_eq!(out.text_len(), 9);
-        assert_eq!(Instruction::decode(out.text()[6]), marker);
-        // The branch goes to the trampoline…
-        let b = Instruction::decode(out.text()[1]);
-        assert_eq!(
-            b.branch_disp(),
-            Some(5),
-            "be targets the trampoline at word 6"
-        );
-        // …and the trampoline's ba returns to the original target.
-        let ba = Instruction::decode(out.text()[7]);
-        assert_eq!(ba.branch_disp(), Some(-3), "ba back to block 2 at word 4");
-    }
-
-    #[test]
-    fn exit_edge_insertion_panics() {
-        let mut a = Assembler::new();
-        a.retl();
-        a.nop();
-        let exe = Executable::from_words(
-            0x10000,
-            a.finish().unwrap().iter().map(|i| i.encode()).collect(),
-        );
-        let mut session = EditSession::new(&exe).unwrap();
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            session.insert_on_edge(0, 0, 0, vec![Instruction::nop()]);
-        }));
-        assert!(r.is_err());
     }
 
     #[test]

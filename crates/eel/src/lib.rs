@@ -25,17 +25,13 @@
 #![warn(missing_docs)]
 
 mod cfg;
-mod dom;
 mod edit;
 mod error;
 mod format;
 mod image;
-mod liveness;
 
 pub use cfg::{BasicBlock, Cfg, Edge, Routine};
-pub use dom::{Dominators, Loops};
 pub use edit::{BlockCode, BlockInfo, EditSession, Origin, Tagged};
 pub use error::EditError;
 pub use format::{FormatError, MAGIC, VERSION};
 pub use image::{Executable, Symbol};
-pub use liveness::{Liveness, ResourceSet};

@@ -32,22 +32,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod edge;
 mod trace;
 
-pub use edge::{EdgeKey, EdgeProfile, EdgeProfileOptions, EdgeProfiler};
 pub use trace::{trace_snippet, TraceOptions, Tracer};
 
 use std::collections::HashMap;
 
-use eel_edit::{Cfg, Edge, EditSession, Liveness, ResourceSet};
+use eel_edit::{Cfg, Edge, EditSession};
 use eel_sparc::{Address, Instruction, IntReg, Operand};
 
-/// The scratch registers of every profiling counter sequence that
-/// does not scavenge its own. QPT2 uses reserved globals; programs
-/// edited here must not carry live values in them across block
-/// entries.
-pub(crate) const SCRATCH: (IntReg, IntReg) = (IntReg::G1, IntReg::G2);
+/// The scratch registers of every profiling counter sequence: QPT2's
+/// reserved globals.
+const SCRATCH: (IntReg, IntReg) = (IntReg::G1, IntReg::G2);
 
 /// Options for profiling instrumentation. Counter sequences use the
 /// reserved globals `%g1` and `%g2`, so programs edited here must not
@@ -57,18 +53,12 @@ pub struct ProfileOptions {
     /// Apply the paper's block-skipping rule (on by default). With it
     /// off, every block is counted directly.
     pub apply_skip_rule: bool,
-    /// Scavenge dead registers per block (EEL's liveness analysis)
-    /// instead of always using `%g1` and `%g2`. Varies the snippet's
-    /// registers block to block, which also removes the cross-block
-    /// serialization of reusing one global pair.
-    pub scavenge: bool,
 }
 
 impl Default for ProfileOptions {
     fn default() -> ProfileOptions {
         ProfileOptions {
             apply_skip_rule: true,
-            scavenge: false,
         }
     }
 }
@@ -109,32 +99,10 @@ impl Profiler {
             .count();
         let counter_base = session.reserve_bss(4 * n_counted as u32);
 
-        // With scavenging on, pick per-block dead registers; nothing
-        // is assumed about callers, so exits keep everything live.
-        let liveness: Vec<Liveness> = if options.scavenge {
-            session
-                .cfg()
-                .routines
-                .iter()
-                .map(|rt| Liveness::analyze(session.exe(), rt, ResourceSet::all()))
-                .collect()
-        } else {
-            Vec::new()
-        };
-
         for (r, b, d) in blocks(&first_block, &decisions) {
             if let CountSource::Slot(i) = d {
                 let addr = counter_base + 4 * i as u32;
-                let scratch = if options.scavenge {
-                    let cands = liveness[r].scratch_candidates(b);
-                    match (cands.first(), cands.get(1)) {
-                        (Some(&a), Some(&v)) => (a, v),
-                        _ => SCRATCH,
-                    }
-                } else {
-                    SCRATCH
-                };
-                session.insert_at_block_head(r, b, counter_snippet(addr, scratch));
+                session.insert_at_block_head(r, b, counter_snippet(addr, SCRATCH));
             }
         }
         Profiler {
@@ -409,7 +377,6 @@ mod tests {
             &mut session,
             ProfileOptions {
                 apply_skip_rule: false,
-                ..ProfileOptions::default()
             },
         );
         assert_eq!(prof.skipped_blocks(), 0);

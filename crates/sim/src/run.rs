@@ -77,7 +77,7 @@ pub struct RunResult {
     pub mem_ops: u64,
     /// Per-text-word *taken* counts: `taken_counts[i]` is how often the
     /// CTI at word `i` transferred control (0 for non-CTI words and
-    /// untaken executions). Ground truth for edge profiles.
+    /// untaken executions).
     pub taken_counts: Vec<u64>,
     /// The final data memory, for reading back counter tables.
     pub memory: Memory,

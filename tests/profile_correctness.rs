@@ -66,7 +66,6 @@ fn check_profile(
         &mut session,
         ProfileOptions {
             apply_skip_rule: skip_rule,
-            ..ProfileOptions::default()
         },
     );
     assert!(profiler.counter_base() >= data_end, "{}", bench.name);
@@ -197,7 +196,6 @@ fn skip_rule_reduces_counters_without_losing_information() {
         &mut without_rule,
         ProfileOptions {
             apply_skip_rule: false,
-            ..ProfileOptions::default()
         },
     );
     assert!(

@@ -1,6 +1,5 @@
-//! Correctness of the extended instrumentation tools: liveness-based
-//! register scavenging and address tracing, end to end through
-//! editing, scheduling, and simulation.
+//! Correctness of address tracing, alone and beside profiling, end to
+//! end through editing, scheduling, and simulation.
 
 use eel_repro::core::Scheduler;
 use eel_repro::edit::{EditSession, Executable};
@@ -9,78 +8,6 @@ use eel_repro::qpt::{ProfileOptions, Profiler, TraceOptions, Tracer};
 use eel_repro::sim::{run, RunConfig};
 use eel_repro::sparc::{Address, Assembler, Cond, IntReg, Operand};
 use eel_repro::workloads::{spec95, BuildOptions};
-
-#[test]
-fn scavenged_profiling_preserves_semantics_and_counts() {
-    for bench in spec95().iter().step_by(6) {
-        let exe = bench.build(&BuildOptions {
-            iterations: Some(6),
-            optimize: None,
-        });
-        let base = run(&exe, None, &RunConfig::default()).expect("runs");
-
-        let mut session = EditSession::new(&exe).expect("analyzable");
-        let profiler = Profiler::instrument(
-            &mut session,
-            ProfileOptions {
-                scavenge: true,
-                ..ProfileOptions::default()
-            },
-        );
-        let edited = session
-            .emit(Scheduler::new(MachineModel::ultrasparc()).transform())
-            .expect("schedulable");
-        let result = run(&edited, None, &RunConfig::default()).expect("runs");
-        assert_eq!(result.exit_code, base.exit_code, "{}", bench.name);
-
-        // The profile still matches ground truth.
-        let cfg = eel_repro::edit::Cfg::build(&exe).expect("analyzable");
-        let mut mem = result.memory.clone();
-        let counts = profiler.profile(|a| mem.read_u32(a).expect("readable"));
-        for (ri, r) in cfg.routines.iter().enumerate() {
-            for (bi, b) in r.blocks.iter().enumerate() {
-                assert_eq!(
-                    u64::from(counts[&(ri, bi)]),
-                    base.pc_counts[b.start],
-                    "{}: block ({ri},{bi})",
-                    bench.name
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn scavenging_actually_varies_registers() {
-    // On a workload with many blocks, scavenging should not produce
-    // the identical executable the fixed-scratch profiler does.
-    let bench = &spec95()[0];
-    let exe = bench.build(&BuildOptions {
-        iterations: Some(2),
-        optimize: None,
-    });
-
-    let mut fixed = EditSession::new(&exe).expect("analyzable");
-    let _ = Profiler::instrument(&mut fixed, ProfileOptions::default());
-    let fixed_exe = fixed.emit_unscheduled().expect("layout");
-
-    let mut scav = EditSession::new(&exe).expect("analyzable");
-    let _ = Profiler::instrument(
-        &mut scav,
-        ProfileOptions {
-            scavenge: true,
-            ..ProfileOptions::default()
-        },
-    );
-    let scav_exe = scav.emit_unscheduled().expect("layout");
-
-    assert_eq!(fixed_exe.text_len(), scav_exe.text_len());
-    assert_ne!(
-        fixed_exe.text(),
-        scav_exe.text(),
-        "scavenging picked other registers"
-    );
-}
 
 /// A small hand-written program whose exact address trace is known.
 fn traced_program() -> (Executable, Vec<u32>) {
