@@ -247,8 +247,8 @@ const _: () = {
 };
 
 impl Engine {
-    /// An engine with in-process memoization only (hermetic; used by
-    /// the free functions in [`crate::experiment`] and by tests).
+    /// An engine with in-process memoization only (hermetic; `eel
+    /// experiment --no-cache`, the golden tables and tests use it).
     pub fn new(model: &MachineModel, cfg: &ExperimentConfig) -> Engine {
         Engine {
             model: model.clone(),
@@ -1096,11 +1096,22 @@ mod tests {
     /// A table over a corpus that lists every entry twice, so that two
     /// workers can compute one key together, then equals the serial
     /// uncached rows, and leaves no cell a later engine rejects.
+    ///
+    /// The directory lives in memory (`/dev/shm`) where there is one:
+    /// on a disk file system a rename over an existing file can flush
+    /// it first (ext4's replace-by-rename heuristic), which turns the
+    /// 4,800 renames from milliseconds into minutes.
     #[test]
     fn concurrent_writers_of_one_key_never_tear() {
         let model = MachineModel::ultrasparc();
         let cfg = quick();
-        let dir = std::env::temp_dir().join(format!("eel-artifacts-tear-{}", std::process::id()));
+        let shm = std::path::Path::new("/dev/shm");
+        let base = if shm.is_dir() {
+            shm.to_path_buf()
+        } else {
+            std::env::temp_dir()
+        };
+        let dir = base.join(format!("eel-artifacts-tear-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
         const KEYS: [u64; 3] = [11, 22, 33];

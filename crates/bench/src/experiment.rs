@@ -20,9 +20,7 @@ use eel_core::{SchedOptions, Scheduler};
 use eel_edit::{Cfg, Executable};
 use eel_pipeline::MachineModel;
 use eel_sim::{RunConfig, RunResult, TimingConfig};
-use eel_workloads::{Benchmark, BuildOptions, Suite};
-
-use crate::engine::{jobs_from_env, Engine};
+use eel_workloads::{BuildOptions, Suite};
 
 /// Scaling and model options for one experiment run.
 #[derive(Debug, Clone)]
@@ -188,19 +186,6 @@ pub fn mean_ratio<R: Borrow<Row>>(rows: &[R], f: impl Fn(&Row) -> f64) -> f64 {
     (log_sum / rows.len() as f64).exp()
 }
 
-/// Runs a whole table: every benchmark in `benchmarks` on `model`,
-/// fanned out over `$EEL_JOBS` workers (default: all cores). Row order
-/// and contents are independent of the worker count; see
-/// [`Engine::run_table`].
-pub fn run_table(
-    benchmarks: &[Benchmark],
-    model: &MachineModel,
-    cfg: &ExperimentConfig,
-    reschedule_first: bool,
-) -> Vec<Row> {
-    Engine::new(model, cfg).run_table(benchmarks, reschedule_first, jobs_from_env())
-}
-
 /// Formats rows in the paper's table layout.
 pub fn format_table(title: &str, model: &MachineModel, rows: &[Row], show_resched: bool) -> String {
     use std::fmt::Write;
@@ -288,6 +273,7 @@ pub fn format_csv(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use eel_workloads::{cfp95, cint95};
 
     fn quick() -> ExperimentConfig {

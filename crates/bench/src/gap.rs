@@ -13,7 +13,6 @@
 //! wins back — are the paper-level answer to "how much is greedy
 //! leaving on the table?".
 
-use eel_core::SchedOptions;
 use eel_edit::EditSession;
 use eel_pipeline::MachineModel;
 use eel_qpt::{ProfileOptions, Profiler};
@@ -89,27 +88,13 @@ pub fn gap_row(m: &Measurement, bench: &Benchmark) -> GapRow {
     row
 }
 
-/// [`gap_row`] for every benchmark on `model`, built with `iterations`
-/// and searched with `budget` nodes per block, fanned out over `jobs`
-/// workers; rows come back in benchmark order (the search is
+/// [`gap_row`] for every benchmark on `model` under Table 1's
+/// configuration (the default node budget per block), fanned out over
+/// `jobs` workers; rows come back in benchmark order (the search is
 /// deterministic, so the report is byte-identical for any worker
 /// count).
-pub fn gap_table(
-    model: &MachineModel,
-    benchmarks: &[Benchmark],
-    iterations: Option<u32>,
-    budget: u32,
-    jobs: usize,
-) -> Vec<GapRow> {
-    let cfg = ExperimentConfig {
-        iterations,
-        sched: SchedOptions {
-            exact_budget: budget,
-            ..SchedOptions::default()
-        },
-        ..ExperimentConfig::default()
-    };
-    let m = Measurement::new(model, &cfg);
+pub fn gap_table(model: &MachineModel, benchmarks: &[Benchmark], jobs: usize) -> Vec<GapRow> {
+    let m = Measurement::new(model, &ExperimentConfig::default());
     in_order(benchmarks, jobs, |b| gap_row(&m, b))
 }
 

@@ -120,7 +120,7 @@ fn published_results_tables_agree_with_golden_rows() {
     }
 }
 
-/// The `gap_report` binary's default output — the branch-and-bound
+/// `eel results gap_report`'s output — the branch-and-bound
 /// oracle vs the list scheduler over the golden pair's instrumented
 /// blocks, on the UltraSPARC and the hyperSPARC — pinned byte-for-byte.
 /// Any change to the oracle's search, bounds, or fallback semantics
@@ -132,13 +132,7 @@ fn gap_report_matches_golden_snapshot() {
         .iter()
         .enumerate()
     {
-        let rows = gap_table(
-            model,
-            &golden_benchmarks(),
-            None,
-            eel_core::DEFAULT_EXACT_BUDGET,
-            2,
-        );
+        let rows = gap_table(model, &golden_benchmarks(), 2);
         if k > 0 {
             text.push('\n');
         }

@@ -21,7 +21,7 @@
 //!                [--report FILE] [--policy POLICY]
 //!                [--corpus golden|full|FILE]
 //!                [--trace FILE]
-//! eel results NAME [flags]          # stdout is results/NAME.txt
+//! eel results NAME [--jobs N]       # stdout is results/NAME.txt
 //! eel trace FILE [--chrome OUT] [--check CAT,...] [--limit N]
 //! eel report FILE [--json]
 //! eel report --diff OLD NEW [--json]
@@ -41,6 +41,7 @@
 use std::error::Error;
 use std::fmt;
 use std::fs;
+use std::num::NonZeroUsize;
 use std::str::FromStr;
 
 use eel_bench::engine::jobs_from_env;
@@ -134,17 +135,13 @@ commands:
                                        figure2 blocksizes cache_effect
                                        dcache_effect tracing model_accuracy
                                        scalar_control
-      table1|table2|table3             the paper's tables over the shared
-        [--csv] [--jobs N]             artifact cache; --corpus as for
-        [--corpus golden|full|FILE]    `experiment`
+      table1|table2|table3 [--jobs N]  the paper's tables over the shared
+                                       artifact cache
       summary [--jobs N]               the abstract's 13%/33% averages
       ablations [--jobs N]             design-choice ablations and the
                                        policy x machine sweep
-      gap_report [--machine MACHINE]   exact oracle vs the list scheduler
-        [--full] [--quick]             (--full: all of SPEC95; --quick:
-        [--budget N] [--jobs N]        shrunken workloads)
+      gap_report [--jobs N]            exact oracle vs the list scheduler
       stall_breakdown [--jobs N]       per-benchmark stall attribution
-        [--quick]
   trace FILE [--chrome OUT]            render a recorded trace: timeline plus
       [--check CAT,...] [--limit N]    the per-category self-time profile
                                        (--limit caps timeline lines, default
@@ -212,9 +209,12 @@ impl Args {
             .transpose()
     }
 
-    /// `--jobs N`, defaulting to `$EEL_JOBS`, then all cores.
+    /// `--jobs N` (at least 1), defaulting to `$EEL_JOBS`, then all
+    /// cores.
     fn jobs(&mut self) -> Result<usize, CliError> {
-        Ok(self.parsed("--jobs")?.unwrap_or_else(jobs_from_env).max(1))
+        Ok(self
+            .parsed("--jobs")?
+            .map_or_else(jobs_from_env, NonZeroUsize::get))
     }
 
     /// The shipped machine model [`Args::value`] names, in any ASCII

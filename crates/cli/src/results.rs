@@ -3,17 +3,17 @@
 //! `eel results NAME > results/NAME.txt` is the one regeneration rule;
 //! engine stats and progress go to stderr.
 //!
-//! The paper's tables (§4.2 Tables 1–3) run through the same table
-//! driver as `eel experiment`, over the shared on-disk artifact cache
-//! (`EEL_NO_CACHE=1` disables it). The rest are the abstract's
-//! summary, the design-choice ablations, and the §4.1 side studies.
+//! Each generator runs only its published configuration and takes at
+//! most `--jobs`. The paper's tables (§4.2 Tables 1–3) and the studies
+//! built on them share the on-disk artifact cache (`EEL_NO_CACHE=1`
+//! disables it). The rest are the abstract's summary, the design-choice
+//! ablations, and the §4.1 side studies.
 
 use std::fmt::Write;
 
-use eel_bench::engine::Engine;
+use eel_bench::engine::{jobs_from_env, Engine};
 use eel_bench::experiment::{
-    dynamic_avg_bb, format_table, mean_pct_hidden, pct_hidden, run_table, ExperimentConfig,
-    Measurement, Row,
+    dynamic_avg_bb, format_table, mean_pct_hidden, pct_hidden, ExperimentConfig, Measurement, Row,
 };
 use eel_bench::gap::{format_gap_report, gap_table};
 use eel_core::{Priority, SchedOptions, DEFAULT_EXACT_BUDGET};
@@ -25,7 +25,6 @@ use eel_sim::{run, DCacheConfig, ICacheConfig, RunConfig, RunResult};
 use eel_sparc::Instruction;
 use eel_workloads::{spec95, Benchmark, BuildOptions, Suite};
 
-use crate::experiment::{Table, TableFlags};
 use crate::{err, golden_pair, Args, CliError};
 
 type Generator = fn(Args) -> Result<String, CliError>;
@@ -81,30 +80,33 @@ pub(crate) fn results(mut args: Args) -> Result<String, CliError> {
     generate(args)
 }
 
-/// One of the paper's Tables 1–3 on `model`, with the originals first
-/// rescheduled by EEL when `reschedule` (Table 2's protocol). Table 2
-/// shares its `Uninst` and `Sched` cells with Table 1 through the
-/// artifact cache, so after a `table1` run only the rescheduled
-/// baselines and their instrumented runs are simulated.
+/// One of the paper's Tables 1–3: SPEC95 on `model`, with the
+/// originals first rescheduled by EEL when `reschedule` (Table 2's
+/// protocol). Table 2 shares its `Uninst` and `Sched` cells and its
+/// builds with Table 1 through the artifact cache, so after a `table1`
+/// run only the rescheduled baselines and their instrumented runs are
+/// simulated.
 fn paper_table(
     mut args: Args,
     title: &str,
     model: MachineModel,
     reschedule: bool,
 ) -> Result<String, CliError> {
-    let flags = TableFlags::parse(&mut args)?;
+    let jobs = args.jobs()?;
     args.finish()?;
-    let table = Table {
-        title: title.to_string(),
-        model,
-        reschedule,
-        cfg: ExperimentConfig::default(),
-        cache: true,
-        tracer: None,
-    };
-    let (text, engine) = table.run(&flags, &flags.corpus()?);
+    let engine = Engine::new(&model, &ExperimentConfig::default()).with_default_disk_cache();
+    let rows = engine.run_table(&spec95(), reschedule, jobs);
     eprintln!("{}", engine.stats().report());
-    Ok(if flags.csv { text } else { text + "\n" })
+    Ok(format_table(title, &model, &rows, reschedule) + "\n")
+}
+
+/// Table 1's protocol over SPEC95 on `model` under `cfg`, through the
+/// artifact cache; the engine's stats go to stderr after `label`.
+fn table_rows(label: &str, model: &MachineModel, cfg: &ExperimentConfig, jobs: usize) -> Vec<Row> {
+    let engine = Engine::new(model, cfg).with_default_disk_cache();
+    let rows = engine.run_table(&spec95(), false, jobs);
+    eprintln!("{label}: {}", engine.stats().report());
+    rows
 }
 
 /// Mean % hidden over the CINT rows and over the CFP rows.
@@ -124,12 +126,10 @@ fn summary(mut args: Args) -> Result<String, CliError> {
     let jobs = args.jobs()?;
     args.finish()?;
     let cfg = ExperimentConfig::default();
-    let benchmarks = spec95();
     let mut out = String::new();
     let (mut int_avgs, mut fp_avgs) = (Vec::new(), Vec::new());
     for model in [MachineModel::ultrasparc(), MachineModel::supersparc()] {
-        let engine = Engine::new(&model, &cfg).with_default_disk_cache();
-        let (i, f) = suite_means(&engine.run_table(&benchmarks, false, jobs));
+        let (i, f) = suite_means(&table_rows(model.name(), &model, &cfg, jobs));
         writeln!(
             out,
             "{:<12} SPECINT hidden: {i:5.1}%   SPECFP hidden: {f:5.1}%",
@@ -137,7 +137,6 @@ fn summary(mut args: Args) -> Result<String, CliError> {
         )?;
         int_avgs.push(i);
         fp_avgs.push(f);
-        eprintln!("{}: {}", model.name(), engine.stats().report());
     }
     let int = int_avgs.iter().sum::<f64>() / int_avgs.len() as f64;
     let fp = fp_avgs.iter().sum::<f64>() / fp_avgs.len() as f64;
@@ -278,44 +277,33 @@ fn ablations(mut args: Args) -> Result<String, CliError> {
 }
 
 /// Per-benchmark optimality gap: the branch-and-bound oracle vs the
-/// paper's list scheduler over every instrumented block. By default
-/// the golden pair on the UltraSPARC and the hyperSPARC (the deep
-/// pipeline where the greedy gap shows); `--machine` picks one
-/// machine, `--full` sweeps SPEC95, `--quick` shrinks the workloads,
-/// `--budget` caps search nodes per block.
+/// paper's list scheduler over every instrumented block of the golden
+/// pair, on the UltraSPARC and the hyperSPARC (the deep pipeline where
+/// the greedy gap shows). `eel experiment --policy exact` and
+/// `eel explain --exact` reach the oracle's other settings.
 fn gap_report(mut args: Args) -> Result<String, CliError> {
-    let machine = args.machine("--machine")?;
-    let full = args.flag("--full");
-    let iterations = args.flag("--quick").then_some(40);
-    let budget = args.parsed("--budget")?.unwrap_or(DEFAULT_EXACT_BUDGET);
     let jobs = args.jobs()?;
     args.finish()?;
-    let models = match machine {
-        None => vec![MachineModel::ultrasparc(), MachineModel::hypersparc()],
-        Some(m) => vec![m],
-    };
-    let (benchmarks, scope) = if full {
-        (spec95(), "SPEC95")
-    } else {
-        (golden_pair(), "golden subset")
-    };
     let mut out = String::new();
     let mut nodes = 0u64;
-    for (k, model) in models.iter().enumerate() {
-        let rows = gap_table(model, &benchmarks, iterations, budget, jobs);
+    for (k, model) in [MachineModel::ultrasparc(), MachineModel::hypersparc()]
+        .iter()
+        .enumerate()
+    {
+        let rows = gap_table(model, &golden_pair(), jobs);
         if k > 0 {
             writeln!(out)?;
         }
         out.push_str(&format_gap_report(
             &format!(
-                "Optimality gap ({scope}): exact oracle vs the list scheduler on the {}",
+                "Optimality gap (golden subset): exact oracle vs the list scheduler on the {}",
                 model.name()
             ),
             &rows,
         ));
         nodes += rows.iter().map(|r| r.nodes).sum::<u64>();
     }
-    eprintln!("oracle: {nodes} search nodes, budget {budget} per block");
+    eprintln!("oracle: {nodes} search nodes, budget {DEFAULT_EXACT_BUDGET} per block");
     Ok(out)
 }
 
@@ -329,17 +317,13 @@ fn pct(part: u64, whole: u64) -> f64 {
 /// Per-benchmark aggregate stall attribution on the UltraSPARC for the
 /// instrumented executable before and after EEL scheduling: structural
 /// vs RAW vs WAR/WAW stalls, and the most contended units. Attribution
-/// runs are never cached, so this always simulates.
+/// runs are never cached, so this always simulates, but it loads
+/// Table 1's builds from the artifact cache.
 fn stall_breakdown(mut args: Args) -> Result<String, CliError> {
     let jobs = args.jobs()?;
-    let quick = args.flag("--quick");
     args.finish()?;
     let model = MachineModel::ultrasparc();
-    let cfg = ExperimentConfig {
-        iterations: quick.then_some(40),
-        ..ExperimentConfig::default()
-    };
-    let engine = Engine::new(&model, &cfg);
+    let engine = Engine::new(&model, &ExperimentConfig::default()).with_default_disk_cache();
     let attrs = engine.attribute_table(&spec95(), jobs);
     let mut out = String::new();
     writeln!(
@@ -585,7 +569,8 @@ fn cache_effect(args: Args) -> Result<String, CliError> {
 /// Measurement realism: the Table 1 protocol with an explicit data
 /// cache instead of the flat +2-cycle load bias. Hot counter words
 /// hit, scattered array accesses miss — the headline %hidden numbers
-/// should not hinge on how memory is modeled.
+/// should not hinge on how memory is modeled. The flat-bias rows are
+/// Table 1's.
 fn dcache_effect(args: Args) -> Result<String, CliError> {
     args.finish()?;
     let model = MachineModel::ultrasparc();
@@ -599,8 +584,8 @@ fn dcache_effect(args: Args) -> Result<String, CliError> {
         line: 32,
         miss_penalty: 8,
     });
-    let rows_flat = run_table(&spec95(), &model, &flat, false);
-    let rows_cache = run_table(&spec95(), &model, &cache, false);
+    let rows_flat = table_rows("flat bias", &model, &flat, jobs_from_env());
+    let rows_cache = table_rows("D-cache", &model, &cache, jobs_from_env());
     let mut out = String::new();
     writeln!(
         out,
@@ -738,11 +723,10 @@ fn model_accuracy(args: Args) -> Result<String, CliError> {
 /// The control experiment behind the paper's premise (§1): the unused
 /// issue width is where instrumentation hides, so on a scalar (1-wide)
 /// machine the same scheduler should hide little beyond load-latency
-/// bubbles.
+/// bubbles. The UltraSPARC and SuperSPARC rows are Tables 1 and 3.
 fn scalar_control(args: Args) -> Result<String, CliError> {
     args.finish()?;
     let cfg = ExperimentConfig::default();
-    let benchmarks = spec95();
     let mut out = String::new();
     writeln!(
         out,
@@ -755,7 +739,7 @@ fn scalar_control(args: Args) -> Result<String, CliError> {
         MachineModel::supersparc(),
         MachineModel::ultrasparc(),
     ] {
-        let (int, fp) = suite_means(&run_table(&benchmarks, &model, &cfg, false));
+        let (int, fp) = suite_means(&table_rows(model.name(), &model, &cfg, jobs_from_env()));
         writeln!(
             out,
             "{:<12} {:>6} {:>13.1}% {:>13.1}%",

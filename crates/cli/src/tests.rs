@@ -590,29 +590,21 @@ fn tiny_corpus(name: &str) -> String {
 
 #[test]
 fn results_table1_and_experiment_share_one_table_driver() {
-    let manifest = tiny_corpus("results-vs-experiment.txt");
     // `results table1` reads through the shared artifact cache, whose
-    // cells are content-keyed, so its rows must equal a `--no-cache`
-    // experiment's; the experiment appends engine stats after them.
-    let results = call(&["results", "table1", "--corpus", &manifest, "--csv"]).unwrap();
-    let experiment = call(&["experiment", "--corpus", &manifest, "--no-cache", "--csv"]).unwrap();
-    assert_eq!(results.lines().count(), 3, "{results}");
-    assert!(
-        experiment.starts_with(&results),
-        "{results}\n---\n{experiment}"
-    );
-    // The rendered table differs only in its fixed title and the
-    // trailing newline the published file carries.
-    let text = call(&["results", "table1", "--corpus", &manifest]).unwrap();
+    // cells are content-keyed, so its SPEC95 rows must equal a
+    // `--no-cache` experiment's. The rendered tables differ only in
+    // the fixed title, the trailing newline the published file carries
+    // and the engine stats the experiment appends.
+    let text = call(&["results", "table1"]).unwrap();
     let title = "Table 1: Slow profiling instrumentation on the UltraSPARC\n";
     let body = text.strip_prefix(title).expect("Table 1 title");
-    let experiment = call(&["experiment", "--corpus", &manifest, "--no-cache"]).unwrap();
+    let experiment = call(&["experiment", "--no-cache"]).unwrap();
     let exp_body = experiment.split_once('\n').unwrap().1;
+    let rows = body.strip_suffix('\n').unwrap();
     assert!(
-        exp_body.starts_with(body.strip_suffix('\n').unwrap()),
+        exp_body.starts_with(&format!("{rows}engine: ")),
         "{text}\n---\n{experiment}"
     );
-    std::fs::remove_file(&manifest).ok();
 }
 
 #[test]
@@ -663,18 +655,41 @@ fn bad_flags_are_one_line_errors_not_fallbacks() {
         (&["results", "table1", "--jobs", "abc"], "bad --jobs `abc`"),
         (&["experiment", "--jobs", "abc"], "bad --jobs `abc`"),
         (&["results", "summary", "--jobs"], "--jobs needs a value"),
-        // The ablations always run the published configuration.
+        (&["results", "summary", "--jobs", "0"], "bad --jobs `0`"),
+        (&["experiment", "--jobs", "0"], "bad --jobs `0`"),
+        // Every result runs only its published configuration;
+        // `experiment` is the command with knobs.
         (
             &["results", "ablations", "--iterations", "2"],
             "unexpected argument `--iterations`",
         ),
         (
-            &["results", "gap_report", "--budget", "lots"],
-            "bad --budget `lots`",
+            &["results", "table1", "--csv"],
+            "unexpected argument `--csv`",
+        ),
+        (
+            &["results", "table2", "--corpus", "golden"],
+            "unexpected argument `--corpus`",
         ),
         (
             &["results", "gap_report", "--machine", "z80"],
-            "unknown machine `z80`",
+            "unexpected argument `--machine`",
+        ),
+        (
+            &["results", "gap_report", "--full"],
+            "unexpected argument `--full`",
+        ),
+        (
+            &["results", "gap_report", "--quick"],
+            "unexpected argument `--quick`",
+        ),
+        (
+            &["results", "gap_report", "--budget", "5"],
+            "unexpected argument `--budget`",
+        ),
+        (
+            &["results", "stall_breakdown", "--quick"],
+            "unexpected argument `--quick`",
         ),
         (
             &["results", "figure2", "--csv"],
@@ -722,7 +737,7 @@ fn runs_publish_nothing_without_report() {
         || [workspace_root(), results_dir()].map(|d| d.join("BENCH_engine.json").exists());
     let before = runs();
     let manifest = tiny_corpus("publish-nothing.txt");
-    call(&["results", "table3", "--corpus", &manifest]).unwrap();
+    call(&["results", "table3"]).unwrap();
     call(&["experiment", "--corpus", &manifest, "--no-cache"]).unwrap();
     assert_eq!(runs(), before, "no results/RUN_*.json written");
     assert_eq!(trajectories(), [false, false], "no BENCH_engine.json");

@@ -540,8 +540,8 @@ struct Block {
     mem_ops: u64,
     /// Completed executions, expanded into per-word counts at run end.
     execs: u64,
-    /// Taken terminator executions, added to the terminator word's
-    /// taken count at run end.
+    /// Taken terminator executions, added to the run's taken branches
+    /// at run end.
     taken: u64,
     /// Fused delay-slot executions, added to the slot word's count at
     /// run end.
@@ -959,8 +959,8 @@ struct Engine<'a> {
     /// Per-word counts of single steps; blocks keep their own counts
     /// and add them at run end.
     pc_counts: Vec<u64>,
-    /// Per-word taken counts of single steps, likewise.
-    taken_counts: Vec<u64>,
+    /// Taken control transfers of single steps; blocks keep their own.
+    taken: u64,
     instructions: u64,
     mem_ops: u64,
     builds: u64,
@@ -1015,9 +1015,7 @@ impl Engine<'_> {
                 if let Some(t) = self.timer.as_mut() {
                     t.retire_cti(taken_cti);
                 }
-                if taken_cti {
-                    self.taken_counts[word_idx] += 1;
-                }
+                self.taken += u64::from(taken_cti);
                 Ok(None)
             }
             Step::Exit(code) => Ok(Some(code)),
@@ -1371,7 +1369,7 @@ pub(crate) fn run_blocks(
         cpu: Cpu::new(exe.entry()),
         timer,
         pc_counts: vec![0u64; text_len],
-        taken_counts: vec![0u64; text_len],
+        taken: 0,
         instructions: 0,
         mem_ops: 0,
         builds: 0,
@@ -1431,21 +1429,21 @@ pub(crate) fn run_blocks(
         }
     };
 
-    // Expand the per-block counts into the per-word profiles.
+    // Expand the per-block counts into the per-word profile, and add
+    // the blocks' taken transfers to the single steps'.
     let mut fused = 0;
+    let mut taken_branches = eng.taken;
     for block in blocks.iter().flatten() {
         let end = block.start + block.insns.len();
         for c in &mut eng.pc_counts[block.start..end] {
             *c += block.execs;
         }
-        eng.taken_counts[end - 1] += block.taken;
+        taken_branches += block.taken;
         if block.slot_execs > 0 {
             eng.pc_counts[end] += block.slot_execs;
             fused += block.slot_execs;
         }
     }
-    // Every taken transfer is counted at its word.
-    let taken_branches = eng.taken_counts.iter().sum();
 
     let timer = eng.timer;
     let cycles = timer.as_ref().map_or(0, |t| t.last_complete + 1);
@@ -1480,7 +1478,6 @@ pub(crate) fn run_blocks(
         dcache_misses: timer.as_ref().map_or(0, |t| cache_misses(&t.dcache)),
         taken_branches,
         mem_ops: eng.mem_ops,
-        taken_counts: eng.taken_counts,
         memory: eng.mem,
         stall_profile: timer.and_then(|t| t.profile),
     })

@@ -39,7 +39,6 @@ impl ReferenceCpu {
         let mut mem = Memory::load(exe);
         let mut cpu = Cpu::new(exe.entry());
         let mut pc_counts = vec![0u64; exe.text_len()];
-        let mut taken_counts = vec![0u64; exe.text_len()];
 
         let timing = config.timing.as_ref().zip(model);
         let mut pipe = model.map(PipelineState::new);
@@ -101,7 +100,6 @@ impl ReferenceCpu {
                 Step::Continue { taken_cti } => {
                     if taken_cti {
                         taken_branches += 1;
-                        taken_counts[word_idx] += 1;
                         if let (Some((tc, _)), Some(pipe)) = (timing, pipe.as_mut()) {
                             if tc.taken_branch_penalty > 0 {
                                 pipe.advance(u64::from(tc.taken_branch_penalty));
@@ -123,7 +121,6 @@ impl ReferenceCpu {
                         dcache_misses: dcache.map(|c| c.misses()).unwrap_or(0),
                         taken_branches,
                         mem_ops,
-                        taken_counts,
                         memory: mem,
                         stall_profile: profile,
                     });

@@ -75,10 +75,6 @@ pub struct RunResult {
     pub taken_branches: u64,
     /// Number of executed loads and stores.
     pub mem_ops: u64,
-    /// Per-text-word *taken* counts: `taken_counts[i]` is how often the
-    /// CTI at word `i` transferred control (0 for non-CTI words and
-    /// untaken executions).
-    pub taken_counts: Vec<u64>,
     /// The final data memory, for reading back counter tables.
     pub memory: Memory,
     /// Aggregate stall attribution over the whole run, present only
@@ -437,17 +433,13 @@ mod tests {
     }
 
     #[test]
-    fn taken_counts_track_branch_outcomes() {
+    fn taken_branches_track_branch_outcomes() {
         let exe = loop_program(5);
         let r = run(&exe, None, &RunConfig::default()).unwrap();
-        // The back edge at word 4 is taken 4 times (untaken once).
-        assert_eq!(r.taken_counts[4], 4);
+        // The back edge at word 4 runs 5 times and is taken 4 times
+        // (untaken once); nothing else transfers control.
         assert_eq!(r.pc_counts[4], 5);
-        assert!(r
-            .taken_counts
-            .iter()
-            .enumerate()
-            .all(|(i, &c)| i == 4 || c == 0));
+        assert_eq!(r.taken_branches, 4);
     }
 
     #[test]
@@ -514,7 +506,7 @@ mod tests {
     /// Every observable a run produces, for cross-engine equality
     /// checks (the memory image is compared via the counter words the
     /// programs under test write).
-    fn observables(r: &RunResult) -> (u64, u64, u32, Vec<u64>, u64, u64, u64, Vec<u64>) {
+    fn observables(r: &RunResult) -> (u64, u64, u32, Vec<u64>, u64, u64, u64) {
         (
             r.instructions,
             r.cycles,
@@ -523,7 +515,6 @@ mod tests {
             r.icache_misses,
             r.taken_branches,
             r.mem_ops,
-            r.taken_counts.clone(),
         )
     }
 
