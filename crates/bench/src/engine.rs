@@ -26,6 +26,13 @@
 //! originals Table 1 built instead of compiling them again. Edits are
 //! not cached.
 //!
+//! No edit changes control flow, so a baseline simulated here records
+//! its control path (`eel_sim::record`), and the instrumented and
+//! scheduled executables built on it are timed by walking that path
+//! (`eel_sim::walk`) instead of executing them again. A cell whose
+//! baseline came from a cache, and any timing with a D-cache (its
+//! misses need data addresses), executes.
+//!
 //! [`Engine::run_table`] fans benchmarks out over a scoped worker
 //! pool. Every cell value is deterministic (seeded workloads, pure
 //! simulation), and rows are slotted back by benchmark index, so the
@@ -40,10 +47,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use eel_edit::{EditSession, Executable};
+use eel_edit::{EditSession, Executable, LeaderMap};
 use eel_pipeline::{MachineModel, StallProfile};
 use eel_qpt::{ProfileOptions, Profiler};
-use eel_sim::{run_with, RunConfig, RunResult};
+use eel_sim::{record, run_with, walk, Path, RunConfig, RunResult};
 use eel_telemetry::{fnv1a, Registry, RunReport, Snapshot, Tracer};
 use eel_workloads::{Benchmark, Suite};
 
@@ -147,9 +154,15 @@ impl Stats {
         self.snapshot.counters.get(site).copied().unwrap_or(0)
     }
 
-    /// Simulator invocations actually performed.
+    /// Simulator invocations actually performed, walks included.
     pub fn sims(&self) -> u64 {
         self.counter("engine.sims")
+    }
+
+    /// Of [`Stats::sims`], the edited executables timed by walking
+    /// their original's recorded path instead of executing them.
+    pub fn walks(&self) -> u64 {
+        self.counter("sim.walks")
     }
 
     /// Cells answered from the in-process map.
@@ -177,8 +190,13 @@ impl Stats {
     /// A two-line human-readable summary for the end of a run.
     pub fn report(&self) -> String {
         use std::fmt::Write;
+        let walks = match self.walks() {
+            0 => String::new(),
+            1 => " (1 walk)".to_string(),
+            n => format!(" ({n} walks)"),
+        };
         let mut out = format!(
-            "engine: {} simulator invocation{}, {} cache hit{} ({} memory, {} disk), {} cell{} computed",
+            "engine: {} simulator invocation{}{walks}, {} cache hit{} ({} memory, {} disk), {} cell{} computed",
             self.sims(),
             if self.sims() == 1 { "" } else { "s" },
             self.mem_hits() + self.disk_hits(),
@@ -348,6 +366,61 @@ impl Engine {
         .expect("generated workloads execute without faults")
     }
 
+    /// A baseline run, timed to `baseline`, with its control path when
+    /// edits of `exe` can be walked along it: always, unless the timing
+    /// models a D-cache, whose misses need the data addresses only
+    /// execution computes.
+    fn baseline(&self, exe: &Executable) -> (RunResult, Option<Path>) {
+        if self
+            .setup
+            .run
+            .timing
+            .as_ref()
+            .is_some_and(|t| t.dcache.is_some())
+        {
+            return (self.sim(Stage::Baseline, exe, false), None);
+        }
+        self.telemetry.add("engine.sims", 1);
+        let (r, path) = self
+            .stage(Stage::Baseline, || {
+                record(
+                    exe,
+                    Some(&self.setup.measured),
+                    &self.setup.run,
+                    Some(&self.telemetry),
+                )
+            })
+            .expect("generated workloads execute without faults");
+        (r, Some(path))
+    }
+
+    /// An edited executable's run, timed to `runs`: walked along its
+    /// baseline's `path` when there is one, executed otherwise.
+    fn edited(&self, (exe, leaders): &(Executable, LeaderMap), path: Option<&Path>) -> CellValue {
+        let r = match path {
+            None => self.sim(Stage::Runs, exe, false),
+            Some(path) => {
+                self.telemetry.add("engine.sims", 1);
+                self.stage(Stage::Runs, || {
+                    walk(
+                        exe,
+                        path,
+                        leaders,
+                        Some(&self.setup.measured),
+                        &self.setup.run,
+                        Some(&self.telemetry),
+                    )
+                })
+                .expect("edits keep the original's control flow")
+            }
+        };
+        CellValue {
+            cycles: r.cycles,
+            exit_code: r.exit_code,
+            avg_bb: 0.0,
+        }
+    }
+
     /// `bench` compiled for the measured machine, timed to `build`:
     /// loaded from the disk tier when an earlier engine built it, and
     /// written through when it is compiled here. A damaged build file
@@ -385,27 +458,27 @@ impl Engine {
         fnv1a(key.as_bytes())
     }
 
-    /// `base` with QPT2 slow profiling, emitted unscheduled; timed to
-    /// `instrument`.
-    fn instrumented(&self, base: &Executable) -> Executable {
+    /// `base` with QPT2 slow profiling, emitted unscheduled, and where
+    /// its blocks went; timed to `instrument`.
+    fn instrumented(&self, base: &Executable) -> (Executable, LeaderMap) {
         self.stage(Stage::Instrument, || {
             let mut session = EditSession::new(base).expect("analyzable");
             let _profiler = Profiler::instrument(&mut session, ProfileOptions::default());
-            session.emit_unscheduled().expect("instrumentable")
+            session.emit_mapped(|_, code| code).expect("instrumentable")
         })
     }
 
     /// `original` with QPT2 slow profiling, every block scheduled by
-    /// EEL as it is emitted; instrumenting is timed to `instrument`,
-    /// scheduling and emission to `schedule`.
-    fn scheduled(&self, original: &Executable) -> Executable {
+    /// EEL as it is emitted, and where its blocks went; instrumenting
+    /// is timed to `instrument`, scheduling and emission to `schedule`.
+    fn scheduled(&self, original: &Executable) -> (Executable, LeaderMap) {
         let mut session = EditSession::new(original).expect("analyzable");
         self.stage(Stage::Instrument, || {
             let _profiler = Profiler::instrument(&mut session, ProfileOptions::default());
         });
         self.stage(Stage::Schedule, || {
             session
-                .emit(self.setup.scheduler.transform_with(&self.telemetry))
+                .emit_mapped(self.setup.scheduler.transform_with(&self.telemetry))
                 .expect("schedulable")
         })
     }
@@ -538,26 +611,28 @@ impl Engine {
             });
             (exe != *orig).then_some(exe)
         };
-        let baseline_run = |exe: &Executable| {
-            let r = self.sim(Stage::Baseline, exe, false);
+        // The control paths of the baselines this call simulates. No
+        // edit changes control flow, so each edit of a baseline is
+        // timed by walking its path instead of executing it again; a
+        // baseline served from a cache leaves no path, and its edits
+        // execute.
+        let original_path: OnceCell<Path> = OnceCell::new();
+        let rescheduled_path: OnceCell<Path> = OnceCell::new();
+        let baseline_run = |exe: &Executable, path: &OnceCell<Path>| {
+            let (r, recorded) = self.baseline(exe);
+            if let Some(p) = recorded {
+                let _ = path.set(p);
+            }
             CellValue {
                 cycles: r.cycles,
                 exit_code: r.exit_code,
                 avg_bb: dynamic_avg_bb(exe, &r),
             }
         };
-        let instrumented_run = |base: &Executable| {
-            let r = self.sim(Stage::Runs, &self.instrumented(base), false);
-            CellValue {
-                cycles: r.cycles,
-                exit_code: r.exit_code,
-                avg_bb: 0.0,
-            }
-        };
 
         // Stage 2: baseline run(s).
         let uninst = self.cell(self.cell_key(bench, "uninst", false, false), || {
-            baseline_run(original.get_or_init(build_original))
+            baseline_run(original.get_or_init(build_original), &original_path)
         });
         let (baseline, resched_ratio) = if reschedule_first {
             // The rescheduled baseline is simulated exactly once; its
@@ -566,7 +641,7 @@ impl Engine {
                 rescheduled
                     .get_or_init(build_rescheduled)
                     .as_ref()
-                    .map_or(uninst, baseline_run)
+                    .map_or(uninst, |exe| baseline_run(exe, &rescheduled_path))
             });
             (resched, resched.cycles as f64 / uninst.cycles as f64)
         } else {
@@ -576,14 +651,15 @@ impl Engine {
         // Stages 3+5: instrument the baseline, run it unscheduled.
         let original_inst = || {
             self.cell(self.cell_key(bench, "inst", false, false), || {
-                instrumented_run(original.get_or_init(build_original))
+                let orig = original.get_or_init(build_original);
+                self.edited(&self.instrumented(orig), original_path.get())
             })
         };
         let inst = if reschedule_first {
             self.cell(
                 self.cell_key(bench, "inst", true, true),
                 || match rescheduled.get_or_init(build_rescheduled) {
-                    Some(exe) => instrumented_run(exe),
+                    Some(exe) => self.edited(&self.instrumented(exe), rescheduled_path.get()),
                     None => original_inst(),
                 },
             )
@@ -596,17 +672,15 @@ impl Engine {
         // are the same in Tables 1 and 2), hence a shared cell.
         let sched = self.cell(self.cell_key(bench, "sched", true, false), || {
             let orig = original.get_or_init(build_original);
-            let r = self.sim(Stage::Runs, &self.scheduled(orig), false);
-            CellValue {
-                cycles: r.cycles,
-                exit_code: r.exit_code,
-                avg_bb: 0.0,
-            }
+            self.edited(&self.scheduled(orig), original_path.get())
         });
 
         // Sanity: all three executions do the same architectural work.
         // Exit codes travel with the cells, so this holds for cached
-        // recalls too.
+        // recalls too. A walked cell reports its baseline's exit code,
+        // so this guards only executed and cached cells; the edits'
+        // semantics on the tables' own builds are checked by
+        // `tests/table_semantics.rs`.
         assert_eq!(inst.exit_code, baseline.exit_code, "{}", bench.name);
         assert_eq!(sched.exit_code, baseline.exit_code, "{}", bench.name);
 
@@ -711,8 +785,8 @@ impl Engine {
     /// agree — attribution is observation, not simulation change).
     pub fn attribute(&self, bench: &Benchmark) -> Attribution {
         let original = self.build(bench);
-        let inst = self.sim(Stage::Runs, &self.instrumented(&original), true);
-        let sched = self.sim(Stage::Runs, &self.scheduled(&original), true);
+        let inst = self.sim(Stage::Runs, &self.instrumented(&original).0, true);
+        let sched = self.sim(Stage::Runs, &self.scheduled(&original).0, true);
         Attribution {
             name: bench.name,
             suite: bench.suite,

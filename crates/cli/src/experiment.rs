@@ -2,6 +2,7 @@
 //! exposed. The published tables (`eel results table1|2|3`) run the
 //! same engine in their one configuration.
 
+use std::num::NonZeroU32;
 use std::sync::Arc;
 
 use eel_bench::engine::Engine;
@@ -19,7 +20,7 @@ pub(crate) fn experiment(mut args: Args) -> Result<String, CliError> {
         .unwrap_or_else(MachineModel::ultrasparc);
     let reschedule = args.flag("--reschedule");
     let no_cache = args.flag("--no-cache");
-    let iterations = args.parsed("--iterations")?;
+    let iterations = args.parsed("--iterations")?.map(NonZeroU32::get);
     let filter = args.value("--benchmark")?;
     let report_path = args.value("--report")?;
     let priority = args
@@ -37,19 +38,25 @@ pub(crate) fn experiment(mut args: Args) -> Result<String, CliError> {
         return Err(err("--exact-budget needs --policy exact"));
     }
     let corpus = match &corpus {
-        Some(spec) => load_corpus(spec).map_err(|e| err(e.to_string()))?,
+        Some(spec) => {
+            let corpus = load_corpus(spec).map_err(|e| err(e.to_string()))?;
+            if corpus.is_empty() {
+                return Err(err(format!("corpus `{spec}` lists no benchmarks")));
+            }
+            corpus
+        }
         None => spec95(),
     };
-    let benchmarks: Vec<_> = corpus
-        .into_iter()
-        .filter(|b| filter.as_deref().is_none_or(|f| b.name == f))
-        .collect();
-    if benchmarks.is_empty() {
-        return Err(err(format!(
-            "unknown benchmark `{}`",
-            filter.as_deref().unwrap_or("")
-        )));
-    }
+    let benchmarks: Vec<_> = match &filter {
+        None => corpus,
+        Some(name) => {
+            let matched: Vec<_> = corpus.into_iter().filter(|b| b.name == name).collect();
+            if matched.is_empty() {
+                return Err(err(format!("unknown benchmark `{name}`")));
+            }
+            matched
+        }
+    };
     let cfg = ExperimentConfig {
         iterations,
         sched: SchedOptions {

@@ -647,6 +647,10 @@ fn bad_flags_are_one_line_errors_not_fallbacks() {
     // Each must fail before any work: ignoring the typo would run the
     // full table, a fallback would pick the wrong worker count, and a
     // panic is not a diagnostic.
+    let empty = tmp("empty-corpus.txt");
+    std::fs::write(&empty, "# eel-corpus-v1\n").unwrap();
+    let none_generated = tmp("none-generated-corpus.txt");
+    std::fs::write(&none_generated, "# eel-corpus-v1\ngen small 0 7\n").unwrap();
     for (argv, want) in [
         (
             &["results", "table1", "--shrad", "1/2"][..],
@@ -657,6 +661,25 @@ fn bad_flags_are_one_line_errors_not_fallbacks() {
         (&["results", "summary", "--jobs"], "--jobs needs a value"),
         (&["results", "summary", "--jobs", "0"], "bad --jobs `0`"),
         (&["experiment", "--jobs", "0"], "bad --jobs `0`"),
+        // A generated program counts its loop down from the iteration
+        // count, so 0 would never end.
+        (&["experiment", "--iterations", "0"], "bad --iterations `0`"),
+        (
+            &["gen", "130.li", "-o", "x", "--iterations", "0"],
+            "bad --iterations `0`",
+        ),
+        (
+            &["experiment", "--corpus", &empty, "--no-cache"],
+            "lists no benchmarks",
+        ),
+        (
+            &["experiment", "--corpus", &none_generated, "--no-cache"],
+            "lists no benchmarks",
+        ),
+        (
+            &["experiment", "--benchmark", "nope", "--no-cache"],
+            "unknown benchmark `nope`",
+        ),
         // Every result runs only its published configuration;
         // `experiment` is the command with knobs.
         (
@@ -722,6 +745,8 @@ fn bad_flags_are_one_line_errors_not_fallbacks() {
         assert!(msg.contains(want), "{argv:?}: {msg}");
         assert!(!msg.contains('\n'), "{argv:?}: one line: {msg}");
     }
+    let _ = std::fs::remove_file(empty);
+    let _ = std::fs::remove_file(none_generated);
 }
 
 #[test]

@@ -2,6 +2,7 @@
 //! disassemble, analyze, instrument, simulate, profile, and explain.
 
 use std::fs;
+use std::num::NonZeroU32;
 
 use eel_bench::experiment::{ExperimentConfig, Measurement};
 use eel_core::{Priority, SchedOptions, Scheduler};
@@ -57,7 +58,7 @@ pub(crate) fn machines(args: Args) -> Result<String, CliError> {
 
 pub(crate) fn gen(mut args: Args) -> Result<String, CliError> {
     let out_path = args.value("-o")?;
-    let iterations = args.parsed("--iterations")?;
+    let iterations = args.parsed("--iterations")?.map(NonZeroU32::get);
     let optimize = args.machine("--optimize")?;
     let name = args
         .positional()

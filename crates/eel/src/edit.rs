@@ -102,8 +102,39 @@ pub struct BlockInfo<'a> {
 /// position; within one position, insertion order is kept.
 type Slot = Vec<(usize, Vec<Instruction>)>;
 
-/// Marks an old text word that starts no block in `emit`'s leader map.
-const NOT_LEADER: usize = usize::MAX;
+/// Marks an old text word that starts no block in a [`LeaderMap`].
+const NOT_LEADER: u32 = u32::MAX;
+
+/// Where [`EditSession::emit_mapped`] laid each block out: the address
+/// a block of the edited executable starts at, mapped to the address
+/// its emitted code starts at. The two share their text base.
+///
+/// Emission keeps every block's control transfers and their order, so
+/// a run's indirect jump targets — return addresses, which always
+/// start a block — carry over to the emitted executable through this
+/// map (see `eel_sim::walk`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LeaderMap {
+    text_base: u32,
+    /// Per old text word, the new word index of the block it starts,
+    /// or [`NOT_LEADER`].
+    new: Vec<u32>,
+}
+
+impl LeaderMap {
+    /// The address the block starting at `old` was emitted at, or
+    /// `None` when no block starts at `old`.
+    pub fn get(&self, old: u32) -> Option<u32> {
+        let offset = old.wrapping_sub(self.text_base);
+        if !offset.is_multiple_of(4) {
+            return None;
+        }
+        match self.new.get((offset / 4) as usize) {
+            Some(&new) if new != NOT_LEADER => Some(self.text_base.wrapping_add(4 * new)),
+            _ => None,
+        }
+    }
+}
 
 /// An in-progress edit of one executable.
 ///
@@ -295,7 +326,19 @@ impl EditSession {
     /// leader, [`EditError::TextOverflow`] if the rewritten text
     /// would collide with the data segment, and
     /// [`EditError::BssOverflow`] if a bss reservation did not fit.
-    pub fn emit<F>(&self, mut transform: F) -> Result<Executable, EditError>
+    pub fn emit<F>(&self, transform: F) -> Result<Executable, EditError>
+    where
+        F: FnMut(BlockInfo<'_>, BlockCode) -> BlockCode,
+    {
+        self.emit_mapped(transform).map(|(exe, _)| exe)
+    }
+
+    /// [`EditSession::emit`], also returning where each block went.
+    ///
+    /// # Errors
+    ///
+    /// As for [`EditSession::emit`].
+    pub fn emit_mapped<F>(&self, mut transform: F) -> Result<(Executable, LeaderMap), EditError>
     where
         F: FnMut(BlockInfo<'_>, BlockCode) -> BlockCode,
     {
@@ -359,7 +402,7 @@ impl EditSession {
                 }
 
                 let new_start = new_text.len();
-                leader_map[b.start] = new_start;
+                leader_map[b.start] = new_start as u32;
                 new_text.extend(code.body.iter().chain(&code.tail).map(|t| t.insn.encode()));
                 if let Some(c) = b.cti {
                     ctis.push((new_start + code.body.len(), b.start + c, code.tail[0].insn));
@@ -379,7 +422,7 @@ impl EditSession {
                 return Err(EditError::BadBranchTarget { from, to: 0 });
             }
             let new_target = match leader_map.get(old_target as usize) {
-                Some(&new) if new != NOT_LEADER => new,
+                Some(&new) if new != NOT_LEADER => new as usize,
                 _ => {
                     return Err(EditError::BadBranchTarget {
                         from,
@@ -398,7 +441,7 @@ impl EditSession {
                     from: addr,
                     to: addr,
                 }),
-                new => Ok(self.exe.text_addr(new)),
+                new => Ok(self.exe.text_addr(new as usize)),
             }
         };
         let entry = remap(self.exe.entry())?;
@@ -420,7 +463,7 @@ impl EditSession {
             return Err(EditError::TextOverflow { needed, available });
         }
 
-        Ok(Executable::new(
+        let exe = Executable::new(
             self.exe.text_base(),
             new_text,
             self.exe.data_base(),
@@ -428,7 +471,12 @@ impl EditSession {
             self.exe.bss_size(),
             entry,
             symbols,
-        ))
+        );
+        let leaders = LeaderMap {
+            text_base: self.exe.text_base(),
+            new: leader_map,
+        };
+        Ok((exe, leaders))
     }
 
     /// Lays out the executable without transforming blocks — i.e. the
@@ -485,6 +533,29 @@ mod tests {
         // block 1: word index 2 (1 nop + 1 mov), branch at index 4.
         let branch = Instruction::decode(out.text()[4]);
         assert_eq!(branch.branch_disp(), Some(-2));
+    }
+
+    #[test]
+    fn the_leader_map_follows_every_block() {
+        let exe = loop_exe();
+        let mut session = EditSession::new(&exe).unwrap();
+        for (r, b) in session.all_blocks() {
+            session.insert_at_block_head(r, b, vec![Instruction::nop(); 2]);
+        }
+        let (out, leaders) = session.emit_mapped(|_, code| code).unwrap();
+        assert_eq!(out, session.emit_unscheduled().unwrap());
+        // Blocks start at words 0, 1 and 4; each grew by two words.
+        let base = exe.text_base();
+        for (old, new) in [(0, 0), (1, 3), (4, 8)] {
+            assert_eq!(
+                leaders.get(base + 4 * old),
+                Some(base + 4 * new),
+                "word {old}"
+            );
+        }
+        for not_a_leader in [base + 8, base + 12, base + 2, base + 4 * 6, base - 4] {
+            assert_eq!(leaders.get(not_a_leader), None, "{not_a_leader:#x}");
+        }
     }
 
     #[test]

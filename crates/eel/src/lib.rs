@@ -31,7 +31,7 @@ mod format;
 mod image;
 
 pub use cfg::{BasicBlock, Cfg, Edge, Routine};
-pub use edit::{BlockCode, BlockInfo, EditSession, Origin, Tagged};
+pub use edit::{BlockCode, BlockInfo, EditSession, LeaderMap, Origin, Tagged};
 pub use error::EditError;
 pub use format::{FormatError, MAGIC, VERSION};
 pub use image::{Executable, Symbol};

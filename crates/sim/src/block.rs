@@ -77,6 +77,13 @@
 //! run's `StallProfile` and never touches the memo (a replayed memo
 //! entry cannot report its stall cycles). Functional-only runs skip fetch
 //! probes, `prepare`, and timing altogether.
+//!
+//! The run loop is generic over a [`Mode`] (`crate::path`): a plain run
+//! executes, a recording run executes and keeps the control path, and
+//! a walk executes no op at all, taking every outcome from a recorded
+//! path while the block cache, fetch probes, timing memo and fused
+//! delay slots work exactly as above. Each mode compiles its own loop,
+//! so a plain run pays nothing for the other two.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -90,6 +97,7 @@ use crate::cpu::{dest_slot, Cpu, Icc, Step};
 use crate::error::SimError;
 use crate::icache::{ICache, ICacheConfig};
 use crate::memory::Memory;
+use crate::path::{fixed_foutcome, fixed_outcome, signature, Mode};
 use crate::run::{RunConfig, RunResult};
 
 /// Longest straight-line block the builder will form; regions longer
@@ -97,7 +105,7 @@ use crate::run::{RunConfig, RunResult};
 const MAX_BLOCK_LEN: usize = 64;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// fnv1a over a word slice — the block content hash, matching the
 /// engine's artifact-cache construction.
@@ -532,6 +540,8 @@ struct Block {
     ops: Vec<BlockOp>,
     /// The lowered terminator.
     term: TermOp,
+    /// The terminator's [`signature`], for recording and walking.
+    sig: u32,
     /// The precached delay slot, when fusable.
     slot: Option<Box<SlotInfo>>,
     /// fnv1a of the block's words — the timing-memo key prefix.
@@ -637,6 +647,7 @@ fn build_block(
         .flatten();
     Block {
         start,
+        sig: signature(&insns[n - 1]),
         content: fnv1a64(&words),
         mem_ops: insns.iter().filter(|i| i.is_mem()).count() as u64,
         prepared,
@@ -952,10 +963,12 @@ impl Timer<'_> {
 }
 
 /// Everything a run threads through its loop.
-struct Engine<'a> {
+struct Engine<'a, M> {
     mem: Memory,
     cpu: Cpu,
     timer: Option<Timer<'a>>,
+    /// Executing, recording or walking.
+    mode: &'a mut M,
     /// Per-word counts of single steps; blocks keep their own counts
     /// and add them at run end.
     pc_counts: Vec<u64>,
@@ -968,7 +981,7 @@ struct Engine<'a> {
     max_instructions: u64,
 }
 
-impl Engine<'_> {
+impl<M: Mode> Engine<'_, M> {
     /// Executes one instruction on the per-instruction path — delay
     /// slots, out-of-text program counters (which fault here exactly
     /// as in the reference), and the tail of the instruction budget.
@@ -1008,7 +1021,7 @@ impl Engine<'_> {
         if insn.is_mem() {
             self.mem_ops += 1;
         }
-        let step = self.cpu.step_decoded(&mut self.mem, &insn)?;
+        let step = self.mode.step(&mut self.cpu, &mut self.mem, &insn)?;
         self.instructions += 1;
         match step {
             Step::Continue { taken_cti } => {
@@ -1037,21 +1050,24 @@ impl Engine<'_> {
         // payloads, and the architectural pc is materialized once at
         // the terminator. It runs before the timing walk so the
         // D-cache can be probed with each op's pre-execution
-        // registers; a fault aborts the run either way.
+        // registers; a fault aborts the run either way. A walk has no
+        // D-cache and executes nothing.
         let (cpu, mem) = (&mut self.cpu, &mut self.mem);
         let mut dmiss = 0u64;
-        match self.timer.as_mut().and_then(|t| t.dcache.as_mut()) {
-            None => {
-                for (i, &op) in block.ops.iter().enumerate() {
-                    exec_op(cpu, mem, op, entry_pc.wrapping_add(4 * i as u32))?;
-                }
-            }
-            Some(dcache) => {
-                for (i, (&op, insn)) in block.ops.iter().zip(&block.insns).enumerate() {
-                    if load_missed(dcache, cpu, insn) {
-                        dmiss |= 1u64 << i;
+        if M::EXECUTES {
+            match self.timer.as_mut().and_then(|t| t.dcache.as_mut()) {
+                None => {
+                    for (i, &op) in block.ops.iter().enumerate() {
+                        exec_op(cpu, mem, op, entry_pc.wrapping_add(4 * i as u32))?;
                     }
-                    exec_op(cpu, mem, op, entry_pc.wrapping_add(4 * i as u32))?;
+                }
+                Some(dcache) => {
+                    for (i, (&op, insn)) in block.ops.iter().zip(&block.insns).enumerate() {
+                        if load_missed(dcache, cpu, insn) {
+                            dmiss |= 1u64 << i;
+                        }
+                        exec_op(cpu, mem, op, entry_pc.wrapping_add(4 * i as u32))?;
+                    }
                 }
             }
         }
@@ -1076,7 +1092,9 @@ impl Engine<'_> {
         // [`crate::cpu::branch_flow`] with the build-time absolute
         // target, skipping the generic interpreter. `jmpl`, traps, and
         // undecodable words stay generic (and exits only come from
-        // there); a length-capped block just falls through.
+        // there); a length-capped block just falls through. The mode
+        // decides each outcome: evaluated, recorded, or read from a
+        // walk's path.
         let taken_cti = match block.term {
             TermOp::Branch {
                 cond,
@@ -1084,7 +1102,10 @@ impl Engine<'_> {
                 uncond,
                 target,
             } => {
-                let taken = self.cpu.cond(cond);
+                let cpu = &self.cpu;
+                let taken = self
+                    .mode
+                    .branch(term_pc, block.sig, fixed_outcome(cond), || cpu.cond(cond))?;
                 let (p, np) = crate::cpu::branch_flow(npc, taken, annul, uncond, target);
                 self.cpu.pc = p;
                 self.cpu.npc = np;
@@ -1096,13 +1117,17 @@ impl Engine<'_> {
                 uncond,
                 target,
             } => {
-                let taken = self.cpu.fcond(cond);
+                let cpu = &self.cpu;
+                let taken = self
+                    .mode
+                    .branch(term_pc, block.sig, fixed_foutcome(cond), || cpu.fcond(cond))?;
                 let (p, np) = crate::cpu::branch_flow(npc, taken, annul, uncond, target);
                 self.cpu.pc = p;
                 self.cpu.npc = np;
                 taken
             }
             TermOp::Call { target } => {
+                self.mode.call(block.sig);
                 self.cpu.set_reg(IntReg::O7, term_pc);
                 self.cpu.pc = npc;
                 self.cpu.npc = target;
@@ -1116,7 +1141,9 @@ impl Engine<'_> {
             TermOp::Generic => {
                 self.cpu.pc = term_pc;
                 self.cpu.npc = npc;
-                let step = self.cpu.step_decoded(&mut self.mem, &block.insns[n - 1])?;
+                let step = self
+                    .mode
+                    .step(&mut self.cpu, &mut self.mem, &block.insns[n - 1])?;
                 match step {
                     Step::Exit(code) => {
                         self.instructions += n as u64;
@@ -1169,7 +1196,9 @@ impl Engine<'_> {
                     if slot.is_mem {
                         self.mem_ops += 1;
                     }
-                    exec_op(&mut self.cpu, &mut self.mem, slot.op, slot.addr)?;
+                    if M::EXECUTES {
+                        exec_op(&mut self.cpu, &mut self.mem, slot.op, slot.addr)?;
+                    }
                     self.instructions += 1;
                     self.cpu.pc = target;
                     self.cpu.npc = target.wrapping_add(4);
@@ -1326,20 +1355,23 @@ fn exec_op(cpu: &mut Cpu, mem: &mut Memory, op: BlockOp, pc: u32) -> Result<(), 
     Ok(())
 }
 
-/// Runs `exe` to completion: timed when both `model` and
-/// `config.timing` are given, functional-only otherwise.
-pub(crate) fn run_blocks(
+/// Runs `exe` to completion in `mode`: timed when both `model` and
+/// `config.timing` are given, functional-only otherwise. A walk's exit
+/// code is its path's.
+pub(crate) fn run_blocks<M: Mode>(
     exe: &Executable,
     model: Option<&MachineModel>,
     config: &RunConfig,
     telemetry: Option<&Registry>,
+    mode: &mut M,
 ) -> Result<RunResult, SimError> {
     let tracer = telemetry.and_then(Registry::tracer);
     // One span covering the whole simulated run. Per-event tracing of
     // block-cache *hits* would dominate the run (millions per run), so
     // hits/misses surface as one summary instant at the end instead —
     // only the rare build sites trace individually.
-    let _run_trace = tracer.map(|t| t.span("sim", "run", 0, 0));
+    let name = if M::EXECUTES { "run" } else { "walk" };
+    let _run_trace = tracer.map(|t| t.span("sim", name, 0, 0));
     let text_len = exe.text_len();
     let timer = model
         .zip(config.timing.as_ref())
@@ -1368,6 +1400,7 @@ pub(crate) fn run_blocks(
         mem: Memory::load(exe),
         cpu: Cpu::new(exe.entry()),
         timer,
+        mode,
         pc_counts: vec![0u64; text_len],
         taken: 0,
         instructions: 0,
@@ -1452,6 +1485,9 @@ pub(crate) fn run_blocks(
         .map_or((0, 0), |t| (t.memo.hits, t.memo.misses));
     if let Some(reg) = telemetry {
         reg.add("sim.runs", 1);
+        if !M::EXECUTES {
+            reg.add("sim.walks", 1);
+        }
         reg.add("sim.instructions", eng.instructions);
         reg.add("sim.cycles", cycles);
         reg.add("sim.mem_ops", eng.mem_ops);

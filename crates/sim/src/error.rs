@@ -60,6 +60,18 @@ pub enum SimError {
         /// Program counter of the instruction.
         pc: u32,
     },
+    /// A walk ([`crate::walk`]) could not follow its recorded path:
+    /// the walked executable is not an edit of the recorded one that
+    /// keeps its control flow.
+    OffPath {
+        /// Program counter of the control transfer that left the path.
+        pc: u32,
+        /// How it left the path.
+        what: &'static str,
+    },
+    /// A walk was asked to model a data cache, whose timing needs the
+    /// data addresses only execution computes.
+    WalkWithDCache,
 }
 
 impl fmt::Display for SimError {
@@ -88,6 +100,13 @@ impl fmt::Display for SimError {
             }
             SimError::OddRegisterPair { pc } => {
                 write!(f, "doubleword operation names an odd register at {pc:#x}")
+            }
+            SimError::OffPath { pc, what } => write!(f, "walk left its path at {pc:#x}: {what}"),
+            SimError::WalkWithDCache => {
+                write!(
+                    f,
+                    "a walk cannot time a data cache: its addresses need execution"
+                )
             }
         }
     }

@@ -19,6 +19,12 @@
 //! `step_decoded` is the oracle for those ops, and [`ReferenceCpu`]
 //! the per-instruction oracle for whole runs.
 //!
+//! [`record`] also keeps a run's control [`Path`], and [`walk`] times
+//! an edit of the recorded executable along it without executing it:
+//! QPT2's counters and EEL's scheduling keep the program's control
+//! flow, so the path the original took is the path every such edit
+//! takes.
+//!
 //! Per-word execution counts ([`RunResult::pc_counts`]) let tests
 //! validate QPT2 profiles against ground truth.
 
@@ -30,6 +36,7 @@ mod cpu;
 mod error;
 mod icache;
 mod memory;
+mod path;
 mod reference;
 mod run;
 
@@ -37,5 +44,6 @@ pub use cpu::{Cpu, Fcc, Icc, Step, STACK_TOP};
 pub use error::SimError;
 pub use icache::{DCacheConfig, ICache, ICacheConfig};
 pub use memory::Memory;
+pub use path::Path;
 pub use reference::ReferenceCpu;
-pub use run::{run, run_with, RunConfig, RunResult, TimingConfig};
+pub use run::{record, run, run_with, walk, RunConfig, RunResult, TimingConfig};

@@ -8,13 +8,14 @@
 //! interpretive [`crate::ReferenceCpu`] on every counter, cycle,
 //! profile, and fault.
 
-use eel_edit::Executable;
+use eel_edit::{Executable, LeaderMap};
 use eel_pipeline::{MachineModel, StallProfile};
 use eel_telemetry::Registry;
 
 use crate::error::SimError;
 use crate::icache::{DCacheConfig, ICacheConfig};
 use crate::memory::Memory;
+use crate::path::{Execute, Path, Record, Walk};
 
 /// How to time a run.
 #[derive(Debug, Clone, Default)]
@@ -75,7 +76,8 @@ pub struct RunResult {
     pub taken_branches: u64,
     /// Number of executed loads and stores.
     pub mem_ops: u64,
-    /// The final data memory, for reading back counter tables.
+    /// The final data memory, for reading back counter tables. A walk
+    /// ([`walk`]) executes nothing and leaves the initial image.
     pub memory: Memory,
     /// Aggregate stall attribution over the whole run, present only
     /// when [`RunConfig::attribute_stalls`] was set on a timed run.
@@ -130,7 +132,7 @@ pub fn run(
     model: Option<&MachineModel>,
     config: &RunConfig,
 ) -> Result<RunResult, SimError> {
-    crate::block::run_blocks(exe, model, config, None)
+    crate::block::run_blocks(exe, model, config, None, &mut Execute)
 }
 
 /// [`run`] observed through a telemetry registry.
@@ -150,7 +152,59 @@ pub fn run_with(
     config: &RunConfig,
     telemetry: &Registry,
 ) -> Result<RunResult, SimError> {
-    crate::block::run_blocks(exe, model, config, Some(telemetry))
+    crate::block::run_blocks(exe, model, config, Some(telemetry), &mut Execute)
+}
+
+/// [`run`], also recording the run's control [`Path`], along which
+/// [`walk`] times edits of `exe`. Counts in `telemetry` as [`run_with`].
+///
+/// # Errors
+///
+/// As [`run`].
+pub fn record(
+    exe: &Executable,
+    model: Option<&MachineModel>,
+    config: &RunConfig,
+    telemetry: Option<&Registry>,
+) -> Result<(RunResult, Path), SimError> {
+    let mut mode = Record::default();
+    let result = crate::block::run_blocks(exe, model, config, telemetry, &mut mode)?;
+    Ok((result, mode.path))
+}
+
+/// Times `exe`, an edit of the executable `path` was recorded on, by
+/// walking it along that path instead of executing it: what [`run`]
+/// would return for `exe`, when the edit keeps the original's control
+/// flow — it only inserts straight-line code and reorders code within
+/// blocks, as QPT2 and EEL's scheduler do — and its straight-line code
+/// computes what the original's does wherever a control transfer
+/// reads it. `leaders` is the edit's [`LeaderMap`], which carries the
+/// path's jump targets over to `exe`.
+///
+/// A walk executes no op, so it reports the path's exit code and
+/// leaves [`RunResult::memory`] as loaded; everything else (cycles,
+/// counts, profiles, cache misses, attribution) is the walked
+/// executable's own. Counts in `telemetry` as [`run_with`] does, plus
+/// `sim.walks`, and traces a `sim/walk` span instead of `sim/run`.
+///
+/// # Errors
+///
+/// [`SimError::WalkWithDCache`] when `config` models a data cache;
+/// [`SimError::OffPath`] when `exe` does not follow `path`; and the
+/// faults a run of `exe` would raise from its text alone (a bad
+/// program counter, an undecodable word, the instruction limit).
+pub fn walk(
+    exe: &Executable,
+    path: &Path,
+    leaders: &LeaderMap,
+    model: Option<&MachineModel>,
+    config: &RunConfig,
+    telemetry: Option<&Registry>,
+) -> Result<RunResult, SimError> {
+    if config.timing.as_ref().is_some_and(|t| t.dcache.is_some()) {
+        return Err(SimError::WalkWithDCache);
+    }
+    crate::block::run_blocks(exe, model, config, telemetry, &mut Walk::new(path, leaders))
 }
 
 #[cfg(test)]
